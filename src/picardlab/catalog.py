@@ -218,7 +218,6 @@ class CatalogEntry:
             return PlaneModel(
                 self.poly(self.model["projective"], value),
                 tuple(self.model["variables"]),
-                diagonal=self.model.get("diagonal", False),
             )
         if kind == "hyperelliptic":
             return HyperellipticModel(self.poly(self.model["rhs"], value))
@@ -242,7 +241,6 @@ class CatalogEntry:
                 tuple(self.model["variables"]),
                 fib,
                 genus=self.model.get("genus"),
-                tower=self.tower,
             )
         if kind == "product":
             return ProductModel(

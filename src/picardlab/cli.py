@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .catalog import builtin_catalog
+from .exact import is_prime
 from .report import hodge_row, render
 from .runner import run_catalog
 
@@ -84,7 +85,7 @@ def _cmd_count(parser, args):
     if entry.model["kind"] == "product":
         parser.error("entry %s is symbolic-only; nothing to count" % entry.id)
     p = args.prime
-    if not 2 < p <= PLANE_PRIME_CAP:
+    if not (2 < p <= PLANE_PRIME_CAP and is_prime(p)):
         parser.error("--prime must be an odd prime at most %d"
                      % PLANE_PRIME_CAP)
     for value, _, bad in entry.specializations():

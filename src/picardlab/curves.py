@@ -5,11 +5,8 @@ returned as ``CountRecord`` objects that enforce the Weil bound on
 construction, so a miscount in any route fails loudly.
 """
 
-from fractions import Fraction
-
 from .exact import is_prime
 from .gf import ExtField
-from .symbolic import parse_polynomial
 
 
 class CountRecord:
@@ -88,18 +85,85 @@ def _eval_poly(coeffs, x, p):
     return acc
 
 
+# Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, m, p):
+    """Remainder of a modulo the nonzero trimmed m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        q = a[i] * inv % p
+        if q:
+            for j in range(dm):
+                a[i - dm + j] -= q * m[j]
+    return _poly_trim([c % p for c in a[:dm]])
+
+
+def _poly_mulmod(a, b, m, p):
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_mod(prod, m, p)
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def _root_count(coeffs, p):
+    """Distinct roots in F_p of a polynomial (integer coefficients, low to
+    high): deg gcd(f, y^p - y), with y^p mod f by square-and-multiply.  The
+    zero polynomial vanishes at all p points."""
+    f = _poly_trim([c % p for c in coeffs])
+    if len(f) <= 2:
+        return p if not f else len(f) - 1
+    power = [0, 1]
+    for bit in bin(p)[3:]:
+        power = _poly_mulmod(power, power, f, p)
+        if bit == "1":
+            power = _poly_mod([0] + power, f, p)
+    power += [0] * (2 - len(power))
+    power[1] -= 1
+    return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
+
+
+def _diagonal_count(p, d):
+    """Projective points of x^d + y^d + z^d = 0 over F_p: the chart z = 1
+    from d-th power residue counts, then the d-th roots of -1 on z = 0."""
+    t = power_residue_counts(p, d)
+    n = sum(t[v] * t[(-1 - v) % p] for v in range(p))
+    return n + t[p - 1]
+
+
 class PlaneModel:
-    """Smooth projective plane curve F(x, y, z) = 0 of the given degree."""
+    """Smooth projective plane curve F(x, y, z) = 0 of the given degree.
+
+    The Fermat curve x^d + y^d + z^d is recognised from its equation and
+    counted in O(p); every other curve is counted line by line.
+    """
 
     kind = "plane"
 
-    def __init__(self, poly, variables=("x", "y", "z"), diagonal=False):
+    def __init__(self, poly, variables=("x", "y", "z")):
         self.poly = poly
         self.variables = tuple(variables)
         self.rows = poly_table(poly, self.variables)
-        self.degree = max(sum(e) for e, _ in self.rows)
-        assert all(sum(e) == self.degree for e, _ in self.rows), "not homogeneous"
-        self.diagonal = diagonal
+        self.degree = d = max(sum(e) for e, _ in self.rows)
+        assert all(sum(e) == d for e, _ in self.rows), "not homogeneous"
+        self.diagonal = self.rows == [((0, 0, d), 1), ((0, d, 0), 1),
+                                      ((d, 0, 0), 1)]
 
     def genus(self):
         d = self.degree
@@ -114,32 +178,26 @@ class PlaneModel:
         return CountRecord(p, 1, n, self.genus())
 
     def _count_diagonal(self, p):
-        # x^d + y^d + z^d: affine chart z=1 via d-th power residue counts,
-        # then the d-th roots of -1 on the line z=0.
-        t = power_residue_counts(p, self.degree)
-        n = sum(t[v] * t[(-1 - v) % p] for v in range(p))
-        return n + t[(p - 1) % p]
+        return _diagonal_count(p, self.degree)
 
     def _count_scan(self, p):
+        # chart z = 1: the line x = a meets the curve in the roots of
+        # F(a, y, 1), all p of its points when F(a, y, 1) vanishes
         rows = table_mod(self.rows, p)
         d = self.degree
-        powers = [[pow(x, e, p) for e in range(d + 1)] for x in range(p)]
         n = 0
         for x in range(p):
-            px = powers[x]
-            for y in range(p):
-                py = powers[y]
-                acc = 0
-                for (ex, ey, ez), c in rows:   # chart z = 1
-                    acc += c * px[ex] * py[ey]
-                if acc % p == 0:
-                    n += 1
-        # line z = 0: points (x : 1 : 0) and (1 : 0 : 0)
-        edge = [(e, c) for e, c in rows if e[2] == 0]
-        for x in range(p):
-            if sum(c * powers[x][ex] for (ex, ey, ez), c in edge) % p == 0:
-                n += 1
-        if sum(c for (ex, ey, ez), c in edge if ey == 0) % p == 0:
+            fx = [0] * (d + 1)
+            for (ex, ey, _), c in rows:
+                fx[ey] += c * pow(x, ex, p)
+            n += _root_count(fx, p)
+        # line z = 0: points (x : 1 : 0), the roots of F(x, 1, 0), and (1 : 0 : 0)
+        edge = [0] * (d + 1)
+        for (ex, _, ez), c in rows:
+            if ez == 0:
+                edge[ex] += c
+        n += _root_count(edge, p)
+        if edge[d] % p == 0:
             n += 1
         return n
 
@@ -286,11 +344,10 @@ class SpaceModel:
 
     kind = "space"
 
-    def __init__(self, relations, variables, fibration, genus=None, tower=None):
+    def __init__(self, relations, variables, fibration, genus=None):
         self.relations = list(relations)
         self.variables = tuple(variables)
         self.fibration = fibration
-        self.tower = tower
         if genus is None:
             degrees = []
             for rel in self.relations:
@@ -387,35 +444,31 @@ class SpaceModel:
         return n + fiber(1, 0)
 
     def _count_shift_orbit(self, p):
-        # Quotient of the diagonal plane sextic by the coordinate 3-cycle.
+        # Quotient of the diagonal plane sextic by the coordinate 3-cycle s.
         # Orbit counting: 3 N(quotient) = N + N_s + N_{s^2}, where N_s counts
         # points whose Frobenius image is the shifted point.  Writing a = X^6
-        # for X in the norm-one circle of F_{p^3}, the two twisted conditions
-        # become a + a*frob(a) + 1 = 0 and frob(a) + a*frob(a) + 1 = 0.
-        base = PlaneModel(
-            parse_polynomial(self.tower, "x^6+y^6+z^6"),
-            ("x", "y", "z"), diagonal=True)._count_diagonal(p)
-        field = ExtField(p, 3)
-        order = p * p + p + 1
-        h6 = (field.multiplicative_generator() ** (p - 1)) ** 6
-        sixth = 3 if order % 3 == 0 else 1       # X -> X^6 is (gcd(6, order))-to-1
-        steps = order // sixth
-        frob = field.frobenius_map()
-        mul = field.mul_raw
-        a = field.one().coeffs
-        h6 = h6.coeffs
-        n1 = n2 = 0
-        for _ in range(steps):
-            fa = frob(a)
-            t1 = mul(a, fa)
-            if (a[0] + t1[0] + 1) % p == 0 and (a[1] + t1[1]) % p == 0 \
-                    and (a[2] + t1[2]) % p == 0:
-                n1 += 1
-            if (fa[0] + t1[0] + 1) % p == 0 and (fa[1] + t1[1]) % p == 0 \
-                    and (fa[2] + t1[2]) % p == 0:
-                n2 += 1
-            a = mul(a, h6)
-        total = base + sixth * (n1 + n2)
+        # for X in the norm-one circle C of F_{p^3}, N_s and N_{s^2} are
+        # gcd(3, |C|) times the number of a in C^6 with
+        # a + a*frob(a) + 1 = 0, resp. frob(a) + a*frob(a) + 1 = 0.
+        # The first says frob(a) = M(a) for M = [[-1, -1], [1, 0]], M^3 = 1,
+        # and a -> 1/a carries its solutions onto those of the second, so
+        # N_s = N_{s^2}.  By Lang's theorem the solutions are B(u), u in
+        # P^1(F_p), for any invertible B with frob(B) = M B; all lie in C, as
+        # a M(a) M^2(a) = 1.  When p = 2 mod 3, C^6 = C and all p + 1 count.
+        # When p = 1 mod 3, write F_{p^3} = F_p(theta) with theta^3 = c for a
+        # non-cube c, so frob(theta) = zeta theta with zeta = c^((p-1)/3).
+        # B = [[zeta theta, zeta^2 theta^2], [theta, theta^2]] gives a = zeta
+        # at u = oo and a = (theta (u + theta))^(p-1) for u in F_p.  Such an a
+        # lies in C^6 = C^3 iff the norm of theta (u + theta), c (u^3 + c), is
+        # a cube mod p; zeta, of norm c, is not.
+        base = _diagonal_count(p, 6)
+        if p % 3 == 2:
+            n_s = p + 1
+        else:
+            c = next(c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1)
+            cubes = power_residue_counts(p, 3)
+            n_s = 3 * sum(1 for u in range(p) if cubes[c * (u ** 3 + c) % p])
+        total = base + 2 * n_s
         assert total % 3 == 0
         return total // 3
 
@@ -472,29 +525,3 @@ def _extend(prefix, remaining, elements):
         return
     for x in elements:
         yield from _extend(prefix + [x], remaining - 1, elements)
-
-
-def brute_plane_count(rows_mod_p, p):
-    """Independent O(p^2 d) projective scan used as an oracle in tests."""
-    n = 0
-    for lead in range(3):
-        head = [0] * lead + [1]
-        free = 3 - lead - 1
-        for tail in _int_tuples(free, p):
-            point = head + list(tail)
-            acc = 0
-            for (ex, ey, ez), c in rows_mod_p:
-                acc += c * pow(point[0], ex, p) * pow(point[1], ey, p) \
-                    * pow(point[2], ez, p)
-            if acc % p == 0:
-                n += 1
-    return n
-
-
-def _int_tuples(length, p):
-    if length == 0:
-        yield ()
-        return
-    for x in range(p):
-        for rest in _int_tuples(length - 1, p):
-            yield (x,) + rest

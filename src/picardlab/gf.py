@@ -179,12 +179,14 @@ class ExtField:
                 if pow(n, (p - 1) // 2, p) == p - 1:
                     return (-n % p, 0)
             raise AssertionError("no quadratic non-residue found")
-        # k == 3: prefer x^3 - c with c a non-cube (exists iff p = 1 mod 3)
+        # k == 3: prefer x^3 - c with c a non-cube (exists iff p = 1 mod 3);
+        # otherwise cubing is a bijection of F_p, every x^3 + b has a root,
+        # and the search starts at x^3 + x + b.
         if p % 3 == 1:
             for c in range(2, p):
                 if pow(c, (p - 1) // 3, p) != 1:
                     return (-c % p, 0, 0)
-        for a in range(p):
+        for a in range(1, p):
             for b in range(1, p):
                 if not poly_roots_mod_p([b, a, 0, 1], p):
                     return (b, a, 0)
@@ -255,10 +257,6 @@ class ExtField:
             return tuple(c % p for c in out)
 
         return frob
-
-    def mul_raw(self, a: tuple, b: tuple) -> tuple:
-        """Coefficient-tuple product; the hot path for long orbit loops."""
-        return self._mul(a, b)
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         p, k = self.p, self.k

@@ -164,7 +164,7 @@ def test_accept_04_inert_prime_exactness(accept):
             (ENTRIES["fermat-sextic"].counting_model(None),
              _class_primes(200, 3, (2,)), 5, 6),
             (PlaneModel(parse_polynomial(TOWER, "x^4 + y^4 + z^4"),
-                        ("x", "y", "z"), diagonal=True),
+                        ("x", "y", "z")),
              _class_primes(200, 4, (3,)), 7, 8),
             (ENTRIES["genus3-septic"].counting_model(None),
              _class_primes(200, 4, (3,)), 7, 8),

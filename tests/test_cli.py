@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, output, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -65,6 +66,21 @@ def test_count_rejects_huge_prime():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--entry", "fermat-sextic", "--prime", "503"])
     assert exc.value.code == 2
+
+
+def test_count_rejects_composite_prime():
+    argv = ["count", "--entry", "genus2-quintic", "--prime", "9"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    # the check must survive -O, which strips the asserts in the counters
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "picardlab.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "npoints" not in proc.stdout
 
 
 def test_verify_single_entry_json(capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from picardlab.curves import (
     CountRecord,
@@ -12,13 +12,20 @@ from picardlab.curves import (
     SpaceModel,
     SuperellipticModel,
     _projective_zero_count,
-    brute_plane_count,
+    _root_count,
     poly_table,
     power_residue_counts,
     table_mod,
 )
+from picardlab.exact import is_prime
 from picardlab.gf import ExtField, PrimeField
 from picardlab.symbolic import parse_polynomial, standard_tower
+
+from count_oracles import (
+    brute_plane_count,
+    scan_plane_count,
+    shift_orbit_loop_count,
+)
 
 T = standard_tower()
 
@@ -28,7 +35,7 @@ def poly(text):
 
 
 def sextic():
-    return PlaneModel(poly("x^6+y^6+z^6"), diagonal=True)
+    return PlaneModel(poly("x^6+y^6+z^6"))
 
 
 def test_weil_bound_is_enforced():
@@ -45,7 +52,8 @@ def test_diagonal_sextic_anchors():
 
 
 def test_diagonal_quartic_anchor():
-    c = PlaneModel(poly("x^4+y^4+z^4"), diagonal=True)
+    c = PlaneModel(poly("x^4+y^4+z^4"))
+    assert c.diagonal
     assert c.genus() == 3
     assert c.count_points(7).npoints == 8
     assert c.count_points(5).trace == 6
@@ -53,21 +61,93 @@ def test_diagonal_quartic_anchor():
 
 def test_diagonal_route_matches_generic_scan_and_brute():
     for d, ps in ((4, (3, 5, 7, 11, 13)), (6, (5, 7, 11, 13))):
-        f = poly("x^%d+y^%d+z^%d" % (d, d, d))
-        fast = PlaneModel(f, diagonal=True)
-        slow = PlaneModel(f)
+        model = PlaneModel(poly("x^%d+y^%d+z^%d" % (d, d, d)))
+        assert model.diagonal
         for p in ps:
-            n = fast.count_points(p).npoints
-            assert n == slow.count_points(p).npoints
-            assert n == brute_plane_count(table_mod(fast.rows, p), p)
+            n = model.count_points(p).npoints
+            assert n == model._count_diagonal(p)
+            assert n == model._count_scan(p)
+            assert n == brute_plane_count(table_mod(model.rows, p), p)
+
+
+def test_diagonal_form_is_read_from_the_equation():
+    assert PlaneModel(poly("z^4+y^4+x^4")).diagonal
+    assert PlaneModel(poly("x^6+y^6+z^6"), ("y", "z", "x")).diagonal
+    for text in ("2*x^4+y^4+z^4", "x^4+y^4-z^4", "x^4+y^4+z^4+x^2*y^2",
+                 "x^3*y+y^4+z^4"):
+        assert not PlaneModel(poly(text)).diagonal, text
 
 
 def test_ciani_pencil_counts():
     c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
     assert c1.genus() == 3
+    assert not c1.diagonal
     for p in (5, 7, 11, 13):
         assert c1.count_points(p).npoints == brute_plane_count(
             table_mod(c1.rows, p), p)
+
+
+def test_gcd_scan_matches_pointwise_scan_on_ciani():
+    c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
+    for p in (q for q in range(3, 61) if is_prime(q)):
+        assert c1._count_scan(p) == scan_plane_count(table_mod(c1.rows, p), p)
+
+
+def _plane_poly(rows):
+    x, y, z = T.var("x"), T.var("y"), T.var("z")
+    out = T.zero()
+    for (ex, ey, ez), c in rows:
+        out = out + T.const(c) * x ** ex * y ** ey * z ** ez
+    return out
+
+
+def _monomials(d):
+    return [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+
+
+@st.composite
+def plane_curves(draw):
+    """Random plane quartics and sextics mod a small prime.  Some lose their
+    y^d term, so the degree of F(a, y, 1) in y drops and can vary with a;
+    some contain the line x = c z, on which F(c, y, 1) vanishes."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    d = draw(st.sampled_from([4, 6]))
+    if draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        rows = {m: 0 for m in _monomials(d)}
+        for ex, ey, ez in _monomials(d - 1):           # (x - c z) * G
+            a = draw(st.integers(0, p - 1))
+            rows[(ex + 1, ey, ez)] += a
+            rows[(ex, ey, ez + 1)] -= c * a
+    else:
+        rows = {m: draw(st.integers(0, p - 1)) for m in _monomials(d)}
+        if draw(st.booleans()):
+            rows[(0, d, 0)] = 0
+    rows = [(m, a % p) for m, a in sorted(rows.items()) if a % p]
+    assume(rows)
+    return p, rows
+
+
+@settings(max_examples=150, deadline=None)
+@example((5, [((0, 0, 4), 1), ((1, 3, 0), 2), ((4, 0, 0), 1)]))
+@example((7, [((1, 3, 2), 1), ((2, 4, 0), 3), ((5, 1, 0), 4)]))
+@given(plane_curves())
+def test_gcd_scan_matches_pointwise_scan(curve):
+    p, rows = curve
+    model = PlaneModel(_plane_poly(rows))
+    reduced = table_mod(model.rows, p)
+    assert model._count_scan(p) == scan_plane_count(reduced, p)
+    if p <= 7:
+        assert model._count_scan(p) == brute_plane_count(reduced, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 17]), st.data())
+def test_root_count_matches_evaluation(p, data):
+    coeffs = data.draw(st.lists(st.integers(-40, 40), max_size=9))
+    expected = sum(1 for y in range(p)
+                   if sum(c * y ** e for e, c in enumerate(coeffs)) % p == 0)
+    assert _root_count(coeffs, p) == expected
 
 
 def test_hyperelliptic_anchor_counts():
@@ -219,7 +299,7 @@ def _delta_model():
         [poly("(x+y)^2+5*y^2-2*z*w")],
         ("x", "y", "z", "w"),
         {"type": "cyclic_shift_orbit_sextic"},
-        genus=4, tower=T)
+        genus=4)
 
 
 def _stable_shift_orbit_count(p):
@@ -271,6 +351,14 @@ def test_shift_orbit_route_matches_orbit_brute():
     assert m.count_points(5).npoints == 6
     assert m.count_points(7).npoints == 6
     assert m.count_points(13).npoints == 12
+
+
+def test_shift_orbit_route_matches_loop_oracle():
+    m = _delta_model()
+    primes = [p for p in range(5, 98) if is_prime(p)]
+    assert {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        assert m.count_points(p).npoints == shift_orbit_loop_count(p), p
 
 
 def test_extension_counts_satisfy_genus1_trace_relation():

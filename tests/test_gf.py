@@ -1,5 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
+from picardlab.exact import is_prime
 from picardlab.gf import (
     ExtField,
     PrimeField,
@@ -58,6 +59,13 @@ def test_ext_field_modulus_is_irreducible():
             F = ExtField(p, k)
             coeffs = list(F.modulus) + [1]
             assert poly_roots_mod_p(coeffs, p) == [], (p, k)
+
+
+def test_cubic_modulus_is_irreducible_for_every_prime_to_499():
+    for p in range(3, 500):
+        if is_prime(p):
+            coeffs = list(ExtField(p, 3).modulus) + [1]
+            assert poly_roots_mod_p(coeffs, p) == [], p
 
 
 def test_sparse_cubic_modulus_when_available():
