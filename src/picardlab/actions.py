@@ -1,10 +1,17 @@
 """Finite symmetry groups of a curve and their action on differentials.
 
-A group element is stored as its coordinate formulas (one rational function
-per affine variable).  The closure is computed by breadth-first composition
-of the generators; every element also carries the matrix of its pullback on
-the chosen basis of holomorphic differentials, propagated from the generator
-matrices, and the word in the generators that produced it.
+A group element is stored as the matrix of its pullback on the chosen basis
+of holomorphic differentials, together with the word in the generators that
+produced it.  The closure is a breadth-first search over products of the
+generator matrices; no coordinate formula is ever composed.
+
+Matrices identify elements because Aut(C) acts faithfully on H^0(C, K) when
+the genus is at least 2 (Farkas-Kra, Riemann Surfaces, V.2).  That argument
+needs every generator to be an automorphism, so each one is verified before
+the closure: it must map the curve into itself (every relation reduces to
+zero under substitution), no coordinate denominator may vanish on the curve,
+and its pullback matrix must have full rank, which rules out constant maps.
+A basis of fewer than two differentials (genus below 2) is refused.
 
 Conventions: elements act on points, so ``new = cur o gen`` applies ``gen``
 first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
@@ -21,68 +28,20 @@ from .morphisms import (
     monomial,
     pullback,
 )
-from .symbolic import (
-    RationalFunction,
-    _list_degree,
-    constant_poly_divmod,
-    tower_invert,
-)
 
 
-def _monic_gcd(a, b, tower):
-    a = a[: _list_degree(a) + 1]
-    b = b[: _list_degree(b) + 1]
-    while _list_degree(b) >= 0:
-        _, r = constant_poly_divmod(a, b, tower)
-        a, b = b, r[: _list_degree(r) + 1]
-    inv = tower_invert(a[_list_degree(a)])
-    return [c * inv for c in a]
+def _matrix_key(mat):
+    """Hashable key of a matrix: its nonzero entries with their positions.
 
-
-def _from_coeffs(coeffs, var, tower):
-    out = tower.zero()
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + c * tower.var(var, k)
-    return out
-
-
-def _canonical_formula(rf, base_var, fiber_var):
-    """Canonical form of a coordinate formula of a curve symmetry.
-
-    Handles the shape (fiber^e * P(base)) / Q(base) by exact univariate
-    cancellation and a monic denominator; anything else is returned as-is
-    (monomial denominators are already canonical).
+    Entries are canonical term dicts, so equal matrices get equal keys; the
+    sparse form keeps the seen-set of a large group small.
     """
-    tower = rf.tower
-    num, den = rf.num, rf.den
-    if len(den.terms) <= 1:
-        return rf
-    if den.free_variables() != {base_var}:
-        return rf
-    buckets = num.coeffs_in(fiber_var)
-    nonzero = [k for k, part in enumerate(buckets) if not part.is_zero()]
-    if len(nonzero) > 1:
-        return rf
-    exp = nonzero[0] if nonzero else 0
-    part = buckets[exp] if nonzero else tower.zero()
-    if part.free_variables() - {base_var}:
-        return rf
-    a = part.coeffs_in(base_var)
-    b = den.coeffs_in(base_var)
-    if not all(c.constants_only() for c in a + b):
-        return rf
-    g = _monic_gcd(a, b, tower)
-    if _list_degree(g) > 0:
-        a, _ = constant_poly_divmod(a, g, tower)
-        b, _ = constant_poly_divmod(b, g, tower)
-    inv = tower_invert(b[_list_degree(b)])
-    a = [c * inv for c in a]
-    b = [c * inv for c in b]
-    new_num = _from_coeffs(a, base_var, tower)
-    if exp:
-        new_num = new_num * tower.var(fiber_var, exp)
-    return RationalFunction(new_num, _from_coeffs(b, base_var, tower))
+    return tuple(
+        (i, j, tuple(sorted(entry.terms.items())))
+        for i, row in enumerate(mat)
+        for j, entry in enumerate(row)
+        if entry.terms
+    )
 
 
 class GroupAction:
@@ -104,50 +63,62 @@ class GroupAction:
         self.fiber_var = fiber_var
         self.geometric_vars = tuple(geometric_vars)
         self.tower = system.tower
-        self.generators = [
-            {v: self._canonical(g[v]) for v in self.geometric_vars}
-            for g in generators
-        ]
+        self.generators = [dict(g) for g in generators]
+        n = len(self.basis_monomials)
+        if n < 2:
+            raise ValueError(
+                "a basis of %d differential(s) cannot identify group "
+                "elements; genus at least 2 is required" % n
+            )
 
-        gen_mats = [self._pullback_matrix(g) for g in self.generators]
-        identity = {
-            v: RationalFunction(self.tower.var(v)) for v in self.geometric_vars
-        }
-        self.elements = [
-            (identity, identity_matrix(self.tower, len(self.basis_monomials)), ())
+        gen_mats = [
+            self._checked_matrix(k, g) for k, g in enumerate(self.generators)
         ]
-        seen = {self._key(identity)}
+        identity = identity_matrix(self.tower, n)
+        self.elements = [(identity, ())]
+        seen = {_matrix_key(identity)}
         idx = 0
         while idx < len(self.elements):
-            formulas, mat, word = self.elements[idx]
+            mat, word = self.elements[idx]
             idx += 1
-            for gi, (gf, gm) in enumerate(zip(self.generators, gen_mats)):
-                new_f = {
-                    v: self._canonical(formulas[v].substitute(gf))
-                    for v in self.geometric_vars
-                }
-                key = self._key(new_f)
+            for gi, gm in enumerate(gen_mats):
+                new = matrix_mul(gm, mat)
+                key = _matrix_key(new)
                 if key in seen:
                     continue
                 seen.add(key)
                 if len(self.elements) >= order_bound:
                     raise ValueError("group closure exceeds order bound")
-                self.elements.append((new_f, matrix_mul(gm, mat), word + (gi,)))
+                self.elements.append((new, word + (gi,)))
 
-    def _canonical(self, rf):
-        return _canonical_formula(rf, self.base_var, self.fiber_var)
-
-    def _key(self, formulas):
-        parts = []
+    def _checked_matrix(self, k, formulas):
+        """Pullback matrix of generator k after checking it is an
+        automorphism; raises ValueError naming the generator otherwise."""
+        system = self.system
         for v in self.geometric_vars:
-            rf = formulas[v]
-            parts.append(
-                (
-                    tuple(sorted(rf.num.terms.items())),
-                    tuple(sorted(rf.den.terms.items())),
+            if system.is_zero_poly(formulas[v].den):
+                raise ValueError(
+                    "generator %d: denominator of %s vanishes on the curve"
+                    % (k, v)
                 )
+        for rel in system.relations:
+            image = rel.poly.substitute(formulas)
+            residual = system.reduce(image.num)
+            if not residual.is_zero():
+                raise ValueError(
+                    "generator %d does not preserve the curve: residual %s"
+                    % (k, residual.render())
+                )
+        try:
+            mat = self._pullback_matrix(formulas)
+        except ZeroDivisionError as exc:
+            # e.g. a constant map onto a pole of the differential
+            raise ValueError("generator %d: pullback fails: %s" % (k, exc))
+        if matrix_rank(mat) < len(mat):
+            raise ValueError(
+                "generator %d has a singular pullback matrix" % k
             )
-        return tuple(parts)
+        return mat
 
     def _pullback_matrix(self, formulas):
         cmap = CurveMap(self.system, formulas, None)
@@ -176,7 +147,7 @@ class GroupAction:
         return len(self.elements)
 
     def matrices(self):
-        return [mat for _, mat, _ in self.elements]
+        return [mat for mat, _ in self.elements]
 
     def character_norm(self, indices=None):
         """<chi, chi> of the (sub)representation on the given basis indices."""
@@ -185,7 +156,7 @@ class GroupAction:
         indices = list(indices)
         tower = self.tower
         total = tower.zero()
-        for _, mat, _ in self.elements:
+        for mat, _ in self.elements:
             tr = tower.zero()
             for i in indices:
                 tr = tr + mat[i][i]
@@ -196,7 +167,7 @@ class GroupAction:
         """Whether the span of the given basis indices is preserved."""
         inside = set(indices)
         outside = [i for i in range(len(self.basis_monomials)) if i not in inside]
-        for _, mat, _ in self.elements:
+        for mat, _ in self.elements:
             for k in inside:
                 for i in outside:
                     if not mat[i][k].is_zero():
@@ -257,7 +228,7 @@ class GroupAction:
         positions = sorted(inside)
         rows = []
         words = []
-        for _, mat, word in self.elements:
+        for mat, word in self.elements:
             image = self.apply_matrix(mat, vector)
             row = [image[i] for i in positions]
             if matrix_rank(rows + [row]) > len(rows):

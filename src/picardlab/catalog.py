@@ -31,6 +31,16 @@ from .symbolic import (
 )
 
 
+class CatalogError(ValueError):
+    """A catalog document that is malformed or inconsistent."""
+
+
+def _require(condition, message):
+    # validation must not rely on assert, which python -O strips
+    if not condition:
+        raise CatalogError(message)
+
+
 def load_tower(declarations):
     """Build the constant tower from symbol/relation/conjugate strings."""
     rows = []
@@ -40,8 +50,9 @@ def load_tower(declarations):
         relation = parse_polynomial(scratch, decl["relation"])
         degree = relation.degree_in(name)
         coeffs = relation.coeffs_in(name)
-        assert coeffs[degree] == scratch.one(), (
-            "tower relation for %s must be monic" % name
+        _require(
+            coeffs[degree] == scratch.one(),
+            "tower relation for %s must be monic" % name,
         )
         power = -sum(
             (c * scratch.var(name, k) for k, c in enumerate(coeffs[:degree])),
@@ -148,9 +159,11 @@ class CatalogEntry:
         out = []
         for text in self.action["basis"]:
             p = parse_polynomial(self.tower, text)
-            assert len(p.terms) == 1, "basis entries must be monomials"
-            ((mono, coeff),) = p.terms.items()
-            assert coeff == 1
+            _require(
+                list(p.terms.values()) == [1],
+                "basis entry %r is not a monic monomial" % text,
+            )
+            ((mono, _),) = p.terms.items()
             out.append(mono)
         return out
 
@@ -290,17 +303,20 @@ class CatalogEntry:
 
 def _validate(entries):
     ids = [e.id for e in entries]
-    assert len(set(ids)) == len(ids), "duplicate entry ids"
+    _require(len(set(ids)) == len(ids), "duplicate entry ids")
     for entry in entries:
         names = [m["name"] for m in entry.maps]
-        assert len(set(names)) == len(names), "duplicate map names in %s" % entry.id
+        _require(
+            len(set(names)) == len(names), "duplicate map names in %s" % entry.id
+        )
         for name in entry.trace_map_names():
             entry.map_spec(name)
         if entry.action is not None:
             size = len(entry.action["basis"])
             indices = sorted(i for s in entry.summands for i in s["indices"])
-            assert indices == list(range(size)), (
-                "summands of %s do not partition the basis" % entry.id
+            _require(
+                indices == list(range(size)),
+                "summands of %s do not partition the basis" % entry.id,
             )
             for summand in entry.summands:
                 if summand.get("map") is not None:
@@ -308,10 +324,11 @@ def _validate(entries):
         for value, factors, bad in entry.specializations():
             if not factors:
                 continue
-            assert bad, "countable entry %s lacks bad primes" % entry.id
+            _require(bad, "countable entry %s lacks bad primes" % entry.id)
             total = sum(f["mult"] for f in factors)
-            assert total == entry.genus(value), (
-                "factor multiplicities of %s do not sum to the genus" % entry.id
+            _require(
+                total == entry.genus(value),
+                "factor multiplicities of %s do not sum to the genus" % entry.id,
             )
 
 

@@ -139,21 +139,11 @@ def _map_checks(entry):
     for spec in entry.maps:
         name = spec["name"]
         expect_fail = spec.get("expect") == "fail"
-        if spec.get("kind") == "projective":
-            system, components, relations = entry.projective_map(spec)
-            ok, residuals = verify_image_relations(system, components, relations)
-            evidence = {
-                "origin": spec.get("origin", ""),
-                "residuals": [r.render() if not r.is_zero() else "0"
-                              for r in residuals],
-            }
-        else:
-            cmap = entry.curve_map(spec)
-            ok, residual = cmap.verify()
-            evidence = {
-                "origin": spec.get("origin", ""),
-                "residual": residual.render() if not residual.is_zero() else "0",
-            }
+        try:
+            ok, evidence = _verify_map(entry, spec)
+        except ZeroDivisionError as exc:
+            ok = False
+            evidence = {"origin": spec.get("origin", ""), "error": str(exc)}
         if ok and not expect_fail:
             checks.append(CheckResult("map:" + name, PASS, evidence))
         elif not ok and expect_fail:
@@ -168,8 +158,31 @@ def _map_checks(entry):
             checks.append(CheckResult("map:" + name, FAIL, evidence))
 
         if ok and "pullback" in spec:
-            checks.append(_pullback_check(entry, spec))
+            try:
+                checks.append(_pullback_check(entry, spec))
+            except ZeroDivisionError as exc:
+                checks.append(
+                    CheckResult("pullback:" + name, FAIL, {"error": str(exc)})
+                )
     return checks
+
+
+def _verify_map(entry, spec):
+    """(holds, evidence) of one map; raises ZeroDivisionError when a
+    component is undefined along the source curve."""
+    if spec.get("kind") == "projective":
+        system, components, relations = entry.projective_map(spec)
+        ok, residuals = verify_image_relations(system, components, relations)
+        return ok, {
+            "origin": spec.get("origin", ""),
+            "residuals": [r.render() if not r.is_zero() else "0"
+                          for r in residuals],
+        }
+    ok, residual = entry.curve_map(spec).verify()
+    return ok, {
+        "origin": spec.get("origin", ""),
+        "residual": residual.render() if not residual.is_zero() else "0",
+    }
 
 
 def _pullback_check(entry, spec):

@@ -1,0 +1,115 @@
+"""The group closure that `picardlab.actions` replaced, kept as an oracle.
+
+`formula_closure` composes the generators' coordinate formulas, brings each
+composite to a canonical form by exact univariate cancellation over the
+constant tower, and identifies elements by those formulas; the pullback
+matrices ride along, propagated from the generator matrices.  It does not
+rely on the action on differentials being faithful, so agreeing with the
+matrix closure element by element and word by word checks that the matrices
+identify the group elements.
+"""
+
+from picardlab.linalg import identity_matrix, matrix_mul
+from picardlab.symbolic import (
+    RationalFunction,
+    _list_degree,
+    constant_poly_divmod,
+    tower_invert,
+)
+
+
+def _monic_gcd(a, b, tower):
+    a = a[: _list_degree(a) + 1]
+    b = b[: _list_degree(b) + 1]
+    while _list_degree(b) >= 0:
+        _, r = constant_poly_divmod(a, b, tower)
+        a, b = b, r[: _list_degree(r) + 1]
+    inv = tower_invert(a[_list_degree(a)])
+    return [c * inv for c in a]
+
+
+def _from_coeffs(coeffs, var, tower):
+    out = tower.zero()
+    for k, c in enumerate(coeffs):
+        if not c.is_zero():
+            out = out + c * tower.var(var, k)
+    return out
+
+
+def _canonical_formula(rf, base_var, fiber_var):
+    """Canonical form of a coordinate formula of a curve symmetry.
+
+    Handles the shape (fiber^e * P(base)) / Q(base) by exact univariate
+    cancellation and a monic denominator; anything else is returned as-is
+    (monomial denominators are already canonical).
+    """
+    tower = rf.tower
+    num, den = rf.num, rf.den
+    if len(den.terms) <= 1:
+        return rf
+    if den.free_variables() != {base_var}:
+        return rf
+    buckets = num.coeffs_in(fiber_var)
+    nonzero = [k for k, part in enumerate(buckets) if not part.is_zero()]
+    if len(nonzero) > 1:
+        return rf
+    exp = nonzero[0] if nonzero else 0
+    part = buckets[exp] if nonzero else tower.zero()
+    if part.free_variables() - {base_var}:
+        return rf
+    a = part.coeffs_in(base_var)
+    b = den.coeffs_in(base_var)
+    if not all(c.constants_only() for c in a + b):
+        return rf
+    g = _monic_gcd(a, b, tower)
+    if _list_degree(g) > 0:
+        a, _ = constant_poly_divmod(a, g, tower)
+        b, _ = constant_poly_divmod(b, g, tower)
+    inv = tower_invert(b[_list_degree(b)])
+    a = [c * inv for c in a]
+    b = [c * inv for c in b]
+    new_num = _from_coeffs(a, base_var, tower)
+    if exp:
+        new_num = new_num * tower.var(fiber_var, exp)
+    return RationalFunction(new_num, _from_coeffs(b, base_var, tower))
+
+
+def _formula_key(formulas, geometric_vars):
+    return tuple(
+        (
+            tuple(sorted(formulas[v].num.terms.items())),
+            tuple(sorted(formulas[v].den.terms.items())),
+        )
+        for v in geometric_vars
+    )
+
+
+def formula_closure(action, order_bound=1024):
+    """(formulas, matrix, word) triples of the group generated by
+    ``action.generators``, in breadth-first order."""
+    gvars = action.geometric_vars
+
+    def canonical(rf):
+        return _canonical_formula(rf, action.base_var, action.fiber_var)
+
+    generators = [{v: canonical(g[v]) for v in gvars} for g in action.generators]
+    gen_mats = [action._pullback_matrix(g) for g in generators]
+    identity = {v: RationalFunction(action.tower.var(v)) for v in gvars}
+    elements = [
+        (identity, identity_matrix(action.tower, len(action.basis_monomials)), ())
+    ]
+    seen = {_formula_key(identity, gvars)}
+    idx = 0
+    while idx < len(elements):
+        formulas, mat, word = elements[idx]
+        idx += 1
+        for gi, (gf, gm) in enumerate(zip(generators, gen_mats)):
+            new_f = {v: canonical(formulas[v].substitute(gf)) for v in gvars}
+            key = _formula_key(new_f, gvars)
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(elements) >= order_bound:
+                raise ValueError("group closure exceeds order bound")
+            elements.append((new_f, matrix_mul(gm, mat), word + (gi,)))
+    return elements

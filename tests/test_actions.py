@@ -1,9 +1,15 @@
 """Group closures, differential representations, and span certificates."""
 
+import json
+from importlib import resources
+
 import pytest
 
+from action_oracles import formula_closure
 from picardlab.actions import GroupAction
+from picardlab.catalog import builtin_catalog, load_catalog
 from picardlab.morphisms import Differential, plane_basis_monomials, single_relation
+from picardlab.runner import run_entry
 from picardlab.symbolic import parse_expression, parse_polynomial, standard_tower
 
 T = standard_tower()
@@ -38,7 +44,7 @@ def test_bielliptic_sextic_group_order_and_involution_matrix():
         GENUS2_BASIS,
     )
     assert action.order == 6
-    by_word = {word: mat for _, mat, word in action.elements}
+    by_word = {word: mat for mat, word in action.elements}
     zero, mone = T.zero(), T.const(-1)
     assert by_word[(1,)] == [[zero, mone], [mone, zero]]
 
@@ -167,6 +173,26 @@ def test_fermat_sextic_group_order_216_blocks_and_certificates():
     assert rank == 1 and words == [()]
 
 
+def _catalog_actions():
+    for entry in builtin_catalog():
+        if entry.action is None:
+            continue
+        for value in entry.params.get("t") or [None]:
+            yield entry, value
+
+
+@pytest.mark.parametrize(
+    "entry,value", list(_catalog_actions()),
+    ids=lambda x: getattr(x, "id", str(x)),
+)
+def test_matrix_closure_matches_formula_closure(entry, value):
+    action = entry.group_action(value)
+    oracle = formula_closure(action)
+    assert [word for _, _, word in oracle] == [w for _, w in action.elements]
+    assert [mat for _, mat, _ in oracle] == action.matrices()
+    assert action.order == entry.action["order"]
+
+
 def test_closure_bound_is_enforced():
     with pytest.raises(ValueError):
         GroupAction(
@@ -179,3 +205,53 @@ def test_closure_bound_is_enforced():
             ("x", "y"),
             order_bound=3,
         )
+
+
+def _quintic_action(generators, basis=GENUS2_BASIS):
+    return hyperelliptic_action(
+        "y^2-x^5+x",
+        [formulas(*g) for g in generators],
+        basis,
+    )
+
+
+def test_generator_that_leaves_the_curve_is_named():
+    with pytest.raises(ValueError, match="generator 1 does not preserve"):
+        _quintic_action([("i*x", "s2*(1+i)/2*y"), ("2*x", "y")])
+
+
+def test_constant_generator_is_rejected():
+    # (0, 1) lies on y^2 = x^6 + 1 and omega = dx/y is regular there, so
+    # only the rank check can catch the constant map onto it
+    with pytest.raises(ValueError, match="generator 1 has a singular"):
+        hyperelliptic_action(
+            "y^2-x^6-1",
+            [formulas("om*x", "y"), formulas("0", "1")],
+            GENUS2_BASIS,
+        )
+    # onto a pole of omega the pullback itself is undefined
+    with pytest.raises(ValueError, match="generator 0: pullback fails"):
+        _quintic_action([("0", "0")])
+
+
+def test_generator_with_vanishing_denominator_is_rejected():
+    with pytest.raises(ValueError, match="generator 0: denominator of x"):
+        _quintic_action([("1/(y^2-x^5+x)", "y")])
+
+
+def test_one_element_basis_is_refused():
+    with pytest.raises(ValueError, match="genus at least 2"):
+        _quintic_action([("-x", "i*y")], basis=[()])
+
+
+def test_bogus_catalog_generator_becomes_a_closure_failure():
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    raw = next(e for e in doc["entries"] if e["id"] == "fermat-sextic")
+    raw["action"]["generators"][0] = ["2*x", "y"]
+    (entry,) = [e for e in load_catalog(doc) if e.id == "fermat-sextic"]
+    run = run_entry(entry, pmax=5)
+    (closure,) = [c for c in run.checks if c.check_id == "action:closure"]
+    assert closure.status == "FAIL" and closure.unexpected_failure
+    assert closure.evidence["error"].startswith("generator 0 ")

@@ -1,11 +1,14 @@
 """Catalog loading, entry builders, and document validation."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
-from picardlab.catalog import builtin_catalog, load_catalog
+from picardlab.catalog import CatalogError, builtin_catalog, load_catalog
 from picardlab.curves import (
     HyperellipticModel,
     PlaneModel,
@@ -166,7 +169,7 @@ def test_empty_document():
 def test_duplicate_id_rejected():
     doc = _raw_document()
     doc["entries"].append(doc["entries"][0])
-    with pytest.raises(AssertionError, match="duplicate entry ids"):
+    with pytest.raises(CatalogError, match="duplicate entry ids"):
         load_catalog(doc)
 
 
@@ -175,8 +178,41 @@ def test_bad_genus_sum_rejected():
     entry = next(e for e in doc["entries"]
                  if e["id"] == "fermat-sextic-cubing-quotient")
     entry["claim"]["factors"][0]["mult"] = 3
-    with pytest.raises(AssertionError, match="sum to the genus"):
+    with pytest.raises(CatalogError, match="sum to the genus"):
         load_catalog(doc)
+
+
+def test_bad_genus_sum_rejected_under_optimize(tmp_path):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    entry["claim"]["factors"][0]["mult"] = 3
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from picardlab.catalog import CatalogError, load_catalog\n"
+        "try:\n"
+        "    load_catalog(open(sys.argv[1]).read())\n"
+        "except CatalogError as exc:\n"
+        "    print('CatalogError:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CatalogError: factor multiplicities of "
+                                  "genus2-quintic"), proc.stdout
+
+
+def test_basis_entry_must_be_a_monic_monomial():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    entry["action"]["basis"][1] = "2*x"
+    (loaded,) = [e for e in load_catalog(doc) if e.id == "genus2-quintic"]
+    with pytest.raises(CatalogError, match="monic monomial"):
+        loaded.basis_monomials()
 
 
 def test_dangling_map_reference_rejected():

@@ -68,17 +68,34 @@ def test_count_rejects_huge_prime():
     assert exc.value.code == 2
 
 
+def _optimize_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_report_is_the_same_under_optimize():
+    # no report content may hang on an assert, which -O strips
+    argv = ["-m", "picardlab.cli", "report", "--all", "--pmax", "30"]
+    runs = [
+        subprocess.run([sys.executable] + flags + argv, capture_output=True,
+                       env=_optimize_env())
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.stdout, plain.stderr
+    assert optimized.stdout == plain.stdout
+    assert optimized.returncode == plain.returncode
+
+
 def test_count_rejects_composite_prime():
     argv = ["count", "--entry", "genus2-quintic", "--prime", "9"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     # the check must survive -O, which strips the asserts in the counters
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-m", "picardlab.cli"] + argv,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_optimize_env())
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "npoints" not in proc.stdout
 

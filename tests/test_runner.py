@@ -1,8 +1,11 @@
 """Entry execution: check rows, statuses, evidence, and prime scheduling."""
 
+import json
+from importlib import resources
+
 import pytest
 
-from picardlab.catalog import builtin_catalog
+from picardlab.catalog import builtin_catalog, load_catalog
 from picardlab.runner import good_primes, run_catalog, run_entry
 
 ENTRIES = {e.id: e for e in builtin_catalog()}
@@ -170,3 +173,33 @@ def test_summary_counts():
     assert s["pass"] > 0
     assert s["discrepancy"] == 0
     assert len(run.checks) == sum(s.values())
+
+
+def _quintic_run_with_map(components):
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    raw = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    raw["maps"][0]["components"] = components
+    runs = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=10)
+    return _checks_by_id(runs[0])
+
+
+def test_map_undefined_on_the_curve_is_a_fail_row():
+    by_id = _quintic_run_with_map(["1/(y^2-x^5+x)", "y"])
+    (row,) = by_id["map:quot"]
+    assert row.status == "FAIL" and row.unexpected_failure
+    assert row.evidence["error"] == "map undefined along the curve"
+    assert "pullback:quot" not in by_id
+    # the rest of the entry still runs
+    assert by_id["action:closure"][0].status == "PASS"
+
+
+def test_pullback_through_a_pole_is_a_fail_row():
+    # the constant map onto the point (0, 0) of the target verifies, but
+    # the target differential du/v has a pole there
+    by_id = _quintic_run_with_map(["0", "0"])
+    assert by_id["map:quot"][0].status == "PASS"
+    (row,) = by_id["pullback:quot"]
+    assert row.status == "FAIL" and row.unexpected_failure
+    assert "error" in row.evidence
