@@ -1,146 +1,26 @@
-"""Prime fields F_p (odd p) and low-degree extensions F_{p^k}, k <= 3.
+"""Finite fields F_q, q = p^k for an odd prime p and k in {1, 2, 3}.
 
-Extension elements are coefficient tuples against a monic irreducible modulus.
-Degree <= 3 keeps irreducibility testing trivial (no roots in F_p) and the
-arithmetic small enough for point-counting loops.
+An element is an int: its coefficient tuple (c_0, ..., c_{k-1}) against a
+monic irreducible modulus, read as the base-p number c_0 + c_1 p + ...; so
+0..p-1 are F_p itself.  Degree <= 3 keeps irreducibility testing trivial (no
+roots in F_p).
+
+Fields with q <= TABLE_MAX carry exp/log/Zech tables against a generator g of
+F_q^*: exp[i] = g^i, log[g^i] = i and 1 + g^i = g^zech[i] (None when the sum
+is 0).  A product then adds logs, a sum g^a + g^b = g^(a + zech[b - a]) is one
+lookup, and y^n = a has gcd(n, q - 1) solutions when that gcd divides log a,
+none otherwise.  Larger fields keep only the modulus and the arithmetic on
+coefficient tuples.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .exact import is_prime
+from .exact import factorize, is_prime
 
-
-class PrimeField:
-    """F_p for an odd prime p."""
-
-    def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __call__(self, n: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(self, n % self.p)
-
-    def elements(self):
-        for a in range(self.p):
-            yield PrimeFieldElement(self, a)
-
-
-class PrimeFieldElement:
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field.p != self.field.p:
-                raise ValueError("mixed prime fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return PrimeFieldElement(self.field, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return PrimeFieldElement(self.field, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return PrimeFieldElement(self.field, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return PrimeFieldElement(self.field, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PrimeFieldElement(self.field, pow(self.value, k, self.field.p))
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return self * PrimeFieldElement(self.field, v).inverse()
-
-    def __neg__(self):
-        return PrimeFieldElement(self.field, -self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (
-            isinstance(other, PrimeFieldElement)
-            and other.field.p == self.field.p
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-    def is_zero(self):
-        return self.value == 0
-
-
-def nth_root_count(a: int, n: int, p: int) -> int:
-    """Number of x in F_p with x^n = a.
-
-    0 maps to 1; otherwise gcd(n, p-1) when a is an n-th power residue, else 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 1
-    d = gcd(n, p - 1)
-    return d if pow(a, (p - 1) // d, p) == 1 else 0
-
-
-def sqrt_count(a: int, p: int) -> int:
-    """Number of square roots of a mod p: 1 + chi(a) with chi(0)=0 read as 1."""
-    a %= p
-    if a == 0:
-        return 1
-    return 2 if pow(a, (p - 1) // 2, p) == 1 else 0
+# Largest q that gets tables; point counts over larger fields are refused.
+TABLE_MAX = 2300
 
 
 def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
@@ -156,7 +36,7 @@ def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
 
 
 class ExtField:
-    """F_{p^k}, k in {1,2,3}, as F_p[x]/(modulus)."""
+    """F_{p^k}, k in {1,2,3}, as F_p[x]/(modulus), with int-coded elements."""
 
     def __init__(self, p: int, k: int):
         if not 1 <= k <= 3:
@@ -167,6 +47,9 @@ class ExtField:
         self.k = k
         self.q = p**k
         self.modulus = self._find_modulus()
+        self.exp = self.log = self.zech = None
+        if self.q <= TABLE_MAX:
+            self._build_tables()
 
     def _find_modulus(self) -> tuple[int, ...]:
         """Monic irreducible of degree k, low-to-high without the leading 1."""
@@ -192,71 +75,77 @@ class ExtField:
                     return (b, a, 0)
         raise AssertionError("no irreducible cubic found")
 
-    def __call__(self, coeffs) -> "ExtFieldElement":
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        cs = [c % self.p for c in coeffs]
-        cs += [0] * (self.k - len(cs))
-        if len(cs) > self.k:
-            raise ValueError("too many coefficients")
-        return ExtFieldElement(self, tuple(cs))
+    def _build_tables(self):
+        n = self.q - 1
+        g = self.coeffs(self.multiplicative_generator())
+        exp = [0] * n
+        log = [None] * self.q
+        t = self.coeffs(1)
+        for i in range(n):
+            a = self.element(t)
+            exp[i] = a
+            log[a] = i
+            t = self._mul(t, g)
+        # 1 + a adds 1 to the lowest base-p digit of a
+        p = self.p
+        self.zech = [log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp]
+        self.exp, self.log = exp, log
 
-    def zero(self):
-        return self((0,))
+    def element(self, coeffs) -> int:
+        """The int of the element with these coefficients (low to high)."""
+        a = 0
+        for c in reversed(coeffs):
+            a = a * self.p + c % self.p
+        return a
 
-    def one(self):
-        return self((1,))
+    def coeffs(self, a: int) -> tuple:
+        """The coefficient tuple, low to high, of the element a."""
+        out = []
+        for _ in range(self.k):
+            a, c = divmod(a, self.p)
+            out.append(c)
+        return tuple(out)
 
-    def gen(self):
-        if self.k == 1:
-            return self((1,))
-        return self((0, 1))
-
-    def elements(self):
-        from itertools import product
-
-        for tup in product(range(self.p), repeat=self.k):
-            yield ExtFieldElement(self, tup)
-
-    def multiplicative_generator(self) -> "ExtFieldElement":
-        """A generator of the cyclic group F_q^*."""
-        from .exact import factorize
-
+    def multiplicative_generator(self) -> int:
+        """The least element that generates the cyclic group F_q^*."""
         n = self.q - 1
         checks = [n // ell for ell in factorize(n)]
-        one = self.one()
-        for cand in self.elements():
-            if cand.is_zero():
-                continue
-            if all(cand**m != one for m in checks):
-                return cand
+        one = self.coeffs(1)
+        for a in range(1, self.q):
+            cand = self.coeffs(a)
+            if all(self._pow(cand, m) != one for m in checks):
+                return a
         raise AssertionError("no generator found")
 
-    def norm_one_subgroup_generator(self) -> "ExtFieldElement":
-        """Generator of the norm-1 subgroup (order (q-1)/(p-1))."""
-        return self.multiplicative_generator() ** (self.p - 1)
+    def exp_sum(self, logs) -> int:
+        """The sum of g^i over the given exponents i, added by Zech logs."""
+        n, zech = self.q - 1, self.zech
+        acc = None
+        for i in logs:
+            if acc is None:
+                acc = i
+            else:
+                z = zech[(i - acc) % n]
+                acc = None if z is None else acc + z
+        return 0 if acc is None else self.exp[acc % n]
 
-    def frobenius_map(self):
-        """x -> x^p as a precomputed F_p-linear map on coefficient tuples."""
-        if self.k == 1:
-            return lambda t: t
-        x_p = self.gen() ** self.p
-        images = [x_p.coeffs]
-        for _ in range(self.k - 2):
-            images.append(self._mul(images[-1], x_p.coeffs))
-        p, k = self.p, self.k
+    def power_counts(self, n: int) -> list[int]:
+        """counts[a] = #{y in F_q : y^n = a}, for every element a."""
+        d = gcd(n, self.q - 1)
+        counts = [0] * self.q
+        counts[0] = 1
+        for i in range(0, self.q - 1, d):
+            counts[self.exp[i]] = d
+        return counts
 
-        def frob(t: tuple) -> tuple:
-            out = list(t[:1]) + [0] * (k - 1)
-            for i in range(1, k):
-                img = images[i - 1]
-                ti = t[i]
-                if ti:
-                    for j in range(k):
-                        out[j] += ti * img[j]
-            return tuple(c % p for c in out)
-
-        return frob
+    def _pow(self, a: tuple, e: int) -> tuple:
+        r = self.coeffs(1)
+        while e:
+            if e & 1:
+                r = self._mul(r, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return r
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         p, k = self.p, self.k
@@ -283,117 +172,5 @@ class ExtField:
         t2 -= t3 * m2
         return (t0 % p, t1 % p, t2 % p)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"ExtField({self.p}, {self.k})"
-
-
-class ExtFieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: ExtField, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, ExtFieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed extension fields")
-            return other.coeffs
-        if isinstance(other, int):
-            return self.field(other).coeffs
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        p = self.field.p
-        return ExtFieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, v))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        p = self.field.p
-        return ExtFieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, v))
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        p = self.field.p
-        return ExtFieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return ExtFieldElement(self.field, self.field._mul(self.coeffs, v))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = self.field.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return self * ExtFieldElement(self.field, v).inverse()
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return v == self.coeffs
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __repr__(self):
-        return f"ExtFieldElement{self.coeffs}"
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def frobenius(self):
-        return self**self.field.p
-
-    def nth_power_root_count(self, n: int) -> int:
-        """Number of y in F_q with y^n = self."""
-        if self.is_zero():
-            return 1
-        q = self.field.q
-        d = gcd(n, q - 1)
-        return d if (self ** ((q - 1) // d)) == self.field.one() else 0

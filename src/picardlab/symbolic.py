@@ -220,9 +220,6 @@ class MPoly:
             self.tower.is_constant(v) for m in self.terms for v, _ in m
         )
 
-    def is_rational_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
-
     def rational_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)

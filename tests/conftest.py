@@ -1,8 +1,19 @@
-"""Shared fixtures: acceptance-verdict registry with end-of-run summary."""
+"""Shared fixtures: acceptance-verdict registry with end-of-run summary,
+and the environment for subprocesses that import picardlab."""
+
+import os
 
 import pytest
 
 ACCEPT_RESULTS = {}
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with src/ put first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -55,20 +55,44 @@ def _int_tuples(length, p):
             yield (x,) + rest
 
 
+def frobenius_map(field):
+    """x -> x^p on coefficient tuples of F_{p^k}, as a precomputed
+    F_p-linear map."""
+    p, k = field.p, field.k
+    if k == 1:
+        return lambda t: t
+    x_p = field._pow((0, 1) + (0,) * (k - 2), p)
+    images = [x_p]
+    for _ in range(k - 2):
+        images.append(field._mul(images[-1], x_p))
+
+    def frob(t):
+        out = list(t[:1]) + [0] * (k - 1)
+        for i in range(1, k):
+            img = images[i - 1]
+            ti = t[i]
+            if ti:
+                for j in range(k):
+                    out[j] += ti * img[j]
+        return tuple(c % p for c in out)
+
+    return frob
+
+
 def shift_orbit_loop_count(p):
     """Points of the quotient of x^6 + y^6 + z^6 by the coordinate 3-cycle,
     by walking the sixth powers a of the norm-one circle of F_{p^3} and
     testing both twisted conditions a + a*frob(a) + 1 = 0 and
-    frob(a) + a*frob(a) + 1 = 0 at each; O(p^2) field products."""
+    frob(a) + a*frob(a) + 1 = 0 at each; O(p^2) products of coefficient
+    tuples."""
     base = scan_plane_count([((0, 0, 6), 1), ((0, 6, 0), 1), ((6, 0, 0), 1)], p)
     field = ExtField(p, 3)
     order = p * p + p + 1
-    h6 = (field.multiplicative_generator() ** (p - 1)) ** 6
+    mul, power = field._mul, field._pow
+    h6 = power(power(field.coeffs(field.multiplicative_generator()), p - 1), 6)
     sixth = 3 if order % 3 == 0 else 1       # X -> X^6 is (gcd(6, order))-to-1
-    frob = field.frobenius_map()
-    mul = field._mul
-    a = field.one().coeffs
-    h6 = h6.coeffs
+    frob = frobenius_map(field)
+    a = field.coeffs(1)
     n1 = n2 = 0
     for _ in range(order // sixth):
         fa = frob(a)

@@ -1,7 +1,6 @@
 """Catalog loading, entry builders, and document validation."""
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -182,7 +181,7 @@ def test_bad_genus_sum_rejected():
         load_catalog(doc)
 
 
-def test_bad_genus_sum_rejected_under_optimize(tmp_path):
+def test_bad_genus_sum_rejected_under_optimize(tmp_path, src_env):
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
     entry["claim"]["factors"][0]["mult"] = 3
@@ -196,11 +195,8 @@ def test_bad_genus_sum_rejected_under_optimize(tmp_path):
         "except CatalogError as exc:\n"
         "    print('CatalogError:', exc)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("CatalogError: factor multiplicities of "
                                   "genus2-quintic"), proc.stdout

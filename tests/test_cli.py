@@ -1,7 +1,6 @@
 """Command-line interface: argument handling, output, and exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -68,34 +67,29 @@ def test_count_rejects_huge_prime():
     assert exc.value.code == 2
 
 
-def _optimize_env():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def test_report_is_the_same_under_optimize():
-    # no report content may hang on an assert, which -O strips
-    argv = ["-m", "picardlab.cli", "report", "--all", "--pmax", "30"]
-    runs = [
+def test_report_is_the_same_under_optimize(src_env):
+    # no report content may hang on an assert, which -O strips; depth 3
+    # gives every depth-1 row plus the extension rows
+    argv = ["-m", "picardlab.cli", "report", "--all", "--pmax", "30",
+            "--depth", "3"]
+    plain, optimized = [
         subprocess.run([sys.executable] + flags + argv, capture_output=True,
-                       env=_optimize_env())
+                       env=src_env)
         for flags in ([], ["-O"])
     ]
-    plain, optimized = runs
-    assert plain.stdout, plain.stderr
+    assert b"extension:k=3" in plain.stdout, plain.stderr
     assert optimized.stdout == plain.stdout
     assert optimized.returncode == plain.returncode
 
 
-def test_count_rejects_composite_prime():
+def test_count_rejects_composite_prime(src_env):
     argv = ["count", "--entry", "genus2-quintic", "--prime", "9"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     # the check must survive -O, which strips the asserts in the counters
     proc = subprocess.run([sys.executable, "-O", "-m", "picardlab.cli"] + argv,
-                          capture_output=True, text=True, env=_optimize_env())
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "npoints" not in proc.stdout
 

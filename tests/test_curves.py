@@ -1,13 +1,17 @@
 """Point-count routes checked against brute-force oracles and frozen anchors."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
     HyperellipticModel,
+    InvariantError,
     PlaneModel,
     SpaceModel,
     SuperellipticModel,
@@ -18,7 +22,7 @@ from picardlab.curves import (
     table_mod,
 )
 from picardlab.exact import is_prime
-from picardlab.gf import ExtField, PrimeField
+from picardlab.gf import ExtField
 from picardlab.symbolic import parse_polynomial, standard_tower
 
 from count_oracles import (
@@ -39,7 +43,7 @@ def sextic():
 
 
 def test_weil_bound_is_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         CountRecord(5, 1, 100, 1)
 
 
@@ -270,7 +274,7 @@ def test_sqrt_product_route_matches_space_brute():
     for p in (3, 5, 7, 11, 13):
         rows = [table_mod(poly_table(r, m.variables), p) for r in m.relations]
         assert m.count_points(p).npoints == _projective_zero_count(
-            rows, PrimeField(p))
+            rows, len(m.variables), ExtField(p, 1))
     assert m.count_points(7).npoints == 8       # 7 = 7 mod 8 is inert twice over
 
 
@@ -289,7 +293,7 @@ def test_pencil_route_matches_space_brute():
     for p in (5, 7, 11, 13):
         rows = [table_mod(poly_table(r, m.variables), p) for r in m.relations]
         assert m.count_points(p).npoints == _projective_zero_count(
-            rows, PrimeField(p))
+            rows, len(m.variables), ExtField(p, 1))
     for p in (5, 11, 17, 23):                    # inert primes for -3
         assert m.count_points(p).npoints == p + 1
 
@@ -304,42 +308,38 @@ def _delta_model():
 
 def _stable_shift_orbit_count(p):
     """Oracle: orbits of the coordinate 3-cycle on the plane sextic over
-    F_{p^3} that are fixed, as a set, by Frobenius."""
+    F_{p^3} that are fixed, as a set, by Frobenius.  Sums are taken on
+    coefficient tuples, products and powers on logs."""
     field = ExtField(p, 3)
-    sixth = {}
-    for x in field.elements():
-        sixth[x.coeffs] = x ** 6
-    pts = []
-    one, zero = field.one(), field.zero()
-    for x in field.elements():
-        for y in field.elements():
-            if (sixth[x.coeffs] + sixth[y.coeffs] + one).is_zero():
-                pts.append((x, y, one))
-    for x in field.elements():
-        if (sixth[x.coeffs] + one).is_zero():
-            pts.append((x, one, zero))
+    n, exp, log = field.q - 1, field.exp, field.log
+
+    def minus_one_minus(a):
+        return field.element([-1 - c if i == 0 else -c
+                              for i, c in enumerate(field.coeffs(a))])
+
+    sixth = [0] + [exp[6 * log[x] % n] for x in range(1, field.q)]
+    by_sixth = {}
+    for y in range(field.q):
+        by_sixth.setdefault(sixth[y], []).append(y)
+    pts = [(x, y, 1) for x in range(field.q)
+           for y in by_sixth.get(minus_one_minus(sixth[x]), [])]
+    pts += [(x, 1, 0) for x in by_sixth.get(minus_one_minus(0), [])]
 
     def canonical(pt):
-        for c in pt:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple((w * inv).coeffs for w in pt)
-        raise AssertionError
+        lead = log[next(c for c in pt if c)]
+        return tuple(exp[(log[c] - lead) % n] if c else 0 for c in pt)
 
-    index = {canonical(pt): pt for pt in pts}
+    def frobenius(c):
+        return exp[p * log[c] % n] if c else 0
+
     seen = set()
     orbits = 0
-    for key, pt in index.items():
-        if key in seen:
+    for pt in pts:
+        if canonical(pt) in seen:
             continue
-        orbit = set()
-        cur = pt
-        for _ in range(3):
-            orbit.add(canonical(cur))
-            cur = (cur[1], cur[2], cur[0])
+        orbit = {canonical(pt[i:] + pt[:i]) for i in range(3)}
         seen |= orbit
-        frob_key = canonical(tuple(c.frobenius() for c in pt))
-        if frob_key in orbit:
+        if canonical(tuple(frobenius(c) for c in pt)) in orbit:
             orbits += 1
     return orbits
 
@@ -370,10 +370,89 @@ def test_extension_counts_satisfy_genus1_trace_relation():
 
 
 def test_extension_count_space_brute():
-    m = _x8_model()
-    rec = m.count_points_ext(3, 2)
-    rows = [table_mod(poly_table(r, m.variables), 3) for r in m.relations]
-    assert rec.npoints == _projective_zero_count(rows, ExtField(3, 2))
+    # the enumeration of P^4(F_9) on the tables
+    assert _x8_model().count_points_ext(3, 2).npoints == 24
+
+
+# (entry, t, p, k) -> N for every extension count that `report --depth 3`
+# prints for the shipped catalog, as an element-by-element scan of F_q
+# without tables found them
+SHIPPED_EXTENSION_COUNTS = [
+    ("bielliptic-sextic-pencil", 0, 5, 2, 46),
+    ("bielliptic-sextic-pencil", 1, 5, 2, 28),
+    ("bielliptic-sextic-pencil", 3, 7, 2, 70),
+    ("bielliptic-sextic-pencil", 0, 5, 3, 126),
+    ("bielliptic-sextic-pencil", 1, 5, 3, 126),
+    ("bielliptic-sextic-pencil", 3, 7, 3, 412),
+    ("ciani-quartic-pencil", 0, 5, 2, 44),
+    ("ciani-quartic-pencil", 1, 5, 2, 44),
+    ("ciani-quartic-pencil", 0, 5, 3, 192),
+    ("ciani-quartic-pencil", 1, 5, 3, 192),
+    ("fermat-sextic", None, 5, 2, 126),
+    ("fermat-sextic", None, 5, 3, 126),
+    ("fermat-sextic-cone-quotient", None, 5, 2, 66),
+    ("fermat-sextic-cone-quotient", None, 5, 3, 126),
+    ("fermat-sextic-cubing-quotient", None, 5, 2, 66),
+    ("fermat-sextic-cubing-quotient", None, 5, 3, 126),
+    ("genus2-quintic", None, 5, 2, 6),
+    ("genus2-quintic", None, 5, 3, 126),
+    ("genus3-septic", None, 5, 2, 20),
+    ("genus3-septic", None, 5, 3, 148),
+]
+
+
+_CATALOG = {e.id: e for e in builtin_catalog()}
+
+
+@pytest.mark.parametrize("entry,t,p,k,npoints", SHIPPED_EXTENSION_COUNTS)
+def test_shipped_extension_counts(entry, t, p, k, npoints):
+    model = _CATALOG[entry].counting_model(t)
+    assert model.count_points_ext(p, k).npoints == npoints
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vanishing_leading_coefficient_is_refused(k):
+    hyper = HyperellipticModel(poly("5*x^6+x^3+1"))
+    cubic = SuperellipticModel(3, poly("7*u^6+u+1"), "u")
+    with pytest.raises(ValueError, match="leading coefficient"):
+        hyper.count_points_ext(5, k)
+    with pytest.raises(ValueError, match="leading coefficient"):
+        cubic.count_points_ext(7, k)
+
+
+def test_count_inputs_are_checked():
+    hyper = HyperellipticModel(poly("x^5-x"))
+    for p, k in ((9, 1), (9, 2), (2, 1), (5, 0), (5, 4)):
+        with pytest.raises(ValueError):
+            hyper.count_points_ext(p, k)
+    with pytest.raises(ValueError):
+        SuperellipticModel(3, poly("x^4+1")).count_points(3)
+    with pytest.raises(ValueError, match="17\\^3"):
+        hyper.count_points_ext(17, 3)
+    with pytest.raises(ValueError):
+        HyperellipticModel(poly("x^2+1"))
+    with pytest.raises(ValueError):
+        PlaneModel(poly("x^4+y^3*z+y"))
+
+
+def test_count_guards_survive_optimize(src_env):
+    # python -O strips assert statements; these checks must not be asserts
+    script = "\n".join([
+        "from picardlab.curves import CountRecord, HyperellipticModel",
+        "from picardlab.curves import InvariantError",
+        "from picardlab.symbolic import parse_polynomial, standard_tower",
+        "c = HyperellipticModel(parse_polynomial(standard_tower(),"
+        " '5*x^6+x^3+1'))",
+        "for call in (lambda: c.count_points(5), lambda: c.count_points(9),"
+        " lambda: c.count_points_ext(5, 2)):",
+        "    try: call()",
+        "    except ValueError: print('refused')",
+        "try: CountRecord(5, 1, 100, 1)",
+        "except InvariantError: print('weil')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=src_env)
+    assert proc.stdout.split() == ["refused"] * 3 + ["weil"], proc.stderr
 
 
 def test_superelliptic_extension_count():

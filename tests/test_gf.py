@@ -1,15 +1,33 @@
 from hypothesis import given, settings, strategies as st
 
 from picardlab.exact import is_prime
-from picardlab.gf import (
-    ExtField,
-    PrimeField,
-    nth_root_count,
-    poly_roots_mod_p,
-    sqrt_count,
-)
+from picardlab.gf import TABLE_MAX, ExtField, poly_roots_mod_p
+
+from count_oracles import frobenius_map
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def _add(F, a, b):
+    """a + b by coefficients, apart from the Zech table."""
+    return F.element([x + y for x, y in zip(F.coeffs(a), F.coeffs(b))])
+
+
+def _mul(F, a, b):
+    """a * b on coefficient tuples, apart from the log tables."""
+    return F.element(F._mul(F.coeffs(a), F.coeffs(b)))
+
+
+def _sum(F, a, b):
+    """a + b through the tables: one Zech lookup."""
+    return F.exp_sum(F.log[x] for x in (a, b) if x)
+
+
+def _product(F, a, b):
+    """a * b through the tables: a sum of logs."""
+    if not a or not b:
+        return 0
+    return F.exp[(F.log[a] + F.log[b]) % (F.q - 1)]
 
 
 @given(
@@ -19,30 +37,26 @@ SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
     st.integers(0, 100),
 )
 def test_prime_field_axioms(p, a, b, c):
-    F = PrimeField(p)
-    x, y, z = F(a), F(b), F(c)
-    assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
-    assert x - x == F(0)
-    if not x.is_zero():
-        assert x * x.inverse() == F(1)
-        assert x ** (p - 1) == F(1)
+    # F_p is ExtField(p, 1); its ints are the residues mod p
+    F = ExtField(p, 1)
+    x, y, z = a % p, b % p, c % p
+    assert _sum(F, x, y) == (x + y) % p
+    assert _product(F, x, y) == x * y % p
+    assert _product(F, _sum(F, x, y), z) == _sum(F, _product(F, x, z),
+                                                  _product(F, y, z))
+    if x:
+        assert _product(F, x, F.exp[-F.log[x] % (p - 1)]) == 1
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 60), st.integers(1, 9))
 def test_nth_root_count_is_brute_count(p, a, n):
     brute = sum(1 for x in range(p) if pow(x, n, p) == a % p)
-    assert nth_root_count(a, n, p) == brute
+    assert ExtField(p, 1).power_counts(n)[a % p] == brute
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 9))
 def test_nth_root_counts_sum_to_p(p, n):
-    assert sum(nth_root_count(a, n, p) for a in range(p)) == p
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 60))
-def test_sqrt_count(p, a):
-    assert sqrt_count(a, p) == sum(1 for x in range(p) if (x * x - a) % p == 0)
+    assert sum(ExtField(p, 1).power_counts(n)) == p
 
 
 def test_poly_roots_mod_p():
@@ -75,6 +89,21 @@ def test_sparse_cubic_modulus_when_available():
         assert F.modulus[1] == 0 and F.modulus[2] == 0
 
 
+def test_tables_only_up_to_the_bound():
+    assert ExtField(13, 3).q <= TABLE_MAX
+    assert ExtField(13, 3).log is not None
+    big = ExtField(17, 3)
+    assert big.q > TABLE_MAX and big.exp is big.log is big.zech is None
+
+
+def test_elements_are_base_p_coefficient_codes():
+    F = ExtField(7, 3)
+    for a in (0, 1, 6, 7, 48, 342):
+        assert F.element(F.coeffs(a)) == a
+    assert F.coeffs(7 * 3 + 2) == (2, 3, 0)
+    assert F.element([-1, 8]) == 6 + 1 * 7
+
+
 @settings(max_examples=60)
 @given(
     st.sampled_from([3, 5, 7, 11]),
@@ -83,68 +112,91 @@ def test_sparse_cubic_modulus_when_available():
     st.integers(0, 10**4),
 )
 def test_ext_field_axioms(p, k, seed_a, seed_b):
+    # the table arithmetic agrees with coefficient arithmetic
     F = ExtField(p, k)
-    a = F([(seed_a >> (4 * i)) % p for i in range(k)])
-    b = F([(seed_b >> (4 * i)) % p for i in range(k)])
-    assert a * b == b * a
-    assert (a + b) * (a - b) == a * a - b * b
-    if not a.is_zero():
-        assert a * a.inverse() == F.one()
-        assert a ** (F.q - 1) == F.one()
+    a, b = seed_a % F.q, seed_b % F.q
+    assert _sum(F, a, b) == _add(F, a, b)
+    assert _product(F, a, b) == _mul(F, a, b) == _product(F, b, a)
+    minus_b = F.element([-c for c in F.coeffs(b)])
+    assert _product(F, _sum(F, a, b), _sum(F, a, minus_b)) == \
+        _sum(F, _product(F, a, a), F.element(
+            [-c for c in F.coeffs(_product(F, b, b))]))
+
+
+def test_zech_table_is_log_of_one_plus():
+    for p, k in [(3, 2), (5, 3), (7, 2)]:
+        F = ExtField(p, k)
+        for i, z in enumerate(F.zech):
+            s = _add(F, 1, F.exp[i])
+            assert (s == 0) if z is None else (F.exp[z] == s), (p, k, i)
+
+
+def test_exp_sum_of_many_terms():
+    F = ExtField(5, 3)
+    logs = [0, 7, 7, 31, 100, 62]
+    expected = 0
+    for l in logs:
+        expected = _add(F, expected, F.exp[l % (F.q - 1)])
+    assert F.exp_sum(logs) == expected
+    assert F.exp_sum([]) == 0
+    # g^i + g^(i + (q-1)/2) = 0: the sum passes through 0 and goes on
+    half = (F.q - 1) // 2
+    assert F.exp_sum([3, 3 + half, 5]) == F.exp[5]
 
 
 def test_frobenius_properties():
     for p, k in [(5, 2), (7, 3), (11, 3)]:
         F = ExtField(p, k)
-        frob = F.frobenius_map()
-        for a in [F.gen(), F([1, 2]), F.gen() + 3]:
-            assert frob(a.coeffs) == (a**p).coeffs
+        frob = frobenius_map(F)
+        x = (0, 1) + (0,) * (k - 2)
+        for a in [x, F.coeffs(1 + 2 * p), F.coeffs(3 + p)]:
+            assert frob(a) == F._pow(a, p)
         # Frobenius fixes the prime field and is additive
-        assert frob(F(4).coeffs) == F(4).coeffs
-        x, y = F.gen(), F([2, 1])
-        assert frob((x + y).coeffs) == (F(frob(x.coeffs)) + F(frob(y.coeffs))).coeffs
+        assert frob(F.coeffs(4)) == F.coeffs(4)
+        y = F.coeffs(2 + p)
+        s = tuple((u + v) % p for u, v in zip(x, y))
+        assert frob(s) == tuple((u + v) % p for u, v in zip(frob(x), frob(y)))
 
 
 def test_multiplicative_generator_order():
-    for p, k in [(5, 2), (7, 3), (11, 2)]:
+    for p, k in [(5, 2), (7, 3), (11, 2), (19, 3)]:
         F = ExtField(p, k)
-        g = F.multiplicative_generator()
+        g = F.coeffs(F.multiplicative_generator())
         n = F.q - 1
-        assert g**n == F.one()
-        for ell in {2, 3, 5, 7, 11, 13, 19, 31, 37}:
+        one = F.coeffs(1)
+        assert F._pow(g, n) == one
+        for ell in {2, 3, 5, 7, 11, 13, 19, 31, 37, 127}:
             if n % ell == 0:
-                assert g ** (n // ell) != F.one()
+                assert F._pow(g, n // ell) != one
 
 
 def test_norm_one_subgroup():
+    # g^(p-1) generates the norm-one circle that shift_orbit_loop_count walks
     for p in [5, 7, 13]:
         F = ExtField(p, 3)
-        h = F.norm_one_subgroup_generator()
+        h = F._pow(F.coeffs(F.multiplicative_generator()), p - 1)
         order = p * p + p + 1
-        assert h**order == F.one()
-        # norm(h) = h^(1 + p + p^2) = 1, and order is exact
+        assert F._pow(h, order) == F.coeffs(1)
         seen = set()
-        a = F.one()
+        a = F.coeffs(1)
         for _ in range(order):
-            seen.add(a.coeffs)
-            a = a * h
+            seen.add(a)
+            a = F._mul(a, h)
         assert len(seen) == order
 
 
-@given(st.sampled_from([5, 7, 11]), st.integers(0, 10**4), st.integers(1, 11))
-def test_ext_nth_power_root_count(p, seed, n):
-    F = ExtField(p, 2)
-    a = F([seed % p, (seed // p) % p])
-    brute = sum(1 for x in F.elements() if x**n == a)
-    assert a.nth_power_root_count(n) == brute
+@given(st.sampled_from([5, 7, 11]), st.sampled_from([2, 3]),
+       st.integers(0, 10**4), st.integers(1, 11))
+def test_ext_nth_power_root_count(p, k, seed, n):
+    F = ExtField(p, k)
+    a = seed % F.q
+    powers = [F.element(F._pow(F.coeffs(x), n)) for x in range(F.q)]
+    assert F.power_counts(n)[a] == powers.count(a)
 
 
 def test_gen_powers_cover_field():
-    F = ExtField(5, 2)
-    g = F.multiplicative_generator()
-    seen = {F.zero().coeffs}
-    a = F.one()
-    for _ in range(F.q - 1):
-        seen.add(a.coeffs)
-        a = a * g
-    assert len(seen) == F.q
+    for p, k in [(5, 2), (3, 3), (13, 1)]:
+        F = ExtField(p, k)
+        assert sorted(F.exp) == list(range(1, F.q))
+        assert all(F.log[F.exp[i]] == i for i in range(F.q - 1))
+        assert F.exp[1] == F.multiplicative_generator()

@@ -150,6 +150,25 @@ def test_extension_depth():
     assert "extension:k=2" not in _checks_by_id(run)
 
 
+def test_extension_count_above_the_table_bound_is_skipped():
+    # with every prime below 17 declared bad, the extension checks run at
+    # p = 17: F_{17^2} is counted, F_{17^3} exceeds the table bound
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    raw = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    raw["bad_primes"] = [2, 3, 5, 7, 11, 13]
+    (run,) = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=5,
+                         depth=3)
+    by_id = _checks_by_id(run)
+    (k2,) = by_id["extension:k=2"]
+    assert (k2.status, k2.prime) == ("PASS", 17)
+    (k3,) = by_id["extension:k=3"]
+    assert (k3.status, k3.prime) == ("SKIPPED", 17)
+    assert "17^3" in k3.evidence["note"]
+    assert not k3.unexpected_failure
+
+
 def test_run_catalog_selection_and_order():
     runs = run_catalog(builtin_catalog(), ids=["genus2-quintic",
                                                "fermat-sextic-cone-quotient"],
