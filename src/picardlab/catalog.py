@@ -21,6 +21,7 @@ from .curves import (
     SpaceModel,
     SuperellipticModel,
 )
+from .exact import factorize, univariate_resultant
 from .morphisms import CurveMap, Differential, ReductionSystem
 from .symbolic import (
     ConstantTower,
@@ -262,15 +263,6 @@ class CatalogEntry:
             )
         raise ValueError("unknown model kind %r" % kind)
 
-    def genus(self, value=None):
-        model = self.counting_model(value if value is not None else
-                                    self._default_value())
-        return model.genus()
-
-    def _default_value(self):
-        values = self.params.get("t")
-        return values[0] if values else None
-
     # -- claims ----------------------------------------------------------
 
     def specializations(self):
@@ -326,10 +318,30 @@ def _validate(entries):
                 continue
             _require(bad, "countable entry %s lacks bad primes" % entry.id)
             total = sum(f["mult"] for f in factors)
+            model = entry.counting_model(value)
             _require(
-                total == entry.genus(value),
+                total == model.genus(),
                 "factor multiplicities of %s do not sum to the genus" % entry.id,
             )
+            if isinstance(model, SuperellipticModel):
+                missing = _derived_bad_primes(model) - set(bad) - {2, 3}
+                _require(
+                    not missing,
+                    "bad primes %s of %s are not declared"
+                    % (sorted(missing), entry.id),
+                )
+
+
+def _derived_bad_primes(model):
+    """Primes of lc(f) Res(f, f') m for a cover y^m = f(x): where f loses
+    degree or a root becomes multiple, or p divides m."""
+    f = [Fraction(0)] * (model.degree + 1)
+    for (e,), c in model.rows:
+        f[e] = c
+    res = univariate_resultant(f, [k * c for k, c in enumerate(f)][1:])
+    _require(res != 0, "f has a repeated root: %s" % model.f_poly.render())
+    value = f[-1] * res * model.m
+    return set(factorize(value.numerator)) | set(factorize(value.denominator))
 
 
 def load_catalog(document):

@@ -9,10 +9,12 @@ raise ``ValueError``, also under ``python -O``.
 Counts over F_{p^k}, k = 2, 3, run on the tables of ``gf.ExtField`` through
 two routines: the cyclic-cover count of y^m = f(x) and the projective-zero
 enumerator for plane and space curves.  Both refuse fields with more than
-``gf.TABLE_MAX`` elements.
+``gf.TABLE_MAX`` elements, and the enumerator refuses to test more than
+``gf.TABLE_MAX`` squared points.
 """
 
 from itertools import product
+from math import gcd
 
 from .exact import is_prime
 from .gf import TABLE_MAX, ExtField
@@ -252,13 +254,10 @@ class SuperellipticModel:
         self.degree = max(e[0] for e, _ in self.rows)
 
     def genus(self):
-        # branch points: the roots of f, plus infinity when m does not divide deg f
-        branch = self.degree + (1 if self.degree % self.m else 0)
-        g2 = (self.m - 1) * (branch - 2)
-        if g2 % 2:
-            raise ValueError("no genus formula for y^%d = f(x), deg f = %d"
-                             % (self.m, self.degree))
-        return g2 // 2
+        # Riemann-Hurwitz: each root of f is totally ramified, and the
+        # gcd(m, deg f) points over infinity have index m / gcd(m, deg f)
+        m, n = self.m, self.degree
+        return ((m - 1) * n - m - gcd(m, n)) // 2 + 1
 
     def count_points(self, p):
         return self._cover_count(p, 1)
@@ -268,7 +267,8 @@ class SuperellipticModel:
 
     def _cover_count(self, p, k):
         """Points over F_{p^k}: the sum over x of #{y : y^m = f(x)}, plus
-        one point at infinity, or the m-th roots of lc(f) when m | deg f."""
+        the points at infinity, one for each z in F_{p^k} with z^d = lc(f),
+        d = gcd(m, deg f)."""
         _check_field(p, k)
         if p % self.m == 0:
             raise ValueError("p = %d divides m = %d" % (p, self.m))
@@ -287,10 +287,12 @@ class SuperellipticModel:
                 field.exp_sum(log_c + i * j for j, log_c in terms)
                 for i in range(field.q - 1)]
         n = sum(roots[v] for v in values)
-        if self.degree % self.m == 0:
-            n += roots[coeffs[-1]]
-        else:
-            n += 1
+        # the z in F_q with z^d = lc(f), d = gcd(m, deg f): e = gcd(d, q - 1)
+        # of them when lc(f) is an e-th power, none otherwise
+        q = p ** k
+        e = gcd(self.m, self.degree, q - 1)
+        if pow(coeffs[-1], (q - 1) // e, p) == 1:
+            n += e
         return CountRecord(p, k, n, self.genus())
 
 
@@ -470,7 +472,11 @@ def _projective_zero_count(relation_rows, nvars, field):
     """Common zeros in P^(nvars-1)(F_q) of relations given as rows
     [(exponents, c mod p)], by testing every point whose first nonzero
     coordinate is 1.  Coordinates are logs, None standing for 0, so each
-    monomial is one log and each relation one ``exp_sum``."""
+    monomial is one log and each relation one ``exp_sum``.  More than
+    TABLE_MAX^2 points, the plane's largest scan, are refused."""
+    if field.q ** (nvars - 1) > TABLE_MAX ** 2:
+        raise ValueError("scan of P^%d(F_%d) refused: more than %d points"
+                         % (nvars - 1, field.q, TABLE_MAX ** 2))
     relations = [[(exps, field.log[c]) for exps, c in rows]
                  for rows in relation_rows]
     values = [None] + list(range(field.q - 1))

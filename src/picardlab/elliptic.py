@@ -3,33 +3,7 @@
 from math import isqrt
 
 from .exact import is_perfect_square, kronecker_symbol
-from .symbolic import MPoly, RationalFunction, scalar_div
-
-
-def weierstrass_j(a1, a2, a3, a4, a6):
-    """Exact j-invariant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
-
-    Coefficients are tower constants; the result is a tower constant, so a
-    rational j comes out as an exact rational even when the model is not.
-    """
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (a1 * a1) * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    delta = -(b2 * b2) * b8 - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    return scalar_div(c4 ** 3, delta)
-
-
-def cubic_model_j(cubic, variable="u"):
-    """j of v^2 = monic cubic in the given variable."""
-    coeffs = cubic.coeffs_in(variable)
-    assert len(coeffs) == 4, "expected a cubic"
-    tower = cubic.tower
-    one = tower.one()
-    assert coeffs[3] == one, "cubic must be monic"
-    zero = tower.zero()
-    return weierstrass_j(zero, coeffs[2], zero, coeffs[1], coeffs[0])
+from .symbolic import MPoly, RationalFunction
 
 
 class BinaryQuartic:
@@ -41,7 +15,9 @@ class BinaryQuartic:
     @classmethod
     def from_polynomial(cls, quartic, variable="u"):
         coeffs = quartic.coeffs_in(variable)
-        assert len(coeffs) <= 5
+        if len(coeffs) > 5:
+            raise ValueError("degree %d in %s is above 4"
+                             % (len(coeffs) - 1, variable))
         coeffs = coeffs + [quartic.tower.zero()] * (5 - len(coeffs))
         e, d, c, b, a = coeffs
         return cls(a, b, c, d, e)
@@ -62,7 +38,7 @@ class BinaryQuartic:
         num = 6912 * i3
         den = 4 * i3 - jj * jj
         if num.constants_only() and den.constants_only():
-            return RationalFunction(scalar_div(num, den))
+            return RationalFunction(num * den ** -1)
         return RationalFunction(num, den)
 
 
@@ -82,8 +58,10 @@ def cm_trace_candidates(disc, p):
     Inert or ramified primes force the supersingular trace 0; split primes
     allow exactly the a with a^2 - 4p = disc * b^2.
     """
-    assert disc < 0 and disc % 4 in (0, 1)
-    assert p > 3
+    if disc >= 0 or disc % 4 not in (0, 1):
+        raise ValueError("%d is not an imaginary quadratic discriminant" % disc)
+    if p <= 3:
+        raise ValueError("p must be a prime above 3, got %d" % p)
     if kronecker_symbol(disc % p, p) <= 0:
         return {0}
     m = -disc
@@ -94,12 +72,6 @@ def cm_trace_candidates(disc, p):
             out.add(a)
             out.add(-a)
     return out
-
-
-def weil_trace_range(p, k=1):
-    """All traces allowed by the Weil bound for genus 1 over F_{p^k}."""
-    bound = isqrt(4 * p ** k)
-    return set(range(-bound, bound + 1))
 
 
 def trace_feasibility(target, candidate_sets):

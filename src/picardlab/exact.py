@@ -7,8 +7,8 @@ No floats are ever introduced on a value path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Sequence
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -50,16 +50,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def primes_in_class(pmax: int, modulus: int, residues: Iterable[int]) -> list[int]:
-    """Primes p <= pmax with p mod modulus in residues, ascending."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    rs = {r % modulus for r in residues}
-    if not rs:
-        raise ValueError("residue set must be nonempty")
-    return [p for p in primes_up_to(pmax) if p % modulus in rs]
-
-
 def kronecker_symbol(d: int, p: int) -> int:
     """Quadratic character of d mod an odd prime p; one of -1, 0, +1."""
     if p <= 2 or not is_prime(p):
@@ -72,34 +62,6 @@ def kronecker_symbol(d: int, p: int) -> int:
 
 def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def squarefree_part(n: int) -> int:
-    """The squarefree s with n = s * m^2, preserving sign. 0 maps to 0."""
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    return sign * s * n
-
-
-def torsion_order(v: Sequence[Fraction | int]) -> int:
-    """Least m >= 1 with m*v integral, i.e. the lcm of the denominators."""
-    m = 1
-    for x in v:
-        m = lcm(m, Fraction(x).denominator)
-    return m
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -159,6 +121,3 @@ def univariate_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fracti
 
     return rec([Fraction(x) for x in f], [Fraction(x) for x in g])
 
-
-def gcd_int(a: int, b: int) -> int:
-    return gcd(a, b)

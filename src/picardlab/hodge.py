@@ -7,10 +7,7 @@ function; `maximality_report` surfaces that as an explicit discrepancy flag
 instead of silently fixing it.
 """
 
-from fractions import Fraction
 from math import factorial
-
-from .exact import squarefree_part, torsion_order
 
 
 def section_poincare(d, n):
@@ -19,7 +16,8 @@ def section_poincare(d, n):
     Counting function for the middle primitive Hodge component of a degree-d
     hypersurface section; index k holds the coefficient of T^k.
     """
-    assert d >= 2 and n >= 1
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1, got d=%d n=%d" % (d, n))
     base = [1] * (d - 1)
     out = [1]
     for _ in range(n + 2):
@@ -33,7 +31,8 @@ def section_poincare(d, n):
 
 def middle_hodge(d, n):
     """(primitive middle Hodge number, total including the hyperplane class)."""
-    assert n % 2 == 0
+    if n % 2:
+        raise ValueError("n must be even, got %d" % n)
     nu = n // 2
     coeffs = section_poincare(d, n)
     idx = (nu + 1) * (d - 2)
@@ -43,7 +42,9 @@ def middle_hodge(d, n):
 
 def rank_printed(d, n):
     """The closed-form rank reading as printed; d in {3, 4}, n even."""
-    assert n % 2 == 0 and d in (3, 4)
+    if n % 2 or d not in (3, 4):
+        raise ValueError("rank readings need d in (3, 4) and n even, "
+                         "got d=%d n=%d" % (d, n))
     nu = n // 2
     if d == 3:
         return 1 + factorial(n) // (factorial(nu) ** 2)
@@ -55,7 +56,9 @@ def rank_printed(d, n):
 
 def rank_adjusted(d, n):
     """Corrected closed form; agrees with the generating function."""
-    assert n % 2 == 0 and d in (3, 4)
+    if n % 2 or d not in (3, 4):
+        raise ValueError("rank readings need d in (3, 4) and n even, "
+                         "got d=%d n=%d" % (d, n))
     nu = n // 2
     if d == 3:
         return 1 + factorial(n + 2) // (factorial(nu + 1) ** 2)
@@ -97,19 +100,8 @@ def quotient_surface_check(multiplicities, cm_flags):
     """
     mults = list(multiplicities)
     flags = list(cm_flags)
-    assert len(mults) == len(flags) and all(m >= 1 for m in mults)
+    if len(mults) != len(flags) or any(m < 1 for m in mults):
+        raise ValueError("need one CM flag per factor and multiplicities >= 1")
     rank = 2 + 2 * sum(m * m for m in mults)
     maximal = all(flags)
     return rank, rank if maximal else None, maximal
-
-
-def lattice_index(a, b, c):
-    """Index of the order attached to the binary quadratic form a x^2 + b x + c
-    inside the ring of the corresponding CM point."""
-    return torsion_order([Fraction(c, a), Fraction(b, a)])
-
-
-def cm_field_disc(a, b):
-    """Discriminant sign data for the compositum generated by sqrt(-a*b)."""
-    assert a > 0 and b > 0
-    return -squarefree_part(a * b)

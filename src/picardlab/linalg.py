@@ -1,18 +1,23 @@
 """Gaussian elimination over the constant tower (an exact field).
 
-Matrix entries are constants-only MPoly values; division goes through
-tower_invert, so ranks and solutions are exact.
+Matrix entries are constants-only MPoly values, whose inverses go through
+tower_invert, or RationalFunction values over the fraction field of a
+parameter; ranks and solutions are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .symbolic import MPoly, RationalFunction, tower_invert
+from .symbolic import MPoly
 
 
-def _echelon(rows: list[list[MPoly]]):
-    """In-place forward elimination; returns list of (row_idx, col) pivots."""
+def _echelon(rows):
+    """In-place forward elimination; returns list of (row_idx, col) pivots.
+
+    Entries need is_zero(), ring operations and an exact inverse ``** -1``:
+    constants-only MPoly values, or RationalFunction values.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
@@ -27,7 +32,7 @@ def _echelon(rows: list[list[MPoly]]):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = tower_invert(rows[r][c])
+        inv = rows[r][c] ** -1
         rows[r] = [v * inv for v in rows[r]]
         for k in range(len(rows)):
             if k != r and not rows[k][c].is_zero():
@@ -45,66 +50,25 @@ def matrix_rank(matrix: list[list[MPoly]]) -> int:
     return len(_echelon(rows))
 
 
-def solve_linear(matrix: list[list[MPoly]], rhs: list[MPoly]):
+def solve_linear(matrix, rhs):
     """One exact solution of A x = b, or None if inconsistent.
 
-    Free coordinates are set to zero.
+    Entries are all constants-only MPoly values, or all RationalFunction
+    values (which may carry free parameters).  Free coordinates are set to
+    zero.
     """
     if not matrix:
         return []
-    tower = rhs[0].tower if rhs else matrix[0][0].tower
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0])
+    zero = 0 * rhs[0]
     pivots = _echelon(rows)
-    solution = [tower.zero()] * ncols
+    solution = [zero] * ncols
     for r, c in pivots:
         if c == ncols:
             return None  # pivot in the augmented column: inconsistent
         solution[c] = rows[r][ncols]
     # rows beyond the pivots are all-zero by construction
-    return solution
-
-
-def solve_linear_field(matrix: list[list[MPoly]], rhs: list[MPoly]):
-    """Like solve_linear, but entries may contain free parameter variables.
-
-    Elimination runs in the fraction field, so pivots need not be
-    constants-only.  Returns RationalFunction coordinates, or None.
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [
-        [RationalFunction(e) for e in row] + [RationalFunction(b)]
-        for row, b in zip(matrix, rhs)
-    ]
-    tower = rhs[0].tower if rhs else matrix[0][0].tower
-    pivots = []
-    r = 0
-    for c in range(ncols + 1):
-        pivot = None
-        for k in range(r, len(rows)):
-            if not rows[k][c].num.is_zero():
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and not rows[k][c].num.is_zero():
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    solution = [RationalFunction(tower.zero())] * ncols
-    for r, c in pivots:
-        if c == ncols:
-            return None
-        solution[c] = rows[r][ncols]
     return solution
 
 
@@ -117,7 +81,8 @@ def quadratic_form_rank(poly: MPoly, variables) -> int:
     for mono, coeff in poly.terms.items():
         geo = [(v, e) for v, e in mono if v in index]
         rest = tuple((v, e) for v, e in mono if v not in index)
-        assert sum(e for _, e in geo) == 2, "not a quadratic form"
+        if sum(e for _, e in geo) != 2:
+            raise ValueError("not a quadratic form")
         const = MPoly._make(tower, {rest: coeff})
         if len(geo) == 1:
             i = index[geo[0][0]]
@@ -128,11 +93,6 @@ def quadratic_form_rank(poly: MPoly, variables) -> int:
             gram[i][j] = gram[i][j] + half
             gram[j][i] = gram[j][i] + half
     return matrix_rank(gram)
-
-
-def in_span(vectors: list[list[MPoly]], target: list[MPoly]) -> bool:
-    base = [list(v) for v in vectors]
-    return matrix_rank(base) == matrix_rank(base + [list(target)])
 
 
 def matrix_mul(A: list[list[MPoly]], B: list[list[MPoly]]):
@@ -152,13 +112,6 @@ def matrix_mul(A: list[list[MPoly]], B: list[list[MPoly]]):
                 if not b.is_zero():
                     row[j] = row[j] + a * b
     return out
-
-
-def matrix_trace(A: list[list[MPoly]]) -> MPoly:
-    t = A[0][0]
-    for k in range(1, len(A)):
-        t = t + A[k][k]
-    return t
 
 
 def identity_matrix(tower, n: int):

@@ -4,9 +4,8 @@ All computations happen in the fraction field of the source coordinate ring
 modulo its defining relations; nothing is ever evaluated numerically.
 """
 
-from .linalg import solve_linear, solve_linear_field
+from .linalg import solve_linear
 from .symbolic import (
-    CurveRelation,
     MPoly,
     RationalFunction,
     constant_poly_divmod,
@@ -24,9 +23,11 @@ class ReductionSystem:
 
     def __init__(self, relations):
         self.relations = list(relations)
-        assert self.relations
+        if not self.relations:
+            raise ValueError("a reduction system needs at least one relation")
         mains = [r.main_var for r in self.relations]
-        assert len(set(mains)) == len(mains), "duplicate main variables"
+        if len(set(mains)) != len(mains):
+            raise ValueError("duplicate main variables")
 
     @property
     def tower(self):
@@ -43,20 +44,6 @@ class ReductionSystem:
 
     def is_zero_poly(self, poly):
         return self.reduce(poly).is_zero()
-
-    def is_zero_rf(self, rf):
-        if self.is_zero_poly(rf.den):
-            raise ZeroDivisionError("denominator vanishes on the curve")
-        return self.is_zero_poly(rf.num)
-
-    def rf_equal(self, a, b):
-        if self.is_zero_poly(a.den) or self.is_zero_poly(b.den):
-            raise ZeroDivisionError("denominator vanishes on the curve")
-        return self.is_zero_poly(a.num * b.den - b.num * a.den)
-
-
-def single_relation(poly, main_var):
-    return ReductionSystem([CurveRelation(poly, main_var)])
 
 
 class Differential:
@@ -165,7 +152,9 @@ def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
     reduces to an honest polynomial; otherwise the coefficients are solved
     for linearly through the reduction.
     """
-    assert omega.base_var == diff.base_var
+    if omega.base_var != diff.base_var:
+        raise ValueError("differentials in d%s and d%s"
+                         % (omega.base_var, diff.base_var))
     tower = system.tower
     ratio = diff.coeff / omega.coeff
     num = system.reduce(ratio.num)
@@ -199,15 +188,17 @@ def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
     keys = sorted(keys)
     matrix = [[col.get(key, tower.zero()) for col in columns] for key in keys]
     rhs = [target.get(key, tower.zero()) for key in keys]
-    if all(e.constants_only() for row in matrix for e in row) and all(
-        e.constants_only() for e in rhs
-    ):
-        return solve_linear(matrix, rhs)
-    # entries carry free parameters: solve in the fraction field, then
-    # insist every coordinate is an honest polynomial in the parameter
-    solution = solve_linear_field(matrix, rhs)
-    if solution is None:
-        return None
+    parametric = not all(
+        e.constants_only() for row, b in zip(matrix, rhs) for e in row + [b]
+    )
+    if parametric:
+        # entries carry free parameters: solve in the fraction field, then
+        # insist every coordinate is an honest polynomial in the parameter
+        matrix = [[RationalFunction(e) for e in row] for row in matrix]
+        rhs = [RationalFunction(b) for b in rhs]
+    solution = solve_linear(matrix, rhs)
+    if solution is None or not parametric:
+        return solution
     return [_parameter_quotient(rf) for rf in solution]
 
 
@@ -231,11 +222,3 @@ def _parameter_quotient(rf):
         out = out + c * tower.var(var, k)
     return out
 
-
-def plane_basis_monomials(degree):
-    """Exponent pairs (a, b) with a + b <= degree - 3, in a fixed order."""
-    out = []
-    for total in range(degree - 2):
-        for a in range(total, -1, -1):
-            out.append((("x", a), ("y", total - a)))
-    return [tuple((v, e) for v, e in mono if e) for mono in out]

@@ -8,7 +8,7 @@ auxiliary exact checks.  Failures become FAIL results with evidence; they
 never abort the run.
 """
 
-from .curves import HyperellipticModel
+from .curves import HyperellipticModel, InvariantError
 from .elliptic import (
     BinaryQuartic,
     cm_consistency,
@@ -30,8 +30,8 @@ SKIPPED = "SKIPPED"
 
 class CheckResult:
     def __init__(self, check_id, status, evidence, prime=None, expected=False):
-        if status == FAIL:
-            assert evidence, "FAIL must carry evidence"
+        if status == FAIL and not evidence:
+            raise ValueError("FAIL row %s carries no evidence" % check_id)
         self.check_id = check_id
         self.status = status
         self.evidence = evidence
@@ -114,12 +114,11 @@ def _target_rhs(entry, spec, value=None):
     uvar, vvar = target["variables"]
     relation = entry.poly(target["relation"], value)
     coeffs = relation.coeffs_in(vvar)
-    assert len(coeffs) == 3 and coeffs[1].is_zero(), (
-        "target of %r is not a double cover" % spec["name"]
-    )
-    assert coeffs[2] == 1
     rhs = -coeffs[0]
-    assert vvar not in rhs.variables()
+    if (len(coeffs) != 3 or not coeffs[1].is_zero() or coeffs[2] != 1
+            or vvar in rhs.variables()):
+        raise ValueError("target of %r is not %s^2 = f(%s)"
+                         % (spec["name"], vvar, uvar))
     return rhs, uvar
 
 
@@ -308,7 +307,10 @@ def _counting_checks(entry, cache, pmax):
             if all(kronecker_symbol(d % p, p) == -1 for d in discs):
                 ok = record.npoints == p + 1
                 # inert exactness is the singleton case of feasibility
-                assert feasible == ok
+                if feasible != ok:
+                    raise InvariantError(
+                        "inert count and trace feasibility disagree at p=%d"
+                        % p)
                 checks.append(
                     CheckResult(
                         "inert" + tag, PASS if ok else FAIL,
@@ -346,7 +348,9 @@ def _trace_checks(entry, cache, pmax):
                 feasible, _ = trace_feasibility(
                     source, [cm_trace_candidates(d, p) for d in discs]
                 )
-                assert feasible
+                if not feasible:
+                    raise InvariantError(
+                        "exact trace identity is infeasible at p=%d" % p)
             checks.append(
                 CheckResult(
                     "trace" + tag, PASS if ok else FAIL,
@@ -456,7 +460,7 @@ def _bad_primes_at(entry, value):
     return entry.bad_primes
 
 
-# -- step 6 note: the Weil bound is asserted inside every CountRecord --------
+# -- step 6 note: every CountRecord checks the Weil bound on construction ----
 
 def _extension_checks(entry, cache, depth):
     if entry.model["kind"] not in ("plane", "hyperelliptic", "superelliptic"):
@@ -490,7 +494,8 @@ def _extension_checks(entry, cache, depth):
 
 def run_entry(entry, pmax=200, depth=1):
     """All checks for one entry; failures are results, not exceptions."""
-    assert 1 <= pmax <= 499, "counting beyond p=499 is refused"
+    if not 1 <= pmax <= 499:
+        raise ValueError("pmax must be in 1..499, got %d" % pmax)
     cache = _CountCache(entry)
     checks = []
     checks.extend(_map_checks(entry))

@@ -189,7 +189,8 @@ class MPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            # exact only for constants-only elements, inverted in the tower
+            return tower_invert(self) ** -k
         result = self.tower.one()
         base = self
         while k:
@@ -380,11 +381,6 @@ def _poly_sub_list(A: list, B: list, tower) -> list:
     A = A + [tower.zero()] * (n - len(A))
     B = B + [tower.zero()] * (n - len(B))
     return [a - b for a, b in zip(A, B)]
-
-
-def scalar_div(a: MPoly, b: MPoly) -> MPoly:
-    """a / b for constants-only b."""
-    return a * tower_invert(b)
 
 
 class RationalFunction:
@@ -605,17 +601,6 @@ class CurveRelation:
                         work.pop(m2, None)
         return MPoly(self.tower, out)
 
-    def is_zero_poly(self, p: MPoly) -> bool:
-        return self.reduce(p).is_zero()
-
-    def is_zero_rf(self, rf: RationalFunction) -> bool:
-        if self.reduce(rf.den).is_zero():
-            raise ZeroDivisionError("denominator vanishes on the curve")
-        return self.reduce(rf.num).is_zero()
-
-    def rf_equal(self, a: RationalFunction, b: RationalFunction) -> bool:
-        return self.is_zero_rf(a - b)
-
 
 # -- expression parsing ------------------------------------------------------
 
@@ -722,27 +707,3 @@ def parse_polynomial(tower: ConstantTower, text: str) -> MPoly:
         raise ValueError(f"not a polynomial: {text!r}")
     return rf.num * tower_invert(rf.den)
 
-
-def standard_tower() -> ConstantTower:
-    """The constants used by the built-in catalog.
-
-    om: primitive cube root of unity        om^2 = -1 - om
-    i:  square root of -1                   i^2  = -1
-    s2: positive square root of 2           s2^2 = 2
-    lam: fourth root of -1/3 via            lam^2 = (2*om + 1)/3
-    e:  real cube root of 1/4               e^3  = 1/4
-    """
-    return ConstantTower(
-        [
-            ("om", 2, [((("om", 1),), -1), ((), -1)], [((("om", 1),), -1), ((), -1)]),
-            ("i", 2, [((), -1)], [((("i", 1),), -1)]),
-            ("s2", 2, [((), 2)], [((("s2", 1),), 1)]),
-            (
-                "lam",
-                2,
-                [((("om", 1),), Fraction(2, 3)), ((), Fraction(1, 3))],
-                [((("i", 1), ("lam", 1)), 1)],
-            ),
-            ("e", 3, [((), Fraction(1, 4))], [((("e", 1),), 1)]),
-        ]
-    )

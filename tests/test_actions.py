@@ -8,11 +8,17 @@ import pytest
 from action_oracles import formula_closure
 from picardlab.actions import GroupAction
 from picardlab.catalog import builtin_catalog, load_catalog
-from picardlab.morphisms import Differential, plane_basis_monomials, single_relation
+from picardlab.morphisms import Differential
 from picardlab.runner import run_entry
-from picardlab.symbolic import parse_expression, parse_polynomial, standard_tower
+from picardlab.symbolic import parse_expression, parse_polynomial
 
-T = standard_tower()
+from symbolic_helpers import (
+    builtin_tower,
+    plane_basis_monomials,
+    single_relation,
+)
+
+T = builtin_tower()
 
 
 def poly(text):

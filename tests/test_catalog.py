@@ -81,10 +81,15 @@ def test_genera():
         "genus3-septic": 3,
     }
     for eid, genus in expected.items():
-        assert entries[eid].genus() == genus
+        assert _genus(entries[eid]) == genus
     for eid in ("sextic-product-trick", "quartic-product-trick"):
         with pytest.raises(ValueError):
-            entries[eid].genus()
+            _genus(entries[eid])
+
+
+def _genus(entry):
+    """Genus of the first specialization's counting model."""
+    return entry.counting_model(entry.specializations()[0][0]).genus()
 
 
 def test_counting_model_kinds():
@@ -200,6 +205,28 @@ def test_bad_genus_sum_rejected_under_optimize(tmp_path, src_env):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("CatalogError: factor multiplicities of "
                                   "genus2-quintic"), proc.stdout
+
+
+def test_undeclared_bad_primes_rejected():
+    # disc(x^5 - x + 1) = 2869 = 19 * 151, so lc(f) Res(f, f') m has both
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    entry["model"]["rhs"] = "x^5-x+1"
+    with pytest.raises(CatalogError,
+                       match=r"bad primes \[19, 151\] of genus2-quintic"):
+        load_catalog(doc)
+    entry["bad_primes"] = [2, 19, 151]
+    load_catalog(doc)
+    entry["model"]["rhs"] = "x^5-x^3"
+    with pytest.raises(CatalogError, match="repeated root"):
+        load_catalog(doc)
+    # a cyclic cubic cover: lc(f) = 1 and Res(u^6 + 5, 6 u^5) = 6^6 5^5
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"]
+                 if e["id"] == "fermat-sextic-cone-quotient")
+    entry["model"]["rhs"] = "u^6+5"
+    with pytest.raises(CatalogError, match=r"\[5\] of fermat-sextic-cone"):
+        load_catalog(doc)
 
 
 def test_basis_entry_must_be_a_monic_monomial():

@@ -21,17 +21,18 @@ from picardlab.curves import (
     power_residue_counts,
     table_mod,
 )
-from picardlab.exact import is_prime
+from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import ExtField
-from picardlab.symbolic import parse_polynomial, standard_tower
+from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
     brute_plane_count,
     scan_plane_count,
     shift_orbit_loop_count,
 )
+from symbolic_helpers import builtin_tower
 
-T = standard_tower()
+T = builtin_tower()
 
 
 def poly(text):
@@ -374,6 +375,32 @@ def test_extension_count_space_brute():
     assert _x8_model().count_points_ext(3, 2).npoints == 24
 
 
+def test_space_extension_count_above_the_point_bound_is_refused():
+    # P^4(F_529) has about 7.8e10 points with first coordinate 1; the
+    # refusal comes before any of them is tested
+    with pytest.raises(ValueError, match="more than 5290000 points"):
+        _x8_model().count_points_ext(23, 2)
+
+
+def test_cover_with_partly_ramified_infinity():
+    # 1 < gcd(m, deg f) < m: each pair is one curve with x and y swapped
+    pairs = [
+        (SuperellipticModel(6, poly("x^3+1")),
+         SuperellipticModel(3, poly("y^6-1"), "y"), 4),
+        (SuperellipticModel(4, poly("x^2+1")),
+         HyperellipticModel(poly("y^4-1"), "y"), 1),
+    ]
+    for model, swapped, genus in pairs:
+        assert model.genus() == swapped.genus() == genus
+        for p in primes_up_to(97)[2:]:
+            assert (model.count_points(p).npoints
+                    == swapped.count_points(p).npoints), p
+        for p in primes_up_to(47)[2:]:
+            assert (model.count_points_ext(p, 2).npoints
+                    == swapped.count_points_ext(p, 2).npoints), p
+    assert pairs[0][0].count_points(7).npoints == 12
+
+
 # (entry, t, p, k) -> N for every extension count that `report --depth 3`
 # prints for the shipped catalog, as an element-by-element scan of F_q
 # without tables found them
@@ -438,13 +465,19 @@ def test_count_inputs_are_checked():
 def test_count_guards_survive_optimize(src_env):
     # python -O strips assert statements; these checks must not be asserts
     script = "\n".join([
+        "from picardlab.catalog import builtin_catalog",
         "from picardlab.curves import CountRecord, HyperellipticModel",
         "from picardlab.curves import InvariantError",
-        "from picardlab.symbolic import parse_polynomial, standard_tower",
-        "c = HyperellipticModel(parse_polynomial(standard_tower(),"
-        " '5*x^6+x^3+1'))",
+        "from picardlab.elliptic import cm_trace_candidates",
+        "from picardlab.runner import run_entry",
+        "from picardlab.symbolic import parse_polynomial",
+        "entries = {e.id: e for e in builtin_catalog()}",
+        "entry = entries['genus2-quintic']",
+        "c = HyperellipticModel(parse_polynomial(entry.tower, '5*x^6+x^3+1'))",
         "for call in (lambda: c.count_points(5), lambda: c.count_points(9),"
-        " lambda: c.count_points_ext(5, 2)):",
+        " lambda: c.count_points_ext(5, 2),"
+        " lambda: run_entry(entry, pmax=520),"
+        " lambda: cm_trace_candidates(-5, 7)):",
         "    try: call()",
         "    except ValueError: print('refused')",
         "try: CountRecord(5, 1, 100, 1)",
@@ -452,7 +485,7 @@ def test_count_guards_survive_optimize(src_env):
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=src_env)
-    assert proc.stdout.split() == ["refused"] * 3 + ["weil"], proc.stderr
+    assert proc.stdout.split() == ["refused"] * 5 + ["weil"], proc.stderr
 
 
 def test_superelliptic_extension_count():

@@ -1,7 +1,9 @@
 """Genus-one invariants and CM trace logic against frozen exact values."""
 
 from fractions import Fraction
+from math import isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from picardlab.curves import HyperellipticModel
@@ -9,34 +11,35 @@ from picardlab.elliptic import (
     BinaryQuartic,
     cm_consistency,
     cm_trace_candidates,
-    cubic_model_j,
     j_from_legendre,
     trace_feasibility,
-    weierstrass_j,
-    weil_trace_range,
 )
 from picardlab.exact import primes_up_to
-from picardlab.symbolic import RationalFunction, parse_polynomial, standard_tower
+from picardlab.symbolic import RationalFunction, parse_polynomial
 
-T = standard_tower()
+from symbolic_helpers import builtin_tower
+
+T = builtin_tower()
 
 
 def poly(text):
     return parse_polynomial(T, text)
 
 
+def cubic_j(text):
+    """j of v^2 = cubic, read as a binary quartic with a root at infinity."""
+    return BinaryQuartic.from_polynomial(poly(text)).j_invariant()
+
+
 def test_weierstrass_j_classical_values():
-    zero, one = T.zero(), T.one()
-    assert weierstrass_j(zero, zero, zero, one, zero) == T.const(1728)
-    assert weierstrass_j(zero, zero, zero, zero, one) == T.const(0)
-    assert cubic_model_j(poly("u^3+u")) == T.const(1728)
-    assert cubic_model_j(poly("u^3-1")) == T.const(0)
+    assert cubic_j("u^3+u") == RationalFunction(T.const(1728))
+    assert cubic_j("u^3-1") == RationalFunction(T.const(0))
+    assert cubic_j("u^3+1") == RationalFunction(T.const(0))
 
 
 def test_octahedral_target_j_is_8000():
     # v^2 = u (u + 1) (u - 2 (1 - s2)): irrational model, rational j
-    cubic = poly("u*(u+1)*(u-2*(1-s2))")
-    assert cubic_model_j(cubic) == T.const(8000)
+    assert cubic_j("u*(u+1)*(u-2*(1-s2))") == RationalFunction(T.const(8000))
 
 
 def test_binary_quartic_anchor_values():
@@ -129,7 +132,15 @@ def test_trace_feasibility_monotone(data):
 def test_cm_candidates_within_weil_range(p, disc):
     cands = cm_trace_candidates(disc, p)
     assert cands
-    assert cands <= weil_trace_range(p)
+    assert all(abs(a) <= isqrt(4 * p) for a in cands)
     for a in cands:
         if a != 0:
             assert (4 * p - a * a) % (-disc) == 0
+
+
+def test_invalid_inputs_raise_value_error():
+    for disc, p in ((-5, 7), (4, 7), (-4, 3)):
+        with pytest.raises(ValueError):
+            cm_trace_candidates(disc, p)
+    with pytest.raises(ValueError, match="above 4"):
+        BinaryQuartic.from_polynomial(poly("u^5+1"))

@@ -5,14 +5,10 @@ from hypothesis import given, strategies as st
 
 from picardlab.exact import (
     factorize,
-    gcd_int,
     is_perfect_square,
     is_prime,
     kronecker_symbol,
-    primes_in_class,
     primes_up_to,
-    squarefree_part,
-    torsion_order,
     univariate_resultant,
 )
 
@@ -34,13 +30,6 @@ def test_is_prime_large_and_carmichael():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(41041)
     assert is_prime(10**9 + 7)
-
-
-def test_primes_in_class():
-    assert primes_in_class(50, 3, [2]) == [2, 5, 11, 17, 23, 29, 41, 47]
-    assert primes_in_class(50, 3, [1]) == [7, 13, 19, 31, 37, 43]
-    assert primes_in_class(20, 1, [0]) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_in_class(50, 8, [7]) == [7, 23, 31, 47]
 
 
 def test_kronecker_symbol_values():
@@ -70,30 +59,6 @@ def test_is_perfect_square(n):
     r = int(n**0.5)
     truth = any((r + e) ** 2 == n for e in (-1, 0, 1, 2))
     assert is_perfect_square(n) == truth
-
-
-@given(st.integers(min_value=1, max_value=10**5))
-def test_squarefree_part_decomposition(n):
-    s = squarefree_part(n)
-    q, r = divmod(n, s)
-    assert r == 0
-    assert is_perfect_square(q)
-    for p in primes_up_to(100):
-        assert s % (p * p) != 0
-
-
-def test_squarefree_part_signs():
-    assert squarefree_part(12) == 3
-    assert squarefree_part(-12) == -3
-    assert squarefree_part(9) == 1
-    assert squarefree_part(-1) == -1
-    assert squarefree_part(50) == 2
-
-
-def test_torsion_order():
-    assert torsion_order([Fraction(1, 3), Fraction(5, 6)]) == 6
-    assert torsion_order([Fraction(2), Fraction(-7)]) == 1
-    assert torsion_order([Fraction(9, 1), Fraction(1, 9)]) == 9
 
 
 def test_factorize_roundtrip():
@@ -131,8 +96,3 @@ def test_resultant_product_formula(rs, ss, a, b):
             expected *= r - s
     assert univariate_resultant(f, g) == expected
 
-
-def test_gcd_int():
-    assert gcd_int(12, 18) == 6
-    assert gcd_int(-12, 18) == 6
-    assert gcd_int(0, 5) == 5

@@ -1,10 +1,9 @@
 """Surface invariant formulas against the frozen exact table."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from picardlab.hodge import (
-    cm_field_disc,
-    lattice_index,
     maximality_report,
     middle_hodge,
     product_invariants,
@@ -75,14 +74,10 @@ def test_quotient_surface_anchor():
     assert picard == 12 and h11 is None and not maximal
 
 
-def test_lattice_index_anchor():
-    assert lattice_index(9, 0, 1) == 9
-    assert lattice_index(1, 1, 1) == 1
-    assert lattice_index(4, 2, 1) == 4
-
-
-def test_cm_field_disc_anchor():
-    assert cm_field_disc(2, 3) == -6
-    assert cm_field_disc(1, 1) == -1
-    assert cm_field_disc(4, 2) == -2
-    assert cm_field_disc(3, 3) == -1
+def test_out_of_range_inputs_raise_value_error():
+    for call in (lambda: section_poincare(1, 2), lambda: middle_hodge(3, 3),
+                 lambda: rank_printed(5, 2), lambda: rank_adjusted(3, 5),
+                 lambda: quotient_surface_check((1, 0), (True, True)),
+                 lambda: quotient_surface_check((1,), (True, True))):
+        with pytest.raises(ValueError):
+            call()

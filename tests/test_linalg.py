@@ -1,17 +1,18 @@
 """Exact linear algebra over the constant tower and its fraction field."""
 
+import pytest
+
 from picardlab.linalg import (
     identity_matrix,
-    in_span,
     matrix_mul,
     matrix_rank,
-    matrix_trace,
     solve_linear,
-    solve_linear_field,
 )
-from picardlab.symbolic import parse_polynomial, standard_tower
+from picardlab.symbolic import RationalFunction, parse_polynomial
 
-T = standard_tower()
+from symbolic_helpers import builtin_tower
+
+T = builtin_tower()
 
 
 def c(text):
@@ -21,8 +22,9 @@ def c(text):
 def test_rank_and_span():
     rows = [[c("1"), c("om")], [c("om"), c("om^2")]]
     assert matrix_rank(rows) == 1
-    assert in_span([[c("1"), c("om")]], [c("2"), c("2*om")])
-    assert not in_span([[c("1"), c("om")]], [c("1"), c("0")])
+    base = [[c("1"), c("om")]]
+    assert matrix_rank(base + [[c("2"), c("2*om")]]) == 1
+    assert matrix_rank(base + [[c("1"), c("0")]]) == 2
 
 
 def test_solve_linear_exact_and_inconsistent():
@@ -38,16 +40,28 @@ def test_solve_linear_irrational_pivot():
     assert sol == [c("s2")]
 
 
+def rf(text):
+    return RationalFunction(c(text))
+
+
 def test_solve_linear_field_with_parameter():
-    matrix = [[c("t"), c("0")], [c("0"), c("t^2")]]
-    sol = solve_linear_field(matrix, [c("t^2"), c("t^2")])
+    # entries carrying the parameter are solved in its fraction field
+    matrix = [[rf("t"), rf("0")], [rf("0"), rf("t^2")]]
+    sol = solve_linear(matrix, [rf("t^2"), rf("t^2")])
     assert sol[0] == c("t")
     assert sol[1] == c("1")
+    sol = solve_linear([[rf("t"), rf("1")], [rf("1"), rf("t")]],
+                       [rf("1"), rf("0")])
+    assert sol == [RationalFunction(c("t"), c("t^2-1")),
+                   RationalFunction(c("-1"), c("t^2-1"))]
+    # polynomial entries have no inverse in the tower: they must be lifted
+    with pytest.raises(ValueError):
+        solve_linear([[c("t")]], [c("1")])
 
 
 def test_solve_linear_field_inconsistent():
-    matrix = [[c("t")], [c("t")]]
-    assert solve_linear_field(matrix, [c("1"), c("0")]) is None
+    matrix = [[rf("t")], [rf("t")]]
+    assert solve_linear(matrix, [rf("1"), rf("0")]) is None
 
 
 def test_mul_trace_identity():
@@ -57,7 +71,6 @@ def test_mul_trace_identity():
          [c("s2"), c("0"), c("1")]]
     assert matrix_mul(a, eye) == a
     assert matrix_mul(eye, a) == a
-    assert matrix_trace(a) == c("3")
 
 
 def test_quadratic_form_rank():
@@ -69,3 +82,10 @@ def test_quadratic_form_rank():
         c("(a+b)^2 + 5*b^2 - 2*c*d"), ("a", "b", "c", "d")) == 4
     assert quadratic_form_rank(c("(a+b+c)^2"), ("a", "b", "c")) == 1
     assert quadratic_form_rank(c("a^2 - 2*a*b + b^2"), ("a", "b")) == 1
+
+
+def test_quadratic_form_rank_rejects_other_degrees():
+    from picardlab.linalg import quadratic_form_rank
+
+    with pytest.raises(ValueError, match="not a quadratic form"):
+        quadratic_form_rank(c("a^2 + b^3"), ("a", "b"))

@@ -15,12 +15,14 @@ from picardlab.catalog import builtin_catalog
 from picardlab.curves import HyperellipticModel
 from picardlab.elliptic import trace_feasibility
 from picardlab.exact import kronecker_symbol
-from picardlab.morphisms import CurveMap, Differential, pullback, single_relation
+from picardlab.morphisms import CurveMap, Differential, pullback
 from picardlab.report import render_json, render_markdown
 from picardlab.runner import run_catalog
-from picardlab.symbolic import parse_expression, parse_polynomial, standard_tower
+from picardlab.symbolic import parse_expression, parse_polynomial
 
-T = standard_tower()
+from symbolic_helpers import builtin_tower, single_relation
+
+T = builtin_tower()
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 SUITE = settings(max_examples=100, deadline=None, derandomize=True)
 

@@ -5,8 +5,18 @@ from importlib import resources
 
 import pytest
 
+from picardlab import runner
 from picardlab.catalog import builtin_catalog, load_catalog
-from picardlab.runner import good_primes, run_catalog, run_entry
+from picardlab.curves import CountRecord, InvariantError
+from picardlab.runner import (
+    CheckResult,
+    _counting_checks,
+    _target_rhs,
+    _trace_checks,
+    good_primes,
+    run_catalog,
+    run_entry,
+)
 
 ENTRIES = {e.id: e for e in builtin_catalog()}
 
@@ -180,7 +190,7 @@ def test_run_catalog_selection_and_order():
 
 
 def test_pmax_cap():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="pmax"):
         run_entry(ENTRIES["genus2-quintic"], pmax=500)
 
 
@@ -222,3 +232,52 @@ def test_pullback_through_a_pole_is_a_fail_row():
     (row,) = by_id["pullback:quot"]
     assert row.status == "FAIL" and row.unexpected_failure
     assert "error" in row.evidence
+
+
+class _StubEntry:
+    """One claimed factor of discriminant -4, one trace map, p = 5 only."""
+
+    def specializations(self):
+        return [(None, [{"disc": -4, "mult": 1}], [2, 3])]
+
+    def trace_map_names(self):
+        return ["e"]
+
+
+class _StubCache:
+    """Every count, source or target, has trace 1."""
+
+    def count(self, value, p):
+        return CountRecord(p, 1, p, 1)
+
+    def count_target(self, name, value, p):
+        return CountRecord(p, 1, p, 1)
+
+
+def test_infeasible_trace_identity_is_an_invariant_error():
+    # trace 1 = 1 holds, but 1 is not a CM trace for -4 at p = 5
+    with pytest.raises(InvariantError, match="infeasible at p=5"):
+        _trace_checks(_StubEntry(), _StubCache(), 5)
+
+
+def test_inert_and_feasibility_disagreement_is_an_invariant_error(
+        monkeypatch):
+    # p = 7 is inert for -4, where the count p + 1 is always feasible
+    cache = _StubCache()
+    cache.count = lambda value, p: CountRecord(p, 1, p + 1, 1)
+    inert = _counting_checks(_StubEntry(), cache, 7)[-1]
+    assert (inert.check_id, inert.prime, inert.status) == ("inert", 7, "PASS")
+    monkeypatch.setattr(runner, "trace_feasibility",
+                        lambda target, sets: (False, None))
+    with pytest.raises(InvariantError, match="disagree at p=7"):
+        _counting_checks(_StubEntry(), cache, 7)
+
+
+def test_row_and_target_guards_raise_value_error():
+    with pytest.raises(ValueError, match="no evidence"):
+        CheckResult("map:f", "FAIL", {})
+    entry = ENTRIES["genus3-septic"]
+    spec = {"name": "cubic", "target": {"variables": ["u", "v"],
+                                        "relation": "v^3-u^3-u"}}
+    with pytest.raises(ValueError, match="not v\\^2 = f\\(u\\)"):
+        _target_rhs(entry, spec)
