@@ -17,7 +17,6 @@ from importlib import resources
 from .curves import (
     HyperellipticModel,
     PlaneModel,
-    ProductModel,
     SpaceModel,
     SuperellipticModel,
 )
@@ -85,6 +84,10 @@ class CatalogEntry:
         self.bad_primes = raw.get("bad_primes", [])
         self.params = raw.get("params", {})
         self.aux = raw.get("aux", [])
+        # per load: each polynomial text parsed once, each counting model
+        # built once (by validation) and reused by every count
+        self._parsed = {}
+        self._models = {}
 
     # -- parsing helpers -------------------------------------------------
 
@@ -94,7 +97,9 @@ class CatalogEntry:
         return {"t": self.tower.const(Fraction(value))}
 
     def poly(self, text, value=None):
-        p = parse_polynomial(self.tower, text)
+        p = self._parsed.get(text)
+        if p is None:
+            p = self._parsed[text] = parse_polynomial(self.tower, text)
         subs = self._subs(value)
         return p.substitute_poly(subs) if subs else p
 
@@ -227,18 +232,34 @@ class CatalogEntry:
     # -- counting side ---------------------------------------------------
 
     def counting_model(self, value=None):
+        """The point-counting model of a specialization, built on first use
+        and kept: validation builds every model a claim needs, so counts
+        after a load reuse it."""
+        if value not in self._models:
+            self._models[value] = self._build_model(value)
+        return self._models[value]
+
+    def _model_poly(self, text, value):
+        try:
+            return self.poly(text, value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CatalogError(
+                "model text %r of %s: %s" % (text, self.id, exc)) from None
+
+    def _build_model(self, value):
         kind = self.model["kind"]
         if kind == "plane":
             return PlaneModel(
-                self.poly(self.model["projective"], value),
+                self._model_poly(self.model["projective"], value),
                 tuple(self.model["variables"]),
             )
         if kind == "hyperelliptic":
-            return HyperellipticModel(self.poly(self.model["rhs"], value))
+            return HyperellipticModel(
+                self._model_poly(self.model["rhs"], value))
         if kind == "superelliptic":
             return SuperellipticModel(
                 self.model["m"],
-                self.poly(self.model["rhs"], value),
+                self._model_poly(self.model["rhs"], value),
                 self.model.get("variable", "u"),
             )
         if kind == "space":
@@ -247,21 +268,20 @@ class CatalogEntry:
                 if key in fib:
                     fib[key] = tuple(fib[key])
             if "factors" in fib:
-                fib["factors"] = [self.poly(f, value) for f in fib["factors"]]
+                fib["factors"] = [self._model_poly(f, value)
+                                  for f in fib["factors"]]
             if "form" in fib:
-                fib["form"] = self.poly(fib["form"], value)
+                fib["form"] = self._model_poly(fib["form"], value)
             return SpaceModel(
-                [self.poly(r, value) for r in self.model["relations"]],
+                [self._model_poly(r, value) for r in self.model["relations"]],
                 tuple(self.model["variables"]),
                 fib,
                 genus=self.model.get("genus"),
             )
         if kind == "product":
-            return ProductModel(
-                [self.poly(r, value) for r in self.model["relations"]],
-                tuple(self.model["variables"]),
-            )
-        raise ValueError("unknown model kind %r" % kind)
+            raise CatalogError("%s is a product of curves; it is not counted"
+                               % self.id)
+        raise CatalogError("unknown model kind %r in %s" % (kind, self.id))
 
     # -- claims ----------------------------------------------------------
 

@@ -452,22 +452,6 @@ class SpaceModel:
         return total // 3
 
 
-class ProductModel:
-    """Symbolic-only source (a product of two plane curves); not countable."""
-
-    kind = "product"
-
-    def __init__(self, relations, variables):
-        self.relations = list(relations)
-        self.variables = tuple(variables)
-
-    def genus(self):
-        raise ValueError("product sources carry no curve genus")
-
-    def count_points(self, p):
-        raise ValueError("product sources are not counted")
-
-
 def _projective_zero_count(relation_rows, nvars, field):
     """Common zeros in P^(nvars-1)(F_q) of relations given as rows
     [(exponents, c mod p)], by testing every point whose first nonzero

@@ -84,15 +84,12 @@ class _CountCache:
         self.entry = entry
         self.source = {}
         self.targets = {}
-        self.models = {}
         self.target_models = {}
 
     def count(self, value, p):
         key = (value, p)
         if key not in self.source:
-            if value not in self.models:
-                self.models[value] = self.entry.counting_model(value)
-            self.source[key] = self.models[value].count_points(p)
+            self.source[key] = self.entry.counting_model(value).count_points(p)
         return self.source[key]
 
     def count_target(self, name, value, p):

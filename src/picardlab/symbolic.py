@@ -191,6 +191,12 @@ class MPoly:
         if k < 0:
             # exact only for constants-only elements, inverted in the tower
             return tower_invert(self) ** -k
+        if len(self.terms) == 1:
+            # one term c*m: c^k m^k, then reduced in the tower
+            ((m, c),) = self.terms.items()
+            return MPoly._make(
+                self.tower, {_mono({v: e * k for v, e in m}): c ** k}
+            )
         result = self.tower.one()
         base = self
         while k:
@@ -640,8 +646,13 @@ class _Tokens:
         return t
 
 
-def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
-    """Parse +, -, *, /, ^, parentheses, integers and symbol names."""
+def _parse(tower: ConstantTower, text: str):
+    """Parse +, -, *, /, ^, parentheses, integers and symbol names.
+
+    Nodes are MPolys; a node becomes a RationalFunction only at a division
+    or a negative exponent, so polynomial texts never pay for the
+    normalisation of rational functions.
+    """
     tk = _Tokens(text)
 
     def expr():
@@ -657,7 +668,7 @@ def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
         while tk.peek() in ("*", "/"):
             op = tk.take()
             rhs = factor()
-            node = node * rhs if op == "*" else node / rhs
+            node = node * rhs if op == "*" else _lift(node) / rhs
         return node
 
     def factor():
@@ -676,7 +687,7 @@ def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be an integer")
             k = int(e)
-            node = node ** (-k if neg else k)
+            node = _lift(node) ** -k if neg else node ** k
         return node * sign if sign < 0 else node
 
     def atom():
@@ -689,9 +700,9 @@ def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
                 raise ValueError("missing closing parenthesis")
             return node
         if t.isdigit():
-            return RationalFunction(tower.const(int(t)))
+            return tower.const(int(t))
         if t.isidentifier():
-            return RationalFunction(tower.var(t))
+            return tower.var(t)
         raise ValueError(f"unexpected token {t!r}")
 
     node = expr()
@@ -700,10 +711,20 @@ def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
     return node
 
 
+def _lift(node) -> RationalFunction:
+    return node if isinstance(node, RationalFunction) else RationalFunction(node)
+
+
+def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
+    """Parse +, -, *, /, ^, parentheses, integers and symbol names."""
+    return _lift(_parse(tower, text))
+
+
 def parse_polynomial(tower: ConstantTower, text: str) -> MPoly:
     """Parse an expression that must be polynomial up to a constant denominator."""
-    rf = parse_expression(tower, text)
-    if not rf.den.constants_only():
+    node = _parse(tower, text)
+    if isinstance(node, MPoly):
+        return node
+    if not node.den.constants_only():
         raise ValueError(f"not a polynomial: {text!r}")
-    return rf.num * tower_invert(rf.den)
-
+    return node.num * tower_invert(node.den)

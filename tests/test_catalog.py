@@ -11,7 +11,6 @@ from picardlab.catalog import CatalogError, builtin_catalog, load_catalog
 from picardlab.curves import (
     HyperellipticModel,
     PlaneModel,
-    ProductModel,
     SpaceModel,
     SuperellipticModel,
 )
@@ -83,7 +82,7 @@ def test_genera():
     for eid, genus in expected.items():
         assert _genus(entries[eid]) == genus
     for eid in ("sextic-product-trick", "quartic-product-trick"):
-        with pytest.raises(ValueError):
+        with pytest.raises(CatalogError, match="not counted"):
             _genus(entries[eid])
 
 
@@ -106,8 +105,8 @@ def test_counting_model_kinds():
                       HyperellipticModel)
     assert isinstance(entries["bielliptic-sextic-pencil"].counting_model(0),
                       HyperellipticModel)
-    assert isinstance(entries["sextic-product-trick"].counting_model(None),
-                      ProductModel)
+    with pytest.raises(CatalogError, match="sextic-product-trick"):
+        entries["sextic-product-trick"].counting_model(None)
 
 
 def test_specializations():
@@ -164,6 +163,32 @@ def test_basis_and_trace_maps():
 def test_count_anchor():
     entry = _entries()["fermat-sextic"]
     assert entry.counting_model(None).count_points(5).npoints == 6
+
+
+def test_counting_models_are_built_once_per_load():
+    first = _entries()
+    second = _entries()
+    for eid in ("fermat-sextic", "genus2-quintic", "bielliptic-sextic-pencil",
+                "triple-quadric-intersection"):
+        for value, _, _ in first[eid].specializations():
+            model = first[eid].counting_model(value)
+            assert first[eid].counting_model(value) is model
+            assert second[eid].counting_model(value) is not model
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("x^5 - x + 1/0", "zero denominator"),
+    ("x^5 - x +", "unexpected end of expression"),
+    ("1/x", "not a polynomial"),
+])
+def test_malformed_model_text_names_the_entry(rhs, message):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    entry["model"]["rhs"] = rhs
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    text = str(caught.value)
+    assert "genus2-quintic" in text and repr(rhs) in text and message in text
 
 
 def test_empty_document():

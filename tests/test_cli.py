@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from picardlab import catalog, cli, symbolic
+from picardlab.catalog import builtin_catalog
 from picardlab.cli import main
 
 
@@ -47,6 +49,30 @@ def test_count_specializations(capsys):
 def test_count_plain_entry(capsys):
     assert main(["count", "--entry", "fermat-sextic", "--prime", "7"]) == 0
     assert capsys.readouterr().out == "p=7 npoints=0 trace=8\n"
+
+
+def test_count_does_no_symbolic_work_after_load(monkeypatch, capsys):
+    # a plane, a y^m = f(x) and a space entry, all at a good prime
+    argvs = [["count", "--entry", eid, "--prime", "13"]
+             for eid in ("ciani-quartic-pencil", "fermat-sextic-cone-quotient",
+                         "triple-quadric-intersection")]
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    assert all("npoints=" in out for out in expected)
+    entries = builtin_catalog()
+
+    def refuse(*args):
+        raise RuntimeError("parsed after the catalog was loaded")
+
+    monkeypatch.setattr(cli, "builtin_catalog", lambda: entries)
+    monkeypatch.setattr(symbolic, "parse_expression", refuse)
+    monkeypatch.setattr(catalog, "parse_expression", refuse)
+    monkeypatch.setattr(catalog, "parse_polynomial", refuse)
+    for argv, out in zip(argvs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_count_rejects_symbolic_entry():

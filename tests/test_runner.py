@@ -260,6 +260,27 @@ def test_infeasible_trace_identity_is_an_invariant_error():
         _trace_checks(_StubEntry(), _StubCache(), 5)
 
 
+@pytest.mark.parametrize("eid", ["bielliptic-sextic-pencil",
+                                 "ciani-quartic-pencil"])
+def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
+    # the t = 0 rows claim a discriminant for every factor, so each exact
+    # trace identity there is also checked for feasibility
+    entry = ENTRIES[eid]
+    calls = []
+    real = runner.trace_feasibility
+
+    def counted(target, sets):
+        calls.append(target)
+        return real(target, sets)
+
+    rows = [row for row in entry.specializations() if row[0] == 0]
+    monkeypatch.setattr(entry, "specializations", lambda: rows)
+    monkeypatch.setattr(runner, "trace_feasibility", counted)
+    checks = _trace_checks(entry, runner._CountCache(entry), 100)
+    assert checks and all(c.status == "PASS" for c in checks)
+    assert len(calls) >= 1
+
+
 def test_inert_and_feasibility_disagreement_is_an_invariant_error(
         monkeypatch):
     # p = 7 is inert for -4, where the count p + 1 is always feasible

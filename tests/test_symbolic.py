@@ -225,3 +225,18 @@ def test_rf_zero_on_curve():
         rf_equal(system, g, zero)
     assert rf_equal(system, RationalFunction(y**4),
                     RationalFunction((x**3 + 1) ** 2))
+
+
+@settings(max_examples=100)
+@given(st.integers(-3, 3).filter(bool),
+       st.lists(st.tuples(st.sampled_from(["om", "i", "s2", "lam", "e", "x"]),
+                          st.integers(1, 4)), max_size=3),
+       st.integers(0, 7))
+def test_power_of_one_term_is_the_repeated_product(c, factors, k):
+    term = T.const(c)
+    for name, exp in factors:
+        term = term * T.var(name, exp)
+    product = T.one()
+    for _ in range(k):
+        product = product * term
+    assert term**k == product
