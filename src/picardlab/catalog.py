@@ -99,7 +99,12 @@ class CatalogEntry:
     def poly(self, text, value=None):
         p = self._parsed.get(text)
         if p is None:
-            p = self._parsed[text] = parse_polynomial(self.tower, text)
+            try:
+                p = parse_polynomial(self.tower, text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CatalogError(
+                    "text %r of %s: %s" % (text, self.id, exc)) from None
+            self._parsed[text] = p
         subs = self._subs(value)
         return p.substitute_poly(subs) if subs else p
 
@@ -236,30 +241,29 @@ class CatalogEntry:
         and kept: validation builds every model a claim needs, so counts
         after a load reuse it."""
         if value not in self._models:
-            self._models[value] = self._build_model(value)
+            try:
+                self._models[value] = self._build_model(value)
+            except CatalogError:
+                raise
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CatalogError(
+                    "model of %s: %s" % (self.id, exc)) from None
         return self._models[value]
-
-    def _model_poly(self, text, value):
-        try:
-            return self.poly(text, value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CatalogError(
-                "model text %r of %s: %s" % (text, self.id, exc)) from None
 
     def _build_model(self, value):
         kind = self.model["kind"]
         if kind == "plane":
             return PlaneModel(
-                self._model_poly(self.model["projective"], value),
+                self.poly(self.model["projective"], value),
                 tuple(self.model["variables"]),
             )
         if kind == "hyperelliptic":
             return HyperellipticModel(
-                self._model_poly(self.model["rhs"], value))
+                self.poly(self.model["rhs"], value))
         if kind == "superelliptic":
             return SuperellipticModel(
                 self.model["m"],
-                self._model_poly(self.model["rhs"], value),
+                self.poly(self.model["rhs"], value),
                 self.model.get("variable", "u"),
             )
         if kind == "space":
@@ -268,12 +272,12 @@ class CatalogEntry:
                 if key in fib:
                     fib[key] = tuple(fib[key])
             if "factors" in fib:
-                fib["factors"] = [self._model_poly(f, value)
+                fib["factors"] = [self.poly(f, value)
                                   for f in fib["factors"]]
             if "form" in fib:
-                fib["form"] = self._model_poly(fib["form"], value)
+                fib["form"] = self.poly(fib["form"], value)
             return SpaceModel(
-                [self._model_poly(r, value) for r in self.model["relations"]],
+                [self.poly(r, value) for r in self.model["relations"]],
                 tuple(self.model["variables"]),
                 fib,
                 genus=self.model.get("genus"),

@@ -191,12 +191,6 @@ class MPoly:
         if k < 0:
             # exact only for constants-only elements, inverted in the tower
             return tower_invert(self) ** -k
-        if len(self.terms) == 1:
-            # one term c*m: c^k m^k, then reduced in the tower
-            ((m, c),) = self.terms.items()
-            return MPoly._make(
-                self.tower, {_mono({v: e * k for v, e in m}): c ** k}
-            )
         result = self.tower.one()
         base = self
         while k:

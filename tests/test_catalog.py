@@ -191,6 +191,17 @@ def test_malformed_model_text_names_the_entry(rhs, message):
     assert "genus2-quintic" in text and repr(rhs) in text and message in text
 
 
+def test_model_that_fails_to_build_names_the_entry():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"]
+                 if e["id"] == "ciani-quartic-pencil")
+    entry["model"]["projective"] = "x^4+y^4+z"
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    text = str(caught.value)
+    assert "ciani-quartic-pencil" in text and "not homogeneous" in text
+
+
 def test_empty_document():
     assert load_catalog({"tower": [], "parameters": [], "entries": []}) == []
 
