@@ -2,10 +2,13 @@
 
 A run walks a fixed sequence per entry: symbolic map verification with
 pullback classification, group-action closure / decomposition / span
-certificates, inert-prime exactness, split-prime trace feasibility, exact
-trace identities where rational quotient maps exist for every factor, and
-auxiliary exact checks.  Failures become FAIL results with evidence; they
-never abort the run.
+certificates, one per-prime pass, and auxiliary exact checks.  The
+per-prime pass counts each specialization and each distinct trace-map
+target once per good prime, and those counts feed the inert-prime
+exactness, split-prime trace feasibility and exact trace identity rows.
+Failed checks become FAIL rows with evidence; a trace-map target that is
+not v^2 = f(u) is one of them.  An InvariantError marks a program defect
+and still aborts the run, by design.
 """
 
 from .curves import HyperellipticModel, InvariantError
@@ -76,35 +79,6 @@ def _suffix(value):
     return "" if value is None else ":t=%s" % value
 
 
-class _CountCache:
-    """Point counts per (specialization, prime), for the source curve and
-    for the genus-one targets of named maps."""
-
-    def __init__(self, entry):
-        self.entry = entry
-        self.source = {}
-        self.targets = {}
-        self.target_models = {}
-
-    def count(self, value, p):
-        key = (value, p)
-        if key not in self.source:
-            self.source[key] = self.entry.counting_model(value).count_points(p)
-        return self.source[key]
-
-    def count_target(self, name, value, p):
-        key = (name, value, p)
-        if key not in self.targets:
-            mkey = (name, value)
-            if mkey not in self.target_models:
-                spec = self.entry.map_spec(name)
-                self.target_models[mkey] = _target_model(
-                    self.entry, spec, value
-                )
-            self.targets[key] = self.target_models[mkey].count_points(p)
-        return self.targets[key]
-
-
 def _target_rhs(entry, spec, value=None):
     """(rhs, variable) of a genus-one map target written as v^2 = rhs(u)."""
     target = spec["target"]
@@ -119,16 +93,11 @@ def _target_rhs(entry, spec, value=None):
     return rhs, uvar
 
 
-def _target_model(entry, spec, value):
-    rhs, uvar = _target_rhs(entry, spec, value)
-    return HyperellipticModel(rhs, uvar)
-
-
 def _render_vector(vec):
     return [c.render() for c in vec]
 
 
-# -- step 1: symbolic map checks ---------------------------------------------
+# -- steps 1 + 2: symbolic map checks and pullbacks ---------------------------
 
 def _map_checks(entry):
     checks = []
@@ -209,7 +178,7 @@ def _pullback_check(entry, spec):
     )
 
 
-# -- step 2: decomposition and certificates ----------------------------------
+# -- step 3: decomposition and certificates ----------------------------------
 
 def _action_checks(entry):
     if entry.action is None:
@@ -282,79 +251,67 @@ def _certificate_check(entry, action, summand, tag):
     return CheckResult(check_id, status, evidence)
 
 
-# -- steps 3 + 4: inert exactness and split feasibility ----------------------
+# -- steps 4 to 6: one per-prime pass ----------------------------------------
 
-def _counting_checks(entry, cache, pmax):
+def _prime_checks(entry, pmax):
+    """Inert, feasibility and trace rows.  At each good prime the source
+    and each distinct trace-map target are counted once, and every row of
+    that prime reads those counts."""
     checks = []
     for value, factors, bad in entry.specializations():
         if not factors:
             continue
         tag = _suffix(value)
-        if any(f["disc"] is None for f in factors):
+        claimed = all(f["disc"] is not None for f in factors)
+        if not claimed:
             note = {"note": "no CM discriminant claimed for every factor"}
             checks.append(CheckResult("inert" + tag, SKIPPED, dict(note)))
             checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
-            continue
-        discs = sorted({f["disc"] for f in factors})
-        flat = [f["disc"] for f in factors for _ in range(f["mult"])]
+        names = entry.trace_map_names()
+        targets = {}
+        for name in dict.fromkeys(names):
+            try:
+                rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
+                targets[name] = HyperellipticModel(rhs, uvar)
+            except ValueError as exc:
+                checks.append(CheckResult(
+                    "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
+                names = []
+                break
+        discs = [f["disc"] for f in factors for _ in range(f["mult"])]
+        source = entry.counting_model(value)
         for p in good_primes(pmax, bad):
-            record = cache.count(value, p)
-            candidates = [cm_trace_candidates(d, p) for d in flat]
-            feasible, witness = trace_feasibility(record.trace, candidates)
-            if all(kronecker_symbol(d % p, p) == -1 for d in discs):
-                ok = record.npoints == p + 1
-                # inert exactness is the singleton case of feasibility
-                if feasible != ok:
-                    raise InvariantError(
-                        "inert count and trace feasibility disagree at p=%d"
-                        % p)
-                checks.append(
-                    CheckResult(
+            record = source.count_points(p)
+            if claimed:
+                feasible, witness = trace_feasibility(
+                    record.trace, [cm_trace_candidates(d, p) for d in discs])
+                if all(kronecker_symbol(d % p, p) == -1 for d in discs):
+                    ok = record.npoints == p + 1
+                    # inert exactness is the singleton case of feasibility
+                    if feasible != ok:
+                        raise InvariantError("inert count and trace "
+                                             "feasibility disagree at p=%d" % p)
+                    checks.append(CheckResult(
                         "inert" + tag, PASS if ok else FAIL,
                         {"npoints": record.npoints, "expected": p + 1},
-                        prime=p,
-                    )
-                )
-            else:
-                checks.append(
-                    CheckResult(
+                        prime=p))
+                else:
+                    checks.append(CheckResult(
                         "feasibility" + tag, PASS if feasible else FAIL,
-                        {"trace": record.trace, "witness": witness},
-                        prime=p,
-                    )
-                )
-    return checks
-
-
-# -- step 5: exact trace identities ------------------------------------------
-
-def _trace_checks(entry, cache, pmax):
-    names = entry.trace_map_names()
-    if not names:
-        return []
-    checks = []
-    for value, factors, bad in entry.specializations():
-        tag = _suffix(value)
-        discs = [f["disc"] for f in factors for _ in range(f["mult"])]
-        for p in good_primes(pmax, bad):
-            source = cache.count(value, p).trace
-            parts = [cache.count_target(name, value, p).trace for name in names]
-            ok = source == sum(parts)
-            if ok and all(d is not None for d in discs):
-                # an exact identity must be feasible as a trace sum
-                feasible, _ = trace_feasibility(
-                    source, [cm_trace_candidates(d, p) for d in discs]
-                )
-                if not feasible:
-                    raise InvariantError(
-                        "exact trace identity is infeasible at p=%d" % p)
-            checks.append(
-                CheckResult(
-                    "trace" + tag, PASS if ok else FAIL,
-                    {"source": source, "parts": parts},
-                    prime=p,
-                )
-            )
+                        {"trace": record.trace, "witness": witness}, prime=p))
+            if not names:
+                continue
+            traces = {name: m.count_points(p).trace
+                      for name, m in targets.items()}
+            parts = [traces[name] for name in names]
+            ok = record.trace == sum(parts)
+            # an exact identity must be feasible as a trace sum
+            if ok and claimed and not feasible:
+                raise InvariantError(
+                    "exact trace identity is infeasible at p=%d" % p)
+            checks.append(CheckResult(
+                "trace" + tag, PASS if ok else FAIL,
+                {"source": record.trace, "parts": parts}, prime=p))
     return checks
 
 
@@ -457,9 +414,9 @@ def _bad_primes_at(entry, value):
     return entry.bad_primes
 
 
-# -- step 6 note: every CountRecord checks the Weil bound on construction ----
+# -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------
 
-def _extension_checks(entry, cache, depth):
+def _extension_checks(entry, depth):
     if entry.model["kind"] not in ("plane", "hyperelliptic", "superelliptic"):
         return []
     checks = []
@@ -493,15 +450,13 @@ def run_entry(entry, pmax=200, depth=1):
     """All checks for one entry; failures are results, not exceptions."""
     if not 1 <= pmax <= 499:
         raise ValueError("pmax must be in 1..499, got %d" % pmax)
-    cache = _CountCache(entry)
     checks = []
     checks.extend(_map_checks(entry))
     checks.extend(_action_checks(entry))
-    checks.extend(_counting_checks(entry, cache, pmax))
-    checks.extend(_trace_checks(entry, cache, pmax))
+    checks.extend(_prime_checks(entry, pmax))
     checks.extend(_aux_checks(entry))
     if depth > 1:
-        checks.extend(_extension_checks(entry, cache, depth))
+        checks.extend(_extension_checks(entry, depth))
     return EntryRun(entry.id, checks)
 
 

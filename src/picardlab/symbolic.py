@@ -58,7 +58,7 @@ class ConstantTower:
         self.order: list[str] = []
         self.degrees: dict[str, int] = {}
         self.relations: dict[str, dict] = {}
-        self.conjugates: dict[str, dict] = {}
+        conjugates = {}
         for name, degree, relation, conjugate in symbols:
             if name in self.degrees:
                 raise ValueError(f"duplicate constant {name}")
@@ -69,10 +69,13 @@ class ConstantTower:
             self.relations[name] = {
                 _mono(dict(m)): Fraction(c) for m, c in relation
             }
-            self.conjugates[name] = {
+            conjugates[name] = {
                 _mono(dict(m)): Fraction(c) for m, c in conjugate
             }
         self._rank = {name: k for k, name in enumerate(self.order)}
+        self.conjugates: dict[str, "MPoly"] = {
+            name: MPoly._make(self, terms) for name, terms in conjugates.items()
+        }
 
     def is_constant(self, var: str) -> bool:
         return var in self.degrees
@@ -104,16 +107,7 @@ class ConstantTower:
     def conjugate(self, p: "MPoly") -> "MPoly":
         """Apply the conjugation to every constant symbol; free variables
         and rational coefficients are fixed."""
-        out = self.zero()
-        for m, c in p.terms.items():
-            piece = self.const(c)
-            for v, e in m:
-                if v in self.conjugates:
-                    piece = piece * MPoly._make(self, dict(self.conjugates[v])) ** e
-                else:
-                    piece = piece * self.var(v, e)
-            out = out + piece
-        return out
+        return p.substitute_poly(self.conjugates)
 
 
 class MPoly:

@@ -1,24 +1,37 @@
 """Entry execution: check rows, statuses, evidence, and prime scheduling."""
 
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
 
 from picardlab import runner
 from picardlab.catalog import builtin_catalog, load_catalog
-from picardlab.curves import CountRecord, InvariantError
+from picardlab.curves import (
+    CountRecord,
+    HyperellipticModel,
+    InvariantError,
+    PlaneModel,
+)
 from picardlab.runner import (
     CheckResult,
-    _counting_checks,
+    _prime_checks,
     _target_rhs,
-    _trace_checks,
     good_primes,
     run_catalog,
     run_entry,
 )
 
 ENTRIES = {e.id: e for e in builtin_catalog()}
+
+
+def _builtin_document(entry_id):
+    """The shipped catalog document, for editing, and its entry `entry_id`."""
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    return doc, next(e for e in doc["entries"] if e["id"] == entry_id)
 
 
 def _checks_by_id(run):
@@ -163,10 +176,7 @@ def test_extension_depth():
 def test_extension_count_above_the_table_bound_is_skipped():
     # with every prime below 17 declared bad, the extension checks run at
     # p = 17: F_{17^2} is counted, F_{17^3} exceeds the table bound
-    doc = json.loads(
-        resources.files("picardlab").joinpath("data/builtin.json").read_text()
-    )
-    raw = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    doc, raw = _builtin_document("genus2-quintic")
     raw["bad_primes"] = [2, 3, 5, 7, 11, 13]
     (run,) = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=5,
                          depth=3)
@@ -205,10 +215,7 @@ def test_summary_counts():
 
 
 def _quintic_run_with_map(components):
-    doc = json.loads(
-        resources.files("picardlab").joinpath("data/builtin.json").read_text()
-    )
-    raw = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    doc, raw = _builtin_document("genus2-quintic")
     raw["maps"][0]["components"] = components
     runs = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=10)
     return _checks_by_id(runs[0])
@@ -234,30 +241,50 @@ def test_pullback_through_a_pole_is_a_fail_row():
     assert "error" in row.evidence
 
 
+class _StubModel:
+    """Counts every prime with a fixed trace."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def count_points(self, p):
+        return CountRecord(p, 1, p + 1 - self.trace, 1)
+
+
 class _StubEntry:
-    """One claimed factor of discriminant -4, one trace map, p = 5 only."""
+    """One claimed factor of discriminant -4, no bad prime above 3; the
+    source curve has the given trace at every prime."""
+
+    def __init__(self, trace, names):
+        self.trace = trace
+        self.names = names
 
     def specializations(self):
         return [(None, [{"disc": -4, "mult": 1}], [2, 3])]
 
     def trace_map_names(self):
-        return ["e"]
+        return self.names
+
+    def map_spec(self, name):
+        return {"name": name}
+
+    def counting_model(self, value):
+        return _StubModel(self.trace)
 
 
-class _StubCache:
-    """Every count, source or target, has trace 1."""
+@pytest.fixture
+def stub_targets(monkeypatch):
+    """Every trace-map target is a curve of trace 1."""
+    monkeypatch.setattr(runner, "_target_rhs",
+                        lambda entry, spec, value=None: (None, "u"))
+    monkeypatch.setattr(runner, "HyperellipticModel",
+                        lambda rhs, variable: _StubModel(1))
 
-    def count(self, value, p):
-        return CountRecord(p, 1, p, 1)
 
-    def count_target(self, name, value, p):
-        return CountRecord(p, 1, p, 1)
-
-
-def test_infeasible_trace_identity_is_an_invariant_error():
+def test_infeasible_trace_identity_is_an_invariant_error(stub_targets):
     # trace 1 = 1 holds, but 1 is not a CM trace for -4 at p = 5
     with pytest.raises(InvariantError, match="infeasible at p=5"):
-        _trace_checks(_StubEntry(), _StubCache(), 5)
+        _prime_checks(_StubEntry(1, ["e"]), 5)
 
 
 @pytest.mark.parametrize("eid", ["bielliptic-sextic-pencil",
@@ -276,7 +303,7 @@ def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
     rows = [row for row in entry.specializations() if row[0] == 0]
     monkeypatch.setattr(entry, "specializations", lambda: rows)
     monkeypatch.setattr(runner, "trace_feasibility", counted)
-    checks = _trace_checks(entry, runner._CountCache(entry), 100)
+    checks = _prime_checks(entry, 100)
     assert checks and all(c.status == "PASS" for c in checks)
     assert len(calls) >= 1
 
@@ -284,14 +311,62 @@ def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
 def test_inert_and_feasibility_disagreement_is_an_invariant_error(
         monkeypatch):
     # p = 7 is inert for -4, where the count p + 1 is always feasible
-    cache = _StubCache()
-    cache.count = lambda value, p: CountRecord(p, 1, p + 1, 1)
-    inert = _counting_checks(_StubEntry(), cache, 7)[-1]
+    inert = _prime_checks(_StubEntry(0, []), 7)[-1]
     assert (inert.check_id, inert.prime, inert.status) == ("inert", 7, "PASS")
     monkeypatch.setattr(runner, "trace_feasibility",
                         lambda target, sets: (False, None))
     with pytest.raises(InvariantError, match="disagree at p=7"):
-        _counting_checks(_StubEntry(), cache, 7)
+        _prime_checks(_StubEntry(0, []), 7)
+
+
+def test_each_count_happens_once(monkeypatch):
+    # Ciani lists its one target three times; the source and that target
+    # are each counted once per (t, p).  The entry's cm_consistency aux
+    # check counts the t = 0 target curve on its own, so it is dropped.
+    doc, raw = _builtin_document("ciani-quartic-pencil")
+    raw["aux"] = []
+    entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
+    counts = Counter()
+
+    def counting(cls, attribute):
+        real = cls.count_points
+
+        def count_points(self, p):
+            counts[cls.__name__, getattr(self, attribute).render(), p] += 1
+            return real(self, p)
+
+        monkeypatch.setattr(cls, "count_points", count_points)
+
+    counting(PlaneModel, "poly")
+    counting(HyperellipticModel, "f_poly")
+    run = run_entry(entry, pmax=60)
+    assert run.unexpected_failures() == []
+    grid = sum(len(good_primes(60, bad))
+               for _, _, bad in entry.specializations())
+    for kind in ("PlaneModel", "HyperellipticModel"):
+        assert len([k for k in counts if k[0] == kind]) == grid, kind
+    assert set(counts.values()) == {1}
+
+
+def test_malformed_trace_target_is_a_fail_row():
+    # a target that is not v^2 = f(u) fails the trace rows of every
+    # specialization; the rest of the catalog still runs
+    doc, raw = _builtin_document("bielliptic-sextic-pencil")
+    raw["maps"][1]["target"]["relation"] = "v^3-(u-2)*(u^3-3*u+t)"
+    runs = {run.entry_id: run for run in run_catalog(load_catalog(doc),
+                                                     pmax=20)}
+    by_id = _checks_by_id(runs["bielliptic-sextic-pencil"])
+    for t in (0, 1, 3):
+        (row,) = by_id["trace:t=%d" % t]
+        assert row.status == "FAIL" and row.unexpected_failure
+        assert row.prime is None
+        assert row.evidence == {
+            "map": "minus", "error": "target of 'minus' is not v^2 = f(u)"}
+    # the counting rows of the same specializations are unaffected
+    assert all(c.status == "PASS" for c in by_id["inert:t=0"])
+    ciani = _checks_by_id(runs["ciani-quartic-pencil"])
+    assert all(c.status == "PASS" for c in ciani["trace:t=0"])
+    assert len(runs) == len(ENTRIES)
 
 
 def test_row_and_target_guards_raise_value_error():

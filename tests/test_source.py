@@ -1,5 +1,6 @@
-"""Source hygiene: every function in src/ has a caller there, and no guard
-in src/ is an assert statement (python -O would strip it)."""
+"""Source hygiene: every function in src/ has a caller there and names
+every parameter it takes, and no guard in src/ is an assert statement
+(python -O would strip it)."""
 
 import ast
 import re
@@ -33,3 +34,22 @@ def test_no_assert_statements_in_src():
              for name, (_, tree) in _trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_parameter_is_named_in_its_function():
+    unused = []
+    for name, (_, tree) in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            unused.extend("%s:%d %s" % (name, node.lineno, param)
+                          for param in params
+                          if param not in ("self", "cls") and param not in named)
+    assert unused == []
