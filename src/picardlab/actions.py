@@ -146,9 +146,6 @@ class GroupAction:
     def order(self):
         return len(self.elements)
 
-    def matrices(self):
-        return [mat for mat, _ in self.elements]
-
     def character_norm(self, indices=None):
         """<chi, chi> of the (sub)representation on the given basis indices."""
         if indices is None:

@@ -25,7 +25,6 @@ from .morphisms import CurveMap, Differential, ReductionSystem
 from .symbolic import (
     ConstantTower,
     CurveRelation,
-    RationalFunction,
     parse_expression,
     parse_polynomial,
 )
@@ -106,16 +105,12 @@ class CatalogEntry:
                     "text %r of %s: %s" % (text, self.id, exc)) from None
             self._parsed[text] = p
         subs = self._subs(value)
-        return p.substitute_poly(subs) if subs else p
+        return p.substitute(subs) if subs else p
 
     def expression(self, text, value=None):
         r = parse_expression(self.tower, text)
         subs = self._subs(value)
-        if not subs:
-            return r
-        return RationalFunction(
-            r.num.substitute_poly(subs), r.den.substitute_poly(subs)
-        )
+        return r.substitute(subs) if subs else r
 
     # -- symbolic side ---------------------------------------------------
 

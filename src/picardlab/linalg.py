@@ -1,8 +1,10 @@
 """Gaussian elimination over the constant tower (an exact field).
 
-Matrix entries are constants-only MPoly values, whose inverses go through
-tower_invert, or RationalFunction values over the fraction field of a
-parameter; ranks and solutions are exact.
+Matrix entries are constants-only MPoly values or RationalFunction values
+over the fraction field of a parameter; ranks and solutions are exact.  This
+is the one exact-division routine: tower inverses (symbolic.tower_invert)
+and quotients by a parameter polynomial (morphisms._parameter_quotient) are
+linear systems solved here.
 """
 
 from __future__ import annotations

@@ -5,12 +5,7 @@ modulo its defining relations; nothing is ever evaluated numerically.
 """
 
 from .linalg import solve_linear
-from .symbolic import (
-    MPoly,
-    RationalFunction,
-    constant_poly_divmod,
-    tower_invert,
-)
+from .symbolic import MPoly, RationalFunction, tower_invert
 
 
 class ReductionSystem:
@@ -96,7 +91,7 @@ def verify_image_relations(source, components, target_relations):
     residuals = []
     ok = True
     for rel in target_relations:
-        image = rel.substitute_poly(components)
+        image = rel.substitute(components)
         residual = source.reduce(image)
         residuals.append(residual)
         ok = ok and residual.is_zero()
@@ -203,7 +198,11 @@ def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
 
 
 def _parameter_quotient(rf):
-    """Exact polynomial value of a fraction-field solution coordinate."""
+    """Exact polynomial value of a fraction-field solution coordinate.
+
+    With num and den in one parameter, the coefficients of q in num = q * den
+    solve a banded linear system: row i reads sum_j q_j den_{i-j} = num_i.
+    """
     tower = rf.tower
     num, den = rf.num, rf.den
     if den.constants_only():
@@ -212,13 +211,17 @@ def _parameter_quotient(rf):
     if len(free) != 1:
         raise ValueError(f"cannot scalarize multi-parameter quotient {rf}")
     var = free[0]
-    q, r = constant_poly_divmod(
-        num.coeffs_in(var), den.coeffs_in(var), tower
-    )
-    if any(not c.is_zero() for c in r):
+    a, b = num.coeffs_in(var), den.coeffs_in(var)
+    width = len(a) - len(b) + 1
+    matrix = [
+        [b[i - j] if 0 <= i - j < len(b) else tower.zero()
+         for j in range(width)]
+        for i in range(len(a))
+    ]
+    q = solve_linear(matrix, a)
+    if q is None:
         raise ValueError(f"coordinate is not polynomial in {var}: {rf}")
     out = tower.zero()
     for k, c in enumerate(q):
         out = out + c * tower.var(var, k)
     return out
-

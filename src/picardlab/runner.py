@@ -7,8 +7,8 @@ per-prime pass counts each specialization and each distinct trace-map
 target once per good prime, and those counts feed the inert-prime
 exactness, split-prime trace feasibility and exact trace identity rows.
 Failed checks become FAIL rows with evidence; a trace-map target that is
-not v^2 = f(u) is one of them.  An InvariantError marks a program defect
-and still aborts the run, by design.
+not v^2 = f(u), or that cannot be counted at a prime, is one of them.  An
+InvariantError marks a program defect and still aborts the run, by design.
 """
 
 from .curves import HyperellipticModel, InvariantError
@@ -301,8 +301,17 @@ def _prime_checks(entry, pmax):
                         {"trace": record.trace, "witness": witness}, prime=p))
             if not names:
                 continue
-            traces = {name: m.count_points(p).trace
-                      for name, m in targets.items()}
+            traces, error = {}, None
+            for name, target in targets.items():
+                try:
+                    traces[name] = target.count_points(p).trace
+                except ValueError as exc:
+                    # e.g. the target's leading coefficient vanishes mod p
+                    error = {"map": name, "error": str(exc)}
+                    break
+            if error:
+                checks.append(CheckResult("trace" + tag, FAIL, error, prime=p))
+                continue
             parts = [traces[name] for name in names]
             ok = record.trace == sum(parts)
             # an exact identity must be feasible as a trace sum
@@ -333,11 +342,15 @@ def _aux_checks(entry):
                 )
             )
         elif kind == "j_target":
-            spec = entry.map_spec(item["map"])
-            rhs, uvar = _target_rhs(entry, spec)
-            checks.append(
-                _j_check("aux:j-target", entry, rhs, uvar, item["expected"])
-            )
+            try:
+                rhs, uvar = _target_rhs(entry, entry.map_spec(item["map"]))
+            except ValueError as exc:
+                checks.append(CheckResult(
+                    "aux:j-target", FAIL,
+                    {"map": item["map"], "error": str(exc)}))
+            else:
+                checks.append(_j_check(
+                    "aux:j-target", entry, rhs, uvar, item["expected"]))
         elif kind == "j_quartic":
             quartic = entry.poly(item["quartic"], item.get("t"))
             checks.append(

@@ -8,8 +8,10 @@ geometric variables; powers of a constant at or above its relation degree are
 rewritten automatically, so equal ring elements have equal term dicts.
 
 RationalFunction pairs two MPolys; equality is by cross-multiplication, which
-avoids multivariate gcds.  CurveRelation supports reduction of polynomials
-modulo a defining equation that is unit-monic in a distinguished variable.
+avoids multivariate gcds, so equal values need not have equal parts and a
+RationalFunction is not hashable.  CurveRelation supports reduction of
+polynomials modulo a defining equation that is unit-monic in a distinguished
+variable.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class ConstantTower:
     def conjugate(self, p: "MPoly") -> "MPoly":
         """Apply the conjugation to every constant symbol; free variables
         and rational coefficients are fixed."""
-        return p.substitute_poly(self.conjugates)
+        return p.substitute(self.conjugates)
 
 
 class MPoly:
@@ -250,7 +252,9 @@ class MPoly:
                 raw[_mono_without(m, var, e - 1)] = c * e
         return MPoly(self.tower, {m: c for m, c in raw.items() if c})
 
-    def substitute_poly(self, mapping: Mapping[str, "MPoly"]) -> "MPoly":
+    def substitute(self, mapping: Mapping[str, "MPoly | RationalFunction"]):
+        """Replace variables by MPoly or RationalFunction values; the result
+        is an MPoly exactly when every value used is an MPoly."""
         out = self.tower.zero()
         for m, c in self.terms.items():
             piece = self.tower.const(c)
@@ -259,18 +263,6 @@ class MPoly:
                     piece = piece * mapping[v] ** e
                 else:
                     piece = piece * self.tower.var(v, e)
-            out = out + piece
-        return out
-
-    def substitute(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
-        out = RationalFunction(self.tower.zero())
-        for m, c in self.terms.items():
-            piece = RationalFunction(self.tower.const(c))
-            for v, e in m:
-                if v in mapping:
-                    piece = piece * mapping[v] ** e
-                else:
-                    piece = piece * RationalFunction(self.tower.var(v, e))
             out = out + piece
         return out
 
@@ -300,7 +292,16 @@ class MPoly:
 
 
 def tower_invert(a: MPoly) -> MPoly:
-    """Inverse of a constants-only element, by extended Euclid up the tower."""
+    """Inverse of a constants-only element.
+
+    With s the last constant that a involves, of degree d, the inverse is
+    x_0 + x_1 s + ... + x_{d-1} s^{d-1}, where column k of the linear system
+    holds the coefficients of a * s^k in s and the right-hand side is 1.
+    The entries lie below s, so the elimination's pivots invert down the
+    tower.
+    """
+    from .linalg import solve_linear  # linalg imports this module
+
     if a.is_zero():
         raise ZeroDivisionError("tower inverse of 0")
     if not a.constants_only():
@@ -311,70 +312,17 @@ def tower_invert(a: MPoly) -> MPoly:
         return tower.const(1 / a.rational_value())
     s = present[-1]
     d = tower.degrees[s]
-
-    # minimal polynomial of s over the lower subfield, as coefficient list
-    rel = MPoly._make(tower, dict(tower.relations[s]))
-    mpoly_coeffs = rel.coeffs_in(s)
-    minimal = [-c for c in mpoly_coeffs] + [tower.zero()] * (d - len(mpoly_coeffs))
-    minimal = minimal[:d] + [tower.one()]
-
-    acoeffs = a.coeffs_in(s)
-
-    r0, r1 = minimal, acoeffs
-    t0, t1 = [tower.zero()], [tower.one()]
-    while _list_degree(r1) > 0:
-        q, r = constant_poly_divmod(r0, r1, tower)
-        r0, r1 = r1, r
-        qt = _poly_mul_list(q, t1, tower)
-        t0, t1 = t1, _poly_sub_list(t0, qt, tower)
-    lead = r1[_list_degree(r1)]
-    c = tower_invert(lead)
+    columns = [(a * tower.var(s, k)).coeffs_in(s) for k in range(d)]
+    matrix = [[col[i] if i < len(col) else tower.zero() for col in columns]
+              for i in range(d)]
+    rhs = [tower.one()] + [tower.zero()] * (d - 1)
+    x = solve_linear(matrix, rhs)
+    if x is None:
+        raise ZeroDivisionError("%s is not invertible in the tower" % a)
     out = tower.zero()
-    for k, tk in enumerate(t1):
-        out = out + tk * c * tower.var(s, k)
+    for k, c in enumerate(x):
+        out = out + c * tower.var(s, k)
     return out
-
-
-def _list_degree(poly: list) -> int:
-    for k in range(len(poly) - 1, -1, -1):
-        if not poly[k].is_zero():
-            return k
-    return -1
-
-
-def constant_poly_divmod(A: list, B: list, tower):
-    """Quotient and remainder of dense coefficient lists (low-to-high order).
-
-    The leading coefficient of B must be invertible (constants-only).
-    """
-    A = list(A)
-    db = _list_degree(B)
-    binv = tower_invert(B[db])
-    q = [tower.zero()] * (len(A))
-    while _list_degree(A) >= db:
-        da = _list_degree(A)
-        f = A[da] * binv
-        q[da - db] = f
-        for k in range(db + 1):
-            A[da - db + k] = A[da - db + k] - f * B[k]
-    return q, A
-
-
-def _poly_mul_list(A: list, B: list, tower) -> list:
-    out = [tower.zero()] * (len(A) + len(B))
-    for i, ai in enumerate(A):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(B):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _poly_sub_list(A: list, B: list, tower) -> list:
-    n = max(len(A), len(B))
-    A = A + [tower.zero()] * (n - len(A))
-    B = B + [tower.zero()] * (n - len(B))
-    return [a - b for a, b in zip(A, B)]
 
 
 class RationalFunction:
@@ -465,17 +413,11 @@ class RationalFunction:
             return NotImplemented
         return self.num * o.den == o.num * self.den
 
-    def __hash__(self):
-        # canonical only in the monomial-denominator regime; adequate for keys
-        return hash((self.num, self.den))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def substitute(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
-        n = self.num.substitute(mapping)
-        d = self.den.substitute(mapping)
-        return n / d
+    def substitute(self, mapping: Mapping[str, "MPoly | RationalFunction"]) -> "RationalFunction":
+        return _lift(self.num.substitute(mapping)) / self.den.substitute(mapping)
 
     def derivative(self, var: str) -> "RationalFunction":
         return RationalFunction(

@@ -6,23 +6,43 @@ constant tower, and identifies elements by those formulas; the pullback
 matrices ride along, propagated from the generator matrices.  It does not
 rely on the action on differentials being faithful, so agreeing with the
 matrix closure element by element and word by word checks that the matrices
-identify the group elements.
+identify the group elements.  The univariate division and gcd over the
+tower that the cancellation needs live here, since `src/` divides only
+through `linalg`'s elimination.
 """
 
 from picardlab.linalg import identity_matrix, matrix_mul
-from picardlab.symbolic import (
-    RationalFunction,
-    _list_degree,
-    constant_poly_divmod,
-    tower_invert,
-)
+from picardlab.symbolic import RationalFunction, tower_invert
+
+
+def _list_degree(poly):
+    for k in range(len(poly) - 1, -1, -1):
+        if not poly[k].is_zero():
+            return k
+    return -1
+
+
+def _divmod(A, B, tower):
+    """Quotient and remainder of dense coefficient lists (low to high) over
+    the tower; the leading coefficient of B must be nonzero."""
+    A = list(A)
+    db = _list_degree(B)
+    binv = tower_invert(B[db])
+    q = [tower.zero()] * len(A)
+    while _list_degree(A) >= db:
+        da = _list_degree(A)
+        f = A[da] * binv
+        q[da - db] = f
+        for k in range(db + 1):
+            A[da - db + k] = A[da - db + k] - f * B[k]
+    return q, A
 
 
 def _monic_gcd(a, b, tower):
     a = a[: _list_degree(a) + 1]
     b = b[: _list_degree(b) + 1]
     while _list_degree(b) >= 0:
-        _, r = constant_poly_divmod(a, b, tower)
+        _, r = _divmod(a, b, tower)
         a, b = b, r[: _list_degree(r) + 1]
     inv = tower_invert(a[_list_degree(a)])
     return [c * inv for c in a]
@@ -63,8 +83,8 @@ def _canonical_formula(rf, base_var, fiber_var):
         return rf
     g = _monic_gcd(a, b, tower)
     if _list_degree(g) > 0:
-        a, _ = constant_poly_divmod(a, g, tower)
-        b, _ = constant_poly_divmod(b, g, tower)
+        a, _ = _divmod(a, g, tower)
+        b, _ = _divmod(b, g, tower)
     inv = tower_invert(b[_list_degree(b)])
     a = [c * inv for c in a]
     b = [c * inv for c in b]

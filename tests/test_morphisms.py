@@ -6,6 +6,7 @@ from picardlab.morphisms import (
     CurveMap,
     Differential,
     ReductionSystem,
+    _parameter_quotient,
     classify_in_basis,
     geometric_coefficients,
     implicit_derivative,
@@ -288,3 +289,16 @@ def test_reduction_system_and_classification_guards():
     with pytest.raises(ValueError, match="differentials in dx and dy"):
         classify_in_basis(src, Differential(rf("1/y"), "x"), [()],
                           Differential(rf("1/x"), "y"), ("x", "y"))
+
+
+def test_parameter_quotient_is_exact_over_the_tower():
+    # (om*t^2 - om) / (t - 1) = om*t + om
+    assert _parameter_quotient(rf("(om*t^2-om)/(t-1)")) == poly("om*t+om")
+    assert _parameter_quotient(rf("(t^2-s2*t)/(2*t-2*s2)")) == poly("t/2")
+
+
+def test_parameter_quotient_refuses_a_remainder():
+    with pytest.raises(ValueError, match="not polynomial in t"):
+        _parameter_quotient(rf("(t^2+1)/(t-1)"))
+    with pytest.raises(ValueError, match="not polynomial in t"):
+        _parameter_quotient(rf("1/(t-1)"))

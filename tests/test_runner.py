@@ -369,6 +369,34 @@ def test_malformed_trace_target_is_a_fail_row():
     assert len(runs) == len(ENTRIES)
 
 
+def test_uncountable_trace_target_is_a_fail_row_at_that_prime():
+    # the leading coefficient of the `plus` target vanishes mod 5: the trace
+    # row at p = 5 fails and names the map, the other primes still count
+    doc, raw = _builtin_document("bielliptic-sextic-pencil")
+    raw["maps"][0]["target"]["relation"] = "v^2-5*(u+2)*(u^3-3*u+t)"
+    (run,) = run_catalog(load_catalog(doc), ids=[raw["id"]], pmax=20)
+    by_id = _checks_by_id(run)
+    for t in (0, 1):
+        rows = {row.prime: row for row in by_id["trace:t=%d" % t]}
+        assert rows[5].status == "FAIL" and rows[5].unexpected_failure
+        assert rows[5].evidence == {
+            "map": "plus", "error": "leading coefficient vanishes mod 5"}
+        assert sorted(rows) == [5, 7, 11, 13, 17, 19]
+        assert all("parts" in rows[p].evidence for p in sorted(rows)[1:])
+    # p = 5 is a bad prime of t = 3, which has no row there
+    assert 5 not in {row.prime for row in by_id["trace:t=3"]}
+
+
+def test_malformed_j_target_is_a_fail_row():
+    doc, raw = _builtin_document("genus2-quintic")
+    raw["maps"][0]["target"]["relation"] = "v^3-u*(u+1)*(u-2*(1-s2))"
+    (run,) = run_catalog(load_catalog(doc), ids=[raw["id"]], pmax=20)
+    (row,) = _checks_by_id(run)["aux:j-target"]
+    assert row.status == "FAIL" and row.unexpected_failure
+    assert row.evidence == {
+        "map": "quot", "error": "target of 'quot' is not v^2 = f(u)"}
+
+
 def test_row_and_target_guards_raise_value_error():
     with pytest.raises(ValueError, match="no evidence"):
         CheckResult("map:f", "FAIL", {})

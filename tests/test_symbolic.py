@@ -151,6 +151,13 @@ def test_rational_function_substitute():
     assert sub == RationalFunction(y**2 + x**2, x**2)
 
 
+def test_rational_function_is_unhashable():
+    # equal values need not have equal parts, so no hash can agree with ==
+    assert RationalFunction(x**2 + x, x * y + y) == RationalFunction(x, y)
+    with pytest.raises(TypeError):
+        hash(RationalFunction(x, y))
+
+
 def test_rf_derivative_quotient_rule():
     f = RationalFunction(x**2, y + 1)
     d = f.derivative("x")
