@@ -1,13 +1,14 @@
 """Machine-readable curve catalog.
 
-The catalog document is JSON: a constant tower declaration, parameter names,
-and a list of entries.  Each entry bundles a curve model (symbolic relations
+The catalog document is JSON: a constant tower declaration and a list of
+entries.  Each entry bundles a curve model (symbolic relations
 plus a point-counting route), verified maps onto elliptic or projective
 targets, a finite symmetry group with a differential basis, the claimed
 isogeny factors of the Jacobian, bad primes, and auxiliary exact checks.
 
-Family entries carry a parameter list (``params``) and per-value
-``specializations`` that override the claimed factors and bad primes.
+Family entries in the parameter ``t`` list their values as
+``specializations``, each of which may override the claimed factors and bad
+primes; every per-value check runs at exactly these values.
 """
 
 import json
@@ -70,10 +71,9 @@ def load_tower(declarations):
 
 
 class CatalogEntry:
-    def __init__(self, raw, tower, parameters):
+    def __init__(self, raw, tower):
         self.raw = raw
         self.tower = tower
-        self.parameters = tuple(parameters)
         self.id = raw["id"]
         self.model = raw["model"]
         self.maps = raw.get("maps", [])
@@ -81,7 +81,6 @@ class CatalogEntry:
         self.summands = raw.get("summands", [])
         self.claim = raw.get("claim")
         self.bad_primes = raw.get("bad_primes", [])
-        self.params = raw.get("params", {})
         self.aux = raw.get("aux", [])
         # per load: each polynomial text parsed once, each counting model
         # built once (by validation) and reused by every count
@@ -203,9 +202,7 @@ class CatalogEntry:
             var: self.expression(text, value)
             for var, text in zip(target["variables"], spec["components"])
         }
-        return CurveMap(
-            system, components, self.poly(target["relation"], value), spec["name"]
-        )
+        return CurveMap(system, components, self.poly(target["relation"], value))
 
     def projective_map(self, spec):
         """(source system, polynomial components, target relation polys)."""
@@ -368,10 +365,7 @@ def load_catalog(document):
     if isinstance(document, str):
         document = json.loads(document)
     tower = load_tower(document.get("tower", []))
-    parameters = document.get("parameters", [])
-    entries = [
-        CatalogEntry(raw, tower, parameters) for raw in document["entries"]
-    ]
+    entries = [CatalogEntry(raw, tower) for raw in document["entries"]]
     _validate(entries)
     return entries
 

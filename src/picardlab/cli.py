@@ -12,9 +12,7 @@ import sys
 from .catalog import builtin_catalog
 from .exact import is_prime
 from .report import hodge_row, render
-from .runner import run_catalog
-
-PLANE_PRIME_CAP = 499
+from .runner import PRIME_CAP, run_catalog
 
 
 def _build_parser():
@@ -63,8 +61,8 @@ def _emit(text, out_path):
 
 
 def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
-    if not 1 <= pmax <= PLANE_PRIME_CAP:
-        parser.error("--pmax must lie in [1, %d]" % PLANE_PRIME_CAP)
+    if not 1 <= pmax <= PRIME_CAP:
+        parser.error("--pmax must lie in [1, %d]" % PRIME_CAP)
     if not 1 <= depth <= 3:
         parser.error("--depth must lie in [1, 3]")
     entries = builtin_catalog()
@@ -85,9 +83,9 @@ def _cmd_count(parser, args):
     if entry.model["kind"] == "product":
         parser.error("entry %s is symbolic-only; nothing to count" % entry.id)
     p = args.prime
-    if not (2 < p <= PLANE_PRIME_CAP and is_prime(p)):
+    if not (2 < p <= PRIME_CAP and is_prime(p)):
         parser.error("--prime must be an odd prime at most %d"
-                     % PLANE_PRIME_CAP)
+                     % PRIME_CAP)
     for value, _, bad in entry.specializations():
         label = "" if value is None else "t=%s: " % value
         if p in set(bad) | {2, 3}:

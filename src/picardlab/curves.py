@@ -183,8 +183,6 @@ class PlaneModel:
     counted in O(p); every other curve is counted line by line.
     """
 
-    kind = "plane"
-
     def __init__(self, poly, variables=("x", "y", "z")):
         self.poly = poly
         self.variables = tuple(variables)
@@ -244,12 +242,9 @@ class PlaneModel:
 class SuperellipticModel:
     """y^m = f(x) with f squarefree."""
 
-    kind = "superelliptic"
-
     def __init__(self, m, f_poly, variable="x"):
         self.m = m
         self.f_poly = f_poly
-        self.variable = variable
         self.rows = poly_table(f_poly, (variable,))
         self.degree = max(e[0] for e, _ in self.rows)
 
@@ -299,8 +294,6 @@ class SuperellipticModel:
 class HyperellipticModel(SuperellipticModel):
     """y^2 = f(x) with f squarefree; degree 3 or 4 doubles as a genus-1 model."""
 
-    kind = "hyperelliptic"
-
     def __init__(self, f_poly, variable="x"):
         super().__init__(2, f_poly, variable)
         if self.degree < 3:
@@ -318,8 +311,6 @@ class SpaceModel:
     The genus comes from the complete-intersection formula when the listed
     relations cut the curve; otherwise it must be supplied explicitly.
     """
-
-    kind = "space"
 
     def __init__(self, relations, variables, fibration, genus=None):
         self.relations = list(relations)

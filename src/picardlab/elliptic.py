@@ -37,8 +37,6 @@ class BinaryQuartic:
         jj = self.invariant_j()
         num = 6912 * i3
         den = 4 * i3 - jj * jj
-        if num.constants_only() and den.constants_only():
-            return RationalFunction(num * den ** -1)
         return RationalFunction(num, den)
 
 

@@ -5,15 +5,17 @@ modulo its defining relations; nothing is ever evaluated numerically.
 """
 
 from .linalg import solve_linear
-from .symbolic import MPoly, RationalFunction, tower_invert
+from .symbolic import MPoly, RationalFunction, _rewrite, tower_invert
 
 
 class ReductionSystem:
     """Defining relations of a model, each solved for its own main variable.
 
-    ``reduce`` rewrites a polynomial to a canonical representative modulo the
-    relations; iteration continues until a fixed point, so the relation order
-    does not matter.
+    ``reduce`` rewrites a polynomial to its normal form modulo the relations
+    and the tower in one pass: the relations' rules come first, in the
+    given order, then the tower's.  Each relation of the catalog involves
+    only the main variables of the relations after it, which is the order
+    in which the rewrite touches each monomial once.
     """
 
     def __init__(self, relations):
@@ -23,19 +25,17 @@ class ReductionSystem:
         mains = [r.main_var for r in self.relations]
         if len(set(mains)) != len(mains):
             raise ValueError("duplicate main variables")
+        self.rules = {}
+        for rel in self.relations:
+            self.rules.update(rel.rule)
+        self.rules.update(self.tower.rules)
 
     @property
     def tower(self):
         return self.relations[0].tower
 
     def reduce(self, poly):
-        while True:
-            nxt = poly
-            for rel in self.relations:
-                nxt = rel.reduce(nxt)
-            if nxt == poly:
-                return poly
-            poly = nxt
+        return MPoly(self.tower, _rewrite(poly.terms, self.rules))
 
     def is_zero_poly(self, poly):
         return self.reduce(poly).is_zero()
@@ -67,11 +67,10 @@ class CurveMap:
     reduces the numerator modulo the source relations.
     """
 
-    def __init__(self, source, components, target_relation, name=""):
+    def __init__(self, source, components, target_relation):
         self.source = source
         self.components = dict(components)
         self.target_relation = target_relation
-        self.name = name
 
     def verify(self):
         """(holds, residual): the reduced numerator is the exact obstruction."""
@@ -203,10 +202,10 @@ def _parameter_quotient(rf):
     With num and den in one parameter, the coefficients of q in num = q * den
     solve a banded linear system: row i reads sum_j q_j den_{i-j} = num_i.
     """
+    if rf.is_polynomial():
+        return rf.num
     tower = rf.tower
     num, den = rf.num, rf.den
-    if den.constants_only():
-        return num * tower_invert(den)
     free = sorted(den.free_variables() | num.free_variables())
     if len(free) != 1:
         raise ValueError(f"cannot scalarize multi-parameter quotient {rf}")

@@ -30,6 +30,10 @@ FAIL = "FAIL"
 DISCREPANCY = "DISCREPANCY"
 SKIPPED = "SKIPPED"
 
+# the largest prime that a report (--pmax) or a one-shot count (--prime)
+# reaches, for every model
+PRIME_CAP = 499
+
 
 class CheckResult:
     def __init__(self, check_id, status, evidence, prime=None, expected=False):
@@ -185,8 +189,7 @@ def _action_checks(entry):
         return []
     checks = []
     declared = entry.action["order"]
-    values = entry.params.get("t") or [None]
-    for value in values:
+    for value, _, _ in entry.specializations():
         tag = _suffix(value)
         try:
             action = entry.group_action(value, order_bound=declared + 1)
@@ -461,8 +464,8 @@ def _extension_checks(entry, depth):
 
 def run_entry(entry, pmax=200, depth=1):
     """All checks for one entry; failures are results, not exceptions."""
-    if not 1 <= pmax <= 499:
-        raise ValueError("pmax must be in 1..499, got %d" % pmax)
+    if not 1 <= pmax <= PRIME_CAP:
+        raise ValueError("pmax must be in 1..%d, got %d" % (PRIME_CAP, pmax))
     checks = []
     checks.extend(_map_checks(entry))
     checks.extend(_action_checks(entry))

@@ -9,13 +9,17 @@ rewritten automatically, so equal ring elements have equal term dicts.
 
 RationalFunction pairs two MPolys; equality is by cross-multiplication, which
 avoids multivariate gcds, so equal values need not have equal parts and a
-RationalFunction is not hashable.  CurveRelation supports reduction of
-polynomials modulo a defining equation that is unit-monic in a distinguished
-variable.
+RationalFunction is not hashable.  CurveRelation turns a defining equation
+that is unit-monic in a distinguished variable into a rewrite rule.
+
+One routine, _rewrite, rewrites monomials: by the tower's rules in every
+MPoly product, and by a model's relation rules followed by the tower's in
+morphisms.ReductionSystem.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -53,43 +57,78 @@ def _mono_without(m: Monomial, var: str, new_exp: int) -> Monomial:
     return _mono(d)
 
 
+def _rewrite(raw: dict, rules: dict) -> dict:
+    """Normal form of the terms raw under monic rewrite rules.
+
+    rules maps a variable v to (d, terms of v^d).  The leading monomials v^d
+    are pairwise coprime, so the rules form a Groebner basis (Buchberger's
+    first criterion) and the normal form does not depend on the rewrite
+    order.  A rule's terms hold v below degree d and otherwise the variables
+    of later rules, so a rewrite lowers a monomial in the lexicographic
+    order of its exponents of the rule variables, taken in rule order.  Like
+    terms are merged and the largest pending monomial is rewritten first,
+    so no monomial is rewritten twice.
+    """
+    order = tuple(rules)
+    out: dict = {}
+    pending: dict = {}
+    heap: list = []
+
+    def put(m, c):
+        if m in out:
+            out[m] += c
+        elif m in pending:
+            pending[m] += c
+        elif any(e >= rules[v][0] for v, e in m if v in rules):
+            pending[m] = c
+            exps = dict(m)
+            heapq.heappush(heap, (tuple(-exps.get(v, 0) for v in order), m))
+        else:
+            out[m] = c
+
+    for m, c in raw.items():
+        if c:
+            put(m, Fraction(c))
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = pending.pop(m)
+        if not c:
+            continue
+        exps = dict(m)
+        v = next(v for v in order if exps.get(v, 0) >= rules[v][0])
+        d, terms = rules[v]
+        rest = _mono_without(m, v, exps[v] - d)
+        for tm, tc in terms.items():
+            put(_mono_mul(rest, tm), c * tc)
+    return {m: c for m, c in out.items() if c}
+
+
 class ConstantTower:
     """Ordered algebraic constants with power relations and conjugation."""
 
     def __init__(self, symbols: Iterable[tuple]):
-        self.order: list[str] = []
-        self.degrees: dict[str, int] = {}
-        self.relations: dict[str, dict] = {}
+        relations: dict = {}
         conjugates = {}
         for name, degree, relation, conjugate in symbols:
-            if name in self.degrees:
+            if name in relations:
                 raise ValueError(f"duplicate constant {name}")
             if degree < 2:
                 raise ValueError("relation degree must be >= 2")
-            self.order.append(name)
-            self.degrees[name] = degree
-            self.relations[name] = {
+            relations[name] = (degree, {
                 _mono(dict(m)): Fraction(c) for m, c in relation
-            }
+            })
             conjugates[name] = {
                 _mono(dict(m)): Fraction(c) for m, c in conjugate
             }
-        self._rank = {name: k for k, name in enumerate(self.order)}
+        # rewrite rules from the last constant to the first: a relation
+        # involves only the constants declared before its own
+        self.rules: dict = dict(reversed(relations.items()))
         self.conjugates: dict[str, "MPoly"] = {
             name: MPoly._make(self, terms) for name, terms in conjugates.items()
         }
 
     def is_constant(self, var: str) -> bool:
-        return var in self.degrees
-
-    def _first_overflow(self, m: Monomial):
-        best = None
-        for v, e in m:
-            d = self.degrees.get(v)
-            if d is not None and e >= d:
-                if best is None or self._rank[v] > self._rank[best[0]]:
-                    best = (v, e)
-        return best
+        return var in self.rules
 
     def poly(self, terms=None) -> "MPoly":
         return MPoly._make(self, dict(terms or {}))
@@ -121,19 +160,7 @@ class MPoly:
 
     @classmethod
     def _make(cls, tower: ConstantTower, raw: dict) -> "MPoly":
-        out: dict = {}
-        stack = [(m, Fraction(c)) for m, c in raw.items() if c]
-        while stack:
-            m, c = stack.pop()
-            hit = tower._first_overflow(m)
-            if hit is None:
-                out[m] = out.get(m, Fraction(0)) + c
-                continue
-            v, e = hit
-            rest = _mono_without(m, v, e - tower.degrees[v])
-            for rm, rc in tower.relations[v].items():
-                stack.append((_mono_mul(rest, rm), c * rc))
-        return cls(tower, {m: c for m, c in out.items() if c})
+        return cls(tower, _rewrite(raw, tower.rules))
 
     # -- ring operations ---------------------------------------------------
     def _coerce(self, other):
@@ -307,11 +334,11 @@ def tower_invert(a: MPoly) -> MPoly:
     if not a.constants_only():
         raise ValueError("tower_invert needs a constants-only element")
     tower = a.tower
-    present = [s for s in tower.order if any(_mono_exp(m, s) for m in a.terms)]
+    present = [s for s in tower.rules if any(_mono_exp(m, s) for m in a.terms)]
     if not present:
         return tower.const(1 / a.rational_value())
-    s = present[-1]
-    d = tower.degrees[s]
+    s = present[0]
+    d = tower.rules[s][0]
     columns = [(a * tower.var(s, k)).coeffs_in(s) for k in range(d)]
     matrix = [[col[i] if i < len(col) else tower.zero() for col in columns]
               for i in range(d)]
@@ -489,53 +516,27 @@ def _normalize_scalars(num: MPoly, den: MPoly):
 
 
 class CurveRelation:
-    """A defining polynomial, unit-monic in a distinguished variable."""
+    """A defining polynomial, unit-monic in a distinguished variable, and
+    its rewrite rule for the power of that variable at its degree."""
 
     def __init__(self, poly: MPoly, main_var: str):
         self.poly = poly
         self.main_var = main_var
-        self.degree = poly.degree_in(main_var)
-        if self.degree < 1:
+        degree = poly.degree_in(main_var)
+        if degree < 1:
             raise ValueError("relation must involve the main variable")
-        lead = poly.coeffs_in(main_var)[self.degree]
-        if not lead.constants_only():
+        coeffs = poly.coeffs_in(main_var)
+        if not coeffs[degree].constants_only():
             raise ValueError("leading coefficient in the main variable must be constant")
-        self._lead_inv = tower_invert(lead)
-        self._tail = [
-            -(c * self._lead_inv) for c in poly.coeffs_in(main_var)[: self.degree]
-        ]
+        lead_inv = tower_invert(coeffs[degree])
+        tower = poly.tower
+        tail = -sum((c * lead_inv * tower.var(main_var, k)
+                     for k, c in enumerate(coeffs[:degree])), tower.zero())
+        self.rule = {main_var: (degree, tail.terms)}
 
     @property
     def tower(self):
         return self.poly.tower
-
-    def reduce(self, p: MPoly) -> MPoly:
-        """Remainder of p modulo the relation, in the main variable."""
-        y, d = self.main_var, self.degree
-        work = dict(p.terms)
-        out: dict = {}
-        while work:
-            m, c = work.popitem()
-            e = _mono_exp(m, y)
-            if e < d:
-                nc = out.get(m, Fraction(0)) + c
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-                continue
-            rest = _mono_without(m, y, e - d)
-            for k, tail_k in enumerate(self._tail):
-                if tail_k.is_zero():
-                    continue
-                extra = MPoly(self.tower, {rest: c}) * tail_k * self.tower.var(y, k)
-                for m2, c2 in extra.terms.items():
-                    nc = work.get(m2, Fraction(0)) + c2
-                    if nc:
-                        work[m2] = nc
-                    else:
-                        work.pop(m2, None)
-        return MPoly(self.tower, out)
 
 
 # -- expression parsing ------------------------------------------------------
@@ -651,10 +652,12 @@ def parse_expression(tower: ConstantTower, text: str) -> RationalFunction:
 
 
 def parse_polynomial(tower: ConstantTower, text: str) -> MPoly:
-    """Parse an expression that must be polynomial up to a constant denominator."""
+    """Parse an expression that must be polynomial up to a constant
+    denominator (a RationalFunction folds such a denominator into its
+    numerator)."""
     node = _parse(tower, text)
     if isinstance(node, MPoly):
         return node
-    if not node.den.constants_only():
+    if not node.is_polynomial():
         raise ValueError(f"not a polynomial: {text!r}")
-    return node.num * tower_invert(node.den)
+    return node.num

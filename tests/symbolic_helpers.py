@@ -1,13 +1,20 @@
 """Test scaffolding for the symbolic layer: the catalog's constant tower,
-one-relation reduction systems, the plane canonical basis, equality of
-rational functions on a curve, and the parser that builds every node as a
+one-relation reduction systems, every reduction system the catalog builds,
+the plane canonical basis, equality of rational functions on a curve, the
+reduction by one relation at a time repeated to a fixed point (the oracle of
+``ReductionSystem.reduce``), and the parser that builds every node as a
 rational function (the oracle of the MPoly-first grammar)."""
+
+from fractions import Fraction
 
 from picardlab.catalog import builtin_catalog
 from picardlab.morphisms import ReductionSystem
 from picardlab.symbolic import (
     CurveRelation,
+    MPoly,
     RationalFunction,
+    _mono_exp,
+    _mono_without,
     _Tokens,
     tower_invert,
 )
@@ -20,6 +27,70 @@ def builtin_tower():
 
 def single_relation(poly, main_var):
     return ReductionSystem([CurveRelation(poly, main_var)])
+
+
+def catalog_systems():
+    """(label, system) for every reduction system the built-in catalog
+    builds: each specialization's affine system, each family's affine
+    system at a generic parameter, and each projective map's source."""
+    out = []
+    for entry in builtin_catalog():
+        values = [value for value, _, _ in entry.specializations()]
+        for value in dict.fromkeys(values + [None]):
+            out.append(("%s t=%s" % (entry.id, value),
+                        entry.affine_system(value)))
+        for spec in entry.maps:
+            if spec.get("kind") == "projective":
+                system, _, _ = entry.projective_map(spec)
+                out.append(("%s map %s" % (entry.id, spec["name"]), system))
+    return out
+
+
+def relation_remainder(rel, p):
+    """Remainder of p modulo one relation, in its main variable: each term
+    at or above the degree is replaced by the relation's tail, tower
+    constants being reduced by MPoly products."""
+    y = rel.main_var
+    coeffs = rel.poly.coeffs_in(y)
+    d = len(coeffs) - 1
+    lead_inv = tower_invert(coeffs[d])
+    tail = [-(c * lead_inv) for c in coeffs[:d]]
+    tower = rel.tower
+    work = dict(p.terms)
+    out = {}
+    while work:
+        m, c = work.popitem()
+        e = _mono_exp(m, y)
+        if e < d:
+            nc = out.get(m, Fraction(0)) + c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+            continue
+        rest = _mono_without(m, y, e - d)
+        for k, tail_k in enumerate(tail):
+            if tail_k.is_zero():
+                continue
+            extra = MPoly(tower, {rest: c}) * tail_k * tower.var(y, k)
+            for m2, c2 in extra.terms.items():
+                nc = work.get(m2, Fraction(0)) + c2
+                if nc:
+                    work[m2] = nc
+                else:
+                    work.pop(m2, None)
+    return MPoly(tower, out)
+
+
+def fixed_point_reduce(system, poly):
+    """Each relation's remainder in turn, until nothing changes."""
+    while True:
+        nxt = poly
+        for rel in system.relations:
+            nxt = relation_remainder(rel, nxt)
+        if nxt == poly:
+            return poly
+        poly = nxt
 
 
 def plane_basis_monomials(degree):

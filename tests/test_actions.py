@@ -183,7 +183,7 @@ def _catalog_actions():
     for entry in builtin_catalog():
         if entry.action is None:
             continue
-        for value in entry.params.get("t") or [None]:
+        for value, _, _ in entry.specializations():
             yield entry, value
 
 

@@ -62,7 +62,7 @@ def test_plane_basis_order():
 
 def test_sextic_map_f_verifies():
     src = sextic_source()
-    f = CurveMap(src, {"u": rf("-x^2"), "v": rf("y^3")}, cubic_target(), "f")
+    f = CurveMap(src, {"u": rf("-x^2"), "v": rf("y^3")}, cubic_target())
     ok, residual = f.verify()
     assert ok and residual.is_zero()
 
@@ -70,7 +70,7 @@ def test_sextic_map_f_verifies():
 def test_sextic_map_g_verifies():
     src = sextic_source()
     g = CurveMap(src, {"u": rf("e*y^4/x^2"), "v": rf("(x^3-1/x^3)/2")},
-                 cubic_target(), "g")
+                 cubic_target())
     ok, _ = g.verify()
     assert ok
 
@@ -78,7 +78,7 @@ def test_sextic_map_g_verifies():
 def test_sextic_map_h_verifies():
     src = sextic_source()
     h = CurveMap(src, {"u": rf("x^2"), "v": rf("y^2")},
-                 poly("u^3+v^3+1"), "h")
+                 poly("u^3+v^3+1"))
     ok, _ = h.verify()
     assert ok
 
@@ -115,7 +115,7 @@ def test_sextic_pullbacks_classify_exactly():
 
 def test_genus3_printed_map_fails_with_residual():
     src = single_relation(poly("y^2-x^7-x"), "y")
-    f = CurveMap(src, {"u": rf("x^2"), "v": rf("x*y")}, poly("v^2-u^3-u"), "f")
+    f = CurveMap(src, {"u": rf("x^2"), "v": rf("x*y")}, poly("v^2-u^3-u"))
     ok, residual = f.verify()
     assert not ok
     assert residual == poly("x^9-x^6+x^3-x^2")
@@ -125,7 +125,7 @@ def test_genus3_printed_map_fails_with_residual():
 def test_genus3_scaled_map_passes_with_scaled_pullback():
     src = single_relation(poly("y^2-x^7-x"), "y")
     g = CurveMap(src, {"u": rf("lam^2*(x+1/x)"), "v": rf("lam^3*y/x^2")},
-                 poly("v^2-u^3-u"), "g")
+                 poly("v^2-u^3-u"))
     ok, _ = g.verify()
     assert ok
     pb = pullback(g, Differential(rf("1/v"), "u"), "x", "y")
@@ -140,9 +140,9 @@ def test_genus3_scaled_map_passes_with_scaled_pullback():
 def test_genus2_family_maps_verify_for_symbolic_t():
     src = single_relation(poly("y^2-x^6-t*x^3-1"), "y")
     plus = CurveMap(src, {"u": rf("x+1/x"), "v": rf("y*(x+1)/x^2")},
-                    poly("v^2-(u+2)*(u^3-3*u+t)"), "plus")
+                    poly("v^2-(u+2)*(u^3-3*u+t)"))
     minus = CurveMap(src, {"u": rf("x+1/x"), "v": rf("y*(x-1)/x^2")},
-                     poly("v^2-(u-2)*(u^3-3*u+t)"), "minus")
+                     poly("v^2-(u-2)*(u^3-3*u+t)"))
     for cmap in (plus, minus):
         ok, residual = cmap.verify()
         assert ok, residual.render()
@@ -164,7 +164,7 @@ def test_octahedral_map_and_pullback_via_solver():
     src = single_relation(poly("y^2-x^5+x"), "y")
     m = CurveMap(src, {"u": rf("(x^2+1)/(x-1)"),
                        "v": rf("y*(x-(1-s2))/(x-1)^2")},
-                 poly("v^2-u*(u+1)*(u-2*(1-s2))"), "m")
+                 poly("v^2-u*(u+1)*(u-2*(1-s2))"))
     ok, residual = m.verify()
     assert ok, residual.render()
     pb = pullback(m, Differential(rf("1/v"), "u"), "x", "y")
@@ -178,7 +178,7 @@ def test_octahedral_map_and_pullback_via_solver():
 def test_ciani_quotient_map_symbolic_t():
     src = single_relation(poly("x^4+y^4+1+t*(x^2*y^2+y^2+x^2)"), "y")
     m = CurveMap(src, {"u": rf("y"), "v": rf("x^2+t*(y^2+1)/2")},
-                 poly("v^2-((t^2/4-1)*(u^4+1)+(t^2/2-t)*u^2)"), "quot")
+                 poly("v^2-((t^2/4-1)*(u^4+1)+(t^2/2-t)*u^2)"))
     ok, residual = m.verify()
     assert ok, residual.render()
     pb = pullback(m, Differential(rf("1/v"), "u"), "x", "y")
@@ -240,7 +240,7 @@ def test_quadric_tower_projections():
         [poly("4*a^4+b^4-c^4")])
     assert ok
     m = CurveMap(src, {"a": rf("x/y"), "b": rf("u*v*w/y^3")},
-                 poly("b^2-a^5+a"), "halves")
+                 poly("b^2-a^5+a"))
     ok, residual = m.verify()
     assert ok, residual.render()
 
@@ -274,7 +274,7 @@ def test_map_undefined_denominator_raises():
     bad = CurveMap(src, {"u": RationalFunction(poly("x"),
                                                poly("y^2-x^3-1")),
                          "v": rf("y")},
-                   poly("v^2-u^3-1"), "bad")
+                   poly("v^2-u^3-1"))
     with pytest.raises(ZeroDivisionError):
         bad.verify()
 

@@ -155,11 +155,10 @@ def test_pullback_contravariance(a_tail, b_tail, c_tail):
     y = parse_expression(T, "y")
     v = parse_expression(T, "v")
     target_rel = parse_polynomial(T, "z^2 - w")
-    inner = CurveMap(src, {"u": a, "v": y}, parse_polynomial(T, "v^2 - u"),
-                     "inner")
-    outer = CurveMap(mid, {"w": b, "z": v}, target_rel, "outer")
+    inner = CurveMap(src, {"u": a, "v": y}, parse_polynomial(T, "v^2 - u"))
+    outer = CurveMap(mid, {"w": b, "z": v}, target_rel)
     composed = CurveMap(src, {"w": b.substitute({"u": a}), "z": y},
-                        target_rel, "composed")
+                        target_rel)
     omega = Differential(c, "w")
     step = pullback(outer, omega, "u", "v")
     assert step.base_var == "u"

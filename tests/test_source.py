@@ -1,6 +1,6 @@
 """Source hygiene: every function in src/ has a caller there and names
-every parameter it takes, and no guard in src/ is an assert statement
-(python -O would strip it)."""
+every parameter it takes, every attribute that src/ stores is read there,
+and no guard in src/ is an assert statement (python -O would strip it)."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,40 @@ def test_every_function_is_named_elsewhere_in_src():
             if node.name not in named:
                 unused.append("%s:%d %s" % (name, node.lineno, node.name))
     assert unused == []
+
+
+def _stored_attributes(tree):
+    """(class, attribute, line) for each non-dunder attribute that a class
+    sets in its body or on self."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield cls.name, target.id, stmt.lineno
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield cls.name, node.attr, node.lineno
+
+
+def test_every_stored_attribute_is_read_in_src():
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = ["%s:%d %s.%s" % (name, line, cls, attr)
+              for name, tree in trees.items()
+              for cls, attr, line in _stored_attributes(tree)
+              if not (attr.startswith("__") and attr.endswith("__"))
+              and attr not in read]
+    assert unread == []
 
 
 def test_no_assert_statements_in_src():

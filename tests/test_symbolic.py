@@ -12,7 +12,13 @@ from picardlab.symbolic import (
     tower_invert,
 )
 
-from symbolic_helpers import builtin_tower, rf_equal, single_relation
+from symbolic_helpers import (
+    builtin_tower,
+    catalog_systems,
+    fixed_point_reduce,
+    rf_equal,
+    single_relation,
+)
 
 T = builtin_tower()
 om, i_, s2, lam, e_ = (T.var(n) for n in ["om", "i", "s2", "lam", "e"])
@@ -182,7 +188,7 @@ def test_parser():
 
 def test_curve_relation_reduce():
     F = x**6 + y**6 + 1
-    rel = CurveRelation(F, "y")
+    rel = single_relation(F, "y")
     assert rel.reduce(y**6) == -(x**6) - 1
     assert rel.reduce(y**7) == (-(x**6) - 1) * y
     assert rel.reduce(F**3).is_zero()
@@ -191,7 +197,7 @@ def test_curve_relation_reduce():
 
 def test_curve_relation_is_multiplicative_mod_F():
     F = y**2 - (x**5 + 1)
-    rel = CurveRelation(F, "y")
+    rel = single_relation(F, "y")
     p = y**3 + x * y
     q = y**2 - x
     direct = rel.reduce(p * q)
@@ -204,7 +210,7 @@ def test_curve_relation_is_multiplicative_mod_F():
 @given(st.integers(-4, 4), st.integers(0, 6), st.integers(0, 4), st.integers(-4, 4))
 def test_reduce_idempotent_and_linear(a, ey, ex, b):
     F = y**3 - x**4 - 1
-    rel = CurveRelation(F, "y")
+    rel = single_relation(F, "y")
     p = a * y**ey * x**ex + b * y
     r = rel.reduce(p)
     assert rel.reduce(r) == r
@@ -215,7 +221,7 @@ def test_reduce_idempotent_and_linear(a, ey, ex, b):
 
 def test_relation_with_unit_leading_coefficient():
     F = om * y**2 + x
-    rel = CurveRelation(F, "y")
+    rel = single_relation(F, "y")
     # y^2 = -x/om = -x * om^2... check reduce(om*y^2) == -x
     assert rel.reduce(om * y**2) == -x
     with pytest.raises(ValueError):
@@ -236,10 +242,46 @@ def test_rf_zero_on_curve():
 
 
 
-@pytest.mark.parametrize("name, k", [("om", 40), ("lam", 30)])
+@pytest.mark.parametrize("name, k", [("om", 40), ("lam", 30), ("lam", 40)])
 def test_parsed_high_power_of_a_tower_constant(name, k):
-    # a two-term tower relation: the power is reduced step by step
+    # a two-term tower relation: the parsed power is reduced step by step,
+    # and the one monomial name^k without Fibonacci growth
     product = T.one()
     for _ in range(k):
         product = product * T.var(name)
     assert parse_polynomial(T, f"{name}^{k}") == product
+    assert T.var(name, k) == product
+
+
+SYSTEMS = catalog_systems()
+
+
+def test_high_power_modulo_the_ciani_quartic():
+    system = dict(SYSTEMS)["ciani-quartic-pencil t=None"]
+    assert system.reduce(y**24) == system.reduce(system.reduce(y**12) ** 2)
+
+
+@st.composite
+def _system_and_poly(draw):
+    """A catalog reduction system and a random polynomial in its variables
+    with tower-constant coefficients; exponents reach 8, past every
+    relation degree of the catalog."""
+    label, system = draw(st.sampled_from(SYSTEMS))
+    names = sorted(set().union(*(r.poly.free_variables()
+                                 for r in system.relations)))
+    out = T.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = T.const(draw(st.integers(-3, 3))) * draw(st.sampled_from(
+            [T.one()] + CONSTS))
+        for v, e in draw(st.lists(st.tuples(st.sampled_from(names),
+                                            st.integers(1, 8)), max_size=3)):
+            term = term * T.var(v, e)
+        out = out + term
+    return label, system, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system_and_poly())
+def test_reduce_matches_the_fixed_point_oracle(case):
+    label, system, p = case
+    assert system.reduce(p) == fixed_point_reduce(system, p), label
