@@ -82,8 +82,9 @@ class CatalogEntry:
         self.claim = raw.get("claim")
         self.bad_primes = raw.get("bad_primes", [])
         self.aux = raw.get("aux", [])
-        # per load: each polynomial text parsed once, each counting model
-        # built once (by validation) and reused by every count
+        # per load: each text parsed at most once by `poly` and once by
+        # `expression`, each counting model built once (by validation) and
+        # reused by every count
         self._parsed = {}
         self._models = {}
 
@@ -94,22 +95,24 @@ class CatalogEntry:
             return {}
         return {"t": self.tower.const(Fraction(value))}
 
-    def poly(self, text, value=None):
-        p = self._parsed.get(text)
-        if p is None:
+    def _parse(self, parse, text, value):
+        key = (parse, text)
+        r = self._parsed.get(key)
+        if r is None:
             try:
-                p = parse_polynomial(self.tower, text)
+                r = parse(self.tower, text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise CatalogError(
                     "text %r of %s: %s" % (text, self.id, exc)) from None
-            self._parsed[text] = p
-        subs = self._subs(value)
-        return p.substitute(subs) if subs else p
-
-    def expression(self, text, value=None):
-        r = parse_expression(self.tower, text)
+            self._parsed[key] = r
         subs = self._subs(value)
         return r.substitute(subs) if subs else r
+
+    def poly(self, text, value=None):
+        return self._parse(parse_polynomial, text, value)
+
+    def expression(self, text, value=None):
+        return self._parse(parse_expression, text, value)
 
     # -- symbolic side ---------------------------------------------------
 

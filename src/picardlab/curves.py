@@ -13,6 +13,7 @@ enumerator for plane and space curves.  Both refuse fields with more than
 ``gf.TABLE_MAX`` squared points.
 """
 
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -85,7 +86,7 @@ def _coeff_mod(c, p):
 
 
 def table_mod(rows, p):
-    return [(exps, _coeff_mod(c, p)) for exps, c in rows if _coeff_mod(c, p) != 0]
+    return [(exps, c_mod) for exps, c in rows if (c_mod := _coeff_mod(c, p))]
 
 
 def power_residue_counts(p, n):
@@ -168,6 +169,85 @@ def _root_count(coeffs, p):
     return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
 
 
+class RootCounts:
+    """Per-prime tables that count the roots in F_p of a binary cubic or of
+    an even quartic by a few lookups.  Each table costs O(p) and is built on
+    first use; coefficient lists run low to high, and the zero polynomial
+    vanishes at all p points."""
+
+    def __init__(self, p):
+        self.p = p
+        self.squares = power_residue_counts(p, 2)
+
+    @cached_property
+    def sqrt(self):
+        """sqrt[v]: a square root of v, None for a non-square."""
+        table = [None] * self.p
+        for y in range((self.p + 1) // 2):
+            table[y * y % self.p] = y
+        return table
+
+    @cached_property
+    def cubes(self):
+        return power_residue_counts(self.p, 3)
+
+    @cached_property
+    def depressed(self):
+        """(t_1, t_n), n the least non-square: t_e[u] is the number of roots
+        of Z^3 + eZ + b with b^2 = u e^3.  Scaling Y = lam Z carries
+        Y^3 + aY + b, a = e lam^2, to Z^3 + eZ + b/lam^3 and keeps
+        u = b^2/a^3; Z -> -Z shows that the sign of b does not matter."""
+        p = self.p
+        nonsquare = next(c for c in range(2, p) if not self.squares[c])
+        tables = []
+        for e in (1, nonsquare):
+            hist = [0] * p
+            for z in range(p):
+                hist[-(z * z * z + e * z) % p] += 1
+            scale = pow(e, -3, p)
+            table = [0] * p
+            for b in range(p):
+                table[b * b * scale % p] = hist[b]
+            tables.append(table)
+        return tables
+
+    def even_quartic(self, coeffs):
+        """Roots y of c2 y^4 + c1 y^2 + c0, given [c0, c1, c2]: the square
+        roots of the roots w of c2 w^2 + c1 w + c0."""
+        p, squares = self.p, self.squares
+        c0, c1, c2 = (c % p for c in coeffs)
+        if c2 == 0:
+            if c1 == 0:
+                return p if c0 == 0 else 0
+            return squares[-c0 * pow(c1, -1, p) % p]
+        root = self.sqrt[(c1 * c1 - 4 * c2 * c0) % p]
+        if root is None:
+            return 0
+        inv = pow(2 * c2, -1, p)
+        n = squares[(root - c1) * inv % p]
+        if root:
+            n += squares[(-root - c1) * inv % p]
+        return n
+
+    def cubic(self, coeffs):
+        """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given
+        [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
+        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0, else
+        t_e[b^2/a^3], e the class of a modulo squares.  A vanishing c3, and
+        p = 3, go to the gcd kernel."""
+        p = self.p
+        c0, c1, c2, c3 = (c % p for c in coeffs)
+        if c3 == 0 or p == 3:
+            return _root_count([c0, c1, c2, c3], p)
+        # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
+        a = 3 * (3 * c3 * c1 - c2 * c2) % p
+        b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
+        if a == 0:
+            return self.cubes[-b % p]
+        table = self.depressed[0 if self.squares[a] else 1]
+        return table[b * b * pow(a, -3, p) % p]
+
+
 def _diagonal_count(p, d):
     """Projective points of x^d + y^d + z^d = 0 over F_p: the chart z = 1
     from d-th power residue counts, then the d-th roots of -1 on z = 0."""
@@ -179,8 +259,9 @@ def _diagonal_count(p, d):
 class PlaneModel:
     """Smooth projective plane curve F(x, y, z) = 0 of the given degree.
 
-    The Fermat curve x^d + y^d + z^d is recognised from its equation and
-    counted in O(p); every other curve is counted line by line.
+    The Fermat curve x^d + y^d + z^d and the quartics G(x^2, y^2, z^2) are
+    recognised from their equations and counted in O(p); every other curve
+    is counted line by line with the gcd kernel.
     """
 
     def __init__(self, poly, variables=("x", "y", "z")):
@@ -192,6 +273,8 @@ class PlaneModel:
             raise ValueError("plane curve equation is not homogeneous")
         self.diagonal = self.rows == [((0, 0, d), 1), ((0, d, 0), 1),
                                       ((d, 0, 0), 1)]
+        self.even = d == 4 and all(e % 2 == 0 for exps, _ in self.rows
+                                   for e in exps)
 
     def genus(self):
         d = self.degree
@@ -209,6 +292,34 @@ class PlaneModel:
         return _diagonal_count(p, self.degree)
 
     def _count_scan(self, p):
+        return self._count_even(p) if self.even else self._count_gcd(p)
+
+    def _count_even(self, p):
+        # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
+        # x = +-a meet the curve in the roots of the even quartic
+        # G(a^2, y^2, 1), so each square X = a^2 is counted once
+        roots = RootCounts(p)
+        rows = [((ex // 2, ey // 2, ez // 2), c)
+                for (ex, ey, ez), c in table_mod(self.rows, p)]
+        n = 0
+        for a in range((p + 1) // 2):
+            x2 = a * a % p
+            fx = [0, 0, 0]
+            for (ex, ey, _), c in rows:
+                fx[ey] += c * x2 ** ex
+            n += (2 if a else 1) * roots.even_quartic(fx)
+        # line z = 0: points (x : 1 : 0), the roots of the even quartic
+        # F(x, 1, 0), and (1 : 0 : 0)
+        edge = [0, 0, 0]
+        for (ex, _, ez), c in rows:
+            if ez == 0:
+                edge[ex] += c
+        n += roots.even_quartic(edge)
+        if edge[2] % p == 0:
+            n += 1
+        return n
+
+    def _count_gcd(self, p):
         # chart z = 1: the line x = a meets the curve in the roots of
         # F(a, y, 1), all p of its points when F(a, y, 1) vanishes
         rows = table_mod(self.rows, p)
@@ -316,6 +427,14 @@ class SpaceModel:
         self.relations = list(relations)
         self.variables = tuple(variables)
         self.fibration = fibration
+        # the fibration's forms as rows [(exponents, Fraction)], once
+        if "factors" in fibration:
+            self.factor_rows = [poly_table(f, fibration["base_vars"])
+                                for f in fibration["factors"]]
+        if "form" in fibration:
+            self.form_rows = poly_table(
+                fibration["form"],
+                tuple(fibration["fiber_vars"]) + tuple(fibration["root_vars"]))
         if genus is None:
             degrees = []
             for rel in self.relations:
@@ -366,8 +485,7 @@ class SpaceModel:
         # form acquires a square root, so a point above (x : y) contributes
         # the product of the square-root counts.
         counts = power_residue_counts(p, 2)
-        factor_rows = [table_mod(poly_table(f, self.fibration["base_vars"]), p)
-                       for f in self.fibration["factors"]]
+        factor_rows = [table_mod(rows, p) for rows in self.factor_rows]
 
         def fiber(x, y):
             total = 1
@@ -384,30 +502,18 @@ class SpaceModel:
     def _count_pencil_form(self, p):
         # Ruling of a cone: for each line (s : r) of the ruling, the curve
         # meets it in the projective roots of a binary cubic in (A, B).
-        rows = table_mod(poly_table(self.fibration["form"],
-                                    tuple(self.fibration["fiber_vars"]) +
-                                    tuple(self.fibration["root_vars"])), p)
-        deg = max(ea + eb for (_, _, ea, eb), _ in rows)
-        t3 = [pow(x, 3, p) for x in range(p)]
-        t2 = [pow(x, 2, p) for x in range(p)]
-
-        def roots(coeffs_ab):
-            # coeffs_ab[j] multiplies A^(deg-j) B^j; count points of P^1
-            n = 1 if coeffs_ab[0] == 0 else 0      # (A : B) = (1 : 0)
-            c0, c1, c2, c3 = coeffs_ab[3], coeffs_ab[2], coeffs_ab[1], coeffs_ab[0]
-            for a in range(p):
-                if (c3 * t3[a] + c2 * t2[a] + c1 * a + c0) % p == 0:
-                    n += 1
-            return n
-
-        if deg != 3:
+        rows = table_mod(self.form_rows, p)
+        if max(ea + eb for (_, _, ea, eb), _ in rows) != 3:
             raise ValueError("pencil route expects a binary cubic")
+        roots = RootCounts(p)
 
         def fiber(s, r):
-            coeffs = [0] * (deg + 1)
-            for (es, er, ea, eb), c in rows:
-                coeffs[eb] = (coeffs[eb] + c * pow(s, es, p) * pow(r, er, p)) % p
-            return roots(coeffs)
+            # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
+            # A at B = 1, and (A : B) = (1 : 0) when the A^3 term vanishes
+            coeffs = [0] * 4
+            for (es, er, _, eb), c in rows:
+                coeffs[eb] += c * pow(s, es, p) * pow(r, er, p)
+            return roots.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
         n = sum(fiber(s, 1) for s in range(p))
         return n + fiber(1, 0)

@@ -13,9 +13,11 @@ class ReductionSystem:
 
     ``reduce`` rewrites a polynomial to its normal form modulo the relations
     and the tower in one pass: the relations' rules come first, in the
-    given order, then the tower's.  Each relation of the catalog involves
-    only the main variables of the relations after it, which is the order
-    in which the rewrite touches each monomial once.
+    given order, then the tower's.  A relation may involve the main
+    variables of the relations after it, never those before it: that is
+    the order in which the rewrite touches each monomial once, and without
+    it the rewrite need not end (b^2 - c^3 with main b, then c^2 - b^2 - a
+    with main c, rewrite c^2 forever), so such a system is refused.
     """
 
     def __init__(self, relations):
@@ -25,6 +27,12 @@ class ReductionSystem:
         mains = [r.main_var for r in self.relations]
         if len(set(mains)) != len(mains):
             raise ValueError("duplicate main variables")
+        for i, rel in enumerate(self.relations):
+            earlier = rel.poly.variables() & set(mains[:i])
+            if earlier:
+                raise ValueError(
+                    "relation solved for %s involves %s, the main variable "
+                    "of an earlier relation" % (rel.main_var, min(earlier)))
         self.rules = {}
         for rel in self.relations:
             self.rules.update(rel.rule)

@@ -109,8 +109,11 @@ def _map_checks(entry):
         name = spec["name"]
         expect_fail = spec.get("expect") == "fail"
         try:
-            ok, evidence = _verify_map(entry, spec)
-        except ZeroDivisionError as exc:
+            cmap = (None if spec.get("kind") == "projective"
+                    else entry.curve_map(spec))
+            ok, evidence = _verify_map(entry, spec, cmap)
+        except (ValueError, ZeroDivisionError) as exc:
+            # a source system that is refused, or a map undefined on it
             ok = False
             evidence = {"origin": spec.get("origin", ""), "error": str(exc)}
         if ok and not expect_fail:
@@ -128,18 +131,19 @@ def _map_checks(entry):
 
         if ok and "pullback" in spec:
             try:
-                checks.append(_pullback_check(entry, spec))
-            except ZeroDivisionError as exc:
+                checks.append(_pullback_check(entry, spec, cmap))
+            except (ValueError, ZeroDivisionError) as exc:
                 checks.append(
                     CheckResult("pullback:" + name, FAIL, {"error": str(exc)})
                 )
     return checks
 
 
-def _verify_map(entry, spec):
-    """(holds, evidence) of one map; raises ZeroDivisionError when a
-    component is undefined along the source curve."""
-    if spec.get("kind") == "projective":
+def _verify_map(entry, spec, cmap):
+    """(holds, evidence) of one map, the built `cmap` unless the map is
+    projective; raises ZeroDivisionError when a component is undefined
+    along the source curve."""
+    if cmap is None:
         system, components, relations = entry.projective_map(spec)
         ok, residuals = verify_image_relations(system, components, relations)
         return ok, {
@@ -147,23 +151,22 @@ def _verify_map(entry, spec):
             "residuals": [r.render() if not r.is_zero() else "0"
                           for r in residuals],
         }
-    ok, residual = entry.curve_map(spec).verify()
+    ok, residual = cmap.verify()
     return ok, {
         "origin": spec.get("origin", ""),
         "residual": residual.render() if not residual.is_zero() else "0",
     }
 
 
-def _pullback_check(entry, spec):
+def _pullback_check(entry, spec, cmap):
     name = spec["name"]
-    cmap = entry.curve_map(spec)
     omega, base_var, fiber_var = entry.differential_frame()
     target_diff = Differential(
         entry.expression(spec["differential"]), spec["target"]["variables"][0]
     )
     pb = pullback(cmap, target_diff, base_var, fiber_var)
     vec = classify_in_basis(
-        entry.affine_system(), omega, entry.basis_monomials(), pb,
+        cmap.source, omega, entry.basis_monomials(), pb,
         entry.geometric_vars(),
     )
     expected = [entry.poly(s) for s in spec["pullback"]]

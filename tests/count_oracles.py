@@ -2,6 +2,7 @@
 are checked against: the O(p^2) loops those routes replaced, and a
 projective brute-force scan."""
 
+from picardlab.curves import table_mod
 from picardlab.gf import ExtField
 
 
@@ -28,6 +29,30 @@ def scan_plane_count(rows_mod_p, p):
     if sum(c for (ex, ey, ez), c in edge if ey == 0) % p == 0:
         n += 1
     return n
+
+
+def pencil_loop_count(model, p):
+    """Points of a `pencil_form` space model: each line (s : r) of the ruling
+    meets the curve in the projective roots of a binary cubic in (A, B),
+    found by evaluating the cubic at every (a : 1) and testing (1 : 0);
+    O(p^2) evaluations."""
+    rows = table_mod(model.form_rows, p)
+    t3 = [pow(x, 3, p) for x in range(p)]
+    t2 = [pow(x, 2, p) for x in range(p)]
+
+    def fiber(s, r):
+        # coeffs[j] multiplies A^(3-j) B^j
+        coeffs = [0] * 4
+        for (es, er, _, eb), c in rows:
+            coeffs[eb] = (coeffs[eb] + c * pow(s, es, p) * pow(r, er, p)) % p
+        c3, c2, c1, c0 = coeffs
+        n = 1 if c3 == 0 else 0                 # (A : B) = (1 : 0)
+        for a in range(p):
+            if (c3 * t3[a] + c2 * t2[a] + c1 * a + c0) % p == 0:
+                n += 1
+        return n
+
+    return sum(fiber(s, 1) for s in range(p)) + fiber(1, 0)
 
 
 def brute_plane_count(rows_mod_p, p):

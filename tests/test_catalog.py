@@ -176,6 +176,16 @@ def test_counting_models_are_built_once_per_load():
             assert second[eid].counting_model(value) is not model
 
 
+def test_each_text_is_parsed_once_per_load():
+    entry = _entries()["fermat-sextic"]
+    for text in ("y/x", "1/y"):
+        assert entry.expression(text) is entry.expression(text)
+    assert entry.poly("x*y") is entry.poly("x*y")
+    # a polynomial text and the same text as an expression are two parses
+    assert entry.expression("x*y") is not entry.poly("x*y")
+    assert entry.expression("t", 2) == parse_expression(entry.tower, "2")
+
+
 @pytest.mark.parametrize("rhs, message", [
     ("x^5 - x + 1/0", "zero denominator"),
     ("x^5 - x +", "unexpected end of expression"),

@@ -13,6 +13,7 @@ from picardlab.curves import (
     HyperellipticModel,
     InvariantError,
     PlaneModel,
+    RootCounts,
     SpaceModel,
     SuperellipticModel,
     _projective_zero_count,
@@ -27,6 +28,7 @@ from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
     brute_plane_count,
+    pencil_loop_count,
     scan_plane_count,
     shift_orbit_loop_count,
 )
@@ -72,6 +74,7 @@ def test_diagonal_route_matches_generic_scan_and_brute():
             n = model.count_points(p).npoints
             assert n == model._count_diagonal(p)
             assert n == model._count_scan(p)
+            assert n == model._count_gcd(p)
             assert n == brute_plane_count(table_mod(model.rows, p), p)
 
 
@@ -95,7 +98,67 @@ def test_ciani_pencil_counts():
 def test_gcd_scan_matches_pointwise_scan_on_ciani():
     c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
     for p in (q for q in range(3, 61) if is_prime(q)):
-        assert c1._count_scan(p) == scan_plane_count(table_mod(c1.rows, p), p)
+        n = scan_plane_count(table_mod(c1.rows, p), p)
+        assert c1._count_gcd(p) == n
+        assert c1._count_scan(p) == n
+
+
+def test_even_quartic_shape_is_read_from_the_equation():
+    assert PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2")).even
+    assert PlaneModel(poly("3*x^2*z^2-y^4")).even
+    for text in ("x^3*y+y^4+z^4", "x^6+y^6+z^6", "x^6+y^6+z^6+x^2*y^2*z^2",
+                 "x^4+y^4+z^4+x*y^2*z"):
+        assert not PlaneModel(poly(text)).even, text
+
+
+def test_even_route_matches_gcd_route_on_ciani():
+    c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
+    assert c1.even and not c1.diagonal
+    for p in primes_up_to(499)[2:]:
+        assert c1._count_even(p) == c1._count_gcd(p), p
+
+
+@st.composite
+def even_quartics(draw):
+    """Random quartics G(x^2, y^2, z^2) mod a small prime.  Some lose their
+    y^4 term, so G(X, w, 1) drops degree in w; some contain the conic
+    X = c Z, on which G(c, w, 1) vanishes identically, and some contain
+    the line Z = 0, on which G(X, 1, 0) does."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    conic = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
+    shape = draw(st.sampled_from(["free", "no y^4", "X - cZ", "Z"]))
+    if shape in ("X - cZ", "Z"):
+        c = draw(st.integers(0, p - 1)) if shape == "X - cZ" else None
+        g = {m: 0 for m in conic}
+        for ex, ey, ez in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):  # linear factor
+            a = draw(st.integers(0, p - 1))
+            if c is None:
+                g[(ex, ey, ez + 1)] += a
+            else:
+                g[(ex + 1, ey, ez)] += a
+                g[(ex, ey, ez + 1)] -= c * a
+    else:
+        g = {m: draw(st.integers(0, p - 1)) for m in conic}
+        if shape == "no y^4":
+            g[(0, 2, 0)] = 0
+    rows = [((2 * ex, 2 * ey, 2 * ez), a % p)
+            for (ex, ey, ez), a in sorted(g.items()) if a % p]
+    assume(rows)
+    return p, rows
+
+
+@settings(max_examples=200, deadline=None)
+@example((5, [((0, 0, 4), 1), ((2, 0, 2), 4)]))      # G(X, w, 1) = X - 1 at X = 1
+@example((7, [((0, 2, 2), 1), ((2, 0, 2), 3)]))      # G(X, 1, 0) vanishes
+@given(even_quartics())
+def test_even_route_matches_brute(curve):
+    p, rows = curve
+    model = PlaneModel(_plane_poly(rows))
+    assert model.even
+    reduced = table_mod(model.rows, p)
+    n = brute_plane_count(reduced, p)
+    assert model._count_even(p) == n
+    assert model._count_gcd(p) == n
 
 
 def _plane_poly(rows):
@@ -141,9 +204,9 @@ def test_gcd_scan_matches_pointwise_scan(curve):
     p, rows = curve
     model = PlaneModel(_plane_poly(rows))
     reduced = table_mod(model.rows, p)
-    assert model._count_scan(p) == scan_plane_count(reduced, p)
+    assert model._count_gcd(p) == scan_plane_count(reduced, p)
     if p <= 7:
-        assert model._count_scan(p) == brute_plane_count(reduced, p)
+        assert model._count_gcd(p) == brute_plane_count(reduced, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,6 +216,54 @@ def test_root_count_matches_evaluation(p, data):
     expected = sum(1 for y in range(p)
                    if sum(c * y ** e for e, c in enumerate(coeffs)) % p == 0)
     assert _root_count(coeffs, p) == expected
+
+
+def _roots_by_evaluation(coeffs, p):
+    return sum(1 for x in range(p)
+               if sum(c * x ** e for e, c in enumerate(coeffs)) % p == 0)
+
+
+@st.composite
+def cubics(draw):
+    """Cubics mod a prime below 200, low to high: random ones, ones with a
+    double or a triple root, x^3 + b (a = 0 after the shift), and ones whose
+    leading coefficients vanish."""
+    p = draw(st.sampled_from([q for q in primes_up_to(199) if q > 2]))
+    shape = draw(st.sampled_from(["free", "double", "triple", "pure",
+                                  "low degree"]))
+    coef = st.integers(0, p - 1)
+    if shape == "free":
+        return p, [draw(coef) for _ in range(4)]
+    if shape == "low degree":
+        return p, [draw(coef) for _ in range(draw(st.integers(0, 3)))] + [0]
+    unit = draw(st.integers(1, p - 1))
+    if shape == "pure":
+        return p, [draw(coef), 0, 0, unit]
+    r = draw(coef)
+    s = r if shape == "triple" else draw(coef)
+    # unit * (x - r)^2 (x - s)
+    return p, [-unit * r * r * s, unit * (r * r + 2 * r * s),
+               -unit * (2 * r + s), unit]
+
+
+@settings(max_examples=300, deadline=None)
+@example((5, [0, 0, 0, 0]))
+@example((7, [1, 0, 0, 0]))
+@example((3, [1, 2, 0, 1]))
+@given(cubics())
+def test_cubic_root_counts_match_evaluation(cubic):
+    p, coeffs = cubic
+    expected = _roots_by_evaluation(coeffs, p)
+    assert RootCounts(p).cubic(coeffs + [0] * (4 - len(coeffs))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 17, 19]), st.data())
+def test_even_quartic_root_counts_match_evaluation(p, data):
+    c0, c1, c2 = data.draw(st.lists(st.integers(-40, 40), min_size=3,
+                                    max_size=3))
+    expected = _roots_by_evaluation([c0, 0, c1, 0, c2], p)
+    assert RootCounts(p).even_quartic([c0, c1, c2]) == expected
 
 
 def test_hyperelliptic_anchor_counts():
@@ -297,6 +408,13 @@ def test_pencil_route_matches_space_brute():
             rows, len(m.variables), ExtField(p, 1))
     for p in (5, 11, 17, 23):                    # inert primes for -3
         assert m.count_points(p).npoints == p + 1
+
+
+def test_pencil_route_matches_loop_oracle():
+    m = _CATALOG["fermat-sextic-pencil-quotient"].counting_model()
+    assert m.fibration["type"] == "pencil_form"
+    for p in primes_up_to(499)[2:]:
+        assert m._count_pencil_form(p) == pencil_loop_count(m, p), p
 
 
 def _delta_model():

@@ -302,3 +302,15 @@ def test_parameter_quotient_refuses_a_remainder():
         _parameter_quotient(rf("(t^2+1)/(t-1)"))
     with pytest.raises(ValueError, match="not polynomial in t"):
         _parameter_quotient(rf("1/(t-1)"))
+
+
+def test_reduction_system_refuses_a_rewrite_that_never_ends():
+    # b^2 -> c^3 and c^2 -> b^2 + a would rewrite c^2 forever
+    b_rel = CurveRelation(poly("b^2-c^3"), "b")
+    c_rel = CurveRelation(poly("c^2-b^2-a"), "c")
+    for rels in ([b_rel, c_rel], [c_rel, b_rel]):
+        with pytest.raises(ValueError, match="main variable of an earlier"):
+            ReductionSystem(rels)
+    # a relation may involve the main variables of later ones
+    src = ReductionSystem([b_rel, CurveRelation(poly("c^2-a"), "c")])
+    assert src.reduce(poly("b^2")) == poly("a*c")

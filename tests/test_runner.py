@@ -1,6 +1,8 @@
 """Entry execution: check rows, statuses, evidence, and prime scheduling."""
 
 import json
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
 
@@ -239,6 +241,53 @@ def test_pullback_through_a_pole_is_a_fail_row():
     (row,) = by_id["pullback:quot"]
     assert row.status == "FAIL" and row.unexpected_failure
     assert "error" in row.evidence
+
+
+def test_source_system_whose_reduction_never_ends_is_a_fail_row(src_env):
+    # relations b^2 - c^3 (main b) and c^2 - b^2 - a (main c) rewrite c^2
+    # forever; the system is refused when it is built, so the map is a FAIL
+    # row and the run ends.  A subprocess with a timeout catches a hang.
+    script = "\n".join([
+        "import json",
+        "from importlib import resources",
+        "from picardlab.catalog import load_catalog",
+        "from picardlab.runner import run_catalog",
+        "doc = json.loads(resources.files('picardlab')"
+        ".joinpath('data/builtin.json').read_text())",
+        "raw = next(e for e in doc['entries']"
+        " if e['id'] == 'fermat-sextic-cone-quotient')",
+        "spec = raw['maps'][0]",
+        "spec['source'] = {'relations': ['b^2-c^3', 'c^2-b^2-a'],"
+        " 'mains': ['b', 'c']}",
+        "spec['components'] = ['a', 'b', 'c^2', 'c']",
+        "(run,) = run_catalog(load_catalog(doc), ids=[raw['id']], pmax=10)",
+        "rows = [c for c in run.checks if c.check_id == 'map:canonical']",
+        "print(json.dumps([[c.status, c.unexpected_failure, c.evidence]"
+        " for c in rows]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ((status, unexpected, evidence),) = json.loads(proc.stdout)
+    assert status == "FAIL" and unexpected
+    assert evidence["error"] == ("relation solved for c involves b, the main "
+                                 "variable of an earlier relation")
+
+
+def test_each_affine_map_builds_its_source_once(monkeypatch):
+    entry = next(e for e in load_catalog(_builtin_document("fermat-sextic")[0])
+                 if e.id == "fermat-sextic")
+    built = []
+    real = type(entry).affine_system
+
+    def counted(self, value=None):
+        built.append(value)
+        return real(self, value)
+
+    monkeypatch.setattr(type(entry), "affine_system", counted)
+    rows = runner._map_checks(entry)
+    assert [c.status for c in rows] == ["PASS"] * 6     # f, g, h and pullbacks
+    assert built == [None, None, None]
 
 
 class _StubModel:
