@@ -21,13 +21,7 @@ the column convention f*(b_k) = sum_i M[i][k] b_i.
 from fractions import Fraction
 
 from .linalg import identity_matrix, matrix_mul, matrix_rank
-from .morphisms import (
-    CurveMap,
-    Differential,
-    classify_in_basis,
-    monomial,
-    pullback,
-)
+from .morphisms import CurveMap
 
 
 def _matrix_key(mat):
@@ -44,35 +38,61 @@ def _matrix_key(mat):
     )
 
 
+def _checked_matrix(system, frame, k, formulas):
+    """Pullback matrix of generator k on the frame's basis after checking
+    it is an automorphism; raises ValueError naming the generator
+    otherwise."""
+    for v in frame.geometric_vars:
+        if system.is_zero_poly(formulas[v].den):
+            raise ValueError(
+                "generator %d: denominator of %s vanishes on the curve"
+                % (k, v)
+            )
+    for rel in system.relations:
+        try:
+            holds, residual = CurveMap(system, formulas, rel.poly).verify()
+        except ZeroDivisionError as exc:
+            # possible only on a reducible curve: a product of denominators
+            # that are nonzero on the curve vanishes there
+            raise ValueError("generator %d: %s" % (k, exc))
+        if not holds:
+            raise ValueError(
+                "generator %d does not preserve the curve: residual %s"
+                % (k, residual.render())
+            )
+    cmap = CurveMap(system, formulas, None)
+    try:
+        columns = [frame.coordinates(cmap, frame.form(mono))
+                   for mono in frame.basis]
+    except ZeroDivisionError as exc:
+        # e.g. a constant map onto a pole of the differential
+        raise ValueError("generator %d: pullback fails: %s" % (k, exc))
+    if any(column is None for column in columns):
+        raise ValueError("pullback leaves the span of the basis")
+    mat = [list(row) for row in zip(*columns)]
+    if matrix_rank(mat) < len(mat):
+        raise ValueError(
+            "generator %d has a singular pullback matrix" % k
+        )
+    return mat
+
+
 class GroupAction:
-    def __init__(
-        self,
-        system,
-        generators,
-        omega,
-        basis_monomials,
-        base_var,
-        fiber_var,
-        geometric_vars,
-        order_bound=1024,
-    ):
-        self.system = system
-        self.omega = omega
-        self.basis_monomials = list(basis_monomials)
-        self.base_var = base_var
-        self.fiber_var = fiber_var
-        self.geometric_vars = tuple(geometric_vars)
+    """The matrix group generated by the pullbacks of verified generators
+    on a frame's basis, with each element's word in the generators."""
+
+    def __init__(self, system, frame, generators, order_bound):
+        self.frame = frame
         self.tower = system.tower
-        self.generators = [dict(g) for g in generators]
-        n = len(self.basis_monomials)
+        n = len(frame.basis)
         if n < 2:
             raise ValueError(
                 "a basis of %d differential(s) cannot identify group "
                 "elements; genus at least 2 is required" % n
             )
-
-        gen_mats = [
-            self._checked_matrix(k, g) for k, g in enumerate(self.generators)
+        self.generator_matrices = [
+            _checked_matrix(system, frame, k, g)
+            for k, g in enumerate(generators)
         ]
         identity = identity_matrix(self.tower, n)
         self.elements = [(identity, ())]
@@ -81,7 +101,7 @@ class GroupAction:
         while idx < len(self.elements):
             mat, word = self.elements[idx]
             idx += 1
-            for gi, gm in enumerate(gen_mats):
+            for gi, gm in enumerate(self.generator_matrices):
                 new = matrix_mul(gm, mat)
                 key = _matrix_key(new)
                 if key in seen:
@@ -91,66 +111,12 @@ class GroupAction:
                     raise ValueError("group closure exceeds order bound")
                 self.elements.append((new, word + (gi,)))
 
-    def _checked_matrix(self, k, formulas):
-        """Pullback matrix of generator k after checking it is an
-        automorphism; raises ValueError naming the generator otherwise."""
-        system = self.system
-        for v in self.geometric_vars:
-            if system.is_zero_poly(formulas[v].den):
-                raise ValueError(
-                    "generator %d: denominator of %s vanishes on the curve"
-                    % (k, v)
-                )
-        for rel in system.relations:
-            image = rel.poly.substitute(formulas)
-            residual = system.reduce(image.num)
-            if not residual.is_zero():
-                raise ValueError(
-                    "generator %d does not preserve the curve: residual %s"
-                    % (k, residual.render())
-                )
-        try:
-            mat = self._pullback_matrix(formulas)
-        except ZeroDivisionError as exc:
-            # e.g. a constant map onto a pole of the differential
-            raise ValueError("generator %d: pullback fails: %s" % (k, exc))
-        if matrix_rank(mat) < len(mat):
-            raise ValueError(
-                "generator %d has a singular pullback matrix" % k
-            )
-        return mat
-
-    def _pullback_matrix(self, formulas):
-        cmap = CurveMap(self.system, formulas, None)
-        columns = []
-        for mono in self.basis_monomials:
-            form = Differential(
-                self.omega.coeff * monomial(self.tower, mono),
-                self.omega.base_var,
-            )
-            pulled = pullback(cmap, form, self.base_var, self.fiber_var)
-            vec = classify_in_basis(
-                self.system,
-                self.omega,
-                self.basis_monomials,
-                pulled,
-                self.geometric_vars,
-            )
-            if vec is None:
-                raise ValueError("pullback leaves the span of the basis")
-            columns.append(vec)
-        n = len(self.basis_monomials)
-        return [[columns[k][i] for k in range(n)] for i in range(n)]
-
     @property
     def order(self):
         return len(self.elements)
 
-    def character_norm(self, indices=None):
-        """<chi, chi> of the (sub)representation on the given basis indices."""
-        if indices is None:
-            indices = range(len(self.basis_monomials))
-        indices = list(indices)
+    def character_norm(self, indices):
+        """<chi, chi> of the subrepresentation on the given basis indices."""
         tower = self.tower
         total = tower.zero()
         for mat, _ in self.elements:
@@ -161,24 +127,28 @@ class GroupAction:
         return total * Fraction(1, len(self.elements))
 
     def is_block_stable(self, indices):
-        """Whether the span of the given basis indices is preserved."""
+        """Whether the span of the given basis indices is preserved.
+
+        Every element is a word in the generators, so a span that each
+        generator preserves is preserved by the group.
+        """
         inside = set(indices)
-        outside = [i for i in range(len(self.basis_monomials)) if i not in inside]
-        for mat, _ in self.elements:
-            for k in inside:
-                for i in outside:
-                    if not mat[i][k].is_zero():
-                        return False
-        return True
+        outside = [i for i in range(len(self.frame.basis)) if i not in inside]
+        return all(
+            mat[i][k].is_zero()
+            for mat in self.generator_matrices
+            for k in inside
+            for i in outside
+        )
 
     def verify_decomposition(self, partition):
         """Check a partition of the basis into irreducible stable blocks.
 
-        Returns (ok, evidence): each block must be preserved by every group
-        element and carry a character of norm exactly 1.
+        Returns (ok, evidence): each block must be preserved by every
+        generator and carry a character of norm exactly 1.
         """
         covered = sorted(i for part in partition for i in part)
-        if covered != list(range(len(self.basis_monomials))):
+        if covered != list(range(len(self.frame.basis))):
             return False, [{"error": "partition does not cover the basis"}]
         one = self.tower.one()
         evidence = []

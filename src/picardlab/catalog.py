@@ -22,7 +22,7 @@ from .curves import (
     SuperellipticModel,
 )
 from .exact import factorize, univariate_resultant
-from .morphisms import CurveMap, Differential, ReductionSystem
+from .morphisms import CurveMap, Differential, Frame, ReductionSystem
 from .symbolic import (
     ConstantTower,
     CurveRelation,
@@ -150,18 +150,20 @@ class CatalogEntry:
             return (self.model.get("variable", "u"), "v")
         return tuple(self.model["variables"])
 
-    def differential_frame(self, value=None):
-        """(omega, base_var, fiber_var) for pullback classification."""
+    def frame(self, value=None):
+        """The differential frame of the model and the action's basis."""
         kind = self.model["kind"]
         if kind == "plane":
             aff = self.model["affine"]
-            omega = Differential(
-                self.expression(aff["omega"], value), aff["base_var"]
-            )
-            return omega, aff["base_var"], aff["main_var"]
-        if kind == "hyperelliptic":
-            return Differential(self.expression("1/y", value), "x"), "x", "y"
-        raise ValueError("no differential frame for kind %r" % self.model["kind"])
+            text, base_var, fiber_var = (aff["omega"], aff["base_var"],
+                                         aff["main_var"])
+        elif kind == "hyperelliptic":
+            text, base_var, fiber_var = "1/y", "x", "y"
+        else:
+            raise ValueError("no differential frame for kind %r" % kind)
+        omega = Differential(self.expression(text, value), base_var)
+        return Frame(omega, fiber_var, self.basis_monomials(),
+                     self.geometric_vars())
 
     def basis_monomials(self):
         out = []
@@ -175,28 +177,21 @@ class CatalogEntry:
             out.append(mono)
         return out
 
-    def group_action(self, value=None, order_bound=1024):
+    def group_action(self, value=None):
+        """The group generated by the action's generators; a closure that
+        outgrows the declared order stops one element past it."""
         from .actions import GroupAction
 
-        omega, base_var, fiber_var = self.differential_frame(value)
-        geometric = self.geometric_vars()
+        frame = self.frame(value)
         generators = [
             {
                 var: self.expression(text, value)
-                for var, text in zip(geometric, row)
+                for var, text in zip(frame.geometric_vars, row)
             }
             for row in self.action["generators"]
         ]
-        return GroupAction(
-            self.affine_system(value),
-            generators,
-            omega,
-            self.basis_monomials(),
-            base_var,
-            fiber_var,
-            geometric,
-            order_bound=order_bound,
-        )
+        return GroupAction(self.affine_system(value), frame, generators,
+                           self.action["order"] + 1)
 
     def curve_map(self, spec, value=None):
         system = self.affine_system(value)
@@ -320,6 +315,19 @@ def _validate(entries):
         _require(
             len(set(names)) == len(names), "duplicate map names in %s" % entry.id
         )
+        for spec in entry.maps:
+            if spec.get("kind") == "projective":
+                for key in ("pullback", "differential"):
+                    _require(
+                        key not in spec,
+                        "projective map %s of %s declares %r; only affine "
+                        "maps are pulled back" % (spec["name"], entry.id, key),
+                    )
+            _require(
+                "pullback" not in spec or entry.action is not None,
+                "map %s of %s declares a pullback, but the entry has no "
+                "action basis to classify it in" % (spec["name"], entry.id),
+            )
         for name in entry.trace_map_names():
             entry.map_spec(name)
         if entry.action is not None:

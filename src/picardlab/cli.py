@@ -9,7 +9,7 @@ when no unexpected failure occurred.
 import argparse
 import sys
 
-from .catalog import builtin_catalog
+from .catalog import CatalogError, builtin_catalog
 from .exact import is_prime
 from .report import hodge_row, render
 from .runner import PRIME_CAP, run_catalog
@@ -80,18 +80,21 @@ def _cmd_count(parser, args):
     if args.entry not in entries:
         parser.error("unknown entry id: %s" % args.entry)
     entry = entries[args.entry]
-    if entry.model["kind"] == "product":
-        parser.error("entry %s is symbolic-only; nothing to count" % entry.id)
+    try:
+        rows = [(value, bad, entry.counting_model(value))
+                for value, _, bad in entry.specializations()]
+    except CatalogError as exc:
+        parser.error(str(exc))
     p = args.prime
     if not (2 < p <= PRIME_CAP and is_prime(p)):
         parser.error("--prime must be an odd prime at most %d"
                      % PRIME_CAP)
-    for value, _, bad in entry.specializations():
+    for value, bad, model in rows:
         label = "" if value is None else "t=%s: " % value
         if p in set(bad) | {2, 3}:
             print("%sp=%d is a bad prime; skipped" % (label, p))
             continue
-        record = entry.counting_model(value).count_points(p)
+        record = model.count_points(p)
         print("%sp=%d npoints=%d trace=%d"
               % (label, p, record.npoints, record.trace))
     return 0

@@ -127,11 +127,28 @@ def pullback(cmap, diff, base_var, fiber_var):
     return Differential(h * dphi, base_var)
 
 
-def monomial(tower, pairs):
-    out = tower.one()
-    for var, exp in pairs:
-        out = out * tower.var(var, exp)
-    return out
+class Frame:
+    """A plane model's differential frame: the forms m_k * omega for the
+    basis monomials m_k (canonical, as in MPoly terms), with omega =
+    coeff * d(base) and the fiber variable solved for by the model's
+    relation."""
+
+    def __init__(self, omega, fiber_var, basis, geometric_vars):
+        self.omega = omega
+        self.fiber_var = fiber_var
+        self.basis = list(basis)
+        self.geometric_vars = tuple(geometric_vars)
+
+    def form(self, mono):
+        """The differential mono * omega."""
+        tower = self.omega.coeff.tower
+        return self.omega * tower.poly({mono: 1})
+
+    def coordinates(self, cmap, diff):
+        """Basis coordinates on ``cmap.source`` of the pullback of ``diff``
+        through ``cmap``, or None when the pullback leaves the span."""
+        pulled = pullback(cmap, diff, self.omega.base_var, self.fiber_var)
+        return classify_in_basis(cmap.source, self, pulled)
 
 
 def geometric_coefficients(poly, geometric_vars):
@@ -146,14 +163,15 @@ def geometric_coefficients(poly, geometric_vars):
     return out
 
 
-def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
-    """Coordinates of a differential in a monomial basis m_k * omega.
+def classify_in_basis(system, frame, diff):
+    """Coordinates of a differential in the frame's basis m_k * omega.
 
     Returns the list of tower-constant coefficients, or None when the reduced
     form does not lie in the span.  The fast path applies whenever the ratio
     reduces to an honest polynomial; otherwise the coefficients are solved
     for linearly through the reduction.
     """
+    omega, basis, geometric_vars = frame.omega, frame.basis, frame.geometric_vars
     if omega.base_var != diff.base_var:
         raise ValueError("differentials in d%s and d%s"
                          % (omega.base_var, diff.base_var))
@@ -163,13 +181,10 @@ def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
     den = system.reduce(ratio.den)
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes on the curve")
-    key_of = {}
-    for k, mono in enumerate(basis_monomials):
-        key = tuple(sorted((v, e) for v, e in mono if e))
-        key_of[key] = k
+    key_of = {mono: k for k, mono in enumerate(basis)}
     if den.constants_only():
         poly = num * tower_invert(den)
-        vector = [tower.zero()] * len(basis_monomials)
+        vector = [tower.zero()] * len(basis)
         for geo, part in geometric_coefficients(poly, geometric_vars).items():
             if part.is_zero():
                 continue
@@ -178,11 +193,11 @@ def classify_in_basis(system, omega, basis_monomials, diff, geometric_vars):
             vector[key_of[geo]] = part
         return vector
     # solve num = sum_k c_k * reduce(m_k * den) coefficient-wise
-    columns = []
-    for mono in basis_monomials:
-        m = monomial(tower, mono)
-        columns.append(geometric_coefficients(system.reduce(m * den),
-                                              geometric_vars))
+    columns = [
+        geometric_coefficients(system.reduce(tower.poly({mono: 1}) * den),
+                               geometric_vars)
+        for mono in basis
+    ]
     target = geometric_coefficients(num, geometric_vars)
     keys = set(target)
     for col in columns:

@@ -8,10 +8,12 @@ rely on the action on differentials being faithful, so agreeing with the
 matrix closure element by element and word by word checks that the matrices
 identify the group elements.  The univariate division and gcd over the
 tower that the cancellation needs live here, since `src/` divides only
-through `linalg`'s elimination.
+through `linalg`'s elimination.  `elementwise_stable` is the oracle of
+block stability over every element of a closure.
 """
 
 from picardlab.linalg import identity_matrix, matrix_mul
+from picardlab.morphisms import CurveMap
 from picardlab.symbolic import RationalFunction, tower_invert
 
 
@@ -104,20 +106,28 @@ def _formula_key(formulas, geometric_vars):
     )
 
 
-def formula_closure(action, order_bound=1024):
-    """(formulas, matrix, word) triples of the group generated by
-    ``action.generators``, in breadth-first order."""
-    gvars = action.geometric_vars
+def _generator_matrix(system, frame, formulas):
+    """Pullback matrix of one generator, column k the coordinates of the
+    pullback of the k-th basis form."""
+    cmap = CurveMap(system, formulas, None)
+    columns = [frame.coordinates(cmap, frame.form(mono)) for mono in frame.basis]
+    n = len(frame.basis)
+    return [[columns[k][i] for k in range(n)] for i in range(n)]
+
+
+def formula_closure(system, frame, generators, order_bound=1024):
+    """(formulas, matrix, word) triples of the group generated by the
+    generator formulas, in breadth-first order."""
+    gvars = frame.geometric_vars
+    tower = system.tower
 
     def canonical(rf):
-        return _canonical_formula(rf, action.base_var, action.fiber_var)
+        return _canonical_formula(rf, frame.omega.base_var, frame.fiber_var)
 
-    generators = [{v: canonical(g[v]) for v in gvars} for g in action.generators]
-    gen_mats = [action._pullback_matrix(g) for g in generators]
-    identity = {v: RationalFunction(action.tower.var(v)) for v in gvars}
-    elements = [
-        (identity, identity_matrix(action.tower, len(action.basis_monomials)), ())
-    ]
+    generators = [{v: canonical(g[v]) for v in gvars} for g in generators]
+    gen_mats = [_generator_matrix(system, frame, g) for g in generators]
+    identity = {v: RationalFunction(tower.var(v)) for v in gvars}
+    elements = [(identity, identity_matrix(tower, len(frame.basis)), ())]
     seen = {_formula_key(identity, gvars)}
     idx = 0
     while idx < len(elements):
@@ -133,3 +143,14 @@ def formula_closure(action, order_bound=1024):
                 raise ValueError("group closure exceeds order bound")
             elements.append((new_f, matrix_mul(gm, mat), word + (gi,)))
     return elements
+
+
+def elementwise_stable(action, indices):
+    """Whether every element of the closure maps the span of the basis
+    indices into itself: the definition that `GroupAction.is_block_stable`
+    reads off the generators alone."""
+    inside = set(indices)
+    n = len(action.frame.basis)
+    return all(mat[i][k].is_zero()
+               for mat, _ in action.elements
+               for k in inside for i in range(n) if i not in inside)

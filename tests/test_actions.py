@@ -5,10 +5,10 @@ from importlib import resources
 
 import pytest
 
-from action_oracles import formula_closure
+from action_oracles import elementwise_stable, formula_closure
 from picardlab.actions import GroupAction
 from picardlab.catalog import builtin_catalog, load_catalog
-from picardlab.morphisms import Differential
+from picardlab.morphisms import Differential, Frame
 from picardlab.runner import run_entry
 from picardlab.symbolic import parse_expression, parse_polynomial
 
@@ -33,10 +33,14 @@ def formulas(x_text, y_text):
     return {"x": rf(x_text), "y": rf(y_text)}
 
 
-def hyperelliptic_action(relation_text, gens, monomials):
+def plane_frame(omega_text, monomials):
+    return Frame(Differential(rf(omega_text), "x"), "y", monomials, ("x", "y"))
+
+
+def hyperelliptic_action(relation_text, gens, monomials, order_bound=1024):
     system = single_relation(poly(relation_text), "y")
-    omega = Differential(rf("1/y"), "x")
-    return GroupAction(system, gens, omega, monomials, "x", "y", ("x", "y"))
+    return GroupAction(system, plane_frame("1/y", monomials), gens,
+                       order_bound)
 
 
 GENUS2_BASIS = [(), (("x", 1),)]
@@ -117,16 +121,13 @@ def test_ciani_quartic_group_order_24_and_full_span():
     system = single_relation(
         poly("x^4+y^4+1+t*(x^2*y^2+y^2+x^2)"), "y"
     )
-    omega = Differential(rf("1/(4*y^3+2*t*x^2*y+2*t*y)"), "x")
-    basis = [(), (("x", 1),), (("y", 1),)]
+    frame = plane_frame("1/(4*y^3+2*t*x^2*y+2*t*y)",
+                        [(), (("x", 1),), (("y", 1),)])
     action = GroupAction(
         system,
+        frame,
         [formulas("y", "x"), formulas("y/x", "1/x"), formulas("-x", "y")],
-        omega,
-        basis,
-        "x",
-        "y",
-        ("x", "y"),
+        1024,
     )
     assert action.order == 24
     ok, evidence = action.verify_decomposition([[0, 1, 2]])
@@ -139,21 +140,16 @@ def test_ciani_quartic_group_order_24_and_full_span():
 
 def test_fermat_sextic_group_order_216_blocks_and_certificates():
     system = single_relation(poly("x^6+y^6+1"), "y")
-    omega = Differential(rf("1/y^5"), "x")
-    basis = plane_basis_monomials(6)
     action = GroupAction(
         system,
+        plane_frame("1/y^5", plane_basis_monomials(6)),
         [
             formulas("(1+om)*x", "y"),
             formulas("x", "(1+om)*y"),
             formulas("y", "x"),
             formulas("y/x", "1/x"),
         ],
-        omega,
-        basis,
-        "x",
-        "y",
-        ("x", "y"),
+        1024,
     )
     assert action.order == 216
 
@@ -187,30 +183,59 @@ def _catalog_actions():
             yield entry, value
 
 
-@pytest.mark.parametrize(
+def _generator_formulas(entry, value):
+    return [
+        {v: entry.expression(text, value)
+         for v, text in zip(entry.geometric_vars(), row)}
+        for row in entry.action["generators"]
+    ]
+
+
+CATALOG_ACTIONS = pytest.mark.parametrize(
     "entry,value", list(_catalog_actions()),
     ids=lambda x: getattr(x, "id", str(x)),
 )
+
+
+@CATALOG_ACTIONS
 def test_matrix_closure_matches_formula_closure(entry, value):
     action = entry.group_action(value)
-    oracle = formula_closure(action)
+    oracle = formula_closure(entry.affine_system(value), entry.frame(value),
+                             _generator_formulas(entry, value))
     assert [word for _, _, word in oracle] == [w for _, w in action.elements]
     assert [mat for _, mat, _ in oracle] == [mat for mat, _ in action.elements]
     assert action.order == entry.action["order"]
 
 
+@CATALOG_ACTIONS
+def test_stability_from_generators_matches_every_element(entry, value):
+    action = entry.group_action(value)
+    blocks = [s["indices"] for s in entry.summands]
+    subsets = (blocks
+               + [[i] for i in range(len(entry.action["basis"]))]
+               + [a + b for k, a in enumerate(blocks) for b in blocks[k + 1:]])
+    verdicts = [action.is_block_stable(s) for s in subsets]
+    assert verdicts == [elementwise_stable(action, s) for s in subsets]
+    assert all(verdicts[:len(blocks)])
+
+
 def test_closure_bound_is_enforced():
-    with pytest.raises(ValueError):
-        GroupAction(
-            single_relation(poly("y^2-x^6-1"), "y"),
-            [formulas("(1+om)*x", "y")],
-            Differential(rf("1/y"), "x"),
-            GENUS2_BASIS,
-            "x",
-            "y",
-            ("x", "y"),
+    with pytest.raises(ValueError, match="exceeds order bound"):
+        hyperelliptic_action(
+            "y^2-x^6-1", [formulas("(1+om)*x", "y")], GENUS2_BASIS,
             order_bound=3,
         )
+
+
+def test_catalog_closure_stops_past_the_declared_order():
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    raw = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    raw["action"]["order"] = 24
+    (entry,) = [e for e in load_catalog(doc) if e.id == "genus2-quintic"]
+    with pytest.raises(ValueError, match="exceeds order bound"):
+        entry.group_action()
 
 
 def _quintic_action(generators, basis=GENUS2_BASIS):
@@ -243,6 +268,15 @@ def test_constant_generator_is_rejected():
 def test_generator_with_vanishing_denominator_is_rejected():
     with pytest.raises(ValueError, match="generator 0: denominator of x"):
         _quintic_action([("1/(y^2-x^5+x)", "y")])
+
+
+def test_generator_whose_image_is_undefined_is_named():
+    # on the reducible curve y^2 = x^2 each denominator is nonzero, but
+    # the image of the relation has denominator ((y+x)(y-x))^2 = 0
+    with pytest.raises(ValueError,
+                       match="generator 0: map undefined along the curve"):
+        hyperelliptic_action("y^2-x^2", [formulas("1/(y-x)", "1/(y+x)")],
+                             GENUS2_BASIS)
 
 
 def test_one_element_basis_is_refused():

@@ -284,6 +284,39 @@ def test_basis_entry_must_be_a_monic_monomial():
         loaded.basis_monomials()
 
 
+def test_projective_map_with_a_pullback_is_refused_at_load():
+    # fermat-sextic with a copy of the cone quotient's projective canonical
+    # map that declares a differential and its pullback
+    doc = _raw_document()
+    entries = {e["id"]: e for e in doc["entries"]}
+    canonical = dict(entries["fermat-sextic-cone-quotient"]["maps"][0])
+    assert canonical["kind"] == "projective"
+    sextic = entries["fermat-sextic"]
+    canonical["differential"] = sextic["maps"][0]["differential"]
+    canonical["pullback"] = sextic["maps"][0]["pullback"]
+    sextic["maps"].append(canonical)
+    with pytest.raises(CatalogError, match="projective map canonical of "
+                                           "fermat-sextic declares 'pullback'"):
+        load_catalog(doc)
+    del canonical["pullback"]
+    with pytest.raises(CatalogError, match="projective map canonical of "
+                                           "fermat-sextic declares "
+                                           "'differential'"):
+        load_catalog(doc)
+    del canonical["differential"]
+    load_catalog(doc)
+
+
+def test_pullback_without_an_action_basis_is_refused_at_load():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    del entry["action"]
+    del entry["summands"]
+    with pytest.raises(CatalogError, match="map g of genus3-septic declares "
+                                           "a pullback"):
+        load_catalog(doc)
+
+
 def test_dangling_map_reference_rejected():
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")

@@ -5,12 +5,12 @@ import pytest
 from picardlab.morphisms import (
     CurveMap,
     Differential,
+    Frame,
     ReductionSystem,
     _parameter_quotient,
     classify_in_basis,
     geometric_coefficients,
     implicit_derivative,
-    monomial,
     pullback,
     verify_image_relations,
 )
@@ -50,12 +50,16 @@ def sextic_omega():
 SEXTIC_BASIS = plane_basis_monomials(6)
 
 
+def frame(omega, basis):
+    return Frame(omega, "y", basis, ("x", "y"))
+
+
 def cubic_target():
     return poly("v^2-u^3+1")
 
 
 def test_plane_basis_order():
-    names = [monomial(T, m).render() for m in SEXTIC_BASIS]
+    names = [T.poly({m: 1}).render() for m in SEXTIC_BASIS]
     assert names == ["1", "x", "y", "x^2", "x*y", "y^2",
                      "x^3", "x^2*y", "x*y^2", "y^3"]
 
@@ -90,27 +94,40 @@ def test_sextic_pullbacks_classify_exactly():
     zero = T.zero()
 
     f = CurveMap(src, {"u": rf("-x^2"), "v": rf("y^3")}, cubic_target())
-    vec = classify_in_basis(src, omega, SEXTIC_BASIS,
-                            pullback(f, du_v, "x", "y"), ("x", "y"))
+    vec = classify_in_basis(src, frame(omega, SEXTIC_BASIS),
+                            pullback(f, du_v, "x", "y"))
     expected = [zero] * 10
     expected[8] = T.const(-2)                   # -2 x y^2: index of (1,2)
     assert vec == expected
 
     g = CurveMap(src, {"u": rf("e*y^4/x^2"), "v": rf("(x^3-1/x^3)/2")},
                  cubic_target())
-    vec = classify_in_basis(src, omega, SEXTIC_BASIS,
-                            pullback(g, du_v, "x", "y"), ("x", "y"))
+    vec = classify_in_basis(src, frame(omega, SEXTIC_BASIS),
+                            pullback(g, du_v, "x", "y"))
     expected = [zero] * 10
     expected[9] = -4 * T.var("e")               # -2^(4/3) y^3
     assert vec == expected
 
     h = CurveMap(src, {"u": rf("x^2"), "v": rf("y^2")}, poly("u^3+v^3+1"))
-    vec = classify_in_basis(src, omega, SEXTIC_BASIS,
+    vec = classify_in_basis(src, frame(omega, SEXTIC_BASIS),
                             pullback(h, Differential(rf("1/v^2"), "u"),
-                                     "x", "y"), ("x", "y"))
+                                     "x", "y"))
     expected = [zero] * 10
     expected[4] = T.const(2)                    # 2 x y
     assert vec == expected
+
+
+def test_frame_coordinates_pull_back_then_classify():
+    src = sextic_source()
+    sextic = frame(sextic_omega(), SEXTIC_BASIS)
+    assert sextic.form(()).coeff == rf("1/y^5")
+    assert sextic.form((("x", 1), ("y", 2))).coeff == rf("x*y^2/y^5")
+    f = CurveMap(src, {"u": rf("-x^2"), "v": rf("y^3")}, cubic_target())
+    du_v = Differential(rf("1/v"), "u")
+    vec = sextic.coordinates(f, du_v)
+    assert vec == classify_in_basis(src, sextic, pullback(f, du_v, "x", "y"))
+    assert vec[8] == T.const(-2)
+    assert sextic.coordinates(f, Differential(rf("x^4/v^3"), "u")) is None
 
 
 def test_genus3_printed_map_fails_with_residual():
@@ -132,8 +149,8 @@ def test_genus3_scaled_map_passes_with_scaled_pullback():
     # lam^(-1) (x^2 - 1) dx/y with lam^(-1) = -3 lam^3
     assert rf_equal(src, pb.coeff, rf("-3*lam^3*(x^2-1)/y"))
     basis = [(), (("x", 1),), (("x", 2),)]
-    vec = classify_in_basis(src, Differential(rf("1/y"), "x"), basis,
-                            pb, ("x", "y"))
+    vec = classify_in_basis(src, frame(Differential(rf("1/y"), "x"), basis),
+                            pb)
     assert vec == [poly("3*lam^3"), T.zero(), poly("-3*lam^3")]
 
 
@@ -155,8 +172,8 @@ def test_genus2_family_pullback():
     pb = pullback(plus, Differential(rf("1/v"), "u"), "x", "y")
     assert rf_equal(src, pb.coeff, rf("(x-1)/y"))
     basis = [(), (("x", 1),)]
-    vec = classify_in_basis(src, Differential(rf("1/y"), "x"), basis,
-                            pb, ("x", "y"))
+    vec = classify_in_basis(src, frame(Differential(rf("1/y"), "x"), basis),
+                            pb)
     assert vec == [T.const(-1), T.one()]
 
 
@@ -170,8 +187,8 @@ def test_octahedral_map_and_pullback_via_solver():
     pb = pullback(m, Differential(rf("1/v"), "u"), "x", "y")
     # forces the non-polynomial classification route
     basis = [(), (("x", 1),)]
-    vec = classify_in_basis(src, Differential(rf("1/y"), "x"), basis,
-                            pb, ("x", "y"))
+    vec = classify_in_basis(src, frame(Differential(rf("1/y"), "x"), basis),
+                            pb)
     assert vec == [poly("-1-s2"), T.one()]
 
 
@@ -184,7 +201,7 @@ def test_ciani_quotient_map_symbolic_t():
     pb = pullback(m, Differential(rf("1/v"), "u"), "x", "y")
     basis = [(), (("x", 1),), (("y", 1),)]
     omega = Differential(rf("1/(4*y^3+2*t*x^2*y+2*t*y)"), "x")
-    vec = classify_in_basis(src, omega, basis, pb, ("x", "y"))
+    vec = classify_in_basis(src, frame(omega, basis), pb)
     assert vec is not None
     assert any(not c.is_zero() for c in vec)
 
@@ -265,8 +282,7 @@ def test_classification_rejects_outside_span():
     src = sextic_source()
     omega = sextic_omega()
     quartic = Differential(rf("x^4/y^5"), "x")   # degree too high for the basis
-    assert classify_in_basis(src, omega, SEXTIC_BASIS, quartic,
-                             ("x", "y")) is None
+    assert classify_in_basis(src, frame(omega, SEXTIC_BASIS), quartic) is None
 
 
 def test_map_undefined_denominator_raises():
@@ -287,8 +303,8 @@ def test_reduction_system_and_classification_guards():
         ReductionSystem([rel, rel])
     src = ReductionSystem([rel])
     with pytest.raises(ValueError, match="differentials in dx and dy"):
-        classify_in_basis(src, Differential(rf("1/y"), "x"), [()],
-                          Differential(rf("1/x"), "y"), ("x", "y"))
+        classify_in_basis(src, frame(Differential(rf("1/y"), "x"), [()]),
+                          Differential(rf("1/x"), "y"))
 
 
 def test_parameter_quotient_is_exact_over_the_tower():
