@@ -18,8 +18,6 @@ first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
 the column convention f*(b_k) = sum_i M[i][k] b_i.
 """
 
-from fractions import Fraction
-
 from .linalg import identity_matrix, matrix_mul, matrix_rank
 from .morphisms import CurveMap
 
@@ -116,15 +114,24 @@ class GroupAction:
         return len(self.elements)
 
     def character_norm(self, indices):
-        """<chi, chi> of the subrepresentation on the given basis indices."""
-        tower = self.tower
-        total = tower.zero()
-        for mat, _ in self.elements:
-            tr = tower.zero()
-            for i in indices:
-                tr = tr + mat[i][i]
-            total = total + tr * tower.conjugate(tr)
-        return total * Fraction(1, len(self.elements))
+        """<chi, chi> of the span of the basis indices, when it is stable:
+        by Schur's lemma, the dimension of the matrices X that commute with
+        each generator's restriction R_g (Serre, Linear Representations of
+        Finite Groups, 2.3), b^2 less the rank of X R_g - R_g X = 0."""
+        b = len(indices)
+        zero = self.tower.zero()
+        rows = []
+        for mat in self.generator_matrices:
+            r = [[mat[i][j] for j in indices] for i in indices]
+            for i in range(b):
+                for j in range(b):
+                    # the coefficients of X in (X R - R X)_ij
+                    row = [zero] * (b * b)
+                    for k in range(b):
+                        row[i * b + k] += r[k][j]
+                        row[k * b + j] -= r[i][k]
+                    rows.append(row)
+        return self.tower.const(b * b - matrix_rank(rows))
 
     def is_block_stable(self, indices):
         """Whether the span of the given basis indices is preserved.
@@ -168,18 +175,6 @@ class GroupAction:
             )
         return ok, evidence
 
-    def apply_matrix(self, mat, vector):
-        n = len(vector)
-        out = []
-        for i in range(n):
-            acc = self.tower.zero()
-            row = mat[i]
-            for k in range(n):
-                if not vector[k].is_zero():
-                    acc = acc + row[k] * vector[k]
-            out.append(acc)
-        return out
-
     def span_certificate(self, indices, vector):
         """Greedy translates of one differential that span a stable block.
 
@@ -195,9 +190,12 @@ class GroupAction:
         positions = sorted(inside)
         rows = []
         words = []
+        support = [k for k, c in enumerate(vector) if not c.is_zero()]
+        zero = self.tower.zero()
         for mat, word in self.elements:
-            image = self.apply_matrix(mat, vector)
-            row = [image[i] for i in positions]
+            # the block's coordinates of mat * vector
+            row = [sum((mat[i][k] * vector[k] for k in support), zero)
+                   for i in positions]
             if matrix_rank(rows + [row]) > len(rows):
                 rows.append(row)
                 words.append(word)

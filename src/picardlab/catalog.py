@@ -31,6 +31,11 @@ from .symbolic import (
 )
 
 
+# the auxiliary exact checks the runner performs
+AUX_CHECKS = ("quadric_rank", "j_target", "j_quartic", "j_legendre_identity",
+              "cm_consistency", "product_invariants", "quotient_surface")
+
+
 class CatalogError(ValueError):
     """A catalog document that is malformed or inconsistent."""
 
@@ -42,7 +47,7 @@ def _require(condition, message):
 
 
 def load_tower(declarations):
-    """Build the constant tower from symbol/relation/conjugate strings."""
+    """Build the constant tower from symbol/relation strings."""
     rows = []
     for decl in declarations:
         name = decl["symbol"]
@@ -58,15 +63,7 @@ def load_tower(declarations):
             (c * scratch.var(name, k) for k, c in enumerate(coeffs[:degree])),
             scratch.zero(),
         )
-        conjugate = parse_polynomial(scratch, decl["conjugate"])
-        rows.append(
-            (
-                name,
-                degree,
-                list(power.terms.items()),
-                list(conjugate.terms.items()),
-            )
-        )
+        rows.append((name, degree, list(power.terms.items())))
     return ConstantTower(rows)
 
 
@@ -258,9 +255,6 @@ class CatalogEntry:
             )
         if kind == "space":
             fib = dict(self.model["fibration"])
-            for key in ("base_vars", "fiber_vars", "root_vars"):
-                if key in fib:
-                    fib[key] = tuple(fib[key])
             if "factors" in fib:
                 fib["factors"] = [self.poly(f, value)
                                   for f in fib["factors"]]
@@ -330,6 +324,11 @@ def _validate(entries):
             )
         for name in entry.trace_map_names():
             entry.map_spec(name)
+        for item in entry.aux:
+            _require(
+                item.get("check") in AUX_CHECKS,
+                "unknown aux check %r in %s" % (item.get("check"), entry.id),
+            )
         if entry.action is not None:
             size = len(entry.action["basis"])
             indices = sorted(i for s in entry.summands for i in s["indices"])

@@ -423,15 +423,28 @@ class SpaceModel:
     relations cut the curve; otherwise it must be supplied explicitly.
     """
 
+    # the fibration keys that each counting route reads
+    ROUTES = {
+        "sqrt_product": ("base_vars", "factors"),
+        "pencil_form": ("fiber_vars", "root_vars", "form"),
+        "cyclic_shift_orbit_sextic": (),
+    }
+
     def __init__(self, relations, variables, fibration, genus=None):
         self.relations = list(relations)
         self.variables = tuple(variables)
         self.fibration = fibration
+        kind = fibration.get("type")
+        if kind not in self.ROUTES:
+            raise ValueError("unknown fibration %r" % kind)
+        missing = [key for key in self.ROUTES[kind] if key not in fibration]
+        if missing:
+            raise ValueError("fibration %s lacks %s" % (kind, ", ".join(missing)))
         # the fibration's forms as rows [(exponents, Fraction)], once
-        if "factors" in fibration:
+        if kind == "sqrt_product":
             self.factor_rows = [poly_table(f, fibration["base_vars"])
                                 for f in fibration["factors"]]
-        if "form" in fibration:
+        elif kind == "pencil_form":
             self.form_rows = poly_table(
                 fibration["form"],
                 tuple(fibration["fiber_vars"]) + tuple(fibration["root_vars"]))
@@ -463,17 +476,18 @@ class SpaceModel:
             n = self._count_sqrt_product(p)
         elif kind == "pencil_form":
             n = self._count_pencil_form(p)
-        elif kind == "cyclic_shift_orbit_sextic":
-            n = self._count_shift_orbit(p)
         else:
-            raise ValueError("unknown fibration %r" % kind)
+            n = self._count_shift_orbit(p)
         return CountRecord(p, 1, n, self._genus)
 
     def count_points_ext(self, p, k):
-        """Count over F_{p^k} by enumerating P^n(F_{p^k}): q^n points."""
+        """Count a complete intersection over F_{p^k} by enumerating P^n."""
         _check_field(p, k)
         if k == 1:
             return self.count_points(p)
+        if len(self.relations) != len(self.variables) - 2:
+            raise ValueError("relations are not a complete intersection: "
+                             "their zeros are not the curve")
         rows = [table_mod(poly_table(r, self.variables), p)
                 for r in self.relations]
         n = _projective_zero_count(rows, len(self.variables),

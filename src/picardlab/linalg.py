@@ -39,7 +39,8 @@ def _echelon(rows):
         for k in range(len(rows)):
             if k != r and not rows[k][c].is_zero():
                 f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k] = [a if b.is_zero() else a - f * b
+                           for a, b in zip(rows[k], rows[r])]
         pivots.append((r, c))
         r += 1
         if r == len(rows):

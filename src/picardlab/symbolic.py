@@ -1,8 +1,7 @@
 """Exact symbolic arithmetic over a tower of algebraic constants.
 
 A ConstantTower fixes an ordered list of constant symbols, each with a monic
-power relation over the symbols before it (e.g. om^2 = -1 - om) and a
-conjugation image (the restriction of complex conjugation).  MPoly is a
+power relation over the symbols before it (e.g. om^2 = -1 - om).  MPoly is a
 multivariate polynomial whose monomials may mix tower constants with free
 geometric variables; powers of a constant at or above its relation degree are
 rewritten automatically, so equal ring elements have equal term dicts.
@@ -104,12 +103,11 @@ def _rewrite(raw: dict, rules: dict) -> dict:
 
 
 class ConstantTower:
-    """Ordered algebraic constants with power relations and conjugation."""
+    """Ordered algebraic constants with power relations."""
 
     def __init__(self, symbols: Iterable[tuple]):
         relations: dict = {}
-        conjugates = {}
-        for name, degree, relation, conjugate in symbols:
+        for name, degree, relation in symbols:
             if name in relations:
                 raise ValueError(f"duplicate constant {name}")
             if degree < 2:
@@ -117,15 +115,9 @@ class ConstantTower:
             relations[name] = (degree, {
                 _mono(dict(m)): Fraction(c) for m, c in relation
             })
-            conjugates[name] = {
-                _mono(dict(m)): Fraction(c) for m, c in conjugate
-            }
         # rewrite rules from the last constant to the first: a relation
         # involves only the constants declared before its own
         self.rules: dict = dict(reversed(relations.items()))
-        self.conjugates: dict[str, "MPoly"] = {
-            name: MPoly._make(self, terms) for name, terms in conjugates.items()
-        }
 
     def is_constant(self, var: str) -> bool:
         return var in self.rules
@@ -144,11 +136,6 @@ class ConstantTower:
 
     def one(self) -> "MPoly":
         return self.const(1)
-
-    def conjugate(self, p: "MPoly") -> "MPoly":
-        """Apply the conjugation to every constant symbol; free variables
-        and rational coefficients are fixed."""
-        return p.substitute(self.conjugates)
 
 
 class MPoly:

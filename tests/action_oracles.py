@@ -9,12 +9,17 @@ matrix closure element by element and word by word checks that the matrices
 identify the group elements.  The univariate division and gcd over the
 tower that the cancellation needs live here, since `src/` divides only
 through `linalg`'s elimination.  `elementwise_stable` is the oracle of
-block stability over every element of a closure.
+block stability over every element of a closure, and `character_sum` the
+oracle of `GroupAction.character_norm`.
 """
+
+from fractions import Fraction
 
 from picardlab.linalg import identity_matrix, matrix_mul
 from picardlab.morphisms import CurveMap
 from picardlab.symbolic import RationalFunction, tower_invert
+
+from symbolic_helpers import conjugate
 
 
 def _list_degree(poly):
@@ -154,3 +159,16 @@ def elementwise_stable(action, indices):
     return all(mat[i][k].is_zero()
                for mat, _ in action.elements
                for k in inside for i in range(n) if i not in inside)
+
+
+def character_sum(action, indices):
+    """<chi, chi> of the span of the basis indices: tr * conj(tr) summed
+    over every element of the closure, divided by the order.  On a stable
+    block it is the commutant dimension `GroupAction.character_norm`
+    reads off the generators."""
+    tower = action.tower
+    total = tower.zero()
+    for mat, _ in action.elements:
+        tr = sum((mat[i][i] for i in indices), tower.zero())
+        total = total + tr * conjugate(tr)
+    return total * Fraction(1, action.order)

@@ -1,9 +1,10 @@
-"""Test scaffolding for the symbolic layer: the catalog's constant tower,
-one-relation reduction systems, every reduction system the catalog builds,
-the plane canonical basis, equality of rational functions on a curve, the
-reduction by one relation at a time repeated to a fixed point (the oracle of
-``ReductionSystem.reduce``), and the parser that builds every node as a
-rational function (the oracle of the MPoly-first grammar)."""
+"""Test scaffolding for the symbolic layer: the catalog's constant tower and
+its complex conjugation, one-relation reduction systems, every reduction
+system the catalog builds, the plane canonical basis, equality of rational
+functions on a curve, the reduction by one relation at a time repeated to a
+fixed point (the oracle of ``ReductionSystem.reduce``), and the parser that
+builds every node as a rational function (the oracle of the MPoly-first
+grammar)."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from picardlab.symbolic import (
     _mono_exp,
     _mono_without,
     _Tokens,
+    parse_polynomial,
     tower_invert,
 )
 
@@ -23,6 +25,24 @@ from picardlab.symbolic import (
 def builtin_tower():
     """The constant tower declared by the built-in catalog."""
     return builtin_catalog()[0].tower
+
+
+# complex conjugation on the built-in tower: the image of each constant
+CATALOG_CONJUGATES = {
+    "om": "-1-om",
+    "i": "-i",
+    "s2": "s2",
+    "lam": "i*lam",
+    "e": "e",
+}
+
+
+def conjugate(p):
+    """Complex conjugation of a polynomial over the built-in tower: every
+    constant goes to its image, free variables and rational coefficients
+    are fixed."""
+    return p.substitute({name: parse_polynomial(p.tower, text)
+                         for name, text in CATALOG_CONJUGATES.items()})
 
 
 def single_relation(poly, main_var):

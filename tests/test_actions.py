@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from action_oracles import elementwise_stable, formula_closure
+from action_oracles import character_sum, elementwise_stable, formula_closure
 from picardlab.actions import GroupAction
 from picardlab.catalog import builtin_catalog, load_catalog
 from picardlab.morphisms import Differential, Frame
@@ -217,6 +217,25 @@ def test_stability_from_generators_matches_every_element(entry, value):
     verdicts = [action.is_block_stable(s) for s in subsets]
     assert verdicts == [elementwise_stable(action, s) for s in subsets]
     assert all(verdicts[:len(blocks)])
+
+
+@CATALOG_ACTIONS
+def test_commutant_dimension_matches_character_sum(entry, value):
+    action = entry.group_action(value)
+    blocks = [s["indices"] for s in entry.summands]
+    whole = list(range(len(entry.action["basis"])))
+    for indices in blocks + [whole]:
+        assert action.character_norm(indices) == character_sum(action, indices)
+
+
+def test_stable_reducible_block_is_not_irreducible():
+    (entry,) = [e for e in builtin_catalog() if e.id == "genus3-septic"]
+    action = entry.group_action()
+    ok, evidence = action.verify_decomposition([[0, 1, 2]])
+    assert not ok
+    assert evidence == [{"indices": [0, 1, 2], "stable": True,
+                         "character_norm": repr(T.const(2)),
+                         "irreducible": False}]
 
 
 def test_closure_bound_is_enforced():

@@ -15,7 +15,10 @@ from picardlab.curves import (
     SuperellipticModel,
 )
 from picardlab.morphisms import verify_image_relations
+from picardlab.runner import run_entry
 from picardlab.symbolic import parse_expression, parse_polynomial
+
+from symbolic_helpers import conjugate
 
 EXPECTED_IDS = [
     "bielliptic-sextic-pencil",
@@ -62,7 +65,7 @@ def test_tower_relations():
     assert (s2 * s2 - 2 * one).is_zero()
     assert (lam * lam * 3 - (2 * om + one)).is_zero()
     assert (e * e * e * 4 - one).is_zero()
-    assert tower.conjugate(lam) == i * lam
+    assert conjugate(lam) == i * lam
 
 
 def test_genera():
@@ -315,6 +318,49 @@ def test_pullback_without_an_action_basis_is_refused_at_load():
     with pytest.raises(CatalogError, match="map g of genus3-septic declares "
                                            "a pullback"):
         load_catalog(doc)
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    ("fermat-sextic-symmetric-quotient",
+     lambda fib: fib.update(type="cyclic_shift_orbit_sextc"),
+     "unknown fibration 'cyclic_shift_orbit_sextc'"),
+    ("triple-quadric-intersection", lambda fib: fib.pop("factors"),
+     "fibration sqrt_product lacks factors"),
+    ("fermat-sextic-pencil-quotient", lambda fib: fib.pop("form"),
+     "fibration pencil_form lacks form"),
+    ("fermat-sextic-pencil-quotient", lambda fib: fib.pop("fiber_vars"),
+     "fibration pencil_form lacks fiber_vars"),
+])
+def test_bad_space_fibration_is_refused_at_load(eid, edit, message):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == eid)
+    edit(entry["model"]["fibration"])
+    with pytest.raises(CatalogError, match="model of %s: %s" % (eid, message)):
+        load_catalog(doc)
+
+
+def test_unknown_aux_check_is_refused_at_load():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    entry["aux"][0]["check"] = "cm_consistancy"
+    with pytest.raises(CatalogError, match="unknown aux check "
+                                           "'cm_consistancy' in genus3-septic"):
+        load_catalog(doc)
+
+
+def test_tower_conjugate_key_is_not_read():
+    # a declared conjugation, even one that is not complex conjugation or
+    # does not parse, leaves the load and the decomposition rows unchanged
+    doc = _raw_document()
+    for decl in doc["tower"]:
+        decl["conjugate"] = decl["symbol"]
+    doc["tower"][-1]["conjugate"] = "(("
+    entries = {e.id: e for e in load_catalog(doc)}
+    rows = [c for c in run_entry(entries["fermat-sextic"], 5, 1).checks
+            if c.check_id == "action:decomposition"]
+    assert [c.status for c in rows] == ["PASS"]
+    assert [b["character_norm"] for b in rows[0].evidence["blocks"]] == [
+        repr(entries["fermat-sextic"].tower.one())] * 3
 
 
 def test_dangling_map_reference_rejected():

@@ -463,6 +463,15 @@ def _stable_shift_orbit_count(p):
     return orbits
 
 
+def test_extension_count_refuses_a_model_that_is_not_a_complete_intersection():
+    # one quadric in P^3: enumeration would count the surface (651 points
+    # over F_25), not the genus-4 quotient curve
+    m = _delta_model()
+    with pytest.raises(ValueError, match="not a complete intersection"):
+        m.count_points_ext(5, 2)
+    assert m.count_points_ext(5, 1).npoints == 6
+
+
 def test_shift_orbit_route_matches_orbit_brute():
     m = _delta_model()
     for p in (5, 7):

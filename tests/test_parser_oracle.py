@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from picardlab.symbolic import parse_expression, parse_polynomial
 
 from symbolic_helpers import (
+    CATALOG_CONJUGATES,
     builtin_tower,
     rf_parse_expression,
     rf_parse_polynomial,
@@ -23,7 +24,7 @@ T = builtin_tower()
 # keys of the catalog document whose strings (at any depth) are expressions
 EXPRESSION_KEYS = {
     "relation", "relations", "rhs", "projective", "factors", "form",
-    "conjugate", "components", "generators", "basis", "omega",
+    "components", "generators", "basis", "omega",
     "differential", "pullback", "quartic", "lambda",
 }
 
@@ -40,8 +41,11 @@ def _texts(node, key=None):
             yield from _texts(v, k)
 
 
+# every expression of the catalog, and the tower's conjugation images that
+# the tests keep
 CATALOG_TEXTS = sorted(set(_texts(json.loads(
-    resources.files("picardlab").joinpath("data/builtin.json").read_text()))))
+    resources.files("picardlab").joinpath("data/builtin.json").read_text())))
+    | set(CATALOG_CONJUGATES.values()))
 
 
 def _same_parse(text):
