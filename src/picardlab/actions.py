@@ -1,9 +1,12 @@
 """Finite symmetry groups of a curve and their action on differentials.
 
-A group element is stored as the matrix of its pullback on the chosen basis
-of holomorphic differentials, together with the word in the generators that
-produced it.  The closure is a breadth-first search over products of the
-generator matrices; no coordinate formula is ever composed.
+A group element is the matrix of its pullback on the chosen basis of
+holomorphic differentials.  Each generator's matrix is computed and checked
+in exact arithmetic; the closure then runs on the matrices reduced mod a
+prime ell, as a breadth-first search over products of the generators, and
+each element keeps its word and the (parent, generator) pair it was reached
+from.  No coordinate formula is ever composed, and no exact product of
+element matrices is formed.
 
 Matrices identify elements because Aut(C) acts faithfully on H^0(C, K) when
 the genus is at least 2 (Farkas-Kra, Riemann Surfaces, V.2).  That argument
@@ -13,27 +16,72 @@ zero under substitution), no coordinate denominator may vanish on the curve,
 and its pullback matrix must have full rank, which rules out constant maps.
 A basis of fewer than two differentials (genus below 2) is refused.
 
+Reduction mod ell keeps elements apart (Minkowski's lemma; Serre, "Bounds
+for the orders of the finite subgroups of G(k)", 2007).  ell is the least
+prime >= 5 at which each tower relation, in declaration order, has a simple
+root mod ell over the roots chosen before it, and which divides no
+denominator of a relation or generator-matrix coefficient.
+- The generators are verified automorphisms of a curve of genus >= 2, so
+  the group G they generate is finite (Hurwitz).
+- The tower is a number field.  The simple roots lift by Hensel's lemma
+  to an embedding of it into Q_ell, so the prime p over ell that the roots
+  pick out has degree 1 and is unramified.  Every generator entry is
+  p-integral, hence so is every element of G, a word in the generators.
+- ell > 2, so the kernel of GL_n(Z_ell) -> GL_n(F_ell) is torsion-free and
+  reduction is injective on the finite group G.
+Distinct elements therefore keep distinct keys mod ell, and the order, the
+breadth-first order and the words are those of the exact closure.
+
 Conventions: elements act on points, so ``new = cur o gen`` applies ``gen``
 first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
 the column convention f*(b_k) = sum_i M[i][k] b_i.
 """
 
-from .linalg import identity_matrix, matrix_mul, matrix_rank
+from .exact import primes_up_to
+from .linalg import matrix_rank
 from .morphisms import CurveMap
 
+# The split-prime search stops here; a tower that needs a larger prime gets
+# an action:closure FAIL row.  Each prime costs an O(ell) root scan per
+# relation, memoized on the tower.
+SPLIT_PRIME_BOUND = 4096
 
-def _matrix_key(mat):
-    """Hashable key of a matrix: its nonzero entries with their positions.
 
-    Entries are canonical term dicts, so equal matrices get equal keys; the
-    sparse form keeps the seen-set of a large group small.
-    """
-    return tuple(
-        (i, j, tuple(sorted(entry.terms.items())))
-        for i, row in enumerate(mat)
-        for j, entry in enumerate(row)
-        if entry.terms
-    )
+def _split_prime(tower, matrices):
+    """(ell, images of the constants): the least prime ell >= 5 at which
+    the tower splits (ConstantTower.residues) and which divides no
+    coefficient denominator of the matrices' entries."""
+    denominators = {c.denominator for mat in matrices for row in mat
+                    for entry in row for c in entry.terms.values()}
+    for ell in primes_up_to(SPLIT_PRIME_BOUND):
+        if ell < 5 or any(d % ell == 0 for d in denominators):
+            continue
+        images = tower.residues(ell)
+        if images is not None:
+            return ell, images
+    raise ValueError("no prime below %d splits the constant tower"
+                     % SPLIT_PRIME_BOUND)
+
+
+def _reduced_rows(k, mat, ell, images):
+    """Generator k's matrix mod ell as sparse rows [(column, value)]."""
+    rows = []
+    for row in mat:
+        sparse = []
+        for j, entry in enumerate(row):
+            if not entry.constants_only():
+                raise ValueError(
+                    "generator %d: matrix entry %s involves a free parameter"
+                    % (k, entry.render()))
+            value = entry.residue(ell, images)
+            if value:
+                sparse.append((j, value))
+        if not sparse:
+            # impossible for an automorphism: its determinant is a unit
+            raise ValueError("generator %d: a row of its matrix vanishes "
+                             "mod %d" % (k, ell))
+        rows.append(sparse)
+    return rows
 
 
 def _checked_matrix(system, frame, k, formulas):
@@ -75,6 +123,23 @@ def _checked_matrix(system, frame, k, formulas):
     return mat
 
 
+def _times(rows, mat, ell):
+    """M(gen) * M(cur) mod ell, from the sparse rows of M(gen): row i of
+    the product combines the rows of M(cur) that row i of M(gen) names."""
+    out = []
+    for row in rows:
+        (j, g), *rest = row
+        if rest:
+            acc = [g * x for x in mat[j]]
+            for j, g in rest:
+                acc = [a + g * x for a, x in zip(acc, mat[j])]
+            out.append(tuple([a % ell for a in acc]))
+        else:
+            out.append(mat[j] if g == 1 else tuple([g * x % ell
+                                                    for x in mat[j]]))
+    return tuple(out)
+
+
 class GroupAction:
     """The matrix group generated by the pullbacks of verified generators
     on a frame's basis, with each element's word in the generators."""
@@ -92,22 +157,28 @@ class GroupAction:
             _checked_matrix(system, frame, k, g)
             for k, g in enumerate(generators)
         ]
-        identity = identity_matrix(self.tower, n)
-        self.elements = [(identity, ())]
-        seen = {_matrix_key(identity)}
-        idx = 0
-        while idx < len(self.elements):
-            mat, word = self.elements[idx]
-            idx += 1
-            for gi, gm in enumerate(self.generator_matrices):
-                new = matrix_mul(gm, mat)
-                key = _matrix_key(new)
-                if key in seen:
+        ell, images = _split_prime(self.tower, self.generator_matrices)
+        generators = [_reduced_rows(k, mat, ell, images)
+                      for k, mat in enumerate(self.generator_matrices)]
+        identity = tuple(tuple(int(i == j) for j in range(n))
+                         for i in range(n))
+        # elements[k] = (word, parent index, generator index); the matrix
+        # of element k mod ell is mats[k]
+        self.elements = [((), None, None)]
+        mats = [identity]
+        seen = {identity}
+        # mats grows while it is walked: breadth-first order
+        for idx, mat in enumerate(mats):
+            word = self.elements[idx][0]
+            for gi, rows in enumerate(generators):
+                new = _times(rows, mat, ell)
+                if new in seen:
                     continue
-                seen.add(key)
-                if len(self.elements) >= order_bound:
+                seen.add(new)
+                if len(mats) >= order_bound:
                     raise ValueError("group closure exceeds order bound")
-                self.elements.append((new, word + (gi,)))
+                mats.append(new)
+                self.elements.append((word + (gi,), idx, gi))
 
     @property
     def order(self):
@@ -188,14 +259,24 @@ class GroupAction:
             if i not in inside and not c.is_zero():
                 raise ValueError("differential is not supported in the block")
         positions = sorted(inside)
+        zero = self.tower.zero()
+        generators = [[[(k, e) for k, e in enumerate(row) if not e.is_zero()]
+                       for row in mat] for mat in self.generator_matrices]
         rows = []
         words = []
-        support = [k for k, c in enumerate(vector) if not c.is_zero()]
-        zero = self.tower.zero()
-        for mat, word in self.elements:
-            # the block's coordinates of mat * vector
-            row = [sum((mat[i][k] * vector[k] for k in support), zero)
-                   for i in positions]
+        images = []
+        for word, parent, gi in self.elements:
+            # M(cur o gen) v = M(gen) (M(cur) v): one generator applied to
+            # the parent's image
+            if parent is None:
+                image = list(vector)
+            else:
+                prev = images[parent]
+                image = [sum((e * prev[k] for k, e in row
+                              if not prev[k].is_zero()), zero)
+                         for row in generators[gi]]
+            images.append(image)
+            row = [image[i] for i in positions]
             if matrix_rank(rows + [row]) > len(rows):
                 rows.append(row)
                 words.append(word)

@@ -31,9 +31,16 @@ from .symbolic import (
 )
 
 
-# the auxiliary exact checks the runner performs
-AUX_CHECKS = ("quadric_rank", "j_target", "j_quartic", "j_legendre_identity",
-              "cm_consistency", "product_invariants", "quotient_surface")
+# the auxiliary exact checks the runner performs, with the keys each reads
+AUX_CHECKS = {
+    "quadric_rank": ("relation", "variables", "expected"),
+    "j_target": ("map", "expected"),
+    "j_quartic": ("quartic", "variable", "expected"),
+    "j_legendre_identity": ("quartic", "variable", "lambda"),
+    "cm_consistency": ("rhs", "variable", "disc", "pmax"),
+    "product_invariants": ("g1", "g2", "expected"),
+    "quotient_surface": ("multiplicities", "cm", "expected"),
+}
 
 
 class CatalogError(ValueError):
@@ -51,6 +58,8 @@ def load_tower(declarations):
     rows = []
     for decl in declarations:
         name = decl["symbol"]
+        _require("relation" in decl,
+                 "tower symbol %s lacks a relation" % name)
         scratch = ConstantTower(rows)
         relation = parse_polynomial(scratch, decl["relation"])
         degree = relation.degree_in(name)
@@ -254,6 +263,8 @@ class CatalogEntry:
                 self.model.get("variable", "u"),
             )
         if kind == "space":
+            _require("fibration" in self.model,
+                     "space model of %s lacks a fibration" % self.id)
             fib = dict(self.model["fibration"])
             if "factors" in fib:
                 fib["factors"] = [self.poly(f, value)
@@ -325,12 +336,24 @@ def _validate(entries):
         for name in entry.trace_map_names():
             entry.map_spec(name)
         for item in entry.aux:
-            _require(
-                item.get("check") in AUX_CHECKS,
-                "unknown aux check %r in %s" % (item.get("check"), entry.id),
-            )
+            kind = item.get("check")
+            _require(kind in AUX_CHECKS,
+                     "unknown aux check %r in %s" % (kind, entry.id))
+            missing = [key for key in AUX_CHECKS[kind] if key not in item]
+            _require(not missing, "aux check %s of %s lacks %s"
+                     % (kind, entry.id, ", ".join(missing)))
         if entry.action is not None:
             size = len(entry.action["basis"])
+            nvars = len(entry.geometric_vars())
+            for k, row in enumerate(entry.action["generators"]):
+                _require(len(row) == nvars,
+                         "generator %d of %s has %d formulas for %d "
+                         "variables" % (k, entry.id, len(row), nvars))
+            for k, summand in enumerate(entry.summands):
+                missing = [key for key in ("name", "indices")
+                           if key not in summand]
+                _require(not missing, "summand %d of %s lacks %s"
+                         % (k, entry.id, ", ".join(missing)))
             indices = sorted(i for s in entry.summands for i in s["indices"])
             _require(
                 indices == list(range(size)),

@@ -97,28 +97,3 @@ def quadratic_form_rank(poly: MPoly, variables) -> int:
             gram[j][i] = gram[j][i] + half
     return matrix_rank(gram)
 
-
-def matrix_mul(A: list[list[MPoly]], B: list[list[MPoly]]):
-    n, k, m = len(A), len(B), len(B[0])
-    tower = A[0][0].tower
-    out = [[tower.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a.is_zero():
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if not b.is_zero():
-                    row[j] = row[j] + a * b
-    return out
-
-
-def identity_matrix(tower, n: int):
-    return [
-        [tower.one() if i == j else tower.zero() for j in range(n)]
-        for i in range(n)
-    ]

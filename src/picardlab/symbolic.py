@@ -6,6 +6,10 @@ multivariate polynomial whose monomials may mix tower constants with free
 geometric variables; powers of a constant at or above its relation degree are
 rewritten automatically, so equal ring elements have equal term dicts.
 
+A tower also maps its constants to F_ell at a prime where each relation
+has a simple root (ConstantTower.residues), and MPoly.residue reduces a
+constant through that map; group closures run on such reductions.
+
 RationalFunction pairs two MPolys; equality is by cross-multiplication, which
 avoids multivariate gcds, so equal values need not have equal parts and a
 RationalFunction is not hashable.  CurveRelation turns a defining equation
@@ -21,6 +25,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .gf import poly_roots_mod_p
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 
@@ -118,6 +124,37 @@ class ConstantTower:
         # rewrite rules from the last constant to the first: a relation
         # involves only the constants declared before its own
         self.rules: dict = dict(reversed(relations.items()))
+        self._residues: dict = {}
+
+    def residues(self, ell: int):
+        """Images in F_ell of the constants, or None.
+
+        Taken in declaration order, each constant goes to the least simple
+        root mod ell of its relation over the images before it.  None when
+        some relation has no simple root, or when ell divides the
+        denominator of a relation coefficient.  Memoized per prime.
+        """
+        if ell not in self._residues:
+            self._residues[ell] = self._find_residues(ell)
+        return self._residues[ell]
+
+    def _find_residues(self, ell: int):
+        images: dict = {}
+        for name, (degree, terms) in reversed(self.rules.items()):
+            if any(c.denominator % ell == 0 for c in terms.values()):
+                return None
+            # name^degree - terms, as ints low to high in name
+            coeffs = [0] * degree + [1]
+            for m, c in terms.items():
+                rest = MPoly(self, {_mono_without(m, name, 0): c})
+                coeffs[_mono_exp(m, name)] -= rest.residue(ell, images)
+            simple = [r for r in poly_roots_mod_p(coeffs, ell)
+                      if sum(k * c * pow(r, k - 1, ell)
+                             for k, c in enumerate(coeffs) if k) % ell]
+            if not simple:
+                return None
+            images[name] = simple[0]
+        return images
 
     def is_constant(self, var: str) -> bool:
         return var in self.rules
@@ -237,6 +274,18 @@ class MPoly:
         if set(self.terms) != {()}:
             raise ValueError(f"not a rational constant: {self}")
         return self.terms[()]
+
+    def residue(self, ell: int, images: dict) -> int:
+        """The image in F_ell of a constants-only element whose coefficient
+        denominators ell does not divide, under the constants' images (see
+        ConstantTower.residues)."""
+        total = 0
+        for m, c in self.terms.items():
+            v = c.numerator * pow(c.denominator, -1, ell)
+            for s, e in m:
+                v = v * pow(images[s], e, ell)
+            total += v
+        return total % ell
 
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}

@@ -1,25 +1,61 @@
-"""The group closure that `picardlab.actions` replaced, kept as an oracle.
+"""Exact group closures that `picardlab.actions` replaced, kept as oracles.
 
-`formula_closure` composes the generators' coordinate formulas, brings each
-composite to a canonical form by exact univariate cancellation over the
-constant tower, and identifies elements by those formulas; the pullback
-matrices ride along, propagated from the generator matrices.  It does not
-rely on the action on differentials being faithful, so agreeing with the
-matrix closure element by element and word by word checks that the matrices
-identify the group elements.  The univariate division and gcd over the
+`exact_matrices` rebuilds the exact matrix of every element of a
+`GroupAction` from its (parent, generator) pair, M(cur o gen) =
+M(gen) * M(cur), in the tower; `GroupAction` itself closes the group mod a
+split prime.  `formula_closure` composes the generators' coordinate
+formulas, brings each composite to a canonical form by exact univariate
+cancellation over the constant tower, and identifies elements by those
+formulas; the pullback matrices ride along, propagated from the generator
+matrices.  It relies neither on the action on differentials being faithful
+nor on reduction mod a prime, so agreeing with the closure element by
+element and word by word checks that the reduced matrices identify the
+group elements.  The univariate division and gcd over the
 tower that the cancellation needs live here, since `src/` divides only
 through `linalg`'s elimination.  `elementwise_stable` is the oracle of
 block stability over every element of a closure, and `character_sum` the
-oracle of `GroupAction.character_norm`.
+oracle of `GroupAction.character_norm`; both read the exact matrices.
 """
 
 from fractions import Fraction
 
-from picardlab.linalg import identity_matrix, matrix_mul
 from picardlab.morphisms import CurveMap
 from picardlab.symbolic import RationalFunction, tower_invert
 
 from symbolic_helpers import conjugate
+
+
+def matrix_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    tower = A[0][0].tower
+    out = [[tower.zero()] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            a = A[i][t]
+            if a.is_zero():
+                continue
+            for j in range(m):
+                b = B[t][j]
+                if not b.is_zero():
+                    out[i][j] = out[i][j] + a * b
+    return out
+
+
+def identity_matrix(tower, n):
+    return [[tower.one() if i == j else tower.zero() for j in range(n)]
+            for i in range(n)]
+
+
+def exact_matrices(action):
+    """The exact matrix of each element of the action, in its order."""
+    mats = []
+    for _, parent, gen in action.elements:
+        if parent is None:
+            mats.append(identity_matrix(action.tower, len(action.frame.basis)))
+        else:
+            mats.append(matrix_mul(action.generator_matrices[gen],
+                                   mats[parent]))
+    return mats
 
 
 def _list_degree(poly):
@@ -157,7 +193,7 @@ def elementwise_stable(action, indices):
     inside = set(indices)
     n = len(action.frame.basis)
     return all(mat[i][k].is_zero()
-               for mat, _ in action.elements
+               for mat in exact_matrices(action)
                for k in inside for i in range(n) if i not in inside)
 
 
@@ -168,7 +204,7 @@ def character_sum(action, indices):
     reads off the generators."""
     tower = action.tower
     total = tower.zero()
-    for mat, _ in action.elements:
+    for mat in exact_matrices(action):
         tr = sum((mat[i][i] for i in indices), tower.zero())
         total = total + tr * conjugate(tr)
     return total * Fraction(1, action.order)

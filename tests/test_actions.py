@@ -1,13 +1,21 @@
 """Group closures, differential representations, and span certificates."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from action_oracles import character_sum, elementwise_stable, formula_closure
-from picardlab.actions import GroupAction
+from action_oracles import (
+    character_sum,
+    elementwise_stable,
+    exact_matrices,
+    formula_closure,
+)
+from picardlab import actions
+from picardlab.actions import GroupAction, _split_prime
 from picardlab.catalog import builtin_catalog, load_catalog
+from picardlab.exact import primes_up_to
 from picardlab.morphisms import Differential, Frame
 from picardlab.runner import run_entry
 from picardlab.symbolic import parse_expression, parse_polynomial
@@ -54,7 +62,8 @@ def test_bielliptic_sextic_group_order_and_involution_matrix():
         GENUS2_BASIS,
     )
     assert action.order == 6
-    by_word = {word: mat for mat, word in action.elements}
+    by_word = {word: mat for (word, _, _), mat
+                in zip(action.elements, exact_matrices(action))}
     zero, mone = T.zero(), T.const(-1)
     assert by_word[(1,)] == [[zero, mone], [mone, zero]]
 
@@ -202,8 +211,8 @@ def test_matrix_closure_matches_formula_closure(entry, value):
     action = entry.group_action(value)
     oracle = formula_closure(entry.affine_system(value), entry.frame(value),
                              _generator_formulas(entry, value))
-    assert [word for _, _, word in oracle] == [w for _, w in action.elements]
-    assert [mat for _, mat, _ in oracle] == [mat for mat, _ in action.elements]
+    assert [word for _, _, word in oracle] == [w for w, _, _ in action.elements]
+    assert [mat for _, mat, _ in oracle] == exact_matrices(action)
     assert action.order == entry.action["order"]
 
 
@@ -314,3 +323,71 @@ def test_bogus_catalog_generator_becomes_a_closure_failure():
     (closure,) = [c for c in run.checks if c.check_id == "action:closure"]
     assert closure.status == "FAIL" and closure.unexpected_failure
     assert closure.evidence["error"].startswith("generator 0 ")
+
+
+def test_catalog_tower_splits_at_433():
+    ell, images = _split_prime(T, [])
+    assert ell == 433
+    assert images == {"om": 198, "i": 179, "s2": 206, "lam": 72, "e": 36}
+    # each relation vanishes at the images, and no smaller prime >= 5 splits
+    for name, (degree, terms) in T.rules.items():
+        assert (T.var(name, degree) - T.poly(terms)).residue(ell, images) == 0
+    assert all(T.residues(p) is None for p in primes_up_to(432)[2:])
+
+
+def test_a_prime_that_merges_elements_is_never_chosen():
+    # <diag(om, om^2)> has order 3, but mod 3 the relation om^2 + om + 1 is
+    # (om - 1)^2, and its only root sends the generator to the identity
+    action = hyperelliptic_action("y^2-x^6-1", [formulas("om*x", "y")],
+                                  GENUS2_BASIS)
+    (mat,) = action.generator_matrices
+    assert mat == [[T.var("om"), T.zero()], [T.zero(), T.var("om", 2)]]
+    assert action.order == 3
+    assert [[e.residue(3, {"om": 1}) for e in row] for row in mat] == [
+        [1, 0], [0, 1]]
+    assert T.residues(3) is None
+
+
+def test_a_denominator_at_the_split_prime_moves_to_the_next():
+    # x -> c^2/x, y -> c^3 y/x^3 on y^2 = x^6 + c^6 has the matrix
+    # [[0, -c], [-1/c, 0]]; with c = 433 the search passes over 433
+    action = hyperelliptic_action(
+        "y^2-x^6-433^6", [formulas("433^2/x", "433^3*y/x^3")], GENUS2_BASIS)
+    c = T.const(433)
+    assert action.generator_matrices == [[[T.zero(), -c],
+                                          [-T.const(Fraction(1, 433)),
+                                           T.zero()]]]
+    assert action.order == 2
+    assert _split_prime(T, action.generator_matrices)[0] == 601
+
+
+def test_tower_relation_with_a_repeated_root_is_a_closure_failure():
+    # (r - 1)^2 has no simple root mod any prime: the bounded search ends
+    doc = json.loads(
+        resources.files("picardlab").joinpath("data/builtin.json").read_text()
+    )
+    doc["tower"].append({"symbol": "r", "relation": "r^2-2*r+1"})
+    (entry,) = [e for e in load_catalog(doc) if e.id == "genus3-septic"]
+    run = run_entry(entry, pmax=5)
+    (closure,) = [c for c in run.checks if c.check_id == "action:closure"]
+    assert closure.status == "FAIL"
+    assert closure.evidence == {
+        "error": "no prime below %d splits the constant tower"
+                 % actions.SPLIT_PRIME_BOUND}
+
+
+def test_matrix_with_a_free_parameter_is_refused(monkeypatch):
+    # an involution whose matrix involves t; the exact checks are bypassed
+    one, t = T.one(), T.var("t")
+    monkeypatch.setattr(actions, "_checked_matrix",
+                        lambda system, frame, k, g: [[one, T.zero()],
+                                                     [t, -one]])
+    with pytest.raises(ValueError, match="generator 0: matrix entry t "
+                                         "involves a free parameter"):
+        hyperelliptic_action("y^2-x^6-1", [formulas("x", "y")], GENUS2_BASIS)
+
+
+def test_catalog_actions_have_336_elements_in_all():
+    # the benchmark's actions.elements counter: the sum of the group orders
+    assert sum(len(entry.group_action(value).elements)
+               for entry, value in _catalog_actions()) == 336

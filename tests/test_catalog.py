@@ -348,6 +348,58 @@ def test_unknown_aux_check_is_refused_at_load():
         load_catalog(doc)
 
 
+def test_short_generator_is_refused_at_load():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    entry["action"]["generators"][0].pop()
+    with pytest.raises(CatalogError, match="generator 0 of genus3-septic has "
+                                           "1 formulas for 2 variables"):
+        load_catalog(doc)
+
+
+@pytest.mark.parametrize("eid, key", [
+    ("genus3-septic", "disc"),
+    ("genus2-quintic", "map"),
+    ("ciani-quartic-pencil", "lambda"),
+    ("triple-quadric-intersection", "multiplicities"),
+])
+def test_aux_check_missing_a_key_is_refused_at_load(eid, key):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == eid)
+    item = entry["aux"][0]
+    del item[key]
+    with pytest.raises(CatalogError, match="aux check %s of %s lacks %s"
+                                           % (item["check"], eid, key)):
+        load_catalog(doc)
+
+
+def test_space_model_without_a_fibration_is_refused_at_load():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"]
+                 if e["id"] == "fermat-sextic-pencil-quotient")
+    del entry["model"]["fibration"]
+    with pytest.raises(CatalogError, match="space model of "
+                                           "fermat-sextic-pencil-quotient "
+                                           "lacks a fibration"):
+        load_catalog(doc)
+
+
+def test_tower_declaration_without_a_relation_is_refused_at_load():
+    doc = _raw_document()
+    del doc["tower"][2]["relation"]
+    with pytest.raises(CatalogError, match="tower symbol s2 lacks a relation"):
+        load_catalog(doc)
+
+
+def test_summand_without_indices_is_refused_at_load():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    del entry["summands"][0]["indices"]
+    with pytest.raises(CatalogError, match="summand 0 of genus3-septic lacks "
+                                           "indices"):
+        load_catalog(doc)
+
+
 def test_tower_conjugate_key_is_not_read():
     # a declared conjugation, even one that is not complex conjugation or
     # does not parse, leaves the load and the decomposition rows unchanged
