@@ -108,8 +108,7 @@ def _checked_matrix(system, frame, k, formulas):
             )
     cmap = CurveMap(system, formulas, None)
     try:
-        columns = [frame.coordinates(cmap, frame.form(mono))
-                   for mono in frame.basis]
+        columns = frame.basis_coordinates(cmap)
     except ZeroDivisionError as exc:
         # e.g. a constant map onto a pole of the differential
         raise ValueError("generator %d: pullback fails: %s" % (k, exc))

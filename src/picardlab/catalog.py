@@ -53,6 +53,11 @@ def _require(condition, message):
         raise CatalogError(message)
 
 
+def _require_keys(item, keys, what):
+    missing = [key for key in keys if key not in item]
+    _require(not missing, "%s lacks %s" % (what, ", ".join(missing)))
+
+
 def load_tower(declarations):
     """Build the constant tower from symbol/relation strings."""
     rows = []
@@ -316,6 +321,9 @@ def _validate(entries):
     ids = [e.id for e in entries]
     _require(len(set(ids)) == len(ids), "duplicate entry ids")
     for entry in entries:
+        for k, spec in enumerate(entry.maps):
+            _require_keys(spec, ("name", "target", "components"),
+                          "map %d of %s" % (k, entry.id))
         names = [m["name"] for m in entry.maps]
         _require(
             len(set(names)) == len(names), "duplicate map names in %s" % entry.id
@@ -339,10 +347,11 @@ def _validate(entries):
             kind = item.get("check")
             _require(kind in AUX_CHECKS,
                      "unknown aux check %r in %s" % (kind, entry.id))
-            missing = [key for key in AUX_CHECKS[kind] if key not in item]
-            _require(not missing, "aux check %s of %s lacks %s"
-                     % (kind, entry.id, ", ".join(missing)))
+            _require_keys(item, AUX_CHECKS[kind],
+                          "aux check %s of %s" % (kind, entry.id))
         if entry.action is not None:
+            _require_keys(entry.action, ("basis", "generators", "order"),
+                          "action of %s" % entry.id)
             size = len(entry.action["basis"])
             nvars = len(entry.geometric_vars())
             for k, row in enumerate(entry.action["generators"]):
@@ -350,10 +359,8 @@ def _validate(entries):
                          "generator %d of %s has %d formulas for %d "
                          "variables" % (k, entry.id, len(row), nvars))
             for k, summand in enumerate(entry.summands):
-                missing = [key for key in ("name", "indices")
-                           if key not in summand]
-                _require(not missing, "summand %d of %s lacks %s"
-                         % (k, entry.id, ", ".join(missing)))
+                _require_keys(summand, ("name", "indices"),
+                              "summand %d of %s" % (k, entry.id))
             indices = sorted(i for s in entry.summands for i in s["indices"])
             _require(
                 indices == list(range(size)),
@@ -363,6 +370,11 @@ def _validate(entries):
                 if summand.get("map") is not None:
                     entry.map_spec(summand["map"])
         for value, factors, bad in entry.specializations():
+            for k, factor in enumerate(factors):
+                # a null disc is a claim without CM; the key must be there
+                _require_keys(factor, ("mult", "disc"), "factor %d of %s%s"
+                              % (k, entry.id, "" if value is None
+                                 else " at t=%s" % value))
             if not factors:
                 continue
             _require(bad, "countable entry %s lacks bad primes" % entry.id)

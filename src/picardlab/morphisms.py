@@ -139,16 +139,24 @@ class Frame:
         self.basis = list(basis)
         self.geometric_vars = tuple(geometric_vars)
 
-    def form(self, mono):
-        """The differential mono * omega."""
-        tower = self.omega.coeff.tower
-        return self.omega * tower.poly({mono: 1})
-
     def coordinates(self, cmap, diff):
         """Basis coordinates on ``cmap.source`` of the pullback of ``diff``
         through ``cmap``, or None when the pullback leaves the span."""
         pulled = pullback(cmap, diff, self.omega.base_var, self.fiber_var)
         return classify_in_basis(cmap.source, self, pulled)
+
+    def basis_coordinates(self, cmap):
+        """The coordinates of the pullback of each basis form m_k * omega
+        through ``cmap``, a map of the frame's model to itself (None for
+        one that leaves the span).  One chain rule serves every form:
+        f*(m_k * omega) = (m_k o f) * f*(omega)."""
+        pulled = pullback(cmap, self.omega, self.omega.base_var,
+                          self.fiber_var)
+        tower = self.omega.coeff.tower
+        return [classify_in_basis(
+                    cmap.source, self,
+                    pulled * tower.poly({mono: 1}).substitute(cmap.components))
+                for mono in self.basis]
 
 
 def geometric_coefficients(poly, geometric_vars):

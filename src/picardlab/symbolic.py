@@ -5,6 +5,9 @@ power relation over the symbols before it (e.g. om^2 = -1 - om).  MPoly is a
 multivariate polynomial whose monomials may mix tower constants with free
 geometric variables; powers of a constant at or above its relation degree are
 rewritten automatically, so equal ring elements have equal term dicts.
+A coefficient is an int or a Fraction: integer inputs stay ints and only a
+division makes a Fraction.  The two mix exactly and hash alike, so term
+dicts compare equal either way, and no coefficient is ever a float.
 
 A tower also maps its constants to F_ell at a prime where each relation
 has a simple root (ConstantTower.residues), and MPoly.residue reduces a
@@ -93,7 +96,7 @@ def _rewrite(raw: dict, rules: dict) -> dict:
 
     for m, c in raw.items():
         if c:
-            put(m, Fraction(c))
+            put(m, c)
     while heap:
         _, m = heapq.heappop(heap)
         c = pending.pop(m)
@@ -119,7 +122,7 @@ class ConstantTower:
             if degree < 2:
                 raise ValueError("relation degree must be >= 2")
             relations[name] = (degree, {
-                _mono(dict(m)): Fraction(c) for m, c in relation
+                _mono(dict(m)): c for m, c in relation
             })
         # rewrite rules from the last constant to the first: a relation
         # involves only the constants declared before its own
@@ -163,10 +166,10 @@ class ConstantTower:
         return MPoly._make(self, dict(terms or {}))
 
     def const(self, c) -> "MPoly":
-        return MPoly._make(self, {(): Fraction(c)})
+        return MPoly._make(self, {(): c})
 
     def var(self, name: str, exp: int = 1) -> "MPoly":
-        return MPoly._make(self, {_mono({name: exp}): Fraction(1)})
+        return MPoly._make(self, {_mono({name: exp}): 1})
 
     def zero(self) -> "MPoly":
         return MPoly(self, {})
@@ -200,7 +203,7 @@ class MPoly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in o.terms.items():
-            nc = terms.get(m, Fraction(0)) + c
+            nc = terms.get(m, 0) + c
             if nc:
                 terms[m] = nc
             else:
@@ -229,7 +232,7 @@ class MPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 m = _mono_mul(m1, m2)
-                raw[m] = raw.get(m, Fraction(0)) + c1 * c2
+                raw[m] = raw.get(m, 0) + c1 * c2
         return MPoly._make(self.tower, raw)
 
     __rmul__ = __mul__
@@ -238,6 +241,13 @@ class MPoly:
         if k < 0:
             # exact only for constants-only elements, inverted in the tower
             return tower_invert(self) ** -k
+        if k == 0:
+            return self.tower.one()
+        if len(self.terms) == 1:
+            # (c m)^k = c^k m^k, then one rewrite
+            ((m, c),) = self.terms.items()
+            return MPoly._make(self.tower,
+                               {tuple((v, e * k) for v, e in m): c ** k})
         result = self.tower.one()
         base = self
         while k:
@@ -273,7 +283,7 @@ class MPoly:
             return Fraction(0)
         if set(self.terms) != {()}:
             raise ValueError(f"not a rational constant: {self}")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def residue(self, ell: int, images: dict) -> int:
         """The image in F_ell of a constants-only element whose coefficient
@@ -372,7 +382,7 @@ def tower_invert(a: MPoly) -> MPoly:
     tower = a.tower
     present = [s for s in tower.rules if any(_mono_exp(m, s) for m in a.terms)]
     if not present:
-        return tower.const(1 / a.rational_value())
+        return tower.const(Fraction(1) / a.rational_value())
     s = present[0]
     d = tower.rules[s][0]
     columns = [(a * tower.var(s, k)).coeffs_in(s) for k in range(d)]
@@ -541,7 +551,7 @@ def _normalize_scalars(num: MPoly, den: MPoly):
             },
         )
         inv = tower_invert(unit)
-        return num * inv, MPoly._make(tower, {geo: Fraction(1)})
+        return num * inv, MPoly._make(tower, {geo: 1})
     lead_m = max(den.terms)
     c = den.terms[lead_m]
     if c != 1:
@@ -617,8 +627,9 @@ def _parse(tower: ConstantTower, text: str):
     """Parse +, -, *, /, ^, parentheses, integers and symbol names.
 
     Nodes are MPolys; a node becomes a RationalFunction only at a division
-    or a negative exponent, so polynomial texts never pay for the
-    normalisation of rational functions.
+    by a non-constant or a negative exponent, so polynomial texts and
+    divisions by tower constants never pay for the normalisation of
+    rational functions.
     """
     tk = _Tokens(text)
 
@@ -635,7 +646,14 @@ def _parse(tower: ConstantTower, text: str):
         while tk.peek() in ("*", "/"):
             op = tk.take()
             rhs = factor()
-            node = node * rhs if op == "*" else _lift(node) / rhs
+            if op == "*":
+                node = node * rhs
+            elif (isinstance(node, MPoly) and isinstance(rhs, MPoly)
+                  and rhs.terms and rhs.constants_only()):
+                # exact division by a nonzero tower constant
+                node = node * tower_invert(rhs)
+            else:
+                node = _lift(node) / rhs
         return node
 
     def factor():

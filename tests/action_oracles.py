@@ -15,6 +15,8 @@ tower that the cancellation needs live here, since `src/` divides only
 through `linalg`'s elimination.  `elementwise_stable` is the oracle of
 block stability over every element of a closure, and `character_sum` the
 oracle of `GroupAction.character_norm`; both read the exact matrices.
+`generator_matrix` pulls back each basis form through its own chain rule,
+the oracle of `Frame.basis_coordinates`.
 """
 
 from fractions import Fraction
@@ -147,11 +149,19 @@ def _formula_key(formulas, geometric_vars):
     )
 
 
-def _generator_matrix(system, frame, formulas):
+def form(frame, mono):
+    """The differential mono * omega of a frame."""
+    return frame.omega * frame.omega.coeff.tower.poly({mono: 1})
+
+
+def generator_matrix(system, frame, formulas):
     """Pullback matrix of one generator, column k the coordinates of the
-    pullback of the k-th basis form."""
+    pullback of the k-th basis form, each form pulled back through its own
+    chain rule: the per-form route that `Frame.basis_coordinates`
+    replaced."""
     cmap = CurveMap(system, formulas, None)
-    columns = [frame.coordinates(cmap, frame.form(mono)) for mono in frame.basis]
+    columns = [frame.coordinates(cmap, form(frame, mono))
+               for mono in frame.basis]
     n = len(frame.basis)
     return [[columns[k][i] for k in range(n)] for i in range(n)]
 
@@ -166,7 +176,7 @@ def formula_closure(system, frame, generators, order_bound=1024):
         return _canonical_formula(rf, frame.omega.base_var, frame.fiber_var)
 
     generators = [{v: canonical(g[v]) for v in gvars} for g in generators]
-    gen_mats = [_generator_matrix(system, frame, g) for g in generators]
+    gen_mats = [generator_matrix(system, frame, g) for g in generators]
     identity = {v: RationalFunction(tower.var(v)) for v in gvars}
     elements = [(identity, identity_matrix(tower, len(frame.basis)), ())]
     seen = {_formula_key(identity, gvars)}

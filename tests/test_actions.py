@@ -11,6 +11,7 @@ from action_oracles import (
     elementwise_stable,
     exact_matrices,
     formula_closure,
+    generator_matrix,
 )
 from picardlab import actions
 from picardlab.actions import GroupAction, _split_prime
@@ -214,6 +215,21 @@ def test_matrix_closure_matches_formula_closure(entry, value):
     assert [word for _, _, word in oracle] == [w for w, _, _ in action.elements]
     assert [mat for _, mat, _ in oracle] == exact_matrices(action)
     assert action.order == entry.action["order"]
+
+
+def test_one_chain_rule_per_generator_matches_the_per_form_route():
+    """Each catalog generator's matrix, built from one pullback of omega,
+    equals the matrix built by pulling back every basis form, at every
+    specialization."""
+    generators = set()
+    for entry, value in _catalog_actions():
+        action = entry.group_action(value)
+        system, frame = entry.affine_system(value), entry.frame(value)
+        for k, g in enumerate(_generator_formulas(entry, value)):
+            assert (generator_matrix(system, frame, g)
+                    == action.generator_matrices[k]), (entry.id, value, k)
+            generators.add((entry.id, k))
+    assert len(generators) == 14
 
 
 @CATALOG_ACTIONS

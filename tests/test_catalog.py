@@ -400,6 +400,48 @@ def test_summand_without_indices_is_refused_at_load():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("part, key, message", [
+    (lambda e: e["action"], "order", "action of genus3-septic lacks order"),
+    (lambda e: e["maps"][0], "name", "map 0 of genus3-septic lacks name"),
+    (lambda e: e["maps"][0], "target", "map 0 of genus3-septic lacks target"),
+    (lambda e: e["maps"][0], "components",
+     "map 0 of genus3-septic lacks components"),
+    (lambda e: e["claim"]["factors"][0], "mult",
+     "factor 0 of genus3-septic lacks mult"),
+    (lambda e: e["claim"]["factors"][0], "disc",
+     "factor 0 of genus3-septic lacks disc"),
+])
+def test_missing_catalog_key_is_refused_at_load(part, key, message):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    del part(entry)[key]
+    with pytest.raises(CatalogError, match="^%s$" % message):
+        load_catalog(doc)
+
+
+def test_missing_specialization_factor_key_names_the_value():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"]
+                 if e["id"] == "bielliptic-sextic-pencil")
+    row = next(r for r in entry["specializations"] if "factors" in r)
+    del row["factors"][0]["disc"]
+    with pytest.raises(CatalogError, match="^factor 0 of "
+                                           "bielliptic-sextic-pencil at t=%s "
+                                           "lacks disc$" % row["t"]):
+        load_catalog(doc)
+
+
+def test_null_disc_is_legal():
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    entry["claim"]["factors"][0]["disc"] = None
+    (loaded,) = [e for e in load_catalog(doc) if e.id == "genus3-septic"]
+    # no CM claimed, so no trace is tested against one
+    rows = run_entry(loaded, 30, 1).checks
+    assert [c.status for c in rows
+            if c.check_id.startswith("feasibility")] == ["SKIPPED"]
+
+
 def test_tower_conjugate_key_is_not_read():
     # a declared conjugation, even one that is not complex conjugation or
     # does not parse, leaves the load and the decomposition rows unchanged

@@ -21,6 +21,7 @@ from picardlab.symbolic import (
     parse_polynomial,
 )
 
+from action_oracles import form
 from symbolic_helpers import (
     builtin_tower,
     plane_basis_monomials,
@@ -120,14 +121,29 @@ def test_sextic_pullbacks_classify_exactly():
 def test_frame_coordinates_pull_back_then_classify():
     src = sextic_source()
     sextic = frame(sextic_omega(), SEXTIC_BASIS)
-    assert sextic.form(()).coeff == rf("1/y^5")
-    assert sextic.form((("x", 1), ("y", 2))).coeff == rf("x*y^2/y^5")
+    assert form(sextic, ()).coeff == rf("1/y^5")
+    assert form(sextic, (("x", 1), ("y", 2))).coeff == rf("x*y^2/y^5")
     f = CurveMap(src, {"u": rf("-x^2"), "v": rf("y^3")}, cubic_target())
     du_v = Differential(rf("1/v"), "u")
     vec = sextic.coordinates(f, du_v)
     assert vec == classify_in_basis(src, sextic, pullback(f, du_v, "x", "y"))
     assert vec[8] == T.const(-2)
     assert sextic.coordinates(f, Differential(rf("x^4/v^3"), "u")) is None
+
+
+def test_basis_coordinates_pull_back_omega_once():
+    """f*(m_k omega) = (m_k o f) f*(omega): the columns of x -> -x on the
+    Fermat sextic are -(-1)^(deg_x m_k) e_k, as the per-form route finds."""
+    src = sextic_source()
+    sextic = frame(sextic_omega(), SEXTIC_BASIS)
+    flip = CurveMap(src, {"x": rf("-x"), "y": rf("y")}, None)
+    columns = sextic.basis_coordinates(flip)
+    assert columns == [sextic.coordinates(flip, form(sextic, mono))
+                       for mono in SEXTIC_BASIS]
+    for k, mono in enumerate(SEXTIC_BASIS):
+        sign = -(-1) ** dict(mono).get("x", 0)
+        assert columns[k] == [T.const(sign) if i == k else T.zero()
+                              for i in range(len(SEXTIC_BASIS))]
 
 
 def test_genus3_printed_map_fails_with_residual():

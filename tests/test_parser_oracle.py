@@ -1,16 +1,17 @@
 """The MPoly-first grammar against the parser that builds every node as a
 rational function: the same polynomial terms, the same rational functions
 and the same errors, on every expression of the built-in catalog and on
-random texts."""
+random texts; every coefficient is an int or a Fraction, never a float."""
 
 import json
 import re
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picardlab.symbolic import parse_expression, parse_polynomial
+from picardlab.symbolic import MPoly, _parse, parse_expression, parse_polynomial
 
 from symbolic_helpers import (
     CATALOG_CONJUGATES,
@@ -48,10 +49,18 @@ CATALOG_TEXTS = sorted(set(_texts(json.loads(
     | set(CATALOG_CONJUGATES.values()))
 
 
+def _exact_coefficients(node):
+    polys = [node] if isinstance(node, MPoly) else [node.num, node.den]
+    return all(type(c) in (int, Fraction)
+               for p in polys for c in p.terms.values())
+
+
 def _same_parse(text):
     old = rf_parse_expression(T, text)
     new = parse_expression(T, text)
     assert new == old
+    # with int coefficients, a true division of two ints would be a float
+    assert _exact_coefficients(_parse(T, text)) and _exact_coefficients(new)
     assert (new.num.terms, new.den.terms) == (old.num.terms, old.den.terms)
     try:
         expected = rf_parse_polynomial(T, text)
@@ -107,6 +116,17 @@ def test_random_quotients_parse_alike(num, den):
         return
     _same_parse(text)
     assert parse_expression(T, text) == old
+
+
+@pytest.mark.parametrize("text", [
+    "x/3", "(2*om+1)/3", "1/4", "lam^2-(2*om+1)/3", "e^3-1/4", "x/(1+s2)",
+    "(x*om)/om",
+])
+def test_division_by_a_constant_stays_polynomial(text):
+    node = _parse(T, text)
+    assert isinstance(node, MPoly)
+    assert node == rf_parse_expression(T, text)
+    assert node.terms == rf_parse_polynomial(T, text).terms
 
 
 @pytest.mark.parametrize("text", ["x +", "x $ y", "(x", "x^y", "1/x", "x/0"])

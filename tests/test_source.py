@@ -1,6 +1,8 @@
 """Source hygiene: every function in src/ has a caller there and names
 every parameter it takes, every attribute that src/ stores is read there,
-and no guard in src/ is an assert statement (python -O would strip it)."""
+no guard in src/ is an assert statement (python -O would strip it), and
+no true division in src/ starts from an int literal (with int coefficients,
+``1 / c`` is a float; ``Fraction(1) / c`` is exact)."""
 
 import ast
 from pathlib import Path
@@ -98,3 +100,13 @@ def test_every_parameter_is_named_in_its_function():
                           for param in params
                           if param not in ("self", "cls") and param not in named)
     assert unused == []
+
+
+def test_no_true_division_of_an_int_literal_in_src():
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+             and isinstance(node.left, ast.Constant)
+             and type(node.left.value) is int]
+    assert found == []

@@ -245,13 +245,43 @@ def test_rf_zero_on_curve():
 
 @pytest.mark.parametrize("name, k", [("om", 40), ("lam", 30), ("lam", 40)])
 def test_parsed_high_power_of_a_tower_constant(name, k):
-    # a two-term tower relation: the parsed power is reduced step by step,
-    # and the one monomial name^k without Fibonacci growth
+    # a two-term tower relation: the parsed power and the one monomial
+    # name^k are each one rewrite of name^k, without Fibonacci growth, and
+    # match the product reduced step by step
     product = T.one()
     for _ in range(k):
         product = product * T.var(name)
     assert parse_polynomial(T, f"{name}^{k}") == product
     assert T.var(name, k) == product
+
+
+@pytest.mark.parametrize("base", [
+    "om", "-om", "-2*lam", "3*i*x^2", "-(s2*e*y)/3", "-7/2", "x",
+])
+def test_one_term_power_equals_repeated_multiplication(base):
+    # a one-term power is c^k m^k with one rewrite; k = 0 is one()
+    node = parse_polynomial(T, base)
+    assert len(node.terms) == 1
+    product = T.one()
+    for k in range(13):
+        assert node ** k == product, k
+        assert parse_polynomial(T, "(%s)^%d" % (base, k)) == product, k
+        product = product * node
+    assert parse_polynomial(T, "-(om)^0") == T.const(-1)
+
+
+def test_tower_invert_of_a_rational_is_exact():
+    inv = tower_invert(T.const(3))
+    assert inv == T.const(Fraction(1, 3))
+    assert inv.terms == {(): Fraction(1, 3)}
+    assert type(inv.terms[()]) is Fraction
+    assert type(T.const(3).rational_value()) is Fraction
+
+
+def test_integral_coefficients_are_ints():
+    assert T.const(3).terms == {(): 3} and type(T.const(3).terms[()]) is int
+    assert all(type(c) is int
+               for c in parse_polynomial(T, "(x+2*om*y)^3").terms.values())
 
 
 SYSTEMS = catalog_systems()
