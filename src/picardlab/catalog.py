@@ -14,6 +14,7 @@ primes; every per-value check runs at exactly these values.
 import json
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 from .curves import (
     HyperellipticModel,
@@ -21,7 +22,7 @@ from .curves import (
     SpaceModel,
     SuperellipticModel,
 )
-from .exact import factorize, univariate_resultant
+from .exact import factorize, resultant
 from .morphisms import CurveMap, Differential, Frame, ReductionSystem
 from .symbolic import (
     ConstantTower,
@@ -385,7 +386,7 @@ def _validate(entries):
                 "factor multiplicities of %s do not sum to the genus" % entry.id,
             )
             if isinstance(model, SuperellipticModel):
-                missing = _derived_bad_primes(model) - set(bad) - {2, 3}
+                missing = _undeclared_bad_primes(model, bad)
                 _require(
                     not missing,
                     "bad primes %s of %s are not declared"
@@ -393,16 +394,25 @@ def _validate(entries):
                 )
 
 
-def _derived_bad_primes(model):
-    """Primes of lc(f) Res(f, f') m for a cover y^m = f(x): where f loses
-    degree or a root becomes multiple, or p divides m."""
-    f = [Fraction(0)] * (model.degree + 1)
+def _undeclared_bad_primes(model, declared):
+    """The primes other than 2, 3 and the declared ones that divide
+    D lc(F) Res(F, F') m for a cover y^m = f(x), F = D f with D the least
+    common denominator: where f is not p-integral, loses degree or has a
+    multiple root, or p divides m.  The cofactor is factored only when
+    some prime is missing."""
+    den = 1
+    for _, c in model.rows:
+        den = lcm(den, c.denominator)
+    f = [0] * (model.degree + 1)
     for (e,), c in model.rows:
-        f[e] = c
-    res = univariate_resultant(f, [k * c for k, c in enumerate(f)][1:])
+        f[e] = c.numerator * (den // c.denominator)
+    res = resultant(f, [k * c for k, c in enumerate(f)][1:])
     _require(res != 0, "f has a repeated root: %s" % model.f_poly.render())
-    value = f[-1] * res * model.m
-    return set(factorize(value.numerator)) | set(factorize(value.denominator))
+    value = abs(den * f[-1] * res * model.m)
+    for p in {2, 3}.union(b for b in declared if isinstance(b, int) and b > 1):
+        while value and value % p == 0:
+            value //= p
+    return set(factorize(value)) if value > 1 else set()
 
 
 def load_catalog(document):

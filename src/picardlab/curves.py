@@ -6,11 +6,13 @@ construction, so a miscount in any route fails loudly.  Invalid inputs (a
 composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
-Counts over F_{p^k}, k = 2, 3, run on the tables of ``gf.ExtField`` through
-two routines: the cyclic-cover count of y^m = f(x) and the projective-zero
-enumerator for plane and space curves.  Both refuse fields with more than
-``gf.TABLE_MAX`` elements, and the enumerator refuses to test more than
-``gf.TABLE_MAX`` squared points.
+Counts over F_{p^k}, k = 2, 3, run on the tables of ``gf.ExtField`` in
+O(q): the cyclic-cover count of y^m = f(x), which also counts the diagonal
+plane curve x^d + y^d + z^d, and the line-by-line count of an even plane
+quartic G(x^2, y^2, z^2).  Space curves and every other plane curve go to
+the projective-zero enumerator, which tests each point of P^n(F_q).  All
+routes refuse fields with more than ``gf.TABLE_MAX`` elements, and the
+enumerator refuses to test more than ``gf.TABLE_MAX`` squared points.
 """
 
 from functools import cached_property
@@ -256,12 +258,107 @@ def _diagonal_count(p, d):
     return n + t[p - 1]
 
 
+def _cyclic_cover_count(m, coeffs, p, k):
+    """Points of y^m = f(x) over F_{p^k}, f given by its coefficients mod p
+    (low to high, the last nonzero): the sum over x of #{y : y^m = f(x)},
+    plus the points at infinity, one for each z in F_{p^k} with
+    z^d = lc(f), d = gcd(m, deg f)."""
+    if k == 1:
+        roots = power_residue_counts(p, m)
+        values = (_eval_poly(coeffs, x, p) for x in range(p))
+    else:
+        field = _table_field(p, k)
+        terms = [(j, field.log[c]) for j, c in enumerate(coeffs) if c]
+        roots = field.power_counts(m)
+        # f(0), then f(g^i) as a sum of the terms c_j g^(ij)
+        values = [coeffs[0]] + [
+            field.exp_sum(log_c + i * j for j, log_c in terms)
+            for i in range(field.q - 1)]
+    n = sum(roots[v] for v in values)
+    # the z in F_q with z^d = lc(f): e = gcd(d, q - 1) of them when lc(f)
+    # is an e-th power, none otherwise
+    q = p ** k
+    e = gcd(m, len(coeffs) - 1, q - 1)
+    if pow(coeffs[-1], (q - 1) // e, p) == 1:
+        n += e
+    return n
+
+
+def _quartic_roots_ext(field, c0, c1, c2):
+    """Roots y in F_q of c2 y^4 + c1 y^2 + c0, the coefficients given as
+    logs (None for 0): the square roots of the roots w of c2 w^2 + c1 w + c0.
+    In logs -1 = g^((q-1)/2), and a nonzero element is a square exactly when
+    its log is even, g^(i/2) being then a square root."""
+    q, log = field.q, field.log
+    half, two = (q - 1) // 2, log[2]
+
+    def log_sum(*logs):
+        return log[field.exp_sum([i for i in logs if i is not None])]
+
+    def square_roots(num, log_den):
+        # #{y : y^2 = num / g^log_den}, num a log or None
+        if num is None:
+            return 1
+        return 0 if (num - log_den) % 2 else 2
+
+    neg_c1 = None if c1 is None else c1 + half
+    if c2 is None:
+        if c1 is None:
+            return q if c0 is None else 0
+        return square_roots(None if c0 is None else c0 + half, c1)
+    # w = (-c1 +- r) / (2 c2), r^2 = c1^2 - 4 c2 c0
+    disc = log_sum(None if c1 is None else 2 * c1,
+                   None if c0 is None else 2 * two + c2 + c0 + half)
+    den = two + c2
+    if disc is None:
+        return square_roots(neg_c1, den)
+    if disc % 2:
+        return 0
+    r = disc // 2
+    return (square_roots(log_sum(neg_c1, r), den)
+            + square_roots(log_sum(neg_c1, r + half), den))
+
+
+def _even_quartic_ext_count(rows, field):
+    """Projective points over F_q of F = G(x^2, y^2, z^2), F given as rows
+    [(exponents, c mod p)]: ``PlaneModel._count_even`` in log arithmetic."""
+    log = field.log
+    rows = [((ex // 2, ey // 2, ez // 2), log[c])
+            for (ex, ey, ez), c in rows]
+
+    def line(log_x2):
+        # [c0, c1, c2] of the even quartic G(X, y^2, 1), X = g^log_x2 or 0
+        coeffs = [[], [], []]
+        for (ex, ey, _), log_c in rows:
+            if not ex:
+                coeffs[ey].append(log_c)
+            elif log_x2 is not None:
+                coeffs[ey].append(log_c + ex * log_x2)
+        return _quartic_roots_ext(
+            field, *(log[field.exp_sum(terms)] for terms in coeffs))
+
+    # chart z = 1: the lines x = +-g^i share X = g^(2i), and x = 0 is alone
+    n = line(None) + 2 * sum(line(2 * i) for i in range((field.q - 1) // 2))
+    # line z = 0: points (x : 1 : 0), the roots of the even quartic
+    # F(x, 1, 0), and (1 : 0 : 0)
+    edge = [[], [], []]
+    for (ex, _, ez), log_c in rows:
+        if ez == 0:
+            edge[ex].append(log_c)
+    edge = [log[field.exp_sum(terms)] for terms in edge]
+    n += _quartic_roots_ext(field, *edge)
+    if edge[2] is None:
+        n += 1
+    return n
+
+
 class PlaneModel:
     """Smooth projective plane curve F(x, y, z) = 0 of the given degree.
 
     The Fermat curve x^d + y^d + z^d and the quartics G(x^2, y^2, z^2) are
-    recognised from their equations and counted in O(p); every other curve
-    is counted line by line with the gcd kernel.
+    recognised from their equations and counted in O(p), and in O(q) over
+    F_q, q = p^k; every other curve is counted line by line with the gcd
+    kernel over F_p, and by enumerating P^2 over F_q.
     """
 
     def __init__(self, poly, variables=("x", "y", "z")):
@@ -341,12 +438,22 @@ class PlaneModel:
         return n
 
     def count_points_ext(self, p, k):
-        """Count over F_{p^k} by enumerating P^2(F_{p^k})."""
+        """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
+        quartic line by line, any other curve by enumerating P^2(F_{p^k})."""
         _check_field(p, k)
         if k == 1:
             return self.count_points(p)
-        n = _projective_zero_count([table_mod(self.rows, p)], 3,
-                                   _table_field(p, k))
+        if self.diagonal:
+            # the chart z = 1 is the cover y^d = -x^d - 1, whose points at
+            # infinity, z^d = -1, are the points (1 : z : 0)
+            d = self.degree
+            n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1], p, k)
+        elif self.even:
+            n = _even_quartic_ext_count(table_mod(self.rows, p),
+                                        _table_field(p, k))
+        else:
+            n = _projective_zero_count([table_mod(self.rows, p)], 3,
+                                       _table_field(p, k))
         return CountRecord(p, k, n, self.genus())
 
 
@@ -372,33 +479,13 @@ class SuperellipticModel:
         return self.count_points(p) if k == 1 else self._cover_count(p, k)
 
     def _cover_count(self, p, k):
-        """Points over F_{p^k}: the sum over x of #{y : y^m = f(x)}, plus
-        the points at infinity, one for each z in F_{p^k} with z^d = lc(f),
-        d = gcd(m, deg f)."""
         _check_field(p, k)
         if p % self.m == 0:
             raise ValueError("p = %d divides m = %d" % (p, self.m))
         coeffs = _univariate_mod(self.rows, p)
         if len(coeffs) - 1 != self.degree:
             raise ValueError("leading coefficient vanishes mod %d" % p)
-        if k == 1:
-            roots = power_residue_counts(p, self.m)
-            values = (_eval_poly(coeffs, x, p) for x in range(p))
-        else:
-            field = _table_field(p, k)
-            terms = [(j, field.log[c]) for j, c in enumerate(coeffs) if c]
-            roots = field.power_counts(self.m)
-            # f(0), then f(g^i) as a sum of the terms c_j g^(ij)
-            values = [coeffs[0]] + [
-                field.exp_sum(log_c + i * j for j, log_c in terms)
-                for i in range(field.q - 1)]
-        n = sum(roots[v] for v in values)
-        # the z in F_q with z^d = lc(f), d = gcd(m, deg f): e = gcd(d, q - 1)
-        # of them when lc(f) is an e-th power, none otherwise
-        q = p ** k
-        e = gcd(self.m, self.degree, q - 1)
-        if pow(coeffs[-1], (q - 1) // e, p) == 1:
-            n += e
+        n = _cyclic_cover_count(self.m, coeffs, p, k)
         return CountRecord(p, k, n, self.genus())
 
 

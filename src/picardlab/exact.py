@@ -1,12 +1,11 @@
-"""Exact integer and rational utilities used throughout the lab.
+"""Exact integer utilities used throughout the lab.
 
-Everything here is arbitrary-precision: plain ints and fractions.Fraction.
-No floats are ever introduced on a value path.
+Everything here is arbitrary-precision integer arithmetic.  No floats are
+ever introduced on a value path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
@@ -79,45 +78,48 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def univariate_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
-    """Resultant of two rational univariate polynomials (coefficient lists, low to high).
+def resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Resultant of two integer univariate polynomials (coefficient lists,
+    low to high), by the subresultant pseudo-remainder sequence (Cohen,
+    Algorithm 3.3.7): every division in it is exact, so no fraction is
+    formed."""
 
-    Used to derive bad-prime sets for curve models. Euclidean recursion with
-    exact bookkeeping of leading-coefficient powers and swap signs.
-    """
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
 
-    def deg(c):
-        d = len(c) - 1
-        while d >= 0 and c[d] == 0:
-            d -= 1
-        return d
-
-    def rec(a: list[Fraction], b: list[Fraction]) -> Fraction:
-        da, db = deg(a), deg(b)
-        if da < 0 or db < 0:
-            return Fraction(0)
-        if da == 0:
-            return a[0] ** db
-        if db == 0:
-            return b[0] ** da
-        if da < db:
-            sign = -1 if (da % 2 == 1 and db % 2 == 1) else 1
-            return sign * rec(b, a)
-        r = a[:]
-        lc = b[db]
+    a, b = trim(f), trim(g)
+    if not a or not b:
+        return 0
+    if len(a) == len(b) == 1:
+        return 1
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    lead, h = 1, 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        # pseudo-remainder: lc(b)^(delta + 1) a modulo b
+        r, lc = a, b[-1]
         for i in range(da, db - 1, -1):
-            c = r[i]
-            if c == 0:
-                continue
-            q = c / lc
-            for j in range(db + 1):
-                r[i - db + j] -= q * b[j]
-        dr = deg(r)
-        r = r[: dr + 1]
-        if dr < 0:
-            return Fraction(0)
-        sign = -1 if (da % 2 == 1 and db % 2 == 1) else 1
-        return sign * lc ** (da - dr) * rec(b, r)
-
-    return rec([Fraction(x) for x in f], [Fraction(x) for x in g])
-
+            top = r[i]
+            r = [lc * c for c in r[:i]]
+            for j in range(db):
+                r[i - db + j] -= top * b[j]
+        r = trim(r)
+        if not r:
+            return 0
+        scale = lead * h ** delta
+        a, b = b, [c // scale for c in r]
+        lead = a[-1]
+        if delta:
+            h = lead ** delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * b[0] ** da // h ** (da - 1)

@@ -287,9 +287,13 @@ def _prime_checks(entry, pmax):
         for p in good_primes(pmax, bad):
             record = source.count_points(p)
             if claimed:
+                # each distinct discriminant once; a factor of multiplicity
+                # m passes its candidate set m times
+                candidates = {d: cm_trace_candidates(d, p)
+                              for d in dict.fromkeys(discs)}
                 feasible, witness = trace_feasibility(
-                    record.trace, [cm_trace_candidates(d, p) for d in discs])
-                if all(kronecker_symbol(d % p, p) == -1 for d in discs):
+                    record.trace, [candidates[d] for d in discs])
+                if all(kronecker_symbol(d % p, p) == -1 for d in candidates):
                     ok = record.npoints == p + 1
                     # inert exactness is the singleton case of feasibility
                     if feasible != ok:

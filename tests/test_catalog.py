@@ -3,22 +3,30 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from picardlab.catalog import CatalogError, builtin_catalog, load_catalog
+from picardlab.catalog import (
+    CatalogError,
+    _undeclared_bad_primes,
+    builtin_catalog,
+    load_catalog,
+)
 from picardlab.curves import (
     HyperellipticModel,
     PlaneModel,
     SpaceModel,
     SuperellipticModel,
 )
+from picardlab.exact import factorize
 from picardlab.morphisms import verify_image_relations
 from picardlab.runner import run_entry
 from picardlab.symbolic import parse_expression, parse_polynomial
 
-from symbolic_helpers import conjugate
+from exact_oracles import univariate_resultant
+from symbolic_helpers import builtin_tower, conjugate
 
 EXPECTED_IDS = [
     "bielliptic-sextic-pencil",
@@ -276,6 +284,42 @@ def test_undeclared_bad_primes_rejected():
     entry["model"]["rhs"] = "u^6+5"
     with pytest.raises(CatalogError, match=r"\[5\] of fermat-sextic-cone"):
         load_catalog(doc)
+
+
+def _rational_bad_primes(model):
+    """Primes of lc(f) Res(f, f') m over Q, numerator and denominator, and
+    of every coefficient's denominator."""
+    f = [Fraction(0)] * (model.degree + 1)
+    for (e,), c in model.rows:
+        f[e] = Fraction(c)
+    value = (f[-1] * model.m
+             * univariate_resultant(f, [k * c for k, c in enumerate(f)][1:]))
+    out = set(factorize(value.numerator)) | set(factorize(value.denominator))
+    for c in f:
+        out |= set(factorize(c.denominator))
+    return out
+
+
+def test_bad_primes_match_the_rational_resultant():
+    # the integer route clears denominators first; on every cyclic cover of
+    # the catalog, and on covers with denominators, it finds the primes of
+    # the resultant over Q, and also those of a denominator, which the
+    # resultant over Q can miss (5 in x^5/2 - x/3 + 1/5)
+    models = [e.counting_model(value) for e in builtin_catalog()
+              for value, factors, _ in e.specializations()
+              if factors and e.model["kind"] in ("hyperelliptic",
+                                                 "superelliptic")]
+    assert len(models) == 7
+    tower = builtin_tower()
+    for text in ("x^5/7-x+1", "x^5-x/5+1", "x^5/11+x/11+1/11",
+                 "x^5/2-x/3+1/5"):
+        models.append(HyperellipticModel(parse_polynomial(tower, text)))
+    models.append(SuperellipticModel(3, parse_polynomial(tower, "u^6/4+5"),
+                                     "u"))
+    for model in models:
+        expected = _rational_bad_primes(model) - {2, 3}
+        assert _undeclared_bad_primes(model, []) == expected
+        assert _undeclared_bad_primes(model, sorted(expected)) == set()
 
 
 def test_basis_entry_must_be_a_monic_monomial():

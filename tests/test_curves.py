@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from picardlab import curves
 from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
@@ -16,6 +17,7 @@ from picardlab.curves import (
     RootCounts,
     SpaceModel,
     SuperellipticModel,
+    _even_quartic_ext_count,
     _projective_zero_count,
     _root_count,
     poly_table,
@@ -119,12 +121,12 @@ def test_even_route_matches_gcd_route_on_ciani():
 
 
 @st.composite
-def even_quartics(draw):
+def even_quartics(draw, primes=(3, 5, 7, 11, 13)):
     """Random quartics G(x^2, y^2, z^2) mod a small prime.  Some lose their
     y^4 term, so G(X, w, 1) drops degree in w; some contain the conic
     X = c Z, on which G(c, w, 1) vanishes identically, and some contain
     the line Z = 0, on which G(X, 1, 0) does."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    p = draw(st.sampled_from(primes))
     conic = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
     shape = draw(st.sampled_from(["free", "no y^4", "X - cZ", "Z"]))
     if shape in ("X - cZ", "Z"):
@@ -601,8 +603,12 @@ def test_count_guards_survive_optimize(src_env):
         "entries = {e.id: e for e in builtin_catalog()}",
         "entry = entries['genus2-quintic']",
         "c = HyperellipticModel(parse_polynomial(entry.tower, '5*x^6+x^3+1'))",
+        "fermat = entries['fermat-sextic'].counting_model(None)",
+        "ciani = entries['ciani-quartic-pencil'].counting_model(1)",
         "for call in (lambda: c.count_points(5), lambda: c.count_points(9),"
         " lambda: c.count_points_ext(5, 2),"
+        " lambda: fermat.count_points_ext(17, 3),"
+        " lambda: ciani.count_points_ext(17, 3),"
         " lambda: run_entry(entry, pmax=520),"
         " lambda: cm_trace_candidates(-5, 7)):",
         "    try: call()",
@@ -612,7 +618,7 @@ def test_count_guards_survive_optimize(src_env):
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=src_env)
-    assert proc.stdout.split() == ["refused"] * 5 + ["weil"], proc.stderr
+    assert proc.stdout.split() == ["refused"] * 7 + ["weil"], proc.stderr
 
 
 def test_superelliptic_extension_count():
@@ -633,8 +639,74 @@ def test_bad_denominator_rejected():
 
 
 def test_plane_extension_scan_small():
-    c = PlaneModel(poly("x^3+y^3+z^3"))
-    rec = c.count_points_ext(5, 2)
-    # elliptic curve: N over F_25 from a_5 via the trace relation
-    a1 = c.count_points(5).trace
-    assert rec.npoints == 25 + 1 - (a1 * a1 - 2 * 5)
+    # elliptic curves: N over F_25 from a_5 via the trace relation; the
+    # diagonal cubic is a cyclic cover, the Weierstrass cubic is enumerated
+    for text in ("x^3+y^3+z^3", "y^2*z-x^3-x*z^2-z^3"):
+        c = PlaneModel(poly(text))
+        rec = c.count_points_ext(5, 2)
+        a1 = c.count_points(5).trace
+        assert rec.npoints == 25 + 1 - (a1 * a1 - 2 * 5), text
+
+
+# N over F_{p^k} of the catalog's plane curves, as the P^2 enumerator
+# counts them, at each of these fields
+PLANE_FIELDS = [(5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]
+PLANE_EXTENSION_COUNTS = {
+    ("fermat-sextic", None): (126, 126, 18, 504, 342, 234),
+    ("ciani-quartic-pencil", 0): (44, 192, 92, 344, 188, 140),
+    ("ciani-quartic-pencil", 1): (44, 192, 44, 284, 140, 236),
+}
+
+
+@pytest.mark.parametrize("entry,t", list(PLANE_EXTENSION_COUNTS))
+def test_catalog_plane_extension_counts(entry, t):
+    model = _CATALOG[entry].counting_model(t)
+    for (p, k), n in zip(PLANE_FIELDS, PLANE_EXTENSION_COUNTS[entry, t]):
+        field = ExtField(p, k)
+        rows = table_mod(model.rows, p)
+        assert model.count_points_ext(p, k).npoints == n, (p, k)
+        # Ciani at t = 0 is also diagonal: check the even route on it too
+        if model.even:
+            assert _even_quartic_ext_count(rows, field) == n, (p, k)
+        if field.q < 300:
+            assert _projective_zero_count([rows], 3, field) == n, (p, k)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_diagonal_extension_count_matches_enumerator(d):
+    model = PlaneModel(poly("x^%d+y^%d+z^%d" % (d, d, d)))
+    assert model.diagonal
+    for p, k in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2)):
+        field = ExtField(p, k)
+        assert (model.count_points_ext(p, k).npoints
+                == _projective_zero_count([table_mod(model.rows, p)], 3,
+                                          field)), (p, k)
+
+
+@settings(max_examples=60, deadline=None)
+@example((5, [((0, 0, 4), 1), ((2, 0, 2), 4)]), 2)   # G(X, w, 1) = 0 at X = 1
+@example((3, [((0, 0, 4), 2), ((0, 2, 2), 2), ((2, 2, 0), 1), ((4, 0, 0), 1)]),
+         3)                                           # (X - Z)(X + Y + Z)
+@example((7, [((0, 2, 2), 1), ((2, 0, 2), 3)]), 2)   # G(X, 1, 0) vanishes
+@given(even_quartics(primes=(3, 5, 7)), st.sampled_from([2, 3]))
+def test_even_extension_count_matches_enumerator(curve, k):
+    p, rows = curve
+    assume(p ** k <= 125)
+    field = ExtField(p, k)
+    assert (_even_quartic_ext_count(rows, field)
+            == _projective_zero_count([rows], 3, field))
+
+
+def test_catalog_plane_models_never_enumerate(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("P^2 enumerated")
+
+    monkeypatch.setattr(curves, "_projective_zero_count", refuse)
+    models = [entry.counting_model(value) for entry in _CATALOG.values()
+              if entry.model["kind"] == "plane"
+              for value, factors, _ in entry.specializations() if factors]
+    assert len(models) == 3
+    for model in models:
+        for p in (5, 7, 13):
+            for k in (2, 3):
+                assert model.count_points_ext(p, k).power == k

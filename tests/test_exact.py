@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from picardlab.exact import (
     factorize,
@@ -9,8 +9,10 @@ from picardlab.exact import (
     is_prime,
     kronecker_symbol,
     primes_up_to,
-    univariate_resultant,
+    resultant,
 )
+
+from exact_oracles import univariate_resultant
 
 
 def test_primes_up_to_small():
@@ -96,3 +98,30 @@ def test_resultant_product_formula(rs, ss, a, b):
             expected *= r - s
     assert univariate_resultant(f, g) == expected
 
+
+
+_int_polys = st.lists(st.integers(min_value=-6, max_value=6), max_size=8)
+
+
+@given(_int_polys, _int_polys, _int_polys)
+@example([1, 0, 1], [0, 1], [])          # both degrees odd after the swap
+@example([5], [7], [])                   # two constants
+@example([-1, 1], [2, 0, -2], [1, 1])    # a common factor
+@example([0, 0, 3, 0], [4, 4], [])       # trailing zeros, unequal degrees
+def test_integer_resultant_matches_rational_oracle(f, g, common):
+    # a shared factor makes the resultant vanish; without one the
+    # subresultant divisions must all be exact
+    if common:
+        f = _mul(f, common)
+        g = _mul(g, common)
+    value = resultant(f, g)
+    assert type(value) is int
+    assert value == univariate_resultant(f, g)
+
+
+def _mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

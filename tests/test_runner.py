@@ -357,6 +357,35 @@ def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
     assert len(calls) >= 1
 
 
+@pytest.mark.parametrize("eid", ["fermat-sextic",
+                                 "triple-quadric-intersection"])
+def test_candidates_are_computed_once_per_discriminant(monkeypatch, eid):
+    # fermat-sextic lists -3 ten times, triple-quadric -4 three times and
+    # -8 twice; feasibility still sees one set per factor, in claim order
+    entry = ENTRIES[eid]
+    calls, seen = Counter(), []
+    real_candidates = runner.cm_trace_candidates
+    real_feasibility = runner.trace_feasibility
+
+    def candidates(d, p):
+        calls[d, p] += 1
+        return real_candidates(d, p)
+
+    def feasibility(target, sets):
+        seen.append(sets)
+        return real_feasibility(target, sets)
+
+    monkeypatch.setattr(runner, "cm_trace_candidates", candidates)
+    monkeypatch.setattr(runner, "trace_feasibility", feasibility)
+    _prime_checks(entry, 60)
+    ((_, factors, bad),) = entry.specializations()
+    discs = [f["disc"] for f in factors for _ in range(f["mult"])]
+    primes = good_primes(60, bad)
+    assert set(calls.values()) == {1}
+    assert sorted(calls) == sorted((d, p) for d in set(discs) for p in primes)
+    assert seen == [[real_candidates(d, p) for d in discs] for p in primes]
+
+
 def test_inert_and_feasibility_disagreement_is_an_invariant_error(
         monkeypatch):
     # p = 7 is inert for -4, where the count p + 1 is always feasible
