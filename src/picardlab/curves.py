@@ -6,17 +6,14 @@ construction, so a miscount in any route fails loudly.  Invalid inputs (a
 composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
-Counts over F_{p^k}, k = 2, 3, run on the tables of ``gf.ExtField`` in
-O(q): the cyclic-cover count of y^m = f(x), which also counts the diagonal
-plane curve x^d + y^d + z^d, and the line-by-line count of an even plane
-quartic G(x^2, y^2, z^2).  Space curves and every other plane curve go to
-the projective-zero enumerator, which tests each point of P^n(F_q).  All
-routes refuse fields with more than ``gf.TABLE_MAX`` elements, and the
-enumerator refuses to test more than ``gf.TABLE_MAX`` squared points.
+Counts over F_{p^k}, k = 2, 3, run in O(q) on the tables of ``gf.ExtField``
+and refuse fields of more than ``gf.TABLE_MAX`` elements.  There are two
+routes: the cyclic cover y^m = f(x), which also counts the diagonal plane
+curve x^d + y^d + z^d, and the even plane quartic G(x^2, y^2, z^2), line by
+line.  Any other curve, space curves included, is refused there.
 """
 
 from functools import cached_property
-from itertools import product
 from math import gcd
 
 from .exact import is_prime
@@ -62,7 +59,8 @@ def _table_field(p, k):
 
 
 def poly_table(poly, variables):
-    """Flatten an exact polynomial into [(exponent tuple, Fraction)] rows.
+    """Flatten an exact polynomial into [(exponent tuple, coefficient)]
+    rows, each coefficient an ``int`` or a ``Fraction``.
 
     The polynomial must have plain rational coefficients; tower constants are
     rejected because they have no canonical residue mod p.
@@ -358,7 +356,7 @@ class PlaneModel:
     The Fermat curve x^d + y^d + z^d and the quartics G(x^2, y^2, z^2) are
     recognised from their equations and counted in O(p), and in O(q) over
     F_q, q = p^k; every other curve is counted line by line with the gcd
-    kernel over F_p, and by enumerating P^2 over F_q.
+    kernel over F_p, and refused over F_q.
     """
 
     def __init__(self, poly, variables=("x", "y", "z")):
@@ -439,7 +437,7 @@ class PlaneModel:
 
     def count_points_ext(self, p, k):
         """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
-        quartic line by line, any other curve by enumerating P^2(F_{p^k})."""
+        quartic line by line; any other curve is refused for k >= 2."""
         _check_field(p, k)
         if k == 1:
             return self.count_points(p)
@@ -452,8 +450,8 @@ class PlaneModel:
             n = _even_quartic_ext_count(table_mod(self.rows, p),
                                         _table_field(p, k))
         else:
-            n = _projective_zero_count([table_mod(self.rows, p)], 3,
-                                       _table_field(p, k))
+            raise ValueError("no O(q) count of this plane curve over F_%d^%d"
+                             % (p, k))
         return CountRecord(p, k, n, self.genus())
 
 
@@ -527,7 +525,7 @@ class SpaceModel:
         missing = [key for key in self.ROUTES[kind] if key not in fibration]
         if missing:
             raise ValueError("fibration %s lacks %s" % (kind, ", ".join(missing)))
-        # the fibration's forms as rows [(exponents, Fraction)], once
+        # the fibration's forms as rows [(exponents, int or Fraction)], once
         if kind == "sqrt_product":
             self.factor_rows = [poly_table(f, fibration["base_vars"])
                                 for f in fibration["factors"]]
@@ -568,18 +566,13 @@ class SpaceModel:
         return CountRecord(p, 1, n, self._genus)
 
     def count_points_ext(self, p, k):
-        """Count a complete intersection over F_{p^k} by enumerating P^n."""
+        """The count over F_p; no route counts a space curve over F_{p^k},
+        k >= 2."""
         _check_field(p, k)
         if k == 1:
             return self.count_points(p)
-        if len(self.relations) != len(self.variables) - 2:
-            raise ValueError("relations are not a complete intersection: "
-                             "their zeros are not the curve")
-        rows = [table_mod(poly_table(r, self.variables), p)
-                for r in self.relations]
-        n = _projective_zero_count(rows, len(self.variables),
-                                   _table_field(p, k))
-        return CountRecord(p, k, n, self._genus)
+        raise ValueError("no O(q) count of a space curve over F_%d^%d"
+                         % (p, k))
 
     def _count_sqrt_product(self, p):
         # The curve is a tower of double covers of P^1: each listed binary
@@ -648,38 +641,3 @@ class SpaceModel:
         if total % 3:
             raise InvariantError("orbit count %d is not divisible by 3" % total)
         return total // 3
-
-
-def _projective_zero_count(relation_rows, nvars, field):
-    """Common zeros in P^(nvars-1)(F_q) of relations given as rows
-    [(exponents, c mod p)], by testing every point whose first nonzero
-    coordinate is 1.  Coordinates are logs, None standing for 0, so each
-    monomial is one log and each relation one ``exp_sum``.  More than
-    TABLE_MAX^2 points, the plane's largest scan, are refused."""
-    if field.q ** (nvars - 1) > TABLE_MAX ** 2:
-        raise ValueError("scan of P^%d(F_%d) refused: more than %d points"
-                         % (nvars - 1, field.q, TABLE_MAX ** 2))
-    relations = [[(exps, field.log[c]) for exps, c in rows]
-                 for rows in relation_rows]
-    values = [None] + list(range(field.q - 1))
-    n = 0
-    for lead in range(nvars):
-        head = (None,) * lead + (0,)
-        for tail in product(values, repeat=nvars - lead - 1):
-            point = head + tail
-            if all(field.exp_sum(_term_logs(terms, point)) == 0
-                   for terms in relations):
-                n += 1
-    return n
-
-
-def _term_logs(terms, point):
-    """Logs of the monomials c x^e that do not vanish at the point."""
-    for exps, log_c in terms:
-        for x, e in zip(point, exps):
-            if e:
-                if x is None:
-                    break
-                log_c += e * x
-        else:
-            yield log_c

@@ -31,9 +31,9 @@ def entry_document(run):
 
 def hodge_row(d, n):
     data = maximality_report(d, n)
-    if data["printed"] == data["total"]:
+    if not data["printed_discrepancy"]:
         status = "PASS"
-    elif data["adjusted"] == data["total"]:
+    elif data["maximal"]:
         status = "PASS-via-adjusted"
     else:
         status = "DISCREPANCY"

@@ -1,9 +1,11 @@
 """Slow, independent point counts that the fast routes in `picardlab.curves`
-are checked against: the O(p^2) loops those routes replaced, and a
-projective brute-force scan."""
+are checked against: the O(p^2) loops those routes replaced, and
+projective brute-force scans over F_p and over F_{p^k}."""
+
+from itertools import product
 
 from picardlab.curves import table_mod
-from picardlab.gf import ExtField
+from picardlab.gf import TABLE_MAX, ExtField
 
 
 def scan_plane_count(rows_mod_p, p):
@@ -69,6 +71,41 @@ def brute_plane_count(rows_mod_p, p):
             if acc % p == 0:
                 n += 1
     return n
+
+
+def projective_zero_count(relation_rows, nvars, field):
+    """Common zeros in P^(nvars-1)(F_q) of relations given as rows
+    [(exponents, c mod p)], by testing every point whose first nonzero
+    coordinate is 1.  Coordinates are logs, None standing for 0, so each
+    monomial is one log and each relation one ``exp_sum``.  More than
+    TABLE_MAX^2 points, the plane's largest scan, are refused."""
+    if field.q ** (nvars - 1) > TABLE_MAX ** 2:
+        raise ValueError("scan of P^%d(F_%d) refused: more than %d points"
+                         % (nvars - 1, field.q, TABLE_MAX ** 2))
+    relations = [[(exps, field.log[c]) for exps, c in rows]
+                 for rows in relation_rows]
+    values = [None] + list(range(field.q - 1))
+    n = 0
+    for lead in range(nvars):
+        head = (None,) * lead + (0,)
+        for tail in product(values, repeat=nvars - lead - 1):
+            point = head + tail
+            if all(field.exp_sum(_term_logs(terms, point)) == 0
+                   for terms in relations):
+                n += 1
+    return n
+
+
+def _term_logs(terms, point):
+    """Logs of the monomials c x^e that do not vanish at the point."""
+    for exps, log_c in terms:
+        for x, e in zip(point, exps):
+            if e:
+                if x is None:
+                    break
+                log_c += e * x
+        else:
+            yield log_c
 
 
 def _int_tuples(length, p):

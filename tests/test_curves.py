@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from picardlab import curves
 from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
@@ -18,7 +17,6 @@ from picardlab.curves import (
     SpaceModel,
     SuperellipticModel,
     _even_quartic_ext_count,
-    _projective_zero_count,
     _root_count,
     poly_table,
     power_residue_counts,
@@ -31,6 +29,7 @@ from picardlab.symbolic import parse_polynomial
 from count_oracles import (
     brute_plane_count,
     pencil_loop_count,
+    projective_zero_count,
     scan_plane_count,
     shift_orbit_loop_count,
 )
@@ -382,13 +381,17 @@ def _x8_model():
          "factors": [poly("x*y"), poly("x^2-y^2"), poly("x^2+y^2")]})
 
 
+def _x8_rows(p):
+    m = _x8_model()
+    return [table_mod(poly_table(r, m.variables), p) for r in m.relations]
+
+
 def test_sqrt_product_route_matches_space_brute():
     m = _x8_model()
     assert m.genus() == 5
     for p in (3, 5, 7, 11, 13):
-        rows = [table_mod(poly_table(r, m.variables), p) for r in m.relations]
-        assert m.count_points(p).npoints == _projective_zero_count(
-            rows, len(m.variables), ExtField(p, 1))
+        assert m.count_points(p).npoints == projective_zero_count(
+            _x8_rows(p), len(m.variables), ExtField(p, 1))
     assert m.count_points(7).npoints == 8       # 7 = 7 mod 8 is inert twice over
 
 
@@ -406,7 +409,7 @@ def test_pencil_route_matches_space_brute():
     assert m.genus() == 4
     for p in (5, 7, 11, 13):
         rows = [table_mod(poly_table(r, m.variables), p) for r in m.relations]
-        assert m.count_points(p).npoints == _projective_zero_count(
+        assert m.count_points(p).npoints == projective_zero_count(
             rows, len(m.variables), ExtField(p, 1))
     for p in (5, 11, 17, 23):                    # inert primes for -3
         assert m.count_points(p).npoints == p + 1
@@ -465,13 +468,14 @@ def _stable_shift_orbit_count(p):
     return orbits
 
 
-def test_extension_count_refuses_a_model_that_is_not_a_complete_intersection():
-    # one quadric in P^3: enumeration would count the surface (651 points
-    # over F_25), not the genus-4 quotient curve
-    m = _delta_model()
-    with pytest.raises(ValueError, match="not a complete intersection"):
-        m.count_points_ext(5, 2)
-    assert m.count_points_ext(5, 1).npoints == 6
+def test_space_model_refuses_extension_counts():
+    # no O(q) route counts a space curve over F_{p^k}, k >= 2; k = 1 is the
+    # fibration count
+    for m in (_delta_model(), _x8_model(), _beta_model()):
+        for k in (2, 3):
+            with pytest.raises(ValueError, match="space curve over F_5\\^%d" % k):
+                m.count_points_ext(5, k)
+    assert _delta_model().count_points_ext(5, 1).npoints == 6
 
 
 def test_shift_orbit_route_matches_orbit_brute():
@@ -501,14 +505,14 @@ def test_extension_counts_satisfy_genus1_trace_relation():
 
 def test_extension_count_space_brute():
     # the enumeration of P^4(F_9) on the tables
-    assert _x8_model().count_points_ext(3, 2).npoints == 24
+    assert projective_zero_count(_x8_rows(3), 5, ExtField(3, 2)) == 24
 
 
 def test_space_extension_count_above_the_point_bound_is_refused():
     # P^4(F_529) has about 7.8e10 points with first coordinate 1; the
     # refusal comes before any of them is tested
     with pytest.raises(ValueError, match="more than 5290000 points"):
-        _x8_model().count_points_ext(23, 2)
+        projective_zero_count(_x8_rows(23), 5, ExtField(23, 2))
 
 
 def test_cover_with_partly_ramified_infinity():
@@ -639,13 +643,21 @@ def test_bad_denominator_rejected():
 
 
 def test_plane_extension_scan_small():
-    # elliptic curves: N over F_25 from a_5 via the trace relation; the
-    # diagonal cubic is a cyclic cover, the Weierstrass cubic is enumerated
-    for text in ("x^3+y^3+z^3", "y^2*z-x^3-x*z^2-z^3"):
-        c = PlaneModel(poly(text))
-        rec = c.count_points_ext(5, 2)
+    # elliptic curves: N over F_25 from a_5 via the trace relation.  The
+    # diagonal cubic is a cyclic cover; the Weierstrass cubic has no O(q)
+    # route, so the enumerator counts it and the model refuses it
+    def n25(c):
         a1 = c.count_points(5).trace
-        assert rec.npoints == 25 + 1 - (a1 * a1 - 2 * 5), text
+        return 25 + 1 - (a1 * a1 - 2 * 5)
+
+    diagonal = PlaneModel(poly("x^3+y^3+z^3"))
+    assert diagonal.count_points_ext(5, 2).npoints == n25(diagonal)
+    weierstrass = PlaneModel(poly("y^2*z-x^3-x*z^2-z^3"))
+    rows = table_mod(weierstrass.rows, 5)
+    assert projective_zero_count([rows], 3, ExtField(5, 2)) == n25(weierstrass)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="plane curve over F_5\\^%d" % k):
+            weierstrass.count_points_ext(5, k)
 
 
 # N over F_{p^k} of the catalog's plane curves, as the P^2 enumerator
@@ -669,7 +681,7 @@ def test_catalog_plane_extension_counts(entry, t):
         if model.even:
             assert _even_quartic_ext_count(rows, field) == n, (p, k)
         if field.q < 300:
-            assert _projective_zero_count([rows], 3, field) == n, (p, k)
+            assert projective_zero_count([rows], 3, field) == n, (p, k)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -679,8 +691,8 @@ def test_diagonal_extension_count_matches_enumerator(d):
     for p, k in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2)):
         field = ExtField(p, k)
         assert (model.count_points_ext(p, k).npoints
-                == _projective_zero_count([table_mod(model.rows, p)], 3,
-                                          field)), (p, k)
+                == projective_zero_count([table_mod(model.rows, p)], 3,
+                                         field)), (p, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,19 +706,4 @@ def test_even_extension_count_matches_enumerator(curve, k):
     assume(p ** k <= 125)
     field = ExtField(p, k)
     assert (_even_quartic_ext_count(rows, field)
-            == _projective_zero_count([rows], 3, field))
-
-
-def test_catalog_plane_models_never_enumerate(monkeypatch):
-    def refuse(*args):
-        raise RuntimeError("P^2 enumerated")
-
-    monkeypatch.setattr(curves, "_projective_zero_count", refuse)
-    models = [entry.counting_model(value) for entry in _CATALOG.values()
-              if entry.model["kind"] == "plane"
-              for value, factors, _ in entry.specializations() if factors]
-    assert len(models) == 3
-    for model in models:
-        for p in (5, 7, 13):
-            for k in (2, 3):
-                assert model.count_points_ext(p, k).power == k
+            == projective_zero_count([rows], 3, field))

@@ -1,7 +1,11 @@
 """Report rendering: canonical JSON, markdown tables, hodge grid."""
 
+import hashlib
 import json
 
+import pytest
+
+from picardlab import report
 from picardlab.catalog import builtin_catalog
 from picardlab.report import (
     hodge_grid,
@@ -63,11 +67,37 @@ def test_hodge_grid_rows():
     assert all(r["adjusted"] == r["total"] for r in rows)
 
 
-def test_hodge_row_status_branches():
+def test_hodge_row_status_branches(monkeypatch):
     row = hodge_row(3, 2)
     assert row["status"] == "PASS-via-adjusted"
-    # synthesized: if the printed reading matched, the row would be a PASS
     assert row["printed"] != row["total"]
+    # the status is read from the flags of `maximality_report`, not from a
+    # second comparison of the readings
+    real = report.maximality_report
+    for discrepancy, maximal, status in ((False, True, "PASS"),
+                                         (False, False, "PASS"),
+                                         (True, True, "PASS-via-adjusted"),
+                                         (True, False, "DISCREPANCY")):
+        flags = {"printed_discrepancy": discrepancy, "maximal": maximal}
+        monkeypatch.setattr(report, "maximality_report",
+                            lambda d, n, flags=flags: {**real(d, n), **flags})
+        assert hodge_row(3, 2)["status"] == status
+
+
+# sha256 of the canonical report of the shipped catalog.  A change that
+# alters any row must update the digest and name the rows it changed.
+REPORT_DIGESTS = {
+    (200, 1): "a1c7f8f239c5b4934a3f823eb99be6a971934d430153f09392abf8c4ead43f2d",
+    (499, 3): "604fdd6014c00e68299c0a2763f088440c04c1c707a19c1c69736cd91b579ad0",
+}
+
+
+@pytest.mark.parametrize("pmax,depth", list(REPORT_DIGESTS))
+def test_canonical_report_is_byte_identical(pmax, depth):
+    text = render_json(run_catalog(builtin_catalog(), pmax=pmax, depth=depth),
+                       include_hodge=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == REPORT_DIGESTS[pmax, depth])
 
 
 def test_markdown_contains_claims_line():

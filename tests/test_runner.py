@@ -16,6 +16,7 @@ from picardlab.curves import (
     InvariantError,
     PlaneModel,
 )
+from picardlab.report import check_row
 from picardlab.runner import (
     CheckResult,
     _prime_checks,
@@ -170,7 +171,7 @@ def test_extension_depth():
     ext = by_id["extension:k=2"][0]
     assert ext.status == "PASS"
     assert ext.prime == 5
-    # space models refuse brute extension scans; the row must not appear
+    # the runner asks no space model for k >= 2; the row must not appear
     run = run_entry(ENTRIES["fermat-sextic-pencil-quotient"], pmax=5, depth=2)
     assert "extension:k=2" not in _checks_by_id(run)
 
@@ -189,6 +190,30 @@ def test_extension_count_above_the_table_bound_is_skipped():
     assert (k3.status, k3.prime) == ("SKIPPED", 17)
     assert "17^3" in k3.evidence["note"]
     assert not k3.unexpected_failure
+
+
+def test_plane_curve_without_an_extension_route_is_skipped():
+    # a Weierstrass cubic is neither diagonal nor an even quartic: no O(q)
+    # route counts it over F_{5^k}, so its extension rows are SKIPPED with
+    # the model's refusal, and the rows of depth 1 stay as they are
+    doc, _ = _builtin_document("genus2-quintic")
+    doc["entries"] = [{
+        "id": "weierstrass-cubic",
+        "model": {"kind": "plane", "projective": "y^2*z-x^3-x*z^2-z^3",
+                  "variables": ["x", "y", "z"]},
+        "claim": {"factors": [{"disc": None, "mult": 1}]},
+        "bad_primes": [2, 31],
+    }]
+    (shallow,) = run_catalog(load_catalog(doc), pmax=30, depth=1)
+    (deep,) = run_catalog(load_catalog(doc), pmax=30, depth=3)
+    rows = [check_row(c) for c in deep.checks]
+    assert rows[:2] == [
+        {"id": "extension:k=%d" % k, "prime": 5, "status": "SKIPPED",
+         "evidence": {"note": "no O(q) count of this plane curve over F_5^%d"
+                              % k}}
+        for k in (2, 3)]
+    assert rows[2:] == [check_row(c) for c in shallow.checks]
+    assert deep.unexpected_failures() == []
 
 
 def test_run_catalog_selection_and_order():
