@@ -95,8 +95,8 @@ class CatalogEntry:
         self.bad_primes = raw.get("bad_primes", [])
         self.aux = raw.get("aux", [])
         # per load: each text parsed at most once by `poly` and once by
-        # `expression`, each counting model built once (by validation) and
-        # reused by every count
+        # `expression`, each counting model built once (by the claim checks
+        # when the load covers the entry) and reused by every count
         self._parsed = {}
         self._models = {}
 
@@ -240,8 +240,8 @@ class CatalogEntry:
 
     def counting_model(self, value=None):
         """The point-counting model of a specialization, built on first use
-        and kept: validation builds every model a claim needs, so counts
-        after a load reuse it."""
+        and kept: the claim checks build every model a claim needs, so
+        counts after a load that checked the entry reuse it."""
         if value not in self._models:
             try:
                 self._models[value] = self._build_model(value)
@@ -318,7 +318,9 @@ class CatalogEntry:
         raise KeyError("no map named %r in entry %r" % (name, self.id))
 
 
-def _validate(entries):
+def _check_structure(entries):
+    """Document-wide checks on every entry: ids, keys and references,
+    shapes; nothing here parses a model or builds a counting model."""
     ids = [e.id for e in entries]
     _require(len(set(ids)) == len(ids), "duplicate entry ids")
     for entry in entries:
@@ -376,22 +378,29 @@ def _validate(entries):
                 _require_keys(factor, ("mult", "disc"), "factor %d of %s%s"
                               % (k, entry.id, "" if value is None
                                  else " at t=%s" % value))
-            if not factors:
-                continue
-            _require(bad, "countable entry %s lacks bad primes" % entry.id)
-            total = sum(f["mult"] for f in factors)
-            model = entry.counting_model(value)
+            _require(bad or not factors,
+                     "countable entry %s lacks bad primes" % entry.id)
+
+
+def _check_claims(entry):
+    """Build each claimed specialization's counting model (kept for the
+    counts that follow) and check its genus and bad primes."""
+    for value, factors, bad in entry.specializations():
+        if not factors:
+            continue
+        total = sum(f["mult"] for f in factors)
+        model = entry.counting_model(value)
+        _require(
+            total == model.genus(),
+            "factor multiplicities of %s do not sum to the genus" % entry.id,
+        )
+        if isinstance(model, SuperellipticModel):
+            missing = _undeclared_bad_primes(model, bad)
             _require(
-                total == model.genus(),
-                "factor multiplicities of %s do not sum to the genus" % entry.id,
+                not missing,
+                "bad primes %s of %s are not declared"
+                % (sorted(missing), entry.id),
             )
-            if isinstance(model, SuperellipticModel):
-                missing = _undeclared_bad_primes(model, bad)
-                _require(
-                    not missing,
-                    "bad primes %s of %s are not declared"
-                    % (sorted(missing), entry.id),
-                )
 
 
 def _undeclared_bad_primes(model, declared):
@@ -415,18 +424,25 @@ def _undeclared_bad_primes(model, declared):
     return set(factorize(value)) if value > 1 else set()
 
 
-def load_catalog(document):
-    """Parse and validate a catalog document (dict or JSON text)."""
+def load_catalog(document, ids=None):
+    """Parse and validate a catalog document (dict or JSON text).
+
+    Every entry's structure is checked; the claims (counting models, genus
+    sums, bad primes) of the entries in `ids` only, or of all entries when
+    `ids` is None."""
     if isinstance(document, str):
         document = json.loads(document)
     tower = load_tower(document.get("tower", []))
     entries = [CatalogEntry(raw, tower) for raw in document["entries"]]
-    _validate(entries)
+    _check_structure(entries)
+    for entry in entries:
+        if ids is None or entry.id in ids:
+            _check_claims(entry)
     return entries
 
 
-def builtin_catalog():
+def builtin_catalog(ids=None):
     text = (
         resources.files("picardlab").joinpath("data/builtin.json").read_text()
     )
-    return load_catalog(text)
+    return load_catalog(text, ids)

@@ -65,7 +65,7 @@ def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
         parser.error("--pmax must lie in [1, %d]" % PRIME_CAP)
     if not 1 <= depth <= 3:
         parser.error("--depth must lie in [1, 3]")
-    entries = builtin_catalog()
+    entries = builtin_catalog(ids)
     try:
         runs = run_catalog(entries, ids=ids, pmax=pmax, depth=depth)
     except KeyError as exc:
@@ -76,7 +76,7 @@ def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
 
 
 def _cmd_count(parser, args):
-    entries = {e.id: e for e in builtin_catalog()}
+    entries = {e.id: e for e in builtin_catalog([args.entry])}
     if args.entry not in entries:
         parser.error("unknown entry id: %s" % args.entry)
     entry = entries[args.entry]

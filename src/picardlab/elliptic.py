@@ -80,9 +80,10 @@ def trace_feasibility(target, candidate_sets):
     """
     achievable = {0: ()}
     for cand in candidate_sets:
+        choices = sorted(cand)
         nxt = {}
         for s, path in sorted(achievable.items()):
-            for a in sorted(cand):
+            for a in choices:
                 ns = s + a
                 if ns not in nxt:
                     nxt[ns] = path + (a,)

@@ -264,6 +264,43 @@ def test_bad_genus_sum_rejected_under_optimize(tmp_path, src_env):
                                   "genus2-quintic"), proc.stdout
 
 
+def test_builtin_catalog_builds_every_claimed_model():
+    countable = 0
+    for entry in builtin_catalog():
+        claimed = {value for value, factors, _ in entry.specializations()
+                   if factors}
+        assert set(entry._models) == claimed, entry.id
+        countable += len(claimed)
+    assert countable == 13
+
+
+def _document_with_a_bad_genus_sum(eid):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == eid)
+    entry["claim"]["factors"][0]["mult"] = 3
+    return doc, entry
+
+
+def test_claims_are_checked_for_the_entries_a_load_covers():
+    doc, _ = _document_with_a_bad_genus_sum("genus2-quintic")
+    message = "factor multiplicities of genus2-quintic"
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(doc)
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(doc, ids=["genus2-quintic"])
+    loaded = {e.id: e for e in load_catalog(doc, ids=["fermat-sextic"])}
+    assert loaded["genus2-quintic"]._models == {}
+    assert set(loaded["fermat-sextic"]._models) == {None}
+
+
+def test_structure_is_checked_for_every_entry_a_load_skips():
+    doc, entry = _document_with_a_bad_genus_sum("genus3-septic")
+    entry["aux"][0]["check"] = "cm_consistancy"
+    with pytest.raises(CatalogError, match="unknown aux check "
+                                           "'cm_consistancy' in genus3-septic"):
+        load_catalog(doc, ids=["fermat-sextic"])
+
+
 def test_undeclared_bad_primes_rejected():
     # disc(x^5 - x + 1) = 2869 = 19 * 151, so lc(f) Res(f, f') m has both
     doc = _raw_document()

@@ -66,13 +66,47 @@ def test_count_does_no_symbolic_work_after_load(monkeypatch, capsys):
     def refuse(*args):
         raise RuntimeError("parsed after the catalog was loaded")
 
-    monkeypatch.setattr(cli, "builtin_catalog", lambda: entries)
+    monkeypatch.setattr(cli, "builtin_catalog", lambda ids=None: entries)
     monkeypatch.setattr(symbolic, "parse_expression", refuse)
     monkeypatch.setattr(catalog, "parse_expression", refuse)
     monkeypatch.setattr(catalog, "parse_polynomial", refuse)
     for argv, out in zip(argvs, expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+def _spy_on_model_builds(monkeypatch):
+    built = []
+    build = catalog.CatalogEntry._build_model
+
+    def spy(entry, value):
+        built.append((entry.id, value))
+        return build(entry, value)
+
+    monkeypatch.setattr(catalog.CatalogEntry, "_build_model", spy)
+    return built
+
+
+def test_count_builds_only_the_counted_entry(monkeypatch, capsys):
+    built = _spy_on_model_builds(monkeypatch)
+    assert main(["count", "--entry", "bielliptic-sextic-pencil",
+                 "--prime", "7"]) == 0
+    assert capsys.readouterr().out.count("npoints=") == 3
+    assert sorted(built) == [("bielliptic-sextic-pencil", t)
+                             for t in (0, 1, 3)]
+
+
+def test_verify_one_entry_prints_what_a_full_load_gives(monkeypatch, capsys):
+    argv = ["verify", "--entry", "genus3-septic", "--pmax", "30"]
+    entries = builtin_catalog()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "builtin_catalog", lambda ids=None: entries)
+        assert main(argv) == 0
+    full = capsys.readouterr().out
+    built = _spy_on_model_builds(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    assert {eid for eid, _ in built} == {"genus3-septic"}
 
 
 def test_count_rejects_symbolic_entry():
