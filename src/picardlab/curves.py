@@ -6,18 +6,27 @@ construction, so a miscount in any route fails loudly.  Invalid inputs (a
 composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
-Counts over F_{p^k}, k = 2, 3, run in O(q) on the tables of ``gf.ExtField``
-and refuse fields of more than ``gf.TABLE_MAX`` elements.  There are two
-routes: the cyclic cover y^m = f(x), which also counts the diagonal plane
-curve x^d + y^d + z^d, and the even plane quartic G(x^2, y^2, z^2), line by
-line.  Any other curve, space curves included, is refused there.
+Every count reads the tables of ``gf.shared_field(p, k)``, built once per
+field and shared by every route, and fields of more than ``gf.TABLE_MAX``
+elements are refused.  Over F_p a polynomial is evaluated at all of F_p one
+column at a time (``_column``): its term c x^j at x = g^i is g^(log c + ij),
+a stride-j slice of the exp table, so the cyclic cover, the square-root
+tower and the pencil of cubics do no Python call per point.
+
+Counts over F_{p^k}, k = 2, 3, run in O(q) in log arithmetic, F_q addition
+not being integer addition.  There are two routes: the cyclic cover
+y^m = f(x), which also counts the diagonal plane curve x^d + y^d + z^d, and
+the even plane quartic G(x^2, y^2, z^2), line by line.  Any other curve,
+space curves included, is refused there.
 """
 
 from functools import cached_property
-from math import gcd
+from itertools import chain, repeat
+from math import gcd, prod
+from operator import mul
 
 from .exact import is_prime
-from .gf import TABLE_MAX, ExtField
+from .gf import TABLE_MAX, shared_field
 
 
 class InvariantError(RuntimeError):
@@ -51,11 +60,36 @@ def _check_field(p, k=1):
         raise ValueError("extension degree must be 1, 2 or 3, got %d" % k)
 
 
-def _table_field(p, k):
-    """F_{p^k} with its tables; larger fields are refused."""
+def _table_field(p, k=1):
+    """The shared F_{p^k} with its tables; larger fields are refused."""
     if p ** k > TABLE_MAX:
-        raise ValueError("extension scan of size %d^%d refused" % (p, k))
-    return ExtField(p, k)
+        raise ValueError("count over a field of size %d^%d refused" % (p, k))
+    return shared_field(p, k)
+
+
+def _column(field, coeffs):
+    """The values of f at x = 0, then at x = g^i for i = 0..p-2, over the
+    prime field ``field``; f is given by its coefficients mod p, low to
+    high, at least one.
+
+    The term c_j x^j at x = g^i is g^(log c_j + ij), so its column over i is
+    a stride-j slice of the exp table repeated j + 1 times.  Each value is
+    the plain sum of one residue per nonzero term, so it is congruent to
+    f(x) and lies in [0, len(coeffs) p)."""
+    exp, log, n = field.exp, field.log, field.q - 1
+    c0 = coeffs[0]
+    cols = [(exp * (j + 1))[log[c]:log[c] + j * n:j]
+            for j, c in enumerate(coeffs) if j and c]
+    if not cols:
+        return repeat(c0, n + 1)
+    return chain((c0,), map(sum, zip(repeat(c0), *cols)))
+
+
+def _root_column(field, n, coeffs):
+    """#{y in F_p : y^n = f(x)} for x in ``_column``'s order: its unreduced
+    values index the power counts repeated len(coeffs) times."""
+    counts = field.power_counts(n) * len(coeffs)
+    return map(counts.__getitem__, _column(field, coeffs))
 
 
 def poly_table(poly, variables):
@@ -89,14 +123,6 @@ def table_mod(rows, p):
     return [(exps, c_mod) for exps, c in rows if (c_mod := _coeff_mod(c, p))]
 
 
-def power_residue_counts(p, n):
-    """counts[v] = #{x in F_p : x^n = v}."""
-    counts = [0] * p
-    for x in range(p):
-        counts[pow(x, n, p)] += 1
-    return counts
-
-
 def _univariate_mod(rows, p):
     """Dense low-to-high coefficient list of a one-variable table mod p."""
     deg = max(e[0] for e, _ in rows) if rows else 0
@@ -106,13 +132,6 @@ def _univariate_mod(rows, p):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
-
-
-def _eval_poly(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 # Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
@@ -177,7 +196,8 @@ class RootCounts:
 
     def __init__(self, p):
         self.p = p
-        self.squares = power_residue_counts(p, 2)
+        self.field = _table_field(p)
+        self.squares = self.field.power_counts(2)
 
     @cached_property
     def sqrt(self):
@@ -189,7 +209,7 @@ class RootCounts:
 
     @cached_property
     def cubes(self):
-        return power_residue_counts(self.p, 3)
+        return self.field.power_counts(3)
 
     @cached_property
     def depressed(self):
@@ -251,9 +271,9 @@ class RootCounts:
 def _diagonal_count(p, d):
     """Projective points of x^d + y^d + z^d = 0 over F_p: the chart z = 1
     from d-th power residue counts, then the d-th roots of -1 on z = 0."""
-    t = power_residue_counts(p, d)
-    n = sum(t[v] * t[(-1 - v) % p] for v in range(p))
-    return n + t[p - 1]
+    t = _table_field(p).power_counts(d)
+    # x^d + y^d = -1 pairs v with -1 - v = p - 1 - v
+    return sum(map(mul, t, reversed(t))) + t[p - 1]
 
 
 def _cyclic_cover_count(m, coeffs, p, k):
@@ -261,18 +281,17 @@ def _cyclic_cover_count(m, coeffs, p, k):
     (low to high, the last nonzero): the sum over x of #{y : y^m = f(x)},
     plus the points at infinity, one for each z in F_{p^k} with
     z^d = lc(f), d = gcd(m, deg f)."""
+    field = _table_field(p, k)
     if k == 1:
-        roots = power_residue_counts(p, m)
-        values = (_eval_poly(coeffs, x, p) for x in range(p))
+        n = sum(_root_column(field, m, coeffs))
     else:
-        field = _table_field(p, k)
         terms = [(j, field.log[c]) for j, c in enumerate(coeffs) if c]
         roots = field.power_counts(m)
         # f(0), then f(g^i) as a sum of the terms c_j g^(ij)
         values = [coeffs[0]] + [
             field.exp_sum(log_c + i * j for j, log_c in terms)
             for i in range(field.q - 1)]
-    n = sum(roots[v] for v in values)
+        n = sum(roots[v] for v in values)
     # the z in F_q with z^d = lc(f): e = gcd(d, q - 1) of them when lc(f)
     # is an e-th power, none otherwise
     q = p ** k
@@ -396,13 +415,15 @@ class PlaneModel:
         roots = RootCounts(p)
         rows = [((ex // 2, ey // 2, ez // 2), c)
                 for (ex, ey, ez), c in table_mod(self.rows, p)]
-        n = 0
-        for a in range((p + 1) // 2):
-            x2 = a * a % p
-            fx = [0, 0, 0]
-            for (ex, ey, _), c in rows:
-                fx[ey] += c * x2 ** ex
-            n += (2 if a else 1) * roots.even_quartic(fx)
+        # the coefficients of G(X, w, 1) in w, polynomials in X, as columns
+        # over X = 0, g^0, g^1, ...; the squares X = g^(2i) are every other
+        # line, each met by two x
+        coeffs = [[0] * 3 for _ in range(3)]
+        for (ex, ey, _), c in rows:
+            coeffs[ey][ex] = (coeffs[ey][ex] + c) % p
+        lines = list(zip(*(_column(roots.field, f) for f in coeffs)))
+        n = roots.even_quartic(lines[0]) + 2 * sum(
+            map(roots.even_quartic, lines[1::2]))
         # line z = 0: points (x : 1 : 0), the roots of the even quartic
         # F(x, 1, 0), and (1 : 0 : 0)
         edge = [0, 0, 0]
@@ -577,21 +598,17 @@ class SpaceModel:
     def _count_sqrt_product(self, p):
         # The curve is a tower of double covers of P^1: each listed binary
         # form acquires a square root, so a point above (x : y) contributes
-        # the product of the square-root counts.
-        counts = power_residue_counts(p, 2)
-        factor_rows = [table_mod(rows, p) for rows in self.factor_rows]
-
-        def fiber(x, y):
-            total = 1
-            for rows in factor_rows:
-                v = sum(c * pow(x, ex, p) * pow(y, ey, p) for (ex, ey), c in rows) % p
-                total *= counts[v]
-                if total == 0:
-                    break
-            return total
-
-        n = sum(fiber(x, 1) for x in range(p))
-        return n + fiber(1, 0)
+        # the product of the square-root counts: one column of counts per
+        # form on the chart y = 1, then the point (1 : 0).
+        field = _table_field(p)
+        columns = [_root_column(field, 2, _univariate_mod(rows, p))
+                   for rows in self.factor_rows]
+        n = sum(map(prod, zip(*columns)))
+        # at (1 : 0) each form is its coefficient of x^deg
+        squares = field.power_counts(2)
+        edge = [sum(c for (_, ey), c in table_mod(rows, p) if ey == 0) % p
+                for rows in self.factor_rows]
+        return n + prod(squares[v] for v in edge)
 
     def _count_pencil_form(self, p):
         # Ruling of a cone: for each line (s : r) of the ruling, the curve
@@ -601,16 +618,22 @@ class SpaceModel:
             raise ValueError("pencil route expects a binary cubic")
         roots = RootCounts(p)
 
-        def fiber(s, r):
+        def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
             # A at B = 1, and (A : B) = (1 : 0) when the A^3 term vanishes
-            coeffs = [0] * 4
-            for (es, er, _, eb), c in rows:
-                coeffs[eb] += c * pow(s, es, p) * pow(r, er, p)
             return roots.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
-        n = sum(fiber(s, 1) for s in range(p))
-        return n + fiber(1, 0)
+        # the lines (s : 1): one column per coefficient, a polynomial in s
+        columns = [_column(roots.field, _univariate_mod(
+            [row for row in self.form_rows if row[0][3] == eb], p))
+            for eb in range(4)]
+        n = sum(map(fiber, zip(*columns)))
+        # the line (1 : 0)
+        edge = [0] * 4
+        for (_, er, _, eb), c in rows:
+            if er == 0:
+                edge[eb] += c
+        return n + fiber(edge)
 
     def _count_shift_orbit(self, p):
         # Quotient of the diagonal plane sextic by the coordinate 3-cycle s.
@@ -635,8 +658,8 @@ class SpaceModel:
             n_s = p + 1
         else:
             c = next(c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1)
-            cubes = power_residue_counts(p, 3)
-            n_s = 3 * sum(1 for u in range(p) if cubes[c * (u ** 3 + c) % p])
+            cubes = _root_column(_table_field(p), 3, [c * c % p, 0, 0, c])
+            n_s = 3 * sum(1 for v in cubes if v)
         total = base + 2 * n_s
         if total % 3:
             raise InvariantError("orbit count %d is not divisible by 3" % total)

@@ -11,16 +11,26 @@ is 0).  A product then adds logs, a sum g^a + g^b = g^(a + zech[b - a]) is one
 lookup, and y^n = a has gcd(n, q - 1) solutions when that gcd divides log a,
 none otherwise.  Larger fields keep only the modulus and the arithmetic on
 coefficient tuples.
+
+``shared_field(p, k)`` builds each field once per process and keeps the
+most recent ``FIELD_CACHE`` of them, enough for every prime up to 499 and the
+extension fields that carry tables, so every count at a prime reads the same
+tables.  Nothing is built at import.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .exact import factorize, is_prime
 
 # Largest q that gets tables; point counts over larger fields are refused.
 TABLE_MAX = 2300
+
+# Fields kept by ``shared_field``: the 94 odd primes below 500 and the 19
+# fields F_{p^k}, k = 2, 3, with q <= TABLE_MAX.
+FIELD_CACHE = 128
 
 
 def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
@@ -33,6 +43,13 @@ def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
         if acc == 0:
             roots.append(x)
     return roots
+
+
+@lru_cache(maxsize=FIELD_CACHE)
+def shared_field(p: int, k: int) -> ExtField:
+    """ExtField(p, k), built on the first call and shared by later ones;
+    its tables are read, never changed."""
+    return ExtField(p, k)
 
 
 class ExtField:
@@ -76,18 +93,21 @@ class ExtField:
         raise AssertionError("no irreducible cubic found")
 
     def _build_tables(self):
-        n = self.q - 1
-        g = self.coeffs(self.multiplicative_generator())
-        exp = [0] * n
+        n, p = self.q - 1, self.p
+        g = self.multiplicative_generator()
+        exp = [1] * n
+        if self.k == 1:
+            for i in range(1, n):
+                exp[i] = exp[i - 1] * g % p
+        else:
+            g, t = self.coeffs(g), self.coeffs(1)
+            for i in range(1, n):
+                t = self._mul(t, g)
+                exp[i] = self.element(t)
         log = [None] * self.q
-        t = self.coeffs(1)
-        for i in range(n):
-            a = self.element(t)
-            exp[i] = a
+        for i, a in enumerate(exp):
             log[a] = i
-            t = self._mul(t, g)
         # 1 + a adds 1 to the lowest base-p digit of a
-        p = self.p
         self.zech = [log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp]
         self.exp, self.log = exp, log
 
@@ -108,12 +128,14 @@ class ExtField:
 
     def multiplicative_generator(self) -> int:
         """The least element that generates the cyclic group F_q^*."""
-        n = self.q - 1
+        n, p = self.q - 1, self.p
         checks = [n // ell for ell in factorize(n)]
         one = self.coeffs(1)
         for a in range(1, self.q):
-            cand = self.coeffs(a)
-            if all(self._pow(cand, m) != one for m in checks):
+            if self.k == 1:
+                if all(pow(a, m, p) != 1 for m in checks):
+                    return a
+            elif all(self._pow(self.coeffs(a), m) != one for m in checks):
                 return a
         raise AssertionError("no generator found")
 
@@ -134,8 +156,8 @@ class ExtField:
         d = gcd(n, self.q - 1)
         counts = [0] * self.q
         counts[0] = 1
-        for i in range(0, self.q - 1, d):
-            counts[self.exp[i]] = d
+        for a in self.exp[::d]:
+            counts[a] = d
         return counts
 
     def _pow(self, a: tuple, e: int) -> tuple:

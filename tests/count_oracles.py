@@ -1,11 +1,19 @@
 """Slow, independent point counts that the fast routes in `picardlab.curves`
-are checked against: the O(p^2) loops those routes replaced, and
-projective brute-force scans over F_p and over F_{p^k}."""
+are checked against: the O(p^2) loops those routes replaced, Horner
+evaluation, and projective brute-force scans over F_p and over F_{p^k}."""
 
 from itertools import product
 
 from picardlab.curves import table_mod
 from picardlab.gf import TABLE_MAX, ExtField
+
+
+def horner(coeffs, x, p):
+    """f(x) mod p, f given by its coefficients low to high."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def scan_plane_count(rows_mod_p, p):

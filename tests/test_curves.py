@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,18 +17,22 @@ from picardlab.curves import (
     RootCounts,
     SpaceModel,
     SuperellipticModel,
+    _column,
+    _cyclic_cover_count,
     _even_quartic_ext_count,
     _root_count,
+    _univariate_mod,
     poly_table,
-    power_residue_counts,
     table_mod,
 )
 from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import ExtField
+from picardlab.runner import _target_rhs
 from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
     brute_plane_count,
+    horner,
     pencil_loop_count,
     projective_zero_count,
     scan_plane_count,
@@ -285,7 +290,7 @@ def _second_chart_count(coeffs, p):
     rev = [0] * (even + 1)
     for e, c in enumerate(coeffs):
         rev[even - e] = c
-    sq = power_residue_counts(p, 2)
+    sq = ExtField(p, 1).power_counts(2)
     n = sum(sq[sum(c * pow(u, e, p) for e, c in enumerate(rev)) % p]
             for u in range(1, p))
     n += sq[rev[0]]                              # u = 0 lies over x = infinity
@@ -357,6 +362,69 @@ def test_quadratic_twist_covariance(data):
     twist = HyperellipticModel(
         _dense_to_poly([d * c for c in coeffs])).count_points(p)
     assert twist.trace == chi * base.trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_is_horner_at_every_point(data):
+    # zero coefficients are common, and degrees reach past p - 1
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    deg = data.draw(st.integers(0, 8))
+    coeffs = [data.draw(st.sampled_from([0, 0, 1, p - 1])
+                        | st.integers(0, p - 1)) for _ in range(deg + 1)]
+    field = ExtField(p, 1)
+    values = list(_column(field, coeffs))
+    assert len(values) == p
+    for x, v in zip([0] + field.exp, values):
+        assert v % p == horner(coeffs, x, p) and 0 <= v < len(coeffs) * p
+
+
+def test_column_edge_shapes():
+    for p in (5, 7):
+        field = ExtField(p, 1)
+        points = [0] + field.exp
+        shapes = [[0], [4], [0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 0, 0, 3],
+                  [1, 1, 1, 1, 1, 1, 1, 1, 1], [0] * 8 + [1],
+                  [0] * (p - 1) + [1], [1] + [0] * (p - 2) + [6 % p]]
+        for coeffs in shapes:
+            assert [v % p for v in _column(field, coeffs)] == [
+                horner(coeffs, x, p) for x in points], (p, coeffs)
+
+
+def _catalog_covers():
+    """(label, model) for every cyclic cover the catalog counts over F_p:
+    each specialization's own y^m = f(x) model and each trace-map target."""
+    covers = []
+    for entry in _CATALOG.values():
+        for value, _, _ in entry.specializations():
+            if entry.model["kind"] in ("hyperelliptic", "superelliptic"):
+                model = entry.counting_model(value)
+                covers.append(("%s t=%s" % (entry.id, value), model))
+            for name in dict.fromkeys(entry.trace_map_names()):
+                rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
+                covers.append(("%s t=%s %s" % (entry.id, value, name),
+                               HyperellipticModel(rhs, uvar)))
+    return covers
+
+
+def test_cover_count_is_the_horner_sum_at_every_prime():
+    covers = _catalog_covers()
+    assert len(covers) >= 10
+    for p in primes_up_to(499)[2:]:
+        field = ExtField(p, 1)
+        for label, model in covers:
+            try:
+                coeffs = _univariate_mod(model.rows, p)
+            except ZeroDivisionError:
+                continue
+            if p % model.m == 0 or len(coeffs) - 1 != model.degree:
+                continue
+            roots = field.power_counts(model.m)
+            affine = sum(roots[horner(coeffs, x, p)] for x in range(p))
+            d = gcd(model.m, model.degree)
+            infinity = sum(1 for z in range(p) if pow(z, d, p) == coeffs[-1])
+            assert _cyclic_cover_count(model.m, coeffs, p, 1) == \
+                affine + infinity, (label, p)
 
 
 def test_superelliptic_quotient_models():

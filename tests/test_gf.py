@@ -1,7 +1,13 @@
 from hypothesis import given, settings, strategies as st
 
-from picardlab.exact import is_prime
-from picardlab.gf import TABLE_MAX, ExtField, poly_roots_mod_p
+from picardlab.exact import factorize, is_prime, primes_up_to
+from picardlab.gf import (
+    FIELD_CACHE,
+    TABLE_MAX,
+    ExtField,
+    poly_roots_mod_p,
+    shared_field,
+)
 
 from count_oracles import frobenius_map
 
@@ -200,3 +206,48 @@ def test_gen_powers_cover_field():
         assert sorted(F.exp) == list(range(1, F.q))
         assert all(F.log[F.exp[i]] == i for i in range(F.q - 1))
         assert F.exp[1] == F.multiplicative_generator()
+
+
+
+def _tuple_tables(F):
+    """(exp, log, zech) built on coefficient tuples, the way degrees k >= 2
+    are built: the least generator found by tuple powers, then its powers
+    by tuple products, and 1 + a by adding 1 to the lowest coefficient."""
+    n, one = F.q - 1, F.coeffs(1)
+    cofactors = [n // ell for ell in factorize(n)]
+    g = next(F.coeffs(a) for a in range(1, F.q)
+             if all(F._pow(F.coeffs(a), m) != one for m in cofactors))
+    exp, t = [], one
+    for _ in range(n):
+        exp.append(F.element(t))
+        t = F._mul(t, g)
+    log = [None] * F.q
+    for i, a in enumerate(exp):
+        log[a] = i
+    zech = [log[F.element([F.coeffs(a)[0] + 1] + list(F.coeffs(a)[1:]))]
+            for a in exp]
+    return exp, log, zech
+
+
+def test_prime_field_int_tables_equal_the_tuple_tables():
+    for p in primes_up_to(499)[1:]:
+        F = ExtField(p, 1)
+        assert (F.exp, F.log, F.zech) == _tuple_tables(F), p
+
+
+def test_shared_field_is_built_once_per_field():
+    shared_field.cache_clear()
+    F = shared_field(11, 1)
+    assert shared_field(11, 1) is F
+    assert F.p == 11 and F.k == 1 and F.exp == ExtField(11, 1).exp
+    assert shared_field(11, 2) is shared_field(11, 2) is not F
+    assert shared_field(13, 1) is not F
+    # every field a report can count over stays cached
+    fields = [(p, 1) for p in primes_up_to(499)[1:]] + [
+        (p, k) for k in (2, 3) for p in primes_up_to(47)[1:]
+        if p ** k <= TABLE_MAX]
+    assert len(fields) <= FIELD_CACHE
+    shared_field.cache_clear()
+    built = [shared_field(p, k) for p, k in fields]
+    assert all(shared_field(p, k) is F for (p, k), F in zip(fields, built))
+    assert shared_field.cache_info().misses == len(fields)

@@ -2,7 +2,9 @@
 every parameter it takes, every attribute that src/ stores is read there,
 no guard in src/ is an assert statement (python -O would strip it), and
 no true division in src/ starts from an int literal (with int coefficients,
-``1 / c`` is a float; ``Fraction(1) / c`` is exact)."""
+``1 / c`` is a float; ``Fraction(1) / c`` is exact), and no cache in src/ is
+unbounded (a long-lived process that calls ``cli.main`` at many primes must
+not grow without limit)."""
 
 import ast
 from pathlib import Path
@@ -110,3 +112,50 @@ def test_no_true_division_of_an_int_literal_in_src():
              and isinstance(node.left, ast.Constant)
              and type(node.left.value) is int]
     assert found == []
+
+
+
+def _unbounded_caches(tree):
+    """Lines that import or name ``functools.cache``, or call ``lru_cache``
+    with maxsize None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            sizes = node.args[:1] + [kw.value for kw in node.keywords
+                                     if kw.arg == "maxsize"]
+            if name == "lru_cache" and any(
+                    isinstance(v, ast.Constant) and v.value is None
+                    for v in sizes):
+                yield node.lineno
+
+
+def test_no_unbounded_cache_in_src():
+    found = ["%s:%d" % (name, line) for name, tree in _trees().items()
+             for line in _unbounded_caches(tree)]
+    assert found == []
+
+
+def test_unbounded_cache_rule_flags_each_form():
+    flagged = [
+        "from functools import cache",
+        "@functools.cache\ndef f(p): pass",
+        "@lru_cache(maxsize=None)\ndef f(p): pass",
+        "@functools.lru_cache(None)\ndef f(p): pass",
+    ]
+    allowed = [
+        "@lru_cache(maxsize=128)\ndef f(p): pass",
+        "@functools.lru_cache\ndef f(p): pass",
+        "from functools import cached_property, lru_cache",
+        "cache = {}",
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _unbounded_caches(ast.parse(text)))
+        assert hit == (text in flagged), text
