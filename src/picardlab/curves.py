@@ -7,8 +7,9 @@ composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
 Every count reads the tables of ``gf.shared_field(p, k)``, built once per
-field and shared by every route, and fields of more than ``gf.TABLE_MAX``
-elements are refused.  Over F_p a polynomial is evaluated at all of F_p one
+field and shared by every route.  A prime past ``gf.TABLE_MAX``, beyond the
+primes a report reaches, gets its field built for the one count; extension
+fields of more than ``gf.TABLE_MAX`` elements are refused.  Over F_p a polynomial is evaluated at all of F_p one
 column at a time (``_column``): its term c x^j at x = g^i is g^(log c + ij),
 a stride-j slice of the exp table, so the cyclic cover, the square-root
 tower and the pencil of cubics do no Python call per point.
@@ -26,7 +27,7 @@ from math import gcd, prod
 from operator import mul
 
 from .exact import is_prime
-from .gf import TABLE_MAX, shared_field
+from .gf import TABLE_MAX, ExtField, shared_field
 
 
 class InvariantError(RuntimeError):
@@ -61,10 +62,13 @@ def _check_field(p, k=1):
 
 
 def _table_field(p, k=1):
-    """The shared F_{p^k} with its tables; larger fields are refused."""
-    if p ** k > TABLE_MAX:
-        raise ValueError("count over a field of size %d^%d refused" % (p, k))
-    return shared_field(p, k)
+    """F_{p^k} with its tables: shared up to TABLE_MAX elements, built for
+    the one count for a larger prime; larger extension fields are refused."""
+    if p ** k <= TABLE_MAX:
+        return shared_field(p, k)
+    if k == 1:
+        return ExtField(p, 1)
+    raise ValueError("count over a field of size %d^%d refused" % (p, k))
 
 
 def _column(field, coeffs):

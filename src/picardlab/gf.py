@@ -5,12 +5,13 @@ monic irreducible modulus, read as the base-p number c_0 + c_1 p + ...; so
 0..p-1 are F_p itself.  Degree <= 3 keeps irreducibility testing trivial (no
 roots in F_p).
 
-Fields with q <= TABLE_MAX carry exp/log/Zech tables against a generator g of
-F_q^*: exp[i] = g^i, log[g^i] = i and 1 + g^i = g^zech[i] (None when the sum
-is 0).  A product then adds logs, a sum g^a + g^b = g^(a + zech[b - a]) is one
-lookup, and y^n = a has gcd(n, q - 1) solutions when that gcd divides log a,
-none otherwise.  Larger fields keep only the modulus and the arithmetic on
-coefficient tuples.
+Prime fields, and extension fields with q <= TABLE_MAX, carry exp/log/Zech
+tables against a generator g of F_q^*: exp[i] = g^i, log[g^i] = i and
+1 + g^i = g^zech[i] (None when the sum is 0).  A product then adds logs, a sum
+g^a + g^b = g^(a + zech[b - a]) is one lookup, and y^n = a has gcd(n, q - 1)
+solutions when that gcd divides log a, none otherwise.  A prime field's tables
+cost O(p), as one count over it does; larger extension fields keep only the
+modulus and the arithmetic on coefficient tuples.
 
 ``shared_field(p, k)`` builds each field once per process and keeps the
 most recent ``FIELD_CACHE`` of them, enough for every prime up to 499 and the
@@ -25,7 +26,8 @@ from math import gcd
 
 from .exact import factorize, is_prime
 
-# Largest q that gets tables; point counts over larger fields are refused.
+# Largest extension field (k = 2, 3) that gets tables; point counts over
+# larger ones are refused.  Prime fields always get them.
 TABLE_MAX = 2300
 
 # Fields kept by ``shared_field``: the 94 odd primes below 500 and the 19
@@ -65,7 +67,7 @@ class ExtField:
         self.q = p**k
         self.modulus = self._find_modulus()
         self.exp = self.log = self.zech = None
-        if self.q <= TABLE_MAX:
+        if k == 1 or self.q <= TABLE_MAX:
             self._build_tables()
 
     def _find_modulus(self) -> tuple[int, ...]:
@@ -93,21 +95,18 @@ class ExtField:
         raise AssertionError("no irreducible cubic found")
 
     def _build_tables(self):
-        n, p = self.q - 1, self.p
-        g = self.multiplicative_generator()
-        exp = [1] * n
-        if self.k == 1:
-            for i in range(1, n):
-                exp[i] = exp[i - 1] * g % p
-        else:
-            g, t = self.coeffs(g), self.coeffs(1)
-            for i in range(1, n):
-                t = self._mul(t, g)
-                exp[i] = self.element(t)
+        n = self.q - 1
+        g = self.coeffs(self.multiplicative_generator())
+        exp = [0] * n
         log = [None] * self.q
-        for i, a in enumerate(exp):
+        t = self.coeffs(1)
+        for i in range(n):
+            a = self.element(t)
+            exp[i] = a
             log[a] = i
+            t = self._mul(t, g)
         # 1 + a adds 1 to the lowest base-p digit of a
+        p = self.p
         self.zech = [log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp]
         self.exp, self.log = exp, log
 
@@ -128,14 +127,12 @@ class ExtField:
 
     def multiplicative_generator(self) -> int:
         """The least element that generates the cyclic group F_q^*."""
-        n, p = self.q - 1, self.p
+        n = self.q - 1
         checks = [n // ell for ell in factorize(n)]
         one = self.coeffs(1)
         for a in range(1, self.q):
-            if self.k == 1:
-                if all(pow(a, m, p) != 1 for m in checks):
-                    return a
-            elif all(self._pow(self.coeffs(a), m) != one for m in checks):
+            cand = self.coeffs(a)
+            if all(self._pow(cand, m) != one for m in checks):
                 return a
         raise AssertionError("no generator found")
 

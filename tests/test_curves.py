@@ -26,7 +26,7 @@ from picardlab.curves import (
     table_mod,
 )
 from picardlab.exact import is_prime, primes_up_to
-from picardlab.gf import ExtField
+from picardlab.gf import TABLE_MAX, ExtField, shared_field
 from picardlab.runner import _target_rhs
 from picardlab.symbolic import parse_polynomial
 
@@ -364,31 +364,30 @@ def test_quadratic_twist_covariance(data):
     assert twist.trace == chi * base.trace
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_column_is_horner_at_every_point(data):
+@st.composite
+def column_polys(draw):
     # zero coefficients are common, and degrees reach past p - 1
-    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
-    deg = data.draw(st.integers(0, 8))
-    coeffs = [data.draw(st.sampled_from([0, 0, 1, p - 1])
-                        | st.integers(0, p - 1)) for _ in range(deg + 1)]
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    deg = draw(st.integers(0, 8))
+    return p, [draw(st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1))
+               for _ in range(deg + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@example((5, [4]))                           # constant only
+@example((7, [0]))                           # the zero polynomial
+@example((5, [0, 0, 0, 0, 1]))               # degree p - 1
+@example((7, [1, 0, 0, 0, 0, 0, 6]))         # degree p - 1 with a constant
+@example((5, [2, 0, 0, 0, 0, 0, 0, 0, 3]))   # degree 8 at p = 5
+@example((7, [1] * 9))                       # degree 8 at p = 7, every term
+@given(column_polys())
+def test_column_is_horner_at_every_point(poly_mod_p):
+    p, coeffs = poly_mod_p
     field = ExtField(p, 1)
     values = list(_column(field, coeffs))
     assert len(values) == p
     for x, v in zip([0] + field.exp, values):
         assert v % p == horner(coeffs, x, p) and 0 <= v < len(coeffs) * p
-
-
-def test_column_edge_shapes():
-    for p in (5, 7):
-        field = ExtField(p, 1)
-        points = [0] + field.exp
-        shapes = [[0], [4], [0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 0, 0, 3],
-                  [1, 1, 1, 1, 1, 1, 1, 1, 1], [0] * 8 + [1],
-                  [0] * (p - 1) + [1], [1] + [0] * (p - 2) + [6 % p]]
-        for coeffs in shapes:
-            assert [v % p for v in _column(field, coeffs)] == [
-                horner(coeffs, x, p) for x in points], (p, coeffs)
 
 
 def _catalog_covers():
@@ -661,6 +660,24 @@ def test_count_inputs_are_checked():
         HyperellipticModel(poly("x^2+1"))
     with pytest.raises(ValueError):
         PlaneModel(poly("x^4+y^3*z+y"))
+
+
+def test_prime_past_the_table_bound_is_counted():
+    # its field is built for the one count, not kept by shared_field
+    p = 2311
+    assert p > TABLE_MAX
+    coeffs = [0, p - 1, 0, 0, 0, 1]
+    squares = ExtField(p, 1).power_counts(2)
+    affine = sum(squares[horner(coeffs, x, p)] for x in range(p))
+    hyper = HyperellipticModel(poly("x^5-x"))
+    shared_field.cache_clear()
+    assert hyper.count_points(p).npoints == affine + 1
+    # cubing is a bijection of F_p for p = 2 mod 3: one y over each x
+    assert SuperellipticModel(3, poly("x^6+1")).count_points(2333).npoints \
+        == 2334
+    assert shared_field.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="2311\\^2"):
+        hyper.count_points_ext(p, 2)
 
 
 def test_count_guards_survive_optimize(src_env):

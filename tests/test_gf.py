@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from picardlab.exact import factorize, is_prime, primes_up_to
+from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import (
     FIELD_CACHE,
     TABLE_MAX,
@@ -100,6 +100,9 @@ def test_tables_only_up_to_the_bound():
     assert ExtField(13, 3).log is not None
     big = ExtField(17, 3)
     assert big.q > TABLE_MAX and big.exp is big.log is big.zech is None
+    # a prime field carries its tables at any size
+    prime = ExtField(2311, 1)
+    assert prime.q > TABLE_MAX and sorted(prime.exp) == list(range(1, 2311))
 
 
 def test_elements_are_base_p_coefficient_codes():
@@ -206,33 +209,6 @@ def test_gen_powers_cover_field():
         assert sorted(F.exp) == list(range(1, F.q))
         assert all(F.log[F.exp[i]] == i for i in range(F.q - 1))
         assert F.exp[1] == F.multiplicative_generator()
-
-
-
-def _tuple_tables(F):
-    """(exp, log, zech) built on coefficient tuples, the way degrees k >= 2
-    are built: the least generator found by tuple powers, then its powers
-    by tuple products, and 1 + a by adding 1 to the lowest coefficient."""
-    n, one = F.q - 1, F.coeffs(1)
-    cofactors = [n // ell for ell in factorize(n)]
-    g = next(F.coeffs(a) for a in range(1, F.q)
-             if all(F._pow(F.coeffs(a), m) != one for m in cofactors))
-    exp, t = [], one
-    for _ in range(n):
-        exp.append(F.element(t))
-        t = F._mul(t, g)
-    log = [None] * F.q
-    for i, a in enumerate(exp):
-        log[a] = i
-    zech = [log[F.element([F.coeffs(a)[0] + 1] + list(F.coeffs(a)[1:]))]
-            for a in exp]
-    return exp, log, zech
-
-
-def test_prime_field_int_tables_equal_the_tuple_tables():
-    for p in primes_up_to(499)[1:]:
-        F = ExtField(p, 1)
-        assert (F.exp, F.log, F.zech) == _tuple_tables(F), p
 
 
 def test_shared_field_is_built_once_per_field():
