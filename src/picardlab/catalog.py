@@ -13,6 +13,7 @@ primes; every per-value check runs at exactly these values.
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from math import lcm
 
@@ -83,6 +84,9 @@ def load_tower(declarations):
 
 
 class CatalogEntry:
+    """One entry of a loaded document.  Loads of the same JSON text share
+    their entries, so callers read an entry and never change it."""
+
     def __init__(self, raw, tower):
         self.raw = raw
         self.tower = tower
@@ -94,11 +98,13 @@ class CatalogEntry:
         self.claim = raw.get("claim")
         self.bad_primes = raw.get("bad_primes", [])
         self.aux = raw.get("aux", [])
-        # per load: each text parsed at most once by `poly` and once by
-        # `expression`, each counting model built once (by the claim checks
-        # when the load covers the entry) and reused by every count
+        # per document text (per load for a dict document): each text
+        # parsed at most once by `poly` and once by `expression`, each
+        # counting model built once (by the claim checks when a load covers
+        # the entry) and reused by every count
         self._parsed = {}
         self._models = {}
+        self._claims_checked = False
 
     # -- parsing helpers -------------------------------------------------
 
@@ -429,15 +435,32 @@ def load_catalog(document, ids=None):
 
     Every entry's structure is checked; the claims (counting models, genus
     sums, bad primes) of the entries in `ids` only, or of all entries when
-    `ids` is None."""
+    `ids` is None.  A JSON text is parsed and its structure checked once
+    while it stays among the last few texts loaded; later loads of the same
+    text share its entries, and check each entry's claims only until they
+    have passed once.  A dict is loaded afresh on every call.  A document
+    that fails a check raises `CatalogError` on every load."""
     if isinstance(document, str):
-        document = json.loads(document)
-    tower = load_tower(document.get("tower", []))
-    entries = [CatalogEntry(raw, tower) for raw in document["entries"]]
-    _check_structure(entries)
+        entries = _load_text(document)
+    else:
+        entries = _load(document)
     for entry in entries:
-        if ids is None or entry.id in ids:
+        if not entry._claims_checked and (ids is None or entry.id in ids):
             _check_claims(entry)
+            entry._claims_checked = True
+    return list(entries)
+
+
+@lru_cache(maxsize=4)
+def _load_text(text):
+    return _load(json.loads(text))
+
+
+def _load(document):
+    """The document's entries, structure checked, claims not yet."""
+    tower = load_tower(document.get("tower", []))
+    entries = tuple(CatalogEntry(raw, tower) for raw in document["entries"])
+    _check_structure(entries)
     return entries
 
 

@@ -8,6 +8,7 @@ when no unexpected failure occurred.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .catalog import CatalogError, builtin_catalog
 from .exact import is_prime
@@ -15,7 +16,9 @@ from .report import hodge_row, render
 from .runner import PRIME_CAP, run_catalog
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="picardlab",
         description="exact verification of curve maps, Jacobian splittings, "
@@ -76,6 +79,10 @@ def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
 
 
 def _cmd_count(parser, args):
+    p = args.prime
+    if not (2 < p <= PRIME_CAP and is_prime(p)):
+        parser.error("--prime must be an odd prime at most %d"
+                     % PRIME_CAP)
     entries = {e.id: e for e in builtin_catalog([args.entry])}
     if args.entry not in entries:
         parser.error("unknown entry id: %s" % args.entry)
@@ -85,10 +92,6 @@ def _cmd_count(parser, args):
                 for value, _, bad in entry.specializations()]
     except CatalogError as exc:
         parser.error(str(exc))
-    p = args.prime
-    if not (2 < p <= PRIME_CAP and is_prime(p)):
-        parser.error("--prime must be an odd prime at most %d"
-                     % PRIME_CAP)
     for value, bad, model in rows:
         label = "" if value is None else "t=%s: " % value
         if p in set(bad) | {2, 3}:

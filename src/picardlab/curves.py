@@ -7,12 +7,14 @@ composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
 Every count reads the tables of ``gf.shared_field(p, k)``, built once per
-field and shared by every route.  A prime past ``gf.TABLE_MAX``, beyond the
-primes a report reaches, gets its field built for the one count; extension
-fields of more than ``gf.TABLE_MAX`` elements are refused.  Over F_p a polynomial is evaluated at all of F_p one
-column at a time (``_column``): its term c x^j at x = g^i is g^(log c + ij),
-a stride-j slice of the exp table, so the cyclic cover, the square-root
-tower and the pencil of cubics do no Python call per point.
+field and shared by every route; the root tables of ``RootCounts`` are
+shared per prime the same way.  A prime past ``gf.TABLE_MAX``, beyond the
+primes a report reaches, gets its field and root tables built for the one
+count; extension fields of more than ``gf.TABLE_MAX`` elements are refused.
+Over F_p a polynomial is evaluated at all of F_p one column at a time
+(``_column``): its term c x^j at x = g^i is g^(log c + ij), a stride-j slice
+of the exp table, so the cyclic cover, the square-root tower and the pencil
+of cubics do no Python call per point.
 
 Counts over F_{p^k}, k = 2, 3, run in O(q) in log arithmetic, F_q addition
 not being integer addition.  There are two routes: the cyclic cover
@@ -21,13 +23,13 @@ the even plane quartic G(x^2, y^2, z^2), line by line.  Any other curve,
 space curves included, is refused there.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd, prod
 from operator import mul
 
 from .exact import is_prime
-from .gf import TABLE_MAX, ExtField, shared_field
+from .gf import FIELD_CACHE, TABLE_MAX, ExtField, shared_field
 
 
 class InvariantError(RuntimeError):
@@ -190,6 +192,17 @@ def _root_count(coeffs, p):
     power += [0] * (2 - len(power))
     power[1] -= 1
     return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
+
+
+def _root_counts(p):
+    """RootCounts(p): shared, as its field is, up to TABLE_MAX; built for
+    the one count for a larger prime."""
+    return _shared_root_counts(p) if p <= TABLE_MAX else RootCounts(p)
+
+
+@lru_cache(maxsize=FIELD_CACHE)
+def _shared_root_counts(p):
+    return RootCounts(p)
 
 
 class RootCounts:
@@ -416,7 +429,7 @@ class PlaneModel:
         # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
         # x = +-a meet the curve in the roots of the even quartic
         # G(a^2, y^2, 1), so each square X = a^2 is counted once
-        roots = RootCounts(p)
+        roots = _root_counts(p)
         rows = [((ex // 2, ey // 2, ez // 2), c)
                 for (ex, ey, ez), c in table_mod(self.rows, p)]
         # the coefficients of G(X, w, 1) in w, polynomials in X, as columns
@@ -620,7 +633,7 @@ class SpaceModel:
         rows = table_mod(self.form_rows, p)
         if max(ea + eb for (_, _, ea, eb), _ in rows) != 3:
             raise ValueError("pencil route expects a binary cubic")
-        roots = RootCounts(p)
+        roots = _root_counts(p)
 
         def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in

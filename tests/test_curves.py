@@ -3,11 +3,13 @@
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from picardlab import curves
 from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
@@ -678,6 +680,28 @@ def test_prime_past_the_table_bound_is_counted():
     assert shared_field.cache_info().currsize == 0
     with pytest.raises(ValueError, match="2311\\^2"):
         hyper.count_points_ext(p, 2)
+
+
+def test_pencil_form_counts_build_the_cubic_tables_once_per_prime(
+        monkeypatch):
+    built = []
+
+    class Spy(RootCounts):
+        @cached_property
+        def depressed(self):
+            built.append(self.p)
+            return super().depressed
+
+    monkeypatch.setattr(curves, "RootCounts", Spy)
+    curves._shared_root_counts.cache_clear()
+    model = _CATALOG["fermat-sextic-pencil-quotient"].counting_model(None)
+    try:
+        counts = [model.count_points(13).npoints for _ in range(2)]
+        assert curves._root_counts(13) is curves._root_counts(13)
+    finally:
+        curves._shared_root_counts.cache_clear()
+    assert counts == [15, 15]
+    assert built == [13]
 
 
 def test_count_guards_survive_optimize(src_env):
