@@ -13,7 +13,6 @@ primes; every per-value check runs at exactly these values.
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from math import lcm
 
@@ -70,23 +69,18 @@ def load_tower(declarations):
         scratch = ConstantTower(rows)
         relation = parse_polynomial(scratch, decl["relation"])
         degree = relation.degree_in(name)
-        coeffs = relation.coeffs_in(name)
         _require(
-            coeffs[degree] == scratch.one(),
+            relation.coeffs_in(name)[degree] == scratch.one(),
             "tower relation for %s must be monic" % name,
         )
-        power = -sum(
-            (c * scratch.var(name, k) for k, c in enumerate(coeffs[:degree])),
-            scratch.zero(),
-        )
+        # name^degree equals minus the relation's other terms, which the
+        # parse left in normal form over the earlier constants
+        power = scratch.var(name, degree) - relation
         rows.append((name, degree, list(power.terms.items())))
     return ConstantTower(rows)
 
 
 class CatalogEntry:
-    """One entry of a loaded document.  Loads of the same JSON text share
-    their entries, so callers read an entry and never change it."""
-
     def __init__(self, raw, tower):
         self.raw = raw
         self.tower = tower
@@ -98,13 +92,11 @@ class CatalogEntry:
         self.claim = raw.get("claim")
         self.bad_primes = raw.get("bad_primes", [])
         self.aux = raw.get("aux", [])
-        # per document text (per load for a dict document): each text
-        # parsed at most once by `poly` and once by `expression`, each
-        # counting model built once (by the claim checks when a load covers
-        # the entry) and reused by every count
+        # per load: each text parsed at most once by `poly` and once by
+        # `expression`, each counting model built once (by the claim checks
+        # when the load covers the entry) and reused by every count
         self._parsed = {}
         self._models = {}
-        self._claims_checked = False
 
     # -- parsing helpers -------------------------------------------------
 
@@ -435,32 +427,15 @@ def load_catalog(document, ids=None):
 
     Every entry's structure is checked; the claims (counting models, genus
     sums, bad primes) of the entries in `ids` only, or of all entries when
-    `ids` is None.  A JSON text is parsed and its structure checked once
-    while it stays among the last few texts loaded; later loads of the same
-    text share its entries, and check each entry's claims only until they
-    have passed once.  A dict is loaded afresh on every call.  A document
-    that fails a check raises `CatalogError` on every load."""
+    `ids` is None."""
     if isinstance(document, str):
-        entries = _load_text(document)
-    else:
-        entries = _load(document)
-    for entry in entries:
-        if not entry._claims_checked and (ids is None or entry.id in ids):
-            _check_claims(entry)
-            entry._claims_checked = True
-    return list(entries)
-
-
-@lru_cache(maxsize=4)
-def _load_text(text):
-    return _load(json.loads(text))
-
-
-def _load(document):
-    """The document's entries, structure checked, claims not yet."""
+        document = json.loads(document)
     tower = load_tower(document.get("tower", []))
-    entries = tuple(CatalogEntry(raw, tower) for raw in document["entries"])
+    entries = [CatalogEntry(raw, tower) for raw in document["entries"]]
     _check_structure(entries)
+    for entry in entries:
+        if ids is None or entry.id in ids:
+            _check_claims(entry)
     return entries
 
 

@@ -8,7 +8,6 @@ when no unexpected failure occurred.
 
 import argparse
 import sys
-from functools import lru_cache
 
 from .catalog import CatalogError, builtin_catalog
 from .exact import is_prime
@@ -16,9 +15,7 @@ from .report import hodge_row, render
 from .runner import PRIME_CAP, run_catalog
 
 
-@lru_cache(maxsize=1)
 def _build_parser():
-    """The parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="picardlab",
         description="exact verification of curve maps, Jacobian splittings, "

@@ -63,10 +63,16 @@ def _check_field(p, k=1):
         raise ValueError("extension degree must be 1, 2 or 3, got %d" % k)
 
 
+def _kept(p, k=1):
+    """Whether F_{p^k}, and the tables built from it, are kept for the
+    process: up to TABLE_MAX elements."""
+    return p ** k <= TABLE_MAX
+
+
 def _table_field(p, k=1):
     """F_{p^k} with its tables: shared up to TABLE_MAX elements, built for
     the one count for a larger prime; larger extension fields are refused."""
-    if p ** k <= TABLE_MAX:
+    if _kept(p, k):
         return shared_field(p, k)
     if k == 1:
         return ExtField(p, 1)
@@ -195,9 +201,9 @@ def _root_count(coeffs, p):
 
 
 def _root_counts(p):
-    """RootCounts(p): shared, as its field is, up to TABLE_MAX; built for
+    """RootCounts(p): kept, as its field is, while `_kept(p)`; built for
     the one count for a larger prime."""
-    return _shared_root_counts(p) if p <= TABLE_MAX else RootCounts(p)
+    return _shared_root_counts(p) if _kept(p) else RootCounts(p)
 
 
 @lru_cache(maxsize=FIELD_CACHE)

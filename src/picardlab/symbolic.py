@@ -166,10 +166,16 @@ class ConstantTower:
         return MPoly._make(self, dict(terms or {}))
 
     def const(self, c) -> "MPoly":
-        return MPoly._make(self, {(): c})
+        # a constant is its own normal form
+        return MPoly(self, {(): c} if c else {})
 
     def var(self, name: str, exp: int = 1) -> "MPoly":
-        return MPoly._make(self, {_mono({name: exp}): 1})
+        m = _mono({name: exp})
+        if name in self.rules and exp >= self.rules[name][0]:
+            return MPoly._make(self, {m: 1})
+        # a power of a geometric variable, or of a constant below its
+        # relation's degree, is its own normal form
+        return MPoly(self, {m: 1})
 
     def zero(self) -> "MPoly":
         return MPoly(self, {})

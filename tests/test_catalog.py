@@ -8,7 +8,6 @@ from importlib import resources
 
 import pytest
 
-from picardlab import catalog
 from picardlab.catalog import (
     CatalogError,
     _undeclared_bad_primes,
@@ -177,21 +176,15 @@ def test_count_anchor():
     assert entry.counting_model(None).count_points(5).npoints == 6
 
 
-def test_counting_models_are_built_once_per_document_text():
-    # loads of one text share their models; a dict document, or another
-    # text, gets models of its own
+def test_counting_models_are_built_once_per_load():
     first = _entries()
     second = _entries()
-    fresh = {e.id: e for e in load_catalog(_raw_document())}
-    other = {e.id: e for e in load_catalog(json.dumps(_raw_document()))}
     for eid in ("fermat-sextic", "genus2-quintic", "bielliptic-sextic-pencil",
                 "triple-quadric-intersection"):
         for value, _, _ in first[eid].specializations():
             model = first[eid].counting_model(value)
             assert first[eid].counting_model(value) is model
-            assert second[eid].counting_model(value) is model
-            assert fresh[eid].counting_model(value) is not model
-            assert other[eid].counting_model(value) is not model
+            assert second[eid].counting_model(value) is not model
 
 
 def test_each_text_is_parsed_once_per_load():
@@ -557,74 +550,3 @@ def test_load_catalog_accepts_text():
     doc = _raw_document()
     entries = load_catalog(json.dumps(doc))
     assert len(entries) == 12
-
-
-def _spy(monkeypatch, name):
-    """Patch catalog.<name> to record its calls and run it."""
-    calls = []
-    real = getattr(catalog, name)
-
-    def spy(arg):
-        calls.append(arg)
-        return real(arg)
-
-    monkeypatch.setattr(catalog, name, spy)
-    return calls
-
-
-def test_structure_is_checked_once_per_document_text(monkeypatch):
-    catalog._load_text.cache_clear()
-    checked = _spy(monkeypatch, "_check_structure")
-    doc = _raw_document()
-    text = json.dumps(doc)
-    load_catalog(text)
-    load_catalog(text, ids=["genus2-quintic"])
-    assert len(checked) == 1
-    doc["entries"][0]["bad_primes"].append(97)
-    load_catalog(json.dumps(doc))
-    load_catalog(doc)
-    assert len(checked) == 3
-
-
-def test_a_bad_text_is_refused_on_every_load(monkeypatch):
-    catalog._load_text.cache_clear()
-    doc = _raw_document()
-    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
-    entry["aux"][0]["check"] = "cm_consistancy"
-    text = json.dumps(doc)
-    for _ in range(2):
-        with pytest.raises(CatalogError, match="unknown aux check"):
-            load_catalog(text)
-    # a claim that fails is checked again, and fails again, on every load
-    # that covers its entry
-    doc, _ = _document_with_a_bad_genus_sum("genus2-quintic")
-    text = json.dumps(doc)
-    checked = _spy(monkeypatch, "_check_claims")
-    for ids in (None, ["genus2-quintic"], None):
-        with pytest.raises(CatalogError, match="sum to the genus"):
-            load_catalog(text, ids)
-    load_catalog(text, ids=["fermat-sextic"])
-    assert [e.id for e in checked].count("genus2-quintic") == 3
-
-
-def test_a_returned_list_is_the_callers_own():
-    text = json.dumps(_raw_document())
-    entries = load_catalog(text)
-    ids = [e.id for e in entries]
-    entries.pop()
-    entries.append(entries[0])
-    entries.clear()
-    assert [e.id for e in load_catalog(text)] == ids
-
-
-def test_claims_of_a_cached_text_are_checked_once_per_entry(monkeypatch):
-    catalog._load_text.cache_clear()
-    checked = _spy(monkeypatch, "_check_claims")
-    text = json.dumps(_raw_document())
-    load_catalog(text, ids=["fermat-sextic"])
-    assert [e.id for e in checked] == ["fermat-sextic"]
-    load_catalog(text)
-    assert sorted(e.id for e in checked) == EXPECTED_IDS
-    load_catalog(text)
-    load_catalog(text, ids=["genus2-quintic"])
-    assert sorted(e.id for e in checked) == EXPECTED_IDS

@@ -88,45 +88,25 @@ def _spy_on_model_builds(monkeypatch):
 
 
 def test_count_builds_only_the_counted_entry(monkeypatch, capsys):
-    catalog._load_text.cache_clear()
     built = _spy_on_model_builds(monkeypatch)
-    argv = ["count", "--entry", "bielliptic-sextic-pencil", "--prime", "7"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert out.count("npoints=") == 3
+    assert main(["count", "--entry", "bielliptic-sextic-pencil",
+                 "--prime", "7"]) == 0
+    assert capsys.readouterr().out.count("npoints=") == 3
     assert sorted(built) == [("bielliptic-sextic-pencil", t)
                              for t in (0, 1, 3)]
-
-    def refuse(*args):
-        raise RuntimeError("parsed on a repeated count")
-
-    # a second identical call builds no model and parses no text
-    with monkeypatch.context() as patch:
-        for name in ("load_tower", "parse_expression", "parse_polynomial"):
-            patch.setattr(catalog, name, refuse)
-        built.clear()
-        assert main(argv) == 0
-    assert capsys.readouterr().out == out and built == []
 
 
 def test_verify_one_entry_prints_what_a_full_load_gives(monkeypatch, capsys):
     argv = ["verify", "--entry", "genus3-septic", "--pmax", "30"]
-    catalog._load_text.cache_clear()
     entries = builtin_catalog()
     with monkeypatch.context() as patch:
         patch.setattr(cli, "builtin_catalog", lambda ids=None: entries)
         assert main(argv) == 0
     full = capsys.readouterr().out
-    # the full load above checked every claim of the cached text
-    catalog._load_text.cache_clear()
     built = _spy_on_model_builds(monkeypatch)
     assert main(argv) == 0
     assert capsys.readouterr().out == full
     assert {eid for eid, _ in built} == {"genus3-septic"}
-    # a second identical call builds no model
-    built.clear()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == full and built == []
 
 
 def test_count_rejects_symbolic_entry():
@@ -156,14 +136,6 @@ def test_count_checks_the_prime_before_it_loads(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--entry", "fermat-sextic", "--prime", prime])
         assert exc.value.code == 2
-
-
-def test_the_parser_is_built_once():
-    cli._build_parser.cache_clear()
-    main(["hodge", "--d", "3", "--n", "2"])
-    main(["hodge", "--d", "4", "--n", "2"])
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
 
 
 def test_report_is_the_same_under_optimize(src_env):

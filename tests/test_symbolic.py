@@ -270,6 +270,17 @@ def test_one_term_power_equals_repeated_multiplication(base):
     assert parse_polynomial(T, "-(om)^0") == T.const(-1)
 
 
+@pytest.mark.parametrize("name", ["om", "i", "s2", "lam", "e", "x"])
+def test_var_and_const_give_the_rewritten_normal_form(name):
+    # both skip the rewrite where it changes nothing: a constant, and a
+    # power below the degree of its relation
+    for k in range(5):
+        mono = ((name, k),) if k else ()
+        assert T.var(name, k).terms == T.poly({mono: 1}).terms, k
+    for c in (0, -1, Fraction(2, 3)):
+        assert T.const(c).terms == T.poly({(): c}).terms
+
+
 def test_tower_invert_of_a_rational_is_exact():
     inv = tower_invert(T.const(3))
     assert inv == T.const(Fraction(1, 3))
