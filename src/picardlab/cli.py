@@ -15,38 +15,68 @@ from .report import hodge_row, render
 from .runner import PRIME_CAP, run_catalog
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """The parser of one subcommand.  It declares its arguments when it
+    first parses, its own ``--help`` included; the top-level parser shows
+    subcommands by name and help alone, so a call declares the arguments
+    of the subcommand it runs and of no other."""
+
+    def __init__(self, *args, declare, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            self._declare(self)
+            self._declare = None
+        return super().parse_known_args(args, namespace)
+
+
+def _declare_run(parser):
+    parser.add_argument("--pmax", type=int, default=200)
+    parser.add_argument("--depth", type=int, default=1)
+    parser.add_argument("--format", choices=("json", "md"), default="json")
+    parser.add_argument("--out", metavar="PATH")
+
+
+def _declare_verify(parser):
+    parser.add_argument("--entry", action="append", metavar="ID",
+                        help="entry id (repeatable; default: all)")
+    _declare_run(parser)
+
+
+def _declare_report(parser):
+    parser.add_argument("--all", action="store_true", required=True)
+    _declare_run(parser)
+
+
+def _declare_count(parser):
+    parser.add_argument("--entry", required=True, metavar="ID")
+    parser.add_argument("--prime", required=True, type=int)
+
+
+def _declare_hodge(parser):
+    parser.add_argument("--d", required=True, type=int)
+    parser.add_argument("--n", required=True, type=int)
+    parser.add_argument("--nmax", type=int)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="picardlab",
         description="exact verification of curve maps, Jacobian splittings, "
                     "and point-count constraints",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run checks for catalog entries")
-    verify.add_argument("--entry", action="append", metavar="ID",
-                        help="entry id (repeatable; default: all)")
-    verify.add_argument("--pmax", type=int, default=200)
-    verify.add_argument("--depth", type=int, default=1)
-    verify.add_argument("--format", choices=("json", "md"), default="json")
-    verify.add_argument("--out", metavar="PATH")
-
-    count = sub.add_parser("count", help="point counts for one entry")
-    count.add_argument("--entry", required=True, metavar="ID")
-    count.add_argument("--prime", required=True, type=int)
-
-    hodge = sub.add_parser("hodge", help="middle Hodge numbers and ranks")
-    hodge.add_argument("--d", required=True, type=int)
-    hodge.add_argument("--n", required=True, type=int)
-    hodge.add_argument("--nmax", type=int)
-
-    report = sub.add_parser("report", help="full catalog report")
-    report.add_argument("--all", action="store_true", required=True)
-    report.add_argument("--pmax", type=int, default=200)
-    report.add_argument("--depth", type=int, default=1)
-    report.add_argument("--format", choices=("json", "md"), default="json")
-    report.add_argument("--out", metavar="PATH")
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    sub.add_parser("verify", help="run checks for catalog entries",
+                   declare=_declare_verify)
+    sub.add_parser("count", help="point counts for one entry",
+                   declare=_declare_count)
+    sub.add_parser("hodge", help="middle Hodge numbers and ranks",
+                   declare=_declare_hodge)
+    sub.add_parser("report", help="full catalog report",
+                   declare=_declare_report)
     return parser
 
 

@@ -138,6 +138,36 @@ def test_count_checks_the_prime_before_it_loads(monkeypatch):
         assert exc.value.code == 2
 
 
+def test_a_call_declares_the_arguments_of_its_subcommand_only(
+        monkeypatch, capsys):
+    declared = []
+    for name in ("verify", "count", "hodge", "report"):
+        def spy(parser, name=name, real=getattr(cli, "_declare_" + name)):
+            declared.append(name)
+            real(parser)
+
+        monkeypatch.setattr(cli, "_declare_" + name, spy)
+    assert main(["count", "--entry", "genus2-quintic", "--prime", "7"]) == 0
+    assert main(["hodge", "--d", "3", "--n", "2"]) == 0
+    assert declared == ["count", "hodge"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--entry", "--pmax", "--depth", "--format", "--out"]),
+    ("count", ["--entry", "--prime"]),
+    ("hodge", ["--d", "--n", "--nmax"]),
+    ("report", ["--all", "--pmax", "--depth", "--format", "--out"]),
+])
+def test_subcommand_help_lists_its_arguments(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: picardlab %s [-h]" % command)
+    for flag in flags:
+        assert flag in out
+
+
 def test_report_is_the_same_under_optimize(src_env):
     # no report content may hang on an assert, which -O strips; depth 3
     # gives every depth-1 row plus the extension rows
