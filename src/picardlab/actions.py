@@ -1,9 +1,9 @@
 """Finite symmetry groups of a curve and their action on differentials.
 
 A group element is the matrix of its pullback on the chosen basis of
-holomorphic differentials.  Each generator's matrix is computed and checked
-in exact arithmetic; the closure then runs on the matrices reduced mod a
-prime ell, as a breadth-first search over products of the generators, and
+holomorphic differentials.  Each generator's matrix is computed in exact
+arithmetic; the closure then runs on the matrices reduced mod a prime
+ell, as a breadth-first search over products of the generators, and
 each element keeps its word and the (parent, generator) pair it was reached
 from.  No coordinate formula is ever composed, and no exact product of
 element matrices is formed.
@@ -31,6 +31,23 @@ denominator of a relation or generator-matrix coefficient.
   reduction is injective on the finite group G.
 Distinct elements therefore keep distinct keys mod ell, and the order, the
 breadth-first order and the words are those of the exact closure.
+
+The rank questions are settled mod ell too, and an answer mod ell is
+proof-grade in one direction.  Every generator entry is p-integral, so
+reduction mod p is a ring map on the entries, and a rank can only drop
+under it: rank_ell <= rank.
+- A generator whose matrix has full rank mod ell has full rank over the
+  tower, so it is nonsingular.
+- The commutant of a block has dimension <chi, chi> = b^2 - rank >= 1, and
+  b^2 - rank_ell >= b^2 - rank, so a commutant of dimension 1 mod ell
+  proves the block irreducible.
+- Translates that reach full rank mod ell are independent over the tower,
+  so they span the block; this needs the differential's coordinates to be
+  p-integral constants too.
+The exact routine runs only when the answer mod ell does not settle the
+question: a generator singular mod ell, a commutant larger than 1 (a
+reducible block reports its exact norm), and a certificate that falls
+short mod ell or whose vector does not reduce (so a short rank is exact).
 
 Conventions: elements act on points, so ``new = cur o gen`` applies ``gen``
 first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
@@ -63,31 +80,54 @@ def _split_prime(tower, matrices):
                      % SPLIT_PRIME_BOUND)
 
 
-def _reduced_rows(k, mat, ell, images):
-    """Generator k's matrix mod ell as sparse rows [(column, value)]."""
-    rows = []
+def _rank_mod(rows, ell):
+    """Rank over F_ell of rows of ints."""
+    rows = [[x % ell for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, ell)
+        top = [x * inv % ell for x in rows[rank]]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][c]
+            if f:
+                rows[k] = [(a - f * t) % ell for a, t in zip(rows[k], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _reduced_matrix(k, mat, ell, images):
+    """Generator k's matrix mod ell, after checking that it is nonsingular:
+    full rank mod ell proves it, and only a rank that drops mod ell is
+    taken over the tower."""
     for row in mat:
-        sparse = []
-        for j, entry in enumerate(row):
+        for entry in row:
             if not entry.constants_only():
                 raise ValueError(
                     "generator %d: matrix entry %s involves a free parameter"
                     % (k, entry.render()))
-            value = entry.residue(ell, images)
-            if value:
-                sparse.append((j, value))
-        if not sparse:
+    reduced = [[entry.residue(ell, images) for entry in row] for row in mat]
+    if _rank_mod(reduced, ell) < len(mat):
+        if matrix_rank(mat) < len(mat):
+            raise ValueError(
+                "generator %d has a singular pullback matrix" % k
+            )
+        if not all(any(row) for row in reduced):
             # impossible for an automorphism: its determinant is a unit
             raise ValueError("generator %d: a row of its matrix vanishes "
                              "mod %d" % (k, ell))
-        rows.append(sparse)
-    return rows
+    return reduced
 
 
 def _checked_matrix(system, frame, k, formulas):
     """Pullback matrix of generator k on the frame's basis after checking
-    it is an automorphism; raises ValueError naming the generator
-    otherwise."""
+    that it maps the curve into itself; raises ValueError naming the
+    generator otherwise.  Its rank is checked by _reduced_matrix."""
     for v in frame.geometric_vars:
         if system.is_zero_poly(formulas[v].den):
             raise ValueError(
@@ -114,12 +154,26 @@ def _checked_matrix(system, frame, k, formulas):
         raise ValueError("generator %d: pullback fails: %s" % (k, exc))
     if any(column is None for column in columns):
         raise ValueError("pullback leaves the span of the basis")
-    mat = [list(row) for row in zip(*columns)]
-    if matrix_rank(mat) < len(mat):
-        raise ValueError(
-            "generator %d has a singular pullback matrix" % k
-        )
-    return mat
+    return [list(row) for row in zip(*columns)]
+
+
+def _commutant_rows(matrices, indices, zero):
+    """The linear system X R - R X = 0 in the b^2 entries of X, for the
+    restriction R of each matrix to the basis indices: ints mod ell or
+    tower elements, after ``zero``."""
+    b = len(indices)
+    rows = []
+    for mat in matrices:
+        r = [[mat[i][j] for j in indices] for i in indices]
+        for i in range(b):
+            for j in range(b):
+                # the coefficients of X in (X R - R X)_ij
+                row = [zero] * (b * b)
+                for k in range(b):
+                    row[i * b + k] += r[k][j]
+                    row[k * b + j] -= r[i][k]
+                rows.append(row)
+    return rows
 
 
 def _times(rows, mat, ell):
@@ -156,9 +210,13 @@ class GroupAction:
             _checked_matrix(system, frame, k, g)
             for k, g in enumerate(generators)
         ]
-        ell, images = _split_prime(self.tower, self.generator_matrices)
-        generators = [_reduced_rows(k, mat, ell, images)
-                      for k, mat in enumerate(self.generator_matrices)]
+        ell, self._images = _split_prime(self.tower, self.generator_matrices)
+        self.ell = ell
+        self._reduced = [_reduced_matrix(k, mat, ell, self._images)
+                         for k, mat in enumerate(self.generator_matrices)]
+        # sparse rows [(column, value)] of each generator's matrix mod ell
+        generators = [[[(j, v) for j, v in enumerate(row) if v]
+                       for row in mat] for mat in self._reduced]
         identity = tuple(tuple(int(i == j) for j in range(n))
                          for i in range(n))
         # elements[k] = (word, parent index, generator index); the matrix
@@ -178,6 +236,7 @@ class GroupAction:
                     raise ValueError("group closure exceeds order bound")
                 mats.append(new)
                 self.elements.append((word + (gi,), idx, gi))
+        self._mats = mats
 
     @property
     def order(self):
@@ -187,20 +246,15 @@ class GroupAction:
         """<chi, chi> of the span of the basis indices, when it is stable:
         by Schur's lemma, the dimension of the matrices X that commute with
         each generator's restriction R_g (Serre, Linear Representations of
-        Finite Groups, 2.3), b^2 less the rank of X R_g - R_g X = 0."""
+        Finite Groups, 2.3), b^2 less the rank of X R_g - R_g X = 0.  A
+        dimension of 1 mod ell proves it exactly (module docstring); any
+        other is computed over the tower."""
         b = len(indices)
-        zero = self.tower.zero()
-        rows = []
-        for mat in self.generator_matrices:
-            r = [[mat[i][j] for j in indices] for i in indices]
-            for i in range(b):
-                for j in range(b):
-                    # the coefficients of X in (X R - R X)_ij
-                    row = [zero] * (b * b)
-                    for k in range(b):
-                        row[i * b + k] += r[k][j]
-                        row[k * b + j] -= r[i][k]
-                    rows.append(row)
+        if b * b - _rank_mod(_commutant_rows(self._reduced, indices, 0),
+                             self.ell) == 1:
+            return self.tower.one()
+        rows = _commutant_rows(self.generator_matrices, indices,
+                               self.tower.zero())
         return self.tower.const(b * b - matrix_rank(rows))
 
     def is_block_stable(self, indices):
@@ -251,13 +305,36 @@ class GroupAction:
         ``vector`` is the basis classification of the differential (support
         must lie inside ``indices``).  Returns (words, rank): the chosen group
         elements and the dimension they span; spanning succeeded when
-        rank == len(indices).
+        rank == len(indices).  The greedy runs mod ell on the element
+        matrices of the closure; translates that fill the block mod ell
+        span it exactly (module docstring).  A vector that does not reduce
+        mod ell, or translates that fall short, take the greedy over the
+        tower, so a short rank is exact.
         """
         inside = set(indices)
         for i, c in enumerate(vector):
             if i not in inside and not c.is_zero():
                 raise ValueError("differential is not supported in the block")
         positions = sorted(inside)
+        ell = self.ell
+        if all(e.constants_only()
+               and all(c.denominator % ell for c in e.terms.values())
+               for e in vector):
+            v = [e.residue(ell, self._images) for e in vector]
+            rows = []
+            words = []
+            for (word, _, _), mat in zip(self.elements, self._mats):
+                row = [sum(a * x for a, x in zip(mat[i], v)) % ell
+                       for i in positions]
+                if _rank_mod(rows + [row], ell) > len(rows):
+                    rows.append(row)
+                    words.append(word)
+                    if len(rows) == len(positions):
+                        return words, len(rows)
+        return self._exact_certificate(positions, vector)
+
+    def _exact_certificate(self, positions, vector):
+        """The greedy of span_certificate over the tower."""
         zero = self.tower.zero()
         generators = [[[(k, e) for k, e in enumerate(row) if not e.is_zero()]
                        for row in mat] for mat in self.generator_matrices]

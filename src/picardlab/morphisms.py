@@ -148,15 +148,23 @@ class Frame:
     def basis_coordinates(self, cmap):
         """The coordinates of the pullback of each basis form m_k * omega
         through ``cmap``, a map of the frame's model to itself (None for
-        one that leaves the span).  One chain rule serves every form:
-        f*(m_k * omega) = (m_k o f) * f*(omega)."""
+        one that leaves the span).  One chain rule and one division by
+        omega serve every form: f*(m_k * omega) / omega =
+        (m_k o f) * (f*(omega) / omega), with each power of a component
+        formed once."""
         pulled = pullback(cmap, self.omega, self.omega.base_var,
                           self.fiber_var)
-        tower = self.omega.coeff.tower
-        return [classify_in_basis(
-                    cmap.source, self,
-                    pulled * tower.poly({mono: 1}).substitute(cmap.components))
-                for mono in self.basis]
+        ratio = pulled.coeff / self.omega.coeff
+        powers = {}
+        columns = []
+        for mono in self.basis:
+            value = ratio
+            for v, e in mono:
+                if (v, e) not in powers:
+                    powers[v, e] = cmap.components[v] ** e
+                value = value * powers[v, e]
+            columns.append(classify_ratio(cmap.source, self, value))
+        return columns
 
 
 def geometric_coefficients(poly, geometric_vars):
@@ -179,12 +187,16 @@ def classify_in_basis(system, frame, diff):
     reduces to an honest polynomial; otherwise the coefficients are solved
     for linearly through the reduction.
     """
-    omega, basis, geometric_vars = frame.omega, frame.basis, frame.geometric_vars
-    if omega.base_var != diff.base_var:
+    if frame.omega.base_var != diff.base_var:
         raise ValueError("differentials in d%s and d%s"
-                         % (omega.base_var, diff.base_var))
+                         % (frame.omega.base_var, diff.base_var))
+    return classify_ratio(system, frame, diff.coeff / frame.omega.coeff)
+
+
+def classify_ratio(system, frame, ratio):
+    """classify_in_basis for a differential given by its ratio to omega."""
+    basis, geometric_vars = frame.basis, frame.geometric_vars
     tower = system.tower
-    ratio = diff.coeff / omega.coeff
     num = system.reduce(ratio.num)
     den = system.reduce(ratio.den)
     if den.is_zero():

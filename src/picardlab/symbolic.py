@@ -549,6 +549,8 @@ def _normalize_scalars(num: MPoly, den: MPoly):
     if len(geo_parts) == 1:
         # den = (invertible constant) * (geometric monomial): fold it out
         (geo,) = geo_parts
+        if den.terms == {geo: 1}:
+            return num, den
         unit = MPoly(
             tower,
             {

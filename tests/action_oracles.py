@@ -14,13 +14,16 @@ group elements.  The univariate division and gcd over the
 tower that the cancellation needs live here, since `src/` divides only
 through `linalg`'s elimination.  `elementwise_stable` is the oracle of
 block stability over every element of a closure, and `character_sum` the
-oracle of `GroupAction.character_norm`; both read the exact matrices.
+oracle of `GroupAction.character_norm`; both read the exact matrices, as
+does `exact_certificate`, the greedy span certificate over the tower that
+`GroupAction.span_certificate` runs mod the split prime.
 `generator_matrix` pulls back each basis form through its own chain rule,
 the oracle of `Frame.basis_coordinates`.
 """
 
 from fractions import Fraction
 
+from picardlab.linalg import matrix_rank
 from picardlab.morphisms import CurveMap
 from picardlab.symbolic import RationalFunction, tower_invert
 
@@ -218,3 +221,22 @@ def character_sum(action, indices):
         tr = sum((mat[i][i] for i in indices), tower.zero())
         total = total + tr * conjugate(tr)
     return total * Fraction(1, action.order)
+
+
+def exact_certificate(action, indices, vector):
+    """(words, rank) of the greedy over the tower: each element's translate
+    M v, read off its exact matrix, is kept when it raises the rank of the
+    translates kept before, until they fill the block."""
+    positions = sorted(indices)
+    zero = action.tower.zero()
+    rows = []
+    words = []
+    for (word, _, _), mat in zip(action.elements, exact_matrices(action)):
+        row = [sum((a * c for a, c in zip(mat[i], vector)), zero)
+               for i in positions]
+        if matrix_rank(rows + [row]) > len(rows):
+            rows.append(row)
+            words.append(word)
+            if len(rows) == len(positions):
+                break
+    return words, len(rows)

@@ -9,11 +9,12 @@ import pytest
 from action_oracles import (
     character_sum,
     elementwise_stable,
+    exact_certificate,
     exact_matrices,
     formula_closure,
     generator_matrix,
 )
-from picardlab import actions
+from picardlab import actions, runner
 from picardlab.actions import GroupAction, _split_prime
 from picardlab.catalog import builtin_catalog, load_catalog
 from picardlab.exact import primes_up_to
@@ -253,6 +254,81 @@ def test_commutant_dimension_matches_character_sum(entry, value):
         assert action.character_norm(indices) == character_sum(action, indices)
 
 
+@CATALOG_ACTIONS
+def test_certificate_mod_ell_matches_the_exact_greedy(entry, value):
+    action = entry.group_action(value)
+    for summand in entry.summands:
+        if summand.get("map") is None:
+            continue
+        spec = entry.map_spec(summand["map"])
+        vector = [entry.poly(s) for s in spec["pullback"]]
+        indices = summand["indices"]
+        assert (action.span_certificate(indices, vector)
+                == exact_certificate(action, indices, vector)), summand["name"]
+
+
+def _rank_spy(monkeypatch):
+    """The sizes of the matrices whose rank actions takes over the tower."""
+    calls = []
+    real = actions.matrix_rank
+
+    def spy(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(actions, "matrix_rank", spy)
+    return calls
+
+
+def test_shipped_actions_settle_every_rank_mod_ell(monkeypatch):
+    # every shipped block is irreducible and every certificate fills its
+    # block mod ell, so no rank is taken over the tower
+    calls = _rank_spy(monkeypatch)
+    rows = [c for entry in builtin_catalog()
+            for c in runner._action_checks(entry)]
+    certificates = [c for c in rows if c.check_id.startswith("certificate")]
+    assert len(rows) == 27 and len(certificates) == 11
+    assert {c.status for c in rows} == {"PASS", "SKIPPED"}
+    assert sum(c.status == "PASS" for c in certificates) == 10
+    assert calls == []
+    # a reducible block needs its exact norm
+    (entry,) = [e for e in builtin_catalog() if e.id == "genus3-septic"]
+    ok, _ = entry.group_action().verify_decomposition([[0, 1, 2]])
+    assert not ok and calls
+
+
+def test_a_vector_that_does_not_reduce_takes_the_exact_greedy(monkeypatch):
+    action = hyperelliptic_action(
+        "y^2-x^6-t*x^3-1",
+        [formulas("om*x", "y"), formulas("1/x", "y/x^3")],
+        GENUS2_BASIS,
+    )
+    assert action.ell == 433
+    calls = _rank_spy(monkeypatch)
+    vector = [T.const(Fraction(1, 433)), T.one()]
+    words, rank = action.span_certificate([0, 1], vector)
+    assert calls
+    assert (words, rank) == exact_certificate(action, [0, 1], vector)
+    assert rank == 2
+
+
+def test_a_short_certificate_reports_its_exact_rank(monkeypatch):
+    # the translates of a form in the block [0, 2] of genus3-septic stay
+    # in it, so they fall short of the whole basis
+    action = hyperelliptic_action(
+        "y^2-x^7-x",
+        [formulas("om*x", "om^2*y"), formulas("1/x", "-y/x^4")],
+        GENUS3_BASIS,
+    )
+    calls = _rank_spy(monkeypatch)
+    lam3 = 3 * T.var("lam", 3)
+    vector = [lam3, T.zero(), -lam3]
+    words, rank = action.span_certificate([0, 1, 2], vector)
+    assert calls
+    assert (words, rank) == exact_certificate(action, [0, 1, 2], vector)
+    assert rank == 2
+
+
 def test_stable_reducible_block_is_not_irreducible():
     (entry,) = [e for e in builtin_catalog() if e.id == "genus3-septic"]
     action = entry.group_action()
@@ -400,6 +476,25 @@ def test_matrix_with_a_free_parameter_is_refused(monkeypatch):
                                                      [t, -one]])
     with pytest.raises(ValueError, match="generator 0: matrix entry t "
                                          "involves a free parameter"):
+        hyperelliptic_action("y^2-x^6-1", [formulas("x", "y")], GENUS2_BASIS)
+
+
+@pytest.mark.parametrize("rows,message", [
+    # a free parameter is named before the matrix is found singular
+    ([["t", "0"], ["0", "0"]],
+     "generator 0: matrix entry t involves a free parameter"),
+    # a singular matrix is named before a row that vanishes mod ell
+    ([["433", "0"], ["0", "0"]], "generator 0 has a singular pullback"),
+    # nonsingular over the tower, singular mod ell = 433
+    ([["433", "0"], ["0", "1"]],
+     "generator 0: a row of its matrix vanishes mod 433"),
+])
+def test_matrix_checks_run_in_order(monkeypatch, rows, message):
+    # the exact checks on the formulas are bypassed
+    mat = [[poly(text) for text in row] for row in rows]
+    monkeypatch.setattr(actions, "_checked_matrix",
+                        lambda system, frame, k, g: mat)
+    with pytest.raises(ValueError, match=message):
         hyperelliptic_action("y^2-x^6-1", [formulas("x", "y")], GENUS2_BASIS)
 
 

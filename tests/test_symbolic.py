@@ -152,6 +152,26 @@ def test_rational_function_monomial_cancellation():
     assert g.den == T.one()
 
 
+def test_a_denominator_with_unit_one_multiplies_nothing(monkeypatch):
+    num, den = x**2 + om * y + 1, x * y**2
+    products = []
+    mul = MPoly.__mul__
+
+    def spy(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", spy)
+    f = RationalFunction(num, den)
+    one = RationalFunction(num)
+    monkeypatch.undo()
+    assert products == []
+    assert f.num is num and one.num is num and one.is_polynomial()
+    for unit in (om, T.const(3)):
+        g = RationalFunction(num * unit, den * unit)
+        assert f == g and (g.num, g.den) == (f.num, f.den)
+
+
 def test_rational_function_substitute():
     f = RationalFunction(x**2 + y)
     sub = f.substitute({"x": RationalFunction(y, x), "y": RationalFunction(T.one())})
