@@ -44,6 +44,11 @@ AUX_CHECKS = {
 }
 
 
+# the largest prime that a report (--pmax), a one-shot count (--prime) or
+# an aux check's pmax reaches, for every model
+PRIME_CAP = 499
+
+
 class CatalogError(ValueError):
     """A catalog document that is malformed or inconsistent."""
 
@@ -342,14 +347,26 @@ def _check_structure(entries):
                 "map %s of %s declares a pullback, but the entry has no "
                 "action basis to classify it in" % (spec["name"], entry.id),
             )
+
+        def require_map(name, what):
+            _require(name in names, "%s of %s names no map %r"
+                     % (what, entry.id, name))
+
         for name in entry.trace_map_names():
-            entry.map_spec(name)
+            require_map(name, "claim")
         for item in entry.aux:
             kind = item.get("check")
             _require(kind in AUX_CHECKS,
                      "unknown aux check %r in %s" % (kind, entry.id))
-            _require_keys(item, AUX_CHECKS[kind],
-                          "aux check %s of %s" % (kind, entry.id))
+            what = "aux check %s" % kind
+            _require_keys(item, AUX_CHECKS[kind], what + " of " + entry.id)
+            if kind == "j_target":
+                require_map(item["map"], what)
+            if kind == "cm_consistency":
+                pmax = item["pmax"]
+                _require(type(pmax) is int and 1 <= pmax <= PRIME_CAP,
+                         "%s of %s: pmax must be an int in 1..%d, got %r"
+                         % (what, entry.id, PRIME_CAP, pmax))
         if entry.action is not None:
             _require_keys(entry.action, ("basis", "generators", "order"),
                           "action of %s" % entry.id)
@@ -369,7 +386,7 @@ def _check_structure(entries):
             )
             for summand in entry.summands:
                 if summand.get("map") is not None:
-                    entry.map_spec(summand["map"])
+                    require_map(summand["map"], "summand %s" % summand["name"])
         for value, factors, bad in entry.specializations():
             for k, factor in enumerate(factors):
                 # a null disc is a claim without CM; the key must be there

@@ -9,10 +9,10 @@ when no unexpected failure occurred.
 import argparse
 import sys
 
-from .catalog import CatalogError, builtin_catalog
+from .catalog import PRIME_CAP, CatalogError, builtin_catalog
 from .exact import is_prime
 from .report import hodge_row, render
-from .runner import PRIME_CAP, run_catalog
+from .runner import run_catalog
 
 
 class _Subcommand(argparse.ArgumentParser):

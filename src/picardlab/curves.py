@@ -6,11 +6,9 @@ construction, so a miscount in any route fails loudly.  Invalid inputs (a
 composite or even p, a degree outside 1..3, a prime that breaks the model)
 raise ``ValueError``, also under ``python -O``.
 
-Every count reads the tables of ``gf.shared_field(p, k)``, built once per
-field and shared by every route; the root tables of ``RootCounts`` are
-shared per prime the same way.  A prime past ``gf.TABLE_MAX``, beyond the
-primes a report reaches, gets its field and root tables built for the one
-count; extension fields of more than ``gf.TABLE_MAX`` elements are refused.
+Only models and routes live here; every decision about a field is ``gf``'s.
+A count checks (p, k) by ``gf.check_field`` first, then reads the tables of
+``gf.field(p, k)`` and, in the pencil and even-quartic routes, its ``roots``.
 Over F_p a polynomial is evaluated at all of F_p one column at a time
 (``_column``): its term c x^j at x = g^i is g^(log c + ij), a stride-j slice
 of the exp table, so the cyclic cover, the square-root tower and the pencil
@@ -23,13 +21,11 @@ the even plane quartic G(x^2, y^2, z^2), line by line.  Any other curve,
 space curves included, is refused there.
 """
 
-from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd, prod
 from operator import mul
 
-from .exact import is_prime
-from .gf import FIELD_CACHE, TABLE_MAX, ExtField, shared_field
+from . import gf
 
 
 class InvariantError(RuntimeError):
@@ -54,29 +50,6 @@ class CountRecord:
     def __repr__(self):
         return "CountRecord(p=%d, k=%d, N=%d, a=%d, g=%d)" % (
             self.prime, self.power, self.npoints, self.trace, self.genus)
-
-
-def _check_field(p, k=1):
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime, got %d" % p)
-    if not 1 <= k <= 3:
-        raise ValueError("extension degree must be 1, 2 or 3, got %d" % k)
-
-
-def _kept(p, k=1):
-    """Whether F_{p^k}, and the tables built from it, are kept for the
-    process: up to TABLE_MAX elements."""
-    return p ** k <= TABLE_MAX
-
-
-def _table_field(p, k=1):
-    """F_{p^k} with its tables: shared up to TABLE_MAX elements, built for
-    the one count for a larger prime; larger extension fields are refused."""
-    if _kept(p, k):
-        return shared_field(p, k)
-    if k == 1:
-        return ExtField(p, 1)
-    raise ValueError("count over a field of size %d^%d refused" % (p, k))
 
 
 def _column(field, coeffs):
@@ -146,166 +119,21 @@ def _univariate_mod(rows, p):
     return out
 
 
-# Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the nonzero trimmed m over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        q = a[i] * inv % p
-        if q:
-            for j in range(dm):
-                a[i - dm + j] -= q * m[j]
-    return _poly_trim([c % p for c in a[:dm]])
-
-
-def _poly_mulmod(a, b, m, p):
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    return _poly_mod(prod, m, p)
-
-
-def _poly_gcd(a, b, p):
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _root_count(coeffs, p):
-    """Distinct roots in F_p of a polynomial (integer coefficients, low to
-    high): deg gcd(f, y^p - y), with y^p mod f by square-and-multiply.  The
-    zero polynomial vanishes at all p points."""
-    f = _poly_trim([c % p for c in coeffs])
-    if len(f) <= 2:
-        return p if not f else len(f) - 1
-    power = [0, 1]
-    for bit in bin(p)[3:]:
-        power = _poly_mulmod(power, power, f, p)
-        if bit == "1":
-            power = _poly_mod([0] + power, f, p)
-    power += [0] * (2 - len(power))
-    power[1] -= 1
-    return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
-
-
-def _root_counts(p):
-    """RootCounts(p): kept, as its field is, while `_kept(p)`; built for
-    the one count for a larger prime."""
-    return _shared_root_counts(p) if _kept(p) else RootCounts(p)
-
-
-@lru_cache(maxsize=FIELD_CACHE)
-def _shared_root_counts(p):
-    return RootCounts(p)
-
-
-class RootCounts:
-    """Per-prime tables that count the roots in F_p of a binary cubic or of
-    an even quartic by a few lookups.  Each table costs O(p) and is built on
-    first use; coefficient lists run low to high, and the zero polynomial
-    vanishes at all p points."""
-
-    def __init__(self, p):
-        self.p = p
-        self.field = _table_field(p)
-        self.squares = self.field.power_counts(2)
-
-    @cached_property
-    def sqrt(self):
-        """sqrt[v]: a square root of v, None for a non-square."""
-        table = [None] * self.p
-        for y in range((self.p + 1) // 2):
-            table[y * y % self.p] = y
-        return table
-
-    @cached_property
-    def cubes(self):
-        return self.field.power_counts(3)
-
-    @cached_property
-    def depressed(self):
-        """(t_1, t_n), n the least non-square: t_e[u] is the number of roots
-        of Z^3 + eZ + b with b^2 = u e^3.  Scaling Y = lam Z carries
-        Y^3 + aY + b, a = e lam^2, to Z^3 + eZ + b/lam^3 and keeps
-        u = b^2/a^3; Z -> -Z shows that the sign of b does not matter."""
-        p = self.p
-        nonsquare = next(c for c in range(2, p) if not self.squares[c])
-        tables = []
-        for e in (1, nonsquare):
-            hist = [0] * p
-            for z in range(p):
-                hist[-(z * z * z + e * z) % p] += 1
-            scale = pow(e, -3, p)
-            table = [0] * p
-            for b in range(p):
-                table[b * b * scale % p] = hist[b]
-            tables.append(table)
-        return tables
-
-    def even_quartic(self, coeffs):
-        """Roots y of c2 y^4 + c1 y^2 + c0, given [c0, c1, c2]: the square
-        roots of the roots w of c2 w^2 + c1 w + c0."""
-        p, squares = self.p, self.squares
-        c0, c1, c2 = (c % p for c in coeffs)
-        if c2 == 0:
-            if c1 == 0:
-                return p if c0 == 0 else 0
-            return squares[-c0 * pow(c1, -1, p) % p]
-        root = self.sqrt[(c1 * c1 - 4 * c2 * c0) % p]
-        if root is None:
-            return 0
-        inv = pow(2 * c2, -1, p)
-        n = squares[(root - c1) * inv % p]
-        if root:
-            n += squares[(-root - c1) * inv % p]
-        return n
-
-    def cubic(self, coeffs):
-        """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given
-        [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
-        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0, else
-        t_e[b^2/a^3], e the class of a modulo squares.  A vanishing c3, and
-        p = 3, go to the gcd kernel."""
-        p = self.p
-        c0, c1, c2, c3 = (c % p for c in coeffs)
-        if c3 == 0 or p == 3:
-            return _root_count([c0, c1, c2, c3], p)
-        # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
-        a = 3 * (3 * c3 * c1 - c2 * c2) % p
-        b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
-        if a == 0:
-            return self.cubes[-b % p]
-        table = self.depressed[0 if self.squares[a] else 1]
-        return table[b * b * pow(a, -3, p) % p]
-
-
 def _diagonal_count(p, d):
     """Projective points of x^d + y^d + z^d = 0 over F_p: the chart z = 1
     from d-th power residue counts, then the d-th roots of -1 on z = 0."""
-    t = _table_field(p).power_counts(d)
+    t = gf.field(p).power_counts(d)
     # x^d + y^d = -1 pairs v with -1 - v = p - 1 - v
     return sum(map(mul, t, reversed(t))) + t[p - 1]
 
 
-def _cyclic_cover_count(m, coeffs, p, k):
-    """Points of y^m = f(x) over F_{p^k}, f given by its coefficients mod p
-    (low to high, the last nonzero): the sum over x of #{y : y^m = f(x)},
-    plus the points at infinity, one for each z in F_{p^k} with
-    z^d = lc(f), d = gcd(m, deg f)."""
-    field = _table_field(p, k)
-    if k == 1:
+def _cyclic_cover_count(m, coeffs, field):
+    """Points of y^m = f(x) over F_q = ``field``, f given by its
+    coefficients mod p (low to high, the last nonzero): the sum over x of
+    #{y : y^m = f(x)}, plus the points at infinity, one for each z in F_q
+    with z^d = lc(f), d = gcd(m, deg f)."""
+    p, q = field.p, field.q
+    if field.k == 1:
         n = sum(_root_column(field, m, coeffs))
     else:
         terms = [(j, field.log[c]) for j, c in enumerate(coeffs) if c]
@@ -317,7 +145,6 @@ def _cyclic_cover_count(m, coeffs, p, k):
         n = sum(roots[v] for v in values)
     # the z in F_q with z^d = lc(f): e = gcd(d, q - 1) of them when lc(f)
     # is an e-th power, none otherwise
-    q = p ** k
     e = gcd(m, len(coeffs) - 1, q - 1)
     if pow(coeffs[-1], (q - 1) // e, p) == 1:
         n += e
@@ -418,7 +245,7 @@ class PlaneModel:
         return (d - 1) * (d - 2) // 2
 
     def count_points(self, p):
-        _check_field(p)
+        gf.check_field(p)
         if self.diagonal:
             n = self._count_diagonal(p)
         else:
@@ -435,7 +262,8 @@ class PlaneModel:
         # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
         # x = +-a meet the curve in the roots of the even quartic
         # G(a^2, y^2, 1), so each square X = a^2 is counted once
-        roots = _root_counts(p)
+        field = gf.field(p)
+        roots = field.roots
         rows = [((ex // 2, ey // 2, ez // 2), c)
                 for (ex, ey, ez), c in table_mod(self.rows, p)]
         # the coefficients of G(X, w, 1) in w, polynomials in X, as columns
@@ -444,7 +272,7 @@ class PlaneModel:
         coeffs = [[0] * 3 for _ in range(3)]
         for (ex, ey, _), c in rows:
             coeffs[ey][ex] = (coeffs[ey][ex] + c) % p
-        lines = list(zip(*(_column(roots.field, f) for f in coeffs)))
+        lines = list(zip(*(_column(field, f) for f in coeffs)))
         n = roots.even_quartic(lines[0]) + 2 * sum(
             map(roots.even_quartic, lines[1::2]))
         # line z = 0: points (x : 1 : 0), the roots of the even quartic
@@ -468,13 +296,13 @@ class PlaneModel:
             fx = [0] * (d + 1)
             for (ex, ey, _), c in rows:
                 fx[ey] += c * pow(x, ex, p)
-            n += _root_count(fx, p)
+            n += gf.root_count(fx, p)
         # line z = 0: points (x : 1 : 0), the roots of F(x, 1, 0), and (1 : 0 : 0)
         edge = [0] * (d + 1)
         for (ex, _, ez), c in rows:
             if ez == 0:
                 edge[ex] += c
-        n += _root_count(edge, p)
+        n += gf.root_count(edge, p)
         if edge[d] % p == 0:
             n += 1
         return n
@@ -482,17 +310,18 @@ class PlaneModel:
     def count_points_ext(self, p, k):
         """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
         quartic line by line; any other curve is refused for k >= 2."""
-        _check_field(p, k)
+        gf.check_field(p, k)
         if k == 1:
             return self.count_points(p)
         if self.diagonal:
             # the chart z = 1 is the cover y^d = -x^d - 1, whose points at
             # infinity, z^d = -1, are the points (1 : z : 0)
             d = self.degree
-            n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1], p, k)
+            n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1],
+                                    gf.field(p, k))
         elif self.even:
             n = _even_quartic_ext_count(table_mod(self.rows, p),
-                                        _table_field(p, k))
+                                        gf.field(p, k))
         else:
             raise ValueError("no O(q) count of this plane curve over F_%d^%d"
                              % (p, k))
@@ -521,13 +350,13 @@ class SuperellipticModel:
         return self.count_points(p) if k == 1 else self._cover_count(p, k)
 
     def _cover_count(self, p, k):
-        _check_field(p, k)
+        gf.check_field(p, k)
         if p % self.m == 0:
             raise ValueError("p = %d divides m = %d" % (p, self.m))
         coeffs = _univariate_mod(self.rows, p)
         if len(coeffs) - 1 != self.degree:
             raise ValueError("leading coefficient vanishes mod %d" % p)
-        n = _cyclic_cover_count(self.m, coeffs, p, k)
+        n = _cyclic_cover_count(self.m, coeffs, gf.field(p, k))
         return CountRecord(p, k, n, self.genus())
 
 
@@ -588,18 +417,15 @@ class SpaceModel:
             n = len(self.variables) - 1
             if len(degrees) != n - 1:
                 raise ValueError("not a complete intersection; pass genus")
-            total = 1
-            for d in degrees:
-                total *= d
             # 2g - 2 = deg C (sum d_i - n - 1), which is always even
-            genus = total * (sum(degrees) - n - 1) // 2 + 1
+            genus = prod(degrees) * (sum(degrees) - n - 1) // 2 + 1
         self._genus = genus
 
     def genus(self):
         return self._genus
 
     def count_points(self, p):
-        _check_field(p)
+        gf.check_field(p)
         kind = self.fibration["type"]
         if kind == "sqrt_product":
             n = self._count_sqrt_product(p)
@@ -612,7 +438,7 @@ class SpaceModel:
     def count_points_ext(self, p, k):
         """The count over F_p; no route counts a space curve over F_{p^k},
         k >= 2."""
-        _check_field(p, k)
+        gf.check_field(p, k)
         if k == 1:
             return self.count_points(p)
         raise ValueError("no O(q) count of a space curve over F_%d^%d"
@@ -623,7 +449,7 @@ class SpaceModel:
         # form acquires a square root, so a point above (x : y) contributes
         # the product of the square-root counts: one column of counts per
         # form on the chart y = 1, then the point (1 : 0).
-        field = _table_field(p)
+        field = gf.field(p)
         columns = [_root_column(field, 2, _univariate_mod(rows, p))
                    for rows in self.factor_rows]
         n = sum(map(prod, zip(*columns)))
@@ -639,7 +465,8 @@ class SpaceModel:
         rows = table_mod(self.form_rows, p)
         if max(ea + eb for (_, _, ea, eb), _ in rows) != 3:
             raise ValueError("pencil route expects a binary cubic")
-        roots = _root_counts(p)
+        field = gf.field(p)
+        roots = field.roots
 
         def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
@@ -647,7 +474,7 @@ class SpaceModel:
             return roots.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
         # the lines (s : 1): one column per coefficient, a polynomial in s
-        columns = [_column(roots.field, _univariate_mod(
+        columns = [_column(field, _univariate_mod(
             [row for row in self.form_rows if row[0][3] == eb], p))
             for eb in range(4)]
         n = sum(map(fiber, zip(*columns)))
@@ -671,7 +498,8 @@ class SpaceModel:
         # P^1(F_p), for any invertible B with frob(B) = M B; all lie in C, as
         # a M(a) M^2(a) = 1.  When p = 2 mod 3, C^6 = C and all p + 1 count.
         # When p = 1 mod 3, write F_{p^3} = F_p(theta) with theta^3 = c for a
-        # non-cube c, so frob(theta) = zeta theta with zeta = c^((p-1)/3).
+        # non-cube c, here the generator of F_p^*, so frob(theta) = zeta theta
+        # with zeta = c^((p-1)/3).
         # B = [[zeta theta, zeta^2 theta^2], [theta, theta^2]] gives a = zeta
         # at u = oo and a = (theta (u + theta))^(p-1) for u in F_p.  Such an a
         # lies in C^6 = C^3 iff the norm of theta (u + theta), c (u^3 + c), is
@@ -680,8 +508,9 @@ class SpaceModel:
         if p % 3 == 2:
             n_s = p + 1
         else:
-            c = next(c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1)
-            cubes = _root_column(_table_field(p), 3, [c * c % p, 0, 0, c])
+            field = gf.field(p)
+            c = field.exp[1]
+            cubes = _root_column(field, 3, [c * c % p, 0, 0, c])
             n_s = 3 * sum(1 for v in cubes if v)
         total = base + 2 * n_s
         if total % 3:

@@ -6,7 +6,7 @@ ever introduced on a value path.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
 from math import isqrt
 from typing import Sequence
 
@@ -15,7 +15,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # the field and Kronecker-symbol guards ask about the same few hundred
 # primes thousands of times per report
-@lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the prime sizes used here."""
     if n < 2:

@@ -13,15 +13,17 @@ solutions when that gcd divides log a, none otherwise.  A prime field's tables
 cost O(p), as one count over it does; larger extension fields keep only the
 modulus and the arithmetic on coefficient tuples.
 
-``shared_field(p, k)`` builds each field once per process and keeps the
-most recent ``FIELD_CACHE`` of them, enough for every prime up to 499 and the
-extension fields that carry tables, so every count at a prime reads the same
-tables.  Nothing is built at import.
+Every decision about a field is made here.  ``field(p, k)``, the one
+accessor, checks (p, k) by ``check_field``, keeps the most recent
+``FIELD_CACHE`` fields of at most ``TABLE_MAX`` elements, builds a larger
+prime field for the one count and refuses a larger extension field.  A prime
+field's ``roots``, its ``RootCounts``, live as long as the field does.
+Nothing is built at import.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .exact import factorize, is_prime
@@ -30,7 +32,7 @@ from .exact import factorize, is_prime
 # larger ones are refused.  Prime fields always get them.
 TABLE_MAX = 2300
 
-# Fields kept by ``shared_field``: the 94 odd primes below 500 and the 19
+# Fields kept by ``field``: the 94 odd primes below 500 and the 19
 # fields F_{p^k}, k = 2, 3, with q <= TABLE_MAX.
 FIELD_CACHE = 128
 
@@ -47,10 +49,83 @@ def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
+# Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, m, p):
+    """Remainder of a modulo the nonzero trimmed m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        q = a[i] * inv % p
+        if q:
+            for j in range(dm):
+                a[i - dm + j] -= q * m[j]
+    return _poly_trim([c % p for c in a[:dm]])
+
+
+def _poly_mulmod(a, b, m, p):
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_mod(prod, m, p)
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def root_count(coeffs: list[int], p: int) -> int:
+    """Distinct roots in F_p of a polynomial (integer coefficients, low to
+    high): deg gcd(f, y^p - y), with y^p mod f by square-and-multiply.  The
+    zero polynomial vanishes at all p points."""
+    f = _poly_trim([c % p for c in coeffs])
+    if len(f) <= 2:
+        return p if not f else len(f) - 1
+    power = [0, 1]
+    for bit in bin(p)[3:]:
+        power = _poly_mulmod(power, power, f, p)
+        if bit == "1":
+            power = _poly_mod([0] + power, f, p)
+    power += [0] * (2 - len(power))
+    power[1] -= 1
+    return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
+
+
+def check_field(p: int, k: int = 1) -> None:
+    """Refuse a p that is not an odd prime, or a degree k outside 1..3."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime, got %d" % p)
+    if not 1 <= k <= 3:
+        raise ValueError("extension degree must be 1, 2 or 3, got %d" % k)
+
+
+def field(p: int, k: int = 1) -> ExtField:
+    """F_{p^k} with its tables, once (p, k) is checked: kept for the process
+    up to TABLE_MAX elements, built for the one count for a larger prime;
+    a larger extension field is refused."""
+    check_field(p, k)
+    if p**k <= TABLE_MAX:
+        return _kept_field(p, k)
+    if k == 1:
+        return ExtField(p, 1)
+    raise ValueError("count over a field of size %d^%d refused" % (p, k))
+
+
 @lru_cache(maxsize=FIELD_CACHE)
-def shared_field(p: int, k: int) -> ExtField:
-    """ExtField(p, k), built on the first call and shared by later ones;
-    its tables are read, never changed."""
+def _kept_field(p: int, k: int) -> ExtField:
+    # its tables, root tables included, are read, never changed
     return ExtField(p, k)
 
 
@@ -58,10 +133,7 @@ class ExtField:
     """F_{p^k}, k in {1,2,3}, as F_p[x]/(modulus), with int-coded elements."""
 
     def __init__(self, p: int, k: int):
-        if not 1 <= k <= 3:
-            raise ValueError("extension degree must be 1, 2 or 3")
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        check_field(p, k)
         self.p = p
         self.k = k
         self.q = p**k
@@ -157,6 +229,12 @@ class ExtField:
             counts[a] = d
         return counts
 
+    @cached_property
+    def roots(self) -> RootCounts:
+        """The root tables of this prime field, built on first use and kept
+        as long as the field is."""
+        return RootCounts(self)
+
     def _pow(self, a: tuple, e: int) -> tuple:
         r = self.coeffs(1)
         while e:
@@ -193,3 +271,80 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField({self.p}, {self.k})"
+
+
+class RootCounts:
+    """Tables of a prime field that count the roots in F_p of a binary cubic
+    or of an even quartic by a few lookups.  Each table costs O(p) and is
+    built on first use; coefficient lists run low to high, and the zero
+    polynomial vanishes at all p points."""
+
+    def __init__(self, field: ExtField):
+        self.field = field
+        self.p = field.p
+        self.squares = field.power_counts(2)
+
+    @cached_property
+    def cubes(self):
+        return self.field.power_counts(3)
+
+    @cached_property
+    def depressed(self):
+        """(t_1, t_g), g = exp[1] the generator, a non-square: t_e[u] is
+        the number of roots of Z^3 + eZ + b with b^2 = u e^3.  Scaling
+        Y = lam Z carries Y^3 + aY + b, a = e lam^2, to Z^3 + eZ + b/lam^3
+        and keeps u = b^2/a^3, so t_e depends only on the class of e modulo
+        squares; Z -> -Z shows that the sign of b does not matter."""
+        p = self.p
+        tables = []
+        for e in (1, self.field.exp[1]):
+            hist = [0] * p
+            for z in range(p):
+                hist[-(z * z * z + e * z) % p] += 1
+            scale = pow(e, -3, p)
+            table = [0] * p
+            for b in range(p):
+                table[b * b * scale % p] = hist[b]
+            tables.append(table)
+        return tables
+
+    def even_quartic(self, coeffs):
+        """Roots y of c2 y^4 + c1 y^2 + c0, given [c0, c1, c2]: the square
+        roots of the roots w of c2 w^2 + c1 w + c0.  A nonzero v = g^i is a
+        square when i is even, g^(i/2) being a square root."""
+        p, squares = self.p, self.squares
+        c0, c1, c2 = (c % p for c in coeffs)
+        if c2 == 0:
+            if c1 == 0:
+                return p if c0 == 0 else 0
+            return squares[-c0 * pow(c1, -1, p) % p]
+        disc = (c1 * c1 - 4 * c2 * c0) % p
+        root = 0
+        if disc:
+            i = self.field.log[disc]
+            if i % 2:
+                return 0
+            root = self.field.exp[i // 2]
+        inv = pow(2 * c2, -1, p)
+        n = squares[(root - c1) * inv % p]
+        if root:
+            n += squares[(-root - c1) * inv % p]
+        return n
+
+    def cubic(self, coeffs):
+        """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given
+        [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
+        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0, else
+        t_e[b^2/a^3], e the class of a modulo squares.  A vanishing c3, and
+        p = 3, go to the gcd kernel."""
+        p = self.p
+        c0, c1, c2, c3 = (c % p for c in coeffs)
+        if c3 == 0 or p == 3:
+            return root_count([c0, c1, c2, c3], p)
+        # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
+        a = 3 * (3 * c3 * c1 - c2 * c2) % p
+        b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
+        if a == 0:
+            return self.cubes[-b % p]
+        table = self.depressed[0 if self.squares[a] else 1]
+        return table[b * b * pow(a, -3, p) % p]

@@ -11,6 +11,7 @@ not v^2 = f(u), or that cannot be counted at a prime, is one of them.  An
 InvariantError marks a program defect and still aborts the run, by design.
 """
 
+from .catalog import PRIME_CAP
 from .curves import HyperellipticModel, InvariantError
 from .elliptic import (
     BinaryQuartic,
@@ -29,10 +30,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 DISCREPANCY = "DISCREPANCY"
 SKIPPED = "SKIPPED"
-
-# the largest prime that a report (--pmax) or a one-shot count (--prime)
-# reaches, for every model
-PRIME_CAP = 499
 
 
 class CheckResult:

@@ -1,6 +1,7 @@
 """Catalog loading, entry builders, and document validation."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -542,7 +543,8 @@ def test_dangling_map_reference_rejected():
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
     entry["summands"][0]["map"] = "no-such-map"
-    with pytest.raises(KeyError):
+    with pytest.raises(CatalogError, match="^summand outer of genus3-septic "
+                                           "names no map 'no-such-map'$"):
         load_catalog(doc)
 
 
@@ -550,3 +552,31 @@ def test_load_catalog_accepts_text():
     doc = _raw_document()
     entries = load_catalog(json.dumps(doc))
     assert len(entries) == 12
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    ("bielliptic-sextic-pencil",
+     lambda e: e["claim"]["trace_maps"].__setitem__(1, "nosuch"),
+     "claim of bielliptic-sextic-pencil names no map 'nosuch'"),
+    ("genus2-quintic", lambda e: e["aux"][0].update(map="nosuch"),
+     "aux check j_target of genus2-quintic names no map 'nosuch'"),
+])
+def test_dangling_map_reference_is_refused_at_load(eid, edit, message):
+    doc = _raw_document()
+    edit(next(e for e in doc["entries"] if e["id"] == eid))
+    with pytest.raises(CatalogError, match="^%s$" % message):
+        load_catalog(doc)
+
+
+@pytest.mark.parametrize("pmax", ["30", 30.0, True, 0, 500, 30000, None])
+def test_aux_pmax_outside_the_prime_cap_is_refused_at_load(pmax):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+    entry["aux"][0]["pmax"] = pmax
+    with pytest.raises(CatalogError, match="^aux check cm_consistency of "
+                                           "genus3-septic: pmax must be an "
+                                           "int in 1..499, got %s$"
+                                           % re.escape(repr(pmax))):
+        load_catalog(doc)
+    entry["aux"][0]["pmax"] = 499
+    load_catalog(doc)

@@ -9,26 +9,24 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from picardlab import curves
+from picardlab import gf
 from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
     HyperellipticModel,
     InvariantError,
     PlaneModel,
-    RootCounts,
     SpaceModel,
     SuperellipticModel,
     _column,
     _cyclic_cover_count,
     _even_quartic_ext_count,
-    _root_count,
     _univariate_mod,
     poly_table,
     table_mod,
 )
 from picardlab.exact import is_prime, primes_up_to
-from picardlab.gf import TABLE_MAX, ExtField, shared_field
+from picardlab.gf import TABLE_MAX, ExtField
 from picardlab.runner import _target_rhs
 from picardlab.symbolic import parse_polynomial
 
@@ -223,7 +221,7 @@ def test_root_count_matches_evaluation(p, data):
     coeffs = data.draw(st.lists(st.integers(-40, 40), max_size=9))
     expected = sum(1 for y in range(p)
                    if sum(c * y ** e for e, c in enumerate(coeffs)) % p == 0)
-    assert _root_count(coeffs, p) == expected
+    assert gf.root_count(coeffs, p) == expected
 
 
 def _roots_by_evaluation(coeffs, p):
@@ -262,7 +260,8 @@ def cubics(draw):
 def test_cubic_root_counts_match_evaluation(cubic):
     p, coeffs = cubic
     expected = _roots_by_evaluation(coeffs, p)
-    assert RootCounts(p).cubic(coeffs + [0] * (4 - len(coeffs))) == expected
+    roots = gf.field(p).roots
+    assert roots.cubic(coeffs + [0] * (4 - len(coeffs))) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,7 +270,7 @@ def test_even_quartic_root_counts_match_evaluation(p, data):
     c0, c1, c2 = data.draw(st.lists(st.integers(-40, 40), min_size=3,
                                     max_size=3))
     expected = _roots_by_evaluation([c0, 0, c1, 0, c2], p)
-    assert RootCounts(p).even_quartic([c0, c1, c2]) == expected
+    assert gf.field(p).roots.even_quartic([c0, c1, c2]) == expected
 
 
 def test_hyperelliptic_anchor_counts():
@@ -424,7 +423,7 @@ def test_cover_count_is_the_horner_sum_at_every_prime():
             affine = sum(roots[horner(coeffs, x, p)] for x in range(p))
             d = gcd(model.m, model.degree)
             infinity = sum(1 for z in range(p) if pow(z, d, p) == coeffs[-1])
-            assert _cyclic_cover_count(model.m, coeffs, p, 1) == \
+            assert _cyclic_cover_count(model.m, coeffs, field) == \
                 affine + infinity, (label, p)
 
 
@@ -656,8 +655,15 @@ def test_count_inputs_are_checked():
             hyper.count_points_ext(p, k)
     with pytest.raises(ValueError):
         SuperellipticModel(3, poly("x^4+1")).count_points(3)
-    with pytest.raises(ValueError, match="17\\^3"):
-        hyper.count_points_ext(17, 3)
+    for call, text in (
+            (lambda: hyper.count_points(9), "p must be an odd prime, got 9"),
+            (lambda: hyper.count_points_ext(5, 4),
+             "extension degree must be 1, 2 or 3, got 4"),
+            (lambda: hyper.count_points_ext(17, 3),
+             "count over a field of size 17^3 refused")):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == text
     with pytest.raises(ValueError):
         HyperellipticModel(poly("x^2+1"))
     with pytest.raises(ValueError):
@@ -665,19 +671,19 @@ def test_count_inputs_are_checked():
 
 
 def test_prime_past_the_table_bound_is_counted():
-    # its field is built for the one count, not kept by shared_field
+    # its field is built for the one count, not kept by gf.field
     p = 2311
     assert p > TABLE_MAX
     coeffs = [0, p - 1, 0, 0, 0, 1]
     squares = ExtField(p, 1).power_counts(2)
     affine = sum(squares[horner(coeffs, x, p)] for x in range(p))
     hyper = HyperellipticModel(poly("x^5-x"))
-    shared_field.cache_clear()
+    gf._kept_field.cache_clear()
     assert hyper.count_points(p).npoints == affine + 1
     # cubing is a bijection of F_p for p = 2 mod 3: one y over each x
     assert SuperellipticModel(3, poly("x^6+1")).count_points(2333).npoints \
         == 2334
-    assert shared_field.cache_info().currsize == 0
+    assert gf._kept_field.cache_info().currsize == 0
     with pytest.raises(ValueError, match="2311\\^2"):
         hyper.count_points_ext(p, 2)
 
@@ -686,20 +692,20 @@ def test_pencil_form_counts_build_the_cubic_tables_once_per_prime(
         monkeypatch):
     built = []
 
-    class Spy(RootCounts):
+    class Spy(gf.RootCounts):
         @cached_property
         def depressed(self):
             built.append(self.p)
             return super().depressed
 
-    monkeypatch.setattr(curves, "RootCounts", Spy)
-    curves._shared_root_counts.cache_clear()
+    monkeypatch.setattr(gf, "RootCounts", Spy)
+    gf._kept_field.cache_clear()
     model = _CATALOG["fermat-sextic-pencil-quotient"].counting_model(None)
     try:
         counts = [model.count_points(13).npoints for _ in range(2)]
-        assert curves._root_counts(13) is curves._root_counts(13)
+        assert gf.field(13).roots is gf.field(13).roots
     finally:
-        curves._shared_root_counts.cache_clear()
+        gf._kept_field.cache_clear()
     assert counts == [15, 15]
     assert built == [13]
 

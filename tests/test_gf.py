@@ -1,12 +1,13 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from picardlab import gf
 from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import (
     FIELD_CACHE,
     TABLE_MAX,
     ExtField,
     poly_roots_mod_p,
-    shared_field,
 )
 
 from count_oracles import frobenius_map
@@ -211,19 +212,56 @@ def test_gen_powers_cover_field():
         assert F.exp[1] == F.multiplicative_generator()
 
 
-def test_shared_field_is_built_once_per_field():
-    shared_field.cache_clear()
-    F = shared_field(11, 1)
-    assert shared_field(11, 1) is F
+def test_field_is_built_once_per_kept_field():
+    gf._kept_field.cache_clear()
+    F = gf.field(11, 1)
+    assert gf.field(11) is F
     assert F.p == 11 and F.k == 1 and F.exp == ExtField(11, 1).exp
-    assert shared_field(11, 2) is shared_field(11, 2) is not F
-    assert shared_field(13, 1) is not F
+    assert gf.field(11, 2) is gf.field(11, 2) is not F
+    assert gf.field(13, 1) is not F
     # every field a report can count over stays cached
     fields = [(p, 1) for p in primes_up_to(499)[1:]] + [
         (p, k) for k in (2, 3) for p in primes_up_to(47)[1:]
         if p ** k <= TABLE_MAX]
     assert len(fields) <= FIELD_CACHE
-    shared_field.cache_clear()
-    built = [shared_field(p, k) for p, k in fields]
-    assert all(shared_field(p, k) is F for (p, k), F in zip(fields, built))
-    assert shared_field.cache_info().misses == len(fields)
+    gf._kept_field.cache_clear()
+    built = [gf.field(p, k) for p, k in fields]
+    assert all(gf.field(p, k) is F for (p, k), F in zip(fields, built))
+    assert gf._kept_field.cache_info().misses == len(fields)
+    # a prime field past TABLE_MAX is built for each call and never kept
+    for p in (2311, 2333):
+        assert gf.field(p) is not gf.field(p)
+        assert sorted(gf.field(p).exp) == list(range(1, p))
+    assert gf._kept_field.cache_info().currsize == len(fields)
+
+
+def test_root_tables_live_on_their_prime_field():
+    F = gf.field(13)
+    assert F.roots is F.roots is gf.field(13).roots
+    assert F.roots.field is F and F.roots.p == 13
+    big = gf.field(2311)
+    assert big.roots is big.roots is not gf.field(2311).roots
+
+
+@pytest.mark.parametrize("p, k, text", [
+    (9, 1, "p must be an odd prime, got 9"),
+    (2, 1, "p must be an odd prime, got 2"),
+    (9, 4, "p must be an odd prime, got 9"),
+    (5, 4, "extension degree must be 1, 2 or 3, got 4"),
+    (5, 0, "extension degree must be 1, 2 or 3, got 0"),
+])
+def test_fields_are_checked_by_one_rule(p, k, text):
+    for build in (gf.check_field, gf.field, ExtField):
+        with pytest.raises(ValueError) as refused:
+            build(p, k)
+        assert str(refused.value) == text
+
+
+def test_accessor_refuses_extension_fields_past_the_bound():
+    for p, k in ((17, 3), (2311, 2)):
+        with pytest.raises(ValueError) as refused:
+            gf.field(p, k)
+        assert str(refused.value) == \
+            "count over a field of size %d^%d refused" % (p, k)
+    # built directly, such a field only lacks its tables
+    assert ExtField(17, 3).log is None

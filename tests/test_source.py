@@ -2,9 +2,10 @@
 every parameter it takes, every attribute that src/ stores is read there,
 no guard in src/ is an assert statement (python -O would strip it), and
 no true division in src/ starts from an int literal (with int coefficients,
-``1 / c`` is a float; ``Fraction(1) / c`` is exact), and no cache in src/ is
+``1 / c`` is a float; ``Fraction(1) / c`` is exact), no cache in src/ is
 unbounded (a long-lived process that calls ``cli.main`` at many primes must
-not grow without limit)."""
+not grow without limit), and only ``gf`` decides how fields are built, kept
+and refused."""
 
 import ast
 from pathlib import Path
@@ -158,4 +159,67 @@ def test_unbounded_cache_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _unbounded_caches(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+# names that only the finite-field layer, gf, may use: it alone constructs
+# fields and root tables, and it alone keeps them
+FIELD_CONSTRUCTORS = {"ExtField", "RootCounts"}
+FIELD_NAMES = {"TABLE_MAX", "FIELD_CACHE", "lru_cache"}
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def _field_layer_uses(tree):
+    """Lines that construct ExtField or RootCounts, or name TABLE_MAX,
+    FIELD_CACHE or lru_cache, apart from the bounded cache that decorates
+    ``is_prime``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "is_prime":
+            allowed.update(id(n) for d in node.decorator_list
+                           for n in ast.walk(d))
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Call) and \
+                _name_of(node.func) in FIELD_CONSTRUCTORS:
+            yield node.lineno
+        elif _name_of(node) in FIELD_NAMES:
+            yield node.lineno
+
+
+def test_only_gf_builds_and_keeps_fields():
+    found = ["%s:%s" % (name, line) for name, tree in _trees().items()
+             if name != "gf.py" for line in _field_layer_uses(tree)]
+    assert found == []
+
+
+def test_field_layer_rule_flags_each_form():
+    flagged = [
+        "F = ExtField(5, 2)",
+        "roots = gf.RootCounts(F)",
+        "big = p > TABLE_MAX",
+        "from .gf import FIELD_CACHE",
+        "from functools import lru_cache",
+        "@functools.lru_cache(maxsize=8)\ndef count(p): pass",
+        "@lru_cache(maxsize=8)\ndef is_prime(n): pass\nlru_cache(8)(f)",
+    ]
+    allowed = [
+        "@functools.lru_cache(maxsize=1024)\ndef is_prime(n): pass",
+        "F = gf.field(5, 2)",
+        "n = gf.field(13).roots.cubic(c)",
+        "from .gf import ExtField",
+        "from functools import cached_property",
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _field_layer_uses(ast.parse(text)))
         assert hit == (text in flagged), text
