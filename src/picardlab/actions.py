@@ -13,14 +13,18 @@ the genus is at least 2 (Farkas-Kra, Riemann Surfaces, V.2).  That argument
 needs every generator to be an automorphism, so each one is verified before
 the closure: it must map the curve into itself (every relation reduces to
 zero under substitution), no coordinate denominator may vanish on the curve,
-and its pullback matrix must have full rank, which rules out constant maps.
-A basis of fewer than two differentials (genus below 2) is refused.
+and its pullback matrix must be nonsingular mod ell, which rules out
+constant maps.  A basis of fewer than two differentials (genus below 2) is
+refused.  The arguments below assume, as this one does, that the curve is
+irreducible.
 
 Reduction mod ell keeps elements apart (Minkowski's lemma; Serre, "Bounds
 for the orders of the finite subgroups of G(k)", 2007).  ell is the least
-prime >= 5 at which each tower relation, in declaration order, has a simple
-root mod ell over the roots chosen before it, and which divides no
-denominator of a relation or generator-matrix coefficient.
+prime >= 5 above a floor at which each tower relation, in declaration
+order, has a simple root mod ell over the roots chosen before it, and which
+divides no denominator of a relation or generator-matrix coefficient.  The
+floor is the larger of the order bound and n^2 for a basis of n forms;
+the rank questions below need ell above both.
 - The generators are verified automorphisms of a curve of genus >= 2, so
   the group G they generate is finite (Hurwitz).
 - The tower is a number field.  The simple roots lift by Hensel's lemma
@@ -32,22 +36,27 @@ denominator of a relation or generator-matrix coefficient.
 Distinct elements therefore keep distinct keys mod ell, and the order, the
 breadth-first order and the words are those of the exact closure.
 
-The rank questions are settled mod ell too, and an answer mod ell is
-proof-grade in one direction.  Every generator entry is p-integral, so
-reduction mod p is a ring map on the entries, and a rank can only drop
-under it: rank_ell <= rank.
-- A generator whose matrix has full rank mod ell has full rank over the
-  tower, so it is nonsingular.
-- The commutant of a block has dimension <chi, chi> = b^2 - rank >= 1, and
-  b^2 - rank_ell >= b^2 - rank, so a commutant of dimension 1 mod ell
-  proves the block irreducible.
-- Translates that reach full rank mod ell are independent over the tower,
-  so they span the block; this needs the differential's coordinates to be
-  p-integral constants too.
-The exact routine runs only when the answer mod ell does not settle the
-question: a generator singular mod ell, a commutant larger than 1 (a
-reducible block reports its exact norm), and a certificate that falls
-short mod ell or whose vector does not reduce (so a short rank is exact).
+The rank questions are settled mod ell, and each answer is exact.  Every
+generator entry is p-integral, so reduction mod p is a ring map on the
+entries.
+- Generator rank.  A generator that maps the curve into itself is constant,
+  with pullback matrix 0, or an automorphism of finite order N (Hurwitz), so
+  M^N = I, det M is a root of unity and hence a unit at p, and M mod ell is
+  invertible.  A matrix singular mod ell is therefore refused.
+- Irreducibility.  The closure never exceeds the order bound, so ell does
+  not divide |G|.  On a stable block of b forms the Reynolds operator
+  P(X) = (1/|G|) sum_g R_g X R_g^-1 on End(V_b) is p-integral and
+  idempotent, its image is the commutant and its trace is <chi, chi> in
+  [1, b^2] (Serre, Linear Representations of Finite Groups, 2.3 and 15.5).
+  Reduced mod p it is still an idempotent, with the commutant mod ell as
+  its image, so b^2 - rank_ell of the commutant system is <chi, chi> mod
+  ell, and b^2 <= n^2 < ell makes the two equal.
+- Span certificates.  A rank can only drop under reduction, so translates
+  that reach full rank mod ell are independent over the tower and span the
+  block; this needs the differential's coordinates to be p-integral
+  constants too.  Translates that fall short mod ell decide nothing, and a
+  short rank is reported, so such a certificate, or one whose vector does
+  not reduce, is taken over the tower: the one exact rank routine here.
 
 Conventions: elements act on points, so ``new = cur o gen`` applies ``gen``
 first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
@@ -58,26 +67,26 @@ from .exact import primes_up_to
 from .linalg import matrix_rank
 from .morphisms import CurveMap
 
-# The split-prime search stops here; a tower that needs a larger prime gets
-# an action:closure FAIL row.  Each prime costs an O(ell) root scan per
+# The split-prime search stops here; a tower or a floor that needs a larger
+# prime gets an action:closure FAIL row.  Each prime costs an O(ell) root scan per
 # relation, memoized on the tower.
 SPLIT_PRIME_BOUND = 4096
 
 
-def _split_prime(tower, matrices):
-    """(ell, images of the constants): the least prime ell >= 5 at which
-    the tower splits (ConstantTower.residues) and which divides no
-    coefficient denominator of the matrices' entries."""
+def _split_prime(tower, matrices, floor):
+    """(ell, images of the constants): the least prime ell >= 5 above
+    ``floor`` at which the tower splits (ConstantTower.residues) and which
+    divides no coefficient denominator of the matrices' entries."""
     denominators = {c.denominator for mat in matrices for row in mat
                     for entry in row for c in entry.terms.values()}
     for ell in primes_up_to(SPLIT_PRIME_BOUND):
-        if ell < 5 or any(d % ell == 0 for d in denominators):
+        if ell < 5 or ell <= floor or any(d % ell == 0 for d in denominators):
             continue
         images = tower.residues(ell)
         if images is not None:
             return ell, images
-    raise ValueError("no prime below %d splits the constant tower"
-                     % SPLIT_PRIME_BOUND)
+    raise ValueError("no prime above %d and below %d splits the constant "
+                     "tower" % (floor, SPLIT_PRIME_BOUND))
 
 
 def _rank_mod(rows, ell):
@@ -102,9 +111,8 @@ def _rank_mod(rows, ell):
 
 
 def _reduced_matrix(k, mat, ell, images):
-    """Generator k's matrix mod ell, after checking that it is nonsingular:
-    full rank mod ell proves it, and only a rank that drops mod ell is
-    taken over the tower."""
+    """Generator k's matrix mod ell, after checking that it is nonsingular
+    mod ell, which an automorphism's matrix is (module docstring)."""
     for row in mat:
         for entry in row:
             if not entry.constants_only():
@@ -113,14 +121,8 @@ def _reduced_matrix(k, mat, ell, images):
                     % (k, entry.render()))
     reduced = [[entry.residue(ell, images) for entry in row] for row in mat]
     if _rank_mod(reduced, ell) < len(mat):
-        if matrix_rank(mat) < len(mat):
-            raise ValueError(
-                "generator %d has a singular pullback matrix" % k
-            )
-        if not all(any(row) for row in reduced):
-            # impossible for an automorphism: its determinant is a unit
-            raise ValueError("generator %d: a row of its matrix vanishes "
-                             "mod %d" % (k, ell))
+        raise ValueError("generator %d has a singular pullback matrix mod %d"
+                         % (k, ell))
     return reduced
 
 
@@ -157,10 +159,9 @@ def _checked_matrix(system, frame, k, formulas):
     return [list(row) for row in zip(*columns)]
 
 
-def _commutant_rows(matrices, indices, zero):
+def _commutant_rows(matrices, indices):
     """The linear system X R - R X = 0 in the b^2 entries of X, for the
-    restriction R of each matrix to the basis indices: ints mod ell or
-    tower elements, after ``zero``."""
+    restriction R of each matrix (ints mod ell) to the basis indices."""
     b = len(indices)
     rows = []
     for mat in matrices:
@@ -168,7 +169,7 @@ def _commutant_rows(matrices, indices, zero):
         for i in range(b):
             for j in range(b):
                 # the coefficients of X in (X R - R X)_ij
-                row = [zero] * (b * b)
+                row = [0] * (b * b)
                 for k in range(b):
                     row[i * b + k] += r[k][j]
                     row[k * b + j] -= r[i][k]
@@ -210,7 +211,8 @@ class GroupAction:
             _checked_matrix(system, frame, k, g)
             for k, g in enumerate(generators)
         ]
-        ell, self._images = _split_prime(self.tower, self.generator_matrices)
+        ell, self._images = _split_prime(self.tower, self.generator_matrices,
+                                         max(order_bound, n * n))
         self.ell = ell
         self._reduced = [_reduced_matrix(k, mat, ell, self._images)
                          for k, mat in enumerate(self.generator_matrices)]
@@ -246,16 +248,11 @@ class GroupAction:
         """<chi, chi> of the span of the basis indices, when it is stable:
         by Schur's lemma, the dimension of the matrices X that commute with
         each generator's restriction R_g (Serre, Linear Representations of
-        Finite Groups, 2.3), b^2 less the rank of X R_g - R_g X = 0.  A
-        dimension of 1 mod ell proves it exactly (module docstring); any
-        other is computed over the tower."""
+        Finite Groups, 2.3), b^2 less the rank of X R_g - R_g X = 0,
+        taken mod ell (exact by the module docstring)."""
         b = len(indices)
-        if b * b - _rank_mod(_commutant_rows(self._reduced, indices, 0),
-                             self.ell) == 1:
-            return self.tower.one()
-        rows = _commutant_rows(self.generator_matrices, indices,
-                               self.tower.zero())
-        return self.tower.const(b * b - matrix_rank(rows))
+        rows = _commutant_rows(self._reduced, indices)
+        return self.tower.const(b * b - _rank_mod(rows, self.ell))
 
     def is_block_stable(self, indices):
         """Whether the span of the given basis indices is preserved.

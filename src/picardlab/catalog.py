@@ -389,17 +389,23 @@ def _check_structure(entries):
                     require_map(summand["map"], "summand %s" % summand["name"])
         for value, factors, bad in entry.specializations():
             for k, factor in enumerate(factors):
+                where = "" if value is None else " at t=%s" % value
                 # a null disc is a claim without CM; the key must be there
                 _require_keys(factor, ("mult", "disc"), "factor %d of %s%s"
-                              % (k, entry.id, "" if value is None
-                                 else " at t=%s" % value))
+                              % (k, entry.id, where))
+                if factor.get("map") is not None:
+                    require_map(factor["map"], "factor %d%s" % (k, where))
             _require(bad or not factors,
                      "countable entry %s lacks bad primes" % entry.id)
 
 
 def _check_claims(entry):
     """Build each claimed specialization's counting model (kept for the
-    counts that follow) and check its genus and bad primes."""
+    counts that follow) and check its genus and bad primes; parse each
+    j check's expected value (kept for the run)."""
+    for item in entry.aux:
+        if item["check"] in ("j_target", "j_quartic"):
+            entry.expression(item["expected"])
     for value, factors, bad in entry.specializations():
         if not factors:
             continue

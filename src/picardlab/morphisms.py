@@ -58,11 +58,6 @@ class Differential:
         self.coeff = coeff
         self.base_var = base_var
 
-    def __mul__(self, other):
-        return Differential(self.coeff * other, self.base_var)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return "(%r) d%s" % (self.coeff, self.base_var)
 

@@ -24,7 +24,7 @@ the oracle of `Frame.basis_coordinates`.
 from fractions import Fraction
 
 from picardlab.linalg import matrix_rank
-from picardlab.morphisms import CurveMap
+from picardlab.morphisms import CurveMap, Differential
 from picardlab.symbolic import RationalFunction, tower_invert
 
 from symbolic_helpers import conjugate
@@ -154,7 +154,9 @@ def _formula_key(formulas, geometric_vars):
 
 def form(frame, mono):
     """The differential mono * omega of a frame."""
-    return frame.omega * frame.omega.coeff.tower.poly({mono: 1})
+    omega = frame.omega
+    return Differential(omega.coeff * omega.coeff.tower.poly({mono: 1}),
+                        omega.base_var)
 
 
 def generator_matrix(system, frame, formulas):

@@ -47,7 +47,7 @@ def plane_frame(omega_text, monomials):
     return Frame(Differential(rf(omega_text), "x"), "y", monomials, ("x", "y"))
 
 
-def hyperelliptic_action(relation_text, gens, monomials, order_bound=1024):
+def hyperelliptic_action(relation_text, gens, monomials, order_bound=256):
     system = single_relation(poly(relation_text), "y")
     return GroupAction(system, plane_frame("1/y", monomials), gens,
                        order_bound)
@@ -138,7 +138,7 @@ def test_ciani_quartic_group_order_24_and_full_span():
         system,
         frame,
         [formulas("y", "x"), formulas("y/x", "1/x"), formulas("-x", "y")],
-        1024,
+        256,
     )
     assert action.order == 24
     ok, evidence = action.verify_decomposition([[0, 1, 2]])
@@ -160,7 +160,7 @@ def test_fermat_sextic_group_order_216_blocks_and_certificates():
             formulas("y", "x"),
             formulas("y/x", "1/x"),
         ],
-        1024,
+        256,
     )
     assert action.order == 216
 
@@ -281,8 +281,9 @@ def _rank_spy(monkeypatch):
 
 
 def test_shipped_actions_settle_every_rank_mod_ell(monkeypatch):
-    # every shipped block is irreducible and every certificate fills its
-    # block mod ell, so no rank is taken over the tower
+    # every certificate fills its block mod ell, and generator rank and
+    # irreducibility are always settled mod ell, so no rank is taken over
+    # the tower
     calls = _rank_spy(monkeypatch)
     rows = [c for entry in builtin_catalog()
             for c in runner._action_checks(entry)]
@@ -291,10 +292,15 @@ def test_shipped_actions_settle_every_rank_mod_ell(monkeypatch):
     assert {c.status for c in rows} == {"PASS", "SKIPPED"}
     assert sum(c.status == "PASS" for c in certificates) == 10
     assert calls == []
-    # a reducible block needs its exact norm
+    # a reducible block reports its exact norm mod ell too
     (entry,) = [e for e in builtin_catalog() if e.id == "genus3-septic"]
-    ok, _ = entry.group_action().verify_decomposition([[0, 1, 2]])
-    assert not ok and calls
+    ok, evidence = entry.group_action().verify_decomposition([[0, 1, 2]])
+    assert not ok and evidence[0]["character_norm"] == repr(T.const(2))
+    norms = {(entry.id, value): entry.group_action(value).character_norm(
+                 list(range(len(entry.action["basis"]))))
+             for entry, value in _catalog_actions()}
+    assert len(norms) == 8 and norms[("fermat-sextic", None)] == T.const(3)
+    assert calls == []
 
 
 def test_a_vector_that_does_not_reduce_takes_the_exact_greedy(monkeypatch):
@@ -418,7 +424,7 @@ def test_bogus_catalog_generator_becomes_a_closure_failure():
 
 
 def test_catalog_tower_splits_at_433():
-    ell, images = _split_prime(T, [])
+    ell, images = _split_prime(T, [], 0)
     assert ell == 433
     assert images == {"om": 198, "i": 179, "s2": 206, "lam": 72, "e": 36}
     # each relation vanishes at the images, and no smaller prime >= 5 splits
@@ -450,7 +456,25 @@ def test_a_denominator_at_the_split_prime_moves_to_the_next():
                                           [-T.const(Fraction(1, 433)),
                                            T.zero()]]]
     assert action.order == 2
-    assert _split_prime(T, action.generator_matrices)[0] == 601
+    assert _split_prime(T, action.generator_matrices, 0)[0] == 601
+
+
+def test_the_split_prime_lies_above_its_floor():
+    # the floor keeps ell above the order bound and n^2, as irreducibility
+    # mod ell needs; every shipped action stays at 433
+    assert _split_prime(T, [], 0)[0] == 433
+    assert _split_prime(T, [], 432)[0] == 433
+    assert _split_prime(T, [], 433)[0] == 601
+    with pytest.raises(ValueError, match="^no prime above 4096 and below "
+                                         "4096 splits the constant tower$"):
+        _split_prime(T, [], 4096)
+    assert {entry.group_action(value).ell
+            for entry, value in _catalog_actions()} == {433}
+    action = hyperelliptic_action(
+        "y^2-x^6-t*x^3-1",
+        [formulas("om*x", "y"), formulas("1/x", "y/x^3")],
+        GENUS2_BASIS, order_bound=433)
+    assert (action.ell, action.order) == (601, 6)
 
 
 def test_tower_relation_with_a_repeated_root_is_a_closure_failure():
@@ -464,7 +488,7 @@ def test_tower_relation_with_a_repeated_root_is_a_closure_failure():
     (closure,) = [c for c in run.checks if c.check_id == "action:closure"]
     assert closure.status == "FAIL"
     assert closure.evidence == {
-        "error": "no prime below %d splits the constant tower"
+        "error": "no prime above 9 and below %d splits the constant tower"
                  % actions.SPLIT_PRIME_BOUND}
 
 
@@ -483,11 +507,13 @@ def test_matrix_with_a_free_parameter_is_refused(monkeypatch):
     # a free parameter is named before the matrix is found singular
     ([["t", "0"], ["0", "0"]],
      "generator 0: matrix entry t involves a free parameter"),
-    # a singular matrix is named before a row that vanishes mod ell
-    ([["433", "0"], ["0", "0"]], "generator 0 has a singular pullback"),
-    # nonsingular over the tower, singular mod ell = 433
+    # singular over the tower
+    ([["433", "0"], ["0", "0"]],
+     "generator 0 has a singular pullback matrix mod 433"),
+    # nonsingular over the tower, singular mod ell = 433: no automorphism
+    # has this matrix, so one text serves both
     ([["433", "0"], ["0", "1"]],
-     "generator 0: a row of its matrix vanishes mod 433"),
+     "generator 0 has a singular pullback matrix mod 433"),
 ])
 def test_matrix_checks_run_in_order(monkeypatch, rows, message):
     # the exact checks on the formulas are bypassed

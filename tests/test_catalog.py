@@ -560,12 +560,35 @@ def test_load_catalog_accepts_text():
      "claim of bielliptic-sextic-pencil names no map 'nosuch'"),
     ("genus2-quintic", lambda e: e["aux"][0].update(map="nosuch"),
      "aux check j_target of genus2-quintic names no map 'nosuch'"),
+    ("genus2-quintic",
+     lambda e: e["claim"]["factors"][0].update(map="nosuch"),
+     "factor 0 of genus2-quintic names no map 'nosuch'"),
+    ("ciani-quartic-pencil",
+     lambda e: e["specializations"][0]["factors"][0].update(map="nosuch"),
+     "factor 0 at t=0 of ciani-quartic-pencil names no map 'nosuch'"),
 ])
 def test_dangling_map_reference_is_refused_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
     with pytest.raises(CatalogError, match="^%s$" % message):
         load_catalog(doc)
+
+
+@pytest.mark.parametrize("eid, kind", [
+    ("ciani-quartic-pencil", "j_quartic"),
+    ("genus2-quintic", "j_target"),
+])
+def test_a_bad_j_text_is_refused_when_its_entry_loads(eid, kind):
+    doc = _raw_document()
+    raw = next(e for e in doc["entries"] if e["id"] == eid)
+    next(a for a in raw["aux"] if a["check"] == kind)["expected"] = "1 +"
+    # a load that does not cover the entry does not parse its aux texts
+    assert len(load_catalog(doc, ["fermat-sextic"])) == 12
+    for ids in ([eid], None):
+        with pytest.raises(CatalogError,
+                           match="^text '1 \\+' of %s: unexpected end of "
+                                 "expression$" % eid):
+            load_catalog(doc, ids)
 
 
 @pytest.mark.parametrize("pmax", ["30", 30.0, True, 0, 500, 30000, None])

@@ -355,17 +355,48 @@ def stub_targets(monkeypatch):
                         lambda rhs, variable: _StubModel(1))
 
 
-def test_infeasible_trace_identity_is_an_invariant_error(stub_targets):
+def test_infeasible_trace_identity_is_a_feasibility_fail(stub_targets):
     # trace 1 = 1 holds, but 1 is not a CM trace for -4 at p = 5
-    with pytest.raises(InvariantError, match="infeasible at p=5"):
-        _prime_checks(_StubEntry(1, ["e"]), 5)
+    rows = _prime_checks(_StubEntry(1, ["e"]), 5)
+    assert [(c.check_id, c.status) for c in rows] == [
+        ("feasibility", "FAIL"), ("trace", "PASS")]
+
+
+def _with_t0_discs(entry_id, discs):
+    """The shipped entry with the t = 0 claim's discriminants replaced."""
+    doc, raw = _builtin_document(entry_id)
+    (row,) = [r for r in raw["specializations"] if r["t"] == 0]
+    for factor, disc in zip(row["factors"], discs):
+        factor["disc"] = disc
+    (entry,) = [e for e in load_catalog(doc, [entry_id]) if e.id == entry_id]
+    return entry
+
+
+@pytest.mark.parametrize("entry_id,discs,first_fail", [
+    ("bielliptic-sextic-pencil", [-4, -4], (7, "inert:t=0")),
+    ("ciani-quartic-pencil", [-3], (5, "inert:t=0")),
+    ("ciani-quartic-pencil", [-8], (5, "inert:t=0")),
+    # a disc of the claimed CM field passes the counting rows
+    ("ciani-quartic-pencil", [-16], None),
+])
+def test_a_wrong_claimed_disc_is_a_fail_row(entry_id, discs, first_fail):
+    # the exact trace identities still hold at the primes where the
+    # claimed discriminants are infeasible; those primes fail, and the
+    # run goes on
+    checks = run_entry(_with_t0_discs(entry_id, discs), pmax=60).checks
+    fails = [(c.prime, c.check_id) for c in checks if c.status == "FAIL"]
+    assert min(fails, default=None) == first_fail
+    assert {check_id for _, check_id in fails} <= {"inert:t=0",
+                                                   "feasibility:t=0"}
+    assert all(c.status == "PASS" for c in checks
+               if c.check_id == "trace:t=0")
 
 
 @pytest.mark.parametrize("eid", ["bielliptic-sextic-pencil",
                                  "ciani-quartic-pencil"])
 def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
-    # the t = 0 rows claim a discriminant for every factor, so each exact
-    # trace identity there is also checked for feasibility
+    # the t = 0 rows claim a discriminant for every factor, so each prime
+    # there has an inert or feasibility row beside its exact trace row
     entry = ENTRIES[eid]
     calls = []
     real = runner.trace_feasibility

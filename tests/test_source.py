@@ -4,8 +4,9 @@ no guard in src/ is an assert statement (python -O would strip it), and
 no true division in src/ starts from an int literal (with int coefficients,
 ``1 / c`` is a float; ``Fraction(1) / c`` is exact), no cache in src/ is
 unbounded (a long-lived process that calls ``cli.main`` at many primes must
-not grow without limit), and only ``gf`` decides how fields are built, kept
-and refused."""
+not grow without limit), only ``gf`` decides how fields are built, kept
+and refused, and ``actions`` takes a rank over the tower only in its exact
+span certificate."""
 
 import ast
 from pathlib import Path
@@ -222,4 +223,41 @@ def test_field_layer_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _field_layer_uses(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+def _exact_rank_uses(tree):
+    """Lines that name ``matrix_rank`` outside ``_exact_certificate``,
+    apart from its import: generator rank and irreducibility are exact mod
+    ell, so only a span certificate takes a rank over the tower."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and \
+                node.name == "_exact_certificate":
+            allowed.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.ImportFrom):
+            allowed.update(id(n) for n in node.names)
+    for node in ast.walk(tree):
+        if id(node) not in allowed and _name_of(node) == "matrix_rank":
+            yield node.lineno
+
+
+def test_actions_takes_exact_ranks_only_in_its_certificate():
+    assert list(_exact_rank_uses(_trees()["actions.py"])) == []
+
+
+def test_exact_rank_rule_flags_each_form():
+    flagged = [
+        "def character_norm(self, indices):\n    return matrix_rank(rows)",
+        "def _reduced_matrix(k, mat):\n    if matrix_rank(mat) < 2: pass",
+        "rank = linalg.matrix_rank(rows)",
+        "rank = matrix_rank",
+    ]
+    allowed = [
+        "from .linalg import matrix_rank",
+        "def _exact_certificate(self):\n    return matrix_rank(rows)",
+        "rank = _rank_mod(rows, ell)",
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _exact_rank_uses(ast.parse(text)))
         assert hit == (text in flagged), text
