@@ -11,8 +11,13 @@ A count checks (p, k) by ``gf.check_field`` first, then reads the tables of
 ``gf.field(p, k)`` and, in the pencil and even-quartic routes, its ``roots``.
 Over F_p a polynomial is evaluated at all of F_p one column at a time
 (``_column``): its term c x^j at x = g^i is g^(log c + ij), a stride-j slice
-of the exp table, so the cyclic cover, the square-root tower and the pencil
-of cubics do no Python call per point.
+of the exp table, and the slices are added as packed machine integers, one
+Python int per column.  The cyclic cover and the square-root tower then
+read their counts by ``map`` over the columns.  The pencil of cubics and
+the even plane quartic read each line's root count by table lookups from a
+few columns (the lines' leading coefficients, discriminants and invariants),
+so no route makes a Python call per point or per line, except on the rare
+lines where a lookup does not apply; those go through ``gf.RootCounts``.
 
 Counts over F_{p^k}, k = 2, 3, run in O(q) in log arithmetic, F_q addition
 not being integer addition.  There are two routes: the cyclic cover
@@ -21,9 +26,11 @@ the even plane quartic G(x^2, y^2, z^2), line by line.  Any other curve,
 space curves included, is refused there.
 """
 
-from itertools import chain, repeat
+import sys
+from array import array
+from itertools import compress, repeat, zip_longest
 from math import gcd, prod
-from operator import mul
+from operator import add, mod, mul, sub
 
 from . import gf
 
@@ -53,21 +60,73 @@ class CountRecord:
 
 
 def _column(field, coeffs):
-    """The values of f at x = 0, then at x = g^i for i = 0..p-2, over the
-    prime field ``field``; f is given by its coefficients mod p, low to
-    high, at least one.
+    """The values of f at x = 0, then at x = g^i for i = 0..p-2, as a list,
+    over the prime field ``field``; f is given by its coefficients mod p,
+    low to high, at least one.
 
     The term c_j x^j at x = g^i is g^(log c_j + ij), so its column over i is
-    a stride-j slice of the exp table repeated j + 1 times.  Each value is
-    the plain sum of one residue per nonzero term, so it is congruent to
-    f(x) and lies in [0, len(coeffs) p)."""
-    exp, log, n = field.exp, field.log, field.q - 1
-    c0 = coeffs[0]
-    cols = [(exp * (j + 1))[log[c]:log[c] + j * n:j]
-            for j, c in enumerate(coeffs) if j and c]
-    if not cols:
-        return repeat(c0, n + 1)
-    return chain((c0,), map(sum, zip(repeat(c0), *cols)))
+    a stride-j slice of the exp table repeated j + 1 times (j taken mod
+    p - 1; a term with j = 0 mod p - 1 is the constant c_j on F_p^*).  Each
+    value is the plain sum of one residue per nonzero term, so it is
+    congruent to f(x) and lies in [0, len(coeffs) p).  The columns are added
+    packed: a slice of ``exp_bytes``, machine integers wide enough for that
+    bound, is read as one int, so adding the ints adds the columns entry by
+    entry with no carry from one entry into the next, and the sum is read
+    back in the same native byte order."""
+    log, n = field.log, field.q - 1
+    code = _packing(len(coeffs) * field.p)
+    packed = field.exp_bytes(code)
+    width = len(packed) // n
+    const, total = coeffs[0], 0
+    for j, c in enumerate(coeffs):
+        if not (j and c):
+            continue
+        j %= n
+        if j:
+            exps = array(code, packed * (j + 1))
+            total += int.from_bytes(exps[log[c]:log[c] + j * n:j],
+                                    sys.byteorder)
+        else:
+            const += c
+    if const:
+        one = (1).to_bytes(width, sys.byteorder)
+        total += const * int.from_bytes(one * n, sys.byteorder)
+    values = array(code, total.to_bytes(width * n, sys.byteorder))
+    return [coeffs[0], *values.tolist()]
+
+
+# (256^itemsize, code) of the unsigned array types, narrowest first
+_PACKINGS = [(256 ** array(code).itemsize, code) for code in "BHILQ"]
+
+
+def _packing(bound):
+    """The array type code of the narrowest machine integers that hold
+    every int in [0, bound)."""
+    return next(code for limit, code in _PACKINGS if limit >= bound)
+
+
+def _reduced_column(field, coeffs):
+    """``_column`` with every value reduced mod p."""
+    return list(map(mod, _column(field, coeffs), repeat(field.p)))
+
+
+def _zeros(values):
+    """The positions of the zeros of a list, one ``list.index`` each."""
+    found, i = [], -1
+    try:
+        while True:
+            i = values.index(0, i + 1)
+            found.append(i)
+    except ValueError:
+        return found
+
+
+def _value(coeffs, x, p):
+    """f(x) mod p by Horner's rule, f given low to high."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _root_column(field, n, coeffs):
@@ -75,6 +134,10 @@ def _root_column(field, n, coeffs):
     values index the power counts repeated len(coeffs) times."""
     counts = field.power_counts(n) * len(coeffs)
     return map(counts.__getitem__, _column(field, coeffs))
+
+
+# square counts of w / (2 c2) from those of w when 2 c2 is not a square
+_SWAP_0_2 = bytes.maketrans(b"\0\2", b"\2\0")
 
 
 def poly_table(poly, variables):
@@ -99,6 +162,8 @@ def poly_table(poly, variables):
 
 def _coeff_mod(c, p):
     num, den = c.numerator, c.denominator
+    if den == 1:
+        return num % p
     if den % p == 0:
         raise ZeroDivisionError("coefficient %s is not p-integral at %d" % (c, p))
     return num * pow(den, -1, p) % p
@@ -109,14 +174,54 @@ def table_mod(rows, p):
 
 
 def _univariate_mod(rows, p):
-    """Dense low-to-high coefficient list of a one-variable table mod p."""
-    deg = max(e[0] for e, _ in rows) if rows else 0
-    out = [0] * (deg + 1)
+    """Dense low-to-high coefficient list mod p of a table read as a
+    polynomial in its first variable, the others set to 1."""
+    out = [0] * (1 + max((e[0] for e, _ in rows), default=0))
     for exps, c in rows:
-        out[exps[0]] = (out[exps[0]] + _coeff_mod(c, p)) % p
+        out[exps[0]] += c
+    return _dense_mod(out, p)
+
+
+def _dense_mod(coeffs, p):
+    """A dense coefficient list, low to high, reduced mod p and trimmed."""
+    out = [_coeff_mod(c, p) if c else 0 for c in coeffs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+def _poly_sum(terms):
+    """The dense polynomial sum of c f_1 ... f_m over the terms
+    (c, f_1, ..., f_m), each f dense and low to high."""
+    out = [0]
+    for c, *factors in terms:
+        term = [c]
+        for f in factors:
+            product = [0] * (len(term) + len(f) - 1)
+            support = [(j, v) for j, v in enumerate(f) if v]
+            for i, u in enumerate(term):
+                if u:
+                    for j, v in support:
+                        product[i + j] += u * v
+            term = product
+        out = [u + v for u, v in zip_longest(out, term, fillvalue=0)]
+    return out
+
+
+def _pencil_polynomials(form_rows):
+    """For a pencil form, rows [((s, r, A, B) exponents, c)] of a binary
+    cubic in (A, B): on the lines (s : 1), its coefficients k_j of
+    A^(3-j) B^j, then b^2 and a^3 for the depressed form Y^3 + aY + b of
+    the cubic in A at B = 1, a = 3 (3 k0 k2 - k1^2) and
+    b = 2 k1^3 - 9 k0 k1 k2 + 27 k0^2 k3; each a dense polynomial in s
+    with exact coefficients."""
+    k = [[0] * (1 + max(e[0] for e, _ in form_rows)) for _ in range(4)]
+    for (es, _, _, eb), c in form_rows:
+        k[eb][es] += c
+    k0, k1, k2, k3 = k
+    a = _poly_sum([(9, k0, k2), (-3, k1, k1)])
+    b = _poly_sum([(2, k1, k1, k1), (-9, k0, k1, k2), (27, k0, k0, k3)])
+    return k + [_poly_sum([(1, b, b)]), _poly_sum([(1, a, a, a)])]
 
 
 def _diagonal_count(p, d):
@@ -260,21 +365,50 @@ class PlaneModel:
 
     def _count_even(self, p):
         # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
-        # x = +-a meet the curve in the roots of the even quartic
-        # G(a^2, y^2, 1), so each square X = a^2 is counted once
+        # x = +-a meet the curve in the roots y of the even quartic
+        # G(a^2, y^2, 1), so each square X = a^2 is counted once, and twice
+        # when X != 0.  In w = y^2, G(X, w, 1) = c2 w^2 + c1(X) w + c0(X)
+        # with c2 a constant, G being a conic.
         field = gf.field(p)
         roots = field.roots
         rows = [((ex // 2, ey // 2, ez // 2), c)
                 for (ex, ey, ez), c in table_mod(self.rows, p)]
-        # the coefficients of G(X, w, 1) in w, polynomials in X, as columns
-        # over X = 0, g^0, g^1, ...; the squares X = g^(2i) are every other
-        # line, each met by two x
         coeffs = [[0] * 3 for _ in range(3)]
         for (ex, ey, _), c in rows:
             coeffs[ey][ex] = (coeffs[ey][ex] + c) % p
-        lines = list(zip(*(_column(field, f) for f in coeffs)))
-        n = roots.even_quartic(lines[0]) + 2 * sum(
-            map(roots.even_quartic, lines[1::2]))
+        c0, c1, (lead, _, _) = coeffs
+        n = roots.even_quartic([c0[0], c1[0], lead])
+        # the lines X = g^(2i), every other value of a column; when c2 = 0
+        # mod p every one of them is rare
+        lines, rare = 0, range((p - 1) // 2)
+        if lead:
+            # w = (-c1 +- r) / (2 c2), r^2 = D = c1^2 - 4 c2 c0, has
+            # P[+-r - c1] square roots y, P the square counts with 0 and 2
+            # swapped when 2 c2 is not a square; a non-square D gives none.
+            # The lines where D = 0 are counted apart.
+            disc = _reduced_column(field, _dense_mod(
+                _poly_sum([(1, c1, c1), (-4 * lead, c0)]), p))[1::2]
+            rare = _zeros(disc)
+            keep = list(map(roots.squares.__getitem__, disc))
+            for i in rare:
+                keep[i] = 0
+            r = list(map(roots.square_roots.__getitem__,
+                         compress(disc, keep)))
+            b = list(compress(_column(field, c1)[1::2], keep))
+            counts = bytes(roots.squares)
+            if not roots.squares[2 * lead % p]:
+                counts = counts.translate(_SWAP_0_2)
+            # the unreduced c1 lies in [0, 3p), so r - c1 in (-3p, p) reads
+            # plus[t] = P[t mod p], a negative t from the end, and r + c1
+            # in [0, 4p) reads minus[t] = P[-t mod p]
+            plus = counts * 3
+            minus = (counts[:1] + counts[:0:-1]) * 4
+            lines = (sum(map(plus.__getitem__, map(sub, r, b)))
+                     + sum(map(minus.__getitem__, map(add, r, b))))
+        for i in rare:
+            x2 = field.exp[2 * i]
+            lines += roots.even_quartic([_value(f, x2, p) for f in coeffs])
+        n += 2 * lines
         # line z = 0: points (x : 1 : 0), the roots of the even quartic
         # F(x, 1, 0), and (1 : 0 : 0)
         edge = [0, 0, 0]
@@ -402,10 +536,19 @@ class SpaceModel:
         if kind == "sqrt_product":
             self.factor_rows = [poly_table(f, fibration["base_vars"])
                                 for f in fibration["factors"]]
+            if any(len({sum(e) for e, _ in rows}) > 1
+                   for rows in self.factor_rows):
+                raise ValueError("a sqrt_product factor is not homogeneous "
+                                 "in %s" % ", ".join(fibration["base_vars"]))
         elif kind == "pencil_form":
             self.form_rows = poly_table(
                 fibration["form"],
                 tuple(fibration["fiber_vars"]) + tuple(fibration["root_vars"]))
+            if not self.form_rows or any(
+                    ea + eb != 3 for (_, _, ea, eb), _ in self.form_rows):
+                raise ValueError("pencil form is not a binary cubic in %s"
+                                 % ", ".join(fibration["root_vars"]))
+            self.pencil = _pencil_polynomials(self.form_rows)
         if genus is None:
             degrees = []
             for rel in self.relations:
@@ -450,9 +593,11 @@ class SpaceModel:
         # the product of the square-root counts: one column of counts per
         # form on the chart y = 1, then the point (1 : 0).
         field = gf.field(p)
-        columns = [_root_column(field, 2, _univariate_mod(rows, p))
-                   for rows in self.factor_rows]
-        n = sum(map(prod, zip(*columns)))
+        counts, *columns = [_root_column(field, 2, _univariate_mod(rows, p))
+                            for rows in self.factor_rows]
+        for column in columns:
+            counts = map(mul, counts, column)
+        n = sum(counts)
         # at (1 : 0) each form is its coefficient of x^deg
         squares = field.power_counts(2)
         edge = [sum(c for (_, ey), c in table_mod(rows, p) if ey == 0) % p
@@ -461,23 +606,39 @@ class SpaceModel:
 
     def _count_pencil_form(self, p):
         # Ruling of a cone: for each line (s : r) of the ruling, the curve
-        # meets it in the projective roots of a binary cubic in (A, B).
+        # meets it in the projective roots of a binary cubic in (A, B).  On
+        # the lines (s : 1) its coefficients k_j, and b^2 and a^3 of its
+        # depressed form, are polynomials in s (``pencil``), read as
+        # columns; where k_0, a and b do not vanish the line has
+        # depressed[log(b^2) - log(a^3)] roots, and only the other, rare,
+        # lines are counted one by one.
         rows = table_mod(self.form_rows, p)
-        if max(ea + eb for (_, _, ea, eb), _ in rows) != 3:
-            raise ValueError("pencil route expects a binary cubic")
         field = gf.field(p)
         roots = field.roots
+        k0, k1, k2, k3, b2, a3 = (_dense_mod(f, p) for f in self.pencil)
+        lead = _reduced_column(field, k0)
+        num = _reduced_column(field, b2)
+        den = _reduced_column(field, a3)
+        rare = sorted(set(_zeros(lead) + _zeros(num) + _zeros(den)))
+        for i in rare:
+            # a zero has no log: 1 stands in, and its lookup is taken back
+            num[i] = num[i] or 1
+            den[i] = den[i] or 1
+        log, table = field.log, roots.depressed
+        # log(b^2) - log(a^3) lies in (-(p - 1), p - 1): a negative index
+        # reads the table mod p - 1
+        n = sum(map(table.__getitem__, map(
+            sub, map(log.__getitem__, num), map(log.__getitem__, den))))
 
         def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
             # A at B = 1, and (A : B) = (1 : 0) when the A^3 term vanishes
             return roots.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
-        # the lines (s : 1): one column per coefficient, a polynomial in s
-        columns = [_column(field, _univariate_mod(
-            [row for row in self.form_rows if row[0][3] == eb], p))
-            for eb in range(4)]
-        n = sum(map(fiber, zip(*columns)))
+        for i in rare:
+            s = field.exp[i - 1] if i else 0
+            n += fiber([_value(f, s, p) for f in (k0, k1, k2, k3)]) \
+                - table[log[num[i]] - log[den[i]]]
         # the line (1 : 0)
         edge = [0] * 4
         for (_, er, _, eb), c in rows:
@@ -511,7 +672,7 @@ class SpaceModel:
             field = gf.field(p)
             c = field.exp[1]
             cubes = _root_column(field, 3, [c * c % p, 0, 0, c])
-            n_s = 3 * sum(1 for v in cubes if v)
+            n_s = 3 * sum(map(bool, cubes))
         total = base + 2 * n_s
         if total % 3:
             raise InvariantError("orbit count %d is not divisible by 3" % total)

@@ -75,24 +75,39 @@ def cm_trace_candidates(disc, p):
 def trace_feasibility(target, candidate_sets):
     """Decide whether target = sum of one choice from each candidate set.
 
-    Returns (feasible, witness) where the witness lists one choice per set;
-    the search is a subset-sum sweep over the (tiny) reachable range.
+    Returns (feasible, witness) where the witness lists one choice per set.
+    The sums reachable with the first k sets are one bit mask R_k, bit i
+    standing for the sum lo_k + i, lo_k the sum of their minima:
+    R_k = OR over a in C_k of R_{k-1} << (a - min C_k).  The witness is read
+    backwards from the last set: at each step it takes the largest a in C_k
+    for which target - a is reachable with the sets before.  That is the
+    first witness in the order of the choices of the first set, then of the
+    second, and so on, each ascending.
     """
-    achievable = {0: ()}
-    for cand in candidate_sets:
-        choices = sorted(cand)
-        nxt = {}
-        for s, path in sorted(achievable.items()):
-            for a in choices:
-                ns = s + a
-                if ns not in nxt:
-                    nxt[ns] = path + (a,)
-        achievable = nxt
-        if not achievable:
+    sets = [sorted(cand) for cand in candidate_sets]
+    masks, lows = [1], [0]
+    for choices in sets:
+        if not choices:
             return False, None
-    if target in achievable:
-        return True, list(achievable[target])
-    return False, None
+        low, prev, mask = choices[0], masks[-1], 0
+        for a in choices:
+            mask |= prev << (a - low)
+        masks.append(mask)
+        lows.append(lows[-1] + low)
+    if not _reachable(masks[-1], target - lows[-1]):
+        return False, None
+    witness = []
+    for k in range(len(sets), 0, -1):
+        a = next(a for a in reversed(sets[k - 1])
+                 if _reachable(masks[k - 1], target - a - lows[k - 1]))
+        witness.append(a)
+        target -= a
+    witness.reverse()
+    return True, witness
+
+
+def _reachable(mask, i):
+    return i >= 0 and mask >> i & 1
 
 
 def cm_consistency(model, disc, primes):

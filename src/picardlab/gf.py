@@ -16,13 +16,17 @@ modulus and the arithmetic on coefficient tuples.
 Every decision about a field is made here.  ``field(p, k)``, the one
 accessor, checks (p, k) by ``check_field``, keeps the most recent
 ``FIELD_CACHE`` fields of at most ``TABLE_MAX`` elements, builds a larger
-prime field for the one count and refuses a larger extension field.  A prime
-field's ``roots``, its ``RootCounts``, live as long as the field does.
-Nothing is built at import.
+prime field for the one count and refuses a larger extension field.  The
+tables derived from a field live as long as the field does, each built on
+first use: ``power_counts(n)`` once per gcd(n, q - 1), as a tuple that no
+caller can change; ``exp_bytes(code)``, the exp table as machine integers,
+once per array type code; and a prime field's ``roots``, its
+``RootCounts``.  Nothing is built at import.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -139,6 +143,8 @@ class ExtField:
         self.q = p**k
         self.modulus = self._find_modulus()
         self.exp = self.log = self.zech = None
+        self._power_tables = {}
+        self._exp_bytes = {}
         if k == 1 or self.q <= TABLE_MAX:
             self._build_tables()
 
@@ -220,14 +226,31 @@ class ExtField:
                 acc = None if z is None else acc + z
         return 0 if acc is None else self.exp[acc % n]
 
-    def power_counts(self, n: int) -> list[int]:
-        """counts[a] = #{y in F_q : y^n = a}, for every element a."""
+    def power_counts(self, n: int) -> tuple[int, ...]:
+        """counts[a] = #{y in F_q : y^n = a}, for every element a.  The
+        table depends on n only through d = gcd(n, q - 1); it is built once
+        per d and kept, and it is a tuple because every caller shares it."""
         d = gcd(n, self.q - 1)
-        counts = [0] * self.q
-        counts[0] = 1
-        for a in self.exp[::d]:
-            counts[a] = d
+        counts = self._power_tables.get(d)
+        if counts is None:
+            counts = self._power_tables[d] = self._power_table(d)
         return counts
+
+    def _power_table(self, d):
+        # the d-th powers are exp[::d], each hit by d elements
+        table = [0] * self.q
+        table[0] = 1
+        for a in self.exp[::d]:
+            table[a] = d
+        return tuple(table)
+
+    def exp_bytes(self, code: str) -> bytes:
+        """The exp table as machine integers of the array type ``code``, in
+        native byte order; built once per code and kept."""
+        packed = self._exp_bytes.get(code)
+        if packed is None:
+            packed = self._exp_bytes[code] = array(code, self.exp).tobytes()
+        return packed
 
     @cached_property
     def roots(self) -> RootCounts:
@@ -289,42 +312,49 @@ class RootCounts:
         return self.field.power_counts(3)
 
     @cached_property
+    def square_roots(self):
+        """roots[v]: a square root of v, None when v is not a square.  A
+        nonzero v = g^i is a square when i is even, g^(i/2) being a square
+        root."""
+        exp = self.field.exp
+        roots = [None] * self.p
+        roots[0] = 0
+        for i in range(0, self.p - 1, 2):
+            roots[exp[i]] = exp[i // 2]
+        return tuple(roots)
+
+    @cached_property
     def depressed(self):
-        """(t_1, t_g), g = exp[1] the generator, a non-square: t_e[u] is
-        the number of roots of Z^3 + eZ + b with b^2 = u e^3.  Scaling
-        Y = lam Z carries Y^3 + aY + b, a = e lam^2, to Z^3 + eZ + b/lam^3
-        and keeps u = b^2/a^3, so t_e depends only on the class of e modulo
-        squares; Z -> -Z shows that the sign of b does not matter."""
-        p = self.p
-        tables = []
+        """t[k] for k mod p - 1: the number of roots of Y^3 + aY + b for any
+        a, b != 0 with b^2/a^3 = g^k, g = exp[1] the generator, a
+        non-square.  Scaling Y = lam Z carries Y^3 + aY + b to
+        Z^3 + eZ + beta, beta = b/lam^3, when a = e lam^2, and keeps
+        b^2/a^3 = beta^2/e^3; so it is read off the root counts of
+        Z^3 + Z + beta (k even) and of Z^3 + gZ + beta (k odd).  Z -> -Z
+        shows that the sign of beta does not matter."""
+        p, log = self.p, self.field.log
+        table = bytearray(p - 1)
         for e in (1, self.field.exp[1]):
             hist = [0] * p
             for z in range(p):
                 hist[-(z * z * z + e * z) % p] += 1
-            scale = pow(e, -3, p)
-            table = [0] * p
-            for b in range(p):
-                table[b * b * scale % p] = hist[b]
-            tables.append(table)
-        return tables
+            shift = 3 * log[e]
+            for beta in range(1, p):
+                table[(2 * log[beta] - shift) % (p - 1)] = hist[beta]
+        return bytes(table)
 
     def even_quartic(self, coeffs):
         """Roots y of c2 y^4 + c1 y^2 + c0, given [c0, c1, c2]: the square
-        roots of the roots w of c2 w^2 + c1 w + c0.  A nonzero v = g^i is a
-        square when i is even, g^(i/2) being a square root."""
+        roots of the roots w of c2 w^2 + c1 w + c0."""
         p, squares = self.p, self.squares
         c0, c1, c2 = (c % p for c in coeffs)
         if c2 == 0:
             if c1 == 0:
                 return p if c0 == 0 else 0
             return squares[-c0 * pow(c1, -1, p) % p]
-        disc = (c1 * c1 - 4 * c2 * c0) % p
-        root = 0
-        if disc:
-            i = self.field.log[disc]
-            if i % 2:
-                return 0
-            root = self.field.exp[i // 2]
+        root = self.square_roots[(c1 * c1 - 4 * c2 * c0) % p]
+        if root is None:
+            return 0
         inv = pow(2 * c2, -1, p)
         n = squares[(root - c1) * inv % p]
         if root:
@@ -334,11 +364,14 @@ class RootCounts:
     def cubic(self, coeffs):
         """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given
         [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
-        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0, else
-        t_e[b^2/a^3], e the class of a modulo squares.  A vanishing c3, and
-        p = 3, go to the gcd kernel."""
+        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0,
+        Y (Y^2 + a) when b = 0, else t[log(b^2/a^3)] from ``depressed``.
+        A quadratic has squares[c1^2 - 4 c2 c0] distinct roots; a lower
+        degree, and p = 3, go to the gcd kernel."""
         p = self.p
         c0, c1, c2, c3 = (c % p for c in coeffs)
+        if c3 == 0 and c2:
+            return self.squares[(c1 * c1 - 4 * c2 * c0) % p]
         if c3 == 0 or p == 3:
             return root_count([c0, c1, c2, c3], p)
         # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
@@ -346,5 +379,7 @@ class RootCounts:
         b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
         if a == 0:
             return self.cubes[-b % p]
-        table = self.depressed[0 if self.squares[a] else 1]
-        return table[b * b * pow(a, -3, p) % p]
+        if b == 0:
+            return 1 + self.squares[-a % p]
+        log = self.field.log
+        return self.depressed[(2 * log[b] - 3 * log[a]) % (p - 1)]

@@ -1,9 +1,11 @@
 """Slow, independent point counts that the fast routes in `picardlab.curves`
-are checked against: the O(p^2) loops those routes replaced, Horner
-evaluation, and projective brute-force scans over F_p and over F_{p^k}."""
+are checked against: the O(p^2) loops those routes replaced, the line-by-line
+loops that the column routes replaced, Horner evaluation, and projective
+brute-force scans over F_p and over F_{p^k}."""
 
 from itertools import product
 
+from picardlab import gf
 from picardlab.curves import table_mod
 from picardlab.gf import TABLE_MAX, ExtField
 
@@ -63,6 +65,49 @@ def pencil_loop_count(model, p):
         return n
 
     return sum(fiber(s, 1) for s in range(p)) + fiber(1, 0)
+
+
+def pencil_line_count(model, p):
+    """Points of a `pencil_form` space model, one line (s : r) of the ruling
+    at a time: the cubic's coefficients by Horner's rule, its roots by
+    `RootCounts.cubic`, plus (A : B) = (1 : 0) when the A^3 term vanishes;
+    O(p) Python calls."""
+    rows = table_mod(model.form_rows, p)
+    roots = gf.field(p).roots
+
+    def fiber(s, r):
+        # coeffs[j] multiplies A^(3-j) B^j
+        coeffs = [0] * 4
+        for (es, er, _, eb), c in rows:
+            coeffs[eb] = (coeffs[eb] + c * pow(s, es, p) * pow(r, er, p)) % p
+        return roots.cubic(coeffs[::-1]) + (coeffs[0] == 0)
+
+    return sum(fiber(s, 1) for s in range(p)) + fiber(1, 0)
+
+
+def even_quartic_line_count(model, p):
+    """Points of a plane quartic G(x^2, y^2, z^2) = 0, one line x = a of the
+    chart z = 1 at a time: the even quartic G(a^2, y^2, 1) by
+    `RootCounts.even_quartic`, each square a^2 != 0 counted for its two a;
+    then the line z = 0.  O(p) Python calls."""
+    rows = table_mod(model.rows, p)
+    roots = gf.field(p).roots
+
+    def line(x2):
+        # [c0, c1, c2] of G(X, w, 1) in w = y^2 at X = x2
+        coeffs = [0, 0, 0]
+        for (ex, ey, _), c in rows:
+            coeffs[ey // 2] += c * pow(x2, ex // 2, p)
+        return roots.even_quartic(coeffs)
+
+    squares = {x * x % p for x in range(1, p)}
+    n = line(0) + 2 * sum(line(x2) for x2 in squares)
+    edge = [0, 0, 0]
+    for (ex, _, ez), c in rows:
+        if ez == 0:
+            edge[ex // 2] += c
+    n += roots.even_quartic(edge)
+    return n + (edge[2] % p == 0)
 
 
 def brute_plane_count(rows_mod_p, p):

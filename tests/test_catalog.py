@@ -412,6 +412,18 @@ def test_pullback_without_an_action_basis_is_refused_at_load():
      "fibration pencil_form lacks form"),
     ("fermat-sextic-pencil-quotient", lambda fib: fib.pop("fiber_vars"),
      "fibration pencil_form lacks fiber_vars"),
+    # a form that is not homogeneous in (A, B) was loaded and miscounted:
+    # inert FAIL and feasibility PASS rows from wrong counts at pmax 13,
+    # and a Weil bound violation at p = 19
+    ("fermat-sextic-pencil-quotient",
+     lambda fib: fib.update(form=fib["form"].replace("-2*B^3", "-2*B")),
+     "pencil form is not a binary cubic in A, B"),
+    ("fermat-sextic-pencil-quotient",
+     lambda fib: fib.update(form="0*A^3"),
+     "pencil form is not a binary cubic in A, B"),
+    ("triple-quadric-intersection",
+     lambda fib: fib["factors"].__setitem__(1, "x^2-y"),
+     "a sqrt_product factor is not homogeneous in x, y"),
 ])
 def test_bad_space_fibration_is_refused_at_load(eid, edit, message):
     doc = _raw_document()

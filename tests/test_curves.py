@@ -1,5 +1,6 @@
 """Point-count routes checked against brute-force oracles and frozen anchors."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from picardlab import gf
+from picardlab import curves, gf
 from picardlab.catalog import builtin_catalog
 from picardlab.curves import (
     CountRecord,
@@ -32,7 +33,9 @@ from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
     brute_plane_count,
+    even_quartic_line_count,
     horner,
+    pencil_line_count,
     pencil_loop_count,
     projective_zero_count,
     scan_plane_count,
@@ -365,6 +368,11 @@ def test_quadratic_twist_covariance(data):
     assert twist.trace == chi * base.trace
 
 
+# len(coeffs) of the widest column a catalog count reads: a^3 of the
+# pencil's depressed cubic, a = -27 s^8 + 81 s^2
+WIDEST_COLUMN = 25
+
+
 @st.composite
 def column_polys(draw):
     # zero coefficients are common, and degrees reach past p - 1
@@ -381,14 +389,38 @@ def column_polys(draw):
 @example((7, [1, 0, 0, 0, 0, 0, 6]))         # degree p - 1 with a constant
 @example((5, [2, 0, 0, 0, 0, 0, 0, 0, 3]))   # degree 8 at p = 5
 @example((7, [1] * 9))                       # degree 8 at p = 7, every term
+@example((2333, [(7 * j + 3) % 2333 or 1 for j in range(WIDEST_COLUMN)]))
+@example((2333, [2332] * WIDEST_COLUMN))     # every sum near the width's top
+@example((2333, [1] + [0] * 2331 + [5, 7]))  # degrees p - 1 and p at 2333
+@example((2333, [2332] * 29))                # past 2-byte entries
 @given(column_polys())
 def test_column_is_horner_at_every_point(poly_mod_p):
     p, coeffs = poly_mod_p
     field = ExtField(p, 1)
-    values = list(_column(field, coeffs))
+    values = _column(field, coeffs)
     assert len(values) == p
     for x, v in zip([0] + field.exp, values):
         assert v % p == horner(coeffs, x, p) and 0 <= v < len(coeffs) * p
+
+
+def test_widest_catalog_column_is_covered(monkeypatch):
+    # the examples above at 2333 reach the widest polynomial that a count
+    # of the catalog evaluates as a column
+    widths = []
+    column = curves._column
+
+    def spy(field, coeffs):
+        widths.append(len(coeffs))
+        return column(field, coeffs)
+
+    monkeypatch.setattr(curves, "_column", spy)
+    for entry in _CATALOG.values():
+        if entry.model["kind"] == "product":
+            continue
+        for value, _, _ in entry.specializations():
+            for p in (13, 37, 43):
+                entry.counting_model(value).count_points(p)
+    assert max(widths) == WIDEST_COLUMN
 
 
 def _catalog_covers():
@@ -488,6 +520,106 @@ def test_pencil_route_matches_loop_oracle():
     assert m.fibration["type"] == "pencil_form"
     for p in primes_up_to(499)[2:]:
         assert m._count_pencil_form(p) == pencil_loop_count(m, p), p
+
+
+def _lagrange(values):
+    """Dense coefficients, low to high, of the polynomial in s of degree
+    < len(values) that takes values[i] at s = i."""
+    out = [Fraction(0)] * len(values)
+    for i, v in enumerate(values):
+        basis = [Fraction(1)]
+        for j in range(len(values)):
+            if j != i:
+                # basis *= (s - j) / (i - j)
+                basis = [(a - j * b) / (i - j)
+                         for a, b in zip([0] + basis, basis + [0])]
+        out = [o + v * b for o, b in zip(out, basis)]
+    return out
+
+
+def _random_pencil(rng):
+    """A pencil form sum_j k_j(s, r) A^(3-j) B^j whose cubic on the line
+    (s : 1) is planted at s = 0..3: a vanishing A^3 term at s = 0,
+    A^3 + B^3 (a = 0) at s = 1, A^3 - A B^2 (b = 0) at s = 2 and the zero
+    cubic at s = 3; between them k_j is random, degree up to 7."""
+    planted = [[0] + [rng.randint(-9, 9) for _ in range(3)],
+               [1, 0, 0, 1], [1, 0, -1, 0], [0, 0, 0, 0]]
+    s, r, a, b = T.var("s"), T.var("r"), T.var("A"), T.var("B")
+    vanish = [0, -6, 11, -6, 1]                  # s(s-1)(s-2)(s-3)
+    form = T.zero()
+    for j in range(4):
+        k = _lagrange([line[j] for line in planted])
+        extra = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        for e, c in enumerate(extra):
+            for i, v in enumerate(vanish):
+                k += [0] * (e + i + 1 - len(k))
+                k[e + i] += c * v
+        for e, c in enumerate(k):
+            if c:
+                form = form + T.const(c) * s ** e * r ** (8 - e) \
+                    * a ** (3 - j) * b ** j
+    return SpaceModel([], ("x", "y", "z", "w"),
+                      {"type": "pencil_form", "fiber_vars": ("s", "r"),
+                       "root_vars": ("A", "B"), "form": form}, genus=4)
+
+
+def test_pencil_columns_match_the_line_loop():
+    rng = random.Random(23)
+    models = [_random_pencil(rng) for _ in range(4)]
+    for p in primes_up_to(499)[2:] + [2311]:
+        for model in models:
+            k = [sum(c * pow(i, es, p) for (es, _, _, eb), c in
+                     table_mod(model.form_rows, p) if eb == j) % p
+                 for i in range(4) for j in range(4)]
+            # the planted lines: k_0 = 0, a = 0, b = 0 and the zero cubic
+            assert k[0] == 0 and k[4:8] == [1, 0, 0, 1]
+            assert k[8:12] == [1, 0, p - 1, 0] and k[12:] == [0] * 4
+            assert model._count_pencil_form(p) == pencil_line_count(model, p)
+    for p in (5, 7, 11, 13):
+        for model in models:
+            assert pencil_line_count(model, p) == pencil_loop_count(model, p)
+
+
+def _random_even_quartic(rng, shape):
+    """G(x^2, y^2, z^2) for a random conic G(X, W, Z); in w = y^2,
+    G(X, w, 1) = c2 w^2 + c1(X) w + c0(X).  Shapes: "free"; "no w^2"
+    (c2 = 0: every line loses its leading coefficient) with the zero
+    quartic on the line X = 1; "disc 0" with a double root w at X = 1;
+    "w = 0" with the root w = 0 at X = 1."""
+    alpha, gamma, delta, epsilon, zeta = (
+        Fraction(rng.randint(-9, 9)) for _ in range(5))
+    beta = Fraction(rng.choice([1, 2, 3, 5]))
+    if shape == "no w^2":
+        beta, zeta = Fraction(0), -delta
+        gamma = -alpha - epsilon
+    elif shape == "disc 0":
+        gamma = (delta + zeta) ** 2 / (4 * beta) - alpha - epsilon
+    elif shape == "w = 0":
+        gamma = -alpha - epsilon
+    x, y, z = T.var("x"), T.var("y"), T.var("z")
+    terms = [(alpha, 4, 0, 0), (beta, 0, 4, 0), (gamma, 0, 0, 4),
+             (delta, 2, 2, 0), (epsilon, 2, 0, 2), (zeta, 0, 2, 2)]
+    return PlaneModel(sum((T.const(c) * x ** ex * y ** ey * z ** ez
+                           for c, ex, ey, ez in terms if c), T.zero()))
+
+
+def test_even_quartic_columns_match_the_line_loop():
+    rng = random.Random(29)
+    models = [_random_even_quartic(rng, shape)
+              for shape in ("free", "free", "no w^2", "disc 0", "w = 0")]
+    assert all(model.even for model in models)
+    for p in primes_up_to(499)[1:] + [2311]:
+        for model in models:
+            try:
+                table_mod(model.rows, p)
+            except ZeroDivisionError:
+                continue
+            assert model._count_even(p) == even_quartic_line_count(model, p)
+    for p in (3, 5, 7, 11, 13):
+        for model in models:
+            reduced = table_mod(model.rows, p)
+            assert even_quartic_line_count(model, p) == \
+                brute_plane_count(reduced, p)
 
 
 def _delta_model():

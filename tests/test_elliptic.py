@@ -1,11 +1,14 @@
 """Genus-one invariants and CM trace logic against frozen exact values."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from picardlab import runner
+from picardlab.cli import main
 from picardlab.curves import HyperellipticModel
 from picardlab.elliptic import (
     BinaryQuartic,
@@ -98,15 +101,65 @@ def test_cm_consistency_of_counted_curves():
     assert not ok
 
 
+def sweep_feasibility(target, candidate_sets):
+    """The subset-sum sweep that `trace_feasibility` replaced: every
+    reachable sum with the first witness found for it, the sums and then
+    each set's choices taken in ascending order."""
+    achievable = {0: ()}
+    for cand in candidate_sets:
+        choices = sorted(cand)
+        nxt = {}
+        for s, path in sorted(achievable.items()):
+            for a in choices:
+                if s + a not in nxt:
+                    nxt[s + a] = path + (a,)
+        achievable = nxt
+        if not achievable:
+            return False, None
+    if target in achievable:
+        return True, list(achievable[target])
+    return False, None
+
+
 def test_trace_feasibility_anchor():
     cands = [cm_trace_candidates(-3, 7)] * 10
     ok, witness = trace_feasibility(8, cands)
     assert ok and sum(witness) == 8
     assert all(w in cands[0] for w in witness)
+    assert witness == [-5, -5, -4, -4, 1, 5, 5, 5, 5, 5]
     ok, _ = trace_feasibility(3, [{0}])
     assert not ok
     ok, witness = trace_feasibility(0, [])
     assert ok and witness == []
+    # the bit masks give exactly the sweep's answer and witness
+    rng = random.Random(31)
+    cases = [(0, []), (2, []), (0, [set()]), (0, [{0}, set(), {1}]),
+             (0, [{0}]), (0, [{0}] * 4), (-3, [{-1, -2}, {0}, {-1}]),
+             (-7, [{-4, 2}, {-3}])]
+    for _ in range(3000):
+        sets = [set(rng.sample(range(-12, 13), rng.randint(0, 5)))
+                for _ in range(rng.randint(0, 7))]
+        cases.append((rng.randint(-40, 40), sets))
+    for target, sets in cases:
+        assert trace_feasibility(target, sets) == \
+            sweep_feasibility(target, sets), (target, sets)
+
+
+def test_trace_feasibility_matches_the_sweep_on_a_report(monkeypatch,
+                                                         capsys):
+    calls = []
+
+    def spy(target, candidate_sets):
+        result = trace_feasibility(target, candidate_sets)
+        calls.append((target, candidate_sets, result))
+        return result
+
+    monkeypatch.setattr(runner, "trace_feasibility", spy)
+    assert main(["report", "--all", "--pmax", "499", "--depth", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 930
+    for target, sets, result in calls:
+        assert result == sweep_feasibility(target, sets), (target, sets)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from picardlab import gf
+from picardlab.catalog import builtin_catalog
 from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import (
     FIELD_CACHE,
@@ -233,6 +236,45 @@ def test_field_is_built_once_per_kept_field():
         assert gf.field(p) is not gf.field(p)
         assert sorted(gf.field(p).exp) == list(range(1, p))
     assert gf._kept_field.cache_info().currsize == len(fields)
+
+
+def test_power_tables_are_built_once_per_field_and_kept(monkeypatch):
+    built = []
+
+    class Spy(gf.ExtField):
+        def _power_table(self, d):
+            built.append((self.p, self.k, d))
+            return super()._power_table(d)
+
+    monkeypatch.setattr(gf, "ExtField", Spy)
+    gf._kept_field.cache_clear()
+    try:
+        entries = [e for e in builtin_catalog() if e.model["kind"] != "product"]
+        for _ in range(2):
+            for entry in entries:
+                for value, _, bad in entry.specializations():
+                    model = entry.counting_model(value)
+                    for p in sorted({5, 7, 13, 37} - set(bad)):
+                        for k in (1, 2):
+                            try:
+                                model.count_points_ext(p, k)
+                            except ValueError:
+                                pass
+        F = gf.field(13)
+        tables = [F.power_counts(n) for n in range(1, 13)]
+        assert F.power_counts(2) is F.roots.squares is F.power_counts(2)
+    finally:
+        gf._kept_field.cache_clear()
+    # once per field and per d = gcd(n, q - 1), which decides the table
+    assert len(built) == len(set(built))
+    assert {(p, k) for p, k, _ in built} >= {(p, 1) for p in (5, 7, 13, 37)}
+    assert {(13, 1, d) for d in (1, 2, 3, 4, 6, 12)} <= set(built)
+    assert all(t is F.power_counts(gcd(n, 12)) for n, t in
+               zip(range(1, 13), tables))
+    # shared by every caller, so no caller can change it
+    assert isinstance(tables[1], tuple)
+    with pytest.raises(TypeError):
+        tables[1][1] = 0
 
 
 def test_root_tables_live_on_their_prime_field():
