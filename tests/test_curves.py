@@ -518,7 +518,8 @@ def test_pencil_route_matches_space_brute():
 def test_pencil_route_matches_loop_oracle():
     m = _CATALOG["fermat-sextic-pencil-quotient"].counting_model()
     assert m.fibration["type"] == "pencil_form"
-    for p in primes_up_to(499)[2:]:
+    # at p = 3 every a vanishes, so every line is counted as a rare one
+    for p in primes_up_to(499)[1:]:
         assert m._count_pencil_form(p) == pencil_loop_count(m, p), p
 
 
