@@ -53,30 +53,48 @@ class CatalogError(ValueError):
     """A catalog document that is malformed or inconsistent."""
 
 
-def _require(condition, message):
+# Each check below formats its message, ``message % args``, only when it
+# refuses: a load runs hundreds of them, and nearly all of them pass.
+
+
+def _require(condition, message, *args):
     # validation must not rely on assert, which python -O strips
     if not condition:
-        raise CatalogError(message)
+        raise CatalogError(message % args if args else message)
 
 
-def _require_keys(item, keys, what):
-    missing = [key for key in keys if key not in item]
-    _require(not missing, "%s lacks %s" % (what, ", ".join(missing)))
+def _require_keys(item, keys, what, *args):
+    """Refuse an item that lacks one of `keys`, or that is null, a number
+    or a bool, which have no keys; ``what % args`` names it."""
+    try:
+        missing = [key for key in keys if key not in item]
+    except TypeError:
+        raise CatalogError("%s must be an object" % (what % args)) from None
+    if missing:
+        raise CatalogError("%s lacks %s" % (what % args, ", ".join(missing)))
+
+
+def _require_list(value, what, *args):
+    """Refuse null, a number or a bool where a list belongs; a string or an
+    object has a length, and the check that reads it refuses it."""
+    if not hasattr(value, "__len__"):
+        raise CatalogError("%s must be a list" % (what % args))
 
 
 def load_tower(declarations):
     """Build the constant tower from symbol/relation strings."""
     rows = []
-    for decl in declarations:
+    for k, decl in enumerate(declarations):
+        _require_keys(decl, ("symbol",), "tower declaration %d", k)
         name = decl["symbol"]
         _require("relation" in decl,
-                 "tower symbol %s lacks a relation" % name)
+                 "tower symbol %s lacks a relation", name)
         scratch = ConstantTower(rows)
         relation = parse_polynomial(scratch, decl["relation"])
         degree = relation.degree_in(name)
         _require(
             relation.coeffs_in(name)[degree] == scratch.one(),
-            "tower relation for %s must be monic" % name,
+            "tower relation for %s must be monic", name,
         )
         # name^degree equals minus the relation's other terms, which the
         # parse left in normal form over the earlier constants
@@ -186,7 +204,7 @@ class CatalogEntry:
             p = parse_polynomial(self.tower, text)
             _require(
                 list(p.terms.values()) == [1],
-                "basis entry %r is not a monic monomial" % text,
+                "basis entry %r is not a monic monomial", text,
             )
             ((mono, _),) = p.terms.items()
             out.append(mono)
@@ -273,7 +291,7 @@ class CatalogEntry:
             )
         if kind == "space":
             _require("fibration" in self.model,
-                     "space model of %s lacks a fibration" % self.id)
+                     "space model of %s lacks a fibration", self.id)
             fib = dict(self.model["fibration"])
             if "factors" in fib:
                 fib["factors"] = [self.poly(f, value)
@@ -327,76 +345,88 @@ def _check_structure(entries):
     ids = [e.id for e in entries]
     _require(len(set(ids)) == len(ids), "duplicate entry ids")
     for entry in entries:
+        eid = entry.id
         for k, spec in enumerate(entry.maps):
             _require_keys(spec, ("name", "target", "components"),
-                          "map %d of %s" % (k, entry.id))
+                          "map %d of %s", k, eid)
         names = [m["name"] for m in entry.maps]
-        _require(
-            len(set(names)) == len(names), "duplicate map names in %s" % entry.id
-        )
+        _require(len(set(names)) == len(names), "duplicate map names in %s",
+                 eid)
         for spec in entry.maps:
             if spec.get("kind") == "projective":
                 for key in ("pullback", "differential"):
-                    _require(
-                        key not in spec,
-                        "projective map %s of %s declares %r; only affine "
-                        "maps are pulled back" % (spec["name"], entry.id, key),
-                    )
+                    _require(key not in spec,
+                             "projective map %s of %s declares %r; only "
+                             "affine maps are pulled back",
+                             spec["name"], eid, key)
             _require(
                 "pullback" not in spec or entry.action is not None,
                 "map %s of %s declares a pullback, but the entry has no "
-                "action basis to classify it in" % (spec["name"], entry.id),
+                "action basis to classify it in", spec["name"], eid,
             )
 
-        def require_map(name, what):
-            _require(name in names, "%s of %s names no map %r"
-                     % (what, entry.id, name))
+        def require_map(name, what, *args):
+            if name not in names:
+                raise CatalogError("%s of %s names no map %r"
+                                   % (what % args, eid, name))
 
         for name in entry.trace_map_names():
             require_map(name, "claim")
-        for item in entry.aux:
+        for k, item in enumerate(entry.aux):
+            _require(type(item) is dict, "aux item %d of %s must be an "
+                     "object", k, eid)
             kind = item.get("check")
-            _require(kind in AUX_CHECKS,
-                     "unknown aux check %r in %s" % (kind, entry.id))
-            what = "aux check %s" % kind
-            _require_keys(item, AUX_CHECKS[kind], what + " of " + entry.id)
+            _require(kind in AUX_CHECKS, "unknown aux check %r in %s",
+                     kind, eid)
+            _require_keys(item, AUX_CHECKS[kind], "aux check %s of %s",
+                          kind, eid)
             if kind == "j_target":
-                require_map(item["map"], what)
+                require_map(item["map"], "aux check %s", kind)
             if kind == "cm_consistency":
                 pmax = item["pmax"]
                 _require(type(pmax) is int and 1 <= pmax <= PRIME_CAP,
-                         "%s of %s: pmax must be an int in 1..%d, got %r"
-                         % (what, entry.id, PRIME_CAP, pmax))
+                         "aux check %s of %s: pmax must be an int in "
+                         "1..%d, got %r", kind, eid, PRIME_CAP, pmax)
         if entry.action is not None:
             _require_keys(entry.action, ("basis", "generators", "order"),
-                          "action of %s" % entry.id)
+                          "action of %s", eid)
+            _require_list(entry.action["basis"], "action basis of %s", eid)
+            _require_list(entry.action["generators"],
+                          "action generators of %s", eid)
             size = len(entry.action["basis"])
             nvars = len(entry.geometric_vars())
             for k, row in enumerate(entry.action["generators"]):
+                _require_list(row, "generator %d of %s", k, eid)
                 _require(len(row) == nvars,
                          "generator %d of %s has %d formulas for %d "
-                         "variables" % (k, entry.id, len(row), nvars))
+                         "variables", k, eid, len(row), nvars)
             for k, summand in enumerate(entry.summands):
                 _require_keys(summand, ("name", "indices"),
-                              "summand %d of %s" % (k, entry.id))
-            indices = sorted(i for s in entry.summands for i in s["indices"])
+                              "summand %d of %s", k, eid)
+                _require_list(summand["indices"],
+                              "indices of summand %d of %s", k, eid)
+            indices = [i for s in entry.summands for i in s["indices"]]
             _require(
-                indices == list(range(size)),
-                "summands of %s do not partition the basis" % entry.id,
+                all(type(i) is int for i in indices)
+                and sorted(indices) == list(range(size)),
+                "summands of %s do not partition the basis", eid,
             )
             for summand in entry.summands:
                 if summand.get("map") is not None:
-                    require_map(summand["map"], "summand %s" % summand["name"])
+                    require_map(summand["map"], "summand %s",
+                                summand["name"])
         for value, factors, bad in entry.specializations():
+            # a family's labels name the value
+            at = () if value is None else (value,)
+            of = "factor %d of %s at t=%s" if at else "factor %d of %s"
+            named = "factor %d at t=%s" if at else "factor %d"
             for k, factor in enumerate(factors):
-                where = "" if value is None else " at t=%s" % value
                 # a null disc is a claim without CM; the key must be there
-                _require_keys(factor, ("mult", "disc"), "factor %d of %s%s"
-                              % (k, entry.id, where))
+                _require_keys(factor, ("mult", "disc"), of, k, eid, *at)
                 if factor.get("map") is not None:
-                    require_map(factor["map"], "factor %d%s" % (k, where))
+                    require_map(factor["map"], named, k, *at)
             _require(bad or not factors,
-                     "countable entry %s lacks bad primes" % entry.id)
+                     "countable entry %s lacks bad primes", eid)
 
 
 def _check_claims(entry):
@@ -413,15 +443,12 @@ def _check_claims(entry):
         model = entry.counting_model(value)
         _require(
             total == model.genus(),
-            "factor multiplicities of %s do not sum to the genus" % entry.id,
+            "factor multiplicities of %s do not sum to the genus", entry.id,
         )
         if isinstance(model, SuperellipticModel):
             missing = _undeclared_bad_primes(model, bad)
-            _require(
-                not missing,
-                "bad primes %s of %s are not declared"
-                % (sorted(missing), entry.id),
-            )
+            _require(not missing, "bad primes %s of %s are not declared",
+                     sorted(missing), entry.id)
 
 
 def _undeclared_bad_primes(model, declared):
@@ -437,7 +464,9 @@ def _undeclared_bad_primes(model, declared):
     for (e,), c in model.rows:
         f[e] = c.numerator * (den // c.denominator)
     res = resultant(f, [k * c for k, c in enumerate(f)][1:])
-    _require(res != 0, "f has a repeated root: %s" % model.f_poly.render())
+    if res == 0:
+        raise CatalogError("f has a repeated root: %s"
+                           % model.f_poly.render())
     value = abs(den * f[-1] * res * model.m)
     for p in {2, 3}.union(b for b in declared if isinstance(b, int) and b > 1):
         while value and value % p == 0:
@@ -453,8 +482,15 @@ def load_catalog(document, ids=None):
     `ids` is None."""
     if isinstance(document, str):
         document = json.loads(document)
+    _require_keys(document, ("entries",), "catalog document")
     tower = load_tower(document.get("tower", []))
-    entries = [CatalogEntry(raw, tower) for raw in document["entries"]]
+    entries = []
+    for k, raw in enumerate(document["entries"]):
+        _require_keys(raw, ("id",), "entry %d", k)
+        _require(type(raw["id"]) is str, "entry %d: id must be a string, "
+                 "got %r", k, raw["id"])
+        _require_keys(raw, ("model",), "entry %s", raw["id"])
+        entries.append(CatalogEntry(raw, tower))
     _check_structure(entries)
     for entry in entries:
         if ids is None or entry.id in ids:

@@ -15,21 +15,23 @@ from .report import hodge_row, render
 from .runner import run_catalog
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """The parser of one subcommand.  It declares its arguments when it
-    first parses, its own ``--help`` included; the top-level parser shows
-    subcommands by name and help alone, so a call declares the arguments
-    of the subcommand it runs and of no other."""
+class _Subcommand:
+    """One subcommand, as the top-level parser's subparsers action holds
+    it: the keyword arguments of ``add_parser`` and the function that
+    declares its arguments.  ``parse_known_args``, the one method that
+    action calls on a subparser, builds the subcommand's parser, declares
+    its arguments (its own ``--help`` included) and parses.  The top-level
+    parser shows subcommands by name and help alone, so a call builds the
+    parser of the subcommand it runs and of no other."""
 
-    def __init__(self, *args, declare, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *, declare, **kwargs):
         self._declare = declare
+        self._kwargs = kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._declare is not None:
-            self._declare(self)
-            self._declare = None
-        return super().parse_known_args(args, namespace)
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._declare(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _declare_run(parser):

@@ -30,7 +30,7 @@ import sys
 from array import array
 from itertools import compress, repeat, zip_longest
 from math import gcd, prod
-from operator import add, mod, mul, sub
+from operator import add, itemgetter, mod, mul, sub
 
 from . import gf
 
@@ -131,9 +131,11 @@ def _value(coeffs, x, p):
 
 def _root_column(field, n, coeffs):
     """#{y in F_p : y^n = f(x)} for x in ``_column``'s order: its unreduced
-    values index the power counts repeated len(coeffs) times."""
+    values index the power counts repeated len(coeffs) times.  The lookups
+    are one ``itemgetter`` call; a column has p >= 3 values, so it gives a
+    tuple."""
     counts = field.power_counts(n) * len(coeffs)
-    return map(counts.__getitem__, _column(field, coeffs))
+    return itemgetter(*_column(field, coeffs))(counts)
 
 
 # square counts of w / (2 c2) from those of w when 2 c2 is not a square

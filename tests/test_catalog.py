@@ -485,6 +485,59 @@ def test_tower_declaration_without_a_relation_is_refused_at_load():
         load_catalog(doc)
 
 
+def test_tower_relation_must_be_monic():
+    doc = _raw_document()
+    assert doc["tower"][2] == {"symbol": "s2", "relation": "s2^2-2"}
+    doc["tower"][2]["relation"] = "2*s2^2-4"
+    with pytest.raises(CatalogError,
+                       match="^tower relation for s2 must be monic$"):
+        load_catalog(doc)
+
+
+def _septic(doc):
+    return next(e for e in doc["entries"] if e["id"] == "genus3-septic")
+
+
+# each edit made the load raise a KeyError, TypeError or AttributeError
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("entries"), "catalog document lacks entries"),
+    (lambda d: d["tower"][2].pop("symbol"), "tower declaration 2 lacks symbol"),
+    (lambda d: d["tower"].__setitem__(1, None),
+     "tower declaration 1 must be an object"),
+    (lambda d: _septic(d).pop("id"), "entry {k} lacks id"),
+    (lambda d: _septic(d).update(id=None),
+     "entry {k}: id must be a string, got None"),
+    (lambda d: _septic(d).pop("model"), "entry genus3-septic lacks model"),
+    (lambda d: _septic(d)["action"].update(generators=None),
+     "action generators of genus3-septic must be a list"),
+    (lambda d: _septic(d)["action"]["generators"].__setitem__(1, None),
+     "generator 1 of genus3-septic must be a list"),
+    (lambda d: _septic(d)["action"].update(basis=None),
+     "action basis of genus3-septic must be a list"),
+    (lambda d: _septic(d)["summands"][0].update(indices=None),
+     "indices of summand 0 of genus3-septic must be a list"),
+    (lambda d: _septic(d)["summands"][0].update(indices=[0, None]),
+     "summands of genus3-septic do not partition the basis"),
+    (lambda d: _septic(d)["summands"].__setitem__(1, None),
+     "summand 1 of genus3-septic must be an object"),
+    (lambda d: _septic(d)["claim"]["factors"].__setitem__(0, None),
+     "factor 0 of genus3-septic must be an object"),
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "bielliptic-sextic-pencil")
+     ["specializations"][0]["factors"].__setitem__(0, None),
+     "factor 0 of bielliptic-sextic-pencil at t=0 must be an object"),
+    (lambda d: _septic(d)["aux"].__setitem__(0, None),
+     "aux item 0 of genus3-septic must be an object"),
+])
+def test_malformed_document_is_refused_at_load(edit, message):
+    doc = _raw_document()
+    k = doc["entries"].index(_septic(doc))
+    edit(doc)
+    with pytest.raises(CatalogError,
+                       match="^%s$" % re.escape(message.format(k=k))):
+        load_catalog(doc)
+
+
 def test_summand_without_indices_is_refused_at_load():
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "genus3-septic")
@@ -504,6 +557,13 @@ def test_summand_without_indices_is_refused_at_load():
      "factor 0 of genus3-septic lacks mult"),
     (lambda e: e["claim"]["factors"][0], "disc",
      "factor 0 of genus3-septic lacks disc"),
+    (lambda e: e, "action",
+     "map g of genus3-septic declares a pullback, but the entry has no "
+     "action basis to classify it in"),
+    (lambda e: e["summands"], 1,
+     "summands of genus3-septic do not partition the basis"),
+    (lambda e: e, "bad_primes", "countable entry genus3-septic lacks bad "
+                                "primes"),
 ])
 def test_missing_catalog_key_is_refused_at_load(part, key, message):
     doc = _raw_document()
@@ -578,6 +638,8 @@ def test_load_catalog_accepts_text():
     ("ciani-quartic-pencil",
      lambda e: e["specializations"][0]["factors"][0].update(map="nosuch"),
      "factor 0 at t=0 of ciani-quartic-pencil names no map 'nosuch'"),
+    ("genus3-septic", lambda e: e["maps"].append(e["maps"][0]),
+     "duplicate map names in genus3-septic"),
 ])
 def test_dangling_map_reference_is_refused_at_load(eid, edit, message):
     doc = _raw_document()

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, output, and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -147,9 +148,64 @@ def test_a_call_declares_the_arguments_of_its_subcommand_only(
             real(parser)
 
         monkeypatch.setattr(cli, "_declare_" + name, spy)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def count_builds(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", count_builds)
     assert main(["count", "--entry", "genus2-quintic", "--prime", "7"]) == 0
+    # the top-level parser and the count parser, and no other
+    assert built == ["picardlab", "picardlab count"]
     assert main(["hodge", "--d", "3", "--n", "2"]) == 0
+    # nothing is kept from the first call
+    assert built == ["picardlab", "picardlab count",
+                     "picardlab", "picardlab hodge"]
     assert declared == ["count", "hodge"]
+
+
+USAGE = "usage: picardlab [-h] {verify,count,hodge,report} ..."
+COUNT_USAGE = "usage: picardlab count [-h] --entry ID --prime PRIME"
+
+
+@pytest.mark.parametrize("argv, code, first, last", [
+    ([], 2, USAGE,
+     "picardlab: error: the following arguments are required: command"),
+    (["--help"], 0, None, None),
+    (["bogus"], 2, USAGE,
+     "picardlab: error: argument command: invalid choice: 'bogus' (choose "
+     "from 'verify', 'count', 'hodge', 'report')"),
+    (["verify", "--help"], 0, None, None),
+    (["count", "--help"], 0, None, None),
+    (["hodge", "--help"], 0, None, None),
+    (["report", "--help"], 0, None, None),
+    (["count", "--entry", "fermat-sextic"], 2, COUNT_USAGE,
+     "picardlab count: error: the following arguments are required: "
+     "--prime"),
+    (["hodge", "--d", "3"], 2,
+     "usage: picardlab hodge [-h] --d D --n N [--nmax NMAX]",
+     "picardlab hodge: error: the following arguments are required: --n"),
+    (["count", "--entry", "fermat-sextic", "--prime", "x"], 2, COUNT_USAGE,
+     "picardlab count: error: argument --prime: invalid int value: 'x'"),
+])
+def test_argument_errors_and_help_exit_as_before(argv, code, first, last,
+                                                 monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if first is None:
+        # help goes to stdout, headed by the usage of what was asked
+        assert err == ""
+        assert out.startswith(" ".join(["usage: picardlab"] + argv[:-1]
+                                       + ["[-h]"]))
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert (lines[0], lines[-1]) == (first, last)
 
 
 @pytest.mark.parametrize("command, flags", [
