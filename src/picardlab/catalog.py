@@ -163,12 +163,11 @@ class CatalogEntry:
             rhs = self.poly(self.model["rhs"], value)
             m = self.model["m"]
             return [CurveRelation(self.tower.var("v", m) - rhs, "v")]
-        if kind in ("space", "product"):
-            return [
-                CurveRelation(self.poly(rel, value), main)
-                for rel, main in zip(self.model["relations"], self.model["mains"])
-            ]
-        raise ValueError("unknown model kind %r" % kind)
+        # space or product, the last kinds the load admits
+        return [
+            CurveRelation(self.poly(rel, value), main)
+            for rel, main in zip(self.model["relations"], self.model["mains"])
+        ]
 
     def affine_system(self, value=None):
         return ReductionSystem(self.affine_relations(value))
@@ -201,7 +200,7 @@ class CatalogEntry:
     def basis_monomials(self):
         out = []
         for text in self.action["basis"]:
-            p = parse_polynomial(self.tower, text)
+            p = self.poly(text)
             _require(
                 list(p.terms.values()) == [1],
                 "basis entry %r is not a monic monomial", text,
@@ -304,10 +303,9 @@ class CatalogEntry:
                 fib,
                 genus=self.model.get("genus"),
             )
-        if kind == "product":
-            raise CatalogError("%s is a product of curves; it is not counted"
-                               % self.id)
-        raise CatalogError("unknown model kind %r in %s" % (kind, self.id))
+        # product, the last kind the load admits
+        raise CatalogError("%s is a product of curves; it is not counted"
+                           % self.id)
 
     # -- claims ----------------------------------------------------------
 
@@ -346,6 +344,16 @@ def _check_structure(entries):
     _require(len(set(ids)) == len(ids), "duplicate entry ids")
     for entry in entries:
         eid = entry.id
+        _require(type(entry.model) is dict, "model of %s must be an object",
+                 eid)
+        _require_keys(entry.model, ("kind",), "model of %s", eid)
+        _require(entry.model["kind"] in ("plane", "hyperelliptic",
+                                         "superelliptic", "space", "product"),
+                 "unknown model kind %r in %s", entry.model["kind"], eid)
+        _require_list(entry.maps, "maps of %s", eid)
+        _require_list(entry.aux, "aux of %s", eid)
+        _require(entry.claim is None or type(entry.claim) is dict,
+                 "claim of %s must be an object", eid)
         for k, spec in enumerate(entry.maps):
             _require_keys(spec, ("name", "target", "components"),
                           "map %d of %s", k, eid)
@@ -423,6 +431,9 @@ def _check_structure(entries):
             for k, factor in enumerate(factors):
                 # a null disc is a claim without CM; the key must be there
                 _require_keys(factor, ("mult", "disc"), of, k, eid, *at)
+                _require(type(factor["mult"]) is int,
+                         of + ": mult must be an int, got %r", k, eid, *at,
+                         factor["mult"])
                 if factor.get("map") is not None:
                     require_map(factor["map"], named, k, *at)
             _require(bad or not factors,

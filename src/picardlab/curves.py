@@ -258,41 +258,6 @@ def _cyclic_cover_count(m, coeffs, field):
     return n
 
 
-def _quartic_roots_ext(field, c0, c1, c2):
-    """Roots y in F_q of c2 y^4 + c1 y^2 + c0, the coefficients given as
-    logs (None for 0): the square roots of the roots w of c2 w^2 + c1 w + c0.
-    In logs -1 = g^((q-1)/2), and a nonzero element is a square exactly when
-    its log is even, g^(i/2) being then a square root."""
-    q, log = field.q, field.log
-    half, two = (q - 1) // 2, log[2]
-
-    def log_sum(*logs):
-        return log[field.exp_sum([i for i in logs if i is not None])]
-
-    def square_roots(num, log_den):
-        # #{y : y^2 = num / g^log_den}, num a log or None
-        if num is None:
-            return 1
-        return 0 if (num - log_den) % 2 else 2
-
-    neg_c1 = None if c1 is None else c1 + half
-    if c2 is None:
-        if c1 is None:
-            return q if c0 is None else 0
-        return square_roots(None if c0 is None else c0 + half, c1)
-    # w = (-c1 +- r) / (2 c2), r^2 = c1^2 - 4 c2 c0
-    disc = log_sum(None if c1 is None else 2 * c1,
-                   None if c0 is None else 2 * two + c2 + c0 + half)
-    den = two + c2
-    if disc is None:
-        return square_roots(neg_c1, den)
-    if disc % 2:
-        return 0
-    r = disc // 2
-    return (square_roots(log_sum(neg_c1, r), den)
-            + square_roots(log_sum(neg_c1, r + half), den))
-
-
 def _even_quartic_ext_count(rows, field):
     """Projective points over F_q of F = G(x^2, y^2, z^2), F given as rows
     [(exponents, c mod p)]: ``PlaneModel._count_even`` in log arithmetic."""
@@ -308,8 +273,8 @@ def _even_quartic_ext_count(rows, field):
                 coeffs[ey].append(log_c)
             elif log_x2 is not None:
                 coeffs[ey].append(log_c + ex * log_x2)
-        return _quartic_roots_ext(
-            field, *(log[field.exp_sum(terms)] for terms in coeffs))
+        return field.even_quartic(
+            *(log[field.exp_sum(terms)] for terms in coeffs))
 
     # chart z = 1: the lines x = +-g^i share X = g^(2i), and x = 0 is alone
     n = line(None) + 2 * sum(line(2 * i) for i in range((field.q - 1) // 2))
@@ -320,7 +285,7 @@ def _even_quartic_ext_count(rows, field):
         if ez == 0:
             edge[ex].append(log_c)
     edge = [log[field.exp_sum(terms)] for terms in edge]
-    n += _quartic_roots_ext(field, *edge)
+    n += field.even_quartic(*edge)
     if edge[2] is None:
         n += 1
     return n
@@ -372,14 +337,14 @@ class PlaneModel:
         # when X != 0.  In w = y^2, G(X, w, 1) = c2 w^2 + c1(X) w + c0(X)
         # with c2 a constant, G being a conic.
         field = gf.field(p)
-        roots = field.roots
+        roots, log = field.roots, field.log
         rows = [((ex // 2, ey // 2, ez // 2), c)
                 for (ex, ey, ez), c in table_mod(self.rows, p)]
         coeffs = [[0] * 3 for _ in range(3)]
         for (ex, ey, _), c in rows:
             coeffs[ey][ex] = (coeffs[ey][ex] + c) % p
         c0, c1, (lead, _, _) = coeffs
-        n = roots.even_quartic([c0[0], c1[0], lead])
+        n = field.even_quartic(log[c0[0]], log[c1[0]], log[lead])
         # the lines X = g^(2i), every other value of a column; when c2 = 0
         # mod p every one of them is rare
         lines, rare = 0, range((p - 1) // 2)
@@ -409,7 +374,8 @@ class PlaneModel:
                      + sum(map(minus.__getitem__, map(add, r, b))))
         for i in rare:
             x2 = field.exp[2 * i]
-            lines += roots.even_quartic([_value(f, x2, p) for f in coeffs])
+            lines += field.even_quartic(
+                *(log[_value(f, x2, p)] for f in coeffs))
         n += 2 * lines
         # line z = 0: points (x : 1 : 0), the roots of the even quartic
         # F(x, 1, 0), and (1 : 0 : 0)
@@ -417,7 +383,7 @@ class PlaneModel:
         for (ex, _, ez), c in rows:
             if ez == 0:
                 edge[ex] += c
-        n += roots.even_quartic(edge)
+        n += field.even_quartic(*(log[c % p] for c in edge))
         if edge[2] % p == 0:
             n += 1
         return n

@@ -226,6 +226,41 @@ class ExtField:
                 acc = None if z is None else acc + z
         return 0 if acc is None else self.exp[acc % n]
 
+    def even_quartic(self, c0, c1, c2) -> int:
+        """Roots y in F_q of c2 y^4 + c1 y^2 + c0, the coefficients given as
+        logs, None for 0 as ``log`` gives it: the square roots of the roots
+        w of c2 w^2 + c1 w + c0.  In logs -1 = g^((q-1)/2), and a nonzero
+        element is a square exactly when its log is even, g^(i/2) being then
+        a square root.  The zero polynomial vanishes at all q points."""
+        q, log = self.q, self.log
+        half, two = (q - 1) // 2, log[2]
+
+        def log_sum(*logs):
+            return log[self.exp_sum([i for i in logs if i is not None])]
+
+        def square_roots(num, log_den):
+            # #{y : y^2 = num / g^log_den}, num a log or None
+            if num is None:
+                return 1
+            return 0 if (num - log_den) % 2 else 2
+
+        neg_c1 = None if c1 is None else c1 + half
+        if c2 is None:
+            if c1 is None:
+                return q if c0 is None else 0
+            return square_roots(None if c0 is None else c0 + half, c1)
+        # w = (-c1 +- r) / (2 c2), r^2 = c1^2 - 4 c2 c0
+        disc = log_sum(None if c1 is None else 2 * c1,
+                       None if c0 is None else 2 * two + c2 + c0 + half)
+        den = two + c2
+        if disc is None:
+            return square_roots(neg_c1, den)
+        if disc % 2:
+            return 0
+        r = disc // 2
+        return (square_roots(log_sum(neg_c1, r), den)
+                + square_roots(log_sum(neg_c1, r + half), den))
+
     def power_counts(self, n: int) -> tuple[int, ...]:
         """counts[a] = #{y in F_q : y^n = a}, for every element a.  The
         table depends on n only through d = gcd(n, q - 1); it is built once
@@ -297,10 +332,10 @@ class ExtField:
 
 
 class RootCounts:
-    """Tables of a prime field that count the roots in F_p of a binary cubic
-    or of an even quartic by a few lookups.  Each table costs O(p) and is
-    built on first use; coefficient lists run low to high, and the zero
-    polynomial vanishes at all p points."""
+    """Tables of a prime field that count the roots in F_p of a cubic by a
+    few lookups, and give a square root of each square.  Each table costs
+    O(p) and is built on first use; coefficient lists run low to high, and
+    the zero polynomial vanishes at all p points."""
 
     def __init__(self, field: ExtField):
         self.field = field
@@ -342,24 +377,6 @@ class RootCounts:
             for beta in range(1, p):
                 table[(2 * log[beta] - shift) % (p - 1)] = hist[beta]
         return bytes(table)
-
-    def even_quartic(self, coeffs):
-        """Roots y of c2 y^4 + c1 y^2 + c0, given [c0, c1, c2]: the square
-        roots of the roots w of c2 w^2 + c1 w + c0."""
-        p, squares = self.p, self.squares
-        c0, c1, c2 = (c % p for c in coeffs)
-        if c2 == 0:
-            if c1 == 0:
-                return p if c0 == 0 else 0
-            return squares[-c0 * pow(c1, -1, p) % p]
-        root = self.square_roots[(c1 * c1 - 4 * c2 * c0) % p]
-        if root is None:
-            return 0
-        inv = pow(2 * c2, -1, p)
-        n = squares[(root - c1) * inv % p]
-        if root:
-            n += squares[(-root - c1) * inv % p]
-        return n
 
     def cubic(self, coeffs):
         """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given

@@ -1,9 +1,11 @@
 """Executes catalog entries and collects per-check results.
 
-A run walks a fixed sequence per entry: symbolic map verification with
-pullback classification, group-action closure / decomposition / span
-certificates, one per-prime pass, and auxiliary exact checks.  The
-per-prime pass counts each specialization and each distinct trace-map
+A run verifies the entry's maps and classifies their pullbacks, then walks
+the entry's specializations once.  Each one runs the group-action closure,
+decomposition and span certificates when the entry has an action; a
+claimed one also runs one per-prime pass and, at depth > 1, its counts over
+F_{p^k}.  The auxiliary exact checks read the same specializations.  The
+per-prime pass counts the specialization and each distinct trace-map
 target once per good prime, and those counts feed the inert-prime
 exactness, split-prime trace feasibility and exact trace identity rows.
 Failed checks become FAIL rows with evidence; a trace-map target that is
@@ -12,7 +14,6 @@ is a claimed discriminant whose candidate traces cannot sum to the source
 trace, even where an exact trace identity holds.  An InvariantError marks a
 program defect and still aborts the run, by design.
 """
-
 from .catalog import PRIME_CAP
 from .curves import HyperellipticModel, InvariantError
 from .elliptic import (
@@ -183,37 +184,22 @@ def _pullback_check(entry, frame, spec, cmap):
 
 # -- step 3: decomposition and certificates ----------------------------------
 
-def _action_checks(entry):
-    if entry.action is None:
-        return []
-    checks = []
+def _action_checks(entry, value, tag):
     declared = entry.action["order"]
-    for value, _, _ in entry.specializations():
-        tag = _suffix(value)
-        try:
-            action = entry.group_action(value)
-        except ValueError as exc:
-            checks.append(
-                CheckResult("action:closure" + tag, FAIL, {"error": str(exc)})
-            )
-            continue
-        if action.order == declared:
-            checks.append(
-                CheckResult(
-                    "action:closure" + tag, PASS, {"order": action.order}
-                )
-            )
-        else:
-            checks.append(
-                CheckResult(
-                    "action:closure" + tag, FAIL,
-                    {"order": action.order, "declared": declared},
-                )
-            )
-        checks.append(_decomposition_check(entry, action, tag))
-        for summand in entry.summands:
-            checks.append(_certificate_check(entry, action, summand, tag))
-    return checks
+    try:
+        action = entry.group_action(value)
+    except ValueError as exc:
+        return [CheckResult("action:closure" + tag, FAIL, {"error": str(exc)})]
+    if action.order == declared:
+        closure = CheckResult(
+            "action:closure" + tag, PASS, {"order": action.order})
+    else:
+        closure = CheckResult(
+            "action:closure" + tag, FAIL,
+            {"order": action.order, "declared": declared})
+    return [closure, _decomposition_check(entry, action, tag)] + [
+        _certificate_check(entry, action, summand, tag)
+        for summand in entry.summands]
 
 
 def _decomposition_check(entry, action, tag):
@@ -255,223 +241,182 @@ def _certificate_check(entry, action, summand, tag):
 
 # -- steps 4 to 6: one per-prime pass ----------------------------------------
 
-def _prime_checks(entry, pmax):
-    """Inert, feasibility and trace rows.  At each good prime the source
-    and each distinct trace-map target are counted once, and every row of
-    that prime reads those counts."""
+def _prime_checks(entry, value, tag, factors, bad, pmax):
+    """Inert, feasibility and trace rows of one claimed specialization.  At
+    each good prime the source and each distinct trace-map target are
+    counted once, and every row of that prime reads those counts."""
     checks = []
-    for value, factors, bad in entry.specializations():
-        if not factors:
-            continue
-        tag = _suffix(value)
-        claimed = all(f["disc"] is not None for f in factors)
-        if not claimed:
-            note = {"note": "no CM discriminant claimed for every factor"}
-            checks.append(CheckResult("inert" + tag, SKIPPED, dict(note)))
-            checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
-        names = entry.trace_map_names()
-        targets = {}
-        for name in dict.fromkeys(names):
-            try:
-                rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
-                targets[name] = HyperellipticModel(rhs, uvar)
-            except ValueError as exc:
-                checks.append(CheckResult(
-                    "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
-                names = []
-                break
-        discs = [f["disc"] for f in factors for _ in range(f["mult"])]
-        source = entry.counting_model(value)
-        for p in good_primes(pmax, bad):
-            record = source.count_points(p)
-            if claimed:
-                # each distinct discriminant once; a factor of multiplicity
-                # m passes its candidate set m times
-                candidates = {d: cm_trace_candidates(d, p)
-                              for d in dict.fromkeys(discs)}
-                feasible, witness = trace_feasibility(
-                    record.trace, [candidates[d] for d in discs])
-                if all(kronecker_symbol(d % p, p) == -1 for d in candidates):
-                    ok = record.npoints == p + 1
-                    # inert exactness is the singleton case of feasibility
-                    if feasible != ok:
-                        raise InvariantError("inert count and trace "
-                                             "feasibility disagree at p=%d" % p)
-                    checks.append(CheckResult(
-                        "inert" + tag, PASS if ok else FAIL,
-                        {"npoints": record.npoints, "expected": p + 1},
-                        prime=p))
-                else:
-                    checks.append(CheckResult(
-                        "feasibility" + tag, PASS if feasible else FAIL,
-                        {"trace": record.trace, "witness": witness}, prime=p))
-            if not names:
-                continue
-            traces, error = {}, None
-            for name, target in targets.items():
-                try:
-                    traces[name] = target.count_points(p).trace
-                except ValueError as exc:
-                    # e.g. the target's leading coefficient vanishes mod p
-                    error = {"map": name, "error": str(exc)}
-                    break
-            if error:
-                checks.append(CheckResult("trace" + tag, FAIL, error, prime=p))
-                continue
-            parts = [traces[name] for name in names]
-            ok = record.trace == sum(parts)
+    claimed = all(f["disc"] is not None for f in factors)
+    if not claimed:
+        note = {"note": "no CM discriminant claimed for every factor"}
+        checks.append(CheckResult("inert" + tag, SKIPPED, dict(note)))
+        checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
+    names = entry.trace_map_names()
+    targets = {}
+    for name in dict.fromkeys(names):
+        try:
+            rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
+            targets[name] = HyperellipticModel(rhs, uvar)
+        except ValueError as exc:
             checks.append(CheckResult(
-                "trace" + tag, PASS if ok else FAIL,
-                {"source": record.trace, "parts": parts}, prime=p))
+                "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
+            names = []
+            break
+    discs = [f["disc"] for f in factors for _ in range(f["mult"])]
+    source = entry.counting_model(value)
+    for p in good_primes(pmax, bad):
+        record = source.count_points(p)
+        if claimed:
+            # each distinct discriminant once; a factor of multiplicity
+            # m passes its candidate set m times
+            candidates = {d: cm_trace_candidates(d, p)
+                          for d in dict.fromkeys(discs)}
+            feasible, witness = trace_feasibility(
+                record.trace, [candidates[d] for d in discs])
+            if all(kronecker_symbol(d % p, p) == -1 for d in candidates):
+                ok = record.npoints == p + 1
+                # inert exactness is the singleton case of feasibility
+                if feasible != ok:
+                    raise InvariantError("inert count and trace "
+                                         "feasibility disagree at p=%d" % p)
+                checks.append(CheckResult(
+                    "inert" + tag, PASS if ok else FAIL,
+                    {"npoints": record.npoints, "expected": p + 1},
+                    prime=p))
+            else:
+                checks.append(CheckResult(
+                    "feasibility" + tag, PASS if feasible else FAIL,
+                    {"trace": record.trace, "witness": witness}, prime=p))
+        if not names:
+            continue
+        traces, error = {}, None
+        for name, target in targets.items():
+            try:
+                traces[name] = target.count_points(p).trace
+            except ValueError as exc:
+                # e.g. the target's leading coefficient vanishes mod p
+                error = {"map": name, "error": str(exc)}
+                break
+        if error:
+            checks.append(CheckResult("trace" + tag, FAIL, error, prime=p))
+            continue
+        parts = [traces[name] for name in names]
+        ok = record.trace == sum(parts)
+        checks.append(CheckResult(
+            "trace" + tag, PASS if ok else FAIL,
+            {"source": record.trace, "parts": parts}, prime=p))
     return checks
 
 
 # -- step 7: auxiliary exact checks ------------------------------------------
 
-def _aux_checks(entry):
+def _aux_checks(entry, rows):
+    """One row per aux item.  A cm_consistency item at t avoids the bad
+    primes of the specialization t among `rows`, the entry's otherwise."""
     checks = []
     for item in entry.aux:
         kind = item["check"]
         if kind == "quadric_rank":
+            check_id = "aux:quadric-rank"
             rank = quadratic_form_rank(
-                entry.poly(item["relation"]), item["variables"]
-            )
-            status = PASS if rank == item["expected"] else FAIL
-            checks.append(
-                CheckResult(
-                    "aux:quadric-rank", status,
-                    {"rank": rank, "expected": item["expected"]},
-                )
-            )
+                entry.poly(item["relation"]), item["variables"])
+            ok = rank == item["expected"]
+            evidence = {"rank": rank, "expected": item["expected"]}
         elif kind == "j_target":
+            check_id = "aux:j-target"
             try:
                 rhs, uvar = _target_rhs(entry, entry.map_spec(item["map"]))
             except ValueError as exc:
-                checks.append(CheckResult(
-                    "aux:j-target", FAIL,
-                    {"map": item["map"], "error": str(exc)}))
+                ok, evidence = False, {"map": item["map"], "error": str(exc)}
             else:
-                checks.append(_j_check(
-                    "aux:j-target", entry, rhs, uvar, item["expected"]))
+                ok, evidence = _j_check(entry, rhs, uvar, item["expected"])
         elif kind == "j_quartic":
-            quartic = entry.poly(item["quartic"], item.get("t"))
-            checks.append(
-                _j_check(
-                    "aux:j-quartic", entry, quartic, item["variable"],
-                    item["expected"],
-                )
-            )
+            check_id = "aux:j-quartic"
+            ok, evidence = _j_check(
+                entry, entry.poly(item["quartic"], item.get("t")),
+                item["variable"], item["expected"])
         elif kind == "j_legendre_identity":
-            quartic = entry.poly(item["quartic"])
+            check_id = "aux:j-legendre"
             j1 = BinaryQuartic.from_polynomial(
-                quartic, item["variable"]
-            ).j_invariant()
+                entry.poly(item["quartic"]), item["variable"]).j_invariant()
             j2 = j_from_legendre(entry.expression(item["lambda"]))
-            status = PASS if j1 == j2 else FAIL
-            checks.append(
-                CheckResult(
-                    "aux:j-legendre", status,
-                    {"quartic_j": str(j1), "legendre_j": str(j2)},
-                )
-            )
+            ok = j1 == j2
+            evidence = {"quartic_j": str(j1), "legendre_j": str(j2)}
         elif kind == "cm_consistency":
+            check_id = "aux:cm-consistency"
+            t = item.get("t")
             model = HyperellipticModel(
-                entry.poly(item["rhs"], item.get("t")), item["variable"]
-            )
-            bad = _bad_primes_at(entry, item.get("t"))
-            primes = good_primes(item["pmax"], bad)
-            ok, evidence = cm_consistency(model, item["disc"], primes)
-            checks.append(
-                CheckResult(
-                    "aux:cm-consistency", PASS if ok else FAIL,
-                    {"disc": item["disc"],
-                     "traces" if ok else "offender":
-                     [list(pair) for pair in evidence] if ok
-                     else list(evidence)},
-                )
-            )
+                entry.poly(item["rhs"], t), item["variable"])
+            bad = next((b for v, _, b in rows if v == t), entry.bad_primes)
+            ok, found = cm_consistency(
+                model, item["disc"], good_primes(item["pmax"], bad))
+            evidence = ({"disc": item["disc"],
+                         "traces": [list(pair) for pair in found]} if ok
+                        else {"disc": item["disc"], "offender": list(found)})
         elif kind == "product_invariants":
-            got = product_invariants(item["g1"], item["g2"])
-            status = PASS if list(got) == item["expected"] else FAIL
-            checks.append(
-                CheckResult(
-                    "aux:product-invariants", status,
-                    {"got": list(got), "expected": item["expected"]},
-                )
-            )
-        elif kind == "quotient_surface":
-            got = quotient_surface_check(item["multiplicities"], item["cm"])
-            status = PASS if list(got) == item["expected"] else FAIL
-            checks.append(
-                CheckResult(
-                    "aux:quotient-surface", status,
-                    {"got": list(got), "expected": item["expected"]},
-                )
-            )
+            check_id = "aux:product-invariants"
+            got = list(product_invariants(item["g1"], item["g2"]))
+            ok = got == item["expected"]
+            evidence = {"got": got, "expected": item["expected"]}
         else:
-            raise ValueError("unknown aux check %r" % kind)
+            # quotient_surface: the load refuses any kind not in AUX_CHECKS
+            check_id = "aux:quotient-surface"
+            got = list(quotient_surface_check(item["multiplicities"],
+                                              item["cm"]))
+            ok = got == item["expected"]
+            evidence = {"got": got, "expected": item["expected"]}
+        checks.append(CheckResult(check_id, PASS if ok else FAIL, evidence))
     return checks
 
 
-def _j_check(check_id, entry, quartic, variable, expected_text):
+def _j_check(entry, quartic, variable, expected_text):
+    """(holds, evidence) of j(quartic) == the expected expression."""
     j = BinaryQuartic.from_polynomial(quartic, variable).j_invariant()
-    expected = entry.expression(expected_text)
-    status = PASS if j == expected else FAIL
-    return CheckResult(
-        check_id, status, {"j": str(j), "expected": expected_text}
-    )
-
-
-def _bad_primes_at(entry, value):
-    for v, _, bad in entry.specializations():
-        if v == value:
-            return bad
-    return entry.bad_primes
+    return (j == entry.expression(expected_text),
+            {"j": str(j), "expected": expected_text})
 
 
 # -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------
 
-def _extension_checks(entry, depth):
-    if entry.model["kind"] not in ("plane", "hyperelliptic", "superelliptic"):
+def _extension_checks(entry, value, tag, bad, depth):
+    primes = good_primes(30, bad)
+    if not primes or entry.model["kind"] not in (
+            "plane", "hyperelliptic", "superelliptic"):
         return []
+    p = primes[0]
+    model = entry.counting_model(value)
     checks = []
-    for value, factors, bad in entry.specializations():
-        if not factors:
-            continue
-        tag = _suffix(value)
-        primes = good_primes(30, bad)
-        if not primes:
-            continue
-        p = primes[0]
-        model = entry.counting_model(value)
-        for k in range(2, min(depth, 3) + 1):
-            check_id = "extension:k=%d%s" % (k, tag)
-            try:
-                record = model.count_points_ext(p, k)
-            except ValueError as exc:
-                checks.append(
-                    CheckResult(check_id, SKIPPED, {"note": str(exc)}, prime=p)
-                )
-                continue
+    for k in range(2, min(depth, 3) + 1):
+        check_id = "extension:k=%d%s" % (k, tag)
+        try:
+            record = model.count_points_ext(p, k)
+        except ValueError as exc:
             checks.append(
-                CheckResult(
-                    check_id, PASS, {"npoints": record.npoints}, prime=p
-                )
-            )
+                CheckResult(check_id, SKIPPED, {"note": str(exc)}, prime=p))
+        else:
+            checks.append(
+                CheckResult(check_id, PASS, {"npoints": record.npoints},
+                            prime=p))
     return checks
 
 
 def run_entry(entry, pmax=200, depth=1):
-    """All checks for one entry; failures are results, not exceptions."""
+    """All checks for one entry; failures are results, not exceptions.  The
+    entry's specializations are read once, and each drives its own action,
+    per-prime and extension stages."""
     if not 1 <= pmax <= PRIME_CAP:
         raise ValueError("pmax must be in 1..%d, got %d" % (PRIME_CAP, pmax))
-    checks = []
-    checks.extend(_map_checks(entry))
-    checks.extend(_action_checks(entry))
-    checks.extend(_prime_checks(entry, pmax))
-    checks.extend(_aux_checks(entry))
-    if depth > 1:
-        checks.extend(_extension_checks(entry, depth))
+    checks = _map_checks(entry)
+    rows = entry.specializations()
+    for value, factors, bad in rows:
+        tag = _suffix(value)
+        if entry.action is not None:
+            checks.extend(_action_checks(entry, value, tag))
+        if factors:
+            checks.extend(_prime_checks(entry, value, tag, factors, bad, pmax))
+            if depth > 1:
+                checks.extend(_extension_checks(entry, value, tag, bad, depth))
+    checks.extend(_aux_checks(entry, rows))
     return EntryRun(entry.id, checks)
 
 

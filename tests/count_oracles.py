@@ -88,17 +88,20 @@ def pencil_line_count(model, p):
 def even_quartic_line_count(model, p):
     """Points of a plane quartic G(x^2, y^2, z^2) = 0, one line x = a of the
     chart z = 1 at a time: the even quartic G(a^2, y^2, 1) by
-    `RootCounts.even_quartic`, each square a^2 != 0 counted for its two a;
+    `ExtField.even_quartic`, each square a^2 != 0 counted for its two a;
     then the line z = 0.  O(p) Python calls."""
     rows = table_mod(model.rows, p)
-    roots = gf.field(p).roots
+    field = gf.field(p)
+
+    def roots(coeffs):
+        return field.even_quartic(*(field.log[c % p] for c in coeffs))
 
     def line(x2):
         # [c0, c1, c2] of G(X, w, 1) in w = y^2 at X = x2
         coeffs = [0, 0, 0]
         for (ex, ey, _), c in rows:
             coeffs[ey // 2] += c * pow(x2, ex // 2, p)
-        return roots.even_quartic(coeffs)
+        return roots(coeffs)
 
     squares = {x * x % p for x in range(1, p)}
     n = line(0) + 2 * sum(line(x2) for x2 in squares)
@@ -106,7 +109,7 @@ def even_quartic_line_count(model, p):
     for (ex, _, ez), c in rows:
         if ez == 0:
             edge[ex // 2] += c
-    n += roots.even_quartic(edge)
+    n += roots(edge)
     return n + (edge[2] % p == 0)
 
 

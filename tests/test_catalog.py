@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from picardlab import catalog
 from picardlab.catalog import (
     CatalogError,
     _undeclared_bad_primes,
@@ -369,6 +370,32 @@ def test_basis_entry_must_be_a_monic_monomial():
         loaded.basis_monomials()
 
 
+def test_a_garbled_basis_text_names_itself_and_its_entry(monkeypatch):
+    # each basis text is parsed once per load, however many frames read it
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "genus2-quintic")
+    entry["action"]["basis"][1] = "x*"
+    (loaded,) = [e for e in load_catalog(doc) if e.id == "genus2-quintic"]
+    parsed = []
+    real = catalog.parse_polynomial
+
+    def counted(tower, text):
+        parsed.append(text)
+        return real(tower, text)
+
+    monkeypatch.setattr(catalog, "parse_polynomial", counted)
+    message = "text 'x*' of genus2-quintic: unexpected end of expression"
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
+            loaded.basis_monomials()
+    assert parsed.count(entry["action"]["basis"][0]) == 1
+    assert parsed.count("x*") == 2      # a refused text is not kept
+    rows = {c.check_id: c for c in run_entry(loaded, pmax=20).checks}
+    for check_id in ("action:closure", "pullback:quot"):
+        assert rows[check_id].status == "FAIL"
+        assert rows[check_id].evidence == {"error": message}
+
+
 def test_projective_map_with_a_pullback_is_refused_at_load():
     # fermat-sextic with a copy of the cone quotient's projective canonical
     # map that declares a differential and its pullback
@@ -528,6 +555,32 @@ def _septic(doc):
      "factor 0 of bielliptic-sextic-pencil at t=0 must be an object"),
     (lambda d: _septic(d)["aux"].__setitem__(0, None),
      "aux item 0 of genus3-septic must be an object"),
+    (lambda d: _septic(d).update(model=None),
+     "model of genus3-septic must be an object"),
+    (lambda d: _septic(d).update(model="hyperelliptic"),
+     "model of genus3-septic must be an object"),
+    (lambda d: _septic(d)["model"].pop("kind"),
+     "model of genus3-septic lacks kind"),
+    (lambda d: _septic(d)["model"].update(kind="conic"),
+     "unknown model kind 'conic' in genus3-septic"),
+    (lambda d: _septic(d).update(maps=None),
+     "maps of genus3-septic must be a list"),
+    (lambda d: _septic(d).update(maps=3), "maps of genus3-septic must be a list"),
+    (lambda d: _septic(d).update(aux=None), "aux of genus3-septic must be a list"),
+    (lambda d: _septic(d).update(aux=0), "aux of genus3-septic must be a list"),
+    (lambda d: _septic(d).update(claim=3),
+     "claim of genus3-septic must be an object"),
+    (lambda d: _septic(d).update(claim="x"),
+     "claim of genus3-septic must be an object"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(mult=None),
+     "factor 0 of genus3-septic: mult must be an int, got None"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(mult="1"),
+     "factor 0 of genus3-septic: mult must be an int, got '1'"),
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "bielliptic-sextic-pencil")
+     ["specializations"][0]["factors"][1].update(mult=None),
+     "factor 1 of bielliptic-sextic-pencil at t=0: mult must be an int, "
+     "got None"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()

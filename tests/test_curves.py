@@ -273,7 +273,21 @@ def test_even_quartic_root_counts_match_evaluation(p, data):
     c0, c1, c2 = data.draw(st.lists(st.integers(-40, 40), min_size=3,
                                     max_size=3))
     expected = _roots_by_evaluation([c0, 0, c1, 0, c2], p)
-    assert gf.field(p).roots.even_quartic([c0, c1, c2]) == expected
+    field = gf.field(p)
+    logs = [field.log[c % p] for c in (c0, c1, c2)]
+    assert field.even_quartic(*logs) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_even_quartic_root_counts_match_evaluation_everywhere(p):
+    # every coefficient triple mod p, zeros included
+    field = gf.field(p)
+    for c0 in range(p):
+        for c1 in range(p):
+            for c2 in range(p):
+                expected = _roots_by_evaluation([c0, 0, c1, 0, c2], p)
+                logs = [field.log[c] for c in (c0, c1, c2)]
+                assert field.even_quartic(*logs) == expected, (c0, c1, c2)
 
 
 def test_hyperelliptic_anchor_counts():

@@ -19,7 +19,7 @@ from picardlab.curves import (
 from picardlab.report import check_row
 from picardlab.runner import (
     CheckResult,
-    _prime_checks,
+    _suffix,
     _target_rhs,
     good_primes,
     run_catalog,
@@ -315,6 +315,14 @@ def test_each_affine_map_builds_its_source_once(monkeypatch):
     assert built == [None, None, None]
 
 
+def _prime_checks(entry, pmax):
+    """The per-prime rows of every claimed specialization of `entry`, each
+    pass run as `run_entry` runs it."""
+    return [c for value, factors, bad in entry.specializations() if factors
+            for c in runner._prime_checks(entry, value, _suffix(value),
+                                          factors, bad, pmax)]
+
+
 class _StubModel:
     """Counts every prime with a fixed trace."""
 
@@ -451,6 +459,25 @@ def test_inert_and_feasibility_disagreement_is_an_invariant_error(
                         lambda target, sets: (False, None))
     with pytest.raises(InvariantError, match="disagree at p=7"):
         _prime_checks(_StubEntry(0, []), 7)
+
+
+@pytest.mark.parametrize("eid", ["bielliptic-sextic-pencil", "fermat-sextic"])
+def test_a_run_reads_the_specializations_once(monkeypatch, eid):
+    # the action, per-prime, extension and aux stages all read the one walk
+    entry = ENTRIES[eid]
+    real = entry.specializations
+    calls = []
+
+    def counted():
+        calls.append(eid)
+        return real()
+
+    monkeypatch.setattr(entry, "specializations", counted)
+    by_id = _checks_by_id(run_entry(entry, pmax=60, depth=3))
+    assert calls == [eid]
+    for value, _, _ in real():
+        tag = _suffix(value)
+        assert {"action:closure" + tag, "extension:k=3" + tag} <= set(by_id)
 
 
 def test_each_count_happens_once(monkeypatch):

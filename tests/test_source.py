@@ -226,6 +226,40 @@ def test_field_layer_rule_flags_each_form():
         assert hit == (text in flagged), text
 
 
+def _specialization_reads(tree):
+    """Lines that name ``specializations`` in code: a call, a bound method
+    or a getattr string, never the words of a comment or docstring."""
+    for node in ast.walk(tree):
+        if _name_of(node) == "specializations" or (
+                isinstance(node, ast.Constant)
+                and node.value == "specializations"):
+            yield node.lineno
+
+
+def test_runner_walks_the_specializations_in_one_place():
+    # run_entry reads them once and hands each row to its stages
+    assert len(list(_specialization_reads(_trees()["runner.py"]))) == 1
+
+
+def test_specialization_rule_flags_each_form():
+    flagged = [
+        "rows = entry.specializations()",
+        "for value, factors, bad in entry.specializations():\n    pass",
+        "walk = entry.specializations",
+        "rows = getattr(entry, 'specializations')()",
+        "from .catalog import specializations",
+    ]
+    allowed = [
+        '"""Walks the specializations once."""',
+        "for value, factors, bad in rows:\n    pass",
+        "specialization = rows[0]",
+        "entry.specialization()",
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _specialization_reads(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
 def _exact_rank_uses(tree):
     """Lines that name ``matrix_rank`` outside ``_exact_certificate``,
     apart from its import: generator rank and irreducibility are exact mod
