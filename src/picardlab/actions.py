@@ -63,13 +63,15 @@ first; pullback is contravariant, hence M(cur o gen) = M(gen) * M(cur) in
 the column convention f*(b_k) = sum_i M[i][k] b_i.
 """
 
-from .exact import primes_up_to
+from .exact import is_prime
 from .linalg import matrix_rank
 from .morphisms import CurveMap
 
 # The split-prime search stops here; a tower or a floor that needs a larger
-# prime gets an action:closure FAIL row.  Each prime costs an O(ell) root scan per
-# relation, memoized on the tower.
+# prime gets an action:closure FAIL row.  At each prime the tower's
+# relations are tried in order until one has no simple root: O(log ell) for
+# a quadratic relation, an O(ell) root scan for a higher degree; memoized
+# on the tower.
 SPLIT_PRIME_BOUND = 4096
 
 
@@ -79,8 +81,9 @@ def _split_prime(tower, matrices, floor):
     divides no coefficient denominator of the matrices' entries."""
     denominators = {c.denominator for mat in matrices for row in mat
                     for entry in row for c in entry.terms.values()}
-    for ell in primes_up_to(SPLIT_PRIME_BOUND):
-        if ell < 5 or ell <= floor or any(d % ell == 0 for d in denominators):
+    # odd candidates only, from the least odd one above the floor
+    for ell in range(max(5, floor + 1) | 1, SPLIT_PRIME_BOUND + 1, 2):
+        if not is_prime(ell) or any(d % ell == 0 for d in denominators):
             continue
         images = tower.residues(ell)
         if images is not None:

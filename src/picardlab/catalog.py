@@ -423,11 +423,21 @@ def _check_structure(entries):
                 if summand.get("map") is not None:
                     require_map(summand["map"], "summand %s",
                                 summand["name"])
+        rows = entry.raw.get("specializations")
+        _require(rows is None or type(rows) is list,
+                 "specializations of %s must be a list", eid)
+        for k, row in enumerate(rows or ()):
+            _require(type(row) is dict, "specialization %d of %s must be an "
+                     "object", k, eid)
+            _require_keys(row, ("t",), "specialization %d of %s", k, eid)
         for value, factors, bad in entry.specializations():
             # a family's labels name the value
             at = () if value is None else (value,)
             of = "factor %d of %s at t=%s" if at else "factor %d of %s"
             named = "factor %d at t=%s" if at else "factor %d"
+            _require(type(factors) is list,
+                     "factors of %s at t=%s must be a list" if at
+                     else "factors of %s must be a list", eid, *at)
             for k, factor in enumerate(factors):
                 # a null disc is a claim without CM; the key must be there
                 _require_keys(factor, ("mult", "disc"), of, k, eid, *at)

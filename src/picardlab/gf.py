@@ -53,6 +53,52 @@ def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a square a mod an odd prime p, by Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariant: r^2 = a t, t of order dividing 2^m, c of order 2^m
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def least_simple_root(coeffs: list[int], p: int) -> int | None:
+    """The least root in F_p of a monic polynomial (ints, low to high) at
+    which its derivative does not vanish, or None.  A quadratic
+    x^2 + bx + c at odd p has the simple roots (-b +- sqrt(D))/2 when
+    D = b^2 - 4c is a nonzero square (Euler's criterion), and none
+    otherwise; a higher degree is scanned."""
+    if len(coeffs) == 3 and p > 2:
+        c, b = coeffs[0], coeffs[1]
+        disc = (b * b - 4 * c) % p
+        # D^((p-1)/2) is 1 exactly for a nonzero square
+        if pow(disc, (p - 1) // 2, p) != 1:
+            return None
+        root = sqrt_mod(disc, p)
+        half = (p + 1) // 2
+        return min((-b + root) * half % p, (-b - root) * half % p)
+    for r in poly_roots_mod_p(coeffs, p):
+        if sum(k * c * pow(r, k - 1, p) for k, c in enumerate(coeffs) if k) % p:
+            return r
+    return None
+
+
 # Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
 
 def _poly_trim(a):

@@ -19,8 +19,8 @@ RationalFunction is not hashable.  CurveRelation turns a defining equation
 that is unit-monic in a distinguished variable into a rewrite rule.
 
 One routine, _rewrite, rewrites monomials: by the tower's rules in every
-MPoly product, and by a model's relation rules followed by the tower's in
-morphisms.ReductionSystem.
+MPoly product but a product by 1, which is the other factor, and by a
+model's relation rules followed by the tower's in morphisms.ReductionSystem.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .gf import poly_roots_mod_p
+from .gf import least_simple_root
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 
@@ -133,9 +133,12 @@ class ConstantTower:
         """Images in F_ell of the constants, or None.
 
         Taken in declaration order, each constant goes to the least simple
-        root mod ell of its relation over the images before it.  None when
-        some relation has no simple root, or when ell divides the
-        denominator of a relation coefficient.  Memoized per prime.
+        root mod ell of its relation over the images before it
+        (gf.least_simple_root: O(log ell) for a quadratic relation, a scan
+        of F_ell for a higher degree).  None when some relation has no
+        simple root, or when ell divides the denominator of a relation
+        coefficient; the relations after that one are not looked at.
+        Memoized per prime.
         """
         if ell not in self._residues:
             self._residues[ell] = self._find_residues(ell)
@@ -151,12 +154,10 @@ class ConstantTower:
             for m, c in terms.items():
                 rest = MPoly(self, {_mono_without(m, name, 0): c})
                 coeffs[_mono_exp(m, name)] -= rest.residue(ell, images)
-            simple = [r for r in poly_roots_mod_p(coeffs, ell)
-                      if sum(k * c * pow(r, k - 1, ell)
-                             for k, c in enumerate(coeffs) if k) % ell]
-            if not simple:
+            root = least_simple_root(coeffs, ell)
+            if root is None:
                 return None
-            images[name] = simple[0]
+            images[name] = root
         return images
 
     def is_constant(self, var: str) -> bool:
@@ -234,6 +235,13 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a product by 1 is the other factor, already in normal form
+        t = o.terms
+        if len(t) == 1 and t.get(()) == 1:
+            return self
+        t = self.terms
+        if len(t) == 1 and t.get(()) == 1:
+            return o
         raw: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():

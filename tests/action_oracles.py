@@ -18,7 +18,9 @@ oracle of `GroupAction.character_norm`; both read the exact matrices, as
 does `exact_certificate`, the greedy span certificate over the tower that
 `GroupAction.span_certificate` runs mod the split prime.
 `generator_matrix` pulls back each basis form through its own chain rule,
-the oracle of `Frame.basis_coordinates`.
+the oracle of `Frame.basis_coordinates`.  `tower_residues_by_scan` finds
+each constant's image at a prime by scanning F_ell, the oracle of
+`ConstantTower.residues`.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ from picardlab.linalg import matrix_rank
 from picardlab.morphisms import CurveMap, Differential
 from picardlab.symbolic import RationalFunction, tower_invert
 
+from exact_oracles import least_simple_root_by_scan
 from symbolic_helpers import conjugate
 
 
@@ -242,3 +245,30 @@ def exact_certificate(action, indices, vector):
             if len(rows) == len(positions):
                 break
     return words, len(rows)
+
+
+def tower_residues_by_scan(tower, ell):
+    """The images in F_ell of the tower's constants, in declaration order
+    each the least simple root of its relation over the images before it,
+    found by scanning F_ell; None when a relation has none or ell divides
+    a coefficient denominator."""
+    images = {}
+    for name, (degree, terms) in reversed(tower.rules.items()):
+        # name^degree = sum of c * (monomial over earlier constants) * name^k
+        coeffs = [0] * degree + [1]
+        for mono, c in terms.items():
+            if c.denominator % ell == 0:
+                return None
+            k = 0
+            value = c.numerator * pow(c.denominator, -1, ell)
+            for s, e in mono:
+                if s == name:
+                    k = e
+                else:
+                    value *= pow(images[s], e, ell)
+            coeffs[k] -= value
+        root = least_simple_root_by_scan(coeffs, ell)
+        if root is None:
+            return None
+        images[name] = root
+    return images

@@ -1,5 +1,6 @@
 """Exact reference computations over Q that the integer routines of
-`picardlab.exact` are checked against."""
+`picardlab.exact` are checked against, and the root scan over F_p that
+`gf.least_simple_root` is checked against."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -47,3 +48,16 @@ def univariate_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fracti
 
     return rec([Fraction(x) for x in f], [Fraction(x) for x in g])
 
+
+def least_simple_root_by_scan(coeffs: Sequence[int], p: int):
+    """The least x in F_p at which a polynomial (ints, low to high) vanishes
+    and its derivative does not, by trying every x; None when there is no
+    such x.  Horner's rule gives f(x) and f'(x) together."""
+    for x in range(p):
+        value = slope = 0
+        for c in reversed(coeffs):
+            slope = (slope * x + value) % p
+            value = (value * x + c) % p
+        if value == 0 and slope:
+            return x
+    return None

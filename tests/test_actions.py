@@ -1,6 +1,7 @@
 """Group closures, differential representations, and span certificates."""
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -13,8 +14,9 @@ from action_oracles import (
     exact_matrices,
     formula_closure,
     generator_matrix,
+    tower_residues_by_scan,
 )
-from picardlab import actions, runner
+from picardlab import actions, gf, runner
 from picardlab.actions import GroupAction, _split_prime
 from picardlab.catalog import builtin_catalog, load_catalog
 from picardlab.exact import primes_up_to
@@ -433,6 +435,38 @@ def test_catalog_tower_splits_at_433():
     for name, (degree, terms) in T.rules.items():
         assert (T.var(name, degree) - T.poly(terms)).residue(ell, images) == 0
     assert all(T.residues(p) is None for p in primes_up_to(432)[2:])
+
+
+def test_tower_residues_match_the_scan_below_4096():
+    tower = builtin_tower()
+    for ell in primes_up_to(4095):
+        assert tower.residues(ell) == tower_residues_by_scan(tower, ell), ell
+
+
+def _count_root_scans(monkeypatch):
+    """Patch every binding of gf.poly_roots_mod_p in the loaded picardlab
+    modules with a spy; returns the list of (degree, p) it records."""
+    calls = []
+    scan = gf.poly_roots_mod_p
+
+    def spy(coeffs, p):
+        calls.append((len(coeffs) - 1, p))
+        return scan(coeffs, p)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "picardlab"
+                and getattr(module, "poly_roots_mod_p", None) is scan):
+            monkeypatch.setattr(module, "poly_roots_mod_p", spy)
+    return calls
+
+
+def test_split_prime_scans_only_the_cubic(monkeypatch):
+    # a quadratic relation is settled in closed form; the cubic e^3 - 1/4
+    # is scanned only where the four quadratics before it have split
+    calls = _count_root_scans(monkeypatch)
+    tower = builtin_tower()
+    assert _split_prime(tower, [], 0) == (433, T.residues(433))
+    assert calls == [(3, 193), (3, 313), (3, 433)]
 
 
 def test_a_prime_that_merges_elements_is_never_chosen():

@@ -525,6 +525,11 @@ def _septic(doc):
     return next(e for e in doc["entries"] if e["id"] == "genus3-septic")
 
 
+def _pencil(doc):
+    return next(e for e in doc["entries"]
+                if e["id"] == "bielliptic-sextic-pencil")
+
+
 # each edit made the load raise a KeyError, TypeError or AttributeError
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.pop("entries"), "catalog document lacks entries"),
@@ -581,6 +586,20 @@ def _septic(doc):
      ["specializations"][0]["factors"][1].update(mult=None),
      "factor 1 of bielliptic-sextic-pencil at t=0: mult must be an int, "
      "got None"),
+    (lambda d: _pencil(d).update(specializations=7),
+     "specializations of bielliptic-sextic-pencil must be a list"),
+    (lambda d: _pencil(d).update(specializations="x"),
+     "specializations of bielliptic-sextic-pencil must be a list"),
+    (lambda d: _pencil(d).update(specializations=[7]),
+     "specialization 0 of bielliptic-sextic-pencil must be an object"),
+    (lambda d: _pencil(d)["specializations"].__setitem__(1, None),
+     "specialization 1 of bielliptic-sextic-pencil must be an object"),
+    (lambda d: _pencil(d).update(specializations=[{"bad_primes": [2, 3]}]),
+     "specialization 0 of bielliptic-sextic-pencil lacks t"),
+    (lambda d: _pencil(d)["specializations"][0].update(factors=3),
+     "factors of bielliptic-sextic-pencil at t=0 must be a list"),
+    (lambda d: _septic(d)["claim"].update(factors=None),
+     "factors of genus3-septic must be a list"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()
@@ -589,6 +608,10 @@ def test_malformed_document_is_refused_at_load(edit, message):
     with pytest.raises(CatalogError,
                        match="^%s$" % re.escape(message.format(k=k))):
         load_catalog(doc)
+    # the structure of every entry is checked, whichever entries are loaded
+    with pytest.raises(CatalogError,
+                       match="^%s$" % re.escape(message.format(k=k))):
+        load_catalog(doc, ["fermat-sextic"])
 
 
 def test_summand_without_indices_is_refused_at_load():

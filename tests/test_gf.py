@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -10,10 +11,13 @@ from picardlab.gf import (
     FIELD_CACHE,
     TABLE_MAX,
     ExtField,
+    least_simple_root,
     poly_roots_mod_p,
+    sqrt_mod,
 )
 
 from count_oracles import frobenius_map
+from exact_oracles import least_simple_root_by_scan
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -75,6 +79,48 @@ def test_poly_roots_mod_p():
     assert poly_roots_mod_p([1, 0, 1], 7) == []
     # (x - 1)(x - 2) mod 7
     assert poly_roots_mod_p([2, -3, 1], 7) == [1, 2]
+
+
+def test_least_simple_root_is_the_scan():
+    rng = random.Random(2601)
+    for p in primes_up_to(613)[1:]:
+        non_residue = next(n for n in range(2, p + 1)
+                           if pow(n, (p - 1) // 2, p) == p - 1)
+        a = rng.randrange(p)
+        cases = [
+            [a * a, -2 * a, 1],        # (x - a)^2: D = 0, no simple root
+            [-non_residue, 0, 1],      # D = 4n, a non-residue
+            # (x - a)(x - a - 1), coefficients shifted by multiples of p
+            [a * (a + 1) + 2 * p, -(2 * a + 1) - 3 * p, 1 + p],
+            [0, 0, 0, 1],              # x^3: a triple root
+            # (x - a)^2 (x + 1): the simple root is -1 unless a = -1
+            [a * a, a * a - 2 * a, 1 - 2 * a, 1],
+        ]
+        for _ in range(6):
+            cases.append([rng.randrange(-3 * p, 3 * p) for _ in range(2)]
+                         + [1])
+        for _ in range(3):
+            cases.append([rng.randrange(-3 * p, 3 * p) for _ in range(3)]
+                         + [1])
+        for coeffs in cases:
+            assert (least_simple_root(coeffs, p)
+                    == least_simple_root_by_scan(coeffs, p)), (coeffs, p)
+
+
+def test_least_simple_root_at_three():
+    # x^2 + x + 1 = (x - 1)^2 mod 3; x^2 + 1 has no root; x^2 - 1 has 1, 2
+    assert least_simple_root([1, 1, 1], 3) is None
+    assert least_simple_root([1, 0, 1], 3) is None
+    assert least_simple_root([-1, 0, 1], 3) == 1
+
+
+def test_sqrt_mod_squares_back():
+    # 65537 = 2^16 + 1 takes the longest Tonelli-Shanks loop
+    for p in primes_up_to(613)[1:] + [4093, 65537]:
+        for x in list(range(min(p, 30))) + [p - 1]:
+            a = x * x % p
+            r = sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a, (a, p)
 
 
 def test_ext_field_modulus_is_irreducible():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from picardlab import symbolic
 from picardlab.symbolic import (
     CurveRelation,
     MPoly,
@@ -170,6 +171,33 @@ def test_a_denominator_with_unit_one_multiplies_nothing(monkeypatch):
     for unit in (om, T.const(3)):
         g = RationalFunction(num * unit, den * unit)
         assert f == g and (g.num, g.den) == (f.num, f.den)
+
+
+@pytest.mark.parametrize("p", [
+    x**2 + 3 * x * y - 7,                            # int coefficients
+    Fraction(1, 3) * x - Fraction(5, 2) * y**2,      # Fraction coefficients
+    om * x + lam * e_**2 * y - s2,                   # tower constants
+    T.const(Fraction(7, 4)),
+    T.zero(),
+])
+def test_a_product_by_one_is_the_other_factor(monkeypatch, p):
+    def no_rewrite(raw, rules):
+        raise AssertionError("a product by 1 rewrote %r" % (raw,))
+
+    one = T.one()
+    monkeypatch.setattr(symbolic, "_rewrite", no_rewrite)
+    products = [p * one, one * p, p * 1, 1 * p]
+    monkeypatch.undo()
+    for q in products:
+        assert q.terms == p.terms
+        # each coefficient object is kept, an int as an int
+        assert all(q.terms[m] is c for m, c in p.terms.items())
+    # a product by anything else still rewrites
+    monkeypatch.setattr(symbolic, "_rewrite", no_rewrite)
+    with pytest.raises(AssertionError, match="rewrote"):
+        p * om
+    with pytest.raises(AssertionError, match="rewrote"):
+        T.const(2) * T.const(3)
 
 
 def test_rational_function_substitute():
