@@ -3,9 +3,21 @@
 The JSON form is canonical: entries sorted by id, checks sorted by
 (check id, prime), keys sorted, fixed separators.  Two runs over the same
 catalog produce byte-identical output.
+
+render_json writes that form in one pass of its own, not with an indented
+json.dumps, which runs the standard library's pure-Python encoder.  Its
+bytes are those of json.dumps(doc, sort_keys=True, indent=2,
+separators=(",", ": ")) + "\n" for every document of str, None, bool, int,
+float, list, tuple and dict values and their subclasses, taken in
+json's type order; any other value, or a dict key that is not a str,
+int, float, bool or None, raises json's TypeError.  Like that call it
+writes NaN and Infinity.  It does not look for circular references,
+which a report document cannot hold.  tests/test_report.py pins the
+contract against json.dumps on a seeded corpus and pins the digests of
+the shipped catalog's canonical reports.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .hodge import maximality_report
 
@@ -60,10 +72,91 @@ def report_document(runs, include_hodge=False):
     return doc
 
 
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k):
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote(_float_text(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % k.__class__.__name__)
+
+
+def _write(o, out, nl):
+    """Append the JSON text of o to out; nl is the newline and indent of
+    the line that o starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _key_text(k) + ": ")
+            _write(v, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % o.__class__.__name__)
+
+
+def json_text(doc):
+    """json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+    + "\n", written in one pass."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def render_json(runs, include_hodge=False):
-    doc = report_document(runs, include_hodge)
-    return json.dumps(doc, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    return json_text(report_document(runs, include_hodge))
 
 
 def _markdown_entry(run):

@@ -21,6 +21,9 @@ that is unit-monic in a distinguished variable into a rewrite rule.
 One routine, _rewrite, rewrites monomials: by the tower's rules in every
 MPoly product but a product by 1, which is the other factor, and by a
 model's relation rules followed by the tower's in morphisms.ReductionSystem.
+Most calls have nothing to rewrite: when no monomial holds a rule variable
+at or above its degree, _rewrite returns the nonzero terms at once, in
+their order, and sets up no heap.
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ def _rewrite(raw: dict, rules: dict) -> dict:
     terms are merged and the largest pending monomial is rewritten first,
     so no monomial is rewritten twice.
     """
+    # return at once when no monomial holds a rule variable at or above its
+    # degree: the heap walk would only drop the zero terms
+    for m in raw:
+        for v, e in m:
+            rule = rules.get(v)
+            if rule is not None and e >= rule[0]:
+                break
+        else:
+            continue
+        break
+    else:
+        return {m: c for m, c in raw.items() if c}
     order = tuple(rules)
     out: dict = {}
     pending: dict = {}

@@ -2,10 +2,12 @@
 its complex conjugation, one-relation reduction systems, every reduction
 system the catalog builds, the plane canonical basis, equality of rational
 functions on a curve, the reduction by one relation at a time repeated to a
-fixed point (the oracle of ``ReductionSystem.reduce``), and the parser that
-builds every node as a rational function (the oracle of the MPoly-first
-grammar)."""
+fixed point (the oracle of ``ReductionSystem.reduce``), the rewrite that
+always runs its heap walk (the oracle of ``symbolic._rewrite``), and the
+parser that builds every node as a rational function (the oracle of the
+MPoly-first grammar)."""
 
+import heapq
 from fractions import Fraction
 
 from picardlab.catalog import builtin_catalog
@@ -15,6 +17,7 @@ from picardlab.symbolic import (
     MPoly,
     RationalFunction,
     _mono_exp,
+    _mono_mul,
     _mono_without,
     _Tokens,
     parse_polynomial,
@@ -111,6 +114,43 @@ def fixed_point_reduce(system, poly):
         if nxt == poly:
             return poly
         poly = nxt
+
+
+def heap_rewrite(raw, rules):
+    """symbolic._rewrite without its early return: every call sets up the
+    heap, and terms that need no rewrite pass through it unchanged."""
+    order = tuple(rules)
+    out = {}
+    pending = {}
+    heap = []
+
+    def put(m, c):
+        if m in out:
+            out[m] += c
+        elif m in pending:
+            pending[m] += c
+        elif any(e >= rules[v][0] for v, e in m if v in rules):
+            pending[m] = c
+            exps = dict(m)
+            heapq.heappush(heap, (tuple(-exps.get(v, 0) for v in order), m))
+        else:
+            out[m] = c
+
+    for m, c in raw.items():
+        if c:
+            put(m, c)
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = pending.pop(m)
+        if not c:
+            continue
+        exps = dict(m)
+        v = next(v for v in order if exps.get(v, 0) >= rules[v][0])
+        d, terms = rules[v]
+        rest = _mono_without(m, v, exps[v] - d)
+        for tm, tc in terms.items():
+            put(_mono_mul(rest, tm), c * tc)
+    return {m: c for m, c in out.items() if c}
 
 
 def plane_basis_monomials(degree):

@@ -1,7 +1,10 @@
 """Report rendering: canonical JSON, markdown tables, hodge grid."""
 
+import collections
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +13,7 @@ from picardlab.catalog import builtin_catalog
 from picardlab.report import (
     hodge_grid,
     hodge_row,
+    json_text,
     render,
     render_json,
     render_markdown,
@@ -31,6 +35,98 @@ def test_json_byte_determinism():
     assert first == second
     assert first.endswith("\n")
     json.loads(first)
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count(%d)" % self
+
+    __str__ = __repr__
+
+
+class Label(str):
+    def __str__(self):
+        return "label"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio"
+
+
+class Row(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+TEXTS = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\r",
+         "\x00\x01\x1f\x7f", "caf\u00e9 \u03c1 = h^{1,1}", "\u2028\ufeff",
+         "astral \U0001d4c0 \U0001f600", "\ud800 lone surrogate", "/</"]
+SCALARS = [None, True, False, 0, 1, -1, -7, 2 ** 64, -(2 ** 64) - 1,
+           3 ** 90, 0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, float("nan"),
+           float("inf"), float("-inf"), Count(7), Count(-3), Label("x\"y"),
+           Ratio(1.5)]
+
+
+def _value(rng, depth):
+    kind = rng.randrange(10 if depth < 4 else 5)
+    if kind < 2:
+        return rng.choice(TEXTS) + rng.choice(["", "k", "\u00fc"])
+    if kind < 5:
+        return rng.choice(SCALARS)
+    if kind < 7:
+        items = [_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return rng.choice([list, tuple, Items])(items)
+    # keys of one kind per dict: json sorts the items, so str and int keys
+    # may not share one
+    keys = rng.choice([TEXTS, [0, -4, 2 ** 70, Count(9), True, False],
+                       [0.5, -1.25, 1e20, 3, Ratio(2.5)], [None]])
+    picked = rng.sample(keys, rng.randrange(len(keys) + 1))
+    return rng.choice([dict, Row, collections.OrderedDict])(
+        (k, _value(rng, depth + 1)) for k in picked)
+
+
+def test_writer_matches_json_dumps_on_a_seeded_corpus():
+    rng = random.Random(2702)
+    corpus = [_value(rng, 0) for _ in range(400)]
+    corpus += [{}, [], (), {"a": {}, "b": [], "c": ((), [[]], {"d": {}})},
+               {"evidence": {"witness": [-4, -4, 5, 5], "ok": True}}]
+    corpus += SCALARS + TEXTS + [{k: k for k in TEXTS}]
+    for doc in corpus:
+        assert json_text(doc) == _dumps(doc), doc
+    assert len({type(d) for d in corpus}) >= 10
+
+
+def test_writer_matches_json_dumps_on_a_report():
+    doc = report_document(_runs(["fermat-sextic", "genus2-quintic"]),
+                          include_hodge=True)
+    assert render_json(_runs(["fermat-sextic", "genus2-quintic"]),
+                       include_hodge=True) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    Fraction(1, 2),
+    {"a": [1, Fraction(3)]},
+    [{1, 2}],
+    {"b": object()},
+    {Fraction(1, 2): 1},
+    {(1, 2): "tuple key"},
+    {"a": 1, 2: "mixed keys"},
+])
+def test_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        _dumps(doc)
+    with pytest.raises(TypeError) as got:
+        json_text(doc)
+    assert str(got.value) == str(want.value)
 
 
 def test_entries_sorted_regardless_of_input_order():

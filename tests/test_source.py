@@ -5,8 +5,9 @@ no true division in src/ starts from an int literal (with int coefficients,
 ``1 / c`` is a float; ``Fraction(1) / c`` is exact), no cache in src/ is
 unbounded (a long-lived process that calls ``cli.main`` at many primes must
 not grow without limit), only ``gf`` decides how fields are built, kept
-and refused, and ``actions`` takes a rank over the tower only in its exact
-span certificate."""
+and refused, ``actions`` takes a rank over the tower only in its exact
+span certificate, and no JSON dump in src/ is indented (an indented dump
+runs the standard library's pure-Python encoder)."""
 
 import ast
 from pathlib import Path
@@ -294,4 +295,45 @@ def test_exact_rank_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _exact_rank_uses(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _indented_dumps(tree):
+    """Lines that call ``json.dump``, ``json.dumps`` or ``JSONEncoder`` with
+    an ``indent`` other than None: with an indent, json runs its
+    pure-Python encoder instead of the C one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name_of(node.func) in JSON_WRITERS:
+            if any(kw.arg == "indent" and not (
+                    isinstance(kw.value, ast.Constant)
+                    and kw.value.value is None) for kw in node.keywords):
+                yield node.lineno
+
+
+def test_no_indented_json_dump_in_src():
+    found = ["%s:%d" % (name, line) for name, tree in _trees().items()
+             for line in _indented_dumps(tree)]
+    assert found == []
+
+
+def test_indented_dump_rule_flags_each_form():
+    flagged = [
+        "text = json.dumps(doc, sort_keys=True, indent=2)",
+        "json.dump(doc, fh, indent=2)",
+        "from json import dumps\ntext = dumps(doc, indent=width)",
+        "text = json.JSONEncoder(indent=2).encode(doc)",
+        "text = json.dumps(doc, indent='  ', separators=(',', ': '))",
+    ]
+    allowed = [
+        "text = json.dumps(doc, sort_keys=True, separators=(',', ':'))",
+        "json.dump(doc, fh)",
+        "text = json.dumps(doc, indent=None)",
+        "text = textwrap.indent(body, '  ')",
+        "text = json_text(doc)",
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _indented_dumps(ast.parse(text)))
         assert hit == (text in flagged), text

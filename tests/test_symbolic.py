@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from symbolic_helpers import (
     catalog_systems,
     conjugate,
     fixed_point_reduce,
+    heap_rewrite,
     rf_equal,
     single_relation,
 )
@@ -349,6 +351,39 @@ SYSTEMS = catalog_systems()
 def test_high_power_modulo_the_ciani_quartic():
     system = dict(SYSTEMS)["ciani-quartic-pencil t=None"]
     assert system.reduce(y**24) == system.reduce(system.reduce(y**12) ** 2)
+
+
+def _raw_terms(rng, rules, names, top):
+    """A raw term dict over names with exponents up to top: int and
+    Fraction coefficients, some of them 0, and repeated monomials merged
+    as a product would merge them."""
+    raw = {}
+    for _ in range(rng.randint(0, 6)):
+        picked = rng.sample(names, rng.randint(0, 3))
+        m = tuple(sorted((v, rng.randint(1, top)) for v in picked))
+        c = rng.choice([0, rng.randint(-5, 5),
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        raw[m] = raw.get(m, 0) + c
+    return raw
+
+
+@pytest.mark.parametrize("label", ["tower", "ciani-quartic-pencil t=None"])
+def test_rewrite_matches_the_heap_walk(label):
+    rules = T.rules if label == "tower" else dict(SYSTEMS)[label].rules
+    names = sorted(set(rules) | {"x", "y", "z"})
+    rng = random.Random(2701)
+    rewritten = 0
+    for k in range(600):
+        # below every relation degree half the time, past them otherwise
+        raw = _raw_terms(rng, rules, names, 1 if k % 2 else 5)
+        needs = any(e >= rules[v][0] for m in raw for v, e in m if v in rules)
+        rewritten += needs
+        result = symbolic._rewrite(dict(raw), rules)
+        assert list(result.items()) == list(heap_rewrite(raw, rules).items())
+        if not needs:
+            assert list(result.items()) == [(m, c) for m, c in raw.items()
+                                            if c]
+    assert 150 < rewritten < 450
 
 
 @st.composite
