@@ -81,16 +81,39 @@ def _require_list(value, what, *args):
         raise CatalogError("%s must be a list" % (what % args))
 
 
+def _parse_text(parse, tower, text, owner):
+    """``parse(tower, text)``; a text that is not a string, or that does
+    not parse, is refused with a ``CatalogError`` that names its owner."""
+    if type(text) is not str:
+        raise CatalogError("text %r of %s is not a string" % (text, owner))
+    try:
+        return parse(tower, text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CatalogError("text %r of %s: %s" % (text, owner, exc)) from None
+
+
+def _require_disc(disc, what, *args):
+    """Refuse a claimed discriminant that is not an int (a bool is not one)
+    below 0 and congruent to 0 or 1 mod 4; ``what % args`` names it."""
+    if not (type(disc) is int and disc < 0 and disc % 4 in (0, 1)):
+        raise CatalogError("%s: disc must be a negative discriminant, got %r"
+                           % (what % args, disc))
+
+
 def load_tower(declarations):
     """Build the constant tower from symbol/relation strings."""
+    _require(type(declarations) is list, "tower must be a list")
     rows = []
     for k, decl in enumerate(declarations):
         _require_keys(decl, ("symbol",), "tower declaration %d", k)
         name = decl["symbol"]
+        _require(type(name) is str, "tower declaration %d: symbol must be a "
+                 "string, got %r", k, name)
         _require("relation" in decl,
                  "tower symbol %s lacks a relation", name)
         scratch = ConstantTower(rows)
-        relation = parse_polynomial(scratch, decl["relation"])
+        relation = _parse_text(parse_polynomial, scratch, decl["relation"],
+                               "tower symbol %s" % name)
         degree = relation.degree_in(name)
         _require(
             relation.coeffs_in(name)[degree] == scratch.one(),
@@ -130,14 +153,14 @@ class CatalogEntry:
 
     def _parse(self, parse, text, value):
         key = (parse, text)
-        r = self._parsed.get(key)
+        try:
+            r = self._parsed.get(key)
+        except TypeError:
+            # a list or an object is no key; ``_parse_text`` refuses it
+            r = None
         if r is None:
-            try:
-                r = parse(self.tower, text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CatalogError(
-                    "text %r of %s: %s" % (text, self.id, exc)) from None
-            self._parsed[key] = r
+            r = self._parsed[key] = _parse_text(parse, self.tower, text,
+                                                self.id)
         subs = self._subs(value)
         return r.substitute(subs) if subs else r
 
@@ -395,6 +418,8 @@ def _check_structure(entries):
                 _require(type(pmax) is int and 1 <= pmax <= PRIME_CAP,
                          "aux check %s of %s: pmax must be an int in "
                          "1..%d, got %r", kind, eid, PRIME_CAP, pmax)
+                # the check compares counts with this disc's candidates
+                _require_disc(item["disc"], "aux check %s of %s", kind, eid)
         if entry.action is not None:
             _require_keys(entry.action, ("basis", "generators", "order"),
                           "action of %s", eid)
@@ -444,6 +469,8 @@ def _check_structure(entries):
                 _require(type(factor["mult"]) is int,
                          of + ": mult must be an int, got %r", k, eid, *at,
                          factor["mult"])
+                if factor["disc"] is not None:
+                    _require_disc(factor["disc"], of, k, eid, *at)
                 if factor.get("map") is not None:
                     require_map(factor["map"], named, k, *at)
             _require(bad or not factors,

@@ -22,8 +22,12 @@ lines where a lookup does not apply; those go through ``gf.RootCounts``.
 Counts over F_{p^k}, k = 2, 3, run in O(q) in log arithmetic, F_q addition
 not being integer addition.  There are two routes: the cyclic cover
 y^m = f(x), which also counts the diagonal plane curve x^d + y^d + z^d, and
-the even plane quartic G(x^2, y^2, z^2), line by line.  Any other curve,
-space curves included, is refused there.
+the even plane quartic G(x^2, y^2, z^2), line by line.  Space curves are
+refused there.
+
+A plane curve has one route per shape: the diagonal curve and the even
+quartic, the only plane curves of the catalog.  ``PlaneModel`` refuses any
+other plane curve when it is built, so no count of it is ever attempted.
 """
 
 import sys
@@ -260,7 +264,7 @@ def _cyclic_cover_count(m, coeffs, field):
 
 def _even_quartic_ext_count(rows, field):
     """Projective points over F_q of F = G(x^2, y^2, z^2), F given as rows
-    [(exponents, c mod p)]: ``PlaneModel._count_even`` in log arithmetic."""
+    [(exponents, c mod p)]: ``PlaneModel._count_scan`` in log arithmetic."""
     log = field.log
     rows = [((ex // 2, ey // 2, ez // 2), log[c])
             for (ex, ey, ez), c in rows]
@@ -292,12 +296,14 @@ def _even_quartic_ext_count(rows, field):
 
 
 class PlaneModel:
-    """Smooth projective plane curve F(x, y, z) = 0 of the given degree.
+    """Projective plane curve F(x, y, z) = 0 of the given degree, taken to
+    be smooth: its genus is (d - 1)(d - 2)/2, and nothing checks that the
+    curve is smooth.
 
     The Fermat curve x^d + y^d + z^d and the quartics G(x^2, y^2, z^2) are
     recognised from their equations and counted in O(p), and in O(q) over
-    F_q, q = p^k; every other curve is counted line by line with the gcd
-    kernel over F_p, and refused over F_q.
+    F_q, q = p^k.  Any other plane curve has no counting route and is
+    refused with ``ValueError`` when it is built.
     """
 
     def __init__(self, poly, variables=("x", "y", "z")):
@@ -311,6 +317,8 @@ class PlaneModel:
                                       ((d, 0, 0), 1)]
         self.even = d == 4 and all(e % 2 == 0 for exps, _ in self.rows
                                    for e in exps)
+        if not (self.diagonal or self.even):
+            raise ValueError("no counting route for this plane curve")
 
     def genus(self):
         d = self.degree
@@ -328,9 +336,6 @@ class PlaneModel:
         return _diagonal_count(p, self.degree)
 
     def _count_scan(self, p):
-        return self._count_even(p) if self.even else self._count_gcd(p)
-
-    def _count_even(self, p):
         # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
         # x = +-a meet the curve in the roots y of the even quartic
         # G(a^2, y^2, 1), so each square X = a^2 is counted once, and twice
@@ -388,30 +393,9 @@ class PlaneModel:
             n += 1
         return n
 
-    def _count_gcd(self, p):
-        # chart z = 1: the line x = a meets the curve in the roots of
-        # F(a, y, 1), all p of its points when F(a, y, 1) vanishes
-        rows = table_mod(self.rows, p)
-        d = self.degree
-        n = 0
-        for x in range(p):
-            fx = [0] * (d + 1)
-            for (ex, ey, _), c in rows:
-                fx[ey] += c * pow(x, ex, p)
-            n += gf.root_count(fx, p)
-        # line z = 0: points (x : 1 : 0), the roots of F(x, 1, 0), and (1 : 0 : 0)
-        edge = [0] * (d + 1)
-        for (ex, _, ez), c in rows:
-            if ez == 0:
-                edge[ex] += c
-        n += gf.root_count(edge, p)
-        if edge[d] % p == 0:
-            n += 1
-        return n
-
     def count_points_ext(self, p, k):
         """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
-        quartic line by line; any other curve is refused for k >= 2."""
+        quartic line by line."""
         gf.check_field(p, k)
         if k == 1:
             return self.count_points(p)
@@ -421,12 +405,9 @@ class PlaneModel:
             d = self.degree
             n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1],
                                     gf.field(p, k))
-        elif self.even:
+        else:
             n = _even_quartic_ext_count(table_mod(self.rows, p),
                                         gf.field(p, k))
-        else:
-            raise ValueError("no O(q) count of this plane curve over F_%d^%d"
-                             % (p, k))
         return CountRecord(p, k, n, self.genus())
 
 

@@ -22,6 +22,13 @@ first use: ``power_counts(n)`` once per gcd(n, q - 1), as a tuple that no
 caller can change; ``exp_bytes(code)``, the exp table as machine integers,
 once per array type code; and a prime field's ``roots``, its
 ``RootCounts``.  Nothing is built at import.
+
+Roots in a field are counted only in the shapes that the counting routes
+meet: a polynomial of degree at most 3 over F_p by ``RootCounts.cubic``, and
+c2 y^4 + c1 y^2 + c0 over F_q by ``ExtField.even_quartic``.  There is no
+F_p[x] gcd arithmetic; the split-prime search of the constant tower finds
+its roots by ``least_simple_root``, in closed form for a quadratic and by
+the scan ``poly_roots_mod_p`` above.
 """
 
 from __future__ import annotations
@@ -97,60 +104,6 @@ def least_simple_root(coeffs: list[int], p: int) -> int | None:
         if sum(k * c * pow(r, k - 1, p) for k, c in enumerate(coeffs) if k) % p:
             return r
     return None
-
-
-# Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the nonzero trimmed m over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        q = a[i] * inv % p
-        if q:
-            for j in range(dm):
-                a[i - dm + j] -= q * m[j]
-    return _poly_trim([c % p for c in a[:dm]])
-
-
-def _poly_mulmod(a, b, m, p):
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    return _poly_mod(prod, m, p)
-
-
-def _poly_gcd(a, b, p):
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def root_count(coeffs: list[int], p: int) -> int:
-    """Distinct roots in F_p of a polynomial (integer coefficients, low to
-    high): deg gcd(f, y^p - y), with y^p mod f by square-and-multiply.  The
-    zero polynomial vanishes at all p points."""
-    f = _poly_trim([c % p for c in coeffs])
-    if len(f) <= 2:
-        return p if not f else len(f) - 1
-    power = [0, 1]
-    for bit in bin(p)[3:]:
-        power = _poly_mulmod(power, power, f, p)
-        if bit == "1":
-            power = _poly_mod([0] + power, f, p)
-    power += [0] * (2 - len(power))
-    power[1] -= 1
-    return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
 
 
 def check_field(p: int, k: int = 1) -> None:
@@ -429,14 +382,20 @@ class RootCounts:
         [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
         carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0,
         Y (Y^2 + a) when b = 0, else t[log(b^2/a^3)] from ``depressed``.
-        A quadratic has squares[c1^2 - 4 c2 c0] distinct roots; a lower
-        degree, and p = 3, go to the gcd kernel."""
+        A quadratic has squares[c1^2 - 4 c2 c0] distinct roots, a linear f
+        one, and a constant f none, or all p when it is 0.  At p = 3 the
+        shift divides by 3, so a cubic is evaluated at 0, 1 and 2."""
         p = self.p
         c0, c1, c2, c3 = (c % p for c in coeffs)
-        if c3 == 0 and c2:
-            return self.squares[(c1 * c1 - 4 * c2 * c0) % p]
-        if c3 == 0 or p == 3:
-            return root_count([c0, c1, c2, c3], p)
+        if c3 == 0:
+            if c2:
+                return self.squares[(c1 * c1 - 4 * c2 * c0) % p]
+            if c1:
+                return 1
+            return 0 if c0 else p
+        if p == 3:
+            return sum((c0 + x * (c1 + x * (c2 + x * c3))) % 3 == 0
+                       for x in range(3))
         # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
         a = 3 * (3 * c3 * c1 - c2 * c2) % p
         b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p

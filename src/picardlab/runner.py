@@ -226,7 +226,13 @@ def _certificate_check(entry, action, summand, tag):
             check_id, SKIPPED, {"note": "no rational map onto this summand"}
         )
     spec = entry.map_spec(summand["map"])
-    vector = [entry.poly(s) for s in spec["pullback"]]
+    try:
+        vector = [entry.poly(s) for s in spec["pullback"]]
+    except ValueError as exc:
+        # a pullback text that is not a string or does not parse; its
+        # pullback row fails too
+        return CheckResult(check_id, FAIL,
+                           {"map": summand["map"], "error": str(exc)})
     indices = summand["indices"]
     words, rank = action.span_certificate(indices, vector)
     evidence = {

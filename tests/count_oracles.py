@@ -1,7 +1,8 @@
 """Slow, independent point counts that the fast routes in `picardlab.curves`
 are checked against: the O(p^2) loops those routes replaced, the line-by-line
-loops that the column routes replaced, Horner evaluation, and projective
-brute-force scans over F_p and over F_{p^k}."""
+loops that the column routes replaced, the generic plane route on the F_p[x]
+gcd kernel, Horner evaluation, and projective brute-force scans over F_p and
+over F_{p^k}."""
 
 from itertools import product
 
@@ -39,6 +40,83 @@ def scan_plane_count(rows_mod_p, p):
         if sum(c * powers[x][ex] for (ex, ey, ez), c in edge) % p == 0:
             n += 1
     if sum(c for (ex, ey, ez), c in edge if ey == 0) % p == 0:
+        n += 1
+    return n
+
+
+# Dense polynomials over F_p as coefficient lists, low to high; [] is zero.
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, m, p):
+    """Remainder of a modulo the nonzero trimmed m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        q = a[i] * inv % p
+        if q:
+            for j in range(dm):
+                a[i - dm + j] -= q * m[j]
+    return _poly_trim([c % p for c in a[:dm]])
+
+
+def _poly_mulmod(a, b, m, p):
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_mod(prod, m, p)
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def root_count(coeffs, p):
+    """Distinct roots in F_p of a polynomial (integer coefficients, low to
+    high): deg gcd(f, y^p - y), with y^p mod f by square-and-multiply.  The
+    zero polynomial vanishes at all p points."""
+    f = _poly_trim([c % p for c in coeffs])
+    if len(f) <= 2:
+        return p if not f else len(f) - 1
+    power = [0, 1]
+    for bit in bin(p)[3:]:
+        power = _poly_mulmod(power, power, f, p)
+        if bit == "1":
+            power = _poly_mod([0] + power, f, p)
+    power += [0] * (2 - len(power))
+    power[1] -= 1
+    return len(_poly_gcd(f, _poly_trim([c % p for c in power]), p)) - 1
+
+
+def plane_count_gcd(rows_mod_p, p):
+    """Points of any plane curve, given as rows [(exponents, c mod p)], line
+    by line with ``root_count``: O(p d^2 log p)."""
+    d = max(sum(e) for e, _ in rows_mod_p)
+    # chart z = 1: the line x = a meets the curve in the roots of
+    # F(a, y, 1), all p of its points when F(a, y, 1) vanishes
+    n = 0
+    for x in range(p):
+        fx = [0] * (d + 1)
+        for (ex, ey, _), c in rows_mod_p:
+            fx[ey] += c * pow(x, ex, p)
+        n += root_count(fx, p)
+    # line z = 0: points (x : 1 : 0), the roots of F(x, 1, 0), and (1 : 0 : 0)
+    edge = [0] * (d + 1)
+    for (ex, _, ez), c in rows_mod_p:
+        if ez == 0:
+            edge[ex] += c
+    n += root_count(edge, p)
+    if edge[d] % p == 0:
         n += 1
     return n
 

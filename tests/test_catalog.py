@@ -600,6 +600,49 @@ def _pencil(doc):
      "factors of bielliptic-sextic-pencil at t=0 must be a list"),
     (lambda d: _septic(d)["claim"].update(factors=None),
      "factors of genus3-septic must be a list"),
+    # a tower, its symbols and relations
+    (lambda d: d.update(tower=None), "tower must be a list"),
+    (lambda d: d.update(tower=7), "tower must be a list"),
+    (lambda d: d.update(tower={"symbol": "om", "relation": "om^2+om+1"}),
+     "tower must be a list"),
+    (lambda d: d["tower"][2].update(symbol=[]),
+     "tower declaration 2: symbol must be a string, got []"),
+    (lambda d: d["tower"][2].update(relation=None),
+     "text None of tower symbol s2 is not a string"),
+    (lambda d: d["tower"][2].update(relation=7),
+     "text 7 of tower symbol s2 is not a string"),
+    (lambda d: d["tower"][2].update(relation=[]),
+     "text [] of tower symbol s2 is not a string"),
+    (lambda d: d["tower"][2].update(relation=""),
+     "text '' of tower symbol s2: unexpected end of expression"),
+    # claimed discriminants: null, or a negative int = 0 or 1 mod 4
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc=7),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got 7"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc=-5),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got -5"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc=0),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got 0"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc=True),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got True"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc="x"),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got 'x'"),
+    (lambda d: _septic(d)["claim"]["factors"][0].update(disc=-3.0),
+     "factor 0 of genus3-septic: disc must be a negative discriminant, "
+     "got -3.0"),
+    (lambda d: _pencil(d)["specializations"][0]["factors"][1].update(disc=-5),
+     "factor 1 of bielliptic-sextic-pencil at t=0: disc must be a negative "
+     "discriminant, got -5"),
+    (lambda d: _septic(d)["aux"][0].update(disc=7),
+     "aux check cm_consistency of genus3-septic: disc must be a negative "
+     "discriminant, got 7"),
+    (lambda d: _septic(d)["aux"][0].update(disc=None),
+     "aux check cm_consistency of genus3-septic: disc must be a negative "
+     "discriminant, got None"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()
@@ -612,6 +655,37 @@ def test_malformed_document_is_refused_at_load(edit, message):
     with pytest.raises(CatalogError,
                        match="^%s$" % re.escape(message.format(k=k))):
         load_catalog(doc, ["fermat-sextic"])
+
+
+@pytest.mark.parametrize("text", [None, [], 7, {"x": 1}, ["x^6"]])
+def test_a_text_that_is_not_a_string_is_refused_at_load(text):
+    doc = _raw_document()
+    entry = next(e for e in doc["entries"] if e["id"] == "fermat-sextic")
+    entry["model"]["projective"] = text
+    with pytest.raises(CatalogError, match="^text %s of fermat-sextic is not "
+                       "a string$" % re.escape(repr(text))):
+        load_catalog(doc)
+    # texts are parsed when they are read, not at every load
+    assert len(load_catalog(doc, ["genus2-quintic"])) == len(EXPECTED_IDS)
+
+
+def test_shipped_discriminants_pass_the_load_check():
+    discs = []
+    for entry in _raw_document()["entries"]:
+        for row in [entry.get("claim") or {}] + entry.get("specializations",
+                                                          []):
+            discs += [f["disc"] for f in row.get("factors", [])]
+        discs += [item["disc"] for item in entry.get("aux", [])
+                  if item["check"] == "cm_consistency"]
+    assert sorted(set(discs), key=str) == [-12, -3, -4, -8, None]
+    for disc in discs:
+        if disc is not None:
+            catalog._require_disc(disc, "disc")
+    for disc in (-3, -4, -7, -8, -11, -12, -15, -16, -163):
+        catalog._require_disc(disc, "disc")
+    for disc in (-1, -2, -5, -6, -9, -10, -13, 1, 4, 5):
+        with pytest.raises(CatalogError, match="^disc: disc must be"):
+            catalog._require_disc(disc, "disc")
 
 
 def test_summand_without_indices_is_refused_at_load():

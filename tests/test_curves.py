@@ -1,5 +1,6 @@
 """Point-count routes checked against brute-force oracles and frozen anchors."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -37,7 +38,9 @@ from count_oracles import (
     horner,
     pencil_line_count,
     pencil_loop_count,
+    plane_count_gcd,
     projective_zero_count,
+    root_count,
     scan_plane_count,
     shift_orbit_loop_count,
 )
@@ -78,21 +81,27 @@ def test_diagonal_quartic_anchor():
 def test_diagonal_route_matches_generic_scan_and_brute():
     for d, ps in ((4, (3, 5, 7, 11, 13)), (6, (5, 7, 11, 13))):
         model = PlaneModel(poly("x^%d+y^%d+z^%d" % (d, d, d)))
-        assert model.diagonal
+        assert model.diagonal and model.even == (d == 4)
         for p in ps:
             n = model.count_points(p).npoints
+            reduced = table_mod(model.rows, p)
             assert n == model._count_diagonal(p)
-            assert n == model._count_scan(p)
-            assert n == model._count_gcd(p)
-            assert n == brute_plane_count(table_mod(model.rows, p), p)
+            if model.even:
+                assert n == model._count_scan(p)
+            assert n == plane_count_gcd(reduced, p)
+            assert n == brute_plane_count(reduced, p)
 
 
 def test_diagonal_form_is_read_from_the_equation():
     assert PlaneModel(poly("z^4+y^4+x^4")).diagonal
     assert PlaneModel(poly("x^6+y^6+z^6"), ("y", "z", "x")).diagonal
-    for text in ("2*x^4+y^4+z^4", "x^4+y^4-z^4", "x^4+y^4+z^4+x^2*y^2",
-                 "x^3*y+y^4+z^4"):
+    # even quartics that are not diagonal
+    for text in ("2*x^4+y^4+z^4", "x^4+y^4-z^4", "x^4+y^4+z^4+x^2*y^2"):
         assert not PlaneModel(poly(text)).diagonal, text
+    # neither diagonal nor even: no counting route
+    for text in ("x^3*y+y^4+z^4", "2*x^6+y^6+z^6", "x^3+y^3-z^3"):
+        with pytest.raises(ValueError, match="no counting route"):
+            PlaneModel(poly(text))
 
 
 def test_ciani_pencil_counts():
@@ -107,24 +116,29 @@ def test_ciani_pencil_counts():
 def test_gcd_scan_matches_pointwise_scan_on_ciani():
     c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
     for p in (q for q in range(3, 61) if is_prime(q)):
-        n = scan_plane_count(table_mod(c1.rows, p), p)
-        assert c1._count_gcd(p) == n
+        reduced = table_mod(c1.rows, p)
+        n = scan_plane_count(reduced, p)
+        assert plane_count_gcd(reduced, p) == n
         assert c1._count_scan(p) == n
 
 
 def test_even_quartic_shape_is_read_from_the_equation():
     assert PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2")).even
     assert PlaneModel(poly("3*x^2*z^2-y^4")).even
-    for text in ("x^3*y+y^4+z^4", "x^6+y^6+z^6", "x^6+y^6+z^6+x^2*y^2*z^2",
+    assert not PlaneModel(poly("x^6+y^6+z^6")).even
+    # neither even nor diagonal: no counting route
+    for text in ("x^3*y+y^4+z^4", "x^6+y^6+z^6+x^2*y^2*z^2",
                  "x^4+y^4+z^4+x*y^2*z"):
-        assert not PlaneModel(poly(text)).even, text
+        with pytest.raises(ValueError, match="no counting route"):
+            PlaneModel(poly(text))
 
 
 def test_even_route_matches_gcd_route_on_ciani():
     c1 = PlaneModel(poly("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2"))
     assert c1.even and not c1.diagonal
     for p in primes_up_to(499)[2:]:
-        assert c1._count_even(p) == c1._count_gcd(p), p
+        assert c1._count_scan(p) == plane_count_gcd(table_mod(c1.rows, p),
+                                                    p), p
 
 
 @st.composite
@@ -166,8 +180,8 @@ def test_even_route_matches_brute(curve):
     assert model.even
     reduced = table_mod(model.rows, p)
     n = brute_plane_count(reduced, p)
-    assert model._count_even(p) == n
-    assert model._count_gcd(p) == n
+    assert model._count_scan(p) == n
+    assert plane_count_gcd(reduced, p) == n
 
 
 def _plane_poly(rows):
@@ -210,12 +224,11 @@ def plane_curves(draw):
 @example((7, [((1, 3, 2), 1), ((2, 4, 0), 3), ((5, 1, 0), 4)]))
 @given(plane_curves())
 def test_gcd_scan_matches_pointwise_scan(curve):
-    p, rows = curve
-    model = PlaneModel(_plane_poly(rows))
-    reduced = table_mod(model.rows, p)
-    assert model._count_gcd(p) == scan_plane_count(reduced, p)
+    # the rows are already reduced mod p and sorted
+    p, reduced = curve
+    assert plane_count_gcd(reduced, p) == scan_plane_count(reduced, p)
     if p <= 7:
-        assert model._count_gcd(p) == brute_plane_count(reduced, p)
+        assert plane_count_gcd(reduced, p) == brute_plane_count(reduced, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +237,7 @@ def test_root_count_matches_evaluation(p, data):
     coeffs = data.draw(st.lists(st.integers(-40, 40), max_size=9))
     expected = sum(1 for y in range(p)
                    if sum(c * y ** e for e, c in enumerate(coeffs)) % p == 0)
-    assert gf.root_count(coeffs, p) == expected
+    assert root_count(coeffs, p) == expected
 
 
 def _roots_by_evaluation(coeffs, p):
@@ -265,6 +278,17 @@ def test_cubic_root_counts_match_evaluation(cubic):
     expected = _roots_by_evaluation(coeffs, p)
     roots = gf.field(p).roots
     assert roots.cubic(coeffs + [0] * (4 - len(coeffs))) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cubic_root_counts_match_evaluation_everywhere(p):
+    # every coefficient quadruple mod p: the cubics, through the depressed
+    # table and, at p = 3, by evaluation, and every lower degree, the zero
+    # polynomial included
+    roots = gf.field(p).roots
+    for coeffs in itertools.product(range(p), repeat=4):
+        expected = _roots_by_evaluation(coeffs, p)
+        assert roots.cubic(list(coeffs)) == expected, coeffs
 
 
 @settings(max_examples=200, deadline=None)
@@ -629,7 +653,7 @@ def test_even_quartic_columns_match_the_line_loop():
                 table_mod(model.rows, p)
             except ZeroDivisionError:
                 continue
-            assert model._count_even(p) == even_quartic_line_count(model, p)
+            assert model._count_scan(p) == even_quartic_line_count(model, p)
     for p in (3, 5, 7, 11, 13):
         for model in models:
             reduced = table_mod(model.rows, p)
@@ -905,21 +929,22 @@ def test_bad_denominator_rejected():
 
 
 def test_plane_extension_scan_small():
-    # elliptic curves: N over F_25 from a_5 via the trace relation.  The
-    # diagonal cubic is a cyclic cover; the Weierstrass cubic has no O(q)
-    # route, so the enumerator counts it and the model refuses it
-    def n25(c):
-        a1 = c.count_points(5).trace
+    # elliptic curves: N over F_25 from a_5 = 5 + 1 - N_5 via the trace
+    # relation.  The diagonal cubic is a cyclic cover; the Weierstrass
+    # cubic has no route, so the oracles count it and the model refuses it
+    def n25(n5):
+        a1 = 5 + 1 - n5
         return 25 + 1 - (a1 * a1 - 2 * 5)
 
     diagonal = PlaneModel(poly("x^3+y^3+z^3"))
-    assert diagonal.count_points_ext(5, 2).npoints == n25(diagonal)
-    weierstrass = PlaneModel(poly("y^2*z-x^3-x*z^2-z^3"))
-    rows = table_mod(weierstrass.rows, 5)
-    assert projective_zero_count([rows], 3, ExtField(5, 2)) == n25(weierstrass)
-    for k in (2, 3):
-        with pytest.raises(ValueError, match="plane curve over F_5\\^%d" % k):
-            weierstrass.count_points_ext(5, k)
+    assert diagonal.count_points_ext(5, 2).npoints == n25(
+        diagonal.count_points(5).npoints)
+    cubic = poly("y^2*z-x^3-x*z^2-z^3")
+    rows = table_mod(poly_table(cubic, ("x", "y", "z")), 5)
+    assert projective_zero_count([rows], 3, ExtField(5, 2)) == n25(
+        plane_count_gcd(rows, 5))
+    with pytest.raises(ValueError, match="no counting route"):
+        PlaneModel(cubic)
 
 
 # N over F_{p^k} of the catalog's plane curves, as the P^2 enumerator

@@ -9,14 +9,18 @@ from importlib import resources
 import pytest
 
 from picardlab import runner
-from picardlab.catalog import builtin_catalog, load_catalog
+from picardlab.catalog import (
+    CatalogError,
+    builtin_catalog,
+    load_catalog,
+    load_tower,
+)
 from picardlab.curves import (
     CountRecord,
     HyperellipticModel,
     InvariantError,
     PlaneModel,
 )
-from picardlab.report import check_row
 from picardlab.runner import (
     CheckResult,
     _suffix,
@@ -25,6 +29,7 @@ from picardlab.runner import (
     run_catalog,
     run_entry,
 )
+from picardlab.symbolic import parse_polynomial
 
 ENTRIES = {e.id: e for e in builtin_catalog()}
 
@@ -192,10 +197,10 @@ def test_extension_count_above_the_table_bound_is_skipped():
     assert not k3.unexpected_failure
 
 
-def test_plane_curve_without_an_extension_route_is_skipped():
-    # a Weierstrass cubic is neither diagonal nor an even quartic: no O(q)
-    # route counts it over F_{5^k}, so its extension rows are SKIPPED with
-    # the model's refusal, and the rows of depth 1 stay as they are
+def test_plane_curve_without_a_counting_route_is_refused():
+    # a Weierstrass cubic is neither diagonal nor an even quartic, so no
+    # route counts it: the model refuses it when it is built, and a load
+    # that checks its claim refuses the entry and names it
     doc, _ = _builtin_document("genus2-quintic")
     doc["entries"] = [{
         "id": "weierstrass-cubic",
@@ -204,16 +209,36 @@ def test_plane_curve_without_an_extension_route_is_skipped():
         "claim": {"factors": [{"disc": None, "mult": 1}]},
         "bad_primes": [2, 31],
     }]
-    (shallow,) = run_catalog(load_catalog(doc), pmax=30, depth=1)
-    (deep,) = run_catalog(load_catalog(doc), pmax=30, depth=3)
-    rows = [check_row(c) for c in deep.checks]
-    assert rows[:2] == [
-        {"id": "extension:k=%d" % k, "prime": 5, "status": "SKIPPED",
-         "evidence": {"note": "no O(q) count of this plane curve over F_5^%d"
-                              % k}}
-        for k in (2, 3)]
-    assert rows[2:] == [check_row(c) for c in shallow.checks]
-    assert deep.unexpected_failures() == []
+    cubic = parse_polynomial(load_tower(doc["tower"]), "y^2*z-x^3-x*z^2-z^3")
+    with pytest.raises(ValueError,
+                       match="^no counting route for this plane curve$"):
+        PlaneModel(cubic)
+    with pytest.raises(CatalogError, match="^model of weierstrass-cubic: no "
+                       "counting route for this plane curve$"):
+        load_catalog(doc)
+
+
+@pytest.mark.parametrize("pullback, text", [
+    ([1, 0, 0], 1), (["3*lam^3", 0, "-3*lam^3"], 0), ([[1], "0", "0"], [1]),
+    (["3*lam^^3", "0", "-3*lam^3"], "3*lam^^3")])
+def test_an_unreadable_pullback_text_is_a_fail_row(pullback, text):
+    # the pullback row and the certificate that reads the same vector fail
+    # and name the text; every other row is the shipped one
+    doc, raw = _builtin_document("genus3-septic")
+    next(m for m in raw["maps"] if m["name"] == "g")["pullback"] = pullback
+    entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
+    rows = {c.check_id: c for c in run_entry(entry, pmax=30).checks}
+    shipped = {c.check_id: c
+               for c in run_entry(ENTRIES[raw["id"]], pmax=30).checks}
+    assert rows.keys() == shipped.keys()
+    for check_id in ("pullback:g", "certificate:outer"):
+        row = rows.pop(check_id)
+        assert row.status == "FAIL" and row.unexpected_failure
+        assert row.evidence["error"].startswith(
+            "text %r of genus3-septic" % (text,))
+    for check_id, row in rows.items():
+        assert (row.status, row.evidence) == (
+            shipped[check_id].status, shipped[check_id].evidence), check_id
 
 
 def test_run_catalog_selection_and_order():
