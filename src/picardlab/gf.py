@@ -28,7 +28,7 @@ meet: a polynomial of degree at most 3 over F_p by ``RootCounts.cubic``, and
 c2 y^4 + c1 y^2 + c0 over F_q by ``ExtField.even_quartic``.  There is no
 F_p[x] gcd arithmetic; the split-prime search of the constant tower finds
 its roots by ``least_simple_root``, in closed form for a quadratic and by
-the scan ``poly_roots_mod_p`` above.
+the scan ``poly_roots_mod_p`` for a higher degree.
 """
 
 from __future__ import annotations
