@@ -9,12 +9,19 @@ isogeny factors of the Jacobian, bad primes, and auxiliary exact checks.
 Family entries in the parameter ``t`` list their values as
 ``specializations``, each of which may override the claimed factors and bad
 primes; every per-value check runs at exactly these values.
+
+A load reads each entry once into records, through one field reader that
+refuses a missing key or a wrong type with a ``CatalogError`` naming the
+entry and the field; a map name resolves to its ``MapSpec``, an aux t to
+its ``Specialization``.  The JSON shape and the model kinds are known here
+only.  Texts are checked to be strings at load and parsed on first read.
 """
 
 import json
 from fractions import Fraction
 from importlib import resources
 from math import lcm
+from operator import itemgetter
 
 from .curves import (
     HyperellipticModel,
@@ -30,18 +37,6 @@ from .symbolic import (
     parse_expression,
     parse_polynomial,
 )
-
-
-# the auxiliary exact checks the runner performs, with the keys each reads
-AUX_CHECKS = {
-    "quadric_rank": ("relation", "variables", "expected"),
-    "j_target": ("map", "expected"),
-    "j_quartic": ("quartic", "variable", "expected"),
-    "j_legendre_identity": ("quartic", "variable", "lambda"),
-    "cm_consistency": ("rhs", "variable", "disc", "pmax"),
-    "product_invariants": ("g1", "g2", "expected"),
-    "quotient_surface": ("multiplicities", "cm", "expected"),
-}
 
 
 # the largest prime that a report (--pmax), a one-shot count (--prime) or
@@ -63,22 +58,71 @@ def _require(condition, message, *args):
         raise CatalogError(message % args if args else message)
 
 
-def _require_keys(item, keys, what, *args):
-    """Refuse an item that lacks one of `keys`, or that is null, a number
-    or a bool, which have no keys; ``what % args`` names it."""
-    try:
-        missing = [key for key in keys if key not in item]
-    except TypeError:
-        raise CatalogError("%s must be an object" % (what % args)) from None
-    if missing:
-        raise CatalogError("%s lacks %s" % (what % args, ", ".join(missing)))
+# -- the field reader ---------------------------------------------------------
+
+_REQUIRED = object()
 
 
-def _require_list(value, what, *args):
-    """Refuse null, a number or a bool where a list belongs; a string or an
-    object has a length, and the check that reads it refuses it."""
-    if not hasattr(value, "__len__"):
-        raise CatalogError("%s must be a list" % (what % args))
+class _Node:
+    """One JSON object of the document and the words that name it in a
+    refusal: a format and its arguments, nodes among them, formatted only
+    when a refusal prints the node (``factor 0 of genus3-septic``)."""
+
+    __slots__ = ("raw", "label")
+
+    def __init__(self, raw, *label):
+        self.raw = raw
+        self.label = label
+        if type(raw) is not dict:
+            raise CatalogError("%s must be an object" % self)
+
+    def __str__(self):
+        return self.label[0] % self.label[1:]
+
+    def field(self, key, kind, default=_REQUIRED):
+        """The value at `key` if `kind` admits it (an object as a node), or
+        `default` when the key is missing (or null, for a default of None).
+        Every field of every load comes through here, so only a refusal
+        formats a message."""
+        value = self.raw.get(key, default)
+        if type(value) is kind or value is default is not _REQUIRED:
+            return value
+        cls, item, test, wanted = (kind if type(kind) is tuple
+                                   else _KINDS[kind])
+        if ((cls is None or type(value) is cls)
+                and (item is None or item.issuperset(map(type, value)))
+                and (test is None or test(value))):
+            return _Node(value, "%s of %s", key, self) if cls is dict else value
+        if value is _REQUIRED:
+            message = "%s lacks %s" % (self, key)
+        elif cls is dict:
+            message = "%s of %s must be an object" % (key, self)
+        elif cls is list and type(value) is not list:
+            message = "%s of %s must be a list" % (key, self)
+        elif cls is list:
+            message = "%s of %s must be a list of %s, got %r" % (
+                key, self, wanted, value)
+        else:
+            message = "%s: %s must be %s, got %r" % (self, key, wanted, value)
+        raise CatalogError(message)
+
+
+# A field kind: a type, or (type or None for any, type of every item or
+# None, a further test or None, what a refusal asks for).  type() is int
+# refuses a bool.
+_KINDS = {str: (str, None, None, "a string"), int: (int, None, None, "an int"),
+          list: (list, None, None, None)}
+_TEXT, _INT, _LIST = str, int, list
+_OBJECT = (dict, None, None, None)
+_DISC = (int, None, lambda value: value < 0 and value % 4 in (0, 1),
+         "a negative discriminant")
+_PMAX = (int, None, lambda value: 1 <= value <= PRIME_CAP,
+         "an int in 1..%d" % PRIME_CAP)
+_TEXTS = (list, frozenset({str}), None, "strings")
+_INTS = (list, frozenset({int}), None, "ints")
+_BOOLS = (list, frozenset({bool}), None, "bools")
+_PRIMES = (list, frozenset({int}), lambda value: min(value, default=2) >= 2,
+           "ints at least 2")
 
 
 def _parse_text(parse, tower, text, owner):
@@ -92,27 +136,15 @@ def _parse_text(parse, tower, text, owner):
         raise CatalogError("text %r of %s: %s" % (text, owner, exc)) from None
 
 
-def _require_disc(disc, what, *args):
-    """Refuse a claimed discriminant that is not an int (a bool is not one)
-    below 0 and congruent to 0 or 1 mod 4; ``what % args`` names it."""
-    if not (type(disc) is int and disc < 0 and disc % 4 in (0, 1)):
-        raise CatalogError("%s: disc must be a negative discriminant, got %r"
-                           % (what % args, disc))
-
-
 def load_tower(declarations):
     """Build the constant tower from symbol/relation strings."""
     _require(type(declarations) is list, "tower must be a list")
     rows = []
-    for k, decl in enumerate(declarations):
-        _require_keys(decl, ("symbol",), "tower declaration %d", k)
-        name = decl["symbol"]
-        _require(type(name) is str, "tower declaration %d: symbol must be a "
-                 "string, got %r", k, name)
-        _require("relation" in decl,
-                 "tower symbol %s lacks a relation", name)
+    for k, raw in enumerate(declarations):
+        name = _Node(raw, "tower declaration %d", k).field("symbol", _TEXT)
+        _require("relation" in raw, "tower symbol %s lacks a relation", name)
         scratch = ConstantTower(rows)
-        relation = _parse_text(parse_polynomial, scratch, decl["relation"],
+        relation = _parse_text(parse_polynomial, scratch, raw["relation"],
                                "tower symbol %s" % name)
         degree = relation.degree_in(name)
         _require(
@@ -126,23 +158,298 @@ def load_tower(declarations):
     return ConstantTower(rows)
 
 
+# -- records ------------------------------------------------------------------
+
+# Records are tuples read by attribute: a load builds about a hundred, and
+# a tuple is the cheapest to build and, unlike a named tuple, to declare.
+
+def _attributes(count):
+    return map(property, map(itemgetter, range(count)))
+
+
+class ModelSpec(tuple):
+    """A model, its kind settled at load: `relations` for `_system`, the
+    `frame` texts (omega, base var, fiber var), a `counter` that builds the
+    counting model from a text parser, and whether it `extends` to F_q."""
+    __slots__ = ()
+    kind, relations, variables, frame, counter, extends = _attributes(6)
+
+
+class MapSpec(tuple):
+    """A map, projective or else affine; a projective one may have its own
+    `source`, an affine one has one target relation."""
+    __slots__ = ()
+    (name, kind, origin, expect, source, target_variables, target_relations,
+     components, differential, pullback) = _attributes(10)
+
+
+class ActionSpec(tuple):
+    __slots__ = ()
+    basis, generators, order = _attributes(3)
+
+
+class Summand(tuple):
+    __slots__ = ()
+    name, indices, map = _attributes(3)
+
+
+class Factor(tuple):
+    """A claimed factor; a `disc` of None claims no CM."""
+    __slots__ = ()
+    mult, disc, map = _attributes(3)
+
+
+class Specialization(tuple):
+    """A `value` of t (None without parameters) with its claim's factors
+    and its bad primes, the entry's where it sets none."""
+    __slots__ = ()
+    value, factors, bad_primes = _attributes(3)
+
+
+# the auxiliary exact checks the runner performs, with each one's fields
+# and their kinds; an item's record, one class per check, has these fields
+# after `check`, its `map` resolved to a MapSpec and its `t` (None for an
+# entry without parameters) to a Specialization
+AUX_CHECKS = {
+    "quadric_rank": dict(relation=_TEXT, variables=_TEXTS, expected=_INT),
+    "j_target": dict(map=_TEXT, expected=_TEXT),
+    "j_quartic": dict(quartic=_TEXT, variable=_TEXT, t=_INT, expected=_TEXT),
+    "j_legendre_identity": dict(quartic=_TEXT, variable=_TEXT, lambda_=_TEXT),
+    "cm_consistency": dict(rhs=_TEXT, variable=_TEXT, t=_INT, disc=_DISC,
+                           pmax=_PMAX),
+    "product_invariants": dict(g1=_INT, g2=_INT, expected=_INTS),
+    "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS, expected=_LIST),
+}
+# a trailing _ marks a JSON key that is a Python keyword
+_AUX_RECORDS = {kind: type(kind, (tuple,), dict(
+    zip(("check",) + tuple(fields), _attributes(len(fields) + 1)),
+    __slots__=())) for kind, fields in AUX_CHECKS.items()}
+
+
+def _relations(node):
+    """(text, main, None) of each relation text and its main variable."""
+    texts, mains = node.field("relations", _TEXTS), node.field("mains", _TEXTS)
+    _require(len(texts) == len(mains), "%s has %d relations for %d mains",
+             node, len(texts), len(mains))
+    return [(text, main, None) for text, main in zip(texts, mains)]
+
+
+def _model_spec(node, eid):
+    """The model record; the one place that switches on the kind."""
+    kind = node.field("kind", _TEXT)
+    if kind == "plane":
+        affine = node.field("affine", _OBJECT)
+        main = affine.field("main_var", _TEXT)
+        relation = affine.field("relation", _TEXT)
+        frame = (affine.field("omega", _TEXT), affine.field("base_var", _TEXT),
+                 main)
+        projective = node.field("projective", _TEXT)
+        variables = node.field("variables", _TEXTS)
+        return ModelSpec((kind, [(relation, main, None)],
+                          affine.field("variables", _TEXTS), frame,
+                          lambda poly: PlaneModel(poly(projective), variables),
+                          True))
+    if kind == "hyperelliptic":
+        rhs = node.field("rhs", _TEXT)
+        return ModelSpec((kind, [(rhs, "y", 2)], ["x", "y"], ("1/y", "x", "y"),
+                          lambda poly: HyperellipticModel(poly(rhs)), True))
+    if kind == "superelliptic":
+        rhs, u = node.field("rhs", _TEXT), node.field("variable", _TEXT, "u")
+        m = node.field("m", (int, None, lambda value: value >= 2,
+                             "an int at least 2"))
+        return ModelSpec((kind, [(rhs, "v", m)], [u, "v"], None,
+                          lambda poly: SuperellipticModel(m, poly(rhs), u),
+                          True))
+    _require(kind in ("space", "product"),
+             "unknown model kind %r in %s", kind, eid)
+    relations, variables = _relations(node), node.field("variables", _TEXTS)
+    if kind == "product":
+        return ModelSpec((kind, relations, variables, None, None, False))
+    _require("fibration" in node.raw,
+             "space model of %s lacks a fibration", eid)
+    fib = node.field("fibration", _OBJECT)
+    route = fib.field("type", _TEXT)
+    _require(route in SpaceModel.ROUTES,
+             "model of %s: unknown fibration %r", eid, route)
+    fib.label = ("model of %s: fibration %s", eid, route)
+    # the route's forms are texts, its variables names
+    fibration = {key: fib.field(key, _TEXT if key == "form" else _TEXTS)
+                 for key in SpaceModel.ROUTES[route]}
+    genus = node.field("genus", _INT, None)
+
+    def count(poly):
+        forms = {key: ([poly(f) for f in value] if key == "factors"
+                       else poly(value) if key == "form" else value)
+                 for key, value in fibration.items()}
+        return SpaceModel([poly(text) for text, _, _ in relations],
+                          variables, dict(forms, type=route), genus=genus)
+
+    return ModelSpec((kind, relations, variables, None, count, False))
+
+
+def _action_spec(node, eid, nvars):
+    for key in ("basis", "generators", "order"):
+        _require(key in node.raw, "%s lacks %s", node, key)
+    basis, rows = node.raw["basis"], node.raw["generators"]
+    _require(type(basis) is list, "action basis of %s must be a list", eid)
+    _require(type(rows) is list, "action generators of %s must be a list",
+             eid)
+    for k, row in enumerate(rows):
+        _require(type(row) is list, "generator %d of %s must be a list",
+                 k, eid)
+        _require(len(row) == nvars, "generator %d of %s has %d formulas for "
+                 "%d variables", k, eid, len(row), nvars)
+    _require({str}.issuperset(map(type, basis + sum(rows, []))),
+             "action of %s: basis and generators must be strings", eid)
+    return ActionSpec((basis, rows, node.field("order", _INT)))
+
+
+def _map_spec(node, eid, basis):
+    """A map record; `basis` is the action basis, None without an action."""
+    name = node.field("name", _TEXT)
+    target = node.field("target", _OBJECT)
+    components = node.field("components", _TEXTS)
+    # named by its index up to here, by its name from here on
+    node.label = ("map %s of %s", name, eid)
+    kind = node.field("kind", _TEXT, "affine")
+    variables = target.field("variables", _TEXTS)
+    _require(len(components) == len(variables),
+             "%s has %d components for %d target variables",
+             node, len(components), len(variables))
+    source = node.field("source", _OBJECT, None)
+    if kind == "projective":
+        for key in ("pullback", "differential"):
+            _require(key not in node.raw, "projective %s declares %r; only "
+                     "affine maps are pulled back", node, key)
+        source = source and _relations(source)
+        relations = target.field("relations", _TEXTS)
+    else:
+        relations = [target.field("relation", _TEXT)]
+    pullback = node.field("pullback", _TEXTS, None)
+    if pullback is not None:
+        _require(basis is not None, "%s declares a pullback, but the entry "
+                 "has no action basis to classify it in", node)
+        _require(len(pullback) == len(basis), "pullback of %s has %d entries "
+                 "for a basis of %d", node, len(pullback), len(basis))
+    return MapSpec((
+        name, kind, node.field("origin", _TEXT, ""),
+        node.field("expect", _TEXT, "pass"),
+        source, variables, relations, components,
+        # a pullback is of the target's differential
+        node.field("differential", _TEXT,
+                   None if pullback is None else _REQUIRED), pullback))
+
+
+def _resolve(maps, name, owner):
+    """The map that `owner` names."""
+    _require(type(name) is str and name in maps,
+             "%s names no map %r", owner, name)
+    return maps[name]
+
+
+def _factors(rows, maps, eid, at):
+    """The factors of a claim; `at` is a specialization's t, or None."""
+    tail = "" if at is None else " at t=%s" % at
+    _require(type(rows) is list, "factors of %s%s must be a list", eid, tail)
+    out = []
+    for k, raw in enumerate(rows):
+        node = _Node(raw, "factor %d of %s%s", k, eid, tail)
+        mult = node.field("mult", _INT)
+        # a null disc claims no CM, but the key must be there
+        disc = (None if raw.get("disc", 0) is None
+                else node.field("disc", _DISC))
+        spec = raw.get("map")
+        if spec is not None:
+            spec = _resolve(maps, spec, "factor %d%s of %s" % (k, tail, eid))
+        out.append(Factor((mult, disc, spec)))
+    return out
+
+
+def _summand(node, eid, maps):
+    name, indices = node.field("name", _TEXT), node.field("indices", _LIST)
+    node.label = ("summand %s of %s", name, eid)
+    spec = node.raw.get("map")
+    if spec is not None:
+        spec = _resolve(maps, spec, node)
+        _require(spec.pullback is not None, "%s names map %s, which declares "
+                 "no pullback", node, spec.name)
+    return Summand((name, indices, spec))
+
+
 class CatalogEntry:
-    def __init__(self, raw, tower):
-        self.raw = raw
+    def __init__(self, node, tower):
+        """Read one entry of the document into records."""
         self.tower = tower
-        self.id = raw["id"]
-        self.model = raw["model"]
-        self.maps = raw.get("maps", [])
-        self.action = raw.get("action")
-        self.summands = raw.get("summands", [])
-        self.claim = raw.get("claim")
-        self.bad_primes = raw.get("bad_primes", [])
-        self.aux = raw.get("aux", [])
+        self.id = eid = node.field("id", _TEXT)
+        _require("model" in node.raw, "entry %s lacks model", eid)
+        node.label = ("%s", eid)
+        self.model = _model_spec(node.field("model", _OBJECT), eid)
+        action = node.field("action", _OBJECT, None)
+        self.action = action and _action_spec(action, eid,
+                                              len(self.model.variables))
+        # the maps by name, in document order
+        self.maps = {}
+        for k, raw in enumerate(node.field("maps", _LIST, ())):
+            spec = _map_spec(_Node(raw, "map %d of %s", k, eid), eid,
+                             self.action and self.action.basis)
+            _require(spec.name not in self.maps,
+                     "duplicate map names in %s", eid)
+            self.maps[spec.name] = spec
+        self.summands = [] if action is None else [
+            _summand(_Node(raw, "summand %d of %s", k, eid), eid, self.maps)
+            for k, raw in enumerate(node.field("summands", _LIST, ()))]
+        indices = [i for s in self.summands for i in s.indices]
+        _require(action is None or (
+            all(type(i) is int for i in indices)
+            and sorted(indices) == list(range(len(self.action.basis)))),
+            "summands of %s do not partition the basis", eid)
+        claim = node.field("claim", _OBJECT, None) or _Node({}, "claim")
+        factors = _factors(claim.raw.get("factors", []), self.maps, eid, None)
+        self.trace_maps = [_resolve(self.maps, name, "claim of %s" % eid)
+                           for name in claim.field("trace_maps", _LIST, ())]
+        bad = node.field("bad_primes", _PRIMES, ())
+        self._specializations = [Specialization((None, factors, bad))]
+        rows = node.field("specializations", _LIST, None)
+        if rows:
+            self._specializations = []
+            for k, raw in enumerate(rows):
+                row = _Node(raw, "specialization %d of %s", k, eid)
+                t = row.field("t", _INT)
+                self._specializations.append(Specialization((
+                    t, _factors(raw["factors"], self.maps, eid, t)
+                    if "factors" in raw else factors,
+                    row.field("bad_primes", _PRIMES, bad))))
+        for spec in self._specializations:
+            _require(spec.bad_primes or not spec.factors,
+                     "countable entry %s lacks bad primes", eid)
+        self.aux = [self._aux(_Node(raw, "aux item %d of %s", k, eid))
+                    for k, raw in enumerate(node.field("aux", _LIST, ()))]
         # per load: each text parsed at most once by `poly` and once by
         # `expression`, each counting model built once (by the claim checks
         # when the load covers the entry) and reused by every count
         self._parsed = {}
         self._models = {}
+
+    def _aux(self, node):
+        """An aux check's record; a t of None, the default, names the one
+        specialization of an entry without parameters."""
+        kind = node.raw.get("check")
+        _require(type(kind) is str and kind in AUX_CHECKS,
+                 "unknown aux check %r in %s", kind, self.id)
+        node.label = ("aux check %s of %s", kind, self.id)
+        values = [kind]
+        for name, field_kind in AUX_CHECKS[kind].items():
+            value = node.field(name.rstrip("_"), field_kind,
+                               None if name == "t" else _REQUIRED)
+            if name == "map":
+                value = _resolve(self.maps, value, node)
+            elif name == "t":
+                t, value = value, next((s for s in self._specializations
+                                        if s.value == value), None)
+                _require(value is not None, "%s: t=%s names no "
+                         "specialization", node, t)
+            values.append(value)
+        return _AUX_RECORDS[kind](values)
 
     # -- parsing helpers -------------------------------------------------
 
@@ -153,11 +460,7 @@ class CatalogEntry:
 
     def _parse(self, parse, text, value):
         key = (parse, text)
-        try:
-            r = self._parsed.get(key)
-        except TypeError:
-            # a list or an object is no key; ``_parse_text`` refuses it
-            r = None
+        r = self._parsed.get(key)
         if r is None:
             r = self._parsed[key] = _parse_text(parse, self.tower, text,
                                                 self.id)
@@ -172,62 +475,32 @@ class CatalogEntry:
 
     # -- symbolic side ---------------------------------------------------
 
-    def affine_relations(self, value=None):
-        kind = self.model["kind"]
-        if kind == "plane":
-            aff = self.model["affine"]
-            return [
-                CurveRelation(self.poly(aff["relation"], value), aff["main_var"])
-            ]
-        if kind == "hyperelliptic":
-            rhs = self.poly(self.model["rhs"], value)
-            return [CurveRelation(self.tower.var("y", 2) - rhs, "y")]
-        if kind == "superelliptic":
-            rhs = self.poly(self.model["rhs"], value)
-            m = self.model["m"]
-            return [CurveRelation(self.tower.var("v", m) - rhs, "v")]
-        # space or product, the last kinds the load admits
-        return [
-            CurveRelation(self.poly(rel, value), main)
-            for rel, main in zip(self.model["relations"], self.model["mains"])
-        ]
+    def _system(self, relations, value=None):
+        """The reduction system of (text, main, power) relations, each the
+        text or, for a cyclic cover, main^power minus the text."""
+        return ReductionSystem([CurveRelation(
+            self.poly(text, value) if power is None
+            else self.tower.var(main, power) - self.poly(text, value), main)
+            for text, main, power in relations])
 
     def affine_system(self, value=None):
-        return ReductionSystem(self.affine_relations(value))
-
-    def geometric_vars(self):
-        kind = self.model["kind"]
-        if kind == "plane":
-            return tuple(self.model["affine"]["variables"])
-        if kind == "hyperelliptic":
-            return ("x", "y")
-        if kind == "superelliptic":
-            return (self.model.get("variable", "u"), "v")
-        return tuple(self.model["variables"])
+        return self._system(self.model.relations, value)
 
     def frame(self, value=None):
         """The differential frame of the model and the action's basis."""
-        kind = self.model["kind"]
-        if kind == "plane":
-            aff = self.model["affine"]
-            text, base_var, fiber_var = (aff["omega"], aff["base_var"],
-                                         aff["main_var"])
-        elif kind == "hyperelliptic":
-            text, base_var, fiber_var = "1/y", "x", "y"
-        else:
-            raise ValueError("no differential frame for kind %r" % kind)
+        _require(self.model.frame is not None,
+                 "no differential frame for kind %r", self.model.kind)
+        text, base_var, fiber_var = self.model.frame
         omega = Differential(self.expression(text, value), base_var)
         return Frame(omega, fiber_var, self.basis_monomials(),
-                     self.geometric_vars())
+                     self.model.variables)
 
     def basis_monomials(self):
         out = []
-        for text in self.action["basis"]:
+        for text in self.action.basis:
             p = self.poly(text)
-            _require(
-                list(p.terms.values()) == [1],
-                "basis entry %r is not a monic monomial", text,
-            )
+            _require(list(p.terms.values()) == [1],
+                     "basis entry %r is not a monic monomial", text)
             ((mono, _),) = p.terms.items()
             out.append(mono)
         return out
@@ -238,46 +511,27 @@ class CatalogEntry:
         from .actions import GroupAction
 
         frame = self.frame(value)
-        generators = [
-            {
-                var: self.expression(text, value)
-                for var, text in zip(frame.geometric_vars, row)
-            }
-            for row in self.action["generators"]
-        ]
+        generators = [{var: self.expression(text, value)
+                       for var, text in zip(frame.geometric_vars, row)}
+                      for row in self.action.generators]
         return GroupAction(self.affine_system(value), frame, generators,
-                           self.action["order"] + 1)
+                           self.action.order + 1)
 
     def curve_map(self, spec, value=None):
         system = self.affine_system(value)
-        target = spec["target"]
-        components = {
-            var: self.expression(text, value)
-            for var, text in zip(target["variables"], spec["components"])
-        }
-        return CurveMap(system, components, self.poly(target["relation"], value))
+        components = {var: self.expression(text, value) for var, text
+                      in zip(spec.target_variables, spec.components)}
+        (relation,) = spec.target_relations
+        return CurveMap(system, components, self.poly(relation, value))
 
     def projective_map(self, spec):
         """(source system, polynomial components, target relation polys)."""
-        source_decl = spec.get("source")
-        if source_decl is None:
-            system = self.affine_system()
-        else:
-            system = ReductionSystem(
-                [
-                    CurveRelation(self.poly(rel), main)
-                    for rel, main in zip(
-                        source_decl["relations"], source_decl["mains"]
-                    )
-                ]
-            )
-        target = spec["target"]
-        components = {
-            var: self.poly(text)
-            for var, text in zip(target["variables"], spec["components"])
-        }
-        relations = [self.poly(r) for r in target["relations"]]
-        return system, components, relations
+        system = (self.affine_system() if spec.source is None
+                  else self._system(spec.source))
+        components = {var: self.poly(text) for var, text
+                      in zip(spec.target_variables, spec.components)}
+        return system, components, [self.poly(r)
+                                    for r in spec.target_relations]
 
     # -- counting side ---------------------------------------------------
 
@@ -296,185 +550,16 @@ class CatalogEntry:
         return self._models[value]
 
     def _build_model(self, value):
-        kind = self.model["kind"]
-        if kind == "plane":
-            return PlaneModel(
-                self.poly(self.model["projective"], value),
-                tuple(self.model["variables"]),
-            )
-        if kind == "hyperelliptic":
-            return HyperellipticModel(
-                self.poly(self.model["rhs"], value))
-        if kind == "superelliptic":
-            return SuperellipticModel(
-                self.model["m"],
-                self.poly(self.model["rhs"], value),
-                self.model.get("variable", "u"),
-            )
-        if kind == "space":
-            _require("fibration" in self.model,
-                     "space model of %s lacks a fibration", self.id)
-            fib = dict(self.model["fibration"])
-            if "factors" in fib:
-                fib["factors"] = [self.poly(f, value)
-                                  for f in fib["factors"]]
-            if "form" in fib:
-                fib["form"] = self.poly(fib["form"], value)
-            return SpaceModel(
-                [self.poly(r, value) for r in self.model["relations"]],
-                tuple(self.model["variables"]),
-                fib,
-                genus=self.model.get("genus"),
-            )
-        # product, the last kind the load admits
-        raise CatalogError("%s is a product of curves; it is not counted"
-                           % self.id)
+        if self.model.counter is None:
+            raise CatalogError("%s is a product of curves; it is not counted"
+                               % self.id)
+        return self.model.counter(lambda text: self.poly(text, value))
 
     # -- claims ----------------------------------------------------------
 
     def specializations(self):
-        """(value, factors, bad_primes) rows; a single (None, ...) row for
-        entries without parameters."""
-        rows = self.raw.get("specializations")
-        if not rows:
-            claim = self.claim or {}
-            return [(None, claim.get("factors", []), self.bad_primes)]
-        out = []
-        for row in rows:
-            out.append(
-                (
-                    row["t"],
-                    row.get("factors", (self.claim or {}).get("factors", [])),
-                    row.get("bad_primes", self.bad_primes),
-                )
-            )
-        return out
-
-    def trace_map_names(self):
-        return (self.claim or {}).get("trace_maps", [])
-
-    def map_spec(self, name):
-        for spec in self.maps:
-            if spec["name"] == name:
-                return spec
-        raise KeyError("no map named %r in entry %r" % (name, self.id))
-
-
-def _check_structure(entries):
-    """Document-wide checks on every entry: ids, keys and references,
-    shapes; nothing here parses a model or builds a counting model."""
-    ids = [e.id for e in entries]
-    _require(len(set(ids)) == len(ids), "duplicate entry ids")
-    for entry in entries:
-        eid = entry.id
-        _require(type(entry.model) is dict, "model of %s must be an object",
-                 eid)
-        _require_keys(entry.model, ("kind",), "model of %s", eid)
-        _require(entry.model["kind"] in ("plane", "hyperelliptic",
-                                         "superelliptic", "space", "product"),
-                 "unknown model kind %r in %s", entry.model["kind"], eid)
-        _require_list(entry.maps, "maps of %s", eid)
-        _require_list(entry.aux, "aux of %s", eid)
-        _require(entry.claim is None or type(entry.claim) is dict,
-                 "claim of %s must be an object", eid)
-        for k, spec in enumerate(entry.maps):
-            _require_keys(spec, ("name", "target", "components"),
-                          "map %d of %s", k, eid)
-        names = [m["name"] for m in entry.maps]
-        _require(len(set(names)) == len(names), "duplicate map names in %s",
-                 eid)
-        for spec in entry.maps:
-            if spec.get("kind") == "projective":
-                for key in ("pullback", "differential"):
-                    _require(key not in spec,
-                             "projective map %s of %s declares %r; only "
-                             "affine maps are pulled back",
-                             spec["name"], eid, key)
-            _require(
-                "pullback" not in spec or entry.action is not None,
-                "map %s of %s declares a pullback, but the entry has no "
-                "action basis to classify it in", spec["name"], eid,
-            )
-
-        def require_map(name, what, *args):
-            if name not in names:
-                raise CatalogError("%s of %s names no map %r"
-                                   % (what % args, eid, name))
-
-        for name in entry.trace_map_names():
-            require_map(name, "claim")
-        for k, item in enumerate(entry.aux):
-            _require(type(item) is dict, "aux item %d of %s must be an "
-                     "object", k, eid)
-            kind = item.get("check")
-            _require(kind in AUX_CHECKS, "unknown aux check %r in %s",
-                     kind, eid)
-            _require_keys(item, AUX_CHECKS[kind], "aux check %s of %s",
-                          kind, eid)
-            if kind == "j_target":
-                require_map(item["map"], "aux check %s", kind)
-            if kind == "cm_consistency":
-                pmax = item["pmax"]
-                _require(type(pmax) is int and 1 <= pmax <= PRIME_CAP,
-                         "aux check %s of %s: pmax must be an int in "
-                         "1..%d, got %r", kind, eid, PRIME_CAP, pmax)
-                # the check compares counts with this disc's candidates
-                _require_disc(item["disc"], "aux check %s of %s", kind, eid)
-        if entry.action is not None:
-            _require_keys(entry.action, ("basis", "generators", "order"),
-                          "action of %s", eid)
-            _require_list(entry.action["basis"], "action basis of %s", eid)
-            _require_list(entry.action["generators"],
-                          "action generators of %s", eid)
-            size = len(entry.action["basis"])
-            nvars = len(entry.geometric_vars())
-            for k, row in enumerate(entry.action["generators"]):
-                _require_list(row, "generator %d of %s", k, eid)
-                _require(len(row) == nvars,
-                         "generator %d of %s has %d formulas for %d "
-                         "variables", k, eid, len(row), nvars)
-            for k, summand in enumerate(entry.summands):
-                _require_keys(summand, ("name", "indices"),
-                              "summand %d of %s", k, eid)
-                _require_list(summand["indices"],
-                              "indices of summand %d of %s", k, eid)
-            indices = [i for s in entry.summands for i in s["indices"]]
-            _require(
-                all(type(i) is int for i in indices)
-                and sorted(indices) == list(range(size)),
-                "summands of %s do not partition the basis", eid,
-            )
-            for summand in entry.summands:
-                if summand.get("map") is not None:
-                    require_map(summand["map"], "summand %s",
-                                summand["name"])
-        rows = entry.raw.get("specializations")
-        _require(rows is None or type(rows) is list,
-                 "specializations of %s must be a list", eid)
-        for k, row in enumerate(rows or ()):
-            _require(type(row) is dict, "specialization %d of %s must be an "
-                     "object", k, eid)
-            _require_keys(row, ("t",), "specialization %d of %s", k, eid)
-        for value, factors, bad in entry.specializations():
-            # a family's labels name the value
-            at = () if value is None else (value,)
-            of = "factor %d of %s at t=%s" if at else "factor %d of %s"
-            named = "factor %d at t=%s" if at else "factor %d"
-            _require(type(factors) is list,
-                     "factors of %s at t=%s must be a list" if at
-                     else "factors of %s must be a list", eid, *at)
-            for k, factor in enumerate(factors):
-                # a null disc is a claim without CM; the key must be there
-                _require_keys(factor, ("mult", "disc"), of, k, eid, *at)
-                _require(type(factor["mult"]) is int,
-                         of + ": mult must be an int, got %r", k, eid, *at,
-                         factor["mult"])
-                if factor["disc"] is not None:
-                    _require_disc(factor["disc"], of, k, eid, *at)
-                if factor.get("map") is not None:
-                    require_map(factor["map"], named, k, *at)
-            _require(bad or not factors,
-                     "countable entry %s lacks bad primes", eid)
+        """The Specialization rows, one of value None without parameters."""
+        return self._specializations
 
 
 def _check_claims(entry):
@@ -482,19 +567,18 @@ def _check_claims(entry):
     counts that follow) and check its genus and bad primes; parse each
     j check's expected value (kept for the run)."""
     for item in entry.aux:
-        if item["check"] in ("j_target", "j_quartic"):
-            entry.expression(item["expected"])
-    for value, factors, bad in entry.specializations():
-        if not factors:
+        if item.check in ("j_target", "j_quartic"):
+            entry.expression(item.expected)
+    for spec in entry.specializations():
+        if not spec.factors:
             continue
-        total = sum(f["mult"] for f in factors)
-        model = entry.counting_model(value)
+        model = entry.counting_model(spec.value)
         _require(
-            total == model.genus(),
+            sum(f.mult for f in spec.factors) == model.genus(),
             "factor multiplicities of %s do not sum to the genus", entry.id,
         )
         if isinstance(model, SuperellipticModel):
-            missing = _undeclared_bad_primes(model, bad)
+            missing = _undeclared_bad_primes(model, spec.bad_primes)
             _require(not missing, "bad primes %s of %s are not declared",
                      sorted(missing), entry.id)
 
@@ -516,7 +600,7 @@ def _undeclared_bad_primes(model, declared):
         raise CatalogError("f has a repeated root: %s"
                            % model.f_poly.render())
     value = abs(den * f[-1] * res * model.m)
-    for p in {2, 3}.union(b for b in declared if isinstance(b, int) and b > 1):
+    for p in {2, 3}.union(declared):
         while value and value % p == 0:
             value //= p
     return set(factorize(value)) if value > 1 else set()
@@ -525,21 +609,17 @@ def _undeclared_bad_primes(model, declared):
 def load_catalog(document, ids=None):
     """Parse and validate a catalog document (dict or JSON text).
 
-    Every entry's structure is checked; the claims (counting models, genus
+    Every entry is read into records; the claims (counting models, genus
     sums, bad primes) of the entries in `ids` only, or of all entries when
     `ids` is None."""
     if isinstance(document, str):
         document = json.loads(document)
-    _require_keys(document, ("entries",), "catalog document")
+    entries = _Node(document, "catalog document").field("entries", _LIST)
     tower = load_tower(document.get("tower", []))
-    entries = []
-    for k, raw in enumerate(document["entries"]):
-        _require_keys(raw, ("id",), "entry %d", k)
-        _require(type(raw["id"]) is str, "entry %d: id must be a string, "
-                 "got %r", k, raw["id"])
-        _require_keys(raw, ("model",), "entry %s", raw["id"])
-        entries.append(CatalogEntry(raw, tower))
-    _check_structure(entries)
+    entries = [CatalogEntry(_Node(raw, "entry %d", k), tower)
+               for k, raw in enumerate(entries)]
+    _require(len({e.id for e in entries}) == len(entries),
+             "duplicate entry ids")
     for entry in entries:
         if ids is None or entry.id in ids:
             _check_claims(entry)

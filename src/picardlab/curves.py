@@ -475,12 +475,8 @@ class SpaceModel:
         self.relations = list(relations)
         self.variables = tuple(variables)
         self.fibration = fibration
-        kind = fibration.get("type")
-        if kind not in self.ROUTES:
-            raise ValueError("unknown fibration %r" % kind)
-        missing = [key for key in self.ROUTES[kind] if key not in fibration]
-        if missing:
-            raise ValueError("fibration %s lacks %s" % (kind, ", ".join(missing)))
+        # a route of ROUTES with its keys, as the catalog reads them
+        kind = fibration["type"]
         # the fibration's forms as rows [(exponents, int or Fraction)], once
         if kind == "sqrt_product":
             self.factor_rows = [poly_table(f, fibration["base_vars"])

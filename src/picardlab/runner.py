@@ -11,10 +11,11 @@ exactness, split-prime trace feasibility and exact trace identity rows.
 Failed checks become FAIL rows with evidence; a trace-map target that is
 not v^2 = f(u), or that cannot be counted at a prime, is one of them, and so
 is a claimed discriminant whose candidate traces cannot sum to the source
-trace, even where an exact trace identity holds.  An InvariantError marks a
+trace, even where an exact trace identity holds, and an aux item that
+raises a ValueError or ZeroDivisionError.  An InvariantError marks a
 program defect and still aborts the run, by design.
 """
-from .catalog import PRIME_CAP
+from .catalog import AUX_CHECKS, PRIME_CAP
 from .curves import HyperellipticModel, InvariantError
 from .elliptic import (
     BinaryQuartic,
@@ -84,15 +85,14 @@ def _suffix(value):
 
 def _target_rhs(entry, spec, value=None):
     """(rhs, variable) of a genus-one map target written as v^2 = rhs(u)."""
-    target = spec["target"]
-    uvar, vvar = target["variables"]
-    relation = entry.poly(target["relation"], value)
-    coeffs = relation.coeffs_in(vvar)
+    uvar, vvar = spec.target_variables
+    (relation,) = spec.target_relations
+    coeffs = entry.poly(relation, value).coeffs_in(vvar)
     rhs = -coeffs[0]
     if (len(coeffs) != 3 or not coeffs[1].is_zero() or coeffs[2] != 1
             or vvar in rhs.variables()):
         raise ValueError("target of %r is not %s^2 = f(%s)"
-                         % (spec["name"], vvar, uvar))
+                         % (spec.name, vvar, uvar))
     return rhs, uvar
 
 
@@ -105,31 +105,26 @@ def _render_vector(vec):
 def _map_checks(entry):
     checks = []
     frame = None        # built for the first pullback, shared by the rest
-    for spec in entry.maps:
-        name = spec["name"]
-        expect_fail = spec.get("expect") == "fail"
+    for spec in entry.maps.values():
+        name = spec.name
+        expect_fail = spec.expect == "fail"
         try:
-            cmap = (None if spec.get("kind") == "projective"
+            cmap = (None if spec.kind == "projective"
                     else entry.curve_map(spec))
             ok, evidence = _verify_map(entry, spec, cmap)
         except (ValueError, ZeroDivisionError) as exc:
             # a source system that is refused, or a map undefined on it
             ok = False
-            evidence = {"origin": spec.get("origin", ""), "error": str(exc)}
-        if ok and not expect_fail:
-            checks.append(CheckResult("map:" + name, PASS, evidence))
-        elif not ok and expect_fail:
-            evidence["expected_failure"] = True
-            checks.append(
-                CheckResult("map:" + name, FAIL, evidence, expected=True)
-            )
-        elif ok and expect_fail:
+            evidence = {"origin": spec.origin, "error": str(exc)}
+        if expect_fail and ok:
             evidence["note"] = "map verifies but was declared expected-fail"
-            checks.append(CheckResult("map:" + name, FAIL, evidence))
-        else:
-            checks.append(CheckResult("map:" + name, FAIL, evidence))
+        elif expect_fail:
+            evidence["expected_failure"] = True
+        checks.append(CheckResult("map:" + name, PASS if ok and not expect_fail
+                                  else FAIL, evidence,
+                                  expected=expect_fail and not ok))
 
-        if ok and "pullback" in spec:
+        if ok and spec.pullback is not None:
             try:
                 if frame is None:
                     frame = entry.frame()
@@ -146,97 +141,76 @@ def _verify_map(entry, spec, cmap):
     projective; raises ZeroDivisionError when a component is undefined
     along the source curve."""
     if cmap is None:
-        system, components, relations = entry.projective_map(spec)
-        ok, residuals = verify_image_relations(system, components, relations)
-        return ok, {
-            "origin": spec.get("origin", ""),
-            "residuals": [r.render() if not r.is_zero() else "0"
-                          for r in residuals],
-        }
+        ok, residuals = verify_image_relations(*entry.projective_map(spec))
+        return ok, {"origin": spec.origin,
+                    "residuals": [r.render() if not r.is_zero() else "0"
+                                  for r in residuals]}
     ok, residual = cmap.verify()
-    return ok, {
-        "origin": spec.get("origin", ""),
-        "residual": residual.render() if not residual.is_zero() else "0",
-    }
+    return ok, {"origin": spec.origin,
+                "residual": "0" if residual.is_zero() else residual.render()}
 
 
 def _pullback_check(entry, frame, spec, cmap):
-    name = spec["name"]
-    target_diff = Differential(
-        entry.expression(spec["differential"]), spec["target"]["variables"][0]
-    )
-    vec = frame.coordinates(cmap, target_diff)
-    expected = [entry.poly(s) for s in spec["pullback"]]
+    check_id = "pullback:" + spec.name
+    vec = frame.coordinates(cmap, Differential(
+        entry.expression(spec.differential), spec.target_variables[0]))
+    expected = [entry.poly(s) for s in spec.pullback]
     if vec is None:
-        return CheckResult(
-            "pullback:" + name, FAIL,
-            {"note": "pullback does not lie in the declared basis span"},
-        )
+        return CheckResult(check_id, FAIL, {
+            "note": "pullback does not lie in the declared basis span"})
     if vec == expected:
-        return CheckResult(
-            "pullback:" + name, PASS, {"vector": _render_vector(vec)}
-        )
-    return CheckResult(
-        "pullback:" + name, FAIL,
-        {"vector": _render_vector(vec), "expected": _render_vector(expected)},
-    )
+        return CheckResult(check_id, PASS, {"vector": _render_vector(vec)})
+    return CheckResult(check_id, FAIL, {
+        "vector": _render_vector(vec), "expected": _render_vector(expected)})
 
 
 # -- step 3: decomposition and certificates ----------------------------------
 
 def _action_checks(entry, value, tag):
-    declared = entry.action["order"]
+    declared = entry.action.order
     try:
         action = entry.group_action(value)
     except ValueError as exc:
         return [CheckResult("action:closure" + tag, FAIL, {"error": str(exc)})]
-    if action.order == declared:
-        closure = CheckResult(
-            "action:closure" + tag, PASS, {"order": action.order})
-    else:
-        closure = CheckResult(
-            "action:closure" + tag, FAIL,
-            {"order": action.order, "declared": declared})
+    ok = action.order == declared
+    closure = CheckResult("action:closure" + tag, PASS if ok else FAIL,
+                          {"order": action.order} if ok else
+                          {"order": action.order, "declared": declared})
     return [closure, _decomposition_check(entry, action, tag)] + [
         _certificate_check(entry, action, summand, tag)
         for summand in entry.summands]
 
 
 def _decomposition_check(entry, action, tag):
-    partition = [s["indices"] for s in entry.summands]
+    partition = [s.indices for s in entry.summands]
     ok, evidence = action.verify_decomposition(partition)
-    blocks = [
-        {
-            "name": summand["name"],
-            "indices": list(block["indices"]),
-            "stable": block["stable"],
-            "character_norm": block["character_norm"],
-        }
-        for summand, block in zip(entry.summands, evidence)
-    ]
+    blocks = [dict(block, name=summand.name)
+              for summand, block in zip(entry.summands, evidence)]
+    for block in blocks:
+        # irreducibility is the character norm, which the row shows
+        del block["irreducible"]
     return CheckResult(
         "action:decomposition" + tag, PASS if ok else FAIL, {"blocks": blocks}
     )
 
 
 def _certificate_check(entry, action, summand, tag):
-    check_id = "certificate:" + summand["name"] + tag
-    if summand.get("map") is None:
+    check_id = "certificate:" + summand.name + tag
+    spec = summand.map
+    if spec is None:
         return CheckResult(
             check_id, SKIPPED, {"note": "no rational map onto this summand"}
         )
-    spec = entry.map_spec(summand["map"])
+    indices = summand.indices
     try:
-        vector = [entry.poly(s) for s in spec["pullback"]]
+        words, rank = action.span_certificate(
+            indices, [entry.poly(s) for s in spec.pullback])
     except ValueError as exc:
-        # a pullback text that is not a string or does not parse; its
-        # pullback row fails too
+        # a pullback that does not parse or lie in the block fails its row too
         return CheckResult(check_id, FAIL,
-                           {"map": summand["map"], "error": str(exc)})
-    indices = summand["indices"]
-    words, rank = action.span_certificate(indices, vector)
+                           {"map": spec.name, "error": str(exc)})
     evidence = {
-        "map": summand["map"],
+        "map": spec.name,
         "rank": rank,
         "dimension": len(indices),
         "translates": [list(w) for w in words],
@@ -252,23 +226,23 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
     each good prime the source and each distinct trace-map target are
     counted once, and every row of that prime reads those counts."""
     checks = []
-    claimed = all(f["disc"] is not None for f in factors)
+    claimed = all(f.disc is not None for f in factors)
     if not claimed:
         note = {"note": "no CM discriminant claimed for every factor"}
         checks.append(CheckResult("inert" + tag, SKIPPED, dict(note)))
         checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
-    names = entry.trace_map_names()
+    names = [spec.name for spec in entry.trace_maps]
     targets = {}
-    for name in dict.fromkeys(names):
+    for name, spec in dict(zip(names, entry.trace_maps)).items():
         try:
-            rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
+            rhs, uvar = _target_rhs(entry, spec, value)
             targets[name] = HyperellipticModel(rhs, uvar)
         except ValueError as exc:
             checks.append(CheckResult(
                 "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
             names = []
             break
-    discs = [f["disc"] for f in factors for _ in range(f["mult"])]
+    discs = [f.disc for f in factors for _ in range(f.mult)]
     source = entry.counting_model(value)
     for p in good_primes(pmax, bad):
         record = source.count_points(p)
@@ -316,78 +290,68 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
 
 # -- step 7: auxiliary exact checks ------------------------------------------
 
-def _aux_checks(entry, rows):
-    """One row per aux item.  A cm_consistency item at t avoids the bad
-    primes of the specialization t among `rows`, the entry's otherwise."""
+# the row of each aux check: its kind with dashes, j-legendre shortened
+AUX_ROWS = dict({kind: "aux:" + kind.replace("_", "-") for kind in AUX_CHECKS},
+                j_legendre_identity="aux:j-legendre")
+
+
+def _aux_checks(entry):
+    """One row per aux item; an item that raises fails its own row."""
     checks = []
     for item in entry.aux:
-        kind = item["check"]
-        if kind == "quadric_rank":
-            check_id = "aux:quadric-rank"
-            rank = quadratic_form_rank(
-                entry.poly(item["relation"]), item["variables"])
-            ok = rank == item["expected"]
-            evidence = {"rank": rank, "expected": item["expected"]}
-        elif kind == "j_target":
-            check_id = "aux:j-target"
-            try:
-                rhs, uvar = _target_rhs(entry, entry.map_spec(item["map"]))
-            except ValueError as exc:
-                ok, evidence = False, {"map": item["map"], "error": str(exc)}
-            else:
-                ok, evidence = _j_check(entry, rhs, uvar, item["expected"])
-        elif kind == "j_quartic":
-            check_id = "aux:j-quartic"
-            ok, evidence = _j_check(
-                entry, entry.poly(item["quartic"], item.get("t")),
-                item["variable"], item["expected"])
-        elif kind == "j_legendre_identity":
-            check_id = "aux:j-legendre"
-            j1 = BinaryQuartic.from_polynomial(
-                entry.poly(item["quartic"]), item["variable"]).j_invariant()
-            j2 = j_from_legendre(entry.expression(item["lambda"]))
-            ok = j1 == j2
-            evidence = {"quartic_j": str(j1), "legendre_j": str(j2)}
-        elif kind == "cm_consistency":
-            check_id = "aux:cm-consistency"
-            t = item.get("t")
-            model = HyperellipticModel(
-                entry.poly(item["rhs"], t), item["variable"])
-            bad = next((b for v, _, b in rows if v == t), entry.bad_primes)
-            ok, found = cm_consistency(
-                model, item["disc"], good_primes(item["pmax"], bad))
-            evidence = ({"disc": item["disc"],
-                         "traces": [list(pair) for pair in found]} if ok
-                        else {"disc": item["disc"], "offender": list(found)})
-        elif kind == "product_invariants":
-            check_id = "aux:product-invariants"
-            got = list(product_invariants(item["g1"], item["g2"]))
-            ok = got == item["expected"]
-            evidence = {"got": got, "expected": item["expected"]}
-        else:
-            # quotient_surface: the load refuses any kind not in AUX_CHECKS
-            check_id = "aux:quotient-surface"
-            got = list(quotient_surface_check(item["multiplicities"],
-                                              item["cm"]))
-            ok = got == item["expected"]
-            evidence = {"got": got, "expected": item["expected"]}
-        checks.append(CheckResult(check_id, PASS if ok else FAIL, evidence))
+        try:
+            ok, evidence = _aux_check(entry, item)
+        except (ValueError, ZeroDivisionError) as exc:
+            ok, evidence = False, {"error": str(exc)}
+        checks.append(CheckResult(AUX_ROWS[item.check], PASS if ok else FAIL,
+                                  evidence))
     return checks
 
 
-def _j_check(entry, quartic, variable, expected_text):
-    """(holds, evidence) of j(quartic) == the expected expression."""
-    j = BinaryQuartic.from_polynomial(quartic, variable).j_invariant()
-    return (j == entry.expression(expected_text),
-            {"j": str(j), "expected": expected_text})
+def _aux_check(entry, item):
+    """(holds, evidence) of one aux item."""
+    kind = item.check
+    if kind == "quadric_rank":
+        rank = quadratic_form_rank(entry.poly(item.relation), item.variables)
+        return rank == item.expected, {"rank": rank, "expected": item.expected}
+    if kind in ("j_target", "j_quartic"):
+        if kind == "j_quartic":
+            quartic = entry.poly(item.quartic, item.t.value), item.variable
+        else:
+            try:
+                quartic = _target_rhs(entry, item.map)
+            except ValueError as exc:
+                return False, {"map": item.map.name, "error": str(exc)}
+        j = BinaryQuartic.from_polynomial(*quartic).j_invariant()
+        return (j == entry.expression(item.expected),
+                {"j": str(j), "expected": item.expected})
+    if kind == "j_legendre_identity":
+        j1 = BinaryQuartic.from_polynomial(
+            entry.poly(item.quartic), item.variable).j_invariant()
+        j2 = j_from_legendre(entry.expression(item.lambda_))
+        return j1 == j2, {"quartic_j": str(j1), "legendre_j": str(j2)}
+    if kind == "cm_consistency":
+        model = HyperellipticModel(entry.poly(item.rhs, item.t.value),
+                                   item.variable)
+        ok, found = cm_consistency(
+            model, item.disc, good_primes(item.pmax, item.t.bad_primes))
+        return ok, ({"disc": item.disc,
+                     "traces": [list(pair) for pair in found]} if ok
+                    else {"disc": item.disc, "offender": list(found)})
+    if kind == "product_invariants":
+        got = list(product_invariants(item.g1, item.g2))
+    else:
+        # quotient_surface: the load refuses any kind not in AUX_CHECKS
+        got = list(quotient_surface_check(item.multiplicities, item.cm))
+    expected = list(item.expected)
+    return got == expected, {"got": got, "expected": expected}
 
 
 # -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------
 
 def _extension_checks(entry, value, tag, bad, depth):
     primes = good_primes(30, bad)
-    if not primes or entry.model["kind"] not in (
-            "plane", "hyperelliptic", "superelliptic"):
+    if not primes or not entry.model.extends:
         return []
     p = primes[0]
     model = entry.counting_model(value)
@@ -395,14 +359,13 @@ def _extension_checks(entry, value, tag, bad, depth):
     for k in range(2, min(depth, 3) + 1):
         check_id = "extension:k=%d%s" % (k, tag)
         try:
-            record = model.count_points_ext(p, k)
+            npoints = model.count_points_ext(p, k).npoints
         except ValueError as exc:
             checks.append(
                 CheckResult(check_id, SKIPPED, {"note": str(exc)}, prime=p))
         else:
-            checks.append(
-                CheckResult(check_id, PASS, {"npoints": record.npoints},
-                            prime=p))
+            checks.append(CheckResult(check_id, PASS, {"npoints": npoints},
+                                      prime=p))
     return checks
 
 
@@ -413,8 +376,7 @@ def run_entry(entry, pmax=200, depth=1):
     if not 1 <= pmax <= PRIME_CAP:
         raise ValueError("pmax must be in 1..%d, got %d" % (PRIME_CAP, pmax))
     checks = _map_checks(entry)
-    rows = entry.specializations()
-    for value, factors, bad in rows:
+    for value, factors, bad in entry.specializations():
         tag = _suffix(value)
         if entry.action is not None:
             checks.extend(_action_checks(entry, value, tag))
@@ -422,20 +384,15 @@ def run_entry(entry, pmax=200, depth=1):
             checks.extend(_prime_checks(entry, value, tag, factors, bad, pmax))
             if depth > 1:
                 checks.extend(_extension_checks(entry, value, tag, bad, depth))
-    checks.extend(_aux_checks(entry, rows))
+    checks.extend(_aux_checks(entry))
     return EntryRun(entry.id, checks)
 
 
 def run_catalog(entries, ids=None, pmax=200, depth=1):
-    selected = entries
     if ids:
-        wanted = set(ids)
-        index = {e.id for e in entries}
-        missing = wanted - index
+        missing = set(ids) - {e.id for e in entries}
         if missing:
             raise KeyError("unknown entry ids: %s" % ", ".join(sorted(missing)))
-        selected = [e for e in entries if e.id in wanted]
-    return [
-        run_entry(e, pmax=pmax, depth=depth)
-        for e in sorted(selected, key=lambda e: e.id)
-    ]
+        entries = [e for e in entries if e.id in ids]
+    return [run_entry(e, pmax=pmax, depth=depth)
+            for e in sorted(entries, key=lambda e: e.id)]

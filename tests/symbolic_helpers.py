@@ -62,10 +62,10 @@ def catalog_systems():
         for value in dict.fromkeys(values + [None]):
             out.append(("%s t=%s" % (entry.id, value),
                         entry.affine_system(value)))
-        for spec in entry.maps:
-            if spec.get("kind") == "projective":
+        for spec in entry.maps.values():
+            if spec.kind == "projective":
                 system, _, _ = entry.projective_map(spec)
-                out.append(("%s map %s" % (entry.id, spec["name"]), system))
+                out.append(("%s map %s" % (entry.id, spec.name), system))
     return out
 
 

@@ -57,7 +57,7 @@ def test_accept_01_symbolic_map_verification(accept):
         ]
         for eid, name in passing:
             entry = ENTRIES[eid]
-            verified, residual = entry.curve_map(entry.map_spec(name)).verify()
+            verified, residual = entry.curve_map(entry.maps[name]).verify()
             assert verified, "%s/%s: %s" % (eid, name, residual.render())
         for eid in ("fermat-sextic-cone-quotient",
                     "fermat-sextic-pencil-quotient",
@@ -65,11 +65,11 @@ def test_accept_01_symbolic_map_verification(accept):
                     "fermat-sextic-symmetric-quotient"):
             entry = ENTRIES[eid]
             system, comps, rels = entry.projective_map(
-                entry.map_spec("canonical"))
+                entry.maps["canonical"])
             verified, residuals = verify_image_relations(system, comps, rels)
             assert verified, eid
         entry = ENTRIES["genus3-septic"]
-        verified, residual = entry.curve_map(entry.map_spec("f")).verify()
+        verified, residual = entry.curve_map(entry.maps["f"]).verify()
         assert not verified
         assert residual.render() == "x^9 - x^6 + x^3 - x^2"
         assert time.monotonic() - t0 < 5.0
@@ -92,11 +92,11 @@ def test_accept_02_exact_pullback_classification(accept):
         ]
         for eid, name, expected_texts in cases:
             entry = ENTRIES[eid]
-            spec = entry.map_spec(name)
+            spec = entry.maps[name]
             cmap = entry.curve_map(spec)
             target_diff = Differential(
-                entry.expression(spec["differential"]),
-                spec["target"]["variables"][0])
+                entry.expression(spec.differential),
+                spec.target_variables[0])
             vec = entry.frame().coordinates(cmap, target_diff)
             expected = [parse_polynomial(TOWER, s) for s in expected_texts]
             assert vec == expected, (eid, name)
@@ -114,7 +114,7 @@ def test_accept_03_span_certificates(accept):
             action = ex1.group_action(value)
             assert action.character_norm([0, 1]) == one
             vec = [ex1.poly(s)
-                   for s in ex1.map_spec("plus")["pullback"]]
+                   for s in ex1.maps["plus"].pullback]
             _, rank = action.span_certificate([0, 1], vec)
             assert rank == 2, "t=%s" % value
         ex3 = ENTRIES["ciani-quartic-pencil"]
@@ -122,12 +122,12 @@ def test_accept_03_span_certificates(accept):
             action = ex3.group_action(value)
             assert action.character_norm([0, 1, 2]) == one
             vec = [ex3.poly(s)
-                   for s in ex3.map_spec("quot")["pullback"]]
+                   for s in ex3.maps["quot"].pullback]
             _, rank = action.span_certificate([0, 1, 2], vec)
             assert rank == 3, "t=%s" % value
         c6 = ENTRIES["fermat-sextic"]
         action = c6.group_action()
-        partition = [s["indices"] for s in c6.summands]
+        partition = [s.indices for s in c6.summands]
         decomposed, blocks = action.verify_decomposition(partition)
         assert decomposed
         assert all(b["irreducible"] for b in blocks)
@@ -135,9 +135,9 @@ def test_accept_03_span_certificates(accept):
         total = 0
         for summand in c6.summands:
             vec = [c6.poly(s)
-                   for s in c6.map_spec(summand["map"])["pullback"]]
-            _, rank = action.span_certificate(summand["indices"], vec)
-            assert rank == len(summand["indices"]), summand["name"]
+                   for s in summand.map.pullback]
+            _, rank = action.span_certificate(summand.indices, vec)
+            assert rank == len(summand.indices), summand.name
             total += rank
         assert total == 10
         ok = True
@@ -192,9 +192,9 @@ def test_accept_05_split_prime_feasibility(accept):
         }
         for eid, factors in claims.items():
             entry = ENTRIES[eid]
-            got = [(f["disc"], f["mult"])
+            got = [(f.disc, f.mult)
                    for _, fs, _ in entry.specializations() for f in fs
-                   if f["disc"] is not None]
+                   if f.disc is not None]
             assert sorted(set(got)) == sorted(factors), eid
             run = run_entry(entry, pmax=200)
             counting = (_rows(run, "inert") + _rows(run, "feasibility"))
@@ -239,7 +239,7 @@ def test_accept_07_j_invariants(accept):
     try:
         entry = ENTRIES["genus2-quintic"]
         from picardlab.runner import _target_rhs
-        rhs, uvar = _target_rhs(entry, entry.map_spec("quot"))
+        rhs, uvar = _target_rhs(entry, entry.maps["quot"])
         j = BinaryQuartic.from_polynomial(rhs, uvar).j_invariant()
         assert j == parse_expression(entry.tower, "8000")
         ex3 = ENTRIES["ciani-quartic-pencil"]

@@ -199,8 +199,8 @@ def _catalog_actions():
 def _generator_formulas(entry, value):
     return [
         {v: entry.expression(text, value)
-         for v, text in zip(entry.geometric_vars(), row)}
-        for row in entry.action["generators"]
+         for v, text in zip(entry.model.variables, row)}
+        for row in entry.action.generators
     ]
 
 
@@ -217,7 +217,7 @@ def test_matrix_closure_matches_formula_closure(entry, value):
                              _generator_formulas(entry, value))
     assert [word for _, _, word in oracle] == [w for w, _, _ in action.elements]
     assert [mat for _, mat, _ in oracle] == exact_matrices(action)
-    assert action.order == entry.action["order"]
+    assert action.order == entry.action.order
 
 
 def test_one_chain_rule_per_generator_matches_the_per_form_route():
@@ -238,9 +238,9 @@ def test_one_chain_rule_per_generator_matches_the_per_form_route():
 @CATALOG_ACTIONS
 def test_stability_from_generators_matches_every_element(entry, value):
     action = entry.group_action(value)
-    blocks = [s["indices"] for s in entry.summands]
+    blocks = [s.indices for s in entry.summands]
     subsets = (blocks
-               + [[i] for i in range(len(entry.action["basis"]))]
+               + [[i] for i in range(len(entry.action.basis))]
                + [a + b for k, a in enumerate(blocks) for b in blocks[k + 1:]])
     verdicts = [action.is_block_stable(s) for s in subsets]
     assert verdicts == [elementwise_stable(action, s) for s in subsets]
@@ -250,8 +250,8 @@ def test_stability_from_generators_matches_every_element(entry, value):
 @CATALOG_ACTIONS
 def test_commutant_dimension_matches_character_sum(entry, value):
     action = entry.group_action(value)
-    blocks = [s["indices"] for s in entry.summands]
-    whole = list(range(len(entry.action["basis"])))
+    blocks = [s.indices for s in entry.summands]
+    whole = list(range(len(entry.action.basis)))
     for indices in blocks + [whole]:
         assert action.character_norm(indices) == character_sum(action, indices)
 
@@ -260,13 +260,12 @@ def test_commutant_dimension_matches_character_sum(entry, value):
 def test_certificate_mod_ell_matches_the_exact_greedy(entry, value):
     action = entry.group_action(value)
     for summand in entry.summands:
-        if summand.get("map") is None:
+        if summand.map is None:
             continue
-        spec = entry.map_spec(summand["map"])
-        vector = [entry.poly(s) for s in spec["pullback"]]
-        indices = summand["indices"]
+        vector = [entry.poly(s) for s in summand.map.pullback]
+        indices = summand.indices
         assert (action.span_certificate(indices, vector)
-                == exact_certificate(action, indices, vector)), summand["name"]
+                == exact_certificate(action, indices, vector)), summand.name
 
 
 def _rank_spy(monkeypatch):
@@ -301,7 +300,7 @@ def test_shipped_actions_settle_every_rank_mod_ell(monkeypatch):
     ok, evidence = entry.group_action().verify_decomposition([[0, 1, 2]])
     assert not ok and evidence[0]["character_norm"] == repr(T.const(2))
     norms = {(entry.id, value): entry.group_action(value).character_norm(
-                 list(range(len(entry.action["basis"]))))
+                 list(range(len(entry.action.basis))))
              for entry, value in _catalog_actions()}
     assert len(norms) == 8 and norms[("fermat-sextic", None)] == T.const(3)
     assert calls == []

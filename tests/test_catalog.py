@@ -101,7 +101,7 @@ def test_genera():
 
 def _genus(entry):
     """Genus of the first specialization's counting model."""
-    return entry.counting_model(entry.specializations()[0][0]).genus()
+    return entry.counting_model(entry.specializations()[0].value).genus()
 
 
 def test_counting_model_kinds():
@@ -125,16 +125,16 @@ def test_counting_model_kinds():
 def test_specializations():
     entries = _entries()
     rows = entries["bielliptic-sextic-pencil"].specializations()
-    assert [r[0] for r in rows] == [0, 1, 3]
-    assert [f["disc"] for f in rows[0][1]] == [-12, -12]
-    assert [f["disc"] for f in rows[1][1]] == [None, None]
-    assert rows[0][2] == [2, 3]
-    assert rows[2][2] == [2, 3, 5]
+    assert [r.value for r in rows] == [0, 1, 3]
+    assert [f.disc for f in rows[0].factors] == [-12, -12]
+    assert [f.disc for f in rows[1].factors] == [None, None]
+    assert rows[0].bad_primes == [2, 3]
+    assert rows[2].bad_primes == [2, 3, 5]
     gamma = entries["fermat-sextic-cubing-quotient"].specializations()
     assert len(gamma) == 1
     value, factors, bad = gamma[0]
     assert value is None
-    assert [(f["disc"], f["mult"]) for f in factors] == [(-3, 4)]
+    assert [(f.disc, f.mult) for f in factors] == [(-3, 4)]
     assert bad == [2, 3]
 
 
@@ -149,7 +149,7 @@ def test_parameter_substitution():
 def test_curve_map_builder_verifies():
     entry = _entries()["fermat-sextic"]
     for name in ("f", "g", "h"):
-        cmap = entry.curve_map(entry.map_spec(name))
+        cmap = entry.curve_map(entry.maps[name])
         ok, residual = cmap.verify()
         assert ok, residual.render()
 
@@ -157,7 +157,7 @@ def test_curve_map_builder_verifies():
 def test_projective_map_builder_verifies():
     entry = _entries()["fermat-sextic-cone-quotient"]
     system, components, relations = entry.projective_map(
-        entry.map_spec("canonical"))
+        entry.maps["canonical"])
     ok, residuals = verify_image_relations(system, components, relations)
     assert ok, [r.render() for r in residuals]
 
@@ -165,12 +165,12 @@ def test_projective_map_builder_verifies():
 def test_basis_and_trace_maps():
     entries = _entries()
     assert len(entries["fermat-sextic"].basis_monomials()) == 10
-    assert entries["bielliptic-sextic-pencil"].trace_map_names() == [
+    assert [m.name for m in entries["bielliptic-sextic-pencil"].trace_maps] == [
         "plus", "minus"]
-    assert entries["ciani-quartic-pencil"].trace_map_names() == [
+    assert [m.name for m in entries["ciani-quartic-pencil"].trace_maps] == [
         "quot", "quot", "quot"]
     with pytest.raises(KeyError):
-        entries["fermat-sextic"].map_spec("no-such-map")
+        entries["fermat-sextic"].maps["no-such-map"]
 
 
 def test_count_anchor():
@@ -346,7 +346,7 @@ def test_bad_primes_match_the_rational_resultant():
     # resultant over Q can miss (5 in x^5/2 - x/3 + 1/5)
     models = [e.counting_model(value) for e in builtin_catalog()
               for value, factors, _ in e.specializations()
-              if factors and e.model["kind"] in ("hyperelliptic",
+              if factors and e.model.kind in ("hyperelliptic",
                                                  "superelliptic")]
     assert len(models) == 7
     tower = builtin_tower()
@@ -659,14 +659,21 @@ def test_malformed_document_is_refused_at_load(edit, message):
 
 @pytest.mark.parametrize("text", [None, [], 7, {"x": 1}, ["x^6"]])
 def test_a_text_that_is_not_a_string_is_refused_at_load(text):
+    # every load checks every text of every entry to be a string
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "fermat-sextic")
     entry["model"]["projective"] = text
-    with pytest.raises(CatalogError, match="^text %s of fermat-sextic is not "
-                       "a string$" % re.escape(repr(text))):
-        load_catalog(doc)
+    for ids in (None, ["genus2-quintic"]):
+        with pytest.raises(CatalogError, match="^model of fermat-sextic: "
+                           "projective must be a string, got %s$"
+                           % re.escape(repr(text))):
+            load_catalog(doc, ids)
     # texts are parsed when they are read, not at every load
+    entry["model"]["projective"] = "x^6+"
     assert len(load_catalog(doc, ["genus2-quintic"])) == len(EXPECTED_IDS)
+    with pytest.raises(CatalogError, match="^text 'x\\^6\\+' of "
+                                           "fermat-sextic: unexpected end"):
+        load_catalog(doc)
 
 
 def test_shipped_discriminants_pass_the_load_check():
@@ -680,12 +687,12 @@ def test_shipped_discriminants_pass_the_load_check():
     assert sorted(set(discs), key=str) == [-12, -3, -4, -8, None]
     for disc in discs:
         if disc is not None:
-            catalog._require_disc(disc, "disc")
+            catalog._Node({"disc": disc}, "disc").field("disc", catalog._DISC)
     for disc in (-3, -4, -7, -8, -11, -12, -15, -16, -163):
-        catalog._require_disc(disc, "disc")
+        catalog._Node({"disc": disc}, "disc").field("disc", catalog._DISC)
     for disc in (-1, -2, -5, -6, -9, -10, -13, 1, 4, 5):
         with pytest.raises(CatalogError, match="^disc: disc must be"):
-            catalog._require_disc(disc, "disc")
+            catalog._Node({"disc": disc}, "disc").field("disc", catalog._DISC)
 
 
 def test_summand_without_indices_is_refused_at_load():
@@ -827,3 +834,131 @@ def test_aux_pmax_outside_the_prime_cap_is_refused_at_load(pmax):
         load_catalog(doc)
     entry["aux"][0]["pmax"] = 499
     load_catalog(doc)
+
+
+def _refused_at_every_load(doc, message):
+    # the structure of every entry is read, whichever entries are loaded
+    for ids in (None, ["genus2-quintic"]):
+        with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
+            load_catalog(doc, ids)
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    # each of these crashed a stage of the run, or the load
+    ("fermat-sextic", lambda e: e["maps"][0]["target"].update(variables="x"),
+     "variables of target of map f of fermat-sextic must be a list"),
+    ("fermat-sextic", lambda e: e["maps"][0]["target"].update(variables=None),
+     "variables of target of map f of fermat-sextic must be a list"),
+    ("fermat-sextic", lambda e: e["maps"][0].update(target=7),
+     "target of map 0 of fermat-sextic must be an object"),
+    ("fermat-sextic", lambda e: e["model"].pop("affine"),
+     "model of fermat-sextic lacks affine"),
+    ("fermat-sextic", lambda e: e["maps"][0].update(pullback=["0"]),
+     "pullback of map f of fermat-sextic has 1 entries for a basis of 10"),
+    ("bielliptic-sextic-pencil", lambda e: e["aux"][1].update(rhs=None),
+     "aux check cm_consistency of bielliptic-sextic-pencil: rhs must be a "
+     "string, got None"),
+])
+def test_a_malformed_field_is_refused_at_load(eid, edit, message):
+    doc = _raw_document()
+    edit(next(e for e in doc["entries"] if e["id"] == eid))
+    _refused_at_every_load(doc, message)
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    # zip pairs the shorter list and drops the rest of the longer one
+    ("fermat-sextic", lambda e: e["maps"][0]["components"].append("x"),
+     "map f of fermat-sextic has 3 components for 2 target variables"),
+    ("fermat-sextic", lambda e: e["maps"][0]["components"].append(17),
+     "components of map 0 of fermat-sextic must be a list of strings, got "
+     "['-x^2', 'y^3', 17]"),
+    ("fermat-sextic-pencil-quotient", lambda e: e["model"]["mains"].pop(),
+     "model of fermat-sextic-pencil-quotient has 2 relations for 1 mains"),
+    ("fermat-sextic-cone-quotient",
+     lambda e: e["maps"][0]["source"]["mains"].append("y"),
+     "source of map canonical of fermat-sextic-cone-quotient has 1 "
+     "relations for 2 mains"),
+    ("genus3-septic", lambda e: e["maps"][1]["pullback"].pop(),
+     "pullback of map g of genus3-septic has 2 entries for a basis of 3"),
+])
+def test_an_arity_mismatch_is_refused_at_load(eid, edit, message):
+    doc = _raw_document()
+    edit(next(e for e in doc["entries"] if e["id"] == eid))
+    _refused_at_every_load(doc, message)
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    ("bielliptic-sextic-pencil", lambda e: e["aux"][0].update(t=2),
+     "aux check j_quartic of bielliptic-sextic-pencil: t=2 names no "
+     "specialization"),
+    # a family's aux check names its t
+    ("bielliptic-sextic-pencil", lambda e: e["aux"][1].pop("t"),
+     "aux check cm_consistency of bielliptic-sextic-pencil: t=None names no "
+     "specialization"),
+    ("genus3-septic", lambda e: e["aux"][0].update(t=0),
+     "aux check cm_consistency of genus3-septic: t=0 names no "
+     "specialization"),
+    ("genus3-septic", lambda e: e.update(bad_primes=["2", "3"]),
+     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "['2', '3']"),
+    ("genus3-septic", lambda e: e.update(bad_primes=[1, 2]),
+     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "[1, 2]"),
+    ("genus3-septic", lambda e: e.update(bad_primes=[2, True]),
+     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "[2, True]"),
+    ("bielliptic-sextic-pencil",
+     lambda e: e["specializations"][2].update(bad_primes=[2, 3, "5"]),
+     "bad_primes of specialization 2 of bielliptic-sextic-pencil must be a "
+     "list of ints at least 2, got [2, 3, '5']"),
+])
+def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
+    doc = _raw_document()
+    edit(next(e for e in doc["entries"] if e["id"] == eid))
+    _refused_at_every_load(doc, message)
+
+
+@pytest.mark.parametrize("eid, edit, message", [
+    ("fermat-sextic", lambda e: e["maps"][0].update(expect=None),
+     "map f of fermat-sextic: expect must be a string, got None"),
+    ("fermat-sextic", lambda e: e["maps"][0].pop("differential"),
+     "map f of fermat-sextic lacks differential"),
+    ("genus3-septic", lambda e: e["summands"][0].update(map="f"),
+     "summand outer of genus3-septic names map f, which declares no "
+     "pullback"),
+    ("fermat-sextic-cone-quotient", lambda e: e["model"].update(m=1),
+     "model of fermat-sextic-cone-quotient: m must be an int at least 2, "
+     "got 1"),
+    ("fermat-sextic", lambda e: e["action"].update(order=216.0),
+     "action of fermat-sextic: order must be an int, got 216.0"),
+    ("triple-quadric-intersection",
+     lambda e: e["aux"][0].update(cm=[1, 1, 1, 1]),
+     "cm of aux check quotient_surface of triple-quadric-intersection must "
+     "be a list of bools, got [1, 1, 1, 1]"),
+])
+def test_a_field_of_the_wrong_value_is_refused_at_load(eid, edit, message):
+    doc = _raw_document()
+    edit(next(e for e in doc["entries"] if e["id"] == eid))
+    _refused_at_every_load(doc, message)
+
+
+def test_entries_are_read_into_records():
+    entries = _entries()
+    sextic = entries["fermat-sextic"]
+    assert sextic.model.kind == "plane" and sextic.model.extends
+    assert sextic.model.variables == ["x", "y"]
+    assert sextic.action.order == 216
+    assert [s.map.name for s in sextic.summands] == ["g", "f", "h"]
+    assert sextic.maps["f"].target_variables == ["u", "v"]
+    assert sextic.maps["f"].target_relations == ["v^2-u^3+1"]
+    cone = entries["fermat-sextic-cone-quotient"].maps["canonical"]
+    assert cone.source == [("x^6+y^6+z^6", "z", None)]
+    assert (cone.differential, cone.pullback) == (None, None)
+    pencil = entries["bielliptic-sextic-pencil"]
+    assert [m.name for m in pencil.trace_maps] == ["plus", "minus"]
+    assert pencil.trace_maps[0] is pencil.maps["plus"]
+    (t0, t1, t3) = pencil.specializations()
+    assert t1.factors[0].map is pencil.maps["plus"]
+    assert (t0.value, t0.factors[0].disc, t3.bad_primes) == (0, -12,
+                                                              [2, 3, 5])
+    assert entries["sextic-product-trick"].model.counter is None

@@ -453,7 +453,7 @@ def test_widest_catalog_column_is_covered(monkeypatch):
 
     monkeypatch.setattr(curves, "_column", spy)
     for entry in _CATALOG.values():
-        if entry.model["kind"] == "product":
+        if entry.model.kind == "product":
             continue
         for value, _, _ in entry.specializations():
             for p in (13, 37, 43):
@@ -467,12 +467,12 @@ def _catalog_covers():
     covers = []
     for entry in _CATALOG.values():
         for value, _, _ in entry.specializations():
-            if entry.model["kind"] in ("hyperelliptic", "superelliptic"):
+            if entry.model.kind in ("hyperelliptic", "superelliptic"):
                 model = entry.counting_model(value)
                 covers.append(("%s t=%s" % (entry.id, value), model))
-            for name in dict.fromkeys(entry.trace_map_names()):
-                rhs, uvar = _target_rhs(entry, entry.map_spec(name), value)
-                covers.append(("%s t=%s %s" % (entry.id, value, name),
+            for spec in {m.name: m for m in entry.trace_maps}.values():
+                rhs, uvar = _target_rhs(entry, spec, value)
+                covers.append(("%s t=%s %s" % (entry.id, value, spec.name),
                                HyperellipticModel(rhs, uvar)))
     return covers
 

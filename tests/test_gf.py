@@ -295,7 +295,7 @@ def test_power_tables_are_built_once_per_field_and_kept(monkeypatch):
     monkeypatch.setattr(gf, "ExtField", Spy)
     gf._kept_field.cache_clear()
     try:
-        entries = [e for e in builtin_catalog() if e.model["kind"] != "product"]
+        entries = [e for e in builtin_catalog() if e.model.kind != "product"]
         for _ in range(2):
             for entry in entries:
                 for value, _, bad in entry.specializations():

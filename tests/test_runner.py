@@ -1,6 +1,7 @@
 """Entry execution: check rows, statuses, evidence, and prime scheduling."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from picardlab import runner
 from picardlab.catalog import (
     CatalogError,
+    Factor,
     builtin_catalog,
     load_catalog,
     load_tower,
@@ -205,7 +207,10 @@ def test_plane_curve_without_a_counting_route_is_refused():
     doc["entries"] = [{
         "id": "weierstrass-cubic",
         "model": {"kind": "plane", "projective": "y^2*z-x^3-x*z^2-z^3",
-                  "variables": ["x", "y", "z"]},
+                  "variables": ["x", "y", "z"],
+                  "affine": {"relation": "y^2-x^3-x-1", "main_var": "y",
+                             "base_var": "x", "variables": ["x", "y"],
+                             "omega": "1/y"}},
         "claim": {"factors": [{"disc": None, "mult": 1}]},
         "bad_primes": [2, 31],
     }]
@@ -218,9 +223,21 @@ def test_plane_curve_without_a_counting_route_is_refused():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("pullback", [
+    [1, 0, 0], ["3*lam^3", 0, "-3*lam^3"], [[1], "0", "0"]])
+def test_a_pullback_text_that_is_not_a_string_is_refused_at_load(pullback):
+    doc, raw = _builtin_document("genus3-septic")
+    next(m for m in raw["maps"] if m["name"] == "g")["pullback"] = pullback
+    message = ("pullback of map g of genus3-septic must be a list of "
+               "strings, got %r" % (pullback,))
+    for ids in (None, ["fermat-sextic"]):
+        with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
+            load_catalog(doc, ids)
+
+
 @pytest.mark.parametrize("pullback, text", [
-    ([1, 0, 0], 1), (["3*lam^3", 0, "-3*lam^3"], 0), ([[1], "0", "0"], [1]),
-    (["3*lam^^3", "0", "-3*lam^3"], "3*lam^^3")])
+    (["3*lam^^3", "0", "-3*lam^3"], "3*lam^^3"),
+    (["3*lam^3", "0", "-3*lam^"], "-3*lam^")])
 def test_an_unreadable_pullback_text_is_a_fail_row(pullback, text):
     # the pullback row and the certificate that reads the same vector fail
     # and name the text; every other row is the shipped one
@@ -358,6 +375,13 @@ class _StubModel:
         return CountRecord(p, 1, p + 1 - self.trace, 1)
 
 
+class _StubMap:
+    """A trace map that only names itself; its target is stubbed."""
+
+    def __init__(self, name):
+        self.name = name
+
+
 class _StubEntry:
     """One claimed factor of discriminant -4, no bad prime above 3; the
     source curve has the given trace at every prime."""
@@ -367,13 +391,11 @@ class _StubEntry:
         self.names = names
 
     def specializations(self):
-        return [(None, [{"disc": -4, "mult": 1}], [2, 3])]
+        return [(None, [Factor((1, -4, None))], [2, 3])]
 
-    def trace_map_names(self):
-        return self.names
-
-    def map_spec(self, name):
-        return {"name": name}
+    @property
+    def trace_maps(self):
+        return [_StubMap(name) for name in self.names]
 
     def counting_model(self, value):
         return _StubModel(self.trace)
@@ -438,7 +460,7 @@ def test_trace_identity_cross_check_runs_on_the_catalog(monkeypatch, eid):
         calls.append(target)
         return real(target, sets)
 
-    rows = [row for row in entry.specializations() if row[0] == 0]
+    rows = [row for row in entry.specializations() if row.value == 0]
     monkeypatch.setattr(entry, "specializations", lambda: rows)
     monkeypatch.setattr(runner, "trace_feasibility", counted)
     checks = _prime_checks(entry, 100)
@@ -468,7 +490,7 @@ def test_candidates_are_computed_once_per_discriminant(monkeypatch, eid):
     monkeypatch.setattr(runner, "trace_feasibility", feasibility)
     _prime_checks(entry, 60)
     ((_, factors, bad),) = entry.specializations()
-    discs = [f["disc"] for f in factors for _ in range(f["mult"])]
+    discs = [f.disc for f in factors for _ in range(f.mult)]
     primes = good_primes(60, bad)
     assert set(calls.values()) == {1}
     assert sorted(calls) == sorted((d, p) for d in set(discs) for p in primes)
@@ -586,8 +608,67 @@ def test_malformed_j_target_is_a_fail_row():
 def test_row_and_target_guards_raise_value_error():
     with pytest.raises(ValueError, match="no evidence"):
         CheckResult("map:f", "FAIL", {})
-    entry = ENTRIES["genus3-septic"]
-    spec = {"name": "cubic", "target": {"variables": ["u", "v"],
-                                        "relation": "v^3-u^3-u"}}
+    doc, raw = _builtin_document("genus3-septic")
+    raw["maps"][0].update(name="cubic", target={"variables": ["u", "v"],
+                                                "relation": "v^3-u^3-u"})
+    (entry,) = [e for e in load_catalog(doc, [raw["id"]]) if e.id == raw["id"]]
     with pytest.raises(ValueError, match="not v\\^2 = f\\(u\\)"):
-        _target_rhs(entry, spec)
+        _target_rhs(entry, entry.maps["cubic"])
+
+
+def _rows(run):
+    return [(c.check_id, c.prime, c.status, c.evidence) for c in run.checks]
+
+
+@pytest.mark.parametrize("eid, check, key, text, row, error", [
+    ("fermat-sextic-cone-quotient", "quadric_rank", "relation", "x",
+     "aux:quadric-rank", "not a quadratic form"),
+    ("bielliptic-sextic-pencil", "j_quartic", "quartic", "x",
+     "aux:j-quartic", "zero denominator"),
+    ("ciani-quartic-pencil", "j_legendre_identity", "lambda", "-(t+",
+     "aux:j-legendre", "text '-(t+' of ciani-quartic-pencil: unexpected end "
+                       "of expression"),
+])
+def test_an_aux_item_that_raises_fails_its_own_row(eid, check, key, text,
+                                                     row, error):
+    # a ValueError or ZeroDivisionError of one aux item is that item's FAIL
+    # row; every other row is the shipped one
+    doc, raw = _builtin_document(eid)
+    next(item for item in raw["aux"] if item["check"] == check)[key] = text
+    (entry,) = [e for e in load_catalog(doc, [eid]) if e.id == eid]
+    rows = _rows(run_entry(entry, pmax=30))
+    shipped = _rows(run_entry(ENTRIES[eid], pmax=30))
+    (failed,) = [r for r in rows if r[0] == row]
+    assert failed == (row, None, "FAIL", {"error": error})
+    assert [r for r in rows if r[0] != row] == [r for r in shipped
+                                                if r[0] != row]
+
+
+def test_aux_checks_read_their_resolved_records():
+    # an aux t is the Specialization it names, a j_target map the MapSpec
+    for eid, check, value in [
+            ("bielliptic-sextic-pencil", "j_quartic", 0),
+            ("bielliptic-sextic-pencil", "cm_consistency", 0),
+            ("ciani-quartic-pencil", "j_quartic", 1),
+            ("ciani-quartic-pencil", "cm_consistency", 0),
+            ("genus3-septic", "cm_consistency", None)]:
+        entry = ENTRIES[eid]
+        (item,) = [a for a in entry.aux if a.check == check]
+        assert item.t.value == value
+        assert any(item.t is spec for spec in entry.specializations())
+    (item,) = ENTRIES["genus2-quintic"].aux
+    assert item.map is ENTRIES["genus2-quintic"].maps["quot"]
+
+
+def test_cm_consistency_avoids_the_bad_primes_of_its_t():
+    # the first offender at t = 1 is p = 5, a bad prime of t = 3, where
+    # the check starts at 7
+    doc, raw = _builtin_document("bielliptic-sextic-pencil")
+    item = next(a for a in raw["aux"] if a["check"] == "cm_consistency")
+    for t, offender in ((1, [5, 3]), (3, [7, 2])):
+        item["t"] = t
+        (entry,) = [e for e in load_catalog(doc, [raw["id"]])
+                    if e.id == raw["id"]]
+        (row,) = [c for c in run_entry(entry, pmax=20).checks
+                  if c.check_id == "aux:cm-consistency"]
+        assert row.evidence == {"disc": -12, "offender": offender}

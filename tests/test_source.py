@@ -6,8 +6,9 @@ no true division in src/ starts from an int literal (with int coefficients,
 unbounded (a long-lived process that calls ``cli.main`` at many primes must
 not grow without limit), only ``gf`` decides how fields are built, kept
 and refused, ``actions`` takes a rank over the tower only in its exact
-span certificate, and no JSON dump in src/ is indented (an indented dump
-runs the standard library's pure-Python encoder)."""
+span certificate, no JSON dump in src/ is indented (an indented dump
+runs the standard library's pure-Python encoder), and the runner and the
+CLI read catalog entries by attribute, never by a string key."""
 
 import ast
 from pathlib import Path
@@ -258,6 +259,53 @@ def test_specialization_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _specialization_reads(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+def _keyed_reads(tree):
+    """Lines that read a value by a string key: a subscript load such as
+    ``spec["target"]`` or a call such as ``item.get("t")``.  A write or a
+    delete, such as ``evidence["note"] = text``, builds a report row's
+    evidence and is not a read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            key = node.slice if isinstance(node.ctx, ast.Load) else None
+        elif isinstance(node, ast.Call) and _name_of(node.func) == "get":
+            key = node.args[0] if node.args else None
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield node.lineno
+
+
+def test_runner_and_cli_read_catalog_entries_by_attribute():
+    # the JSON shape of an entry is known in catalog.py only: its records
+    # are read by attribute
+    trees = _trees()
+    found = ["%s:%d" % (name, line) for name in ("runner.py", "cli.py")
+             for line in _keyed_reads(trees[name])]
+    assert found == []
+
+
+def test_keyed_read_rule_flags_each_form():
+    flagged = [
+        'kind = entry.model["kind"]',
+        'uvar = spec["target"]["variables"][0]',
+        'for text in spec["pullback"]:\n    pass',
+        'name = summand.get("map")',
+        'origin = spec.get("origin", "")',
+    ]
+    allowed = [
+        'evidence["note"] = "map verifies but was declared expected-fail"',
+        'del block["irreducible"]',
+        "name = spec.name",
+        "row = checks[0]",
+        "count = counts.get(p)",
+        'line = "d=%(d)d" % row',
+        'item = AUX_ROWS[item.check]',
+    ]
+    for text in flagged + allowed:
+        hit = any(True for _ in _keyed_reads(ast.parse(text)))
         assert hit == (text in flagged), text
 
 
