@@ -92,7 +92,8 @@ class _Node:
         if ((cls is None or type(value) is cls)
                 and (item is None or item.issuperset(map(type, value)))
                 and (test is None or test(value))):
-            return _Node(value, "%s of %s", key, self) if cls is dict else value
+            return value if cls is not dict else _Node(value, "%s of %s", key,
+                                                       self)
         if value is _REQUIRED:
             message = "%s lacks %s" % (self, key)
         elif cls is dict:

@@ -165,10 +165,10 @@ def test_projective_map_builder_verifies():
 def test_basis_and_trace_maps():
     entries = _entries()
     assert len(entries["fermat-sextic"].basis_monomials()) == 10
-    assert [m.name for m in entries["bielliptic-sextic-pencil"].trace_maps] == [
-        "plus", "minus"]
-    assert [m.name for m in entries["ciani-quartic-pencil"].trace_maps] == [
-        "quot", "quot", "quot"]
+    names = {eid: [m.name for m in entries[eid].trace_maps]
+             for eid in ("bielliptic-sextic-pencil", "ciani-quartic-pencil")}
+    assert names["bielliptic-sextic-pencil"] == ["plus", "minus"]
+    assert names["ciani-quartic-pencil"] == ["quot", "quot", "quot"]
     with pytest.raises(KeyError):
         entries["fermat-sextic"].maps["no-such-map"]
 
