@@ -148,14 +148,15 @@ def load_tower(declarations):
         relation = _parse_text(parse_polynomial, scratch, raw["relation"],
                                "tower symbol %s" % name)
         degree = relation.degree_in(name)
-        _require(
-            relation.coeffs_in(name)[degree] == scratch.one(),
-            "tower relation for %s must be monic", name,
-        )
+        lead = ((name, degree),)
+        # monic: name^degree, with coefficient 1, is the one term of its
+        # degree in name
+        _require([(m, c) for m, c in relation.terms.items() if lead[0] in m]
+                 == [(lead, 1)], "tower relation for %s must be monic", name)
         # name^degree equals minus the relation's other terms, which the
         # parse left in normal form over the earlier constants
-        power = scratch.var(name, degree) - relation
-        rows.append((name, degree, list(power.terms.items())))
+        rows.append((name, degree, [(m, -c) for m, c in relation.terms.items()
+                                    if m != lead]))
     return ConstantTower(rows)
 
 
