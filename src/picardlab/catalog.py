@@ -20,6 +20,7 @@ only.  Texts are checked to be strings at load and parsed on first read.
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import count
 from math import lcm
 from operator import itemgetter
 
@@ -80,57 +81,53 @@ class _Node:
         return self.label[0] % self.label[1:]
 
     def field(self, key, kind, default=_REQUIRED):
-        """The value at `key` if `kind` admits it (an object as a node), or
+        """The value at `key` if `kind` admits it, an object as a node, or
         `default` when the key is missing (or null, for a default of None).
-        Every field of every load comes through here, so only a refusal
-        formats a message."""
+        A kind is str, int, list, dict or a (type or None for any, test,
+        what a refusal asks for); ``type(value) is int`` refuses a bool."""
         value = self.raw.get(key, default)
-        if type(value) is kind or value is default is not _REQUIRED:
+        if type(value) is kind:
+            return value if kind is not dict else _Node(value, "%s of %s",
+                                                        key, self)
+        if value is default is not _REQUIRED:
             return value
-        cls, item, test, wanted = (kind if type(kind) is tuple
-                                   else _KINDS[kind])
-        if ((cls is None or type(value) is cls)
-                and (item is None or item.issuperset(map(type, value)))
-                and (test is None or test(value))):
-            return value if cls is not dict else _Node(value, "%s of %s", key,
-                                                       self)
-        if value is _REQUIRED:
-            message = "%s lacks %s" % (self, key)
-        elif cls is dict:
-            message = "%s of %s must be an object" % (key, self)
-        elif cls is list and type(value) is not list:
-            message = "%s of %s must be a list" % (key, self)
-        elif cls is list:
-            message = "%s of %s must be a list of %s, got %r" % (
-                key, self, wanted, value)
+        if type(kind) is tuple:
+            cls, test, wanted = kind
+            if (cls is None or type(value) is cls) and test(value):
+                return value
         else:
-            message = "%s: %s must be %s, got %r" % (self, key, wanted, value)
-        raise CatalogError(message)
+            wanted = {str: "a string", int: "an int"}.get(kind)
+        if value is _REQUIRED:
+            raise CatalogError("%s lacks %s" % (self, key))
+        if wanted is None:
+            raise CatalogError("%s of %s must be %s" % (
+                key, self, "a list" if kind is list else "an object"))
+        raise CatalogError("%s: %s must be %s, got %r"
+                           % (self, key, wanted, value))
 
 
-# A field kind: a type, or (type or None for any, type of every item or
-# None, a further test or None, what a refusal asks for).  type() is int
-# refuses a bool.
-_KINDS = {str: (str, None, None, "a string"), int: (int, None, None, "an int"),
-          list: (list, None, None, None)}
-_TEXT, _INT, _LIST = str, int, list
-_OBJECT = (dict, None, None, None)
-_DISC = (int, None, lambda value: value < 0 and value % 4 in (0, 1),
+_TEXTS = (list, lambda value: {str}.issuperset(map(type, value)),
+          "a list of strings")
+_INTS = (list, lambda value: {int}.issuperset(map(type, value)),
+         "a list of ints")
+_BOOLS = (list, lambda value: {bool}.issuperset(map(type, value)),
+          "a list of bools")
+_ROWS = (list, lambda value: all(type(row) is list and _TEXTS[1](row)
+                                 for row in value), "a list of lists of strings")
+_PRIMES = (list, lambda value: _INTS[1](value) and min(value, default=2) >= 2,
+           "a list of ints at least 2")
+_DISC = (int, lambda value: value < 0 and value % 4 in (0, 1),
          "a negative discriminant")
-_PMAX = (int, None, lambda value: 1 <= value <= PRIME_CAP,
+# a factor's disc must be there, and null claims no CM
+_CLAIMED = (None, lambda value: value is None or type(value) is int
+            and _DISC[1](value), _DISC[2])
+_PMAX = (int, lambda value: 1 <= value <= PRIME_CAP,
          "an int in 1..%d" % PRIME_CAP)
-_TEXTS = (list, frozenset({str}), None, "strings")
-_INTS = (list, frozenset({int}), None, "ints")
-_BOOLS = (list, frozenset({bool}), None, "bools")
-_PRIMES = (list, frozenset({int}), lambda value: min(value, default=2) >= 2,
-           "ints at least 2")
 
 
 def _parse_text(parse, tower, text, owner):
-    """``parse(tower, text)``; a text that is not a string, or that does
-    not parse, is refused with a ``CatalogError`` that names its owner."""
-    if type(text) is not str:
-        raise CatalogError("text %r of %s is not a string" % (text, owner))
+    """``parse(tower, text)``; a text that does not parse is refused with
+    a ``CatalogError`` that names its owner."""
     try:
         return parse(tower, text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -138,15 +135,15 @@ def _parse_text(parse, tower, text, owner):
 
 
 def load_tower(declarations):
-    """Build the constant tower from symbol/relation strings."""
-    _require(type(declarations) is list, "tower must be a list")
+    """Build the constant tower from a list of symbol/relation objects."""
     rows = []
     for k, raw in enumerate(declarations):
-        name = _Node(raw, "tower declaration %d", k).field("symbol", _TEXT)
-        _require("relation" in raw, "tower symbol %s lacks a relation", name)
+        node = _Node(raw, "tower declaration %d", k)
+        name = node.field("symbol", str)
+        node.label = ("tower symbol %s", name)
         scratch = ConstantTower(rows)
-        relation = _parse_text(parse_polynomial, scratch, raw["relation"],
-                               "tower symbol %s" % name)
+        relation = _parse_text(parse_polynomial, scratch,
+                               node.field("relation", str), node)
         degree = relation.degree_in(name)
         lead = ((name, degree),)
         # monic: name^degree, with coefficient 1, is the one term of its
@@ -162,70 +159,49 @@ def load_tower(declarations):
 
 # -- records ------------------------------------------------------------------
 
-# Records are tuples read by attribute: a load builds about a hundred, and
-# a tuple is the cheapest to build and, unlike a named tuple, to declare.
-
-def _attributes(count):
-    return map(property, map(itemgetter, range(count)))
-
-
-class ModelSpec(tuple):
-    """A model, its kind settled at load: `relations` for `_system`, the
-    `frame` texts (omega, base var, fiber var), a `counter` that builds the
-    counting model from a text parser, and whether it `extends` to F_q."""
-    __slots__ = ()
-    kind, relations, variables, frame, counter, extends = _attributes(6)
+def _record(name, fields, doc=None):
+    """A tuple class read by attribute: a load builds about a hundred, and
+    a tuple is the cheapest to build and, unlike a named tuple, to declare."""
+    return type(name, (tuple,), dict(
+        zip(fields.split(), map(property, map(itemgetter, count()))),
+        __slots__=(), __doc__=doc))
 
 
-class MapSpec(tuple):
-    """A map, projective or else affine; a projective one may have its own
-    `source`, an affine one has one target relation."""
-    __slots__ = ()
-    (name, kind, origin, expect, source, target_variables, target_relations,
-     components, differential, pullback) = _attributes(10)
-
-
-class ActionSpec(tuple):
-    __slots__ = ()
-    basis, generators, order = _attributes(3)
-
-
-class Summand(tuple):
-    __slots__ = ()
-    name, indices, map = _attributes(3)
-
-
-class Factor(tuple):
-    """A claimed factor; a `disc` of None claims no CM."""
-    __slots__ = ()
-    mult, disc, map = _attributes(3)
-
-
-class Specialization(tuple):
-    """A `value` of t (None without parameters) with its claim's factors
-    and its bad primes, the entry's where it sets none."""
-    __slots__ = ()
-    value, factors, bad_primes = _attributes(3)
-
+ModelSpec = _record("ModelSpec", "kind relations variables frame counter "
+                    "extends", """A model, its kind settled at load:
+    `relations` for `_system`, the `frame` texts (omega, base var, fiber
+    var), a `counter` that builds the counting model from a text parser,
+    and whether it `extends` to F_q.""")
+MapSpec = _record("MapSpec", "name kind origin expect source "
+                  "target_variables target_relations components differential "
+                  "pullback", """A map, projective or else affine; a
+    projective one may have its own `source`, an affine one has one target
+    relation.""")
+ActionSpec = _record("ActionSpec", "basis generators order")
+Summand = _record("Summand", "name indices map")
+Factor = _record("Factor", "mult disc map",
+                 "A claimed factor; a `disc` of None claims no CM.")
+Specialization = _record("Specialization", "value factors bad_primes", """A
+    `value` of t (None without parameters) with its claim's factors and its
+    bad primes, the entry's where it sets none.""")
 
 # the auxiliary exact checks the runner performs, with each one's fields
 # and their kinds; an item's record, one class per check, has these fields
 # after `check`, its `map` resolved to a MapSpec and its `t` (None for an
 # entry without parameters) to a Specialization
 AUX_CHECKS = {
-    "quadric_rank": dict(relation=_TEXT, variables=_TEXTS, expected=_INT),
-    "j_target": dict(map=_TEXT, expected=_TEXT),
-    "j_quartic": dict(quartic=_TEXT, variable=_TEXT, t=_INT, expected=_TEXT),
-    "j_legendre_identity": dict(quartic=_TEXT, variable=_TEXT, lambda_=_TEXT),
-    "cm_consistency": dict(rhs=_TEXT, variable=_TEXT, t=_INT, disc=_DISC,
+    "quadric_rank": dict(relation=str, variables=_TEXTS, expected=int),
+    "j_target": dict(map=str, expected=str),
+    "j_quartic": dict(quartic=str, variable=str, t=int, expected=str),
+    "j_legendre_identity": dict(quartic=str, variable=str, lambda_=str),
+    "cm_consistency": dict(rhs=str, variable=str, t=int, disc=_DISC,
                            pmax=_PMAX),
-    "product_invariants": dict(g1=_INT, g2=_INT, expected=_INTS),
-    "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS, expected=_LIST),
+    "product_invariants": dict(g1=int, g2=int, expected=_INTS),
+    "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS, expected=list),
 }
 # a trailing _ marks a JSON key that is a Python keyword
-_AUX_RECORDS = {kind: type(kind, (tuple,), dict(
-    zip(("check",) + tuple(fields), _attributes(len(fields) + 1)),
-    __slots__=())) for kind, fields in AUX_CHECKS.items()}
+_AUX_RECORDS = {kind: _record(kind, " ".join(("check",) + tuple(fields)))
+                for kind, fields in AUX_CHECKS.items()}
 
 
 def _relations(node):
@@ -238,26 +214,26 @@ def _relations(node):
 
 def _model_spec(node, eid):
     """The model record; the one place that switches on the kind."""
-    kind = node.field("kind", _TEXT)
+    kind = node.field("kind", str)
     if kind == "plane":
-        affine = node.field("affine", _OBJECT)
-        main = affine.field("main_var", _TEXT)
-        relation = affine.field("relation", _TEXT)
-        frame = (affine.field("omega", _TEXT), affine.field("base_var", _TEXT),
+        affine = node.field("affine", dict)
+        main = affine.field("main_var", str)
+        relation = affine.field("relation", str)
+        frame = (affine.field("omega", str), affine.field("base_var", str),
                  main)
-        projective = node.field("projective", _TEXT)
+        projective = node.field("projective", str)
         variables = node.field("variables", _TEXTS)
         return ModelSpec((kind, [(relation, main, None)],
                           affine.field("variables", _TEXTS), frame,
                           lambda poly: PlaneModel(poly(projective), variables),
                           True))
     if kind == "hyperelliptic":
-        rhs = node.field("rhs", _TEXT)
+        rhs = node.field("rhs", str)
         return ModelSpec((kind, [(rhs, "y", 2)], ["x", "y"], ("1/y", "x", "y"),
                           lambda poly: HyperellipticModel(poly(rhs)), True))
     if kind == "superelliptic":
-        rhs, u = node.field("rhs", _TEXT), node.field("variable", _TEXT, "u")
-        m = node.field("m", (int, None, lambda value: value >= 2,
+        rhs, u = node.field("rhs", str), node.field("variable", str, "u")
+        m = node.field("m", (int, lambda value: value >= 2,
                              "an int at least 2"))
         return ModelSpec((kind, [(rhs, "v", m)], [u, "v"], None,
                           lambda poly: SuperellipticModel(m, poly(rhs), u),
@@ -267,17 +243,15 @@ def _model_spec(node, eid):
     relations, variables = _relations(node), node.field("variables", _TEXTS)
     if kind == "product":
         return ModelSpec((kind, relations, variables, None, None, False))
-    _require("fibration" in node.raw,
-             "space model of %s lacks a fibration", eid)
-    fib = node.field("fibration", _OBJECT)
-    route = fib.field("type", _TEXT)
+    fib = node.field("fibration", dict)
+    route = fib.field("type", str)
     _require(route in SpaceModel.ROUTES,
              "model of %s: unknown fibration %r", eid, route)
     fib.label = ("model of %s: fibration %s", eid, route)
     # the route's forms are texts, its variables names
-    fibration = {key: fib.field(key, _TEXT if key == "form" else _TEXTS)
+    fibration = {key: fib.field(key, str if key == "form" else _TEXTS)
                  for key in SpaceModel.ROUTES[route]}
-    genus = node.field("genus", _INT, None)
+    genus = node.field("genus", int, None)
 
     def count(poly):
         forms = {key: ([poly(f) for f in value] if key == "factors"
@@ -290,43 +264,35 @@ def _model_spec(node, eid):
 
 
 def _action_spec(node, eid, nvars):
-    for key in ("basis", "generators", "order"):
-        _require(key in node.raw, "%s lacks %s", node, key)
-    basis, rows = node.raw["basis"], node.raw["generators"]
-    _require(type(basis) is list, "action basis of %s must be a list", eid)
-    _require(type(rows) is list, "action generators of %s must be a list",
-             eid)
+    rows = node.field("generators", _ROWS)
     for k, row in enumerate(rows):
-        _require(type(row) is list, "generator %d of %s must be a list",
-                 k, eid)
         _require(len(row) == nvars, "generator %d of %s has %d formulas for "
                  "%d variables", k, eid, len(row), nvars)
-    _require({str}.issuperset(map(type, basis + sum(rows, []))),
-             "action of %s: basis and generators must be strings", eid)
-    return ActionSpec((basis, rows, node.field("order", _INT)))
+    return ActionSpec((node.field("basis", _TEXTS), rows,
+                       node.field("order", int)))
 
 
 def _map_spec(node, eid, basis):
     """A map record; `basis` is the action basis, None without an action."""
-    name = node.field("name", _TEXT)
-    target = node.field("target", _OBJECT)
+    name = node.field("name", str)
+    target = node.field("target", dict)
     components = node.field("components", _TEXTS)
     # named by its index up to here, by its name from here on
     node.label = ("map %s of %s", name, eid)
-    kind = node.field("kind", _TEXT, "affine")
+    kind = node.field("kind", str, "affine")
     variables = target.field("variables", _TEXTS)
     _require(len(components) == len(variables),
              "%s has %d components for %d target variables",
              node, len(components), len(variables))
-    source = node.field("source", _OBJECT, None)
     if kind == "projective":
         for key in ("pullback", "differential"):
             _require(key not in node.raw, "projective %s declares %r; only "
                      "affine maps are pulled back", node, key)
+        source = node.field("source", dict, None)
         source = source and _relations(source)
         relations = target.field("relations", _TEXTS)
     else:
-        relations = [target.field("relation", _TEXT)]
+        source, relations = None, [target.field("relation", str)]
     pullback = node.field("pullback", _TEXTS, None)
     if pullback is not None:
         _require(basis is not None, "%s declares a pullback, but the entry "
@@ -334,98 +300,93 @@ def _map_spec(node, eid, basis):
         _require(len(pullback) == len(basis), "pullback of %s has %d entries "
                  "for a basis of %d", node, len(pullback), len(basis))
     return MapSpec((
-        name, kind, node.field("origin", _TEXT, ""),
-        node.field("expect", _TEXT, "pass"),
+        name, kind, node.field("origin", str, ""),
+        node.field("expect", str, "pass"),
         source, variables, relations, components,
         # a pullback is of the target's differential
-        node.field("differential", _TEXT,
+        node.field("differential", str,
                    None if pullback is None else _REQUIRED), pullback))
 
 
 def _resolve(maps, name, owner):
-    """The map that `owner` names."""
-    _require(type(name) is str and name in maps,
-             "%s names no map %r", owner, name)
-    return maps[name]
+    """The map that `owner` names; None for a name of None."""
+    _require(name is None or name in maps, "%s names no map %r", owner, name)
+    return maps.get(name)
 
 
-def _factors(rows, maps, eid, at):
-    """The factors of a claim; `at` is a specialization's t, or None."""
-    tail = "" if at is None else " at t=%s" % at
-    _require(type(rows) is list, "factors of %s%s must be a list", eid, tail)
+def _factors(node, where, maps, default=_REQUIRED):
+    """The factors that `node`, a claim or a specialization, claims, each
+    named ``factor k of `where```; `default` where it claims none."""
+    rows = node.field("factors", list, default)
+    if rows is default:
+        return default
     out = []
     for k, raw in enumerate(rows):
-        node = _Node(raw, "factor %d of %s%s", k, eid, tail)
-        mult = node.field("mult", _INT)
-        # a null disc claims no CM, but the key must be there
-        disc = (None if raw.get("disc", 0) is None
-                else node.field("disc", _DISC))
-        spec = raw.get("map")
-        if spec is not None:
-            spec = _resolve(maps, spec, "factor %d%s of %s" % (k, tail, eid))
-        out.append(Factor((mult, disc, spec)))
+        factor = _Node(raw, "factor %d of %s", k, where)
+        out.append(Factor((factor.field("mult", int),
+                           factor.field("disc", _CLAIMED),
+                           _resolve(maps, factor.field("map", str, None),
+                                    factor))))
     return out
-
-
-def _summand(node, eid, maps):
-    name, indices = node.field("name", _TEXT), node.field("indices", _LIST)
-    node.label = ("summand %s of %s", name, eid)
-    spec = node.raw.get("map")
-    if spec is not None:
-        spec = _resolve(maps, spec, node)
-        _require(spec.pullback is not None, "%s names map %s, which declares "
-                 "no pullback", node, spec.name)
-    return Summand((name, indices, spec))
 
 
 class CatalogEntry:
     def __init__(self, node, tower):
         """Read one entry of the document into records."""
         self.tower = tower
-        self.id = eid = node.field("id", _TEXT)
-        _require("model" in node.raw, "entry %s lacks model", eid)
+        self.id = eid = node.field("id", str)
         node.label = ("%s", eid)
-        self.model = _model_spec(node.field("model", _OBJECT), eid)
-        action = node.field("action", _OBJECT, None)
+        self.model = _model_spec(node.field("model", dict), eid)
+        action = node.field("action", dict, None)
         self.action = action and _action_spec(action, eid,
                                               len(self.model.variables))
         # the maps by name, in document order
         self.maps = {}
-        for k, raw in enumerate(node.field("maps", _LIST, ())):
+        for k, raw in enumerate(node.field("maps", list, ())):
             spec = _map_spec(_Node(raw, "map %d of %s", k, eid), eid,
                              self.action and self.action.basis)
             _require(spec.name not in self.maps,
                      "duplicate map names in %s", eid)
             self.maps[spec.name] = spec
-        self.summands = [] if action is None else [
-            _summand(_Node(raw, "summand %d of %s", k, eid), eid, self.maps)
-            for k, raw in enumerate(node.field("summands", _LIST, ()))]
+        self.summands = []
+        for k, raw in enumerate(node.field("summands", list, ())
+                                if action else ()):
+            summand = _Node(raw, "summand %d of %s", k, eid)
+            name, indices = (summand.field("name", str),
+                             summand.field("indices", list))
+            summand.label = ("summand %s of %s", name, eid)
+            spec = _resolve(self.maps, summand.field("map", str, None),
+                            summand)
+            if spec is not None:
+                _require(spec.pullback is not None, "%s names map %s, which "
+                         "declares no pullback", summand, spec.name)
+            self.summands.append(Summand((name, indices, spec)))
         indices = [i for s in self.summands for i in s.indices]
         _require(action is None or (
             all(type(i) is int for i in indices)
             and sorted(indices) == list(range(len(self.action.basis)))),
             "summands of %s do not partition the basis", eid)
-        claim = node.field("claim", _OBJECT, None) or _Node({}, "claim")
-        factors = _factors(claim.raw.get("factors", []), self.maps, eid, None)
-        self.trace_maps = [_resolve(self.maps, name, "claim of %s" % eid)
-                           for name in claim.field("trace_maps", _LIST, ())]
+        claim = node.field("claim", dict, None) or _Node({})
+        claim.label = ("%s", eid)
+        factors = _factors(claim, eid, self.maps, [])
+        self.trace_maps = [_resolve(self.maps, name, "claim of " + eid)
+                           for name in claim.field("trace_maps", _TEXTS, ())]
         bad = node.field("bad_primes", _PRIMES, ())
-        self._specializations = [Specialization((None, factors, bad))]
-        rows = node.field("specializations", _LIST, None)
-        if rows:
-            self._specializations = []
-            for k, raw in enumerate(rows):
-                row = _Node(raw, "specialization %d of %s", k, eid)
-                t = row.field("t", _INT)
-                self._specializations.append(Specialization((
-                    t, _factors(raw["factors"], self.maps, eid, t)
-                    if "factors" in raw else factors,
-                    row.field("bad_primes", _PRIMES, bad))))
+        rows = []
+        for k, raw in enumerate(node.field("specializations", list, None)
+                                or ()):
+            row = _Node(raw, "specialization %d of %s", k, eid)
+            t = row.field("t", int)
+            row.label = ("%s at t=%s", eid, t)
+            rows.append(Specialization((
+                t, _factors(row, row, self.maps, factors),
+                row.field("bad_primes", _PRIMES, bad))))
+        self._specializations = rows or [Specialization((None, factors, bad))]
         for spec in self._specializations:
             _require(spec.bad_primes or not spec.factors,
                      "countable entry %s lacks bad primes", eid)
         self.aux = [self._aux(_Node(raw, "aux item %d of %s", k, eid))
-                    for k, raw in enumerate(node.field("aux", _LIST, ()))]
+                    for k, raw in enumerate(node.field("aux", list, ()))]
         # per load: each text parsed at most once by `poly` and once by
         # `expression`, each counting model built once (by the claim checks
         # when the load covers the entry) and reused by every count
@@ -435,21 +396,22 @@ class CatalogEntry:
     def _aux(self, node):
         """An aux check's record; a t of None, the default, names the one
         specialization of an entry without parameters."""
-        kind = node.raw.get("check")
-        _require(type(kind) is str and kind in AUX_CHECKS,
-                 "unknown aux check %r in %s", kind, self.id)
+        kind = node.field("check", str)
+        _require(kind in AUX_CHECKS, "unknown aux check %r in %s",
+                 kind, self.id)
         node.label = ("aux check %s of %s", kind, self.id)
         values = [kind]
         for name, field_kind in AUX_CHECKS[kind].items():
-            value = node.field(name.rstrip("_"), field_kind,
-                               None if name == "t" else _REQUIRED)
             if name == "map":
-                value = _resolve(self.maps, value, node)
+                value = _resolve(self.maps, node.field("map", str), node)
             elif name == "t":
-                t, value = value, next((s for s in self._specializations
-                                        if s.value == value), None)
+                t = node.field("t", int, None)
+                value = next((s for s in self._specializations
+                              if s.value == t), None)
                 _require(value is not None, "%s: t=%s names no "
                          "specialization", node, t)
+            else:
+                value = node.field(name.rstrip("_"), field_kind)
             values.append(value)
         return _AUX_RECORDS[kind](values)
 
@@ -552,9 +514,8 @@ class CatalogEntry:
         return self._models[value]
 
     def _build_model(self, value):
-        if self.model.counter is None:
-            raise CatalogError("%s is a product of curves; it is not counted"
-                               % self.id)
+        _require(self.model.counter is not None,
+                 "%s is a product of curves; it is not counted", self.id)
         return self.model.counter(lambda text: self.poly(text, value))
 
     # -- claims ----------------------------------------------------------
@@ -616,10 +577,11 @@ def load_catalog(document, ids=None):
     `ids` is None."""
     if isinstance(document, str):
         document = json.loads(document)
-    entries = _Node(document, "catalog document").field("entries", _LIST)
-    tower = load_tower(document.get("tower", []))
+    document = _Node(document, "catalog document")
+    rows = document.field("entries", list)
+    tower = load_tower(document.field("tower", list, []))
     entries = [CatalogEntry(_Node(raw, "entry %d", k), tower)
-               for k, raw in enumerate(entries)]
+               for k, raw in enumerate(rows)]
     _require(len({e.id for e in entries}) == len(entries),
              "duplicate entry ids")
     for entry in entries:

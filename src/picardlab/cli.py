@@ -141,9 +141,11 @@ def _cmd_hodge(parser, args):
     if top < args.n or top % 2:
         parser.error("--nmax must be an even integer at least --n")
     for n in range(args.n, top + 2, 2):
-        print("d=%(d)d n=%(n)d primitive=%(primitive)d total=%(total)d "
-              "printed=%(printed)d adjusted=%(adjusted)d status=%(status)s"
-              % hodge_row(args.d, n))
+        row = hodge_row(args.d, n)
+        print("d=%d n=%d primitive=%d total=%d printed=%d adjusted=%d "
+              "status=%s" % (row["d"], row["n"], row["primitive"],
+                             row["total"], row["printed"], row["adjusted"],
+                             row["status"]))
     return 0
 
 

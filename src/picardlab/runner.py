@@ -86,8 +86,9 @@ def _suffix(value):
 def _target_rhs(entry, spec, value=None):
     """(rhs, variable) of a genus-one map target written as v^2 = rhs(u)."""
     uvar, vvar = spec.target_variables
-    (relation,) = spec.target_relations
-    coeffs = entry.poly(relation, value).coeffs_in(vvar)
+    (text,) = spec.target_relations
+    relation = entry.poly(text, value)
+    coeffs = relation.coeffs_in(vvar)
     rhs = -coeffs[0]
     if (len(coeffs) != 3 or not coeffs[1].is_zero() or coeffs[2] != 1
             or vvar in rhs.variables()):
@@ -116,13 +117,18 @@ def _map_checks(entry):
             # a source system that is refused, or a map undefined on it
             ok = False
             evidence = {"origin": spec.origin, "error": str(exc)}
-        if expect_fail and ok:
-            evidence["note"] = "map verifies but was declared expected-fail"
-        elif expect_fail:
+        if ok and not expect_fail:
+            checks.append(CheckResult("map:" + name, PASS, evidence))
+        elif not ok and expect_fail:
             evidence["expected_failure"] = True
-        checks.append(CheckResult("map:" + name, PASS if ok and not expect_fail
-                                  else FAIL, evidence,
-                                  expected=expect_fail and not ok))
+            checks.append(
+                CheckResult("map:" + name, FAIL, evidence, expected=True)
+            )
+        elif ok and expect_fail:
+            evidence["note"] = "map verifies but was declared expected-fail"
+            checks.append(CheckResult("map:" + name, FAIL, evidence))
+        else:
+            checks.append(CheckResult("map:" + name, FAIL, evidence))
 
         if ok and spec.pullback is not None:
             try:
@@ -141,27 +147,40 @@ def _verify_map(entry, spec, cmap):
     projective; raises ZeroDivisionError when a component is undefined
     along the source curve."""
     if cmap is None:
-        ok, residuals = verify_image_relations(*entry.projective_map(spec))
-        return ok, {"origin": spec.origin,
-                    "residuals": [r.render() if not r.is_zero() else "0"
-                                  for r in residuals]}
+        system, components, relations = entry.projective_map(spec)
+        ok, residuals = verify_image_relations(system, components, relations)
+        return ok, {
+            "origin": spec.origin,
+            "residuals": [r.render() if not r.is_zero() else "0"
+                          for r in residuals],
+        }
     ok, residual = cmap.verify()
-    return ok, {"origin": spec.origin,
-                "residual": "0" if residual.is_zero() else residual.render()}
+    return ok, {
+        "origin": spec.origin,
+        "residual": residual.render() if not residual.is_zero() else "0",
+    }
 
 
 def _pullback_check(entry, frame, spec, cmap):
-    check_id = "pullback:" + spec.name
-    vec = frame.coordinates(cmap, Differential(
-        entry.expression(spec.differential), spec.target_variables[0]))
+    name = spec.name
+    target_diff = Differential(
+        entry.expression(spec.differential), spec.target_variables[0]
+    )
+    vec = frame.coordinates(cmap, target_diff)
     expected = [entry.poly(s) for s in spec.pullback]
     if vec is None:
-        return CheckResult(check_id, FAIL, {
-            "note": "pullback does not lie in the declared basis span"})
+        return CheckResult(
+            "pullback:" + name, FAIL,
+            {"note": "pullback does not lie in the declared basis span"},
+        )
     if vec == expected:
-        return CheckResult(check_id, PASS, {"vector": _render_vector(vec)})
-    return CheckResult(check_id, FAIL, {
-        "vector": _render_vector(vec), "expected": _render_vector(expected)})
+        return CheckResult(
+            "pullback:" + name, PASS, {"vector": _render_vector(vec)}
+        )
+    return CheckResult(
+        "pullback:" + name, FAIL,
+        {"vector": _render_vector(vec), "expected": _render_vector(expected)},
+    )
 
 
 # -- step 3: decomposition and certificates ----------------------------------
@@ -172,10 +191,13 @@ def _action_checks(entry, value, tag):
         action = entry.group_action(value)
     except ValueError as exc:
         return [CheckResult("action:closure" + tag, FAIL, {"error": str(exc)})]
-    ok = action.order == declared
-    closure = CheckResult("action:closure" + tag, PASS if ok else FAIL,
-                          {"order": action.order} if ok else
-                          {"order": action.order, "declared": declared})
+    if action.order == declared:
+        closure = CheckResult(
+            "action:closure" + tag, PASS, {"order": action.order})
+    else:
+        closure = CheckResult(
+            "action:closure" + tag, FAIL,
+            {"order": action.order, "declared": declared})
     return [closure, _decomposition_check(entry, action, tag)] + [
         _certificate_check(entry, action, summand, tag)
         for summand in entry.summands]
@@ -184,11 +206,15 @@ def _action_checks(entry, value, tag):
 def _decomposition_check(entry, action, tag):
     partition = [s.indices for s in entry.summands]
     ok, evidence = action.verify_decomposition(partition)
-    blocks = [dict(block, name=summand.name)
-              for summand, block in zip(entry.summands, evidence)]
-    for block in blocks:
-        # irreducibility is the character norm, which the row shows
-        del block["irreducible"]
+    blocks = [
+        {
+            "name": summand.name,
+            "indices": list(block["indices"]),
+            "stable": block["stable"],
+            "character_norm": block["character_norm"],
+        }
+        for summand, block in zip(entry.summands, evidence)
+    ]
     return CheckResult(
         "action:decomposition" + tag, PASS if ok else FAIL, {"blocks": blocks}
     )
@@ -203,10 +229,11 @@ def _certificate_check(entry, action, summand, tag):
         )
     indices = summand.indices
     try:
-        words, rank = action.span_certificate(
-            indices, [entry.poly(s) for s in spec.pullback])
+        vector = [entry.poly(s) for s in spec.pullback]
+        words, rank = action.span_certificate(indices, vector)
     except ValueError as exc:
-        # a pullback that does not parse or lie in the block fails its row too
+        # a pullback text that does not parse, or a pullback outside the
+        # block; its pullback row fails too
         return CheckResult(check_id, FAIL,
                            {"map": spec.name, "error": str(exc)})
     evidence = {
@@ -233,7 +260,7 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
         checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
     names = [spec.name for spec in entry.trace_maps]
     targets = {}
-    for name, spec in dict(zip(names, entry.trace_maps)).items():
+    for name, spec in {spec.name: spec for spec in entry.trace_maps}.items():
         try:
             rhs, uvar = _target_rhs(entry, spec, value)
             targets[name] = HyperellipticModel(rhs, uvar)
@@ -296,7 +323,8 @@ AUX_ROWS = dict({kind: "aux:" + kind.replace("_", "-") for kind in AUX_CHECKS},
 
 
 def _aux_checks(entry):
-    """One row per aux item; an item that raises fails its own row."""
+    """One row per aux item; an item that raises a ValueError or a
+    ZeroDivisionError fails its own row, and the others still run."""
     checks = []
     for item in entry.aux:
         try:
@@ -314,25 +342,23 @@ def _aux_check(entry, item):
     if kind == "quadric_rank":
         rank = quadratic_form_rank(entry.poly(item.relation), item.variables)
         return rank == item.expected, {"rank": rank, "expected": item.expected}
-    if kind in ("j_target", "j_quartic"):
-        if kind == "j_quartic":
-            quartic = entry.poly(item.quartic, item.t.value), item.variable
-        else:
-            try:
-                quartic = _target_rhs(entry, item.map)
-            except ValueError as exc:
-                return False, {"map": item.map.name, "error": str(exc)}
-        j = BinaryQuartic.from_polynomial(*quartic).j_invariant()
-        return (j == entry.expression(item.expected),
-                {"j": str(j), "expected": item.expected})
+    if kind == "j_target":
+        try:
+            rhs, uvar = _target_rhs(entry, item.map)
+        except ValueError as exc:
+            return False, {"map": item.map.name, "error": str(exc)}
+        return _j_check(entry, rhs, uvar, item.expected)
+    if kind == "j_quartic":
+        return _j_check(entry, entry.poly(item.quartic, item.t.value),
+                        item.variable, item.expected)
     if kind == "j_legendre_identity":
         j1 = BinaryQuartic.from_polynomial(
             entry.poly(item.quartic), item.variable).j_invariant()
         j2 = j_from_legendre(entry.expression(item.lambda_))
         return j1 == j2, {"quartic_j": str(j1), "legendre_j": str(j2)}
     if kind == "cm_consistency":
-        model = HyperellipticModel(entry.poly(item.rhs, item.t.value),
-                                   item.variable)
+        model = HyperellipticModel(
+            entry.poly(item.rhs, item.t.value), item.variable)
         ok, found = cm_consistency(
             model, item.disc, good_primes(item.pmax, item.t.bad_primes))
         return ok, ({"disc": item.disc,
@@ -343,8 +369,14 @@ def _aux_check(entry, item):
     else:
         # quotient_surface: the load refuses any kind not in AUX_CHECKS
         got = list(quotient_surface_check(item.multiplicities, item.cm))
-    expected = list(item.expected)
-    return got == expected, {"got": got, "expected": expected}
+    return got == item.expected, {"got": got, "expected": item.expected}
+
+
+def _j_check(entry, quartic, variable, expected_text):
+    """(holds, evidence) of j(quartic) == the expected expression."""
+    j = BinaryQuartic.from_polynomial(quartic, variable).j_invariant()
+    return (j == entry.expression(expected_text),
+            {"j": str(j), "expected": expected_text})
 
 
 # -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------
@@ -359,13 +391,14 @@ def _extension_checks(entry, value, tag, bad, depth):
     for k in range(2, min(depth, 3) + 1):
         check_id = "extension:k=%d%s" % (k, tag)
         try:
-            npoints = model.count_points_ext(p, k).npoints
+            record = model.count_points_ext(p, k)
         except ValueError as exc:
             checks.append(
                 CheckResult(check_id, SKIPPED, {"note": str(exc)}, prime=p))
         else:
-            checks.append(CheckResult(check_id, PASS, {"npoints": npoints},
-                                      prime=p))
+            checks.append(
+                CheckResult(check_id, PASS, {"npoints": record.npoints},
+                            prime=p))
     return checks
 
 
@@ -389,10 +422,15 @@ def run_entry(entry, pmax=200, depth=1):
 
 
 def run_catalog(entries, ids=None, pmax=200, depth=1):
+    selected = entries
     if ids:
-        missing = set(ids) - {e.id for e in entries}
+        wanted = set(ids)
+        index = {e.id for e in entries}
+        missing = wanted - index
         if missing:
             raise KeyError("unknown entry ids: %s" % ", ".join(sorted(missing)))
-        entries = [e for e in entries if e.id in ids]
-    return [run_entry(e, pmax=pmax, depth=depth)
-            for e in sorted(entries, key=lambda e: e.id)]
+        selected = [e for e in entries if e.id in wanted]
+    return [
+        run_entry(e, pmax=pmax, depth=depth)
+        for e in sorted(selected, key=lambda e: e.id)
+    ]

@@ -499,16 +499,16 @@ def test_space_model_without_a_fibration_is_refused_at_load():
     entry = next(e for e in doc["entries"]
                  if e["id"] == "fermat-sextic-pencil-quotient")
     del entry["model"]["fibration"]
-    with pytest.raises(CatalogError, match="space model of "
+    with pytest.raises(CatalogError, match="model of "
                                            "fermat-sextic-pencil-quotient "
-                                           "lacks a fibration"):
+                                           "lacks fibration"):
         load_catalog(doc)
 
 
 def test_tower_declaration_without_a_relation_is_refused_at_load():
     doc = _raw_document()
     del doc["tower"][2]["relation"]
-    with pytest.raises(CatalogError, match="tower symbol s2 lacks a relation"):
+    with pytest.raises(CatalogError, match="tower symbol s2 lacks relation"):
         load_catalog(doc)
 
 
@@ -539,13 +539,15 @@ def _pencil(doc):
     (lambda d: _septic(d).pop("id"), "entry {k} lacks id"),
     (lambda d: _septic(d).update(id=None),
      "entry {k}: id must be a string, got None"),
-    (lambda d: _septic(d).pop("model"), "entry genus3-septic lacks model"),
+    (lambda d: _septic(d).pop("model"), "genus3-septic lacks model"),
     (lambda d: _septic(d)["action"].update(generators=None),
-     "action generators of genus3-septic must be a list"),
+     "action of genus3-septic: generators must be a list of lists of "
+     "strings, got None"),
     (lambda d: _septic(d)["action"]["generators"].__setitem__(1, None),
-     "generator 1 of genus3-septic must be a list"),
+     "action of genus3-septic: generators must be a list of lists of "
+     "strings, got [['om*x', 'om^2*y'], None]"),
     (lambda d: _septic(d)["action"].update(basis=None),
-     "action basis of genus3-septic must be a list"),
+     "action of genus3-septic: basis must be a list of strings, got None"),
     (lambda d: _septic(d)["summands"][0].update(indices=None),
      "indices of summand 0 of genus3-septic must be a list"),
     (lambda d: _septic(d)["summands"][0].update(indices=[0, None]),
@@ -601,18 +603,19 @@ def _pencil(doc):
     (lambda d: _septic(d)["claim"].update(factors=None),
      "factors of genus3-septic must be a list"),
     # a tower, its symbols and relations
-    (lambda d: d.update(tower=None), "tower must be a list"),
-    (lambda d: d.update(tower=7), "tower must be a list"),
+    (lambda d: d.update(tower=None),
+     "tower of catalog document must be a list"),
+    (lambda d: d.update(tower=7), "tower of catalog document must be a list"),
     (lambda d: d.update(tower={"symbol": "om", "relation": "om^2+om+1"}),
-     "tower must be a list"),
+     "tower of catalog document must be a list"),
     (lambda d: d["tower"][2].update(symbol=[]),
      "tower declaration 2: symbol must be a string, got []"),
     (lambda d: d["tower"][2].update(relation=None),
-     "text None of tower symbol s2 is not a string"),
+     "tower symbol s2: relation must be a string, got None"),
     (lambda d: d["tower"][2].update(relation=7),
-     "text 7 of tower symbol s2 is not a string"),
+     "tower symbol s2: relation must be a string, got 7"),
     (lambda d: d["tower"][2].update(relation=[]),
-     "text [] of tower symbol s2 is not a string"),
+     "tower symbol s2: relation must be a string, got []"),
     (lambda d: d["tower"][2].update(relation=""),
      "text '' of tower symbol s2: unexpected end of expression"),
     # claimed discriminants: null, or a negative int = 0 or 1 mod 4
@@ -794,7 +797,7 @@ def test_load_catalog_accepts_text():
      "factor 0 of genus2-quintic names no map 'nosuch'"),
     ("ciani-quartic-pencil",
      lambda e: e["specializations"][0]["factors"][0].update(map="nosuch"),
-     "factor 0 at t=0 of ciani-quartic-pencil names no map 'nosuch'"),
+     "factor 0 of ciani-quartic-pencil at t=0 names no map 'nosuch'"),
     ("genus3-septic", lambda e: e["maps"].append(e["maps"][0]),
      "duplicate map names in genus3-septic"),
 ])
@@ -846,9 +849,11 @@ def _refused_at_every_load(doc, message):
 @pytest.mark.parametrize("eid, edit, message", [
     # each of these crashed a stage of the run, or the load
     ("fermat-sextic", lambda e: e["maps"][0]["target"].update(variables="x"),
-     "variables of target of map f of fermat-sextic must be a list"),
+     "target of map f of fermat-sextic: variables must be a list of "
+     "strings, got 'x'"),
     ("fermat-sextic", lambda e: e["maps"][0]["target"].update(variables=None),
-     "variables of target of map f of fermat-sextic must be a list"),
+     "target of map f of fermat-sextic: variables must be a list of "
+     "strings, got None"),
     ("fermat-sextic", lambda e: e["maps"][0].update(target=7),
      "target of map 0 of fermat-sextic must be an object"),
     ("fermat-sextic", lambda e: e["model"].pop("affine"),
@@ -870,7 +875,7 @@ def test_a_malformed_field_is_refused_at_load(eid, edit, message):
     ("fermat-sextic", lambda e: e["maps"][0]["components"].append("x"),
      "map f of fermat-sextic has 3 components for 2 target variables"),
     ("fermat-sextic", lambda e: e["maps"][0]["components"].append(17),
-     "components of map 0 of fermat-sextic must be a list of strings, got "
+     "map 0 of fermat-sextic: components must be a list of strings, got "
      "['-x^2', 'y^3', 17]"),
     ("fermat-sextic-pencil-quotient", lambda e: e["model"]["mains"].pop(),
      "model of fermat-sextic-pencil-quotient has 2 relations for 1 mains"),
@@ -899,18 +904,18 @@ def test_an_arity_mismatch_is_refused_at_load(eid, edit, message):
      "aux check cm_consistency of genus3-septic: t=0 names no "
      "specialization"),
     ("genus3-septic", lambda e: e.update(bad_primes=["2", "3"]),
-     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "genus3-septic: bad_primes must be a list of ints at least 2, got "
      "['2', '3']"),
     ("genus3-septic", lambda e: e.update(bad_primes=[1, 2]),
-     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "genus3-septic: bad_primes must be a list of ints at least 2, got "
      "[1, 2]"),
     ("genus3-septic", lambda e: e.update(bad_primes=[2, True]),
-     "bad_primes of genus3-septic must be a list of ints at least 2, got "
+     "genus3-septic: bad_primes must be a list of ints at least 2, got "
      "[2, True]"),
     ("bielliptic-sextic-pencil",
      lambda e: e["specializations"][2].update(bad_primes=[2, 3, "5"]),
-     "bad_primes of specialization 2 of bielliptic-sextic-pencil must be a "
-     "list of ints at least 2, got [2, 3, '5']"),
+     "bielliptic-sextic-pencil at t=3: bad_primes must be a list of ints "
+     "at least 2, got [2, 3, '5']"),
 ])
 def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
     doc = _raw_document()
@@ -933,7 +938,7 @@ def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
      "action of fermat-sextic: order must be an int, got 216.0"),
     ("triple-quadric-intersection",
      lambda e: e["aux"][0].update(cm=[1, 1, 1, 1]),
-     "cm of aux check quotient_surface of triple-quadric-intersection must "
+     "aux check quotient_surface of triple-quadric-intersection: cm must "
      "be a list of bools, got [1, 1, 1, 1]"),
 ])
 def test_a_field_of_the_wrong_value_is_refused_at_load(eid, edit, message):

@@ -228,7 +228,7 @@ def test_plane_curve_without_a_counting_route_is_refused():
 def test_a_pullback_text_that_is_not_a_string_is_refused_at_load(pullback):
     doc, raw = _builtin_document("genus3-septic")
     next(m for m in raw["maps"] if m["name"] == "g")["pullback"] = pullback
-    message = ("pullback of map g of genus3-septic must be a list of "
+    message = ("map g of genus3-septic: pullback must be a list of "
                "strings, got %r" % (pullback,))
     for ids in (None, ["fermat-sextic"]):
         with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
@@ -253,6 +253,26 @@ def test_an_unreadable_pullback_text_is_a_fail_row(pullback, text):
         assert row.status == "FAIL" and row.unexpected_failure
         assert row.evidence["error"].startswith(
             "text %r of genus3-septic" % (text,))
+    for check_id, row in rows.items():
+        assert (row.status, row.evidence) == (
+            shipped[check_id].status, shipped[check_id].evidence), check_id
+
+
+def test_a_pullback_outside_its_block_is_a_fail_row():
+    # summand outer holds basis indices 0 and 2; a pullback at index 1
+    # fails the pullback row and the certificate, and the run goes on
+    doc, raw = _builtin_document("genus3-septic")
+    next(m for m in raw["maps"] if m["name"] == "g")["pullback"] = [
+        "0", "1", "0"]
+    entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
+    rows = {c.check_id: c for c in run_entry(entry, pmax=30).checks}
+    shipped = {c.check_id: c
+               for c in run_entry(ENTRIES[raw["id"]], pmax=30).checks}
+    assert rows.keys() == shipped.keys()
+    assert rows.pop("pullback:g").status == "FAIL"
+    certificate = rows.pop("certificate:outer")
+    assert certificate.status == "FAIL" and certificate.evidence == {
+        "map": "g", "error": "differential is not supported in the block"}
     for check_id, row in rows.items():
         assert (row.status, row.evidence) == (
             shipped[check_id].status, shipped[check_id].evidence), check_id

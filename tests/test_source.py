@@ -262,19 +262,47 @@ def test_specialization_rule_flags_each_form():
         assert hit == (text in flagged), text
 
 
+# the names that hold an entry or one of its records in runner.py and cli.py
+_CATALOG_NAMES = {"entry", "spec", "summand", "item", "factor", "factors", "f"}
+
+
+def _root(node):
+    """The name that a chain of attributes and subscripts starts from; a
+    value that a call returns has none."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _keyed_reads(tree):
-    """Lines that read a value by a string key: a subscript load such as
-    ``spec["target"]`` or a call such as ``item.get("t")``.  A write or a
-    delete, such as ``evidence["note"] = text``, builds a report row's
-    evidence and is not a read."""
+    """Lines that read catalog data by a string key: a subscript load such
+    as ``spec["target"]`` or a call such as ``item.get("t")`` on a name of
+    _CATALOG_NAMES, or on a name that an assignment or a loop binds from
+    one.  A value that a call returns, such as a check's evidence, is not
+    catalog data, and a write such as ``evidence["note"] = text`` is not a
+    read."""
+    bindings = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript):
-            key = node.slice if isinstance(node.ctx, ast.Load) else None
+        if isinstance(node, ast.Assign):
+            bindings += [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append((node.target, node.iter))
+    catalog, size = set(_CATALOG_NAMES), 0
+    while size != len(catalog):
+        size = len(catalog)
+        for target, value in bindings:
+            if _root(value) in catalog:
+                catalog.update(name.id for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            base, key = node.value, node.slice
         elif isinstance(node, ast.Call) and _name_of(node.func) == "get":
-            key = node.args[0] if node.args else None
+            base, key = node.func.value, node.args[0] if node.args else None
         else:
             continue
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+        if (_root(base) in catalog and isinstance(key, ast.Constant)
+                and isinstance(key.value, str)):
             yield node.lineno
 
 
@@ -294,15 +322,19 @@ def test_keyed_read_rule_flags_each_form():
         'for text in spec["pullback"]:\n    pass',
         'name = summand.get("map")',
         'origin = spec.get("origin", "")',
+        'for f in factors:\n    disc = f["disc"]',
+        'target = spec.target\nuvar = target["variables"]',
+        'for row in entry.rows:\n    t = row["t"]',
     ]
     allowed = [
         'evidence["note"] = "map verifies but was declared expected-fail"',
-        'del block["irreducible"]',
+        'ok, evidence = action.verify_decomposition(partition)\n'
+        'stable = [block["stable"] for block in evidence]',
+        'row = hodge_row(args.d, n)\nd = row["d"]',
         "name = spec.name",
         "row = checks[0]",
         "count = counts.get(p)",
-        'line = "d=%(d)d" % row',
-        'item = AUX_ROWS[item.check]',
+        'kind = entry.model[key]',
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _keyed_reads(ast.parse(text)))
