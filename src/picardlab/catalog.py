@@ -123,6 +123,13 @@ _CLAIMED = (None, lambda value: value is None or type(value) is int
             and _DISC[1](value), _DISC[2])
 _PMAX = (int, lambda value: 1 <= value <= PRIME_CAP,
          "an int in 1..%d" % PRIME_CAP)
+_PAIR = (list, lambda value: _TEXTS[1](value) and len(set(value)) == 2
+         == len(value), "two distinct names")
+# the kind of each fibration key that a route of SpaceModel.ROUTES reads
+_FIBRATION = {"base_vars": _PAIR, "fiber_vars": _PAIR, "root_vars": _PAIR,
+              "factors": (list, lambda value: value and _TEXTS[1](value),
+                          "a nonempty list of strings"),
+              "form": str}
 
 
 def _parse_text(parse, tower, text, owner):
@@ -217,14 +224,18 @@ def _model_spec(node, eid):
     kind = node.field("kind", str)
     if kind == "plane":
         affine = node.field("affine", dict)
+        base = affine.field("base_var", str)
         main = affine.field("main_var", str)
         relation = affine.field("relation", str)
-        frame = (affine.field("omega", str), affine.field("base_var", str),
-                 main)
+        frame = (affine.field("omega", str), base, main)
+        # the frame and the pullbacks read these two names, and only these
+        geometric = affine.field("variables", _TEXTS)
+        _require(base != main and sorted(geometric) == sorted([base, main]),
+                 "%s: variables must be base_var %r and main_var %r, got %r",
+                 affine, base, main, geometric)
         projective = node.field("projective", str)
         variables = node.field("variables", _TEXTS)
-        return ModelSpec((kind, [(relation, main, None)],
-                          affine.field("variables", _TEXTS), frame,
+        return ModelSpec((kind, [(relation, main, None)], geometric, frame,
                           lambda poly: PlaneModel(poly(projective), variables),
                           True))
     if kind == "hyperelliptic":
@@ -248,8 +259,7 @@ def _model_spec(node, eid):
     _require(route in SpaceModel.ROUTES,
              "model of %s: unknown fibration %r", eid, route)
     fib.label = ("model of %s: fibration %s", eid, route)
-    # the route's forms are texts, its variables names
-    fibration = {key: fib.field(key, str if key == "form" else _TEXTS)
+    fibration = {key: fib.field(key, _FIBRATION[key])
                  for key in SpaceModel.ROUTES[route]}
     genus = node.field("genus", int, None)
 

@@ -19,11 +19,12 @@ few columns (the lines' leading coefficients, discriminants and invariants),
 so no route makes a Python call per point or per line, except on the rare
 lines where a lookup does not apply; those go through ``gf.RootCounts``.
 
-Counts over F_{p^k}, k = 2, 3, run in O(q) in log arithmetic, F_q addition
-not being integer addition.  There are two routes: the cyclic cover
-y^m = f(x), which also counts the diagonal plane curve x^d + y^d + z^d, and
-the even plane quartic G(x^2, y^2, z^2), line by line.  Space curves are
-refused there.
+The cyclic cover y^m = f(x) and the even plane quartic G(x^2, y^2, z^2)
+each have one route for every field, forking on ``field.k`` only where F_q
+addition is not integer addition: over F_{p^k}, k = 2, 3, they run in O(q)
+in log arithmetic.  The diagonal plane curve x^d + y^d + z^d is a cyclic
+cover over F_q, with a faster route of its own over F_p.  Space curves are
+counted over F_p only.
 
 A plane curve has one route per shape: the diagonal curve and the even
 quartic, the only plane curves of the catalog.  ``PlaneModel`` refuses any
@@ -262,37 +263,76 @@ def _cyclic_cover_count(m, coeffs, field):
     return n
 
 
-def _even_quartic_ext_count(rows, field):
-    """Projective points over F_q of F = G(x^2, y^2, z^2), F given as rows
-    [(exponents, c mod p)]: ``PlaneModel._count_scan`` in log arithmetic."""
+def _even_quartic_count(rows, field):
+    """Projective points over F_q = ``field`` of F = G(x^2, y^2, z^2), G a
+    conic, F given as rows [(exponents, c mod p)].  Chart z = 1: the lines
+    x = +-a meet the curve in the roots y of the even quartic G(a^2, y^2, 1),
+    so each square X = a^2 is counted once, and twice when X != 0.  In
+    w = y^2, G(X, w, 1) = c2 w^2 + c1(X) w + c0(X) with c2 a constant, G
+    being a conic.  Coefficients are read as logs, None for 0.  Only the
+    lines X = g^(2i) fork on k: read from columns over F_p, and by one
+    ``even_quartic`` call each over F_q, k = 2, 3."""
     log = field.log
     rows = [((ex // 2, ey // 2, ez // 2), log[c])
             for (ex, ey, ez), c in rows]
 
-    def line(log_x2):
-        # [c0, c1, c2] of the even quartic G(X, y^2, 1), X = g^log_x2 or 0
+    def quartic(var, terms, log_x=0):
+        # the logs of c0, c1, c2 of the even quartic in the variable ``var``
+        # whose terms are these (exponents, log c) pairs, each times its
+        # X^ex at X = g^log_x
         coeffs = [[], [], []]
-        for (ex, ey, _), log_c in rows:
-            if not ex:
-                coeffs[ey].append(log_c)
-            elif log_x2 is not None:
-                coeffs[ey].append(log_c + ex * log_x2)
-        return field.even_quartic(
-            *(log[field.exp_sum(terms)] for terms in coeffs))
+        for exps, log_c in terms:
+            coeffs[exps[var]].append(log_c + exps[0] * log_x)
+        return [log[field.exp_sum(logs)] for logs in coeffs]
 
-    # chart z = 1: the lines x = +-g^i share X = g^(2i), and x = 0 is alone
-    n = line(None) + 2 * sum(line(2 * i) for i in range((field.q - 1) // 2))
+    # the line x = 0, alone
+    n = field.even_quartic(*quartic(1, [t for t in rows if not t[0][0]]))
+    if field.k == 1:
+        # the lines X = g^(2i), every other value of a column; when c2 = 0
+        # mod p every one of them is rare
+        p, roots = field.p, field.roots
+        coeffs = [[0] * 3 for _ in range(3)]
+        for (ex, ey, _), log_c in rows:
+            coeffs[ey][ex] = (coeffs[ey][ex] + field.exp[log_c]) % p
+        c0, c1, (lead, _, _) = coeffs
+        lines, rare = 0, range((p - 1) // 2)
+        if lead:
+            # w = (-c1 +- r) / (2 c2), r^2 = D = c1^2 - 4 c2 c0, has
+            # P[+-r - c1] square roots y, P the square counts with 0 and 2
+            # swapped when 2 c2 is not a square; a non-square D gives none.
+            # The lines where D = 0 are counted apart.
+            disc = _reduced_column(field, _dense_mod(
+                _poly_sum([(1, c1, c1), (-4 * lead, c0)]), p))[1::2]
+            rare = _zeros(disc)
+            keep = list(map(roots.squares.__getitem__, disc))
+            for i in rare:
+                keep[i] = 0
+            r = list(map(roots.square_roots.__getitem__,
+                         compress(disc, keep)))
+            b = list(compress(_column(field, c1)[1::2], keep))
+            counts = bytes(roots.squares)
+            if not roots.squares[2 * lead % p]:
+                counts = counts.translate(_SWAP_0_2)
+            # the unreduced c1 lies in [0, 3p), so r - c1 in (-3p, p) reads
+            # plus[t] = P[t mod p], a negative t from the end, and r + c1
+            # in [0, 4p) reads minus[t] = P[-t mod p]
+            plus = counts * 3
+            minus = (counts[:1] + counts[:0:-1]) * 4
+            lines = (sum(map(plus.__getitem__, map(sub, r, b)))
+                     + sum(map(minus.__getitem__, map(add, r, b))))
+        for i in rare:
+            x2 = field.exp[2 * i]
+            lines += field.even_quartic(
+                *(log[_value(f, x2, p)] for f in coeffs))
+    else:
+        # the lines X = g^(2i), one at a time
+        lines = sum(field.even_quartic(*quartic(1, rows, 2 * i))
+                    for i in range((field.q - 1) // 2))
+    n += 2 * lines
     # line z = 0: points (x : 1 : 0), the roots of the even quartic
     # F(x, 1, 0), and (1 : 0 : 0)
-    edge = [[], [], []]
-    for (ex, _, ez), log_c in rows:
-        if ez == 0:
-            edge[ex].append(log_c)
-    edge = [log[field.exp_sum(terms)] for terms in edge]
-    n += field.even_quartic(*edge)
-    if edge[2] is None:
-        n += 1
-    return n
+    edge = quartic(0, [t for t in rows if not t[0][2]])
+    return n + field.even_quartic(*edge) + (edge[2] is None)
 
 
 class PlaneModel:
@@ -336,62 +376,7 @@ class PlaneModel:
         return _diagonal_count(p, self.degree)
 
     def _count_scan(self, p):
-        # F = G(x^2, y^2, z^2) with G a conic.  Chart z = 1: the lines
-        # x = +-a meet the curve in the roots y of the even quartic
-        # G(a^2, y^2, 1), so each square X = a^2 is counted once, and twice
-        # when X != 0.  In w = y^2, G(X, w, 1) = c2 w^2 + c1(X) w + c0(X)
-        # with c2 a constant, G being a conic.
-        field = gf.field(p)
-        roots, log = field.roots, field.log
-        rows = [((ex // 2, ey // 2, ez // 2), c)
-                for (ex, ey, ez), c in table_mod(self.rows, p)]
-        coeffs = [[0] * 3 for _ in range(3)]
-        for (ex, ey, _), c in rows:
-            coeffs[ey][ex] = (coeffs[ey][ex] + c) % p
-        c0, c1, (lead, _, _) = coeffs
-        n = field.even_quartic(log[c0[0]], log[c1[0]], log[lead])
-        # the lines X = g^(2i), every other value of a column; when c2 = 0
-        # mod p every one of them is rare
-        lines, rare = 0, range((p - 1) // 2)
-        if lead:
-            # w = (-c1 +- r) / (2 c2), r^2 = D = c1^2 - 4 c2 c0, has
-            # P[+-r - c1] square roots y, P the square counts with 0 and 2
-            # swapped when 2 c2 is not a square; a non-square D gives none.
-            # The lines where D = 0 are counted apart.
-            disc = _reduced_column(field, _dense_mod(
-                _poly_sum([(1, c1, c1), (-4 * lead, c0)]), p))[1::2]
-            rare = _zeros(disc)
-            keep = list(map(roots.squares.__getitem__, disc))
-            for i in rare:
-                keep[i] = 0
-            r = list(map(roots.square_roots.__getitem__,
-                         compress(disc, keep)))
-            b = list(compress(_column(field, c1)[1::2], keep))
-            counts = bytes(roots.squares)
-            if not roots.squares[2 * lead % p]:
-                counts = counts.translate(_SWAP_0_2)
-            # the unreduced c1 lies in [0, 3p), so r - c1 in (-3p, p) reads
-            # plus[t] = P[t mod p], a negative t from the end, and r + c1
-            # in [0, 4p) reads minus[t] = P[-t mod p]
-            plus = counts * 3
-            minus = (counts[:1] + counts[:0:-1]) * 4
-            lines = (sum(map(plus.__getitem__, map(sub, r, b)))
-                     + sum(map(minus.__getitem__, map(add, r, b))))
-        for i in rare:
-            x2 = field.exp[2 * i]
-            lines += field.even_quartic(
-                *(log[_value(f, x2, p)] for f in coeffs))
-        n += 2 * lines
-        # line z = 0: points (x : 1 : 0), the roots of the even quartic
-        # F(x, 1, 0), and (1 : 0 : 0)
-        edge = [0, 0, 0]
-        for (ex, _, ez), c in rows:
-            if ez == 0:
-                edge[ex] += c
-        n += field.even_quartic(*(log[c % p] for c in edge))
-        if edge[2] % p == 0:
-            n += 1
-        return n
+        return _even_quartic_count(table_mod(self.rows, p), gf.field(p))
 
     def count_points_ext(self, p, k):
         """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
@@ -406,8 +391,8 @@ class PlaneModel:
             n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1],
                                     gf.field(p, k))
         else:
-            n = _even_quartic_ext_count(table_mod(self.rows, p),
-                                        gf.field(p, k))
+            n = _even_quartic_count(table_mod(self.rows, p),
+                                    gf.field(p, k))
         return CountRecord(p, k, n, self.genus())
 
 

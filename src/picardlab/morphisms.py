@@ -5,7 +5,7 @@ modulo its defining relations; nothing is ever evaluated numerically.
 """
 
 from .linalg import solve_linear
-from .symbolic import MPoly, RationalFunction, _rewrite, tower_invert
+from .symbolic import MPoly, RationalFunction, _lift, _rewrite, tower_invert
 
 
 class ReductionSystem:
@@ -77,7 +77,8 @@ class CurveMap:
 
     def verify(self):
         """(holds, residual): the reduced numerator is the exact obstruction."""
-        image = self.target_relation.substitute(self.components)
+        # a relation in no target variable has a polynomial image
+        image = _lift(self.target_relation.substitute(self.components))
         if self.source.is_zero_poly(image.den):
             raise ZeroDivisionError("map undefined along the curve")
         residual = self.source.reduce(image.num)

@@ -530,6 +530,18 @@ def _pencil(doc):
                 if e["id"] == "bielliptic-sextic-pencil")
 
 
+def _model(doc, eid):
+    return next(e for e in doc["entries"] if e["id"] == eid)["model"]
+
+
+def _fibration(doc):
+    return _model(doc, "triple-quadric-intersection")["fibration"]
+
+
+def _affine(doc):
+    return _model(doc, "fermat-sextic")["affine"]
+
+
 # each edit made the load raise a KeyError, TypeError or AttributeError
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.pop("entries"), "catalog document lacks entries"),
@@ -646,6 +658,34 @@ def _pencil(doc):
     (lambda d: _septic(d)["aux"][0].update(disc=None),
      "aux check cm_consistency of genus3-septic: disc must be a negative "
      "discriminant, got None"),
+    # the names a route or a frame reads: an empty factor list, three base
+    # names and a variable the model does not use loaded, then raised in
+    # a count or a pullback
+    (lambda d: _fibration(d).update(factors=[]),
+     "model of triple-quadric-intersection: fibration sqrt_product: factors "
+     "must be a nonempty list of strings, got []"),
+    (lambda d: _fibration(d).update(base_vars=["x", "y", "z"]),
+     "model of triple-quadric-intersection: fibration sqrt_product: "
+     "base_vars must be two distinct names, got ['x', 'y', 'z']"),
+    (lambda d: _fibration(d).update(base_vars=["x", "x"]),
+     "model of triple-quadric-intersection: fibration sqrt_product: "
+     "base_vars must be two distinct names, got ['x', 'x']"),
+    (lambda d: _model(d, "fermat-sextic-pencil-quotient")["fibration"].update(
+        root_vars=["A"]),
+     "model of fermat-sextic-pencil-quotient: fibration pencil_form: "
+     "root_vars must be two distinct names, got ['A']"),
+    (lambda d: _affine(d).update(base_var=""),
+     "affine of model of fermat-sextic: variables must be base_var '' and "
+     "main_var 'y', got ['x', 'y']"),
+    (lambda d: _affine(d).update(variables=["x", ""]),
+     "affine of model of fermat-sextic: variables must be base_var 'x' and "
+     "main_var 'y', got ['x', '']"),
+    (lambda d: _affine(d).update(variables=["x"]),
+     "affine of model of fermat-sextic: variables must be base_var 'x' and "
+     "main_var 'y', got ['x']"),
+    (lambda d: _affine(d).update(main_var="x"),
+     "affine of model of fermat-sextic: variables must be base_var 'x' and "
+     "main_var 'x', got ['x', 'y']"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()

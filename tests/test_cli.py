@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, output, and exit codes."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,9 @@ import pytest
 from picardlab import catalog, cli, symbolic
 from picardlab.catalog import builtin_catalog
 from picardlab.cli import main
+from picardlab.exact import primes_up_to
+from picardlab.gf import TABLE_MAX
+from picardlab.runner import good_primes
 
 
 def test_hodge_single_row(capsys):
@@ -74,6 +78,38 @@ def test_count_does_no_symbolic_work_after_load(monkeypatch, capsys):
     for argv, out in zip(argvs, expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+# sha256 of every count the shipped catalog gives: the `count` output of
+# each countable entry at every prime 5..499, then N over F_{p^k}, k = 2, 3,
+# of each model that extends to F_q, at each good p with p^k <= TABLE_MAX.
+# A change that alters a count must update the digest and name the counts
+# it changed.
+COUNT_DIGEST = "4eac66f37c9748dcf8af78c5a39cf387b3ade2070d024050abcdf83be44394b8"
+
+
+def test_every_count_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for entry in builtin_catalog():
+        if entry.model.counter is None:
+            continue
+        digest.update(entry.id.encode())
+        for p in primes_up_to(499)[2:]:
+            assert main(["count", "--entry", entry.id, "--prime", str(p)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+        for value, _, bad in entry.specializations():
+            model = entry.counting_model(value)
+            for p in good_primes(499, bad):
+                one, ext = model.count_points(p), model.count_points_ext(p, 1)
+                assert ((ext.power, ext.npoints, ext.trace)
+                        == (1, one.npoints, one.trace)), (entry.id, value, p)
+            for k in (2, 3) if entry.model.extends else ():
+                for p in good_primes(499, bad):
+                    if p ** k <= TABLE_MAX:
+                        n = model.count_points_ext(p, k).npoints
+                        digest.update(b"t=%r p=%d k=%d N=%d\n"
+                                      % (value, p, k, n))
+    assert digest.hexdigest() == COUNT_DIGEST
 
 
 def _spy_on_model_builds(monkeypatch):

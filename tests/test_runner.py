@@ -278,6 +278,25 @@ def test_a_pullback_outside_its_block_is_a_fail_row():
             shipped[check_id].status, shipped[check_id].evidence), check_id
 
 
+def test_a_target_relation_in_no_target_variable_is_a_fail_row():
+    # the image of a relation that names no target variable is a
+    # polynomial, not a rational function; the map fails with that
+    # relation as its residual, and a failed map has no pullback row
+    doc, raw = _builtin_document("fermat-sextic")
+    next(m for m in raw["maps"] if m["name"] == "f")["target"][
+        "relation"] = "x"
+    entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
+    rows = {c.check_id: c for c in run_entry(entry, pmax=30).checks}
+    shipped = {c.check_id: c
+               for c in run_entry(ENTRIES[raw["id"]], pmax=30).checks}
+    assert rows.keys() == shipped.keys() - {"pullback:f"}
+    failed = rows.pop("map:f")
+    assert failed.status == "FAIL" and failed.evidence["residual"] == "x"
+    for check_id, row in rows.items():
+        assert (row.status, row.evidence) == (
+            shipped[check_id].status, shipped[check_id].evidence), check_id
+
+
 def test_run_catalog_selection_and_order():
     runs = run_catalog(builtin_catalog(), ids=["genus2-quintic",
                                                "fermat-sextic-cone-quotient"],
