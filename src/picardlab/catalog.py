@@ -10,7 +10,8 @@ Family entries in the parameter ``t`` list their values as
 ``specializations``, each of which may override the claimed factors and bad
 primes; every per-value check runs at exactly these values.
 
-A load reads each entry once into records, through one field reader that
+A load reads each entry it covers (every entry, or those its ids name; of
+any other, the id alone) once into records, through one field reader that
 refuses a missing key or a wrong type with a ``CatalogError`` naming the
 entry and the field; a map name resolves to its ``MapSpec``, an aux t to
 its ``Specialization``.  The JSON shape and the model kinds are known here
@@ -123,8 +124,10 @@ _CLAIMED = (None, lambda value: value is None or type(value) is int
             and _DISC[1](value), _DISC[2])
 _PMAX = (int, lambda value: 1 <= value <= PRIME_CAP,
          "an int in 1..%d" % PRIME_CAP)
-_PAIR = (list, lambda value: _TEXTS[1](value) and len(set(value)) == 2
-         == len(value), "two distinct names")
+_NAMES = (list, lambda value: _TEXTS[1](value)
+          and len(set(value)) == len(value), "a list of distinct names")
+_PAIR = (list, lambda value: _NAMES[1](value) and len(value) == 2,
+         "two distinct names")
 # the kind of each fibration key that a route of SpaceModel.ROUTES reads
 _FIBRATION = {"base_vars": _PAIR, "fiber_vars": _PAIR, "root_vars": _PAIR,
               "factors": (list, lambda value: value and _TEXTS[1](value),
@@ -197,7 +200,7 @@ Specialization = _record("Specialization", "value factors bad_primes", """A
 # after `check`, its `map` resolved to a MapSpec and its `t` (None for an
 # entry without parameters) to a Specialization
 AUX_CHECKS = {
-    "quadric_rank": dict(relation=str, variables=_TEXTS, expected=int),
+    "quadric_rank": dict(relation=str, variables=_NAMES, expected=int),
     "j_target": dict(map=str, expected=str),
     "j_quartic": dict(quartic=str, variable=str, t=int, expected=str),
     "j_legendre_identity": dict(quartic=str, variable=str, lambda_=str),
@@ -234,7 +237,7 @@ def _model_spec(node, eid):
                  "%s: variables must be base_var %r and main_var %r, got %r",
                  affine, base, main, geometric)
         projective = node.field("projective", str)
-        variables = node.field("variables", _TEXTS)
+        variables = node.field("variables", _NAMES)
         return ModelSpec((kind, [(relation, main, None)], geometric, frame,
                           lambda poly: PlaneModel(poly(projective), variables),
                           True))
@@ -580,23 +583,22 @@ def _undeclared_bad_primes(model, declared):
 
 
 def load_catalog(document, ids=None):
-    """Parse and validate a catalog document (dict or JSON text).
-
-    Every entry is read into records; the claims (counting models, genus
-    sums, bad primes) of the entries in `ids` only, or of all entries when
-    `ids` is None."""
+    """The entries of a catalog document (dict or JSON text) that `ids`
+    names, all of them for None, read into records and their claims
+    (counting models, genus sums, bad primes) checked.  Of any other entry
+    only the id is read, a string that no other entry shares."""
     if isinstance(document, str):
         document = json.loads(document)
     document = _Node(document, "catalog document")
     rows = document.field("entries", list)
     tower = load_tower(document.field("tower", list, []))
-    entries = [CatalogEntry(_Node(raw, "entry %d", k), tower)
-               for k, raw in enumerate(rows)]
-    _require(len({e.id for e in entries}) == len(entries),
-             "duplicate entry ids")
+    nodes = [_Node(raw, "entry %d", k) for k, raw in enumerate(rows)]
+    eids = [node.field("id", str) for node in nodes]
+    _require(len(set(eids)) == len(eids), "duplicate entry ids")
+    entries = [CatalogEntry(node, tower) for node, eid in zip(nodes, eids)
+               if ids is None or eid in ids]
     for entry in entries:
-        if ids is None or entry.id in ids:
-            _check_claims(entry)
+        _check_claims(entry)
     return entries
 
 

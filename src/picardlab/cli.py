@@ -112,10 +112,10 @@ def _cmd_count(parser, args):
     if not (2 < p <= PRIME_CAP and is_prime(p)):
         parser.error("--prime must be an odd prime at most %d"
                      % PRIME_CAP)
-    entries = {e.id: e for e in builtin_catalog([args.entry])}
-    if args.entry not in entries:
+    entries = builtin_catalog([args.entry])
+    if not entries:
         parser.error("unknown entry id: %s" % args.entry)
-    entry = entries[args.entry]
+    (entry,) = entries
     try:
         rows = [(value, bad, entry.counting_model(value))
                 for value, _, bad in entry.specializations()]

@@ -422,15 +422,12 @@ def run_entry(entry, pmax=200, depth=1):
 
 
 def run_catalog(entries, ids=None, pmax=200, depth=1):
-    selected = entries
+    """The runs of the `entries` that `ids` names, or of all of them, in id
+    order; an id that names no entry is a KeyError."""
     if ids:
-        wanted = set(ids)
-        index = {e.id for e in entries}
-        missing = wanted - index
+        missing = set(ids) - {e.id for e in entries}
         if missing:
             raise KeyError("unknown entry ids: %s" % ", ".join(sorted(missing)))
-        selected = [e for e in entries if e.id in wanted]
-    return [
-        run_entry(e, pmax=pmax, depth=depth)
-        for e in sorted(selected, key=lambda e: e.id)
-    ]
+        entries = [e for e in entries if e.id in ids]
+    return [run_entry(e, pmax=pmax, depth=depth)
+            for e in sorted(entries, key=lambda e: e.id)]

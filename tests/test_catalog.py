@@ -290,17 +290,22 @@ def test_claims_are_checked_for_the_entries_a_load_covers():
         load_catalog(doc)
     with pytest.raises(CatalogError, match=message):
         load_catalog(doc, ids=["genus2-quintic"])
-    loaded = {e.id: e for e in load_catalog(doc, ids=["fermat-sextic"])}
-    assert loaded["genus2-quintic"]._models == {}
-    assert set(loaded["fermat-sextic"]._models) == {None}
+    # a load that does not name the entry does not read it
+    (loaded,) = load_catalog(doc, ids=["fermat-sextic"])
+    assert loaded.id == "fermat-sextic"
+    assert set(loaded._models) == {None}
 
 
-def test_structure_is_checked_for_every_entry_a_load_skips():
+def test_structure_is_checked_for_every_entry_a_load_names():
     doc, entry = _document_with_a_bad_genus_sum("genus3-septic")
     entry["aux"][0]["check"] = "cm_consistancy"
-    with pytest.raises(CatalogError, match="unknown aux check "
-                                           "'cm_consistancy' in genus3-septic"):
-        load_catalog(doc, ids=["fermat-sextic"])
+    # the structure is refused before the claims are checked
+    for ids in (None, ["genus3-septic"]):
+        with pytest.raises(CatalogError, match="unknown aux check "
+                           "'cm_consistancy' in genus3-septic"):
+            load_catalog(doc, ids)
+    assert [e.id for e in load_catalog(doc, ids=["fermat-sextic"])] == [
+        "fermat-sextic"]
 
 
 def test_undeclared_bad_primes_rejected():
@@ -686,18 +691,52 @@ def _affine(doc):
     (lambda d: _affine(d).update(main_var="x"),
      "affine of model of fermat-sextic: variables must be base_var 'x' and "
      "main_var 'x', got ['x', 'y']"),
+    # a repeated variable name raised a ValueError in the plane count and
+    # an IndexError in the quadric rank
+    (lambda d: _model(d, "ciani-quartic-pencil").update(
+        variables=["x", "x", "y", "z"]),
+     "model of ciani-quartic-pencil: variables must be a list of distinct "
+     "names, got ['x', 'x', 'y', 'z']"),
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "fermat-sextic-symmetric-quotient")
+     ["aux"][0].update(variables=["a", "b", "c", "c"]),
+     "aux check quadric_rank of fermat-sextic-symmetric-quotient: variables "
+     "must be a list of distinct names, got ['a', 'b', 'c', 'c']"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()
     k = doc["entries"].index(_septic(doc))
+    shipped = json.loads(json.dumps(doc))
     edit(doc)
-    with pytest.raises(CatalogError,
-                       match="^%s$" % re.escape(message.format(k=k))):
-        load_catalog(doc)
-    # the structure of every entry is checked, whichever entries are loaded
-    with pytest.raises(CatalogError,
-                       match="^%s$" % re.escape(message.format(k=k))):
-        load_catalog(doc, ["fermat-sextic"])
+    # the entries whose body, not their id, the edit changed
+    edited = [before["id"] for before, after
+              in zip(shipped["entries"], doc.get("entries", ()))
+              if after != before and after.get("id") == before["id"]]
+    if edited:
+        (eid,) = edited
+        _refused_by_the_loads_that_cover(doc, eid, message.format(k=k))
+    else:
+        _refused_at_every_load(doc, message.format(k=k))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows, k: rows.__setitem__(k, None), "entry {k} must be an object"),
+    (lambda rows, k: rows.__setitem__(k, ["genus3-septic"]),
+     "entry {k} must be an object"),
+    (lambda rows, k: rows[k].pop("id"), "entry {k} lacks id"),
+    (lambda rows, k: rows[k].update(id=7), "entry {k}: id must be a string, "
+                                           "got 7"),
+    (lambda rows, k: rows[k].update(id="genus2-quintic"),
+     "duplicate entry ids"),
+    (lambda rows, k: rows.append(rows[k]), "duplicate entry ids"),
+])
+def test_every_load_reads_every_entry_id(edit, message):
+    # a load that names one entry still refuses, with the message of a full
+    # load, an entry that is not an object, lacks a string id or repeats one
+    doc = _raw_document()
+    k = doc["entries"].index(_septic(doc))
+    edit(doc["entries"], k)
+    _refused_at_every_load(doc, message.format(k=k))
 
 
 @pytest.mark.parametrize("text", [None, [], 7, {"x": 1}, ["x^6"]])
@@ -706,14 +745,13 @@ def test_a_text_that_is_not_a_string_is_refused_at_load(text):
     doc = _raw_document()
     entry = next(e for e in doc["entries"] if e["id"] == "fermat-sextic")
     entry["model"]["projective"] = text
-    for ids in (None, ["genus2-quintic"]):
-        with pytest.raises(CatalogError, match="^model of fermat-sextic: "
-                           "projective must be a string, got %s$"
-                           % re.escape(repr(text))):
-            load_catalog(doc, ids)
+    _refused_by_the_loads_that_cover(
+        doc, "fermat-sextic",
+        "model of fermat-sextic: projective must be a string, got %r" % (text,))
     # texts are parsed when they are read, not at every load
     entry["model"]["projective"] = "x^6+"
-    assert len(load_catalog(doc, ["genus2-quintic"])) == len(EXPECTED_IDS)
+    assert [e.id for e in load_catalog(doc, ["genus2-quintic"])] == [
+        "genus2-quintic"]
     with pytest.raises(CatalogError, match="^text 'x\\^6\\+' of "
                                            "fermat-sextic: unexpected end"):
         load_catalog(doc)
@@ -856,8 +894,9 @@ def test_a_bad_j_text_is_refused_when_its_entry_loads(eid, kind):
     doc = _raw_document()
     raw = next(e for e in doc["entries"] if e["id"] == eid)
     next(a for a in raw["aux"] if a["check"] == kind)["expected"] = "1 +"
-    # a load that does not cover the entry does not parse its aux texts
-    assert len(load_catalog(doc, ["fermat-sextic"])) == 12
+    # a load that does not cover the entry does not read it
+    assert [e.id for e in load_catalog(doc, ["fermat-sextic"])] == [
+        "fermat-sextic"]
     for ids in ([eid], None):
         with pytest.raises(CatalogError,
                            match="^text '1 \\+' of %s: unexpected end of "
@@ -880,10 +919,21 @@ def test_aux_pmax_outside_the_prime_cap_is_refused_at_load(pmax):
 
 
 def _refused_at_every_load(doc, message):
-    # the structure of every entry is read, whichever entries are loaded
+    # the tower, the entry list and every entry's id are read by every load
     for ids in (None, ["genus2-quintic"]):
         with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
             load_catalog(doc, ids)
+
+
+def _refused_by_the_loads_that_cover(doc, eid, message):
+    """A fault in the body of entry `eid`: a load of every entry and one
+    that names `eid` refuse it with `message`; a load that names another
+    entry only does not read `eid`, and loads."""
+    for ids in (None, [eid]):
+        with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
+            load_catalog(doc, ids)
+    other = "fermat-sextic" if eid == "genus2-quintic" else "genus2-quintic"
+    assert [e.id for e in load_catalog(doc, [other])] == [other]
 
 
 @pytest.mark.parametrize("eid, edit, message", [
@@ -907,7 +957,7 @@ def _refused_at_every_load(doc, message):
 def test_a_malformed_field_is_refused_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
-    _refused_at_every_load(doc, message)
+    _refused_by_the_loads_that_cover(doc, eid, message)
 
 
 @pytest.mark.parametrize("eid, edit, message", [
@@ -929,7 +979,7 @@ def test_a_malformed_field_is_refused_at_load(eid, edit, message):
 def test_an_arity_mismatch_is_refused_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
-    _refused_at_every_load(doc, message)
+    _refused_by_the_loads_that_cover(doc, eid, message)
 
 
 @pytest.mark.parametrize("eid, edit, message", [
@@ -960,7 +1010,7 @@ def test_an_arity_mismatch_is_refused_at_load(eid, edit, message):
 def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
-    _refused_at_every_load(doc, message)
+    _refused_by_the_loads_that_cover(doc, eid, message)
 
 
 @pytest.mark.parametrize("eid, edit, message", [
@@ -984,7 +1034,7 @@ def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
 def test_a_field_of_the_wrong_value_is_refused_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
-    _refused_at_every_load(doc, message)
+    _refused_by_the_loads_that_cover(doc, eid, message)
 
 
 def test_entries_are_read_into_records():

@@ -71,7 +71,8 @@ def test_count_does_no_symbolic_work_after_load(monkeypatch, capsys):
     def refuse(*args):
         raise RuntimeError("parsed after the catalog was loaded")
 
-    monkeypatch.setattr(cli, "builtin_catalog", lambda ids=None: entries)
+    monkeypatch.setattr(cli, "builtin_catalog", lambda ids=None: [
+        e for e in entries if ids is None or e.id in ids])
     monkeypatch.setattr(symbolic, "parse_expression", refuse)
     monkeypatch.setattr(catalog, "parse_expression", refuse)
     monkeypatch.setattr(catalog, "parse_polynomial", refuse)
@@ -144,6 +145,50 @@ def test_verify_one_entry_prints_what_a_full_load_gives(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == full
     assert {eid for eid, _ in built} == {"genus3-septic"}
+
+
+def _spy_on_entry_builds(monkeypatch):
+    """The ids of the entries each load reads into records, in order."""
+    built, init = [], catalog.CatalogEntry.__init__
+
+    def spy(entry, node, tower):
+        init(entry, node, tower)
+        built.append(entry.id)
+
+    monkeypatch.setattr(catalog.CatalogEntry, "__init__", spy)
+    return built
+
+
+def test_a_call_that_names_entries_reads_those_only(monkeypatch, capsys):
+    built = _spy_on_entry_builds(monkeypatch)
+    assert main(["count", "--entry", "genus2-quintic", "--prime", "7"]) == 0
+    assert built == ["genus2-quintic"]
+    assert "npoints=" in capsys.readouterr().out
+    built.clear()
+    assert main(["verify", "--entry", "genus3-septic", "--entry",
+                 "genus2-quintic", "--pmax", "10"]) == 0
+    assert sorted(built) == ["genus2-quintic", "genus3-septic"]
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["entry"] for e in doc["entries"]] == ["genus2-quintic",
+                                                    "genus3-septic"]
+    built.clear()
+    assert main(["report", "--all", "--pmax", "10"]) == 0
+    assert len(built) == 12
+
+
+def test_an_unknown_entry_is_refused_by_name(capsys):
+    for argv, message in [
+            (["verify", "--entry", "nope"], "unknown entry ids: nope"),
+            (["verify", "--entry", "genus2-quintic", "--entry", "nope"],
+             "unknown entry ids: nope"),
+            (["count", "--entry", "nope", "--prime", "5"],
+             "unknown entry id: nope")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: %s\n" % message)
 
 
 def test_count_rejects_symbolic_entry():

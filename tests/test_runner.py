@@ -230,9 +230,12 @@ def test_a_pullback_text_that_is_not_a_string_is_refused_at_load(pullback):
     next(m for m in raw["maps"] if m["name"] == "g")["pullback"] = pullback
     message = ("map g of genus3-septic: pullback must be a list of "
                "strings, got %r" % (pullback,))
-    for ids in (None, ["fermat-sextic"]):
+    for ids in (None, ["genus3-septic"]):
         with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
             load_catalog(doc, ids)
+    # a load that names another entry only does not read genus3-septic
+    assert [e.id for e in load_catalog(doc, ["fermat-sextic"])] == [
+        "fermat-sextic"]
 
 
 @pytest.mark.parametrize("pullback, text", [
