@@ -128,6 +128,11 @@ _NAMES = (list, lambda value: _TEXTS[1](value)
           and len(set(value)) == len(value), "a list of distinct names")
 _PAIR = (list, lambda value: _NAMES[1](value) and len(value) == 2,
          "two distinct names")
+# what quotient_surface_check returns: picard, h11 (null unless maximal)
+# and maximal
+_SURFACE = (list, lambda value: len(value) == 3 and type(value[0]) is int
+            and (value[1] is None or type(value[1]) is int)
+            and type(value[2]) is bool, "a list [int, int or null, bool]")
 # the kind of each fibration key that a route of SpaceModel.ROUTES reads
 _FIBRATION = {"base_vars": _PAIR, "fiber_vars": _PAIR, "root_vars": _PAIR,
               "factors": (list, lambda value: value and _TEXTS[1](value),
@@ -160,6 +165,12 @@ def load_tower(declarations):
         # degree in name
         _require([(m, c) for m, c in relation.terms.items() if lead[0] in m]
                  == [(lead, 1)], "tower relation for %s must be monic", name)
+        _require(degree >= 2, "tower relation for %s must have degree at "
+                 "least 2, got %d", name, degree)
+        # over the earlier constants: any other name is a variable here
+        others = relation.free_variables() - {name}
+        _require(not others, "tower relation for %s names %s, no earlier "
+                 "tower symbol", name, ", ".join(sorted(others)))
         # name^degree equals minus the relation's other terms, which the
         # parse left in normal form over the earlier constants
         rows.append((name, degree, [(m, -c) for m, c in relation.terms.items()
@@ -207,7 +218,8 @@ AUX_CHECKS = {
     "cm_consistency": dict(rhs=str, variable=str, t=int, disc=_DISC,
                            pmax=_PMAX),
     "product_invariants": dict(g1=int, g2=int, expected=_INTS),
-    "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS, expected=list),
+    "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS,
+                             expected=_SURFACE),
 }
 # a trailing _ marks a JSON key that is a Python keyword
 _AUX_RECORDS = {kind: _record(kind, " ".join(("check",) + tuple(fields)))

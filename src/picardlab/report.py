@@ -5,16 +5,15 @@ The JSON form is canonical: entries sorted by id, checks sorted by
 catalog produce byte-identical output.
 
 render_json writes that form in one pass of its own, not with an indented
-json.dumps, which runs the standard library's pure-Python encoder.  Its
-bytes are those of json.dumps(doc, sort_keys=True, indent=2,
-separators=(",", ": ")) + "\n" for every document of str, None, bool, int,
-float, list, tuple and dict values and their subclasses, taken in
-json's type order; any other value, or a dict key that is not a str,
-int, float, bool or None, raises json's TypeError.  Like that call it
-writes NaN and Infinity.  It does not look for circular references,
-which a report document cannot hold.  tests/test_report.py pins the
-contract against json.dumps on a seeded corpus and pins the digests of
-the shipped catalog's canonical reports.
+json.dumps, which runs the standard library's pure-Python encoder.  It
+writes the values a report holds: str, None, bool, int, list and dict,
+their subclasses among them, with str keys.  On those its bytes are those
+of json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n";
+any other value (a float or a tuple too), or a key that is not a str,
+raises a TypeError that names its type.  It does not look for circular
+references, which a report document cannot hold.  tests/test_report.py
+pins the contract against json.dumps on a seeded corpus and pins the
+digests of the shipped catalog's canonical reports.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
@@ -60,8 +59,8 @@ def hodge_row(d, n):
     }
 
 
-def hodge_grid(ds=HODGE_GRID_D, ns=HODGE_GRID_N):
-    return [hodge_row(d, n) for d in ds for n in ns]
+def hodge_grid():
+    return [hodge_row(d, n) for d in HODGE_GRID_D for n in HODGE_GRID_N]
 
 
 def report_document(runs, include_hodge=False):
@@ -70,36 +69,6 @@ def report_document(runs, include_hodge=False):
     if include_hodge:
         doc["hodge"] = hodge_grid()
     return doc
-
-
-_INF = float("inf")
-
-
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(k):
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, float):
-        return _quote(_float_text(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _quote(int.__repr__(k))
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % k.__class__.__name__)
 
 
 def _write(o, out, nl):
@@ -115,9 +84,7 @@ def _write(o, out, nl):
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, list):
         if not o:
             out.append("[]")
             return
@@ -137,7 +104,7 @@ def _write(o, out, nl):
         comma = "," + inner
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out.append(sep + _key_text(k) + ": ")
+            out.append(sep + _quote(k) + ": ")
             _write(v, out, inner)
             sep = comma
         out.append(nl + "}")

@@ -639,6 +639,17 @@ def _affine(doc):
      "tower symbol s2: relation must be a string, got []"),
     (lambda d: d["tower"][2].update(relation=""),
      "text '' of tower symbol s2: unexpected end of expression"),
+    # a degree-1 relation raised a bare ValueError; a later symbol or an
+    # unknown name is a variable of the relation, which the load took and a
+    # run's residues crashed on
+    (lambda d: d["tower"][2].update(relation="s2-2"),
+     "tower relation for s2 must have degree at least 2, got 1"),
+    (lambda d: d["tower"][2].update(relation="s2^2-lam"),
+     "tower relation for s2 names lam, no earlier tower symbol"),
+    (lambda d: d["tower"][3].update(relation="lam^2-(2*w+1)/3*x"),
+     "tower relation for lam names w, x, no earlier tower symbol"),
+    (lambda d: d["tower"].pop(0),
+     "tower relation for lam names om, no earlier tower symbol"),
     # claimed discriminants: null, or a negative int = 0 or 1 mod 4
     (lambda d: _septic(d)["claim"]["factors"][0].update(disc=7),
      "factor 0 of genus3-septic: disc must be a negative discriminant, "
@@ -1015,11 +1026,31 @@ def test_aux_t_and_bad_primes_are_checked_at_load(eid, edit, message):
      lambda e: e["aux"][0].update(cm=[1, 1, 1, 1]),
      "aux check quotient_surface of triple-quadric-intersection: cm must "
      "be a list of bools, got [1, 1, 1, 1]"),
+    # the expected value is echoed into the row's evidence, which holds no
+    # float
+    ("triple-quadric-intersection",
+     lambda e: e["aux"][0].update(expected=[16, -3.0, True]),
+     "aux check quotient_surface of triple-quadric-intersection: expected "
+     "must be a list [int, int or null, bool], got [16, -3.0, True]"),
 ])
 def test_a_field_of_the_wrong_value_is_refused_at_load(eid, edit, message):
     doc = _raw_document()
     edit(next(e for e in doc["entries"] if e["id"] == eid))
     _refused_by_the_loads_that_cover(doc, eid, message)
+
+
+def test_a_quotient_surface_claimed_not_maximal_loads():
+    # quotient_surface_check's value for a factor without CM: no h11
+    doc = _raw_document()
+    eid = "triple-quadric-intersection"
+    entry = next(e for e in doc["entries"] if e["id"] == eid)
+    entry["aux"][0].update(expected=[16, None, False])
+    (loaded,) = load_catalog(doc, [eid])
+    assert loaded.aux[0].expected == [16, None, False]
+    (row,) = [c for c in run_entry(loaded, pmax=10).checks
+              if c.check_id == "aux:quotient-surface"]
+    assert (row.status, row.evidence) == ("FAIL", {
+        "got": [16, 16, True], "expected": [16, None, False]})
 
 
 def test_entries_are_read_into_records():

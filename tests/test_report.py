@@ -54,11 +54,6 @@ class Label(str):
         return "label"
 
 
-class Ratio(float):
-    def __repr__(self):
-        return "Ratio"
-
-
 class Row(dict):
     pass
 
@@ -70,10 +65,9 @@ class Items(list):
 TEXTS = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\r",
          "\x00\x01\x1f\x7f", "caf\u00e9 \u03c1 = h^{1,1}", "\u2028\ufeff",
          "astral \U0001d4c0 \U0001f600", "\ud800 lone surrogate", "/</"]
+# the values a report holds: no float, no tuple, and str keys only
 SCALARS = [None, True, False, 0, 1, -1, -7, 2 ** 64, -(2 ** 64) - 1,
-           3 ** 90, 0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, float("nan"),
-           float("inf"), float("-inf"), Count(7), Count(-3), Label("x\"y"),
-           Ratio(1.5)]
+           3 ** 90, Count(7), Count(-3), Label("x\"y")]
 
 
 def _value(rng, depth):
@@ -84,11 +78,8 @@ def _value(rng, depth):
         return rng.choice(SCALARS)
     if kind < 7:
         items = [_value(rng, depth + 1) for _ in range(rng.randrange(5))]
-        return rng.choice([list, tuple, Items])(items)
-    # keys of one kind per dict: json sorts the items, so str and int keys
-    # may not share one
-    keys = rng.choice([TEXTS, [0, -4, 2 ** 70, Count(9), True, False],
-                       [0.5, -1.25, 1e20, 3, Ratio(2.5)], [None]])
+        return rng.choice([list, Items])(items)
+    keys = TEXTS + [Label("k\u00e9y")]
     picked = rng.sample(keys, rng.randrange(len(keys) + 1))
     return rng.choice([dict, Row, collections.OrderedDict])(
         (k, _value(rng, depth + 1)) for k in picked)
@@ -97,7 +88,7 @@ def _value(rng, depth):
 def test_writer_matches_json_dumps_on_a_seeded_corpus():
     rng = random.Random(2702)
     corpus = [_value(rng, 0) for _ in range(400)]
-    corpus += [{}, [], (), {"a": {}, "b": [], "c": ((), [[]], {"d": {}})},
+    corpus += [{}, [], {"a": {}, "b": [], "c": [[], [[]], {"d": {}}]},
                {"evidence": {"witness": [-4, -4, 5, 5], "ok": True}}]
     corpus += SCALARS + TEXTS + [{k: k for k in TEXTS}]
     for doc in corpus:
@@ -117,9 +108,6 @@ def test_writer_matches_json_dumps_on_a_report():
     {"a": [1, Fraction(3)]},
     [{1, 2}],
     {"b": object()},
-    {Fraction(1, 2): 1},
-    {(1, 2): "tuple key"},
-    {"a": 1, 2: "mixed keys"},
 ])
 def test_writer_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(TypeError) as want:
@@ -127,6 +115,23 @@ def test_writer_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(TypeError) as got:
         json_text(doc)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("doc, kind", [
+    (1.5, "float"),
+    ({"a": [0, float("nan")]}, "float"),
+    ((1, 2), "tuple"),
+    ({"a": [()]}, "tuple"),
+    ({1: "int key"}, "int"),
+    ({"a": 1, 2: "mixed keys"}, "int"),
+    ({Fraction(1, 2): 1}, "Fraction"),
+    ({(1, 2): "tuple key"}, "tuple"),
+])
+def test_writer_refuses_what_a_report_does_not_hold(doc, kind):
+    # json.dumps writes these, or names the key types it takes; a report
+    # holds no float, no tuple and no key but a str
+    with pytest.raises(TypeError, match=r"\b%s\b" % kind):
+        json_text(doc)
 
 
 def test_entries_sorted_regardless_of_input_order():
