@@ -98,10 +98,10 @@ def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
     if not 1 <= depth <= 3:
         parser.error("--depth must lie in [1, 3]")
     entries = builtin_catalog(ids)
-    try:
-        runs = run_catalog(entries, ids=ids, pmax=pmax, depth=depth)
-    except KeyError as exc:
-        parser.error(str(exc.args[0]))
+    missing = set(ids or ()) - {e.id for e in entries}
+    if missing:
+        parser.error("unknown entry ids: %s" % ", ".join(sorted(missing)))
+    runs = run_catalog(entries, pmax=pmax, depth=depth)
     _emit(render(runs, fmt, include_hodge=include_hodge), out)
     unexpected = sum(len(r.unexpected_failures()) for r in runs)
     return 0 if unexpected == 0 else 1

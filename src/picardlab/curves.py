@@ -8,16 +8,17 @@ raise ``ValueError``, also under ``python -O``.
 
 Only models and routes live here; every decision about a field is ``gf``'s.
 A count checks (p, k) by ``gf.check_field`` first, then reads the tables of
-``gf.field(p, k)`` and, in the pencil and even-quartic routes, its ``roots``.
-Over F_p a polynomial is evaluated at all of F_p one column at a time
-(``_column``): its term c x^j at x = g^i is g^(log c + ij), a stride-j slice
-of the exp table, and the slices are added as packed machine integers, one
-Python int per column.  The cyclic cover and the square-root tower then
-read their counts by ``map`` over the columns.  The pencil of cubics and
-the even plane quartic read each line's root count by table lookups from a
-few columns (the lines' leading coefficients, discriminants and invariants),
-so no route makes a Python call per point or per line, except on the rare
-lines where a lookup does not apply; those go through ``gf.RootCounts``.
+``gf.field(p, k)``, the root tables of the pencil and even-quartic routes
+included.  Over F_p a polynomial is evaluated at all of F_p one column at a
+time (``_column``): its term c x^j at x = g^i is g^(log c + ij), a stride-j
+slice of the exp table, and the slices are added as packed machine integers,
+one Python int per column.  The cyclic cover and the square-root tower then
+read their counts by ``map`` over the columns.  The pencil of cubics and the
+even plane quartic read each line's root count by table lookups from a few
+columns (the lines' leading coefficients, discriminants and invariants), so no
+route makes a Python call per point or per line, except on the rare lines
+where a lookup does not apply; those go through the field's ``cubic`` and
+``even_quartic``.
 
 The cyclic cover y^m = f(x) and the even plane quartic G(x^2, y^2, z^2)
 each have one route for every field, forking on ``field.k`` only where F_q
@@ -290,7 +291,7 @@ def _even_quartic_count(rows, field):
     if field.k == 1:
         # the lines X = g^(2i), every other value of a column; when c2 = 0
         # mod p every one of them is rare
-        p, roots = field.p, field.roots
+        p, squares = field.p, field.power_counts(2)
         coeffs = [[0] * 3 for _ in range(3)]
         for (ex, ey, _), log_c in rows:
             coeffs[ey][ex] = (coeffs[ey][ex] + field.exp[log_c]) % p
@@ -304,14 +305,14 @@ def _even_quartic_count(rows, field):
             disc = _reduced_column(field, _dense_mod(
                 _poly_sum([(1, c1, c1), (-4 * lead, c0)]), p))[1::2]
             rare = _zeros(disc)
-            keep = list(map(roots.squares.__getitem__, disc))
+            keep = list(map(squares.__getitem__, disc))
             for i in rare:
                 keep[i] = 0
-            r = list(map(roots.square_roots.__getitem__,
+            r = list(map(field.square_roots.__getitem__,
                          compress(disc, keep)))
             b = list(compress(_column(field, c1)[1::2], keep))
-            counts = bytes(roots.squares)
-            if not roots.squares[2 * lead % p]:
+            counts = bytes(squares)
+            if not squares[2 * lead % p]:
                 counts = counts.translate(_SWAP_0_2)
             # the unreduced c1 lies in [0, 3p), so r - c1 in (-3p, p) reads
             # plus[t] = P[t mod p], a negative t from the end, and r + c1
@@ -544,7 +545,6 @@ class SpaceModel:
         # lines are counted one by one.
         rows = table_mod(self.form_rows, p)
         field = gf.field(p)
-        roots = field.roots
         k0, k1, k2, k3, b2, a3 = (_dense_mod(f, p) for f in self.pencil)
         lead = _reduced_column(field, k0)
         num = _reduced_column(field, b2)
@@ -554,7 +554,7 @@ class SpaceModel:
             # a zero has no log: 1 stands in, and its lookup is taken back
             num[i] = num[i] or 1
             den[i] = den[i] or 1
-        log, table = field.log, roots.depressed
+        log, table = field.log, field.depressed
         # log(b^2) - log(a^3) lies in (-(p - 1), p - 1): a negative index
         # reads the table mod p - 1
         n = sum(map(table.__getitem__, map(
@@ -563,7 +563,7 @@ class SpaceModel:
         def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
             # A at B = 1, and (A : B) = (1 : 0) when the A^3 term vanishes
-            return roots.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
+            return field.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
         for i in rare:
             s = field.exp[i - 1] if i else 0

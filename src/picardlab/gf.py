@@ -20,11 +20,11 @@ prime field for the one count and refuses a larger extension field.  The
 tables derived from a field live as long as the field does, each built on
 first use: ``power_counts(n)`` once per gcd(n, q - 1), as a tuple that no
 caller can change; ``exp_bytes(code)``, the exp table as machine integers,
-once per array type code; and a prime field's ``roots``, its
-``RootCounts``.  Nothing is built at import.
+once per array type code; and a prime field's ``square_roots`` and
+``depressed``.  Nothing is built at import.
 
 Roots in a field are counted only in the shapes that the counting routes
-meet: a polynomial of degree at most 3 over F_p by ``RootCounts.cubic``, and
+meet: a polynomial of degree at most 3 over F_p by ``ExtField.cubic``, and
 c2 y^4 + c1 y^2 + c0 over F_q by ``ExtField.even_quartic``.  There is no
 F_p[x] gcd arithmetic; the split-prime search of the constant tower finds
 its roots by ``least_simple_root``, in closed form for a quadratic and by
@@ -287,10 +287,66 @@ class ExtField:
         return packed
 
     @cached_property
-    def roots(self) -> RootCounts:
-        """The root tables of this prime field, built on first use and kept
-        as long as the field is."""
-        return RootCounts(self)
+    def square_roots(self) -> tuple:
+        """A table of the prime field F_p: roots[v] is a square root of v,
+        None when v is not a square.  A nonzero v = g^i is a square when i
+        is even, g^(i/2) being a square root."""
+        p, exp = self.p, self.exp
+        roots = [None] * p
+        roots[0] = 0
+        for i in range(0, p - 1, 2):
+            roots[exp[i]] = exp[i // 2]
+        return tuple(roots)
+
+    @cached_property
+    def depressed(self) -> bytes:
+        """A table of the prime field F_p: t[k] for k mod p - 1 is the
+        number of roots of Y^3 + aY + b for any a, b != 0 with
+        b^2/a^3 = g^k, g = exp[1] the generator, a non-square.  Scaling
+        Y = lam Z carries Y^3 + aY + b to Z^3 + eZ + beta, beta = b/lam^3,
+        when a = e lam^2, and keeps b^2/a^3 = beta^2/e^3; so it is read off
+        the root counts of Z^3 + Z + beta (k even) and of Z^3 + gZ + beta
+        (k odd).  Z -> -Z shows that the sign of beta does not matter."""
+        p, log = self.p, self.log
+        table = bytearray(p - 1)
+        for e in (1, self.exp[1]):
+            hist = [0] * p
+            for z in range(p):
+                hist[-(z * z * z + e * z) % p] += 1
+            shift = 3 * log[e]
+            for beta in range(1, p):
+                table[(2 * log[beta] - shift) % (p - 1)] = hist[beta]
+        return bytes(table)
+
+    def cubic(self, coeffs) -> int:
+        """Distinct roots in the prime field F_p of
+        f = c3 x^3 + c2 x^2 + c1 x + c0, given [c0, c1, c2, c3], by a few
+        lookups in its tables.  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
+        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0,
+        Y (Y^2 + a) when b = 0, else t[log(b^2/a^3)] from ``depressed``.
+        A quadratic has squares[c1^2 - 4 c2 c0] distinct roots, a linear f
+        one, and a constant f none, or all p when it is 0.  At p = 3 the
+        shift divides by 3, so a cubic is evaluated at 0, 1 and 2."""
+        p = self.p
+        c0, c1, c2, c3 = (c % p for c in coeffs)
+        if c3 == 0:
+            if c2:
+                return self.power_counts(2)[(c1 * c1 - 4 * c2 * c0) % p]
+            if c1:
+                return 1
+            return 0 if c0 else p
+        if p == 3:
+            return sum((c0 + x * (c1 + x * (c2 + x * c3))) % 3 == 0
+                       for x in range(3))
+        # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
+        a = 3 * (3 * c3 * c1 - c2 * c2) % p
+        b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
+        if a == 0:
+            return self.power_counts(3)[-b % p]
+        if b == 0:
+            return 1 + self.power_counts(2)[-a % p]
+        log = self.log
+        return self.depressed[(2 * log[b] - 3 * log[a]) % (p - 1)]
 
     def _pow(self, a: tuple, e: int) -> tuple:
         r = self.coeffs(1)
@@ -329,79 +385,3 @@ class ExtField:
     def __repr__(self):
         return f"ExtField({self.p}, {self.k})"
 
-
-class RootCounts:
-    """Tables of a prime field that count the roots in F_p of a cubic by a
-    few lookups, and give a square root of each square.  Each table costs
-    O(p) and is built on first use; coefficient lists run low to high, and
-    the zero polynomial vanishes at all p points."""
-
-    def __init__(self, field: ExtField):
-        self.field = field
-        self.p = field.p
-        self.squares = field.power_counts(2)
-
-    @cached_property
-    def cubes(self):
-        return self.field.power_counts(3)
-
-    @cached_property
-    def square_roots(self):
-        """roots[v]: a square root of v, None when v is not a square.  A
-        nonzero v = g^i is a square when i is even, g^(i/2) being a square
-        root."""
-        exp = self.field.exp
-        roots = [None] * self.p
-        roots[0] = 0
-        for i in range(0, self.p - 1, 2):
-            roots[exp[i]] = exp[i // 2]
-        return tuple(roots)
-
-    @cached_property
-    def depressed(self):
-        """t[k] for k mod p - 1: the number of roots of Y^3 + aY + b for any
-        a, b != 0 with b^2/a^3 = g^k, g = exp[1] the generator, a
-        non-square.  Scaling Y = lam Z carries Y^3 + aY + b to
-        Z^3 + eZ + beta, beta = b/lam^3, when a = e lam^2, and keeps
-        b^2/a^3 = beta^2/e^3; so it is read off the root counts of
-        Z^3 + Z + beta (k even) and of Z^3 + gZ + beta (k odd).  Z -> -Z
-        shows that the sign of beta does not matter."""
-        p, log = self.p, self.field.log
-        table = bytearray(p - 1)
-        for e in (1, self.field.exp[1]):
-            hist = [0] * p
-            for z in range(p):
-                hist[-(z * z * z + e * z) % p] += 1
-            shift = 3 * log[e]
-            for beta in range(1, p):
-                table[(2 * log[beta] - shift) % (p - 1)] = hist[beta]
-        return bytes(table)
-
-    def cubic(self, coeffs):
-        """Distinct roots of f = c3 x^3 + c2 x^2 + c1 x + c0, given
-        [c0, c1, c2, c3].  With c3 != 0 and p > 3, x = (Y - c2)/(3 c3)
-        carries f to a unit times Y^3 + aY + b: Y^3 = -b when a = 0,
-        Y (Y^2 + a) when b = 0, else t[log(b^2/a^3)] from ``depressed``.
-        A quadratic has squares[c1^2 - 4 c2 c0] distinct roots, a linear f
-        one, and a constant f none, or all p when it is 0.  At p = 3 the
-        shift divides by 3, so a cubic is evaluated at 0, 1 and 2."""
-        p = self.p
-        c0, c1, c2, c3 = (c % p for c in coeffs)
-        if c3 == 0:
-            if c2:
-                return self.squares[(c1 * c1 - 4 * c2 * c0) % p]
-            if c1:
-                return 1
-            return 0 if c0 else p
-        if p == 3:
-            return sum((c0 + x * (c1 + x * (c2 + x * c3))) % 3 == 0
-                       for x in range(3))
-        # 27 c3^2 f((Y - c2) / (3 c3)) = Y^3 + aY + b
-        a = 3 * (3 * c3 * c1 - c2 * c2) % p
-        b = (2 * c2 * c2 * c2 - 9 * c3 * c2 * c1 + 27 * c3 * c3 * c0) % p
-        if a == 0:
-            return self.cubes[-b % p]
-        if b == 0:
-            return 1 + self.squares[-a % p]
-        log = self.field.log
-        return self.depressed[(2 * log[b] - 3 * log[a]) % (p - 1)]

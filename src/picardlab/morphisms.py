@@ -50,11 +50,10 @@ class ReductionSystem:
 
 
 class Differential:
-    """A 1-form written as coeff * d(base_var) on some curve."""
+    """A 1-form written as coeff * d(base_var) on some curve, coeff a
+    RationalFunction."""
 
     def __init__(self, coeff, base_var):
-        if isinstance(coeff, MPoly):
-            coeff = RationalFunction(coeff)
         self.coeff = coeff
         self.base_var = base_var
 

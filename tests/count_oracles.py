@@ -148,17 +148,17 @@ def pencil_loop_count(model, p):
 def pencil_line_count(model, p):
     """Points of a `pencil_form` space model, one line (s : r) of the ruling
     at a time: the cubic's coefficients by Horner's rule, its roots by
-    `RootCounts.cubic`, plus (A : B) = (1 : 0) when the A^3 term vanishes;
+    `ExtField.cubic`, plus (A : B) = (1 : 0) when the A^3 term vanishes;
     O(p) Python calls."""
     rows = table_mod(model.form_rows, p)
-    roots = gf.field(p).roots
+    field = gf.field(p)
 
     def fiber(s, r):
         # coeffs[j] multiplies A^(3-j) B^j
         coeffs = [0] * 4
         for (es, er, _, eb), c in rows:
             coeffs[eb] = (coeffs[eb] + c * pow(s, es, p) * pow(r, er, p)) % p
-        return roots.cubic(coeffs[::-1]) + (coeffs[0] == 0)
+        return field.cubic(coeffs[::-1]) + (coeffs[0] == 0)
 
     return sum(fiber(s, 1) for s in range(p)) + fiber(1, 0)
 

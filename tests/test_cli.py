@@ -138,7 +138,8 @@ def test_verify_one_entry_prints_what_a_full_load_gives(monkeypatch, capsys):
     argv = ["verify", "--entry", "genus3-septic", "--pmax", "30"]
     entries = builtin_catalog()
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "builtin_catalog", lambda ids=None: entries)
+        patch.setattr(cli, "builtin_catalog", lambda ids=None: [
+            e for e in entries if e.id in ids])
         assert main(argv) == 0
     full = capsys.readouterr().out
     built = _spy_on_model_builds(monkeypatch)

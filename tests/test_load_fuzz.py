@@ -3,10 +3,12 @@ or is refused with a CatalogError, and raises nothing else; an edit that
 loads runs its entries and renders its report.
 
 An edit deletes one value at a path under ``tower`` or ``entries`` of
-``builtin.json``, or replaces it with one of REPLACEMENTS.  The tests run a
-seeded sample of the edits; run this file as a script to load, run and
-render all of them and print the count of each outcome, of each row status
-and of each crash class:
+``builtin.json``, replaces it with one of REPLACEMENTS, or changes it by one
+of the VALUE_EDITS of its type: a text garbled, an int scaled or shifted, a
+list with an element dropped or repeated.  The tests run a seeded sample of
+the edits; run this file as a script to load, run and render all of them
+and print the count of each outcome, of each row status and of each crash
+class:
 
     PYTHONPATH=src python tests/test_load_fuzz.py
 """
@@ -14,6 +16,7 @@ and of each crash class:
 import json
 import random
 import sys
+import time
 import traceback
 from collections import Counter
 from importlib import resources
@@ -25,14 +28,43 @@ from picardlab.runner import run_entry
 DELETE = object()
 REPLACEMENTS = [None, 7, "x", "", [], {}, True, -3.0, [1, 0, 0]]
 SAMPLE, SEED = 1500, 29
-# the pmax of a run of an edited entry
-PMAX = 10
+# the pmax of a run of an edited entry, and the seconds an edit may take to
+# load, run and render
+PMAX, SECONDS = 10, 5
+# an edit that puts a float in a row's evidence, unless the load refuses it
+FLOAT_EDIT = (("entries", 5, "aux", 0, "expected", 1), -3.0)
+
+
+class ValueEdit:
+    """A named change of the value at a path: the new value from the old."""
+
+    def __init__(self, name, change):
+        self.name = name
+        self.change = change
+
+
+# the edits of a value by its type; a bool is not an int here, and an empty
+# list has no element to drop or repeat
+VALUE_EDITS = {
+    str: [ValueEdit("append +x", lambda s: s + "+x"),
+          ValueEdit("drop the last character", lambda s: s[:-1]),
+          ValueEdit("square", lambda s: "(%s)^2" % s),
+          ValueEdit('"0"', lambda s: "0"),
+          ValueEdit('"1"', lambda s: "1")],
+    int: [ValueEdit("times 1000", lambda n: n * 1000),
+          ValueEdit("negate", lambda n: -n),
+          ValueEdit("plus 1", lambda n: n + 1),
+          ValueEdit("0", lambda n: 0)],
+    list: [ValueEdit("drop the first element", lambda v: v[1:]),
+           ValueEdit("repeat the first element", lambda v: v[:1] + v),
+           ValueEdit("drop the last element", lambda v: v[:-1])],
+}
 
 TEXT = resources.files("picardlab").joinpath("data/builtin.json").read_text()
 
 
 def _paths(value, path):
-    """The path of every value inside `value`, each parent before its
+    """(path, value) of every value inside `value`, each parent before its
     children."""
     if isinstance(value, dict):
         items = value.items()
@@ -41,18 +73,20 @@ def _paths(value, path):
     else:
         return
     for key, child in items:
-        yield path + (key,)
+        yield path + (key,), child
         yield from _paths(child, path + (key,))
 
 
 def edits():
-    """(path, replacement) pairs, DELETE or one of REPLACEMENTS at every path
-    under the tower and the entries."""
+    """(path, replacement) pairs at every path under the tower and the
+    entries: DELETE, each of REPLACEMENTS, and each of the VALUE_EDITS of
+    the value's type."""
     document = json.loads(TEXT)
     return [(path, replacement)
             for top in ("tower", "entries")
-            for path in _paths(document[top], (top,))
-            for replacement in [DELETE] + REPLACEMENTS]
+            for path, value in _paths(document[top], (top,))
+            for replacement in [DELETE] + REPLACEMENTS
+            + (VALUE_EDITS.get(type(value), []) if value != [] else [])]
 
 
 def edited(path, replacement):
@@ -63,19 +97,13 @@ def edited(path, replacement):
         node = node[key]
     if replacement is DELETE:
         del node[path[-1]]
-    else:
-        # a fresh copy, so that no two edits share a list or an object
-        node[path[-1]] = json.loads(json.dumps(replacement))
+        return document
+    if isinstance(replacement, ValueEdit):
+        replacement = replacement.change(node[path[-1]])
+    # a fresh copy, so that no two edits, and no two places in one edit,
+    # share a list or an object
+    node[path[-1]] = json.loads(json.dumps(replacement))
     return document
-
-
-def outcome(path, replacement):
-    """'load' or 'refused'; any other exception propagates."""
-    try:
-        load_catalog(edited(path, replacement))
-    except CatalogError:
-        return "refused"
-    return "load"
 
 
 def rendered(path, replacement):
@@ -94,34 +122,33 @@ def rendered(path, replacement):
     return runs
 
 
+def _edit_name(replacement):
+    if replacement is DELETE:
+        return "delete"
+    if isinstance(replacement, ValueEdit):
+        return replacement.name
+    return json.dumps(replacement)
+
+
 def _label(path, replacement):
-    return "%s <- %s" % ("/".join(map(str, path)),
-                         "delete" if replacement is DELETE
-                         else json.dumps(replacement))
-
-
-def test_sampled_edits_load_or_are_refused():
-    crashes = []
-    for path, replacement in random.Random(SEED).sample(edits(), SAMPLE):
-        try:
-            outcome(path, replacement)
-        except Exception as exc:
-            crashes.append("%s: %r" % (_label(path, replacement), exc))
-    assert crashes == []
+    return "%s <- %s" % ("/".join(map(str, path)), _edit_name(replacement))
 
 
 def test_sampled_edits_that_load_run_and_render():
-    sample = random.Random(SEED).sample(edits(), SAMPLE)
-    # an edit that puts a float in a row's evidence, unless the load
-    # refuses it
-    assert (("entries", 5, "aux", 0, "expected", 1), -3.0) in sample
-    crashes, loaded = [], 0
+    # each edit loads or is refused with a CatalogError, and one that loads
+    # runs and renders, within SECONDS
+    sample = random.Random(SEED).sample(edits(), SAMPLE) + [FLOAT_EDIT]
+    crashes, slow, loaded = [], [], 0
     for path, replacement in sample:
+        start = time.perf_counter()
         try:
             loaded += rendered(path, replacement) is not None
         except Exception as exc:
             crashes.append("%s: %r" % (_label(path, replacement), exc))
+        if time.perf_counter() - start > SECONDS:
+            slow.append(_label(path, replacement))
     assert crashes == []
+    assert slow == []
     assert loaded > SAMPLE // 10
 
 
@@ -131,8 +158,8 @@ def test_every_edit_kind_reaches_every_part_of_the_document():
     assert SAMPLE < len(every)
     sample = random.Random(SEED).sample(every, SAMPLE)
     assert {path[0] for path, _ in sample} == {"tower", "entries"}
-    assert len({id(r) if r is DELETE else json.dumps(r)
-                for _, r in sample}) == 1 + len(REPLACEMENTS)
+    kinds = 1 + len(REPLACEMENTS) + sum(map(len, VALUE_EDITS.values()))
+    assert len({_edit_name(r) for _, r in sample}) == kinds
 
 
 def main():

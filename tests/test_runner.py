@@ -188,7 +188,7 @@ def test_extension_count_above_the_table_bound_is_skipped():
     # p = 17: F_{17^2} is counted, F_{17^3} exceeds the table bound
     doc, raw = _builtin_document("genus2-quintic")
     raw["bad_primes"] = [2, 3, 5, 7, 11, 13]
-    (run,) = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=5,
+    (run,) = run_catalog(load_catalog(doc, ["genus2-quintic"]), pmax=5,
                          depth=3)
     by_id = _checks_by_id(run)
     (k2,) = by_id["extension:k=2"]
@@ -300,14 +300,46 @@ def test_a_target_relation_in_no_target_variable_is_a_fail_row():
             shipped[check_id].status, shipped[check_id].evidence), check_id
 
 
+def _sextic_rows_with_map_f(field, value):
+    """The rows of fermat-sextic with one field of its map `f` set to
+    `value`, all but map:f and pullback:f checked against the shipped
+    rows; those two are returned."""
+    doc, raw = _builtin_document("fermat-sextic")
+    next(m for m in raw["maps"] if m["name"] == "f")[field] = value
+    (entry,) = load_catalog(doc, [raw["id"]])
+    rows = {c.check_id: c for c in run_entry(entry, pmax=10).checks}
+    shipped = {c.check_id: c
+               for c in run_entry(ENTRIES[raw["id"]], pmax=10).checks}
+    assert rows.keys() == shipped.keys()
+    mapped, pulled = rows.pop("map:f"), rows.pop("pullback:f")
+    for check_id, row in rows.items():
+        assert (row.status, row.evidence) == (
+            shipped[check_id].status, shipped[check_id].evidence), check_id
+    return mapped, pulled
+
+
+def test_a_map_that_verifies_but_is_declared_expected_fail_fails():
+    mapped, pulled = _sextic_rows_with_map_f("expect", "fail")
+    assert mapped.status == "FAIL" and mapped.unexpected_failure
+    assert mapped.evidence["note"] == \
+        "map verifies but was declared expected-fail"
+    assert pulled.status == "PASS"
+
+
+def test_a_pullback_outside_the_basis_span_is_a_fail_row():
+    mapped, pulled = _sextic_rows_with_map_f("differential", "u^4/v^3")
+    assert mapped.status == "PASS"
+    assert pulled.status == "FAIL" and pulled.unexpected_failure
+    assert pulled.evidence == {
+        "note": "pullback does not lie in the declared basis span"}
+
+
 def test_run_catalog_selection_and_order():
-    runs = run_catalog(builtin_catalog(), ids=["genus2-quintic",
-                                               "fermat-sextic-cone-quotient"],
+    runs = run_catalog(builtin_catalog(["genus2-quintic",
+                                        "fermat-sextic-cone-quotient"]),
                        pmax=10)
     assert [r.entry_id for r in runs] == ["fermat-sextic-cone-quotient",
                                           "genus2-quintic"]
-    with pytest.raises(KeyError):
-        run_catalog(builtin_catalog(), ids=["nope"], pmax=10)
 
 
 def test_pmax_cap():
@@ -328,7 +360,7 @@ def test_summary_counts():
 def _quintic_run_with_map(components):
     doc, raw = _builtin_document("genus2-quintic")
     raw["maps"][0]["components"] = components
-    runs = run_catalog(load_catalog(doc), ids=["genus2-quintic"], pmax=10)
+    runs = run_catalog(load_catalog(doc, ["genus2-quintic"]), pmax=10)
     return _checks_by_id(runs[0])
 
 
@@ -369,7 +401,7 @@ def test_source_system_whose_reduction_never_ends_is_a_fail_row(src_env):
         "spec['source'] = {'relations': ['b^2-c^3', 'c^2-b^2-a'],"
         " 'mains': ['b', 'c']}",
         "spec['components'] = ['a', 'b', 'c^2', 'c']",
-        "(run,) = run_catalog(load_catalog(doc), ids=[raw['id']], pmax=10)",
+        "(run,) = run_catalog(load_catalog(doc, [raw['id']]), pmax=10)",
         "rows = [c for c in run.checks if c.check_id == 'map:canonical']",
         "print(json.dumps([[c.status, c.unexpected_failure, c.evidence]"
         " for c in rows]))",
@@ -624,7 +656,7 @@ def test_uncountable_trace_target_is_a_fail_row_at_that_prime():
     # row at p = 5 fails and names the map, the other primes still count
     doc, raw = _builtin_document("bielliptic-sextic-pencil")
     raw["maps"][0]["target"]["relation"] = "v^2-5*(u+2)*(u^3-3*u+t)"
-    (run,) = run_catalog(load_catalog(doc), ids=[raw["id"]], pmax=20)
+    (run,) = run_catalog(load_catalog(doc, [raw["id"]]), pmax=20)
     by_id = _checks_by_id(run)
     for t in (0, 1):
         rows = {row.prime: row for row in by_id["trace:t=%d" % t]}
@@ -640,7 +672,7 @@ def test_uncountable_trace_target_is_a_fail_row_at_that_prime():
 def test_malformed_j_target_is_a_fail_row():
     doc, raw = _builtin_document("genus2-quintic")
     raw["maps"][0]["target"]["relation"] = "v^3-u*(u+1)*(u-2*(1-s2))"
-    (run,) = run_catalog(load_catalog(doc), ids=[raw["id"]], pmax=20)
+    (run,) = run_catalog(load_catalog(doc, [raw["id"]]), pmax=20)
     (row,) = _checks_by_id(run)["aux:j-target"]
     assert row.status == "FAIL" and row.unexpected_failure
     assert row.evidence == {

@@ -166,8 +166,8 @@ def test_unbounded_cache_rule_flags_each_form():
 
 
 # names that only the finite-field layer, gf, may use: it alone constructs
-# fields and root tables, and it alone keeps them
-FIELD_CONSTRUCTORS = {"ExtField", "RootCounts"}
+# fields and their root tables, and it alone keeps them
+FIELD_CONSTRUCTORS = {"ExtField"}
 FIELD_NAMES = {"TABLE_MAX", "FIELD_CACHE", "lru_cache"}
 
 
@@ -182,9 +182,8 @@ def _name_of(node):
 
 
 def _field_layer_uses(tree):
-    """Lines that construct ExtField or RootCounts, or name TABLE_MAX,
-    FIELD_CACHE or lru_cache, apart from the bounded cache that decorates
-    ``is_prime``."""
+    """Lines that construct ExtField, or name TABLE_MAX, FIELD_CACHE or
+    lru_cache, apart from the bounded cache that decorates ``is_prime``."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "is_prime":
@@ -209,7 +208,7 @@ def test_only_gf_builds_and_keeps_fields():
 def test_field_layer_rule_flags_each_form():
     flagged = [
         "F = ExtField(5, 2)",
-        "roots = gf.RootCounts(F)",
+        "F = gf.ExtField(13, 1)",
         "big = p > TABLE_MAX",
         "from .gf import FIELD_CACHE",
         "from functools import lru_cache",
@@ -219,7 +218,7 @@ def test_field_layer_rule_flags_each_form():
     allowed = [
         "@functools.lru_cache(maxsize=1024)\ndef is_prime(n): pass",
         "F = gf.field(5, 2)",
-        "n = gf.field(13).roots.cubic(c)",
+        "n = gf.field(13).cubic(c)",
         "from .gf import ExtField",
         "from functools import cached_property",
     ]
