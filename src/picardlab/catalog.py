@@ -1,7 +1,9 @@
 """Machine-readable curve catalog.
 
 The catalog document is JSON: a constant tower declaration and a list of
-entries.  Each entry bundles a curve model (symbolic relations
+entries.  Each tower symbol is adjoined with its relation parsed over the
+symbols before it, and ``ConstantTower.adjoin``'s refusals are
+``CatalogError``s.  Each entry bundles a curve model (symbolic relations
 plus a point-counting route), verified maps onto elliptic or projective
 targets, a finite symmetry group with a differential basis, the claimed
 isogeny factors of the Jacobian, bad primes, and auxiliary exact checks.
@@ -150,32 +152,20 @@ def _parse_text(parse, tower, text, owner):
 
 
 def load_tower(declarations):
-    """Build the constant tower from a list of symbol/relation objects."""
-    rows = []
+    """Build the constant tower from a list of symbol/relation objects,
+    adjoining each symbol with its relation parsed over the ones before."""
+    tower = ConstantTower()
     for k, raw in enumerate(declarations):
         node = _Node(raw, "tower declaration %d", k)
         name = node.field("symbol", str)
         node.label = ("tower symbol %s", name)
-        scratch = ConstantTower(rows)
-        relation = _parse_text(parse_polynomial, scratch,
+        relation = _parse_text(parse_polynomial, tower,
                                node.field("relation", str), node)
-        degree = relation.degree_in(name)
-        lead = ((name, degree),)
-        # monic: name^degree, with coefficient 1, is the one term of its
-        # degree in name
-        _require([(m, c) for m, c in relation.terms.items() if lead[0] in m]
-                 == [(lead, 1)], "tower relation for %s must be monic", name)
-        _require(degree >= 2, "tower relation for %s must have degree at "
-                 "least 2, got %d", name, degree)
-        # over the earlier constants: any other name is a variable here
-        others = relation.free_variables() - {name}
-        _require(not others, "tower relation for %s names %s, no earlier "
-                 "tower symbol", name, ", ".join(sorted(others)))
-        # name^degree equals minus the relation's other terms, which the
-        # parse left in normal form over the earlier constants
-        rows.append((name, degree, [(m, -c) for m, c in relation.terms.items()
-                                    if m != lead]))
-    return ConstantTower(rows)
+        try:
+            tower.adjoin(name, relation)
+        except ValueError as exc:
+            raise CatalogError(str(exc)) from None
+    return tower
 
 
 # -- records ------------------------------------------------------------------
@@ -506,12 +496,12 @@ class CatalogEntry:
         return GroupAction(self.affine_system(value), frame, generators,
                            self.action.order + 1)
 
-    def curve_map(self, spec, value=None):
-        system = self.affine_system(value)
-        components = {var: self.expression(text, value) for var, text
+    def curve_map(self, spec):
+        system = self.affine_system()
+        components = {var: self.expression(text) for var, text
                       in zip(spec.target_variables, spec.components)}
         (relation,) = spec.target_relations
-        return CurveMap(system, components, self.poly(relation, value))
+        return CurveMap(system, components, self.poly(relation))
 
     def projective_map(self, spec):
         """(source system, polynomial components, target relation polys)."""

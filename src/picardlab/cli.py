@@ -141,11 +141,8 @@ def _cmd_hodge(parser, args):
     if top < args.n or top % 2:
         parser.error("--nmax must be an even integer at least --n")
     for n in range(args.n, top + 2, 2):
-        row = hodge_row(args.d, n)
-        print("d=%d n=%d primitive=%d total=%d printed=%d adjusted=%d "
-              "status=%s" % (row["d"], row["n"], row["primitive"],
-                             row["total"], row["printed"], row["adjusted"],
-                             row["status"]))
+        print(" ".join("%s=%s" % item
+                       for item in hodge_row(args.d, n).items()))
     return 0
 
 

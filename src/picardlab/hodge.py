@@ -4,7 +4,8 @@ The module keeps two closed-form rank readings side by side: the one the
 derivation prints (`rank_printed`) and the corrected one (`rank_adjusted`).
 For threefold sections the printed form disagrees with the generating
 function; `maximality_report` surfaces that as an explicit discrepancy flag
-instead of silently fixing it.
+instead of silently fixing it, and derives the row `status` from the flags;
+`HODGE_KEYS` lists a printed row's fields, in print order.
 """
 
 from math import factorial
@@ -65,11 +66,25 @@ def rank_adjusted(d, n):
     return rank_printed(d, n) + 1
 
 
+# the fields of a Hodge grid row, in the order a report prints them
+HODGE_KEYS = ("d", "n", "primitive", "total", "printed", "adjusted",
+              "status")
+
+
+def status(maximal, printed_discrepancy):
+    """PASS when the printed reading matches the total, PASS-via-adjusted
+    when only the adjusted one does, DISCREPANCY when neither does."""
+    if not printed_discrepancy:
+        return "PASS"
+    return "PASS-via-adjusted" if maximal else "DISCREPANCY"
+
+
 def maximality_report(d, n):
     """Compare the middle Hodge total with both rank readings."""
     primitive, total = middle_hodge(d, n)
     printed = rank_printed(d, n)
     adjusted = rank_adjusted(d, n)
+    maximal, discrepancy = adjusted == total, printed != total
     return {
         "d": d,
         "n": n,
@@ -77,8 +92,9 @@ def maximality_report(d, n):
         "total": total,
         "printed": printed,
         "adjusted": adjusted,
-        "maximal": adjusted == total,
-        "printed_discrepancy": printed != total,
+        "maximal": maximal,
+        "printed_discrepancy": discrepancy,
+        "status": status(maximal, discrepancy),
     }
 
 

@@ -18,7 +18,7 @@ digests of the shipped catalog's canonical reports.
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .hodge import maximality_report
+from .hodge import HODGE_KEYS, maximality_report
 
 HODGE_GRID_D = (3, 4)
 HODGE_GRID_N = (2, 4, 6)
@@ -42,21 +42,7 @@ def entry_document(run):
 
 def hodge_row(d, n):
     data = maximality_report(d, n)
-    if not data["printed_discrepancy"]:
-        status = "PASS"
-    elif data["maximal"]:
-        status = "PASS-via-adjusted"
-    else:
-        status = "DISCREPANCY"
-    return {
-        "d": d,
-        "n": n,
-        "primitive": data["primitive"],
-        "total": data["total"],
-        "printed": data["printed"],
-        "adjusted": data["adjusted"],
-        "status": status,
-    }
+    return {key: data[key] for key in HODGE_KEYS}
 
 
 def hodge_grid():
@@ -146,17 +132,11 @@ def render_markdown(runs, include_hodge=False):
     for run in sorted(runs, key=lambda r: r.entry_id):
         lines.extend(_markdown_entry(run))
     if include_hodge:
-        lines.append("## hodge maximality")
-        lines.append("")
-        lines.append("| d | n | primitive | total | printed | adjusted "
-                     "| status |")
-        lines.append("| --- | --- | --- | --- | --- | --- | --- |")
+        lines.extend(["## hodge maximality", "",
+                      "| %s |" % " | ".join(HODGE_KEYS),
+                      "|" + " --- |" * len(HODGE_KEYS)])
         for row in hodge_grid():
-            lines.append(
-                "| %d | %d | %d | %d | %d | %d | %s |"
-                % (row["d"], row["n"], row["primitive"], row["total"],
-                   row["printed"], row["adjusted"], row["status"])
-            )
+            lines.append("| %s |" % " | ".join(map(str, row.values())))
         lines.append("")
     return "\n".join(lines)
 

@@ -1,13 +1,14 @@
 """Exact symbolic arithmetic over a tower of algebraic constants.
 
-A ConstantTower fixes an ordered list of constant symbols, each with a monic
-power relation over the symbols before it (e.g. om^2 = -1 - om).  MPoly is a
-multivariate polynomial whose monomials may mix tower constants with free
-geometric variables; powers of a constant at or above its relation degree are
-rewritten automatically, so equal ring elements have equal term dicts.
-A coefficient is an int or a Fraction: integer inputs stay ints and only a
-division makes a Fraction.  The two mix exactly and hash alike, so term
-dicts compare equal either way, and no coefficient is ever a float.
+A ConstantTower holds ordered constant symbols, each with a monic power
+relation over the symbols before it (e.g. om^2 = -1 - om); it grows only
+by adjoin, which checks a new symbol's relation and builds its rewrite rule.
+MPoly is a multivariate polynomial whose monomials may mix tower constants
+with free geometric variables; powers of a constant at or above its relation
+degree are rewritten automatically, so equal ring elements have equal term
+dicts.  A coefficient is an int or a Fraction: integer inputs stay ints and
+only a division makes a Fraction.  The two mix exactly and hash alike, so
+term dicts compare equal either way, and no coefficient is ever a float.
 
 A tower also maps its constants to F_ell at a prime where each relation
 has a simple root (ConstantTower.residues), and MPoly.residue reduces a
@@ -16,7 +17,9 @@ constant through that map; group closures run on such reductions.
 RationalFunction pairs two MPolys; equality is by cross-multiplication, which
 avoids multivariate gcds, so equal values need not have equal parts and a
 RationalFunction is not hashable.  CurveRelation turns a defining equation
-that is unit-monic in a distinguished variable into a rewrite rule.
+that is unit-monic in a distinguished variable into a rewrite rule.  The
+parsed grammar is ASCII (names of letters, digits and _, integers, + - * /
+^ and parentheses), and an exponent is a non-negative integer.
 
 One routine, _rewrite, rewrites monomials: by the tower's rules in every
 MPoly product but a product by 1, which is the other factor, and by a
@@ -29,8 +32,9 @@ their order, and sets up no heap.
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .gf import least_simple_root
 
@@ -127,22 +131,42 @@ def _rewrite(raw: dict, rules: dict) -> dict:
 
 
 class ConstantTower:
-    """Ordered algebraic constants with power relations."""
+    """Ordered algebraic constants with power relations, grown only by
+    `adjoin`; a new tower has no constant."""
 
-    def __init__(self, symbols: Iterable[tuple]):
-        relations: dict = {}
-        for name, degree, relation in symbols:
-            if name in relations:
-                raise ValueError(f"duplicate constant {name}")
-            if degree < 2:
-                raise ValueError("relation degree must be >= 2")
-            relations[name] = (degree, {
-                _mono(dict(m)): c for m, c in relation
-            })
+    def __init__(self):
         # rewrite rules from the last constant to the first: a relation
         # involves only the constants declared before its own
-        self.rules: dict = dict(reversed(relations.items()))
+        self.rules: dict = {}
         self._residues: dict = {}
+
+    def adjoin(self, name: str, relation: "MPoly"):
+        """Adjoin the constant `name`, a root of `relation`, a polynomial
+        parsed over this tower: monic in `name` of degree at least 2, and
+        in no other name than the constants before it."""
+        if name in self.rules:
+            raise ValueError(f"tower symbol {name} is already declared")
+        degree = relation.degree_in(name)
+        lead = ((name, degree),)
+        # monic: name^degree, with coefficient 1, is the one term of its
+        # degree in name
+        if [(m, c) for m, c in relation.terms.items()
+                if lead[0] in m] != [(lead, 1)]:
+            raise ValueError(f"tower relation for {name} must be monic")
+        if degree < 2:
+            raise ValueError(f"tower relation for {name} must have degree "
+                             f"at least 2, got {degree}")
+        # any name but the constants is a variable here
+        others = relation.free_variables() - {name}
+        if others:
+            raise ValueError(f"tower relation for {name} names "
+                             f"{', '.join(sorted(others))}, no earlier "
+                             f"tower symbol")
+        # name^degree equals minus the relation's other terms, which the
+        # parse left in normal form over the earlier constants
+        self.rules = {name: (degree, {m: -c for m, c in relation.terms.items()
+                                      if m != lead}), **self.rules}
+        self._residues = {}
 
     def residues(self, ell: int):
         """Images in F_ell of the constants, or None.
@@ -618,31 +642,18 @@ class CurveRelation:
 
 # -- expression parsing ------------------------------------------------------
 
+# the first character outside the grammar, and the tokens
+_STRAY = re.compile(r"[^\s\w+\-*/^()]", re.ASCII)
+_TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|[-+*/^()]", re.ASCII)
+
+
 class _Tokens:
     def __init__(self, text: str):
-        self.toks: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append(ch)
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
+        stray = _STRAY.search(text)
+        if stray:
+            raise ValueError(f"unexpected character {stray.group()!r} in "
+                             f"expression")
+        self.toks: list[str] = _TOKEN.findall(text)
         self.pos = 0
 
     def peek(self):
@@ -658,9 +669,8 @@ def _parse(tower: ConstantTower, text: str):
     """Parse +, -, *, /, ^, parentheses, integers and symbol names.
 
     Nodes are MPolys; a node becomes a RationalFunction only at a division
-    by a non-constant or a negative exponent, so polynomial texts and
-    divisions by tower constants never pay for the normalisation of
-    rational functions.
+    by a non-constant, so polynomial texts and divisions by tower constants
+    never pay for the normalisation of rational functions.
     """
     tk = _Tokens(text)
 
@@ -695,15 +705,10 @@ def _parse(tower: ConstantTower, text: str):
         node = atom()
         if tk.peek() == "^":
             tk.take()
-            neg = False
-            if tk.peek() == "-":
-                tk.take()
-                neg = True
             e = tk.take()
             if e is None or not e.isdigit():
-                raise ValueError("exponent must be an integer")
-            k = int(e)
-            node = _lift(node) ** -k if neg else node ** k
+                raise ValueError("exponent must be a non-negative integer")
+            node = node ** int(e)
         return node * sign if sign < 0 else node
 
     def atom():

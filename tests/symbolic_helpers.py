@@ -198,15 +198,10 @@ def rf_parse_expression(tower, text):
         node = atom()
         if tk.peek() == "^":
             tk.take()
-            neg = False
-            if tk.peek() == "-":
-                tk.take()
-                neg = True
             e = tk.take()
             if e is None or not e.isdigit():
-                raise ValueError("exponent must be an integer")
-            k = int(e)
-            node = node ** (-k if neg else k)
+                raise ValueError("exponent must be a non-negative integer")
+            node = node ** int(e)
         return node * sign if sign < 0 else node
 
     def atom():

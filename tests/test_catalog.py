@@ -650,6 +650,20 @@ def _affine(doc):
      "tower relation for lam names w, x, no earlier tower symbol"),
     (lambda d: d["tower"].pop(0),
      "tower relation for lam names om, no earlier tower symbol"),
+    # a repeated symbol raised a bare ValueError from the tower
+    (lambda d: d["tower"].append({"symbol": "e", "relation": "e^2+1"}),
+     "tower symbol e is already declared"),
+    (lambda d: d["tower"].insert(1, {"symbol": "om", "relation": "om^2+1"}),
+     "tower symbol om is already declared"),
+    # a space model of no declared genus has one from its degrees, which
+    # needs a homogeneous complete intersection
+    (lambda d: _model(d, "fermat-sextic-pencil-quotient").update(
+        relations=["a*c-b^2"], mains=["b"]),
+     "model of fermat-sextic-pencil-quotient: not a complete intersection; "
+     "pass genus"),
+    (lambda d: _model(d, "fermat-sextic-pencil-quotient")["relations"]
+     .__setitem__(0, "a*c-b^2+1"),
+     "model of fermat-sextic-pencil-quotient: relation is not homogeneous"),
     # claimed discriminants: null, or a negative int = 0 or 1 mod 4
     (lambda d: _septic(d)["claim"]["factors"][0].update(disc=7),
      "factor 0 of genus3-septic: disc must be a negative discriminant, "

@@ -276,6 +276,25 @@ def test_argument_errors_and_help_exit_as_before(argv, code, first, last,
         assert (lines[0], lines[-1]) == (first, last)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--all", "--depth", "4"],
+     "picardlab: error: --depth must lie in [1, 3]"),
+    (["verify", "--depth", "0"],
+     "picardlab: error: --depth must lie in [1, 3]"),
+    (["hodge", "--d", "3", "--n", "4", "--nmax", "2"],
+     "picardlab: error: --nmax must be an even integer at least --n"),
+    (["hodge", "--d", "3", "--n", "2", "--nmax", "5"],
+     "picardlab: error: --nmax must be an even integer at least --n"),
+])
+def test_usage_errors_of_the_run_and_hodge_arguments(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == message
+
+
 @pytest.mark.parametrize("command, flags", [
     ("verify", ["--entry", "--pmax", "--depth", "--format", "--out"]),
     ("count", ["--entry", "--prime"]),

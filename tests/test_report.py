@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from picardlab import report
 from picardlab.catalog import builtin_catalog
+from picardlab.hodge import HODGE_KEYS, status
 from picardlab.report import (
     hodge_grid,
     hodge_row,
@@ -168,21 +168,27 @@ def test_hodge_grid_rows():
     assert all(r["adjusted"] == r["total"] for r in rows)
 
 
-def test_hodge_row_status_branches(monkeypatch):
+def test_hodge_row_status_branches():
     row = hodge_row(3, 2)
     assert row["status"] == "PASS-via-adjusted"
     assert row["printed"] != row["total"]
     # the status is read from the flags of `maximality_report`, not from a
     # second comparison of the readings
-    real = report.maximality_report
-    for discrepancy, maximal, status in ((False, True, "PASS"),
-                                         (False, False, "PASS"),
-                                         (True, True, "PASS-via-adjusted"),
-                                         (True, False, "DISCREPANCY")):
-        flags = {"printed_discrepancy": discrepancy, "maximal": maximal}
-        monkeypatch.setattr(report, "maximality_report",
-                            lambda d, n, flags=flags: {**real(d, n), **flags})
-        assert hodge_row(3, 2)["status"] == status
+    for discrepancy, maximal, expected in ((False, True, "PASS"),
+                                           (False, False, "PASS"),
+                                           (True, True, "PASS-via-adjusted"),
+                                           (True, False, "DISCREPANCY")):
+        assert status(maximal, discrepancy) == expected
+
+
+def test_hodge_row_holds_the_report_keys_in_print_order():
+    row = hodge_row(4, 6)
+    assert tuple(row) == HODGE_KEYS
+    assert list(row.values())[:6] == [4, 6, 1107, 1108, 1107, 1108]
+    assert render_markdown([], include_hodge=True).splitlines()[4:7] == [
+        "| d | n | primitive | total | printed | adjusted | status |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
+        "| 3 | 2 | 6 | 7 | 3 | 7 | PASS-via-adjusted |"]
 
 
 # sha256 of the canonical report of the shipped catalog.  A change that

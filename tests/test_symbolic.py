@@ -237,6 +237,27 @@ def test_parser():
         parse_expression(T, "x $ y")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x+*y", "unexpected token '*'"),
+    ("x y", "trailing input at token 'y'"),
+    # the grammar is ASCII, and an exponent is a non-negative integer
+    ("x^-2", "exponent must be a non-negative integer"),
+    ("\u00e9", "unexpected character '\u00e9' in expression"),
+    ("x^\u00b2", "unexpected character '\u00b2' in expression"),
+])
+def test_parser_refusals(text, message):
+    with pytest.raises(ValueError) as caught:
+        parse_polynomial(T, text)
+    assert str(caught.value) == message
+
+
+def test_a_quotient_that_cancels_parses_as_a_polynomial():
+    # the RationalFunction of x^2/x is x/1, and its numerator is taken
+    node = symbolic._parse(T, "x^2/x")
+    assert isinstance(node, RationalFunction) and node.is_polynomial()
+    assert parse_polynomial(T, "x^2/x") == x
+
+
 def test_curve_relation_reduce():
     F = x**6 + y**6 + 1
     rel = single_relation(F, "y")
