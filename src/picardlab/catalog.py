@@ -17,12 +17,13 @@ any other, the id alone) once into records, through one field reader that
 refuses a missing key or a wrong type with a ``CatalogError`` naming the
 entry and the field; a map name resolves to its ``MapSpec``, an aux t to
 its ``Specialization``.  The JSON shape and the model kinds are known here
-only.  Texts are checked to be strings at load and parsed on first read.
+only.  Texts are checked to be strings at load and parsed on first read;
+the load reads the aux texts that its claim checks can refuse.
 """
 
 import json
+import os
 from fractions import Fraction
-from importlib import resources
 from itertools import count
 from math import lcm
 from operator import itemgetter
@@ -432,19 +433,15 @@ class CatalogEntry:
 
     # -- parsing helpers -------------------------------------------------
 
-    def _subs(self, value):
-        if value is None:
-            return {}
-        return {"t": self.tower.const(Fraction(value))}
-
     def _parse(self, parse, text, value):
         key = (parse, text)
         r = self._parsed.get(key)
         if r is None:
             r = self._parsed[key] = _parse_text(parse, self.tower, text,
                                                 self.id)
-        subs = self._subs(value)
-        return r.substitute(subs) if subs else r
+        if value is None:
+            return r
+        return r.substitute({"t": self.tower.const(Fraction(value))})
 
     def poly(self, text, value=None):
         return self._parse(parse_polynomial, text, value)
@@ -541,10 +538,22 @@ class CatalogEntry:
 
 
 def _check_claims(entry):
-    """Build each claimed specialization's counting model (kept for the
-    counts that follow) and check its genus and bad primes; parse each
-    j check's expected value (kept for the run)."""
-    for item in entry.aux:
+    """Build each claimed specialization's counting model and check its
+    genus and bad primes; parse the j checks' expected values, the
+    quadric_rank relations (quadratic forms in their variables) and the j
+    quartics (of degree at most 4 at their t), all kept for the run."""
+    for k, item in enumerate(entry.aux):
+        if item.check == "quadric_rank":
+            _require(all(sum(e for v, e in m if v in item.variables) == 2
+                         for m in entry.poly(item.relation).terms),
+                     "aux item %d of %s: %r is not a quadratic form in %s",
+                     k, entry.id, item.relation, ", ".join(item.variables))
+        elif item.check in ("j_quartic", "j_legendre_identity"):
+            t = item.t.value if item.check == "j_quartic" else None
+            degree = entry.poly(item.quartic, t).degree_in(item.variable)
+            _require(degree <= 4, "aux item %d of %s: quartic %r has degree "
+                     "%d in %s%s, above 4", k, entry.id, item.quartic, degree,
+                     item.variable, "" if t is None else " at t=%s" % t)
         if item.check in ("j_target", "j_quartic"):
             entry.expression(item.expected)
     for spec in entry.specializations():
@@ -605,7 +614,7 @@ def load_catalog(document, ids=None):
 
 
 def builtin_catalog(ids=None):
-    text = (
-        resources.files("picardlab").joinpath("data/builtin.json").read_text()
-    )
-    return load_catalog(text, ids)
+    """`load_catalog` of data/builtin.json, the file beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", "builtin.json")
+    with open(path, encoding="utf-8") as handle:
+        return load_catalog(handle.read(), ids)

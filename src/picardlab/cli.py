@@ -4,6 +4,10 @@ Subcommands: verify (run catalog checks), count (point counts for one entry
 at one prime), hodge (middle Hodge numbers and rank readings), report
 (full catalog plus the Hodge maximality grid).  Exit status is 0 exactly
 when no unexpected failure occurred.
+
+A call whose first argument names a subcommand builds that subcommand's
+parser only, and its usage errors, range checks included, print its usage;
+any other call builds the top-level parser, which lists the subcommands.
 """
 
 import argparse
@@ -13,25 +17,6 @@ from .catalog import PRIME_CAP, CatalogError, builtin_catalog
 from .exact import is_prime
 from .report import hodge_row, render
 from .runner import run_catalog
-
-
-class _Subcommand:
-    """One subcommand, as the top-level parser's subparsers action holds
-    it: the keyword arguments of ``add_parser`` and the function that
-    declares its arguments.  ``parse_known_args``, the one method that
-    action calls on a subparser, builds the subcommand's parser, declares
-    its arguments (its own ``--help`` included) and parses.  The top-level
-    parser shows subcommands by name and help alone, so a call builds the
-    parser of the subcommand it runs and of no other."""
-
-    def __init__(self, *, declare, **kwargs):
-        self._declare = declare
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._declare(parser)
-        return parser.parse_known_args(args, namespace)
 
 
 def _declare_run(parser):
@@ -63,25 +48,6 @@ def _declare_hodge(parser):
     parser.add_argument("--nmax", type=int)
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="picardlab",
-        description="exact verification of curve maps, Jacobian splittings, "
-                    "and point-count constraints",
-    )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
-    sub.add_parser("verify", help="run checks for catalog entries",
-                   declare=_declare_verify)
-    sub.add_parser("count", help="point counts for one entry",
-                   declare=_declare_count)
-    sub.add_parser("hodge", help="middle Hodge numbers and ranks",
-                   declare=_declare_hodge)
-    sub.add_parser("report", help="full catalog report",
-                   declare=_declare_report)
-    return parser
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as handle:
@@ -92,17 +58,20 @@ def _emit(text, out_path):
             sys.stdout.write("\n")
 
 
-def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
-    if not 1 <= pmax <= PRIME_CAP:
+def _run_and_render(parser, args):
+    """verify, of the entries that --entry names or of all, or report."""
+    ids = args.entry if args.command == "verify" else None
+    if not 1 <= args.pmax <= PRIME_CAP:
         parser.error("--pmax must lie in [1, %d]" % PRIME_CAP)
-    if not 1 <= depth <= 3:
+    if not 1 <= args.depth <= 3:
         parser.error("--depth must lie in [1, 3]")
     entries = builtin_catalog(ids)
     missing = set(ids or ()) - {e.id for e in entries}
     if missing:
         parser.error("unknown entry ids: %s" % ", ".join(sorted(missing)))
-    runs = run_catalog(entries, pmax=pmax, depth=depth)
-    _emit(render(runs, fmt, include_hodge=include_hodge), out)
+    runs = run_catalog(entries, pmax=args.pmax, depth=args.depth)
+    _emit(render(runs, args.format, include_hodge=args.command == "report"),
+          args.out)
     unexpected = sum(len(r.unexpected_failures()) for r in runs)
     return 0 if unexpected == 0 else 1
 
@@ -110,8 +79,7 @@ def _run_and_render(parser, ids, pmax, depth, fmt, out, include_hodge):
 def _cmd_count(parser, args):
     p = args.prime
     if not (2 < p <= PRIME_CAP and is_prime(p)):
-        parser.error("--prime must be an odd prime at most %d"
-                     % PRIME_CAP)
+        parser.error("--prime must be an odd prime at most %d" % PRIME_CAP)
     entries = builtin_catalog([args.entry])
     if not entries:
         parser.error("unknown entry id: %s" % args.entry)
@@ -146,20 +114,43 @@ def _cmd_hodge(parser, args):
     return 0
 
 
+# each subcommand: its help line, its arguments' declaration, its run
+COMMANDS = {
+    "verify": ("run checks for catalog entries", _declare_verify,
+               _run_and_render),
+    "count": ("point counts for one entry", _declare_count, _cmd_count),
+    "hodge": ("middle Hodge numbers and ranks", _declare_hodge, _cmd_hodge),
+    "report": ("full catalog report", _declare_report, _run_and_render),
+}
+
+
+def _subcommand(name, parser):
+    """`parser` with subcommand `name`'s arguments, both named in its result."""
+    parser.set_defaults(command=name, parser=parser)
+    COMMANDS[name][1](parser)
+    return parser
+
+
+def _build_parser():
+    """The top-level parser, with every subcommand's parser under it."""
+    parser = argparse.ArgumentParser(prog="picardlab", description=(
+        "exact verification of curve maps, Jacobian splittings, and "
+        "point-count constraints"))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in COMMANDS.items():
+        _subcommand(name, sub.add_parser(name, help=summary))
+    return parser
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _run_and_render(parser, args.entry, args.pmax, args.depth,
-                               args.format, args.out, include_hodge=False)
-    if args.command == "count":
-        return _cmd_count(parser, args)
-    if args.command == "hodge":
-        return _cmd_hodge(parser, args)
-    if args.command == "report":
-        return _run_and_render(parser, None, args.pmax, args.depth,
-                               args.format, args.out, include_hodge=True)
-    raise AssertionError("unreachable")
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = _subcommand(argv[0], argparse.ArgumentParser(
+            prog="picardlab " + argv[0])).parse_args(argv[1:])
+    else:
+        # the top-level parser prints its help or a usage error
+        args = _build_parser().parse_args(argv)
+    return COMMANDS[args.command][2](args.parser, args)
 
 
 if __name__ == "__main__":

@@ -647,24 +647,6 @@ _STRAY = re.compile(r"[^\s\w+\-*/^()]", re.ASCII)
 _TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|[-+*/^()]", re.ASCII)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        stray = _STRAY.search(text)
-        if stray:
-            raise ValueError(f"unexpected character {stray.group()!r} in "
-                             f"expression")
-        self.toks: list[str] = _TOKEN.findall(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-
 def _parse(tower: ConstantTower, text: str):
     """Parse +, -, *, /, ^, parentheses, integers and symbol names.
 
@@ -672,53 +654,71 @@ def _parse(tower: ConstantTower, text: str):
     by a non-constant, so polynomial texts and divisions by tower constants
     never pay for the normalisation of rational functions.
     """
-    tk = _Tokens(text)
+    stray = _STRAY.search(text)
+    if stray:
+        raise ValueError(f"unexpected character {stray[0]!r} in expression")
+    # the tokens, then None for the end; `at` indexes the next token
+    toks = _TOKEN.findall(text) + [None]
+    at = 0
 
     def expr():
+        nonlocal at
         node = term()
-        while tk.peek() in ("+", "-"):
-            op = tk.take()
+        while toks[at] in ("+", "-"):
+            op = toks[at]
+            at += 1
             rhs = term()
             node = node + rhs if op == "+" else node - rhs
         return node
 
     def term():
+        nonlocal at
         node = factor()
-        while tk.peek() in ("*", "/"):
-            op = tk.take()
+        while toks[at] in ("*", "/"):
+            op = toks[at]
+            at += 1
             rhs = factor()
             if op == "*":
                 node = node * rhs
-            elif (isinstance(node, MPoly) and isinstance(rhs, MPoly)
-                  and rhs.terms and rhs.constants_only()):
-                # exact division by a nonzero tower constant
-                node = node * tower_invert(rhs)
-            else:
+            elif not (isinstance(node, MPoly) and isinstance(rhs, MPoly)
+                      and rhs.terms and rhs.constants_only()):
                 node = _lift(node) / rhs
+            elif len(rhs.terms) > 1 or () not in rhs.terms:
+                # by a nonzero constant that is not rational
+                node = node * tower_invert(rhs)
+            elif rhs.terms[()] != 1:
+                # by a nonzero rational: scale the coefficients
+                r = Fraction(1) / rhs.terms[()]
+                node = MPoly(tower, {m: c * r for m, c in node.terms.items()})
         return node
 
     def factor():
+        nonlocal at
         sign = 1
-        while tk.peek() in ("+", "-"):
-            if tk.take() == "-":
+        while toks[at] in ("+", "-"):
+            if toks[at] == "-":
                 sign = -sign
+            at += 1
         node = atom()
-        if tk.peek() == "^":
-            tk.take()
-            e = tk.take()
+        if toks[at] == "^":
+            e = toks[at + 1]
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a non-negative integer")
+            at += 2
             node = node ** int(e)
         return node * sign if sign < 0 else node
 
     def atom():
-        t = tk.take()
+        nonlocal at
+        t = toks[at]
         if t is None:
             raise ValueError("unexpected end of expression")
+        at += 1
         if t == "(":
             node = expr()
-            if tk.take() != ")":
+            if toks[at] != ")":
                 raise ValueError("missing closing parenthesis")
+            at += 1
             return node
         if t.isdigit():
             return tower.const(int(t))
@@ -727,8 +727,8 @@ def _parse(tower: ConstantTower, text: str):
         raise ValueError(f"unexpected token {t!r}")
 
     node = expr()
-    if tk.peek() is not None:
-        raise ValueError(f"trailing input at token {tk.peek()!r}")
+    if toks[at] is not None:
+        raise ValueError(f"trailing input at token {toks[at]!r}")
     return node
 
 

@@ -8,6 +8,7 @@ parser that builds every node as a rational function (the oracle of the
 MPoly-first grammar)."""
 
 import heapq
+import re
 from fractions import Fraction
 
 from picardlab.catalog import builtin_catalog
@@ -19,7 +20,6 @@ from picardlab.symbolic import (
     _mono_exp,
     _mono_mul,
     _mono_without,
-    _Tokens,
     parse_polynomial,
     tower_invert,
 )
@@ -168,6 +168,30 @@ def rf_equal(system, a, b):
     if system.is_zero_poly(a.den) or system.is_zero_poly(b.den):
         raise ZeroDivisionError("denominator vanishes on the curve")
     return system.is_zero_poly(a.num * b.den - b.num * a.den)
+
+
+class _Tokens:
+    """The tokens of a text over the ASCII grammar, read by peek and take;
+    a character outside the grammar is refused up front."""
+
+    STRAY = re.compile(r"[^\s\w+\-*/^()]", re.ASCII)
+    TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|[-+*/^()]", re.ASCII)
+
+    def __init__(self, text):
+        stray = self.STRAY.search(text)
+        if stray:
+            raise ValueError(f"unexpected character {stray.group()!r} in "
+                             f"expression")
+        self.toks = self.TOKEN.findall(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.peek()
+        self.pos += 1
+        return t
 
 
 def rf_parse_expression(tower, text):

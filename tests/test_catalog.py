@@ -731,6 +731,26 @@ def _affine(doc):
      ["aux"][0].update(variables=["a", "b", "c", "c"]),
      "aux check quadric_rank of fermat-sextic-symmetric-quotient: variables "
      "must be a list of distinct names, got ['a', 'b', 'c', 'c']"),
+    # each of these failed its own aux row: the load parses the relation
+    # and the quartic, and keeps them for the row
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "fermat-sextic-cone-quotient")
+     ["aux"][0].update(relation="x"),
+     "aux item 0 of fermat-sextic-cone-quotient: 'x' is not a quadratic "
+     "form in a, b, c, d"),
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "fermat-sextic-cone-quotient")
+     ["aux"][0].update(relation="a*c-b^2+a"),
+     "aux item 0 of fermat-sextic-cone-quotient: 'a*c-b^2+a' is not a "
+     "quadratic form in a, b, c, d"),
+    (lambda d: _pencil(d)["aux"][0].update(quartic="u^5+t"),
+     "aux item 0 of bielliptic-sextic-pencil: quartic 'u^5+t' has degree 5 "
+     "in u at t=0, above 4"),
+    (lambda d: next(e for e in d["entries"]
+                    if e["id"] == "ciani-quartic-pencil")
+     ["aux"][0].update(quartic="t*u^5+u"),
+     "aux item 0 of ciani-quartic-pencil: quartic 't*u^5+u' has degree 5 in "
+     "u, above 4"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()
@@ -747,6 +767,29 @@ def test_malformed_document_is_refused_at_load(edit, message):
         _refused_by_the_loads_that_cover(doc, eid, message.format(k=k))
     else:
         _refused_at_every_load(doc, message.format(k=k))
+
+
+def test_a_j_quartic_is_read_at_its_t_and_parsed_once(monkeypatch):
+    # degree 5 in u, but 4 at t = 1, the t of the item: it loads and runs
+    doc = _raw_document()
+    raw = next(e for e in doc["entries"] if e["id"] == "ciani-quartic-pencil")
+    item = next(a for a in raw["aux"] if a["check"] == "j_quartic")
+    item["quartic"] = "(t-1)*u^5+" + item["quartic"]
+    parsed = []
+    parse = catalog._parse_text
+
+    def spy(parser, tower, text, owner):
+        parsed.append(text)
+        return parse(parser, tower, text, owner)
+
+    monkeypatch.setattr(catalog, "_parse_text", spy)
+    (entry,) = load_catalog(doc, [raw["id"]])
+    assert parsed.count(item["quartic"]) == 1
+    (row,) = [c for c in run_entry(entry, pmax=10).checks
+              if c.check_id == "aux:j-quartic"]
+    assert row.status == "PASS"
+    # the row reads the text the load parsed
+    assert parsed.count(item["quartic"]) == 1
 
 
 @pytest.mark.parametrize("text", [None, [], 7, {"x": 1}, ["x^6"]])

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -210,12 +211,12 @@ def test_count_checks_the_prime_before_it_loads(monkeypatch):
 def test_a_call_declares_the_arguments_of_its_subcommand_only(
         monkeypatch, capsys):
     declared = []
-    for name in ("verify", "count", "hodge", "report"):
-        def spy(parser, name=name, real=getattr(cli, "_declare_" + name)):
+    for name, (summary, declare, run) in list(cli.COMMANDS.items()):
+        def spy(parser, name=name, real=declare):
             declared.append(name)
             real(parser)
 
-        monkeypatch.setattr(cli, "_declare_" + name, spy)
+        monkeypatch.setitem(cli.COMMANDS, name, (summary, spy, run))
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -225,13 +226,13 @@ def test_a_call_declares_the_arguments_of_its_subcommand_only(
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", count_builds)
     assert main(["count", "--entry", "genus2-quintic", "--prime", "7"]) == 0
-    # the top-level parser and the count parser, and no other
-    assert built == ["picardlab", "picardlab count"]
+    # the count parser, and no other
+    assert built == ["picardlab count"]
     assert main(["hodge", "--d", "3", "--n", "2"]) == 0
     # nothing is kept from the first call
-    assert built == ["picardlab", "picardlab count",
-                     "picardlab", "picardlab hodge"]
+    assert built == ["picardlab count", "picardlab hodge"]
     assert declared == ["count", "hodge"]
+    assert "npoints=" in capsys.readouterr().out
 
 
 USAGE = "usage: picardlab [-h] {verify,count,hodge,report} ..."
@@ -276,23 +277,86 @@ def test_argument_errors_and_help_exit_as_before(argv, code, first, last,
         assert (lines[0], lines[-1]) == (first, last)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["report", "--all", "--depth", "4"],
-     "picardlab: error: --depth must lie in [1, 3]"),
-    (["verify", "--depth", "0"],
-     "picardlab: error: --depth must lie in [1, 3]"),
-    (["hodge", "--d", "3", "--n", "4", "--nmax", "2"],
-     "picardlab: error: --nmax must be an even integer at least --n"),
-    (["hodge", "--d", "3", "--n", "2", "--nmax", "5"],
-     "picardlab: error: --nmax must be an even integer at least --n"),
+VERIFY_USAGE = ("usage: picardlab verify [-h] [--entry ID] [--pmax PMAX] "
+                "[--depth DEPTH]")
+REPORT_USAGE = ("usage: picardlab report [-h] --all [--pmax PMAX] "
+                "[--depth DEPTH]")
+HODGE_USAGE = "usage: picardlab hodge [-h] --d D --n N [--nmax NMAX]"
+
+
+# a subcommand's own checks, like argparse's, print that subcommand's usage
+@pytest.mark.parametrize("argv, first, last", [
+    (["report", "--all", "--depth", "4"], REPORT_USAGE,
+     "picardlab report: error: --depth must lie in [1, 3]"),
+    (["verify", "--depth", "0"], VERIFY_USAGE,
+     "picardlab verify: error: --depth must lie in [1, 3]"),
+    (["verify", "--pmax", "600"], VERIFY_USAGE,
+     "picardlab verify: error: --pmax must lie in [1, 499]"),
+    (["verify", "--entry", "nope"], VERIFY_USAGE,
+     "picardlab verify: error: unknown entry ids: nope"),
+    (["hodge", "--d", "3", "--n", "4", "--nmax", "2"], HODGE_USAGE,
+     "picardlab hodge: error: --nmax must be an even integer at least --n"),
+    (["hodge", "--d", "3", "--n", "2", "--nmax", "5"], HODGE_USAGE,
+     "picardlab hodge: error: --nmax must be an even integer at least --n"),
+    (["count", "--entry", "fermat-sextic", "--prime", "503"], COUNT_USAGE,
+     "picardlab count: error: --prime must be an odd prime at most 499"),
+    (["count", "--entry", "nope", "--prime", "7"], COUNT_USAGE,
+     "picardlab count: error: unknown entry id: nope"),
+    (["count", "--entry", "genus2-quintic", "--prime", "7", "extra"],
+     COUNT_USAGE, "picardlab count: error: unrecognized arguments: extra"),
+    (["hodge", "--d", "3", "--n", "2", "--bogus"], HODGE_USAGE,
+     "picardlab hodge: error: unrecognized arguments: --bogus"),
 ])
-def test_usage_errors_of_the_run_and_hodge_arguments(argv, message, capsys):
+def test_usage_errors_of_the_run_and_hodge_arguments(argv, first, last,
+                                                     monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1] == message
+    lines = err.splitlines()
+    assert (lines[0], lines[-1]) == (first, last)
+
+
+TOP_HELP = """\
+usage: picardlab [-h] {verify,count,hodge,report} ...
+
+exact verification of curve maps, Jacobian splittings, and point-count
+constraints
+
+positional arguments:
+  {verify,count,hodge,report}
+    verify              run checks for catalog entries
+    count               point counts for one entry
+    hodge               middle Hodge numbers and ranks
+    report              full catalog report
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHOICES = "(choose from 'verify', 'count', 'hodge', 'report')"
+
+
+# a call whose first argument names no subcommand prints what the
+# top-level parser printed before any call built one parser only
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", USAGE + "\npicardlab: error: the following arguments are "
+     "required: command\n"),
+    (["--help"], 0, TOP_HELP, ""),
+    (["bogus"], 2, "", USAGE + "\npicardlab: error: argument command: "
+     "invalid choice: 'bogus' " + CHOICES + "\n"),
+    (["--", "count", "--entry", "genus2-quintic", "--prime", "7"], 2, "",
+     USAGE + "\npicardlab: error: argument command: invalid choice: '--' "
+     + CHOICES + "\n"),
+])
+def test_a_call_without_a_subcommand_prints_the_top_level_parser(
+        argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -309,6 +373,20 @@ def test_subcommand_help_lists_its_arguments(command, flags, capsys):
     assert out.startswith("usage: picardlab %s [-h]" % command)
     for flag in flags:
         assert flag in out
+
+
+def test_a_count_call_imports_no_importlib_resources():
+    # a fresh interpreter without site, which imports importlib.resources
+    # itself: the catalog file is read with open
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from picardlab.cli import main; "
+            "status = main(['count', '--entry', 'genus2-quintic', "
+            "'--prime', '7']); "
+            "print(status, 'importlib.resources' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.stdout == "p=7 npoints=8 trace=0\n0 False\n", proc.stderr
 
 
 def test_report_is_the_same_under_optimize(src_env):

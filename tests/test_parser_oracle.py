@@ -129,6 +129,22 @@ def test_division_by_a_constant_stays_polynomial(text):
     assert node.terms == rf_parse_polynomial(T, text).terms
 
 
+# a division by a rational scales the coefficients; by any other nonzero
+# constant it multiplies by the tower inverse; by zero it raises
+@pytest.mark.parametrize("text", ["1/4", "(2*om+1)/3", "x/(1/2)", "x/(2*om)",
+                                  "x/0", "x/(om-om)"])
+def test_divisions_by_constants_parse_alike(text):
+    try:
+        rf_parse_expression(T, text)
+    except ZeroDivisionError as exc:
+        for parse in (parse_expression, parse_polynomial):
+            with pytest.raises(ZeroDivisionError,
+                               match="^%s$" % re.escape(str(exc))):
+                parse(T, text)
+        return
+    _same_parse(text)
+
+
 @pytest.mark.parametrize("text", ["x +", "x $ y", "(x", "x^y", "1/x", "x/0",
                                   "x^-2"])
 def test_errors_match(text):

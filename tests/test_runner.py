@@ -694,9 +694,9 @@ def _rows(run):
     return [(c.check_id, c.prime, c.status, c.evidence) for c in run.checks]
 
 
+# a quadric_rank relation that is not a quadratic form is refused at load
+# (tests/test_catalog.py)
 @pytest.mark.parametrize("eid, check, key, text, row, error", [
-    ("fermat-sextic-cone-quotient", "quadric_rank", "relation", "x",
-     "aux:quadric-rank", "not a quadratic form"),
     ("bielliptic-sextic-pencil", "j_quartic", "quartic", "x",
      "aux:j-quartic", "zero denominator"),
     ("ciani-quartic-pencil", "j_legendre_identity", "lambda", "-(t+",
