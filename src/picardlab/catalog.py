@@ -34,7 +34,9 @@ from .curves import (
     SpaceModel,
     SuperellipticModel,
 )
+from .elliptic import BinaryQuartic
 from .exact import factorize, resultant
+from .linalg import is_quadratic_form
 from .morphisms import CurveMap, Differential, Frame, ReductionSystem
 from .symbolic import (
     ConstantTower,
@@ -539,21 +541,23 @@ class CatalogEntry:
 
 def _check_claims(entry):
     """Build each claimed specialization's counting model and check its
-    genus and bad primes; parse the j checks' expected values, the
-    quadric_rank relations (quadratic forms in their variables) and the j
-    quartics (of degree at most 4 at their t), all kept for the run."""
+    genus and bad primes; parse the j expected values, the quadric_rank
+    forms and the j quartics (binary quartics at their t), kept for the run."""
     for k, item in enumerate(entry.aux):
         if item.check == "quadric_rank":
-            _require(all(sum(e for v, e in m if v in item.variables) == 2
-                         for m in entry.poly(item.relation).terms),
+            _require(is_quadratic_form(entry.poly(item.relation),
+                                       item.variables),
                      "aux item %d of %s: %r is not a quadratic form in %s",
                      k, entry.id, item.relation, ", ".join(item.variables))
         elif item.check in ("j_quartic", "j_legendre_identity"):
             t = item.t.value if item.check == "j_quartic" else None
-            degree = entry.poly(item.quartic, t).degree_in(item.variable)
-            _require(degree <= 4, "aux item %d of %s: quartic %r has degree "
-                     "%d in %s%s, above 4", k, entry.id, item.quartic, degree,
-                     item.variable, "" if t is None else " at t=%s" % t)
+            try:
+                BinaryQuartic.from_polynomial(entry.poly(item.quartic, t),
+                                              item.variable)
+            except ValueError as exc:
+                raise CatalogError("aux item %d of %s: quartic %r%s: %s" % (
+                    k, entry.id, item.quartic,
+                    "" if t is None else " at t=%s" % t, exc)) from None
         if item.check in ("j_target", "j_quartic"):
             entry.expression(item.expected)
     for spec in entry.specializations():
@@ -614,7 +618,6 @@ def load_catalog(document, ids=None):
 
 
 def builtin_catalog(ids=None):
-    """`load_catalog` of data/builtin.json, the file beside this module."""
     path = os.path.join(os.path.dirname(__file__), "data", "builtin.json")
     with open(path, encoding="utf-8") as handle:
         return load_catalog(handle.read(), ids)

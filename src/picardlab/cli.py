@@ -58,9 +58,7 @@ def _emit(text, out_path):
             sys.stdout.write("\n")
 
 
-def _run_and_render(parser, args):
-    """verify, of the entries that --entry names or of all, or report."""
-    ids = args.entry if args.command == "verify" else None
+def _run_and_render(parser, args, ids, include_hodge):
     if not 1 <= args.pmax <= PRIME_CAP:
         parser.error("--pmax must lie in [1, %d]" % PRIME_CAP)
     if not 1 <= args.depth <= 3:
@@ -70,8 +68,7 @@ def _run_and_render(parser, args):
     if missing:
         parser.error("unknown entry ids: %s" % ", ".join(sorted(missing)))
     runs = run_catalog(entries, pmax=args.pmax, depth=args.depth)
-    _emit(render(runs, args.format, include_hodge=args.command == "report"),
-          args.out)
+    _emit(render(runs, args.format, include_hodge=include_hodge), args.out)
     unexpected = sum(len(r.unexpected_failures()) for r in runs)
     return 0 if unexpected == 0 else 1
 
@@ -117,15 +114,16 @@ def _cmd_hodge(parser, args):
 # each subcommand: its help line, its arguments' declaration, its run
 COMMANDS = {
     "verify": ("run checks for catalog entries", _declare_verify,
-               _run_and_render),
+               lambda p, a: _run_and_render(p, a, a.entry, False)),
     "count": ("point counts for one entry", _declare_count, _cmd_count),
     "hodge": ("middle Hodge numbers and ranks", _declare_hodge, _cmd_hodge),
-    "report": ("full catalog report", _declare_report, _run_and_render),
+    "report": ("full catalog report", _declare_report,
+               lambda p, a: _run_and_render(p, a, None, True)),
 }
 
 
 def _subcommand(name, parser):
-    """`parser` with subcommand `name`'s arguments, both named in its result."""
+    """`parser` with subcommand `name`'s arguments; a parse names both."""
     parser.set_defaults(command=name, parser=parser)
     COMMANDS[name][1](parser)
     return parser

@@ -75,17 +75,22 @@ def solve_linear(matrix, rhs):
     return solution
 
 
+def is_quadratic_form(poly: MPoly, variables) -> bool:
+    """Whether every monomial of poly has degree 2 in the variables."""
+    return all(sum(e for v, e in m if v in variables) == 2 for m in poly.terms)
+
+
 def quadratic_form_rank(poly: MPoly, variables) -> int:
     """Rank of the symmetric matrix of a quadratic form in the variables."""
     tower = poly.tower
     index = {v: k for k, v in enumerate(variables)}
+    if not is_quadratic_form(poly, index):
+        raise ValueError("not a quadratic form")
     n = len(index)
     gram = [[tower.zero() for _ in range(n)] for _ in range(n)]
     for mono, coeff in poly.terms.items():
         geo = [(v, e) for v, e in mono if v in index]
         rest = tuple((v, e) for v, e in mono if v not in index)
-        if sum(e for _, e in geo) != 2:
-            raise ValueError("not a quadratic form")
         const = MPoly._make(tower, {rest: coeff})
         if len(geo) == 1:
             i = index[geo[0][0]]

@@ -665,8 +665,7 @@ def _parse(tower: ConstantTower, text: str):
         nonlocal at
         node = term()
         while toks[at] in ("+", "-"):
-            op = toks[at]
-            at += 1
+            op, at = toks[at], at + 1
             rhs = term()
             node = node + rhs if op == "+" else node - rhs
         return node
@@ -675,21 +674,16 @@ def _parse(tower: ConstantTower, text: str):
         nonlocal at
         node = factor()
         while toks[at] in ("*", "/"):
-            op = toks[at]
-            at += 1
+            op, at = toks[at], at + 1
             rhs = factor()
             if op == "*":
                 node = node * rhs
-            elif not (isinstance(node, MPoly) and isinstance(rhs, MPoly)
-                      and rhs.terms and rhs.constants_only()):
-                node = _lift(node) / rhs
-            elif len(rhs.terms) > 1 or () not in rhs.terms:
-                # by a nonzero constant that is not rational
+            elif (isinstance(node, MPoly) and isinstance(rhs, MPoly)
+                  and rhs.terms and rhs.constants_only()):
+                # exact division by a nonzero tower constant
                 node = node * tower_invert(rhs)
-            elif rhs.terms[()] != 1:
-                # by a nonzero rational: scale the coefficients
-                r = Fraction(1) / rhs.terms[()]
-                node = MPoly(tower, {m: c * r for m, c in node.terms.items()})
+            else:
+                node = _lift(node) / rhs
         return node
 
     def factor():

@@ -744,13 +744,13 @@ def _affine(doc):
      "aux item 0 of fermat-sextic-cone-quotient: 'a*c-b^2+a' is not a "
      "quadratic form in a, b, c, d"),
     (lambda d: _pencil(d)["aux"][0].update(quartic="u^5+t"),
-     "aux item 0 of bielliptic-sextic-pencil: quartic 'u^5+t' has degree 5 "
-     "in u at t=0, above 4"),
+     "aux item 0 of bielliptic-sextic-pencil: quartic 'u^5+t' at t=0: "
+     "degree 5 in u is above 4"),
     (lambda d: next(e for e in d["entries"]
                     if e["id"] == "ciani-quartic-pencil")
      ["aux"][0].update(quartic="t*u^5+u"),
-     "aux item 0 of ciani-quartic-pencil: quartic 't*u^5+u' has degree 5 in "
-     "u, above 4"),
+     "aux item 0 of ciani-quartic-pencil: quartic 't*u^5+u': degree 5 in u "
+     "is above 4"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()

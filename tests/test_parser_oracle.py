@@ -129,8 +129,8 @@ def test_division_by_a_constant_stays_polynomial(text):
     assert node.terms == rf_parse_polynomial(T, text).terms
 
 
-# a division by a rational scales the coefficients; by any other nonzero
-# constant it multiplies by the tower inverse; by zero it raises
+# a division by a nonzero constant, rational or not, multiplies by the
+# tower inverse; by zero it raises
 @pytest.mark.parametrize("text", ["1/4", "(2*om+1)/3", "x/(1/2)", "x/(2*om)",
                                   "x/0", "x/(om-om)"])
 def test_divisions_by_constants_parse_alike(text):
