@@ -18,7 +18,8 @@ refuses a missing key or a wrong type with a ``CatalogError`` naming the
 entry and the field; a map name resolves to its ``MapSpec``, an aux t to
 its ``Specialization``.  The JSON shape and the model kinds are known here
 only.  Texts are checked to be strings at load and parsed on first read;
-the load reads the aux texts that its claim checks can refuse.
+the load parses the j expected values and the ``j_legendre_identity``
+quartic, the one aux curve that is not the target of a map it names.
 """
 
 import json
@@ -36,7 +37,6 @@ from .curves import (
 )
 from .elliptic import BinaryQuartic
 from .exact import factorize, resultant
-from .linalg import is_quadratic_form
 from .morphisms import CurveMap, Differential, Frame, ReductionSystem
 from .symbolic import (
     ConstantTower,
@@ -202,14 +202,14 @@ Specialization = _record("Specialization", "value factors bad_primes", """A
 # the auxiliary exact checks the runner performs, with each one's fields
 # and their kinds; an item's record, one class per check, has these fields
 # after `check`, its `map` resolved to a MapSpec and its `t` (None for an
-# entry without parameters) to a Specialization
+# entry without parameters) to a Specialization; a check that names a map
+# reads its curve from that map's target
 AUX_CHECKS = {
-    "quadric_rank": dict(relation=str, variables=_NAMES, expected=int),
+    "quadric_rank": dict(map=str, expected=int),
     "j_target": dict(map=str, expected=str),
-    "j_quartic": dict(quartic=str, variable=str, t=int, expected=str),
+    "j_quartic": dict(map=str, t=int, expected=str),
     "j_legendre_identity": dict(quartic=str, variable=str, lambda_=str),
-    "cm_consistency": dict(rhs=str, variable=str, t=int, disc=_DISC,
-                           pmax=_PMAX),
+    "cm_consistency": dict(map=str, t=int, disc=_DISC, pmax=_PMAX),
     "product_invariants": dict(g1=int, g2=int, expected=_INTS),
     "quotient_surface": dict(multiplicities=_INTS, cm=_BOOLS,
                              expected=_SURFACE),
@@ -541,24 +541,17 @@ class CatalogEntry:
 
 def _check_claims(entry):
     """Build each claimed specialization's counting model and check its
-    genus and bad primes; parse the j expected values, the quadric_rank
-    forms and the j quartics (binary quartics at their t), kept for the run."""
+    genus and bad primes; parse the j expected values and the
+    j_legendre_identity quartics (binary quartics), kept for the run."""
     for k, item in enumerate(entry.aux):
-        if item.check == "quadric_rank":
-            _require(is_quadratic_form(entry.poly(item.relation),
-                                       item.variables),
-                     "aux item %d of %s: %r is not a quadratic form in %s",
-                     k, entry.id, item.relation, ", ".join(item.variables))
-        elif item.check in ("j_quartic", "j_legendre_identity"):
-            t = item.t.value if item.check == "j_quartic" else None
+        if item.check == "j_legendre_identity":
             try:
-                BinaryQuartic.from_polynomial(entry.poly(item.quartic, t),
+                BinaryQuartic.from_polynomial(entry.poly(item.quartic),
                                               item.variable)
             except ValueError as exc:
-                raise CatalogError("aux item %d of %s: quartic %r%s: %s" % (
-                    k, entry.id, item.quartic,
-                    "" if t is None else " at t=%s" % t, exc)) from None
-        if item.check in ("j_target", "j_quartic"):
+                raise CatalogError("aux item %d of %s: quartic %r: %s" % (
+                    k, entry.id, item.quartic, exc)) from None
+        elif item.check in ("j_target", "j_quartic"):
             entry.expression(item.expected)
     for spec in entry.specializations():
         if not spec.factors:

@@ -4,15 +4,17 @@ A run verifies the entry's maps and classifies their pullbacks, then walks
 the entry's specializations once.  Each one runs the group-action closure,
 decomposition and span certificates when the entry has an action; a
 claimed one also runs one per-prime pass and, at depth > 1, its counts over
-F_{p^k}.  The auxiliary exact checks read the same specializations.  The
-per-prime pass counts the specialization and each distinct trace-map
-target once per good prime, and those counts feed the inert-prime
-exactness, split-prime trace feasibility and exact trace identity rows.
-Failed checks become FAIL rows with evidence; a trace-map target that is
-not v^2 = f(u), or that cannot be counted at a prime, is one of them, and so
-is a claimed discriminant whose candidate traces cannot sum to the source
-trace, even where an exact trace identity holds, and an aux item that
-raises a ValueError or ZeroDivisionError.  An InvariantError marks a
+F_{p^k}.  The auxiliary exact checks read the same specializations, and
+one that names a map reads its curve from that map's target.  The per-prime
+pass counts the specialization and each distinct trace-map target once per
+good prime, and those counts feed the inert-prime exactness, split-prime
+trace feasibility and exact trace identity rows.  Failed checks become FAIL
+rows with evidence; a trace-map target that is not v^2 = f(u), or that
+cannot be counted at a prime, is one of them, and so is a claimed
+discriminant whose candidate traces cannot sum to the source trace, even
+where an exact trace identity holds, and an aux item that raises a
+ValueError or ZeroDivisionError, such as one whose map target is not
+v^2 = f(u) or lies on no single quadric.  An InvariantError marks a
 program defect and still aborts the run, by design.
 """
 from .catalog import AUX_CHECKS, PRIME_CAP
@@ -26,7 +28,7 @@ from .elliptic import (
 )
 from .exact import kronecker_symbol, primes_up_to
 from .hodge import product_invariants, quotient_surface_check
-from .linalg import quadratic_form_rank
+from .linalg import is_quadratic_form, quadratic_form_rank
 from .morphisms import Differential, verify_image_relations
 
 PASS = "PASS"
@@ -322,13 +324,16 @@ AUX_ROWS = dict({kind: "aux:" + kind.replace("_", "-") for kind in AUX_CHECKS},
 
 def _aux_checks(entry):
     """One row per aux item; an item that raises a ValueError or a
-    ZeroDivisionError fails its own row, and the others still run."""
+    ZeroDivisionError fails its own row, whose evidence names the map the
+    item reads, if any, and the others still run."""
     checks = []
     for item in entry.aux:
         try:
             ok, evidence = _aux_check(entry, item)
         except (ValueError, ZeroDivisionError) as exc:
             ok, evidence = False, {"error": str(exc)}
+            if "map" in AUX_CHECKS[item.check]:
+                evidence = {"map": item.map.name, **evidence}
         checks.append(CheckResult(AUX_ROWS[item.check], PASS if ok else FAIL,
                                   evidence))
     return checks
@@ -338,25 +343,28 @@ def _aux_check(entry, item):
     """(holds, evidence) of one aux item."""
     kind = item.check
     if kind == "quadric_rank":
-        rank = quadratic_form_rank(entry.poly(item.relation), item.variables)
+        variables = item.map.target_variables
+        quadrics = [poly for poly in map(entry.poly, item.map.target_relations)
+                    if is_quadratic_form(poly, variables)]
+        if len(quadrics) != 1:
+            raise ValueError("target of %r has %d quadrics, not one"
+                             % (item.map.name, len(quadrics)))
+        rank = quadratic_form_rank(quadrics[0], variables)
         return rank == item.expected, {"rank": rank, "expected": item.expected}
-    if kind == "j_target":
-        try:
-            rhs, uvar = _target_rhs(entry, item.map)
-        except ValueError as exc:
-            return False, {"map": item.map.name, "error": str(exc)}
-        return _j_check(entry, rhs, uvar, item.expected)
-    if kind == "j_quartic":
-        return _j_check(entry, entry.poly(item.quartic, item.t.value),
-                        item.variable, item.expected)
+    if kind in ("j_target", "j_quartic"):
+        rhs, uvar = _target_rhs(entry, item.map,
+                                item.t.value if kind == "j_quartic" else None)
+        j = BinaryQuartic.from_polynomial(rhs, uvar).j_invariant()
+        return (j == entry.expression(item.expected),
+                {"j": str(j), "expected": item.expected})
     if kind == "j_legendre_identity":
         j1 = BinaryQuartic.from_polynomial(
             entry.poly(item.quartic), item.variable).j_invariant()
         j2 = j_from_legendre(entry.expression(item.lambda_))
         return j1 == j2, {"quartic_j": str(j1), "legendre_j": str(j2)}
     if kind == "cm_consistency":
-        model = HyperellipticModel(
-            entry.poly(item.rhs, item.t.value), item.variable)
+        model = HyperellipticModel(*_target_rhs(entry, item.map,
+                                                item.t.value))
         ok, found = cm_consistency(
             model, item.disc, good_primes(item.pmax, item.t.bad_primes))
         return ok, ({"disc": item.disc,
@@ -368,13 +376,6 @@ def _aux_check(entry, item):
         # quotient_surface: the load refuses any kind not in AUX_CHECKS
         got = list(quotient_surface_check(item.multiplicities, item.cm))
     return got == item.expected, {"got": got, "expected": item.expected}
-
-
-def _j_check(entry, quartic, variable, expected_text):
-    """(holds, evidence) of j(quartic) == the expected expression."""
-    j = BinaryQuartic.from_polynomial(quartic, variable).j_invariant()
-    return (j == entry.expression(expected_text),
-            {"j": str(j), "expected": expected_text})
 
 
 # -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------

@@ -720,32 +720,13 @@ def _affine(doc):
     (lambda d: _affine(d).update(main_var="x"),
      "affine of model of fermat-sextic: variables must be base_var 'x' and "
      "main_var 'x', got ['x', 'y']"),
-    # a repeated variable name raised a ValueError in the plane count and
-    # an IndexError in the quadric rank
+    # a repeated variable name raised a ValueError in the plane count
     (lambda d: _model(d, "ciani-quartic-pencil").update(
         variables=["x", "x", "y", "z"]),
      "model of ciani-quartic-pencil: variables must be a list of distinct "
      "names, got ['x', 'x', 'y', 'z']"),
-    (lambda d: next(e for e in d["entries"]
-                    if e["id"] == "fermat-sextic-symmetric-quotient")
-     ["aux"][0].update(variables=["a", "b", "c", "c"]),
-     "aux check quadric_rank of fermat-sextic-symmetric-quotient: variables "
-     "must be a list of distinct names, got ['a', 'b', 'c', 'c']"),
-    # each of these failed its own aux row: the load parses the relation
-    # and the quartic, and keeps them for the row
-    (lambda d: next(e for e in d["entries"]
-                    if e["id"] == "fermat-sextic-cone-quotient")
-     ["aux"][0].update(relation="x"),
-     "aux item 0 of fermat-sextic-cone-quotient: 'x' is not a quadratic "
-     "form in a, b, c, d"),
-    (lambda d: next(e for e in d["entries"]
-                    if e["id"] == "fermat-sextic-cone-quotient")
-     ["aux"][0].update(relation="a*c-b^2+a"),
-     "aux item 0 of fermat-sextic-cone-quotient: 'a*c-b^2+a' is not a "
-     "quadratic form in a, b, c, d"),
-    (lambda d: _pencil(d)["aux"][0].update(quartic="u^5+t"),
-     "aux item 0 of bielliptic-sextic-pencil: quartic 'u^5+t' at t=0: "
-     "degree 5 in u is above 4"),
+    # this failed its own aux row: the load parses the quartic, the one
+    # aux curve that is not a map target, and keeps it for the row
     (lambda d: next(e for e in d["entries"]
                     if e["id"] == "ciani-quartic-pencil")
      ["aux"][0].update(quartic="t*u^5+u"),
@@ -769,12 +750,12 @@ def test_malformed_document_is_refused_at_load(edit, message):
         _refused_at_every_load(doc, message.format(k=k))
 
 
-def test_a_j_quartic_is_read_at_its_t_and_parsed_once(monkeypatch):
-    # degree 5 in u, but 4 at t = 1, the t of the item: it loads and runs
+def test_a_map_target_is_parsed_once_and_read_by_every_row(monkeypatch):
+    # the map row, the trace rows of both values of t and the two aux rows
+    # read the one parse of the quot target that a load makes
     doc = _raw_document()
     raw = next(e for e in doc["entries"] if e["id"] == "ciani-quartic-pencil")
-    item = next(a for a in raw["aux"] if a["check"] == "j_quartic")
-    item["quartic"] = "(t-1)*u^5+" + item["quartic"]
+    (target,) = [m["target"]["relation"] for m in raw["maps"]]
     parsed = []
     parse = catalog._parse_text
 
@@ -784,12 +765,13 @@ def test_a_j_quartic_is_read_at_its_t_and_parsed_once(monkeypatch):
 
     monkeypatch.setattr(catalog, "_parse_text", spy)
     (entry,) = load_catalog(doc, [raw["id"]])
-    assert parsed.count(item["quartic"]) == 1
-    (row,) = [c for c in run_entry(entry, pmax=10).checks
-              if c.check_id == "aux:j-quartic"]
-    assert row.status == "PASS"
-    # the row reads the text the load parsed
-    assert parsed.count(item["quartic"]) == 1
+    by_id = {}
+    for c in run_entry(entry, pmax=10).checks:
+        by_id.setdefault(c.check_id, []).append(c.status)
+    for row in ("map:quot", "trace:t=0", "trace:t=1", "aux:j-quartic",
+                "aux:cm-consistency"):
+        assert set(by_id[row]) == {"PASS"}, row
+    assert parsed.count(target) == 1
 
 
 @pytest.mark.parametrize("text", [None, [], 7, {"x": 1}, ["x^6"]])
@@ -923,6 +905,15 @@ def test_load_catalog_accepts_text():
      "claim of bielliptic-sextic-pencil names no map 'nosuch'"),
     ("genus2-quintic", lambda e: e["aux"][0].update(map="nosuch"),
      "aux check j_target of genus2-quintic names no map 'nosuch'"),
+    ("fermat-sextic-cone-quotient",
+     lambda e: e["aux"][0].update(map="nosuch"),
+     "aux check quadric_rank of fermat-sextic-cone-quotient names no map "
+     "'nosuch'"),
+    ("bielliptic-sextic-pencil", lambda e: e["aux"][0].update(map="nosuch"),
+     "aux check j_quartic of bielliptic-sextic-pencil names no map "
+     "'nosuch'"),
+    ("genus3-septic", lambda e: e["aux"][0].update(map="nosuch"),
+     "aux check cm_consistency of genus3-septic names no map 'nosuch'"),
     ("genus2-quintic",
      lambda e: e["claim"]["factors"][0].update(map="nosuch"),
      "factor 0 of genus2-quintic names no map 'nosuch'"),
@@ -1003,9 +994,6 @@ def _refused_by_the_loads_that_cover(doc, eid, message):
      "model of fermat-sextic lacks affine"),
     ("fermat-sextic", lambda e: e["maps"][0].update(pullback=["0"]),
      "pullback of map f of fermat-sextic has 1 entries for a basis of 10"),
-    ("bielliptic-sextic-pencil", lambda e: e["aux"][1].update(rhs=None),
-     "aux check cm_consistency of bielliptic-sextic-pencil: rhs must be a "
-     "string, got None"),
 ])
 def test_a_malformed_field_is_refused_at_load(eid, edit, message):
     doc = _raw_document()

@@ -7,8 +7,8 @@ An edit deletes one value at a path under ``tower`` or ``entries`` of
 of the VALUE_EDITS of its type: a text garbled, an int scaled or shifted, a
 list with an element dropped or repeated.  The tests run a seeded sample of
 the edits; run this file as a script to load, run and render all of them
-and print the count of each outcome, of each row status and of each crash
-class:
+and print the count of each outcome, of each row status, of the FAIL rows
+of each check family and of each crash class:
 
     PYTHONPATH=src python tests/test_load_fuzz.py
 """
@@ -162,8 +162,17 @@ def test_every_edit_kind_reaches_every_part_of_the_document():
     assert len({_edit_name(r) for _, r in sample}) == kinds
 
 
+def _family(check_id):
+    """The check family of a row: an aux row's id, or the first word of any
+    other (``map:f`` is a map row, ``trace:t=0`` a trace row)."""
+    return check_id if check_id.startswith("aux:") else check_id.split(":")[0]
+
+
 def main():
     counts, statuses, crashes = Counter(crash=0), Counter(), Counter()
+    # FAIL rows by family, under every edit and under the edits outside
+    # an entry's aux list
+    fails, outside = Counter(), Counter()
     for path, replacement in edits():
         try:
             runs = rendered(path, replacement)
@@ -172,6 +181,11 @@ def main():
                 continue
             counts["rendered"] += 1
             statuses.update(c.status for run in runs for c in run.checks)
+            failed = [_family(c.check_id) for run in runs for c in run.checks
+                      if c.status == "FAIL"]
+            fails.update(failed)
+            if "aux" not in path[:3]:
+                outside.update(failed)
         except Exception as exc:
             counts["crash"] += 1
             frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -180,6 +194,9 @@ def main():
     print(" ".join("%s=%d" % item for item in sorted(counts.items())))
     print("rows: " + " ".join("%s=%d" % item
                               for item in sorted(statuses.items())))
+    print("FAIL rows by family (every edit, edits outside the aux list):")
+    for family in sorted(fails):
+        print("%5d %5d %s" % (fails[family], outside[family], family))
     for where, n in crashes.most_common():
         print("%5d %s" % (n, where))
     return 1 if crashes else 0

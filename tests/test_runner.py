@@ -669,14 +669,65 @@ def test_uncountable_trace_target_is_a_fail_row_at_that_prime():
     assert 5 not in {row.prime for row in by_id["trace:t=3"]}
 
 
-def test_malformed_j_target_is_a_fail_row():
-    doc, raw = _builtin_document("genus2-quintic")
-    raw["maps"][0]["target"]["relation"] = "v^3-u*(u+1)*(u-2*(1-s2))"
-    (run,) = run_catalog(load_catalog(doc, [raw["id"]]), pmax=20)
-    (row,) = _checks_by_id(run)["aux:j-target"]
-    assert row.status == "FAIL" and row.unexpected_failure
-    assert row.evidence == {
-        "map": "quot", "error": "target of 'quot' is not v^2 = f(u)"}
+def _aux_rows_with_target(eid, name, old, new):
+    """The aux rows of entry `eid`, by id, once the text `old` in the target
+    of its map `name` is replaced by `new`."""
+    doc, raw = _builtin_document(eid)
+    spec = next(m for m in raw["maps"] if m["name"] == name)
+    text = json.dumps(spec["target"])
+    assert text.count(old) == 1
+    spec["target"] = json.loads(text.replace(old, new))
+    (entry,) = load_catalog(doc, [eid])
+    return {c.check_id: c for c in runner._aux_checks(entry)}
+
+
+@pytest.mark.parametrize("eid, name, old, new, row, error", [
+    ("genus2-quintic", "quot", "v^2", "v^3", "aux:j-target",
+     "target of 'quot' is not v^2 = f(u)"),
+    ("genus3-septic", "g", "v^2", "v^3", "aux:cm-consistency",
+     "target of 'g' is not v^2 = f(u)"),
+    # the rest were refused at load while the aux item restated its curve
+    ("fermat-sextic-cone-quotient", "canonical", "a*c-b^2", "x",
+     "aux:quadric-rank", "target of 'canonical' has 0 quadrics, not one"),
+    ("fermat-sextic-cone-quotient", "canonical", "a*c-b^2", "a*c-b^2+a",
+     "aux:quadric-rank", "target of 'canonical' has 0 quadrics, not one"),
+    ("fermat-sextic-cubing-quotient", "canonical", "d^3-a*b*c", "d^2-a*b",
+     "aux:quadric-rank", "target of 'canonical' has 2 quadrics, not one"),
+    ("bielliptic-sextic-pencil", "plus", "(u+2)*(u^3-3*u+t)", "u^5+t",
+     "aux:j-quartic", "degree 5 in u is above 4"),
+])
+def test_an_unreadable_map_target_is_a_fail_row_naming_the_map(
+        eid, name, old, new, row, error):
+    failed = _aux_rows_with_target(eid, name, old, new)[row]
+    assert failed.status == "FAIL" and failed.unexpected_failure
+    assert failed.evidence == {"map": name, "error": error}
+
+
+@pytest.mark.parametrize("eid, name, old, new, rows", [
+    # each edit keeps the target's shape: v^2 = a quartic or a cubic in u,
+    # or one quadric under the canonical curve
+    ("bielliptic-sextic-pencil", "plus", "(u+2)", "(u+4)",
+     ["aux:cm-consistency", "aux:j-quartic"]),
+    ("ciani-quartic-pencil", "quot", "(u^4+1)", "(u^4+2)",
+     ["aux:cm-consistency", "aux:j-quartic"]),
+    ("genus3-septic", "g", "^3-u", "^3-2*u", ["aux:cm-consistency"]),
+    ("fermat-sextic-cone-quotient", "canonical", "a*c-b^2", "a*c-b^2+d^2",
+     ["aux:quadric-rank"]),
+    ("fermat-sextic-pencil-quotient", "canonical", "a*c-b^2", "a*c-b^2+d^2",
+     ["aux:quadric-rank"]),
+    ("fermat-sextic-cubing-quotient", "canonical", "a^2+b^2+c^2",
+     "a^2+b^2+c^2+d^2", ["aux:quadric-rank"]),
+    ("fermat-sextic-symmetric-quotient", "canonical", "+5*b^2", "",
+     ["aux:quadric-rank"]),
+])
+def test_an_edit_of_a_map_target_reaches_the_aux_rows_that_read_it(
+        eid, name, old, new, rows):
+    edited = _aux_rows_with_target(eid, name, old, new)
+    shipped = {c.check_id: c for c in runner._aux_checks(ENTRIES[eid])}
+    assert sorted(edited) == sorted(shipped)
+    assert [row for row in sorted(edited)
+            if (edited[row].status, edited[row].evidence)
+            != (shipped[row].status, shipped[row].evidence)] == rows
 
 
 def test_row_and_target_guards_raise_value_error():
@@ -694,11 +745,7 @@ def _rows(run):
     return [(c.check_id, c.prime, c.status, c.evidence) for c in run.checks]
 
 
-# a quadric_rank relation that is not a quadratic form is refused at load
-# (tests/test_catalog.py)
 @pytest.mark.parametrize("eid, check, key, text, row, error", [
-    ("bielliptic-sextic-pencil", "j_quartic", "quartic", "x",
-     "aux:j-quartic", "zero denominator"),
     ("ciani-quartic-pencil", "j_legendre_identity", "lambda", "-(t+",
      "aux:j-legendre", "text '-(t+' of ciani-quartic-pencil: unexpected end "
                        "of expression"),
