@@ -5,8 +5,13 @@ holomorphic differentials.  Each generator's matrix is computed in exact
 arithmetic; the closure then runs on the matrices reduced mod a prime
 ell, as a breadth-first search over products of the generators, and
 each element keeps its word and the (parent, generator) pair it was reached
-from.  No coordinate formula is ever composed, and no exact product of
-element matrices is formed.
+from.  Each distinct row mod ell is kept once, in a table, and an element
+is the tuple of its rows' indices there, so an element is hashed as n
+small ints.  Row i of M(gen) * M(cur) combines the rows of M(cur) that
+row i of M(gen) names; a generator row with one nonzero entry g maps
+(row index, g) to a row index through a memo kept for the closure, and
+only a longer row forms a new row and looks it up.  No coordinate formula
+is ever composed, and no exact product of element matrices is formed.
 
 Matrices identify elements because Aut(C) acts faithfully on H^0(C, K) when
 the genus is at least 2 (Farkas-Kra, Riemann Surfaces, V.2).  That argument
@@ -180,23 +185,6 @@ def _commutant_rows(matrices, indices):
     return rows
 
 
-def _times(rows, mat, ell):
-    """M(gen) * M(cur) mod ell, from the sparse rows of M(gen): row i of
-    the product combines the rows of M(cur) that row i of M(gen) names."""
-    out = []
-    for row in rows:
-        (j, g), *rest = row
-        if rest:
-            acc = [g * x for x in mat[j]]
-            for j, g in rest:
-                acc = [a + g * x for a, x in zip(acc, mat[j])]
-            out.append(tuple([a % ell for a in acc]))
-        else:
-            out.append(mat[j] if g == 1 else tuple([g * x % ell
-                                                    for x in mat[j]]))
-    return tuple(out)
-
-
 class GroupAction:
     """The matrix group generated by the pullbacks of verified generators
     on a frame's basis, with each element's word in the generators."""
@@ -219,29 +207,66 @@ class GroupAction:
         self.ell = ell
         self._reduced = [_reduced_matrix(k, mat, ell, self._images)
                          for k, mat in enumerate(self.generator_matrices)]
-        # sparse rows [(column, value)] of each generator's matrix mod ell
-        generators = [[[(j, v) for j, v in enumerate(row) if v]
-                       for row in mat] for mat in self._reduced]
-        identity = tuple(tuple(int(i == j) for j in range(n))
-                         for i in range(n))
+        # each generator's matrix mod ell as rows (j, g, rest): the first
+        # nonzero entry g, in column j, and the later ones [(column, value)]
+        generators = []
+        for mat in self._reduced:
+            rows = []
+            for row in mat:
+                (j, g), *rest = [(j, v) for j, v in enumerate(row) if v]
+                rows.append((j, g, rest))
+            generators.append(rows)
+        # every distinct row mod ell is kept once, in table; the key of a
+        # matrix is the tuple of its rows' indices in table
+        table = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        index = {row: i for i, row in enumerate(table)}
+        # scaled[k, g]: the index of g times row k
+        scaled = {}
+
+        def intern(row):
+            k = index.get(row)
+            if k is None:
+                k = index[row] = len(table)
+                table.append(row)
+            return k
+
         # elements[k] = (word, parent index, generator index); the matrix
-        # of element k mod ell is mats[k]
+        # of element k mod ell has key keys[k]
         self.elements = [((), None, None)]
-        mats = [identity]
-        seen = {identity}
-        # mats grows while it is walked: breadth-first order
-        for idx, mat in enumerate(mats):
+        keys = [tuple(range(n))]
+        seen = {keys[0]}
+        # keys grows while it is walked: breadth-first order
+        for idx, key in enumerate(keys):
             word = self.elements[idx][0]
             for gi, rows in enumerate(generators):
-                new = _times(rows, mat, ell)
+                # M(gen) * M(cur): row i combines the rows of M(cur) that
+                # row i of M(gen) names
+                new = []
+                for j, g, rest in rows:
+                    k = key[j]
+                    if rest:
+                        acc = [g * x for x in table[k]]
+                        for j, g in rest:
+                            acc = [a + g * x
+                                   for a, x in zip(acc, table[key[j]])]
+                        k = intern(tuple([a % ell for a in acc]))
+                    elif g != 1:
+                        s = scaled.get((k, g))
+                        if s is None:
+                            s = scaled[k, g] = intern(
+                                tuple([g * x % ell for x in table[k]]))
+                        k = s
+                    new.append(k)
+                new = tuple(new)
                 if new in seen:
                     continue
                 seen.add(new)
-                if len(mats) >= order_bound:
+                if len(keys) >= order_bound:
                     raise ValueError("group closure exceeds order bound")
-                mats.append(new)
+                keys.append(new)
                 self.elements.append((word + (gi,), idx, gi))
-        self._mats = mats
+        self._table = table
+        self._keys = keys
 
     @property
     def order(self):
@@ -306,10 +331,10 @@ class GroupAction:
         must lie inside ``indices``).  Returns (words, rank): the chosen group
         elements and the dimension they span; spanning succeeded when
         rank == len(indices).  The greedy runs mod ell on the element
-        matrices of the closure; translates that fill the block mod ell
-        span it exactly (module docstring).  A vector that does not reduce
-        mod ell, or translates that fall short, take the greedy over the
-        tower, so a short rank is exact.
+        rows of the closure, read through its row table; translates that
+        fill the block mod ell span it exactly (module docstring).  A
+        vector that does not reduce mod ell, or translates that fall short,
+        take the greedy over the tower, so a short rank is exact.
         """
         inside = set(indices)
         for i, c in enumerate(vector):
@@ -321,10 +346,11 @@ class GroupAction:
                and all(c.denominator % ell for c in e.terms.values())
                for e in vector):
             v = [e.residue(ell, self._images) for e in vector]
+            table = self._table
             rows = []
             words = []
-            for (word, _, _), mat in zip(self.elements, self._mats):
-                row = [sum(a * x for a, x in zip(mat[i], v)) % ell
+            for (word, _, _), key in zip(self.elements, self._keys):
+                row = [sum(a * x for a, x in zip(table[key[i]], v)) % ell
                        for i in positions]
                 if _rank_mod(rows + [row], ell) > len(rows):
                     rows.append(row)

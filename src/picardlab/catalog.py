@@ -567,12 +567,11 @@ def _check_claims(entry):
                      sorted(missing), entry.id)
 
 
-def _undeclared_bad_primes(model, declared):
-    """The primes other than 2, 3 and the declared ones that divide
-    D lc(F) Res(F, F') m for a cover y^m = f(x), F = D f with D the least
-    common denominator: where f is not p-integral, loses degree or has a
-    multiple root, or p divides m.  The cofactor is factored only when
-    some prime is missing."""
+def bad_reduction_number(model):
+    """D lc(F) Res(F, F') m for a cover y^m = f(x), F = D f with D the
+    least common denominator: the primes that divide it are those where f
+    is not p-integral, loses degree or has a multiple root, or that divide
+    m.  Refused when f has a repeated root over Q, where it is 0."""
     den = 1
     for _, c in model.rows:
         den = lcm(den, c.denominator)
@@ -583,9 +582,16 @@ def _undeclared_bad_primes(model, declared):
     if res == 0:
         raise CatalogError("f has a repeated root: %s"
                            % model.f_poly.render())
-    value = abs(den * f[-1] * res * model.m)
+    return abs(den * f[-1] * res * model.m)
+
+
+def _undeclared_bad_primes(model, declared):
+    """The primes other than 2, 3 and the declared ones that divide the
+    model's bad_reduction_number.  The cofactor is factored only when some
+    prime is missing."""
+    value = bad_reduction_number(model)
     for p in {2, 3}.union(declared):
-        while value and value % p == 0:
+        while value % p == 0:
             value //= p
     return set(factorize(value)) if value > 1 else set()
 

@@ -9,15 +9,17 @@ one that names a map reads its curve from that map's target.  The per-prime
 pass counts the specialization and each distinct trace-map target once per
 good prime, and those counts feed the inert-prime exactness, split-prime
 trace feasibility and exact trace identity rows.  Failed checks become FAIL
-rows with evidence; a trace-map target that is not v^2 = f(u), or that
-cannot be counted at a prime, is one of them, and so is a claimed
-discriminant whose candidate traces cannot sum to the source trace, even
-where an exact trace identity holds, and an aux item that raises a
-ValueError or ZeroDivisionError, such as one whose map target is not
-v^2 = f(u) or lies on no single quadric.  An InvariantError marks a
-program defect and still aborts the run, by design.
+rows with evidence.  Among them are a trace-map target that is not
+v^2 = f(u) or whose f has a repeated root; a good prime where a trace-map
+target has bad reduction (catalog.bad_reduction_number), which is not
+counted there; a claimed discriminant whose candidate traces cannot sum to
+the source trace, even where an exact trace identity holds; and an aux
+item that raises a ValueError or ZeroDivisionError, such as one whose map
+target is not v^2 = f(u), has bad reduction at one of its primes or lies
+on no single quadric.  An InvariantError marks a program defect and still
+aborts the run, by design.
 """
-from .catalog import AUX_CHECKS, PRIME_CAP
+from .catalog import AUX_CHECKS, PRIME_CAP, bad_reduction_number
 from .curves import HyperellipticModel, InvariantError
 from .elliptic import (
     BinaryQuartic,
@@ -95,6 +97,15 @@ def _target_rhs(entry, spec, value=None):
         raise ValueError("target of %r is not %s^2 = f(%s)"
                          % (spec.name, vvar, uvar))
     return rhs, uvar
+
+
+def _target_model(entry, spec, value=None):
+    """(model, N) of a genus-one map target v^2 = f(u): its counting model
+    and the integer that the primes of bad reduction divide
+    (catalog.bad_reduction_number), which refuses an f with a repeated
+    root."""
+    model = HyperellipticModel(*_target_rhs(entry, spec, value))
+    return model, bad_reduction_number(model)
 
 
 def _render_vector(vec):
@@ -262,8 +273,7 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
     targets = {}
     for name, spec in {spec.name: spec for spec in entry.trace_maps}.items():
         try:
-            rhs, uvar = _target_rhs(entry, spec, value)
-            targets[name] = HyperellipticModel(rhs, uvar)
+            targets[name] = _target_model(entry, spec, value)
         except ValueError as exc:
             checks.append(CheckResult(
                 "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
@@ -296,17 +306,16 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
                     {"trace": record.trace, "witness": witness}, prime=p))
         if not names:
             continue
-        traces, error = {}, None
-        for name, target in targets.items():
-            try:
-                traces[name] = target.count_points(p).trace
-            except ValueError as exc:
-                # e.g. the target's leading coefficient vanishes mod p
-                error = {"map": name, "error": str(exc)}
-                break
-        if error:
-            checks.append(CheckResult("trace" + tag, FAIL, error, prime=p))
+        bad_target = next((name for name, (_, n) in targets.items()
+                           if n % p == 0), None)
+        if bad_target is not None:
+            # not counted: the target's reduction mod p is no smooth curve
+            checks.append(CheckResult("trace" + tag, FAIL, {
+                "map": bad_target, "error": "bad reduction mod %d" % p},
+                prime=p))
             continue
+        traces = {name: target.count_points(p).trace
+                  for name, (target, _) in targets.items()}
         parts = [traces[name] for name in names]
         ok = record.trace == sum(parts)
         checks.append(CheckResult(
@@ -363,10 +372,12 @@ def _aux_check(entry, item):
         j2 = j_from_legendre(entry.expression(item.lambda_))
         return j1 == j2, {"quartic_j": str(j1), "legendre_j": str(j2)}
     if kind == "cm_consistency":
-        model = HyperellipticModel(*_target_rhs(entry, item.map,
-                                                item.t.value))
-        ok, found = cm_consistency(
-            model, item.disc, good_primes(item.pmax, item.t.bad_primes))
+        model, n = _target_model(entry, item.map, item.t.value)
+        primes = good_primes(item.pmax, item.t.bad_primes)
+        bad = next((p for p in primes if n % p == 0), None)
+        if bad is not None:
+            raise ValueError("bad reduction mod %d" % bad)
+        ok, found = cm_consistency(model, item.disc, primes)
         return ok, ({"disc": item.disc,
                      "traces": [list(pair) for pair in found]} if ok
                     else {"disc": item.disc, "offender": list(found)})

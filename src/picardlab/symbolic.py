@@ -16,7 +16,11 @@ constant through that map; group closures run on such reductions.
 
 RationalFunction pairs two MPolys; equality is by cross-multiplication, which
 avoids multivariate gcds, so equal values need not have equal parts and a
-RationalFunction is not hashable.  CurveRelation turns a defining equation
+RationalFunction is not hashable.  A substitution of RationalFunction
+values (MPoly.substitute, RationalFunction.substitute) sums over one common
+denominator, the product of den_v^E_v with E_v the highest power of v
+substituted, and builds one RationalFunction at the end: no fraction is
+added term by term.  CurveRelation turns a defining equation
 that is unit-monic in a distinguished variable into a rewrite rule.  The
 parsed grammar is ASCII (names of letters, digits and _, integers, + - * /
 ^ and parentheses), and an exponent is a non-negative integer.
@@ -380,17 +384,12 @@ class MPoly:
 
     def substitute(self, mapping: Mapping[str, "MPoly | RationalFunction"]):
         """Replace variables by MPoly or RationalFunction values; the result
-        is an MPoly exactly when every value used is an MPoly."""
-        out = self.tower.zero()
-        for m, c in self.terms.items():
-            piece = self.tower.const(c)
-            for v, e in m:
-                if v in mapping:
-                    piece = piece * mapping[v] ** e
-                else:
-                    piece = piece * self.tower.var(v, e)
-            out = out + piece
-        return out
+        is an MPoly exactly when every value used is an MPoly.  Rational
+        values are summed over one common denominator
+        (_over_one_denominator), and one RationalFunction is built at the
+        end."""
+        (num,), den = _over_one_denominator((self,), mapping)
+        return num if den is None else RationalFunction(num, den)
 
     def __repr__(self):
         return self.render()
@@ -449,6 +448,59 @@ def tower_invert(a: MPoly) -> MPoly:
     for k, c in enumerate(x):
         out = out + c * tower.var(s, k)
     return out
+
+
+def _over_one_denominator(polys, mapping):
+    """(numerators, denominator) of the polys with variables replaced by
+    MPoly or RationalFunction values, over one common denominator.
+
+    With v = n_v / d_v for each variable v whose value is a
+    RationalFunction, and E_v the highest power of v in the polys, the
+    denominator is the product of the d_v^E_v, and a term holding v^e
+    (e >= 0) takes n_v^e d_v^(E_v - e) in its numerator.  Each power is
+    formed once.  The denominator is None when no value used is a
+    RationalFunction.
+    """
+    top: dict = {}
+    for poly in polys:
+        for m in poly.terms:
+            for v, e in m:
+                if e > top.get(v, 0) and isinstance(mapping.get(v),
+                                                    RationalFunction):
+                    top[v] = e
+    tower = polys[0].tower
+    powers: dict = {}
+
+    def power(base, k):
+        # keyed by identity: every base is an MPoly of the mapping
+        p = powers.get((id(base), k))
+        if p is None:
+            p = powers[id(base), k] = base ** k
+        return p
+
+    numerators = []
+    for poly in polys:
+        out = tower.zero()
+        for m, c in poly.terms.items():
+            piece = tower.const(c)
+            # v^0 for each variable of top that the term does not hold
+            for v, e in {**dict.fromkeys(top, 0), **dict(m)}.items():
+                value = mapping.get(v)
+                if value is None:
+                    piece = piece * tower.var(v, e)
+                elif v in top:
+                    piece = (piece * power(value.num, e)
+                             * power(value.den, top[v] - e))
+                else:
+                    piece = piece * power(value, e)
+            out = out + piece
+        numerators.append(out)
+    if not top:
+        return numerators, None
+    den = tower.one()
+    for v, k in top.items():
+        den = den * power(mapping[v].den, k)
+    return numerators, den
 
 
 class RationalFunction:
@@ -543,7 +595,9 @@ class RationalFunction:
         return self.num.is_zero()
 
     def substitute(self, mapping: Mapping[str, "MPoly | RationalFunction"]) -> "RationalFunction":
-        return _lift(self.num.substitute(mapping)) / self.den.substitute(mapping)
+        # num and den over the same common denominator, which cancels
+        (num, den), _ = _over_one_denominator((self.num, self.den), mapping)
+        return RationalFunction(num, den)
 
     def derivative(self, var: str) -> "RationalFunction":
         return RationalFunction(

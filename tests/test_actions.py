@@ -220,6 +220,21 @@ def test_matrix_closure_matches_formula_closure(entry, value):
     assert action.order == entry.action.order
 
 
+@CATALOG_ACTIONS
+def test_every_element_reads_its_exact_matrix_mod_ell(entry, value):
+    """Each element's rows, read through the closure's row table, are its
+    exact matrix reduced mod ell; the table holds each row once, and no
+    two elements share a key."""
+    action = entry.group_action(value)
+    ell, images = action.ell, action._images
+    reduced = [[tuple(e.residue(ell, images) for e in row) for row in mat]
+               for mat in exact_matrices(action)]
+    table = action._table
+    assert [[table[k] for k in key] for key in action._keys] == reduced
+    assert len(set(table)) == len(table)
+    assert len(set(action._keys)) == action.order
+
+
 def test_one_chain_rule_per_generator_matches_the_per_form_route():
     """Each catalog generator's matrix, built from one pullback of omega,
     equals the matrix built by pulling back every basis form, at every

@@ -477,11 +477,10 @@ class _StubEntry:
 
 @pytest.fixture
 def stub_targets(monkeypatch):
-    """Every trace-map target is a curve of trace 1."""
-    monkeypatch.setattr(runner, "_target_rhs",
-                        lambda entry, spec, value=None: (None, "u"))
-    monkeypatch.setattr(runner, "HyperellipticModel",
-                        lambda rhs, variable: _StubModel(1))
+    """Every trace-map target is a curve of trace 1, with good reduction
+    everywhere."""
+    monkeypatch.setattr(runner, "_target_model",
+                        lambda entry, spec, value=None: (_StubModel(1), 1))
 
 
 def test_infeasible_trace_identity_is_a_feasibility_fail(stub_targets):
@@ -662,11 +661,54 @@ def test_uncountable_trace_target_is_a_fail_row_at_that_prime():
         rows = {row.prime: row for row in by_id["trace:t=%d" % t]}
         assert rows[5].status == "FAIL" and rows[5].unexpected_failure
         assert rows[5].evidence == {
-            "map": "plus", "error": "leading coefficient vanishes mod 5"}
+            "map": "plus", "error": "bad reduction mod 5"}
         assert sorted(rows) == [5, 7, 11, 13, 17, 19]
         assert all("parts" in rows[p].evidence for p in sorted(rows)[1:])
     # p = 5 is a bad prime of t = 3, which has no row there
     assert 5 not in {row.prime for row in by_id["trace:t=3"]}
+
+
+def _ciani_run_with_quot_target(old, new, pmax):
+    doc, raw = _builtin_document("ciani-quartic-pencil")
+    target = next(m for m in raw["maps"] if m["name"] == "quot")["target"]
+    target["relation"] = target["relation"].replace(old, new)
+    (entry,) = load_catalog(doc, [raw["id"]])
+    return _checks_by_id(run_entry(entry, pmax=pmax))
+
+
+def test_a_trace_target_with_bad_reduction_is_not_counted_there():
+    # at t = 1 the edited quot target is v^2 = -(3/4)(u^4 + (2/3)u^2 + 2),
+    # whose quartic has a square factor mod 17: the count there would break
+    # the Weil bound, so p = 17 gets a FAIL row that names the map
+    by_id = _ciani_run_with_quot_target("(u^4+1)", "(u^4+2)", 30)
+    rows = {row.prime: row for row in by_id["trace:t=1"]}
+    assert rows[17].status == "FAIL" and rows[17].unexpected_failure
+    assert rows[17].evidence == {"map": "quot",
+                                 "error": "bad reduction mod 17"}
+    assert sorted(rows) == good_primes(30, [2, 3])
+    assert all("parts" in row.evidence for p, row in rows.items() if p != 17)
+
+
+def test_a_trace_target_with_a_repeated_root_is_one_fail_row():
+    # at t = 0 the edited quot target is v^2 = -(u^2 + 1)^2
+    by_id = _ciani_run_with_quot_target("(u^4+1)", "(u^2+1)^2", 30)
+    (row,) = by_id["trace:t=0"]
+    assert row.status == "FAIL" and row.prime is None
+    assert row.evidence == {"map": "quot",
+                            "error": "f has a repeated root: -u^4 - 2*u^2 - 1"}
+    assert all(c.status == "PASS" for c in by_id["inert:t=0"])
+    (aux,) = by_id["aux:cm-consistency"]
+    assert aux.evidence == row.evidence
+
+
+def test_cm_consistency_fails_at_a_prime_of_bad_reduction():
+    # at t = 0 the edited quot target is v^2 = -(u^4 + 5), bad at 5
+    by_id = _ciani_run_with_quot_target("(u^4+1)", "(u^4+5)", 30)
+    (aux,) = by_id["aux:cm-consistency"]
+    assert aux.status == "FAIL"
+    assert aux.evidence == {"map": "quot", "error": "bad reduction mod 5"}
+    rows = {row.prime: row for row in by_id["trace:t=0"]}
+    assert rows[5].evidence == aux.evidence
 
 
 def _aux_rows_with_target(eid, name, old, new):

@@ -208,6 +208,75 @@ def test_rational_function_substitute():
     assert sub == RationalFunction(y**2 + x**2, x**2)
 
 
+def _substitute_term_by_term(poly, mapping):
+    """poly with values in place of variables, one RationalFunction per
+    term added up: the oracle of MPoly.substitute."""
+    out = RationalFunction(T.zero())
+    for m, c in poly.terms.items():
+        piece = RationalFunction(T.const(c))
+        for v, e in m:
+            value = mapping.get(v, T.var(v))
+            if isinstance(value, MPoly):
+                value = RationalFunction(value)
+            piece = piece * value ** e
+        out = out + piece
+    return out
+
+
+def _random_poly(rng, names):
+    out = T.zero()
+    for _ in range(rng.randint(0, 3)):
+        c = rng.choice([rng.randint(-4, 4),
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        term = T.const(c) * rng.choice([T.one(), om, i_])
+        for v in rng.sample(names, rng.randint(0, len(names))):
+            term = term * T.var(v, rng.randint(1, 3))
+        out = out + term
+    return out
+
+
+# values with monomial, non-monomial and unit denominators, among them
+# Ciani's omega denominator
+_CIANI_DEN = "(4*y^3+2*t*x^2*y+2*t*y)"
+SUBSTITUTE_VALUES = [
+    x + 1, y * y, om * x - T.var("t"), T.const(3),
+    RationalFunction(y, x), RationalFunction(T.one(), x),
+    RationalFunction(x, x - 1), RationalFunction(x * y + 2, x - 1),
+    parse_expression(T, "1/" + _CIANI_DEN),
+    parse_expression(T, "(x^2+om)/" + _CIANI_DEN),
+    RationalFunction(x + y),
+]
+
+
+def test_substitute_over_one_denominator_matches_the_term_by_term_sum():
+    rng = random.Random(3701)
+    names = ["t", "x", "y"]
+    kinds = set()
+    for _ in range(150):
+        poly = _random_poly(rng, names)
+        mapping = {v: rng.choice(SUBSTITUTE_VALUES)
+                   for v in rng.sample(names, rng.randint(0, 3))}
+        got = poly.substitute(mapping)
+        used = [mapping[v] for v in poly.variables() if v in mapping]
+        # an MPoly exactly when every value used is one
+        polynomial = all(isinstance(value, MPoly) for value in used)
+        assert isinstance(got, MPoly) == polynomial
+        if polynomial:
+            got = RationalFunction(got)
+        want = _substitute_term_by_term(poly, mapping)
+        assert got.num * want.den == want.num * got.den
+        kinds.add((polynomial, bool(used)))
+        # a quotient substitutes its numerator and denominator alike
+        den = _random_poly(rng, names)
+        below = _substitute_term_by_term(den, mapping)
+        if below.is_zero():
+            continue
+        quotient = RationalFunction(poly, den).substitute(mapping)
+        assert quotient.num * below.num * want.den == \
+            want.num * below.den * quotient.den
+    assert kinds == {(True, False), (True, True), (False, True)}
+
+
 def test_rational_function_is_unhashable():
     # equal values need not have equal parts, so no hash can agree with ==
     assert RationalFunction(x**2 + x, x * y + y) == RationalFunction(x, y)
