@@ -26,7 +26,6 @@ import json
 import os
 from fractions import Fraction
 from itertools import count
-from math import lcm
 from operator import itemgetter
 
 from .curves import (
@@ -406,9 +405,11 @@ class CatalogEntry:
         self.aux = [self._aux(_Node(raw, "aux item %d of %s", k, eid))
                     for k, raw in enumerate(node.field("aux", list, ()))]
         # per load: each text parsed at most once by `poly` and once by
-        # `expression`, each counting model built once (by the claim checks
-        # when the load covers the entry) and reused by every count
+        # `expression`, each specialization's reduction system built once,
+        # and each counting model built once (by the claim checks when the
+        # load covers the entry) and reused by every count
         self._parsed = {}
+        self._systems = {}
         self._models = {}
 
     def _aux(self, node):
@@ -462,7 +463,13 @@ class CatalogEntry:
             for text, main, power in relations])
 
     def affine_system(self, value=None):
-        return self._system(self.model.relations, value)
+        """The model's reduction system at a specialization, built on first
+        use and shared by the maps, their pullbacks and the group action."""
+        system = self._systems.get(value)
+        if system is None:
+            system = self._systems[value] = self._system(
+                self.model.relations, value)
+        return system
 
     def frame(self, value=None):
         """The differential frame of the model and the action's basis."""
@@ -569,20 +576,16 @@ def _check_claims(entry):
 
 def bad_reduction_number(model):
     """D lc(F) Res(F, F') m for a cover y^m = f(x), F = D f with D the
-    least common denominator: the primes that divide it are those where f
-    is not p-integral, loses degree or has a multiple root, or that divide
-    m.  Refused when f has a repeated root over Q, where it is 0."""
-    den = 1
-    for _, c in model.rows:
-        den = lcm(den, c.denominator)
-    f = [0] * (model.degree + 1)
-    for (e,), c in model.rows:
-        f[e] = c.numerator * (den // c.denominator)
+    least common denominator, both the model's own (its integer form): the
+    primes that divide it are those where f is not p-integral, loses degree
+    or has a multiple root, or that divide m.  Refused when f has a
+    repeated root over Q, where it is 0."""
+    f = model.numerators
     res = resultant(f, [k * c for k, c in enumerate(f)][1:])
     if res == 0:
         raise CatalogError("f has a repeated root: %s"
                            % model.f_poly.render())
-    return abs(den * f[-1] * res * model.m)
+    return abs(model.den * f[-1] * res * model.m)
 
 
 def _undeclared_bad_primes(model, declared):

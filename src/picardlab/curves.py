@@ -20,6 +20,11 @@ route makes a Python call per point or per line, except on the rare lines
 where a lookup does not apply; those go through the field's ``cubic`` and
 ``even_quartic``.
 
+A model keeps its exact coefficients c as the integers c D over one
+denominator D, built with the model; a count reduces them mod p with one
+pow(D, -1, p) (``_unit``) and ``%``, and a p that divides D raises the
+``ZeroDivisionError`` naming the first coefficient that is not p-integral.
+
 The cyclic cover y^m = f(x) and the even plane quartic G(x^2, y^2, z^2)
 each have one route for every field, forking on ``field.k`` only where F_q
 addition is not integer addition: over F_{p^k}, k = 2, 3, they run in O(q)
@@ -34,8 +39,8 @@ other plane curve when it is built, so no count of it is ever attempted.
 
 import sys
 from array import array
-from itertools import compress, repeat, zip_longest
-from math import gcd, prod
+from itertools import chain, compress, repeat, zip_longest
+from math import gcd, lcm, prod
 from operator import add, itemgetter, mod, mul, sub
 
 from . import gf
@@ -83,17 +88,19 @@ def _column(field, coeffs):
     code = _packing(len(coeffs) * field.p)
     packed = field.exp_bytes(code)
     width = len(packed) // n
-    const, total = coeffs[0], 0
+    const, total, strides = coeffs[0], 0, []
     for j, c in enumerate(coeffs):
-        if not (j and c):
-            continue
-        j %= n
-        if j:
-            exps = array(code, packed * (j + 1))
-            total += int.from_bytes(exps[log[c]:log[c] + j * n:j],
+        if j and c:
+            if j % n:
+                strides.append((j % n, log[c]))
+            else:
+                const += c
+    if strides:
+        # one array of top + 1 copies holds the slice of every stride
+        exps = array(code, packed * (max(strides)[0] + 1))
+        for j, start in strides:
+            total += int.from_bytes(exps[start:start + j * n:j],
                                     sys.byteorder)
-        else:
-            const += c
     if const:
         one = (1).to_bytes(width, sys.byteorder)
         total += const * int.from_bytes(one * n, sys.byteorder)
@@ -168,31 +175,38 @@ def poly_table(poly, variables):
     return rows
 
 
-def _coeff_mod(c, p):
-    num, den = c.numerator, c.denominator
-    if den == 1:
-        return num % p
-    if den % p == 0:
-        raise ZeroDivisionError("coefficient %s is not p-integral at %d" % (c, p))
-    return num * pow(den, -1, p) % p
+def _denominator(rows):
+    """The least common denominator of the exact coefficients, ints and
+    Fractions, of the rows [(exponents, c)]."""
+    return lcm(*[c.denominator for _, c in rows])
 
 
-def table_mod(rows, p):
-    return [(exps, c_mod) for exps, c in rows if (c_mod := _coeff_mod(c, p))]
+def _integer_rows(rows, den):
+    """The rows [(exponents, c)] as rows [(exponents, c den)] of ints, den
+    a common denominator of the c."""
+    return [(exps, c.numerator * (den // c.denominator)) for exps, c in rows]
 
 
-def _univariate_mod(rows, p):
-    """Dense low-to-high coefficient list mod p of a table read as a
-    polynomial in its first variable, the others set to 1."""
-    out = [0] * (1 + max((e[0] for e, _ in rows), default=0))
-    for exps, c in rows:
-        out[exps[0]] += c
-    return _dense_mod(out, p)
+def _unit(den, rows, p):
+    """den^-1 mod p, den the least common denominator of the exact
+    coefficients of the rows [(exponents, c)]; when p divides it, the
+    ZeroDivisionError that names the first coefficient that is not
+    p-integral."""
+    if den % p:
+        return pow(den, -1, p)
+    c = next(c for _, c in rows if c.denominator % p == 0)
+    raise ZeroDivisionError("coefficient %s is not p-integral at %d" % (c, p))
 
 
-def _dense_mod(coeffs, p):
-    """A dense coefficient list, low to high, reduced mod p and trimmed."""
-    out = [_coeff_mod(c, p) if c else 0 for c in coeffs]
+def _rows_mod(rows, unit, p):
+    """Integer rows [(exponents, n)] as rows of n * unit mod p, the zero
+    ones dropped."""
+    return [(exps, r) for exps, n in rows if (r := n * unit % p)]
+
+
+def _dense_mod(coeffs, unit, p):
+    """Dense integer coefficients, low to high, times unit mod p, trimmed."""
+    out = [c * unit % p for c in coeffs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
@@ -221,8 +235,8 @@ def _pencil_polynomials(form_rows):
     cubic in (A, B): on the lines (s : 1), its coefficients k_j of
     A^(3-j) B^j, then b^2 and a^3 for the depressed form Y^3 + aY + b of
     the cubic in A at B = 1, a = 3 (3 k0 k2 - k1^2) and
-    b = 2 k1^3 - 9 k0 k1 k2 + 27 k0^2 k3; each a dense polynomial in s
-    with exact coefficients."""
+    b = 2 k1^3 - 9 k0 k1 k2 + 27 k0^2 k3; each a dense polynomial in s.
+    Rows with coefficients D c give D k_j, D^6 b^2 and D^6 a^3."""
     k = [[0] * (1 + max(e[0] for e, _ in form_rows)) for _ in range(4)]
     for (es, _, _, eb), c in form_rows:
         k[eb][es] += c
@@ -303,7 +317,7 @@ def _even_quartic_count(rows, field):
             # swapped when 2 c2 is not a square; a non-square D gives none.
             # The lines where D = 0 are counted apart.
             disc = _reduced_column(field, _dense_mod(
-                _poly_sum([(1, c1, c1), (-4 * lead, c0)]), p))[1::2]
+                _poly_sum([(1, c1, c1), (-4 * lead, c0)]), 1, p))[1::2]
             rare = _zeros(disc)
             keep = list(map(squares.__getitem__, disc))
             for i in rare:
@@ -360,6 +374,11 @@ class PlaneModel:
                                    for e in exps)
         if not (self.diagonal or self.even):
             raise ValueError("no counting route for this plane curve")
+        self.den = _denominator(self.rows)
+        self.numerators = _integer_rows(self.rows, self.den)
+
+    def _reduced_rows(self, p):
+        return _rows_mod(self.numerators, _unit(self.den, self.rows, p), p)
 
     def genus(self):
         d = self.degree
@@ -377,7 +396,7 @@ class PlaneModel:
         return _diagonal_count(p, self.degree)
 
     def _count_scan(self, p):
-        return _even_quartic_count(table_mod(self.rows, p), gf.field(p))
+        return _even_quartic_count(self._reduced_rows(p), gf.field(p))
 
     def count_points_ext(self, p, k):
         """Count over F_{p^k}: the diagonal curve as a cyclic cover, the even
@@ -392,8 +411,7 @@ class PlaneModel:
             n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1],
                                     gf.field(p, k))
         else:
-            n = _even_quartic_count(table_mod(self.rows, p),
-                                    gf.field(p, k))
+            n = _even_quartic_count(self._reduced_rows(p), gf.field(p, k))
         return CountRecord(p, k, n, self.genus())
 
 
@@ -405,6 +423,11 @@ class SuperellipticModel:
         self.f_poly = f_poly
         self.rows = poly_table(f_poly, (variable,))
         self.degree = max(e[0] for e, _ in self.rows)
+        # D f, low to high, over the least common denominator D
+        self.den = _denominator(self.rows)
+        self.numerators = [0] * (self.degree + 1)
+        for (e,), n in _integer_rows(self.rows, self.den):
+            self.numerators[e] = n
 
     def genus(self):
         # Riemann-Hurwitz: each root of f is totally ramified, and the
@@ -422,7 +445,7 @@ class SuperellipticModel:
         gf.check_field(p, k)
         if p % self.m == 0:
             raise ValueError("p = %d divides m = %d" % (p, self.m))
-        coeffs = _univariate_mod(self.rows, p)
+        coeffs = _dense_mod(self.numerators, _unit(self.den, self.rows, p), p)
         if len(coeffs) - 1 != self.degree:
             raise ValueError("leading coefficient vanishes mod %d" % p)
         n = _cyclic_cover_count(self.m, coeffs, gf.field(p, k))
@@ -471,6 +494,15 @@ class SpaceModel:
                    for rows in self.factor_rows):
                 raise ValueError("a sqrt_product factor is not homogeneous "
                                  "in %s" % ", ".join(fibration["base_vars"]))
+            # over one denominator D, each form's coefficients of x^0..x^d
+            # on the chart y = 1, d its degree: x^d is its value at (1 : 0)
+            self.den = _denominator(chain.from_iterable(self.factor_rows))
+            self.factor_numerators = []
+            for rows in self.factor_rows:
+                dense = [0] * (1 + max((sum(e) for e, _ in rows), default=0))
+                for (ex, _), n in _integer_rows(rows, self.den):
+                    dense[ex] = n
+                self.factor_numerators.append(dense)
         elif kind == "pencil_form":
             self.form_rows = poly_table(
                 fibration["form"],
@@ -479,7 +511,16 @@ class SpaceModel:
                     ea + eb != 3 for (_, _, ea, eb), _ in self.form_rows):
                 raise ValueError("pencil form is not a binary cubic in %s"
                                  % ", ".join(fibration["root_vars"]))
-            self.pencil = _pencil_polynomials(self.form_rows)
+            # over one denominator D, the pencil's polynomials (D k_j,
+            # D^6 b^2, D^6 a^3) and D times the cubic on the line (1 : 0),
+            # the form's terms free of r
+            self.den = _denominator(self.form_rows)
+            rows = _integer_rows(self.form_rows, self.den)
+            self.pencil = _pencil_polynomials(rows)
+            self.edge = [0] * 4
+            for (_, er, _, eb), n in rows:
+                if er == 0:
+                    self.edge[eb] += n
         if genus is None:
             degrees = []
             for rel in self.relations:
@@ -524,16 +565,16 @@ class SpaceModel:
         # the product of the square-root counts: one column of counts per
         # form on the chart y = 1, then the point (1 : 0).
         field = gf.field(p)
-        counts, *columns = [_root_column(field, 2, _univariate_mod(rows, p))
-                            for rows in self.factor_rows]
+        unit = _unit(self.den, chain.from_iterable(self.factor_rows), p)
+        counts, *columns = [_root_column(field, 2, _dense_mod(dense, unit, p))
+                            for dense in self.factor_numerators]
         for column in columns:
             counts = map(mul, counts, column)
         n = sum(counts)
         # at (1 : 0) each form is its coefficient of x^deg
         squares = field.power_counts(2)
-        edge = [sum(c for (_, ey), c in table_mod(rows, p) if ey == 0) % p
-                for rows in self.factor_rows]
-        return n + prod(squares[v] for v in edge)
+        return n + prod(squares[dense[-1] * unit % p]
+                        for dense in self.factor_numerators)
 
     def _count_pencil_form(self, p):
         # Ruling of a cone: for each line (s : r) of the ruling, the curve
@@ -543,9 +584,10 @@ class SpaceModel:
         # columns; where k_0, a and b do not vanish the line has
         # depressed[log(b^2) - log(a^3)] roots, and only the other, rare,
         # lines are counted one by one.
-        rows = table_mod(self.form_rows, p)
+        unit = _unit(self.den, self.form_rows, p)
         field = gf.field(p)
-        k0, k1, k2, k3, b2, a3 = (_dense_mod(f, p) for f in self.pencil)
+        units = [unit] * 4 + [pow(unit, 6, p)] * 2
+        k0, k1, k2, k3, b2, a3 = map(_dense_mod, self.pencil, units, repeat(p))
         lead = _reduced_column(field, k0)
         num = _reduced_column(field, b2)
         den = _reduced_column(field, a3)
@@ -570,11 +612,7 @@ class SpaceModel:
             n += fiber([_value(f, s, p) for f in (k0, k1, k2, k3)]) \
                 - table[log[num[i]] - log[den[i]]]
         # the line (1 : 0)
-        edge = [0] * 4
-        for (_, er, _, eb), c in rows:
-            if er == 0:
-                edge[eb] += c
-        return n + fiber(edge)
+        return n + fiber([c * unit % p for c in self.edge])
 
     def _count_shift_orbit(self, p):
         # Quotient of the diagonal plane sextic by the coordinate 3-cycle s.

@@ -54,7 +54,8 @@ def cm_trace_candidates(disc, p):
     the imaginary quadratic order of the given discriminant.
 
     Inert or ramified primes force the supersingular trace 0; split primes
-    allow exactly the a with a^2 - 4p = disc * b^2.
+    allow exactly the a with a^2 - 4p = disc * b^2, found by walking
+    b >= 1 with |disc| b^2 < 4p: at most isqrt(4p / |disc|) steps.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("%d is not an imaginary quadratic discriminant" % disc)
@@ -64,9 +65,11 @@ def cm_trace_candidates(disc, p):
         return {0}
     m = -disc
     out = set()
-    for a in range(1, isqrt(4 * p) + 1):
-        r = 4 * p - a * a
-        if r % m == 0 and is_perfect_square(r // m):
+    for b in range(1, isqrt(4 * p // m) + 1):
+        r = 4 * p - m * b * b
+        # a = 0 would make 4p = |disc| b^2, never so at a split prime
+        if r and is_perfect_square(r):
+            a = isqrt(r)
             out.add(a)
             out.add(-a)
     return out

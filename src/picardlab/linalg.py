@@ -14,15 +14,18 @@ from fractions import Fraction
 from .symbolic import MPoly
 
 
-def _echelon(rows):
+def _echelon(rows, ncols=None):
     """In-place forward elimination; returns list of (row_idx, col) pivots.
 
-    Entries need is_zero(), ring operations and an exact inverse ``** -1``:
+    Pivots are sought in the first `ncols` columns, all of them for None;
+    the columns after them, right-hand sides, are carried along.  Entries
+    need is_zero(), ring operations and an exact inverse ``** -1``:
     constants-only MPoly values, or RationalFunction values.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -53,26 +56,34 @@ def matrix_rank(matrix: list[list[MPoly]]) -> int:
     return len(_echelon(rows))
 
 
-def solve_linear(matrix, rhs):
-    """One exact solution of A x = b, or None if inconsistent.
+def solve_linear(matrix, *sides):
+    """One exact solution of A x = b for each right-hand side b, or None
+    for a side that is inconsistent, from one elimination.
 
     Entries are all constants-only MPoly values, or all RationalFunction
     values (which may carry free parameters).  Free coordinates are set to
-    zero.
+    zero.  The pivots lie in the matrix columns only, so each side's
+    solution is the one a solve of that side alone gives.
     """
     if not matrix:
-        return []
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+        return [[] for _ in sides]
+    rows = [list(row) + list(b) for row, b in zip(matrix, zip(*sides))]
     ncols = len(matrix[0])
-    zero = 0 * rhs[0]
-    pivots = _echelon(rows)
-    solution = [zero] * ncols
-    for r, c in pivots:
-        if c == ncols:
-            return None  # pivot in the augmented column: inconsistent
-        solution[c] = rows[r][ncols]
-    # rows beyond the pivots are all-zero by construction
-    return solution
+    zero = 0 * sides[0][0]
+    pivots = _echelon(rows, ncols)
+    rank = len(pivots)
+    solutions = []
+    for s in range(ncols, ncols + len(sides)):
+        # below the pivots the matrix part is zero: a nonzero side entry
+        # there makes that side inconsistent
+        if any(not row[s].is_zero() for row in rows[rank:]):
+            solutions.append(None)
+            continue
+        solution = [zero] * ncols
+        for r, c in pivots:
+            solution[c] = rows[r][s]
+        solutions.append(solution)
+    return solutions
 
 
 def is_quadratic_form(poly: MPoly, variables) -> bool:

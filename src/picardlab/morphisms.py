@@ -151,15 +151,15 @@ class Frame:
                           self.fiber_var)
         ratio = pulled.coeff / self.omega.coeff
         powers = {}
-        columns = []
+        ratios = []
         for mono in self.basis:
             value = ratio
             for v, e in mono:
                 if (v, e) not in powers:
                     powers[v, e] = cmap.components[v] ** e
                 value = value * powers[v, e]
-            columns.append(classify_ratio(cmap.source, self, value))
-        return columns
+            ratios.append(value)
+        return classify_ratios(cmap.source, self, ratios)
 
 
 def geometric_coefficients(poly, geometric_vars):
@@ -185,53 +185,82 @@ def classify_in_basis(system, frame, diff):
     if frame.omega.base_var != diff.base_var:
         raise ValueError("differentials in d%s and d%s"
                          % (frame.omega.base_var, diff.base_var))
-    return classify_ratio(system, frame, diff.coeff / frame.omega.coeff)
+    (vector,) = classify_ratios(system, frame,
+                                [diff.coeff / frame.omega.coeff])
+    return vector
 
 
-def classify_ratio(system, frame, ratio):
-    """classify_in_basis for a differential given by its ratio to omega."""
+def classify_ratios(system, frame, ratios):
+    """classify_in_basis for differentials given by their ratios to omega:
+    one coordinate list, or None, per ratio.
+
+    The ratios are reduced first, and the first whose denominator vanishes
+    on the curve raises.  Ratios with equal reduced denominators share
+    their work: one tower inverse for a constant denominator, and otherwise
+    one set of columns reduce(m_k * den) and one elimination with a
+    right-hand side per ratio.
+    """
     basis, geometric_vars = frame.basis, frame.geometric_vars
     tower = system.tower
-    num = system.reduce(ratio.num)
-    den = system.reduce(ratio.den)
-    if den.is_zero():
-        raise ZeroDivisionError("denominator vanishes on the curve")
     key_of = {mono: k for k, mono in enumerate(basis)}
-    if den.constants_only():
-        poly = num * tower_invert(den)
-        vector = [tower.zero()] * len(basis)
-        for geo, part in geometric_coefficients(poly, geometric_vars).items():
-            if part.is_zero():
-                continue
-            if geo not in key_of:
-                return None
-            vector[key_of[geo]] = part
-        return vector
-    # solve num = sum_k c_k * reduce(m_k * den) coefficient-wise
-    columns = [
-        geometric_coefficients(system.reduce(tower.poly({mono: 1}) * den),
-                               geometric_vars)
-        for mono in basis
-    ]
-    target = geometric_coefficients(num, geometric_vars)
-    keys = set(target)
-    for col in columns:
-        keys |= set(col)
-    keys = sorted(keys)
-    matrix = [[col.get(key, tower.zero()) for col in columns] for key in keys]
-    rhs = [target.get(key, tower.zero()) for key in keys]
-    parametric = not all(
-        e.constants_only() for row, b in zip(matrix, rhs) for e in row + [b]
-    )
-    if parametric:
-        # entries carry free parameters: solve in the fraction field, then
-        # insist every coordinate is an honest polynomial in the parameter
-        matrix = [[RationalFunction(e) for e in row] for row in matrix]
-        rhs = [RationalFunction(b) for b in rhs]
-    solution = solve_linear(matrix, rhs)
-    if solution is None or not parametric:
-        return solution
-    return [_parameter_quotient(rf) for rf in solution]
+    groups = {}
+    for k, ratio in enumerate(ratios):
+        num = system.reduce(ratio.num)
+        den = system.reduce(ratio.den)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator vanishes on the curve")
+        groups.setdefault(den, []).append((k, num))
+    vectors = [None] * len(ratios)
+    for den, members in groups.items():
+        if den.constants_only():
+            inverse = tower_invert(den)
+            for k, num in members:
+                vectors[k] = _vector(num * inverse, frame, key_of)
+            continue
+        # solve num = sum_k c_k * reduce(m_k * den) coefficient-wise
+        columns = [
+            geometric_coefficients(system.reduce(tower.poly({mono: 1}) * den),
+                                   geometric_vars)
+            for mono in basis
+        ]
+        targets = [geometric_coefficients(num, geometric_vars)
+                   for _, num in members]
+        keys = set()
+        for part in columns + targets:
+            keys |= set(part)
+        keys = sorted(keys)
+        matrix = [[col.get(key, tower.zero()) for col in columns]
+                  for key in keys]
+        sides = [[target.get(key, tower.zero()) for key in keys]
+                 for target in targets]
+        parametric = not all(e.constants_only()
+                             for row in matrix + sides for e in row)
+        if parametric:
+            # entries carry free parameters: solve in the fraction field,
+            # then insist every coordinate is an honest polynomial in the
+            # parameter
+            matrix = [[RationalFunction(e) for e in row] for row in matrix]
+            sides = [[RationalFunction(b) for b in side] for side in sides]
+        solutions = solve_linear(matrix, *sides)
+        for (k, _), solution in zip(members, solutions):
+            if solution is not None and parametric:
+                solution = [_parameter_quotient(rf) for rf in solution]
+            vectors[k] = solution
+    return vectors
+
+
+def _vector(poly, frame, key_of):
+    """The frame's basis coordinates of a polynomial ratio, or None when it
+    has a geometric monomial outside the basis."""
+    vector = [poly.tower.zero()] * len(frame.basis)
+    for geo, part in geometric_coefficients(poly,
+                                            frame.geometric_vars).items():
+        if part.is_zero():
+            continue
+        if geo not in key_of:
+            return None
+        vector[key_of[geo]] = part
+    return vector
 
 
 def _parameter_quotient(rf):
@@ -255,7 +284,7 @@ def _parameter_quotient(rf):
          for j in range(width)]
         for i in range(len(a))
     ]
-    q = solve_linear(matrix, a)
+    (q,) = solve_linear(matrix, a)
     if q is None:
         raise ValueError(f"coordinate is not polynomial in {var}: {rf}")
     out = tower.zero()

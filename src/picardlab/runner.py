@@ -262,7 +262,9 @@ def _certificate_check(entry, action, summand, tag):
 def _prime_checks(entry, value, tag, factors, bad, pmax):
     """Inert, feasibility and trace rows of one claimed specialization.  At
     each good prime the source and each distinct trace-map target are
-    counted once, and every row of that prime reads those counts."""
+    counted once, and every row of that prime reads those counts; with no
+    discriminant claimed and no trace target to count, nothing is
+    counted."""
     checks = []
     claimed = all(f.disc is not None for f in factors)
     if not claimed:
@@ -279,6 +281,9 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
                 "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
             names = []
             break
+    if not (claimed or names):
+        # no row would read a count
+        return checks
     discs = [f.disc for f in factors for _ in range(f.mult)]
     source = entry.counting_model(value)
     for p in good_primes(pmax, bad):

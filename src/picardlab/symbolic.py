@@ -441,7 +441,7 @@ def tower_invert(a: MPoly) -> MPoly:
     matrix = [[col[i] if i < len(col) else tower.zero() for col in columns]
               for i in range(d)]
     rhs = [tower.one()] + [tower.zero()] * (d - 1)
-    x = solve_linear(matrix, rhs)
+    (x,) = solve_linear(matrix, rhs)
     if x is None:
         raise ZeroDivisionError("%s is not invertible in the tower" % a)
     out = tower.zero()

@@ -18,15 +18,24 @@ oracle of `GroupAction.character_norm`; both read the exact matrices, as
 does `exact_certificate`, the greedy span certificate over the tower that
 `GroupAction.span_certificate` runs mod the split prime.
 `generator_matrix` pulls back each basis form through its own chain rule,
-the oracle of `Frame.basis_coordinates`.  `tower_residues_by_scan` finds
+the oracle of `Frame.basis_coordinates`, and `per_form_coordinates`
+classifies each basis form's ratio alone (`classify_ratio`, one reduction
+of m_k * den and one elimination per form), the oracle of the grouped
+`morphisms.classify_ratios`.  `tower_residues_by_scan` finds
 each constant's image at a prime by scanning F_ell, the oracle of
 `ConstantTower.residues`.
 """
 
 from fractions import Fraction
 
-from picardlab.linalg import matrix_rank
-from picardlab.morphisms import CurveMap, Differential
+from picardlab.linalg import matrix_rank, solve_linear
+from picardlab.morphisms import (
+    CurveMap,
+    Differential,
+    _parameter_quotient,
+    geometric_coefficients,
+    pullback,
+)
 from picardlab.symbolic import RationalFunction, tower_invert
 
 from exact_oracles import least_simple_root_by_scan
@@ -172,6 +181,67 @@ def generator_matrix(system, frame, formulas):
                for mono in frame.basis]
     n = len(frame.basis)
     return [[columns[k][i] for k in range(n)] for i in range(n)]
+
+
+def classify_ratio(system, frame, ratio):
+    """The basis coordinates of one differential given by its ratio to
+    omega, or None outside the span: the per-form route that
+    `morphisms.classify_ratios` replaced."""
+    basis, geometric_vars = frame.basis, frame.geometric_vars
+    tower = system.tower
+    num = system.reduce(ratio.num)
+    den = system.reduce(ratio.den)
+    if den.is_zero():
+        raise ZeroDivisionError("denominator vanishes on the curve")
+    key_of = {mono: k for k, mono in enumerate(basis)}
+    if den.constants_only():
+        poly = num * tower_invert(den)
+        vector = [tower.zero()] * len(basis)
+        for geo, part in geometric_coefficients(poly, geometric_vars).items():
+            if part.is_zero():
+                continue
+            if geo not in key_of:
+                return None
+            vector[key_of[geo]] = part
+        return vector
+    # solve num = sum_k c_k * reduce(m_k * den) coefficient-wise
+    columns = [
+        geometric_coefficients(system.reduce(tower.poly({mono: 1}) * den),
+                               geometric_vars)
+        for mono in basis
+    ]
+    target = geometric_coefficients(num, geometric_vars)
+    keys = set(target)
+    for col in columns:
+        keys |= set(col)
+    keys = sorted(keys)
+    matrix = [[col.get(key, tower.zero()) for col in columns] for key in keys]
+    rhs = [target.get(key, tower.zero()) for key in keys]
+    parametric = not all(
+        e.constants_only() for row, b in zip(matrix, rhs) for e in row + [b]
+    )
+    if parametric:
+        matrix = [[RationalFunction(e) for e in row] for row in matrix]
+        rhs = [RationalFunction(b) for b in rhs]
+    (solution,) = solve_linear(matrix, rhs)
+    if solution is None or not parametric:
+        return solution
+    return [_parameter_quotient(rf) for rf in solution]
+
+
+def per_form_coordinates(system, frame, cmap):
+    """`Frame.basis_coordinates` with each basis form's ratio
+    (m_k o f) * f*(omega) / omega classified alone by `classify_ratio`."""
+    omega = frame.omega
+    pulled = pullback(cmap, omega, omega.base_var, frame.fiber_var)
+    ratio = pulled.coeff / omega.coeff
+    columns = []
+    for mono in frame.basis:
+        value = ratio
+        for v, e in mono:
+            value = value * cmap.components[v] ** e
+        columns.append(classify_ratio(system, frame, value))
+    return columns
 
 
 def formula_closure(system, frame, generators, order_bound=1024):

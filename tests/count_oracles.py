@@ -7,8 +7,40 @@ over F_{p^k}."""
 from itertools import product
 
 from picardlab import gf
-from picardlab.curves import table_mod
 from picardlab.gf import TABLE_MAX, ExtField
+
+
+# The Fraction route that reduced exact rows mod p coefficient by
+# coefficient, before each counting model kept one integer form: the
+# oracle of that form's reductions.
+
+def coeff_mod(c, p):
+    """An exact coefficient mod p; ZeroDivisionError when p divides its
+    denominator."""
+    num, den = c.numerator, c.denominator
+    if den == 1:
+        return num % p
+    if den % p == 0:
+        raise ZeroDivisionError("coefficient %s is not p-integral at %d"
+                                % (c, p))
+    return num * pow(den, -1, p) % p
+
+
+def table_mod(rows, p):
+    """Exact rows [(exponents, c)] as rows mod p, the zero ones dropped."""
+    return [(exps, c_mod) for exps, c in rows if (c_mod := coeff_mod(c, p))]
+
+
+def univariate_mod(rows, p):
+    """Dense low-to-high coefficient list mod p, trimmed, of exact rows
+    read as a polynomial in their first variable, the others set to 1."""
+    out = [0] * (1 + max((e[0] for e, _ in rows), default=0))
+    for exps, c in rows:
+        out[exps[0]] += c
+    out = [coeff_mod(c, p) if c else 0 for c in out]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def horner(coeffs, x, p):

@@ -23,9 +23,7 @@ from picardlab.curves import (
     _column,
     _cyclic_cover_count,
     _even_quartic_count,
-    _univariate_mod,
     poly_table,
-    table_mod,
 )
 from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import TABLE_MAX, ExtField
@@ -43,6 +41,8 @@ from count_oracles import (
     root_count,
     scan_plane_count,
     shift_orbit_loop_count,
+    table_mod,
+    univariate_mod,
 )
 from symbolic_helpers import builtin_tower
 
@@ -483,7 +483,7 @@ def test_cover_count_is_the_horner_sum_at_every_prime():
         field = ExtField(p, 1)
         for label, model in covers:
             try:
-                coeffs = _univariate_mod(model.rows, p)
+                coeffs = univariate_mod(model.rows, p)
             except ZeroDivisionError:
                 continue
             if p % model.m == 0 or len(coeffs) - 1 != model.degree:
@@ -494,6 +494,91 @@ def test_cover_count_is_the_horner_sum_at_every_prime():
             infinity = sum(1 for z in range(p) if pow(z, d, p) == coeffs[-1])
             assert _cyclic_cover_count(model.m, coeffs, field) == \
                 affine + infinity, (label, p)
+
+
+def _random_rational_cover(rng):
+    """y^m = f(x) with m in {2, 3, 4, 6} and f of degree 3..7, each
+    coefficient a random fraction with denominator at most 12, the leading
+    one nonzero."""
+    degree = rng.randint(3, 7)
+    coeffs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+              for _ in range(degree)]
+    coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 40),
+                           rng.randint(1, 12)))
+    text = " + ".join("(%s)*x^%d" % (c, e) for e, c in enumerate(coeffs) if c)
+    return SuperellipticModel(rng.choice([2, 3, 4, 6]), poly(text))
+
+
+def test_integer_form_counts_match_the_fraction_route():
+    # each count reduces the model's one integer form D f with one
+    # pow(D, -1, p); the Fraction route reduced f coefficient by
+    # coefficient.  They give the same f mod p, so the same count, and a
+    # p that divides a denominator raises the Fraction route's message.
+    rng = random.Random(3801)
+    refused = 0
+    for _ in range(60):
+        model = _random_rational_cover(rng)
+        g = model.genus()
+        for p in primes_up_to(97)[2:]:
+            try:
+                coeffs = univariate_mod(model.rows, p)
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError) as raised:
+                    model.count_points(p)
+                assert str(raised.value) == str(exc)
+                refused += 1
+                continue
+            if len(coeffs) - 1 != model.degree:
+                with pytest.raises(ValueError, match="leading coefficient"):
+                    model.count_points(p)
+                continue
+            n = _cyclic_cover_count(model.m, coeffs, gf.field(p))
+            trace = p + 1 - n
+            if trace * trace > 4 * g * g * p:
+                # f has a repeated root mod p
+                with pytest.raises(InvariantError):
+                    model.count_points(p)
+                continue
+            assert model.count_points(p).npoints == n, (model.rows, p)
+    assert refused > 20
+
+
+def test_every_route_reads_its_integer_form_as_the_fraction_route():
+    # models with denominators 5 and 7: each route's count matches an
+    # oracle that reduces the exact rows coefficient by coefficient, and at
+    # p = 5 and p = 7 each raises the message of the first coefficient that
+    # the Fraction route finds is not p-integral
+    plane = PlaneModel(poly("x^4+(2/5)*y^4+z^4+(3/7)*x^2*y^2+y^2*z^2"))
+    roots = SpaceModel(
+        [poly("u^2-x*y"), poly("v^2-x^2+(1/5)*y^2"),
+         poly("w^2-(3/7)*x^2-y^2")],
+        ("x", "y", "u", "v", "w"),
+        {"type": "sqrt_product", "base_vars": ("x", "y"),
+         "factors": [poly("x*y"), poly("x^2-(1/5)*y^2"),
+                     poly("(3/7)*x^2+y^2")]})
+    pencil = SpaceModel(
+        [], ("x", "y", "z", "w"),
+        {"type": "pencil_form", "fiber_vars": ("s", "r"),
+         "root_vars": ("A", "B"),
+         "form": poly("(s^6+r^6)*A^3-(6/7)*s^4*A^2*B+(9/5)*s^2*A*B^2"
+                      "-2*B^3")}, genus=4)
+    for p in (11, 13):
+        assert plane.count_points(p).npoints == brute_plane_count(
+            table_mod(plane.rows, p), p)
+        assert pencil.count_points(p).npoints == pencil_line_count(pencil, p)
+    assert roots.count_points(11).npoints == projective_zero_count(
+        [table_mod(poly_table(r, roots.variables), 11)
+         for r in roots.relations], 5, ExtField(11, 1))
+    for p in (5, 7):
+        for model, rows in ((plane, plane.rows),
+                            (roots, [r for f in roots.factor_rows
+                                     for r in f]),
+                            (pencil, pencil.form_rows)):
+            with pytest.raises(ZeroDivisionError) as expected:
+                table_mod(rows, p)
+            with pytest.raises(ZeroDivisionError) as raised:
+                model.count_points(p)
+            assert str(raised.value) == str(expected.value)
 
 
 def test_superelliptic_quotient_models():

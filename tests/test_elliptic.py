@@ -17,7 +17,7 @@ from picardlab.elliptic import (
     j_from_legendre,
     trace_feasibility,
 )
-from picardlab.exact import primes_up_to
+from picardlab.exact import is_perfect_square, kronecker_symbol, primes_up_to
 from picardlab.symbolic import RationalFunction, parse_polynomial
 
 from symbolic_helpers import builtin_tower
@@ -189,6 +189,27 @@ def test_cm_candidates_within_weil_range(p, disc):
     for a in cands:
         if a != 0:
             assert (4 * p - a * a) % (-disc) == 0
+
+
+def cm_trace_candidates_by_a(disc, p):
+    """The a-walk that `cm_trace_candidates` replaced: every 1 <= a <=
+    isqrt(4p) with (4p - a^2) / |disc| a perfect square, and its negative;
+    {0} at an inert or ramified prime."""
+    if kronecker_symbol(disc % p, p) <= 0:
+        return {0}
+    out = set()
+    for a in range(1, isqrt(4 * p) + 1):
+        r = 4 * p - a * a
+        if r % -disc == 0 and is_perfect_square(r // -disc):
+            out |= {a, -a}
+    return out
+
+
+def test_the_b_walk_finds_the_a_walk_candidates():
+    for disc in (-3, -4, -7, -8, -11, -12, -16, -27):
+        for p in primes_up_to(499)[2:]:
+            assert (cm_trace_candidates(disc, p)
+                    == cm_trace_candidates_by_a(disc, p)), (disc, p)
 
 
 def test_invalid_inputs_raise_value_error():

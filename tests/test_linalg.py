@@ -25,14 +25,14 @@ def test_rank_and_span():
 
 def test_solve_linear_exact_and_inconsistent():
     matrix = [[c("1"), c("1")], [c("1"), c("-1")]]
-    sol = solve_linear(matrix, [c("2"), c("0")])
+    (sol,) = solve_linear(matrix, [c("2"), c("0")])
     assert sol == [c("1"), c("1")]
     assert solve_linear([[c("1"), c("1")], [c("1"), c("1")]],
-                        [c("0"), c("1")]) is None
+                        [c("0"), c("1")]) == [None]
 
 
 def test_solve_linear_irrational_pivot():
-    sol = solve_linear([[c("s2")]], [c("2")])
+    (sol,) = solve_linear([[c("s2")]], [c("2")])
     assert sol == [c("s2")]
 
 
@@ -43,11 +43,11 @@ def rf(text):
 def test_solve_linear_field_with_parameter():
     # entries carrying the parameter are solved in its fraction field
     matrix = [[rf("t"), rf("0")], [rf("0"), rf("t^2")]]
-    sol = solve_linear(matrix, [rf("t^2"), rf("t^2")])
+    (sol,) = solve_linear(matrix, [rf("t^2"), rf("t^2")])
     assert sol[0] == c("t")
     assert sol[1] == c("1")
-    sol = solve_linear([[rf("t"), rf("1")], [rf("1"), rf("t")]],
-                       [rf("1"), rf("0")])
+    (sol,) = solve_linear([[rf("t"), rf("1")], [rf("1"), rf("t")]],
+                          [rf("1"), rf("0")])
     assert sol == [RationalFunction(c("t"), c("t^2-1")),
                    RationalFunction(c("-1"), c("t^2-1"))]
     # polynomial entries have no inverse in the tower: they must be lifted
@@ -57,7 +57,43 @@ def test_solve_linear_field_with_parameter():
 
 def test_solve_linear_field_inconsistent():
     matrix = [[rf("t")], [rf("t")]]
-    assert solve_linear(matrix, [rf("1"), rf("0")]) is None
+    assert solve_linear(matrix, [rf("1"), rf("0")]) == [None]
+
+
+def _one_per_side(matrix, sides):
+    return [solve_linear(matrix, side)[0] for side in sides]
+
+
+def test_several_sides_solve_as_one_solve_per_side():
+    # a singular matrix (column 2 is column 0 plus om times column 1), so a
+    # side may be inconsistent, and one coordinate is free
+    matrix = [[c("1"), c("0"), c("1")],
+              [c("0"), c("1"), c("om")],
+              [c("1"), c("1"), c("1+om")],
+              [c("s2"), c("0"), c("s2")]]
+    sides = [[c("1"), c("2"), c("3"), c("s2")],       # consistent
+             [c("1"), c("0"), c("0"), c("0")],        # inconsistent
+             [c("0"), c("0"), c("0"), c("0")],        # zero
+             [c("om"), c("s2"), c("om+s2"), c("s2*om")]]
+    got = solve_linear(matrix, *sides)
+    assert got == _one_per_side(matrix, sides)
+    assert [x is None for x in got] == [False, True, False, False]
+    assert got[0] == [c("1"), c("2"), c("0")]
+    for side, solution in zip(sides, got):
+        if solution is not None:
+            assert [sum((a * x for a, x in zip(row, solution)), c("0"))
+                    for row in matrix] == side
+
+
+def test_several_parametric_sides_solve_as_one_solve_per_side():
+    matrix = [[rf("t"), rf("1")], [rf("1"), rf("t")], [rf("t+1"), rf("t+1")]]
+    sides = [[rf("1"), rf("0"), rf("1")],             # consistent
+             [rf("t^2"), rf("t"), rf("t^2+t")],       # consistent
+             [rf("1"), rf("0"), rf("0")]]             # inconsistent
+    got = solve_linear(matrix, *sides)
+    assert got == _one_per_side(matrix, sides)
+    assert [x is None for x in got] == [False, False, True]
+    assert got[1] == [rf("t"), rf("0")]
 
 
 def test_mul_trace_identity():

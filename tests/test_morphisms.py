@@ -2,6 +2,8 @@
 
 import pytest
 
+from picardlab import morphisms
+from picardlab.catalog import builtin_catalog
 from picardlab.morphisms import (
     CurveMap,
     Differential,
@@ -21,7 +23,7 @@ from picardlab.symbolic import (
     parse_polynomial,
 )
 
-from action_oracles import form
+from action_oracles import classify_ratio, form, per_form_coordinates
 from symbolic_helpers import (
     builtin_tower,
     plane_basis_monomials,
@@ -144,6 +146,59 @@ def test_basis_coordinates_pull_back_omega_once():
         sign = -(-1) ** dict(mono).get("x", 0)
         assert columns[k] == [T.const(sign) if i == k else T.zero()
                               for i in range(len(SEXTIC_BASIS))]
+
+
+def test_grouped_coordinates_match_the_per_form_route_on_the_catalog(
+        monkeypatch):
+    # every generator of every shipped action at every specialization; the
+    # forms of a generator that share a reduced denominator are solved in
+    # one elimination, which some generators need
+    solves = []
+    real = morphisms.solve_linear
+
+    def counted(matrix, *sides):
+        solves.append(len(sides))
+        return real(matrix, *sides)
+
+    monkeypatch.setattr(morphisms, "solve_linear", counted)
+    generators = 0
+    for entry in builtin_catalog():
+        if entry.action is None:
+            continue
+        for value, _, _ in entry.specializations():
+            system, frame = entry.affine_system(value), entry.frame(value)
+            for row in entry.action.generators:
+                cmap = CurveMap(system, {
+                    var: entry.expression(text, value)
+                    for var, text in zip(frame.geometric_vars, row)}, None)
+                assert (frame.basis_coordinates(cmap)
+                        == per_form_coordinates(system, frame, cmap)), (
+                    entry.id, value, row)
+                generators += 1
+    assert generators >= 20
+    assert max(solves) > 1
+
+
+def test_a_vanishing_denominator_raises_at_the_same_form():
+    # y -> y / (y^2 - x^3 - 1) on y^2 = x^3 + 1: f*(omega) / omega is
+    # polynomial, so the form 1 * omega classifies, and y * omega is the
+    # first form whose denominator vanishes on the curve
+    src = single_relation(poly("y^2-x^3-1"), "y")
+    cubic = frame(Differential(rf("1/y"), "x"), [(), (("y", 1),), (("x", 1),)])
+    cmap = CurveMap(src, {"x": rf("x"), "y": rf("y/(y^2-x^3-1)")}, None)
+    message = "denominator vanishes on the curve"
+    ratio = rf("y^2-x^3-1")
+    assert classify_ratio(src, cubic, ratio) == [T.zero()] * 3
+    with pytest.raises(ZeroDivisionError, match=message):
+        classify_ratio(src, cubic, ratio * cmap.components["y"])
+    for route in (cubic.basis_coordinates,
+                  lambda f: per_form_coordinates(src, cubic, f)):
+        with pytest.raises(ZeroDivisionError, match=message):
+            route(cmap)
+    # without the form y * omega, both routes classify the rest alike
+    cubic.basis.remove((("y", 1),))
+    assert (cubic.basis_coordinates(cmap)
+            == per_form_coordinates(src, cubic, cmap) == [[T.zero()] * 2] * 2)
 
 
 def test_genus3_printed_map_fails_with_residual():

@@ -23,6 +23,7 @@ from picardlab.curves import (
     InvariantError,
     PlaneModel,
 )
+from picardlab.morphisms import ReductionSystem
 from picardlab.runner import (
     CheckResult,
     _suffix,
@@ -416,19 +417,25 @@ def test_source_system_whose_reduction_never_ends_is_a_fail_row(src_env):
 
 
 def test_each_affine_map_builds_its_source_once(monkeypatch):
+    # fermat-sextic's three affine maps, their pullbacks and its group
+    # action all read the model's one reduction system, built once per load
     entry = next(e for e in load_catalog(_builtin_document("fermat-sextic")[0])
                  if e.id == "fermat-sextic")
     built = []
-    real = type(entry).affine_system
+    real = ReductionSystem.__init__
 
-    def counted(self, value=None):
-        built.append(value)
-        return real(self, value)
+    def counted(self, relations):
+        built.append(self)
+        real(self, relations)
 
-    monkeypatch.setattr(type(entry), "affine_system", counted)
+    monkeypatch.setattr(ReductionSystem, "__init__", counted)
     rows = runner._map_checks(entry)
     assert [c.status for c in rows] == ["PASS"] * 6     # f, g, h and pullbacks
-    assert built == [None, None, None]
+    rows = runner._action_checks(entry, None, "")
+    assert rows and all(c.status == "PASS" for c in rows)
+    assert len(built) == 1
+    assert entry.group_action().order == entry.action.order
+    assert len(built) == 1
 
 
 def _prime_checks(entry, pmax):
@@ -488,6 +495,29 @@ def test_infeasible_trace_identity_is_a_feasibility_fail(stub_targets):
     rows = _prime_checks(_StubEntry(1, ["e"]), 5)
     assert [(c.check_id, c.status) for c in rows] == [
         ("feasibility", "FAIL"), ("trace", "PASS")]
+
+
+def test_no_prime_is_counted_when_no_row_reads_a_count(monkeypatch,
+                                                        stub_targets):
+    # no discriminant claimed and no trace map: the inert and feasibility
+    # rows are SKIPPED and nothing is counted; with a trace map, the source
+    # and its target are counted at every good prime
+    counted = []
+    real = _StubModel.count_points
+    monkeypatch.setattr(_StubModel, "count_points",
+                        lambda self, p: counted.append(p) or real(self, p))
+    entry = _StubEntry(0, [])
+    monkeypatch.setattr(entry, "specializations", lambda: [
+        (None, [Factor((1, None, None))], [2, 3])])
+    rows = _prime_checks(entry, 100)
+    assert [(c.check_id, c.status) for c in rows] == [
+        ("inert", "SKIPPED"), ("feasibility", "SKIPPED")]
+    assert counted == []
+    entry.names = ["e"]
+    rows = _prime_checks(entry, 100)
+    primes = good_primes(100, [2, 3])
+    assert [c.prime for c in rows if c.check_id == "trace"] == primes
+    assert sorted(counted) == sorted(primes * 2)
 
 
 def _with_t0_discs(entry_id, discs):
