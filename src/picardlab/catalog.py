@@ -19,7 +19,8 @@ entry and the field; a map name resolves to its ``MapSpec``, an aux t to
 its ``Specialization``.  The JSON shape and the model kinds are known here
 only.  Texts are checked to be strings at load and parsed on first read;
 the load parses the j expected values and the ``j_legendre_identity``
-quartic, the one aux curve that is not the target of a map it names.
+quartic, the one aux curve that is not the target of a map it names.  An
+entry builds, once per load, the model of each curve that a run counts.
 """
 
 import json
@@ -35,7 +36,7 @@ from .curves import (
     SuperellipticModel,
 )
 from .elliptic import BinaryQuartic
-from .exact import factorize, resultant
+from .exact import factorize
 from .morphisms import CurveMap, Differential, Frame, ReductionSystem
 from .symbolic import (
     ConstantTower,
@@ -180,11 +181,10 @@ def _record(name, fields, doc=None):
         __slots__=(), __doc__=doc))
 
 
-ModelSpec = _record("ModelSpec", "kind relations variables frame counter "
-                    "extends", """A model, its kind settled at load:
-    `relations` for `_system`, the `frame` texts (omega, base var, fiber
-    var), a `counter` that builds the counting model from a text parser,
-    and whether it `extends` to F_q.""")
+ModelSpec = _record("ModelSpec", "kind relations variables frame counter", """A
+    model, its kind settled at load: `relations` for `_system`, the `frame`
+    texts (omega, base var, fiber var) and the counting model's `counter`,
+    which builds it from a text parser.""")
 MapSpec = _record("MapSpec", "name kind origin expect source "
                   "target_variables target_relations components differential "
                   "pullback", """A map, projective or else affine; a
@@ -243,24 +243,23 @@ def _model_spec(node, eid):
         projective = node.field("projective", str)
         variables = node.field("variables", _NAMES)
         return ModelSpec((kind, [(relation, main, None)], geometric, frame,
-                          lambda poly: PlaneModel(poly(projective), variables),
-                          True))
+                          lambda poly: PlaneModel(poly(projective),
+                                                  variables)))
     if kind == "hyperelliptic":
         rhs = node.field("rhs", str)
         return ModelSpec((kind, [(rhs, "y", 2)], ["x", "y"], ("1/y", "x", "y"),
-                          lambda poly: HyperellipticModel(poly(rhs)), True))
+                          lambda poly: HyperellipticModel(poly(rhs))))
     if kind == "superelliptic":
         rhs, u = node.field("rhs", str), node.field("variable", str, "u")
         m = node.field("m", (int, lambda value: value >= 2,
                              "an int at least 2"))
         return ModelSpec((kind, [(rhs, "v", m)], [u, "v"], None,
-                          lambda poly: SuperellipticModel(m, poly(rhs), u),
-                          True))
+                          lambda poly: SuperellipticModel(m, poly(rhs), u)))
     _require(kind in ("space", "product"),
              "unknown model kind %r in %s", kind, eid)
     relations, variables = _relations(node), node.field("variables", _TEXTS)
     if kind == "product":
-        return ModelSpec((kind, relations, variables, None, None, False))
+        return ModelSpec((kind, relations, variables, None, None))
     fib = node.field("fibration", dict)
     route = fib.field("type", str)
     _require(route in SpaceModel.ROUTES,
@@ -277,7 +276,7 @@ def _model_spec(node, eid):
         return SpaceModel([poly(text) for text, _, _ in relations],
                           variables, dict(forms, type=route), genus=genus)
 
-    return ModelSpec((kind, relations, variables, None, count, False))
+    return ModelSpec((kind, relations, variables, None, count))
 
 
 def _action_spec(node, eid, nvars):
@@ -406,8 +405,8 @@ class CatalogEntry:
                     for k, raw in enumerate(node.field("aux", list, ()))]
         # per load: each text parsed at most once by `poly` and once by
         # `expression`, each specialization's reduction system built once,
-        # and each counting model built once (by the claim checks when the
-        # load covers the entry) and reused by every count
+        # and each counting model built once and reused by every count: a
+        # specialization's under its value, a map target's under (map, value)
         self._parsed = {}
         self._systems = {}
         self._models = {}
@@ -539,6 +538,27 @@ class CatalogEntry:
                  "%s is a product of curves; it is not counted", self.id)
         return self.model.counter(lambda text: self.poly(text, value))
 
+    def target_rhs(self, spec, value=None):
+        """(f, u) of a genus-one map target written as v^2 = f(u)."""
+        uvar, vvar = spec.target_variables
+        (text,) = spec.target_relations
+        coeffs = self.poly(text, value).coeffs_in(vvar)
+        rhs = -coeffs[0]
+        if (len(coeffs) != 3 or not coeffs[1].is_zero() or coeffs[2] != 1
+                or vvar in rhs.variables()):
+            raise ValueError("target of %r is not %s^2 = f(%s)"
+                             % (spec.name, vvar, uvar))
+        return rhs, uvar
+
+    def target_model(self, spec, value=None):
+        """The model of a map target v^2 = f(u) at a specialization, built
+        on first use and kept for the load; a refused one raises each time."""
+        key = (spec.name, value)
+        if key not in self._models:
+            self._models[key] = HyperellipticModel(
+                *self.target_rhs(spec, value))
+        return self._models[key]
+
     # -- claims ----------------------------------------------------------
 
     def specializations(self):
@@ -574,25 +594,11 @@ def _check_claims(entry):
                      sorted(missing), entry.id)
 
 
-def bad_reduction_number(model):
-    """D lc(F) Res(F, F') m for a cover y^m = f(x), F = D f with D the
-    least common denominator, both the model's own (its integer form): the
-    primes that divide it are those where f is not p-integral, loses degree
-    or has a multiple root, or that divide m.  Refused when f has a
-    repeated root over Q, where it is 0."""
-    f = model.numerators
-    res = resultant(f, [k * c for k, c in enumerate(f)][1:])
-    if res == 0:
-        raise CatalogError("f has a repeated root: %s"
-                           % model.f_poly.render())
-    return abs(model.den * f[-1] * res * model.m)
-
-
 def _undeclared_bad_primes(model, declared):
     """The primes other than 2, 3 and the declared ones that divide the
-    model's bad_reduction_number.  The cofactor is factored only when some
+    cyclic cover's bad_number.  The cofactor is factored only when some
     prime is missing."""
-    value = bad_reduction_number(model)
+    value = model.bad_number
     for p in {2, 3}.union(declared):
         while value % p == 0:
             value //= p

@@ -30,7 +30,7 @@ each have one route for every field, forking on ``field.k`` only where F_q
 addition is not integer addition: over F_{p^k}, k = 2, 3, they run in O(q)
 in log arithmetic.  The diagonal plane curve x^d + y^d + z^d is a cyclic
 cover over F_q, with a faster route of its own over F_p.  Space curves are
-counted over F_p only.
+counted over F_p only; each model class says whether it ``extends`` to F_q.
 
 A plane curve has one route per shape: the diagonal curve and the even
 quartic, the only plane curves of the catalog.  ``PlaneModel`` refuses any
@@ -44,6 +44,7 @@ from math import gcd, lcm, prod
 from operator import add, itemgetter, mod, mul, sub
 
 from . import gf
+from .exact import resultant
 
 
 class InvariantError(RuntimeError):
@@ -361,6 +362,8 @@ class PlaneModel:
     refused with ``ValueError`` when it is built.
     """
 
+    extends = True
+
     def __init__(self, poly, variables=("x", "y", "z")):
         self.poly = poly
         self.variables = tuple(variables)
@@ -416,18 +419,28 @@ class PlaneModel:
 
 
 class SuperellipticModel:
-    """y^m = f(x) with f squarefree."""
+    """y^m = f(x) with f squarefree, refused otherwise when it is built.  Its
+    bad primes divide ``bad_number`` = D lc(F) Res(F, F') m, F = D f."""
+
+    extends = True
+    min_degree = 0
 
     def __init__(self, m, f_poly, variable="x"):
         self.m = m
-        self.f_poly = f_poly
         self.rows = poly_table(f_poly, (variable,))
         self.degree = max(e[0] for e, _ in self.rows)
+        if self.degree < self.min_degree:
+            raise ValueError("y^%d = f(x) needs deg f >= %d, got %d"
+                             % (m, self.min_degree, self.degree))
         # D f, low to high, over the least common denominator D
         self.den = _denominator(self.rows)
-        self.numerators = [0] * (self.degree + 1)
+        self.numerators = f = [0] * (self.degree + 1)
         for (e,), n in _integer_rows(self.rows, self.den):
-            self.numerators[e] = n
+            f[e] = n
+        res = resultant(f, [k * c for k, c in enumerate(f)][1:])
+        if res == 0:
+            raise ValueError("f has a repeated root: %s" % f_poly.render())
+        self.bad_number = abs(self.den * f[-1] * res * m)
 
     def genus(self):
         # Riemann-Hurwitz: each root of f is totally ramified, and the
@@ -455,10 +468,10 @@ class SuperellipticModel:
 class HyperellipticModel(SuperellipticModel):
     """y^2 = f(x) with f squarefree; degree 3 or 4 doubles as a genus-1 model."""
 
+    min_degree = 3
+
     def __init__(self, f_poly, variable="x"):
         super().__init__(2, f_poly, variable)
-        if self.degree < 3:
-            raise ValueError("y^2 = f(x) needs deg f >= 3, got %d" % self.degree)
 
     # Bound again, not only inherited: the per-model tracing of
     # benchmark/tracer.py looks each method up in its class's own namespace.
@@ -472,6 +485,8 @@ class SpaceModel:
     The genus comes from the complete-intersection formula when the listed
     relations cut the curve; otherwise it must be supplied explicitly.
     """
+
+    extends = False
 
     # the fibration keys that each counting route reads
     ROUTES = {

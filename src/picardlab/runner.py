@@ -11,16 +11,17 @@ good prime, and those counts feed the inert-prime exactness, split-prime
 trace feasibility and exact trace identity rows.  Failed checks become FAIL
 rows with evidence.  Among them are a trace-map target that is not
 v^2 = f(u) or whose f has a repeated root; a good prime where a trace-map
-target has bad reduction (catalog.bad_reduction_number), which is not
+target has bad reduction (it divides the model's bad_number), which is not
 counted there; a claimed discriminant whose candidate traces cannot sum to
 the source trace, even where an exact trace identity holds; and an aux
 item that raises a ValueError or ZeroDivisionError, such as one whose map
 target is not v^2 = f(u), has bad reduction at one of its primes or lies
 on no single quadric.  An InvariantError marks a program defect and still
-aborts the run, by design.
+aborts the run, by design.  Every curve that a run counts is built by the
+entry (``counting_model``, ``target_model``), once per load.
 """
-from .catalog import AUX_CHECKS, PRIME_CAP, bad_reduction_number
-from .curves import HyperellipticModel, InvariantError
+from .catalog import AUX_CHECKS, PRIME_CAP
+from .curves import InvariantError
 from .elliptic import (
     BinaryQuartic,
     cm_consistency,
@@ -83,29 +84,6 @@ def good_primes(pmax, bad_primes):
 
 def _suffix(value):
     return "" if value is None else ":t=%s" % value
-
-
-def _target_rhs(entry, spec, value=None):
-    """(rhs, variable) of a genus-one map target written as v^2 = rhs(u)."""
-    uvar, vvar = spec.target_variables
-    (text,) = spec.target_relations
-    relation = entry.poly(text, value)
-    coeffs = relation.coeffs_in(vvar)
-    rhs = -coeffs[0]
-    if (len(coeffs) != 3 or not coeffs[1].is_zero() or coeffs[2] != 1
-            or vvar in rhs.variables()):
-        raise ValueError("target of %r is not %s^2 = f(%s)"
-                         % (spec.name, vvar, uvar))
-    return rhs, uvar
-
-
-def _target_model(entry, spec, value=None):
-    """(model, N) of a genus-one map target v^2 = f(u): its counting model
-    and the integer that the primes of bad reduction divide
-    (catalog.bad_reduction_number), which refuses an f with a repeated
-    root."""
-    model = HyperellipticModel(*_target_rhs(entry, spec, value))
-    return model, bad_reduction_number(model)
 
 
 def _render_vector(vec):
@@ -273,12 +251,12 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
         checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
     names = [spec.name for spec in entry.trace_maps]
     targets = {}
-    for name, spec in {spec.name: spec for spec in entry.trace_maps}.items():
+    for spec in entry.trace_maps:
         try:
-            targets[name] = _target_model(entry, spec, value)
+            targets[spec.name] = entry.target_model(spec, value)
         except ValueError as exc:
             checks.append(CheckResult(
-                "trace" + tag, FAIL, {"map": name, "error": str(exc)}))
+                "trace" + tag, FAIL, {"map": spec.name, "error": str(exc)}))
             names = []
             break
     if not (claimed or names):
@@ -311,8 +289,8 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
                     {"trace": record.trace, "witness": witness}, prime=p))
         if not names:
             continue
-        bad_target = next((name for name, (_, n) in targets.items()
-                           if n % p == 0), None)
+        bad_target = next((name for name, target in targets.items()
+                           if target.bad_number % p == 0), None)
         if bad_target is not None:
             # not counted: the target's reduction mod p is no smooth curve
             checks.append(CheckResult("trace" + tag, FAIL, {
@@ -320,7 +298,7 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
                 prime=p))
             continue
         traces = {name: target.count_points(p).trace
-                  for name, (target, _) in targets.items()}
+                  for name, target in targets.items()}
         parts = [traces[name] for name in names]
         ok = record.trace == sum(parts)
         checks.append(CheckResult(
@@ -366,8 +344,8 @@ def _aux_check(entry, item):
         rank = quadratic_form_rank(quadrics[0], variables)
         return rank == item.expected, {"rank": rank, "expected": item.expected}
     if kind in ("j_target", "j_quartic"):
-        rhs, uvar = _target_rhs(entry, item.map,
-                                item.t.value if kind == "j_quartic" else None)
+        rhs, uvar = entry.target_rhs(
+            item.map, item.t.value if kind == "j_quartic" else None)
         j = BinaryQuartic.from_polynomial(rhs, uvar).j_invariant()
         return (j == entry.expression(item.expected),
                 {"j": str(j), "expected": item.expected})
@@ -377,9 +355,9 @@ def _aux_check(entry, item):
         j2 = j_from_legendre(entry.expression(item.lambda_))
         return j1 == j2, {"quartic_j": str(j1), "legendre_j": str(j2)}
     if kind == "cm_consistency":
-        model, n = _target_model(entry, item.map, item.t.value)
+        model = entry.target_model(item.map, item.t.value)
         primes = good_primes(item.pmax, item.t.bad_primes)
-        bad = next((p for p in primes if n % p == 0), None)
+        bad = next((p for p in primes if model.bad_number % p == 0), None)
         if bad is not None:
             raise ValueError("bad reduction mod %d" % bad)
         ok, found = cm_consistency(model, item.disc, primes)
@@ -398,10 +376,10 @@ def _aux_check(entry, item):
 
 def _extension_checks(entry, value, tag, bad, depth):
     primes = good_primes(30, bad)
-    if not primes or not entry.model.extends:
+    model = entry.counting_model(value)
+    if not primes or not model.extends:
         return []
     p = primes[0]
-    model = entry.counting_model(value)
     checks = []
     for k in range(2, min(depth, 3) + 1):
         check_id = "extension:k=%d%s" % (k, tag)

@@ -238,8 +238,7 @@ def test_accept_07_j_invariants(accept):
     ok = False
     try:
         entry = ENTRIES["genus2-quintic"]
-        from picardlab.runner import _target_rhs
-        rhs, uvar = _target_rhs(entry, entry.maps["quot"])
+        rhs, uvar = entry.target_rhs(entry.maps["quot"])
         j = BinaryQuartic.from_polynomial(rhs, uvar).j_invariant()
         assert j == parse_expression(entry.tower, "8000")
         ex3 = ENTRIES["ciani-quartic-pencil"]

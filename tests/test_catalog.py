@@ -319,7 +319,8 @@ def test_undeclared_bad_primes_rejected():
     entry["bad_primes"] = [2, 19, 151]
     load_catalog(doc)
     entry["model"]["rhs"] = "x^5-x^3"
-    with pytest.raises(CatalogError, match="repeated root"):
+    with pytest.raises(CatalogError, match=r"^model of genus2-quintic: f has "
+                       r"a repeated root: x\^5 - x\^3$"):
         load_catalog(doc)
     # a cyclic cubic cover: lc(f) = 1 and Res(u^6 + 5, 6 u^5) = 6^6 5^5
     doc = _raw_document()
@@ -344,16 +345,38 @@ def _rational_bad_primes(model):
     return out
 
 
+def _shipped_targets():
+    """(label, model, declared bad primes) of every map target that the
+    shipped catalog counts: each trace map at each claimed specialization,
+    and each cm_consistency item's map at its t."""
+    targets = {}
+    for e in builtin_catalog():
+        for value, factors, bad in e.specializations():
+            for spec in e.trace_maps if factors else ():
+                targets[e.id, spec.name, value] = (
+                    e.target_model(spec, value), bad)
+        for item in e.aux:
+            if item.check == "cm_consistency":
+                targets[e.id, item.map.name, item.t.value] = (
+                    e.target_model(item.map, item.t.value),
+                    item.t.bad_primes)
+    return [(label, model, bad) for label, (model, bad) in targets.items()]
+
+
 def test_bad_primes_match_the_rational_resultant():
     # the integer route clears denominators first; on every cyclic cover of
-    # the catalog, and on covers with denominators, it finds the primes of
-    # the resultant over Q, and also those of a denominator, which the
-    # resultant over Q can miss (5 in x^5/2 - x/3 + 1/5)
+    # the catalog, each counted map target included, and on covers with
+    # denominators, it finds the primes of the resultant over Q, and also
+    # those of a denominator, which the resultant over Q can miss (5 in
+    # x^5/2 - x/3 + 1/5)
     models = [e.counting_model(value) for e in builtin_catalog()
               for value, factors, _ in e.specializations()
               if factors and e.model.kind in ("hyperelliptic",
                                                  "superelliptic")]
     assert len(models) == 7
+    targets = _shipped_targets()
+    assert len(targets) == 9
+    models += [model for _, model, _ in targets]
     tower = builtin_tower()
     for text in ("x^5/7-x+1", "x^5-x/5+1", "x^5/11+x/11+1/11",
                  "x^5/2-x/3+1/5"):
@@ -364,6 +387,14 @@ def test_bad_primes_match_the_rational_resultant():
         expected = _rational_bad_primes(model) - {2, 3}
         assert _undeclared_bad_primes(model, []) == expected
         assert _undeclared_bad_primes(model, sorted(expected)) == set()
+
+
+def test_each_shipped_target_derives_its_declared_bad_primes():
+    # apart from 2 and 3, the primes that divide a counted target's
+    # bad_number are exactly its specialization's declared bad primes
+    for label, model, bad in _shipped_targets():
+        derived = set(factorize(model.bad_number)) - {2, 3}
+        assert derived == set(bad) - {2, 3}, label
 
 
 def test_basis_entry_must_be_a_monic_monomial():
@@ -1101,7 +1132,8 @@ def test_a_quotient_surface_claimed_not_maximal_loads():
 def test_entries_are_read_into_records():
     entries = _entries()
     sextic = entries["fermat-sextic"]
-    assert sextic.model.kind == "plane" and sextic.model.extends
+    assert sextic.model.kind == "plane"
+    assert sextic.counting_model().extends
     assert sextic.model.variables == ["x", "y"]
     assert sextic.action.order == 216
     assert [s.map.name for s in sextic.summands] == ["g", "f", "h"]

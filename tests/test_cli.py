@@ -105,7 +105,7 @@ def test_every_count_is_pinned(capsys):
                 one, ext = model.count_points(p), model.count_points_ext(p, 1)
                 assert ((ext.power, ext.npoints, ext.trace)
                         == (1, one.npoints, one.trace)), (entry.id, value, p)
-            for k in (2, 3) if entry.model.extends else ():
+            for k in (2, 3) if model.extends else ():
                 for p in good_primes(499, bad):
                     if p ** k <= TABLE_MAX:
                         n = model.count_points_ext(p, k).npoints

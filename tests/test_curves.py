@@ -27,7 +27,6 @@ from picardlab.curves import (
 )
 from picardlab.exact import is_prime, primes_up_to
 from picardlab.gf import TABLE_MAX, ExtField
-from picardlab.runner import _target_rhs
 from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
@@ -470,9 +469,8 @@ def _catalog_covers():
                 model = entry.counting_model(value)
                 covers.append(("%s t=%s" % (entry.id, value), model))
             for spec in {m.name: m for m in entry.trace_maps}.values():
-                rhs, uvar = _target_rhs(entry, spec, value)
                 covers.append(("%s t=%s %s" % (entry.id, value, spec.name),
-                               HyperellipticModel(rhs, uvar)))
+                               entry.target_model(spec, value)))
     return covers
 
 
@@ -923,6 +921,20 @@ def test_count_inputs_are_checked():
         HyperellipticModel(poly("x^2+1"))
     with pytest.raises(ValueError):
         PlaneModel(poly("x^4+y^3*z+y"))
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("u^2", "y^2 = f(x) needs deg f >= 3, got 2"),
+    ("u^2+1", "y^2 = f(x) needs deg f >= 3, got 2"),
+    ("(u^2+1)^2", "f has a repeated root: u^4 + 2*u^2 + 1"),
+    ("u^3+w", "non-rational coefficient or stray symbol 'w'"),
+])
+def test_the_first_refusal_of_a_cover_wins(text, refusal):
+    # a stray symbol before the degree, the degree before a repeated root:
+    # u^2 has both a low degree and a repeated root
+    with pytest.raises(ValueError) as refused:
+        HyperellipticModel(poly(text), "u")
+    assert str(refused.value) == refusal
 
 
 def test_prime_past_the_table_bound_is_counted():

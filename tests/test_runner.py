@@ -27,7 +27,6 @@ from picardlab.morphisms import ReductionSystem
 from picardlab.runner import (
     CheckResult,
     _suffix,
-    _target_rhs,
     good_primes,
     run_catalog,
     run_entry,
@@ -481,24 +480,22 @@ class _StubEntry:
     def counting_model(self, value):
         return _StubModel(self.trace)
 
+    def target_model(self, spec, value):
+        """Every trace-map target is a curve of trace 1, with good
+        reduction everywhere."""
+        target = _StubModel(1)
+        target.bad_number = 1
+        return target
 
-@pytest.fixture
-def stub_targets(monkeypatch):
-    """Every trace-map target is a curve of trace 1, with good reduction
-    everywhere."""
-    monkeypatch.setattr(runner, "_target_model",
-                        lambda entry, spec, value=None: (_StubModel(1), 1))
 
-
-def test_infeasible_trace_identity_is_a_feasibility_fail(stub_targets):
+def test_infeasible_trace_identity_is_a_feasibility_fail():
     # trace 1 = 1 holds, but 1 is not a CM trace for -4 at p = 5
     rows = _prime_checks(_StubEntry(1, ["e"]), 5)
     assert [(c.check_id, c.status) for c in rows] == [
         ("feasibility", "FAIL"), ("trace", "PASS")]
 
 
-def test_no_prime_is_counted_when_no_row_reads_a_count(monkeypatch,
-                                                        stub_targets):
+def test_no_prime_is_counted_when_no_row_reads_a_count(monkeypatch):
     # no discriminant claimed and no trace map: the inert and feasibility
     # rows are SKIPPED and nothing is counted; with a trace map, the source
     # and its target are counted at every good prime
@@ -633,23 +630,24 @@ def test_a_run_reads_the_specializations_once(monkeypatch, eid):
 def test_each_count_happens_once(monkeypatch):
     # Ciani lists its one target three times; the source and that target
     # are each counted once per (t, p).  The entry's cm_consistency aux
-    # check counts the t = 0 target curve on its own, so it is dropped.
+    # check counts the t = 0 target curve again, at its own primes, so it
+    # is dropped.
     doc, raw = _builtin_document("ciani-quartic-pencil")
     raw["aux"] = []
     entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
     counts = Counter()
 
-    def counting(cls, attribute):
+    def counting(cls):
         real = cls.count_points
 
         def count_points(self, p):
-            counts[cls.__name__, getattr(self, attribute).render(), p] += 1
+            counts[cls.__name__, tuple(self.rows), p] += 1
             return real(self, p)
 
         monkeypatch.setattr(cls, "count_points", count_points)
 
-    counting(PlaneModel, "poly")
-    counting(HyperellipticModel, "f_poly")
+    counting(PlaneModel)
+    counting(HyperellipticModel)
     run = run_entry(entry, pmax=60)
     assert run.unexpected_failures() == []
     grid = sum(len(good_primes(60, bad))
@@ -657,6 +655,33 @@ def test_each_count_happens_once(monkeypatch):
     for kind in ("PlaneModel", "HyperellipticModel"):
         assert len([k for k in counts if k[0] == kind]) == grid, kind
     assert set(counts.values()) == {1}
+
+
+def test_each_target_model_is_built_once_per_load(monkeypatch):
+    # one report builds the model of each (map, t) target once, 9 in all:
+    # the trace rows of every specialization and the cm_consistency rows
+    # read the one that the entry keeps, so no curve is built twice
+    entries = builtin_catalog()
+    built, read = [], []
+    init, consistency = HyperellipticModel.__init__, runner.cm_consistency
+
+    def building(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def reading(model, disc, primes):
+        read.append(model)
+        return consistency(model, disc, primes)
+
+    monkeypatch.setattr(HyperellipticModel, "__init__", building)
+    monkeypatch.setattr(runner, "cm_consistency", reading)
+    runs = run_catalog(entries, pmax=200)
+    assert [c for run in runs for c in run.unexpected_failures()] == []
+    assert len(built) == 9
+    assert len({tuple(model.rows) for model in built}) == 9
+    # the Ciani and bielliptic t = 0 targets are counted by both stages
+    assert len(read) == 3
+    assert all(any(model is target for target in built) for model in read)
 
 
 def test_malformed_trace_target_is_a_fail_row():
@@ -810,7 +835,7 @@ def test_row_and_target_guards_raise_value_error():
                                                 "relation": "v^3-u^3-u"})
     (entry,) = [e for e in load_catalog(doc, [raw["id"]]) if e.id == raw["id"]]
     with pytest.raises(ValueError, match="not v\\^2 = f\\(u\\)"):
-        _target_rhs(entry, entry.maps["cubic"])
+        entry.target_rhs(entry.maps["cubic"])
 
 
 def _rows(run):

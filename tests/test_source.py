@@ -8,7 +8,9 @@ not grow without limit), only ``gf`` decides how fields are built, kept
 and refused, ``actions`` takes a rank over the tower only in its exact
 span certificate, no JSON dump in src/ is indented (an indented dump
 runs the standard library's pure-Python encoder), and the runner and the
-CLI read catalog entries by attribute, never by a string key."""
+CLI read catalog entries by attribute, never by a string key, and the
+runner imports no curve model and of the catalog only its schema
+constants (the entry builds every curve it counts)."""
 
 import ast
 from pathlib import Path
@@ -337,6 +339,64 @@ def test_keyed_read_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = any(True for _ in _keyed_reads(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+# what runner.py may import from the model and catalog layers: the entry
+# builds every curve, so the runner names no model class, and it reads of
+# the catalog only its schema constants
+_RUNNER_IMPORTS = {"curves": {"InvariantError"},
+                   "catalog": {"AUX_CHECKS", "PRIME_CAP"}}
+
+
+def _layer_imports(tree):
+    """(line, module, name) of each name that a ``from .curves`` or
+    ``from .catalog`` import takes, or of the module itself for a plain
+    ``import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            if module in _RUNNER_IMPORTS:
+                for alias in node.names:
+                    yield node.lineno, module, alias.name
+            elif module == "" or node.module == "picardlab":
+                for alias in node.names:
+                    if alias.name in _RUNNER_IMPORTS:
+                        yield node.lineno, alias.name, "*"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.rpartition(".")[2]
+                if module in _RUNNER_IMPORTS:
+                    yield node.lineno, module, "*"
+
+
+def _runner_boundary_breaches(tree):
+    return ["%d %s.%s" % (line, module, name)
+            for line, module, name in _layer_imports(tree)
+            if name not in _RUNNER_IMPORTS[module]]
+
+
+def test_runner_builds_no_curve():
+    assert _runner_boundary_breaches(_trees()["runner.py"]) == []
+
+
+def test_runner_boundary_rule_flags_each_form():
+    flagged = [
+        "from .curves import HyperellipticModel, InvariantError",
+        "from .curves import SuperellipticModel",
+        "from .catalog import AUX_CHECKS, bad_reduction_number",
+        "from picardlab.catalog import CatalogEntry",
+        "from . import curves",
+        "import picardlab.catalog",
+    ]
+    allowed = [
+        "from .curves import InvariantError",
+        "from .catalog import AUX_CHECKS, PRIME_CAP",
+        "from .elliptic import cm_consistency",
+        "from . import elliptic",
+    ]
+    for text in flagged + allowed:
+        hit = bool(_runner_boundary_breaches(ast.parse(text)))
         assert hit == (text in flagged), text
 
 
