@@ -368,6 +368,8 @@ class PlaneModel:
         self.poly = poly
         self.variables = tuple(variables)
         self.rows = poly_table(poly, self.variables)
+        if not self.rows:
+            raise ValueError("plane curve equation is 0")
         self.degree = d = max(sum(e) for e, _ in self.rows)
         if any(sum(e) != d for e, _ in self.rows):
             raise ValueError("plane curve equation is not homogeneous")
@@ -428,6 +430,8 @@ class SuperellipticModel:
     def __init__(self, m, f_poly, variable="x"):
         self.m = m
         self.rows = poly_table(f_poly, (variable,))
+        if not self.rows:
+            raise ValueError("f is 0")
         self.degree = max(e[0] for e, _ in self.rows)
         if self.degree < self.min_degree:
             raise ValueError("y^%d = f(x) needs deg f >= %d, got %d"
@@ -540,6 +544,8 @@ class SpaceModel:
             degrees = []
             for rel in self.relations:
                 rows = poly_table(rel, self.variables)
+                if not rows:
+                    raise ValueError("relation is 0")
                 deg = max(sum(e) for e, _ in rows)
                 if any(sum(e) != deg for e, _ in rows):
                     raise ValueError("relation is not homogeneous")

@@ -20,17 +20,22 @@ RationalFunction is not hashable.  A substitution of RationalFunction
 values (MPoly.substitute, RationalFunction.substitute) sums over one common
 denominator, the product of den_v^E_v with E_v the highest power of v
 substituted, and builds one RationalFunction at the end: no fraction is
-added term by term.  CurveRelation turns a defining equation
+added term by term; the variables a substitution leaves alone stay one
+monomial of each term, and only the values of the others multiply it.
+CurveRelation turns a defining equation
 that is unit-monic in a distinguished variable into a rewrite rule.  The
 parsed grammar is ASCII (names of letters, digits and _, integers, + - * /
-^ and parentheses), and an exponent is a non-negative integer.
+^ and parentheses), and an exponent is a non-negative integer; name^k is
+read as one power of the name, and a unary minus as a negation.
 
 One routine, _rewrite, rewrites monomials: by the tower's rules in every
-MPoly product but a product by 1, which is the other factor, and by a
-model's relation rules followed by the tower's in morphisms.ReductionSystem.
-Most calls have nothing to rewrite: when no monomial holds a rule variable
-at or above its degree, _rewrite returns the nonzero terms at once, in
-their order, and sets up no heap.
+MPoly product but a product by a rational constant c, which scales the
+other factor's terms by c (by 1 it is the other factor), and by a model's
+relation rules followed by the tower's in morphisms.ReductionSystem.  Both
+factors of a product are in normal form already, so a scale has nothing
+to rewrite.  Most calls have nothing to rewrite: when no monomial holds a
+rule variable at or above its degree, _rewrite returns the nonzero terms
+at once, in their order, and sets up no heap.
 """
 
 from __future__ import annotations
@@ -50,14 +55,36 @@ def _mono(d: Mapping[str, int]) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials: their sorted pairs merged, with the
+    exponents of a shared variable added and a variable whose exponents
+    cancel dropped (_cancel_monomials multiplies by negative exponents)."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return _mono(d)
+    # no shared variable, and every variable of one before the other's
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 < v2:
+            out.append(m1[i])
+            i += 1
+        elif v2 < v1:
+            out.append(m2[j])
+            j += 1
+        else:
+            if e1 + e2:
+                out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _mono_exp(m: Monomial, var: str) -> int:
@@ -214,7 +241,7 @@ class ConstantTower:
         return MPoly(self, {(): c} if c else {})
 
     def var(self, name: str, exp: int = 1) -> "MPoly":
-        m = _mono({name: exp})
+        m = ((name, exp),) if exp else ()
         if name in self.rules and exp >= self.rules[name][0]:
             return MPoly._make(self, {m: 1})
         # a power of a geometric variable, or of a constant below its
@@ -266,7 +293,14 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        for m, c in o.terms.items():
+            nc = terms.get(m, 0) - c
+            if nc:
+                terms[m] = nc
+            else:
+                terms.pop(m, None)
+        return MPoly(self.tower, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -278,13 +312,19 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # a product by 1 is the other factor, already in normal form
-        t = o.terms
-        if len(t) == 1 and t.get(()) == 1:
+        # both factors are in normal form: a product by 1 is the other
+        # factor, and a product by a rational constant scales its terms
+        a, b = self.terms, o.terms
+        if len(b) == 1 and b.get(()) == 1:
             return self
-        t = self.terms
-        if len(t) == 1 and t.get(()) == 1:
+        if len(a) == 1 and a.get(()) == 1:
             return o
+        if len(b) == 1 and () in b:
+            c = b[()]
+            return MPoly(self.tower, {m: k * c for m, k in a.items()})
+        if len(a) == 1 and () in a:
+            c = a[()]
+            return MPoly(self.tower, {m: c * k for m, k in b.items()})
         raw: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
@@ -334,13 +374,6 @@ class MPoly:
         return all(
             self.tower.is_constant(v) for m in self.terms for v, _ in m
         )
-
-    def rational_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {()}:
-            raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self.terms[()])
 
     def residue(self, ell: int, images: dict) -> int:
         """The image in F_ell of a constants-only element whose coefficient
@@ -429,13 +462,12 @@ def tower_invert(a: MPoly) -> MPoly:
 
     if a.is_zero():
         raise ZeroDivisionError("tower inverse of 0")
+    tower = a.tower
+    if len(a.terms) == 1 and () in a.terms:
+        return tower.const(Fraction(1) / a.terms[()])
     if not a.constants_only():
         raise ValueError("tower_invert needs a constants-only element")
-    tower = a.tower
-    present = [s for s in tower.rules if any(_mono_exp(m, s) for m in a.terms)]
-    if not present:
-        return tower.const(Fraction(1) / a.rational_value())
-    s = present[0]
+    s = next(s for s in tower.rules if any(_mono_exp(m, s) for m in a.terms))
     d = tower.rules[s][0]
     columns = [(a * tower.var(s, k)).coeffs_in(s) for k in range(d)]
     matrix = [[col[i] if i < len(col) else tower.zero() for col in columns]
@@ -482,13 +514,16 @@ def _over_one_denominator(polys, mapping):
     for poly in polys:
         out = tower.zero()
         for m, c in poly.terms.items():
-            piece = tower.const(c)
+            # the variables that the mapping leaves alone stay one monomial,
+            # in normal form as part of a term's
+            piece = MPoly(tower, {tuple(ve for ve in m
+                                        if mapping.get(ve[0]) is None): c})
             # v^0 for each variable of top that the term does not hold
             for v, e in {**dict.fromkeys(top, 0), **dict(m)}.items():
                 value = mapping.get(v)
                 if value is None:
-                    piece = piece * tower.var(v, e)
-                elif v in top:
+                    continue
+                if v in top:
                     piece = (piece * power(value.num, e)
                              * power(value.den, top[v] - e))
                 else:
@@ -747,14 +782,25 @@ def _parse(tower: ConstantTower, text: str):
             if toks[at] == "-":
                 sign = -sign
             at += 1
-        node = atom()
-        if toks[at] == "^":
-            e = toks[at + 1]
-            if e is None or not e.isdigit():
-                raise ValueError("exponent must be a non-negative integer")
-            at += 2
-            node = node ** int(e)
-        return node * sign if sign < 0 else node
+        t = toks[at]
+        if t is not None and t.isidentifier() and toks[at + 1] == "^":
+            # name^k is one power of the name
+            at += 1
+            node = tower.var(t, exponent())
+        else:
+            node = atom()
+            if toks[at] == "^":
+                node = node ** exponent()
+        return -node if sign < 0 else node
+
+    def exponent():
+        # the integer after the "^" at toks[at]
+        nonlocal at
+        e = toks[at + 1]
+        if e is None or not e.isdigit():
+            raise ValueError("exponent must be a non-negative integer")
+        at += 2
+        return int(e)
 
     def atom():
         nonlocal at

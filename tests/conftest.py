@@ -10,8 +10,11 @@ ACCEPT_RESULTS = {}
 
 @pytest.fixture
 def src_env():
-    """os.environ with src/ put first on PYTHONPATH."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    """os.environ with the source directory of the imported picardlab put
+    first on PYTHONPATH, so a child process runs the code the tests do."""
+    import picardlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(picardlab.__file__)))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 

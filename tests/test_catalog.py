@@ -763,6 +763,16 @@ def _affine(doc):
      ["aux"][0].update(quartic="t*u^5+u"),
      "aux item 0 of ciani-quartic-pencil: quartic 't*u^5+u': degree 5 in u "
      "is above 4"),
+    # an equation that is 0 was refused as "max() arg is an empty sequence"
+    (lambda d: _model(d, "genus2-quintic").update(rhs="0"),
+     "model of genus2-quintic: f is 0"),
+    (lambda d: _model(d, "fermat-sextic-cone-quotient").update(rhs="0"),
+     "model of fermat-sextic-cone-quotient: f is 0"),
+    (lambda d: _model(d, "fermat-sextic").update(projective="0"),
+     "model of fermat-sextic: plane curve equation is 0"),
+    (lambda d: _model(d, "fermat-sextic-pencil-quotient").update(
+        relations=["a*c-b^2", "0"]),
+     "model of fermat-sextic-pencil-quotient: relation is 0"),
 ])
 def test_malformed_document_is_refused_at_load(edit, message):
     doc = _raw_document()

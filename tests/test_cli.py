@@ -471,11 +471,11 @@ def test_markdown_format(capsys):
     assert "claims: " in out
 
 
-def test_module_invocation_exit_code():
+def test_module_invocation_exit_code(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "picardlab.cli", "hodge", "--d", "3",
          "--n", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0
     assert "status=PASS-via-adjusted" in proc.stdout

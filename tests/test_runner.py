@@ -756,6 +756,19 @@ def test_a_trace_target_with_a_repeated_root_is_one_fail_row():
     assert aux.evidence == row.evidence
 
 
+def test_a_trace_target_whose_f_is_0_is_a_named_fail_row():
+    # the edited quot target is v^2 = 0 at every t
+    by_id = _ciani_run_with_quot_target(
+        "v^2-((t^2/4-1)*(u^4+1)+(t^2/2-t)*u^2)", "v^2", 30)
+    for t in (0, 1):
+        (row,) = by_id["trace:t=%d" % t]
+        assert row.status == "FAIL" and row.prime is None
+        assert row.evidence == {"map": "quot", "error": "f is 0"}
+    (aux,) = by_id["aux:cm-consistency"]
+    assert aux.status == "FAIL"
+    assert aux.evidence == {"map": "quot", "error": "f is 0"}
+
+
 def test_cm_consistency_fails_at_a_prime_of_bad_reduction():
     # at t = 0 the edited quot target is v^2 = -(u^4 + 5), bad at 5
     by_id = _ciani_run_with_quot_target("(u^4+1)", "(u^4+5)", 30)

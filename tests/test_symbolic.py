@@ -106,6 +106,38 @@ def test_tower_invert_specifics():
         x**-1
 
 
+def _mono_mul_by_dict(m1, m2):
+    """The product of two monomials by a dict of exponents, sorted, with
+    the zero exponents dropped: the route that _mono_mul replaced."""
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in d.items() if e))
+
+
+def test_mono_mul_matches_the_dict_and_sort_route():
+    rng = random.Random(4001)
+    names = ["e", "i", "lam", "om", "s2", "t", "u", "x", "y", "z"]
+    cancelled = 0
+    for _ in range(2000):
+        m1 = tuple(sorted((v, rng.randint(1, 6))
+                          for v in rng.sample(names, rng.randint(0, 4))))
+        # m2 shares some names of m1, some of them at the negated exponent,
+        # as _cancel_monomials divides by a common monomial
+        m2 = {}
+        for v, e in m1:
+            if rng.random() < 0.5:
+                m2[v] = rng.choice([-e, rng.randint(-3, 5) or 1])
+        for v in rng.sample(names, rng.randint(0, 3)):
+            m2.setdefault(v, rng.randint(1, 6))
+        m2 = tuple(sorted(m2.items()))
+        want = _mono_mul_by_dict(m1, m2)
+        assert symbolic._mono_mul(m1, m2) == want, (m1, m2)
+        assert symbolic._mono_mul(m2, m1) == want, (m1, m2)
+        cancelled += any(dict(m1).get(v) == -e for v, e in m2)
+    assert cancelled > 300
+
+
 def test_mpoly_structure():
     p = x**2 * y - 3 * om * x + Fraction(1, 2)
     assert p.degree_in("x") == 2
@@ -194,12 +226,26 @@ def test_a_product_by_one_is_the_other_factor(monkeypatch, p):
         assert q.terms == p.terms
         # each coefficient object is kept, an int as an int
         assert all(q.terms[m] is c for m, c in p.terms.items())
-    # a product by anything else still rewrites
+    # a product by a rational constant scales the terms with no rewrite,
+    # and its coefficients have the types the full product gives them
+    for c in (2, -3, Fraction(2, 3), Fraction(4, 2)):
+        full = MPoly._make(T, {m: k * c for m, k in p.terms.items()})
+        monkeypatch.setattr(symbolic, "_rewrite", no_rewrite)
+        scaled = [p * T.const(c), T.const(c) * p, p * c, c * p]
+        monkeypatch.undo()
+        for q in scaled:
+            assert list(q.terms.items()) == list(full.terms.items())
+            assert [type(k) for k in q.terms.values()] == \
+                [type(k) for k in full.terms.values()]
+    # a product by om or by x still rewrites, unless p is the scale
+    rational = len(p.terms) == 1 and () in p.terms
     monkeypatch.setattr(symbolic, "_rewrite", no_rewrite)
-    with pytest.raises(AssertionError, match="rewrote"):
-        p * om
-    with pytest.raises(AssertionError, match="rewrote"):
-        T.const(2) * T.const(3)
+    for q in (om, x):
+        if rational:
+            assert (p * q).terms == {m: p.terms[()] for m in q.terms}
+        else:
+            with pytest.raises(AssertionError, match="rewrote"):
+                p * q
 
 
 def test_rational_function_substitute():
@@ -228,7 +274,7 @@ def _random_poly(rng, names):
     for _ in range(rng.randint(0, 3)):
         c = rng.choice([rng.randint(-4, 4),
                         Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
-        term = T.const(c) * rng.choice([T.one(), om, i_])
+        term = T.const(c) * rng.choice([T.one(), om, i_, lam * e_**2, s2])
         for v in rng.sample(names, rng.randint(0, len(names))):
             term = term * T.var(v, rng.randint(1, 3))
         out = out + term
@@ -240,6 +286,9 @@ def _random_poly(rng, names):
 _CIANI_DEN = "(4*y^3+2*t*x^2*y+2*t*y)"
 SUBSTITUTE_VALUES = [
     x + 1, y * y, om * x - T.var("t"), T.const(3),
+    # rational constants, which scale a term, and tower constants
+    T.const(Fraction(-2, 3)), T.const(-1), om + 1, lam * e_,
+    RationalFunction(T.const(Fraction(5, 2))),
     RationalFunction(y, x), RationalFunction(T.one(), x),
     RationalFunction(x, x - 1), RationalFunction(x * y + 2, x - 1),
     parse_expression(T, "1/" + _CIANI_DEN),
@@ -311,6 +360,9 @@ def test_parser():
     ("x y", "trailing input at token 'y'"),
     # the grammar is ASCII, and an exponent is a non-negative integer
     ("x^-2", "exponent must be a non-negative integer"),
+    ("x^", "exponent must be a non-negative integer"),
+    ("-om^y", "exponent must be a non-negative integer"),
+    ("x^2^3", "trailing input at token '^'"),
     ("\u00e9", "unexpected character '\u00e9' in expression"),
     ("x^\u00b2", "unexpected character '\u00b2' in expression"),
 ])
@@ -383,7 +435,11 @@ def test_rf_zero_on_curve():
 
 
 
-@pytest.mark.parametrize("name, k", [("om", 40), ("lam", 30), ("lam", 40)])
+@pytest.mark.parametrize("name, k", [
+    ("om", 40), ("lam", 30), ("lam", 40),
+    # one past a relation's degree, or several degrees past it
+    ("om", 3), ("i", 6), ("e", 3), ("lam", 2), ("x", 4), ("x", 0),
+])
 def test_parsed_high_power_of_a_tower_constant(name, k):
     # a two-term tower relation: the parsed power and the one monomial
     # name^k are each one rewrite of name^k, without Fibonacci growth, and
@@ -393,6 +449,8 @@ def test_parsed_high_power_of_a_tower_constant(name, k):
         product = product * T.var(name)
     assert parse_polynomial(T, f"{name}^{k}") == product
     assert T.var(name, k) == product
+    assert parse_polynomial(T, f"-{name}^{k}") == -product
+    assert parse_polynomial(T, f"2*{name}^{k}*x") == 2 * product * x
 
 
 @pytest.mark.parametrize("base", [
@@ -426,7 +484,11 @@ def test_tower_invert_of_a_rational_is_exact():
     assert inv == T.const(Fraction(1, 3))
     assert inv.terms == {(): Fraction(1, 3)}
     assert type(inv.terms[()]) is Fraction
-    assert type(T.const(3).rational_value()) is Fraction
+    # a Fraction inverts to a Fraction, also when its inverse is an integer
+    for c, want in ((Fraction(2, 3), Fraction(3, 2)),
+                    (Fraction(1, 2), Fraction(2)), (-1, Fraction(-1))):
+        inv = tower_invert(T.const(c))
+        assert inv.terms == {(): want} and type(inv.terms[()]) is Fraction
 
 
 def test_integral_coefficients_are_ints():
