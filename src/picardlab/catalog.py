@@ -539,7 +539,8 @@ class CatalogEntry:
         return self.model.counter(lambda text: self.poly(text, value))
 
     def target_rhs(self, spec, value=None):
-        """(f, u) of a genus-one map target written as v^2 = f(u)."""
+        """(f, u) of a genus-one map target written as v^2 = f(u), f not
+        0."""
         uvar, vvar = spec.target_variables
         (text,) = spec.target_relations
         coeffs = self.poly(text, value).coeffs_in(vvar)
@@ -548,6 +549,8 @@ class CatalogEntry:
                 or vvar in rhs.variables()):
             raise ValueError("target of %r is not %s^2 = f(%s)"
                              % (spec.name, vvar, uvar))
+        if rhs.is_zero():
+            raise ValueError("f is 0")
         return rhs, uvar
 
     def target_model(self, spec, value=None):

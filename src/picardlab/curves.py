@@ -32,6 +32,14 @@ in log arithmetic.  The diagonal plane curve x^d + y^d + z^d is a cyclic
 cover over F_q, with a faster route of its own over F_p.  Space curves are
 counted over F_p only; each model class says whether it ``extends`` to F_q.
 
+A sum over x in F_q^* is read on one period when f = x^r F(x^e): with
+d = gcd(e, q - 1) and P = (q - 1)/d, f(g^(i + P)) = g^(rP) f(g^i), so the
+cyclic cover evaluates f at g^i, i < P, only and counts d times the
+(gcd(m, rP))-th roots of each value (``_cyclic_cover_count``), in
+O((q - 1)/gcd(e, q - 1)) work.  The pencil of cubics reads its columns on
+one period in the same way, and the shift-orbit quotient its cube column;
+with d = 1 each route reads the full column.
+
 A plane curve has one route per shape: the diagonal curve and the even
 quartic, the only plane curves of the catalog.  ``PlaneModel`` refuses any
 other plane curve when it is built, so no count of it is ever attempted.
@@ -71,21 +79,23 @@ class CountRecord:
             self.prime, self.power, self.npoints, self.trace, self.genus)
 
 
-def _column(field, coeffs):
-    """The values of f at x = 0, then at x = g^i for i = 0..p-2, as a list,
-    over the prime field ``field``; f is given by its coefficients mod p,
-    low to high, at least one.
+def _column(field, coeffs, size=None):
+    """The values of f at x = 0, then at x = g^i for i = 0..size-1 (all of
+    F_p^*, size = p - 1, by default), as a list, over the prime field
+    ``field``; f is given by its coefficients mod p, low to high, at least
+    one.
 
     The term c_j x^j at x = g^i is g^(log c_j + ij), so its column over i is
-    a stride-j slice of the exp table repeated j + 1 times (j taken mod
-    p - 1; a term with j = 0 mod p - 1 is the constant c_j on F_p^*).  Each
-    value is the plain sum of one residue per nonzero term, so it is
-    congruent to f(x) and lies in [0, len(coeffs) p).  The columns are added
-    packed: a slice of ``exp_bytes``, machine integers wide enough for that
-    bound, is read as one int, so adding the ints adds the columns entry by
-    entry with no carry from one entry into the next, and the sum is read
-    back in the same native byte order."""
+    a stride-j slice of the exp table repeated 1 + ceil(j size / (p - 1))
+    times (j taken mod p - 1; a term with j = 0 mod p - 1 is the constant
+    c_j on F_p^*).  Each value is the plain sum of one residue per nonzero
+    term, so it is congruent to f(x) and lies in [0, len(coeffs) p).  The
+    columns are added packed: a slice of ``exp_bytes``, machine integers
+    wide enough for that bound, is read as one int, so adding the ints adds
+    the columns entry by entry with no carry from one entry into the next,
+    and the sum is read back in the same native byte order."""
     log, n = field.log, field.q - 1
+    size = n if size is None else size
     code = _packing(len(coeffs) * field.p)
     packed = field.exp_bytes(code)
     width = len(packed) // n
@@ -97,15 +107,18 @@ def _column(field, coeffs):
             else:
                 const += c
     if strides:
-        # one array of top + 1 copies holds the slice of every stride
-        exps = array(code, packed * (max(strides)[0] + 1))
+        # one array of copies of the exp table holds the slice of every
+        # stride: the last index of one, start + j (size - 1), is below
+        # n + top size, so 1 + ceil(top size / n) copies suffice
+        top = max(strides)[0]
+        exps = array(code, packed * (1 - (-top * size // n)))
         for j, start in strides:
-            total += int.from_bytes(exps[start:start + j * n:j],
+            total += int.from_bytes(exps[start:start + j * size:j],
                                     sys.byteorder)
     if const:
         one = (1).to_bytes(width, sys.byteorder)
-        total += const * int.from_bytes(one * n, sys.byteorder)
-    values = array(code, total.to_bytes(width * n, sys.byteorder))
+        total += const * int.from_bytes(one * size, sys.byteorder)
+    values = array(code, total.to_bytes(width * size, sys.byteorder))
     return [coeffs[0], *values.tolist()]
 
 
@@ -119,9 +132,9 @@ def _packing(bound):
     return next(code for limit, code in _PACKINGS if limit >= bound)
 
 
-def _reduced_column(field, coeffs):
+def _reduced_column(field, coeffs, size=None):
     """``_column`` with every value reduced mod p."""
-    return list(map(mod, _column(field, coeffs), repeat(field.p)))
+    return list(map(mod, _column(field, coeffs, size), repeat(field.p)))
 
 
 def _zeros(values):
@@ -143,13 +156,23 @@ def _value(coeffs, x, p):
     return acc
 
 
-def _root_column(field, n, coeffs):
+def _root_column(field, n, coeffs, size=None):
     """#{y in F_p : y^n = f(x)} for x in ``_column``'s order: its unreduced
     values index the power counts repeated len(coeffs) times.  The lookups
-    are one ``itemgetter`` call; a column has p >= 3 values, so it gives a
-    tuple."""
+    are one ``itemgetter`` call; a column has at least 2 values, so it
+    gives a tuple."""
     counts = field.power_counts(n) * len(coeffs)
-    return itemgetter(*_column(field, coeffs))(counts)
+    return itemgetter(*_column(field, coeffs, size))(counts)
+
+
+def _symmetry(*polys):
+    """(e, r) for dense polynomials (low to high) whose terms all have
+    exponents r mod e, e the gcd of the differences of their exponents (0
+    for at most one exponent): each f is x^r F(x^e), so f(zeta x) =
+    zeta^r f(x) for every e-th root of unity zeta."""
+    exps = [j for f in polys for j, c in enumerate(f) if c] or [0]
+    e = gcd(*(j - exps[0] for j in exps))
+    return e, exps[0] % e if e else exps[0]
 
 
 # square counts of w / (2 c2) from those of w when 2 c2 is not a square
@@ -255,27 +278,42 @@ def _diagonal_count(p, d):
     return sum(map(mul, t, reversed(t))) + t[p - 1]
 
 
-def _cyclic_cover_count(m, coeffs, field):
+def _cyclic_cover_count(m, coeffs, field, symmetry=(1, 0)):
     """Points of y^m = f(x) over F_q = ``field``, f given by its
     coefficients mod p (low to high, the last nonzero): the sum over x of
     #{y : y^m = f(x)}, plus the points at infinity, one for each z in F_q
-    with z^d = lc(f), d = gcd(m, deg f)."""
+    with z^w = lc(f), w = gcd(m, deg f).
+
+    With f = x^r F(x^e), ``symmetry`` = (e, r), the sum over F_q^* is read
+    on one period: for d = gcd(e, q - 1), P = (q - 1)/d and zeta = g^P,
+    f(zeta x) = zeta^r f(x), and by character orthogonality the d points
+    x zeta^k of a coset have together d #{y : y^(gcd(m, rP)) = f(x)} roots
+    (Weil 1949; Ireland-Rosen, ch. 8).  So only x = g^i, i < P, are
+    evaluated, in O(P) work."""
     p, q = field.p, field.q
+    e, r = symmetry
+    d = gcd(e, q - 1)
+    size = (q - 1) // d
+    m_period = gcd(m, r * size)
+    roots = field.power_counts(m_period)
     if field.k == 1:
-        n = sum(_root_column(field, m, coeffs))
+        n = sum(_root_column(field, m_period, coeffs, size))
     else:
         terms = [(j, field.log[c]) for j, c in enumerate(coeffs) if c]
-        roots = field.power_counts(m)
         # f(0), then f(g^i) as a sum of the terms c_j g^(ij)
         values = [coeffs[0]] + [
             field.exp_sum(log_c + i * j for j, log_c in terms)
-            for i in range(field.q - 1)]
+            for i in range(size)]
         n = sum(roots[v] for v in values)
-    # the z in F_q with z^d = lc(f): e = gcd(d, q - 1) of them when lc(f)
-    # is an e-th power, none otherwise
-    e = gcd(m, len(coeffs) - 1, q - 1)
-    if pow(coeffs[-1], (q - 1) // e, p) == 1:
-        n += e
+    if d > 1:
+        # x = 0 lies in no coset: its roots leave the weighted sum and
+        # come back once, as y^m = f(0)
+        n = d * (n - roots[coeffs[0]]) + field.power_counts(m)[coeffs[0]]
+    # the z in F_q with z^w = lc(f): u = gcd(w, q - 1) of them when lc(f)
+    # is a u-th power, none otherwise
+    u = gcd(m, len(coeffs) - 1, q - 1)
+    if pow(coeffs[-1], (q - 1) // u, p) == 1:
+        n += u
     return n
 
 
@@ -414,7 +452,7 @@ class PlaneModel:
             # infinity, z^d = -1, are the points (1 : z : 0)
             d = self.degree
             n = _cyclic_cover_count(d, [p - 1] + [0] * (d - 1) + [p - 1],
-                                    gf.field(p, k))
+                                    gf.field(p, k), (d, 0))
         else:
             n = _even_quartic_count(self._reduced_rows(p), gf.field(p, k))
         return CountRecord(p, k, n, self.genus())
@@ -422,7 +460,10 @@ class PlaneModel:
 
 class SuperellipticModel:
     """y^m = f(x) with f squarefree, refused otherwise when it is built.  Its
-    bad primes divide ``bad_number`` = D lc(F) Res(F, F') m, F = D f."""
+    bad primes divide ``bad_number`` = D lc(F) Res(F, F') m, F = D f.  With
+    f = x^r F(x^e), e the gcd of the differences of f's exponents, it keeps
+    ``symmetry`` = (e, r), so a count over F_q evaluates f on one period of
+    (q - 1)/gcd(e, q - 1) points."""
 
     extends = True
     min_degree = 0
@@ -445,6 +486,7 @@ class SuperellipticModel:
         if res == 0:
             raise ValueError("f has a repeated root: %s" % f_poly.render())
         self.bad_number = abs(self.den * f[-1] * res * m)
+        self.symmetry = _symmetry(f)
 
     def genus(self):
         # Riemann-Hurwitz: each root of f is totally ramified, and the
@@ -465,7 +507,8 @@ class SuperellipticModel:
         coeffs = _dense_mod(self.numerators, _unit(self.den, self.rows, p), p)
         if len(coeffs) - 1 != self.degree:
             raise ValueError("leading coefficient vanishes mod %d" % p)
-        n = _cyclic_cover_count(self.m, coeffs, gf.field(p, k))
+        n = _cyclic_cover_count(self.m, coeffs, gf.field(p, k),
+                                self.symmetry)
         return CountRecord(p, k, n, self.genus())
 
 
@@ -540,6 +583,9 @@ class SpaceModel:
             for (_, er, _, eb), n in rows:
                 if er == 0:
                     self.edge[eb] += n
+            # the lines (s : 1) and (zeta s : 1), zeta^e = 1, have the same
+            # k_0, b^2 and a^3 up to one factor zeta^r
+            self.period = _symmetry(*(self.pencil[j] for j in (0, 4, 5)))[0]
         if genus is None:
             degrees = []
             for rel in self.relations:
@@ -604,14 +650,21 @@ class SpaceModel:
         # depressed form, are polynomials in s (``pencil``), read as
         # columns; where k_0, a and b do not vanish the line has
         # depressed[log(b^2) - log(a^3)] roots, and only the other, rare,
-        # lines are counted one by one.
+        # lines are counted one by one.  k_0, b^2 and a^3 all lie in
+        # s^r F(s^e), e = ``period``: on the d = gcd(e, p - 1) lines
+        # s zeta^k, zeta = g^P, P = (p - 1)/d, b^2/a^3 is the same and so
+        # is whether k_0, a or b vanish, so the columns are read over one
+        # period s = g^i, i < P, and a rare line is counted at each of
+        # its d lines.
         unit = _unit(self.den, self.form_rows, p)
         field = gf.field(p)
+        d = gcd(self.period, p - 1)
+        size = (p - 1) // d
         units = [unit] * 4 + [pow(unit, 6, p)] * 2
         k0, k1, k2, k3, b2, a3 = map(_dense_mod, self.pencil, units, repeat(p))
-        lead = _reduced_column(field, k0)
-        num = _reduced_column(field, b2)
-        den = _reduced_column(field, a3)
+        lead = _reduced_column(field, k0, size)
+        num = _reduced_column(field, b2, size)
+        den = _reduced_column(field, a3, size)
         rare = sorted(set(_zeros(lead) + _zeros(num) + _zeros(den)))
         for i in rare:
             # a zero has no log: 1 stands in, and its lookup is taken back
@@ -622,6 +675,9 @@ class SpaceModel:
         # reads the table mod p - 1
         n = sum(map(table.__getitem__, map(
             sub, map(log.__getitem__, num), map(log.__getitem__, den))))
+        if d > 1:
+            # the line s = 0 once, every other line for its d lines
+            n = d * n - (d - 1) * table[log[num[0]] - log[den[0]]]
 
         def fiber(coeffs):
             # coeffs[j] multiplies A^(3-j) B^j: the roots of the cubic in
@@ -629,9 +685,11 @@ class SpaceModel:
             return field.cubic(coeffs[::-1]) + (coeffs[0] % p == 0)
 
         for i in rare:
-            s = field.exp[i - 1] if i else 0
-            n += fiber([_value(f, s, p) for f in (k0, k1, k2, k3)]) \
-                - table[log[num[i]] - log[den[i]]]
+            lines = ([field.exp[i - 1 + k * size] for k in range(d)] if i
+                     else [0])
+            n += sum(fiber([_value(f, s, p) for f in (k0, k1, k2, k3)])
+                     for s in lines) \
+                - len(lines) * table[log[num[i]] - log[den[i]]]
         # the line (1 : 0)
         return n + fiber([c * unit % p for c in self.edge])
 
@@ -653,15 +711,19 @@ class SpaceModel:
         # B = [[zeta theta, zeta^2 theta^2], [theta, theta^2]] gives a = zeta
         # at u = oo and a = (theta (u + theta))^(p-1) for u in F_p.  Such an a
         # lies in C^6 = C^3 iff the norm of theta (u + theta), c (u^3 + c), is
-        # a cube mod p; zeta, of norm c, is not.
+        # a cube mod p; zeta, of norm c, is not.  c u^3 + c^2 is the same at
+        # the three u omega^k, omega^3 = 1, and at u = 0 the non-cube c^2, so
+        # the cubes are read on one period u = g^i, i < (p - 1)/3.
+        if p == 3:
+            raise ValueError("p = 3 divides the order of the 3-cycle")
         base = _diagonal_count(p, 6)
         if p % 3 == 2:
             n_s = p + 1
         else:
             field = gf.field(p)
             c = field.exp[1]
-            cubes = _root_column(field, 3, [c * c % p, 0, 0, c])
-            n_s = 3 * sum(map(bool, cubes))
+            cubes = _root_column(field, 3, [c * c % p, 0, 0, c], (p - 1) // 3)
+            n_s = 9 * sum(map(bool, cubes))
         total = base + 2 * n_s
         if total % 3:
             raise InvariantError("orbit count %d is not divisible by 3" % total)

@@ -1,5 +1,6 @@
 """Genus-one invariants, CM trace candidates, and trace feasibility."""
 
+import functools
 from math import isqrt
 
 from .exact import is_perfect_square, kronecker_symbol
@@ -49,9 +50,13 @@ def j_from_legendre(lam):
     return num / den
 
 
+# a report asks for the same few hundred (disc, p) pairs once per claimed
+# specialization, and a process that renders reports again asks again
+@functools.lru_cache(maxsize=1024)
 def cm_trace_candidates(disc, p):
     """Possible Frobenius traces at a good prime p for a curve with CM by
-    the imaginary quadratic order of the given discriminant.
+    the imaginary quadratic order of the given discriminant, as a frozenset
+    that every caller shares.
 
     Inert or ramified primes force the supersingular trace 0; split primes
     allow exactly the a with a^2 - 4p = disc * b^2, found by walking
@@ -62,7 +67,7 @@ def cm_trace_candidates(disc, p):
     if p <= 3:
         raise ValueError("p must be a prime above 3, got %d" % p)
     if kronecker_symbol(disc % p, p) <= 0:
-        return {0}
+        return frozenset({0})
     m = -disc
     out = set()
     for b in range(1, isqrt(4 * p // m) + 1):
@@ -72,7 +77,7 @@ def cm_trace_candidates(disc, p):
             a = isqrt(r)
             out.add(a)
             out.add(-a)
-    return out
+    return frozenset(out)
 
 
 def trace_feasibility(target, candidate_sets):

@@ -1,10 +1,11 @@
 """Slow, independent point counts that the fast routes in `picardlab.curves`
 are checked against: the O(p^2) loops those routes replaced, the line-by-line
 loops that the column routes replaced, the generic plane route on the F_p[x]
-gcd kernel, Horner evaluation, and projective brute-force scans over F_p and
-over F_{p^k}."""
+gcd kernel, Horner evaluation over F_p and over F_{p^k}, and projective
+brute-force scans over F_p and over F_{p^k}."""
 
 from itertools import product
+from math import gcd
 
 from picardlab import gf
 from picardlab.gf import TABLE_MAX, ExtField
@@ -49,6 +50,29 @@ def horner(coeffs, x, p):
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def cover_horner_count(m, coeffs, field):
+    """Points of y^m = f(x) over F_q = ``field``, f given by its
+    coefficients mod p (low to high, the last nonzero): f by Horner's rule
+    at each of the q elements and y^m at each of the q values of y, both on
+    coefficient tuples, then the z with z^w = lc(f), w = gcd(m, deg f), on
+    the line at infinity; no table of the field is read."""
+    p, q = field.p, field.q
+    powers = {}
+    for y in range(q):
+        v = field.element(field._pow(field.coeffs(y), m))
+        powers[v] = powers.get(v, 0) + 1
+    n = 0
+    for x in range(q):
+        point, acc = field.coeffs(x), field.coeffs(0)
+        for c in reversed(coeffs):
+            acc = field._mul(acc, point)
+            acc = ((acc[0] + c) % p,) + acc[1:]
+        n += powers.get(field.element(acc), 0)
+    w = gcd(m, len(coeffs) - 1)
+    return n + sum(field.element(field._pow(field.coeffs(z), w)) == coeffs[-1]
+                   for z in range(q))
 
 
 def scan_plane_count(rows_mod_p, p):

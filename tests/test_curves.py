@@ -31,6 +31,7 @@ from picardlab.symbolic import parse_polynomial
 
 from count_oracles import (
     brute_plane_count,
+    cover_horner_count,
     even_quartic_line_count,
     horner,
     pencil_line_count,
@@ -439,15 +440,27 @@ def test_column_is_horner_at_every_point(poly_mod_p):
         assert v % p == horner(coeffs, x, p) and 0 <= v < len(coeffs) * p
 
 
+@settings(max_examples=200, deadline=None)
+# 7 x^5 at p = 13: log 7 = 11 = p - 2, so the slice over one half of F_13^*
+# ends at index 11 + 5 * 5 = 36, in a third copy of the exp table
+@example((13, [0, 0, 0, 0, 0, 7]), 6)
+@given(column_polys(), st.integers(1, 12))
+def test_column_of_one_period_is_a_prefix(poly_mod_p, size):
+    p, coeffs = poly_mod_p
+    size = min(size, p - 1)
+    field = gf.field(p)
+    assert _column(field, coeffs, size) == _column(field, coeffs)[:size + 1]
+
+
 def test_widest_catalog_column_is_covered(monkeypatch):
     # the examples above at 2333 reach the widest polynomial that a count
     # of the catalog evaluates as a column
     widths = []
     column = curves._column
 
-    def spy(field, coeffs):
+    def spy(field, coeffs, size=None):
         widths.append(len(coeffs))
-        return column(field, coeffs)
+        return column(field, coeffs, size)
 
     monkeypatch.setattr(curves, "_column", spy)
     for entry in _CATALOG.values():
@@ -492,6 +505,89 @@ def test_cover_count_is_the_horner_sum_at_every_prime():
             infinity = sum(1 for z in range(p) if pow(z, d, p) == coeffs[-1])
             assert _cyclic_cover_count(model.m, coeffs, field) == \
                 affine + infinity, (label, p)
+            assert _cyclic_cover_count(model.m, coeffs, field,
+                                       model.symmetry) == \
+                affine + infinity, (label, p)
+
+
+def test_catalog_cover_symmetries():
+    # (e, r) of each f = x^r F(x^e) that the catalog counts: the sources,
+    # then the trace-map targets; e = 1 reads every point
+    symmetries = {label: model.symmetry for label, model in _catalog_covers()}
+    assert symmetries == {
+        "fermat-sextic-cone-quotient t=None": (6, 0),
+        "fermat-sextic-cubing-quotient t=None": (4, 1),
+        "bielliptic-sextic-pencil t=0": (6, 0),
+        "bielliptic-sextic-pencil t=0 plus": (1, 0),
+        "bielliptic-sextic-pencil t=0 minus": (1, 0),
+        "bielliptic-sextic-pencil t=1": (3, 0),
+        "bielliptic-sextic-pencil t=1 plus": (1, 0),
+        "bielliptic-sextic-pencil t=1 minus": (1, 0),
+        "bielliptic-sextic-pencil t=3": (3, 0),
+        "bielliptic-sextic-pencil t=3 plus": (1, 0),
+        "bielliptic-sextic-pencil t=3 minus": (1, 0),
+        "genus2-quintic t=None": (4, 1),
+        "ciani-quartic-pencil t=0 quot": (4, 0),
+        "ciani-quartic-pencil t=1 quot": (2, 0),
+        "genus3-septic t=None": (6, 1),
+    }
+    pencil = _CATALOG["fermat-sextic-pencil-quotient"].counting_model()
+    assert pencil.period == 6
+
+
+@st.composite
+def symmetric_covers(draw, k):
+    """(p, m, f, (e, r)) for y^m = f(x) over F_{p^k}, f = x^r F(x^e) given by
+    its coefficients mod p: e = 0 draws a monomial c x^r; e from 1 to 12
+    shares all, part or none of q - 1 with it, so d = gcd(e, q - 1) = 1
+    is drawn too; r ranges over 0..e-1."""
+    p = draw(st.sampled_from({1: [3, 5, 7, 11, 13, 29, 31, 37, 73, 97],
+                              2: [3, 5, 7, 11, 13], 3: [3, 5, 7]}[k]))
+    e = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    units = st.integers(1, p - 1)
+    if e == 0:
+        coeffs = [0] * draw(st.integers(1, 8)) + [draw(units)]
+        symmetry = (0, len(coeffs) - 1)
+    else:
+        r = draw(st.integers(0, e - 1))
+        big = draw(st.lists(st.sampled_from([0, 1, p - 1]) | units,
+                            min_size=1, max_size=3)) + [draw(units)]
+        coeffs = [0] * (r + e * (len(big) - 1) + 1)
+        for i, c in enumerate(big):
+            coeffs[r + e * i] = c
+        symmetry = (e, r)
+    return p, draw(st.sampled_from([2, 3, 4, 6])), coeffs, symmetry
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_period_cover_count_is_the_full_column_and_horner(k, data):
+    # the count on one period of F_q^* against the count at every point,
+    # and against Horner at every point with no field table
+    p, m, coeffs, symmetry = data.draw(symmetric_covers(k))
+    field = gf.field(p, k)
+    full = _cyclic_cover_count(m, coeffs, field)
+    assert _cyclic_cover_count(m, coeffs, field, symmetry) == full
+    assert full == cover_horner_count(m, coeffs, field)
+
+
+@pytest.mark.parametrize("p, k, m, coeffs, symmetry", [
+    (13, 1, 2, [0, 12, 0, 0, 0, 1], (4, 1)),     # x^5 - x: d = 4, r = 1
+    (11, 1, 2, [0, 10, 0, 0, 0, 1], (4, 1)),     # d = 2, part of e = 4
+    (7, 1, 3, [1, 0, 0, 0, 0, 0, 1], (6, 0)),    # u^6 + 1: d = 6
+    (13, 1, 3, [0, 1, 0, 0, 0, 0, 0, 1], (6, 1)),  # x^7 + x: rP = 2
+    (5, 1, 3, [1, 0, 0, 0, 0, 1], (5, 0)),       # d = 1: e prime to q - 1
+    (5, 2, 2, [0, 1, 0, 0, 0, 0, 0, 1], (6, 1)),  # x^7 + x over F_25, d = 6
+    (7, 3, 3, [0, 0, 0, 0, 0, 3], (0, 5)),       # a monomial: d = q - 1
+    (31, 1, 6, [0, 0, 0, 4], (0, 3)),            # 4 x^3: P = 1, rP = 3
+    (5, 3, 4, [2, 0, 0, 0, 0, 0, 0, 0, 0, 1], (9, 0)),  # d = 1 over F_125
+])
+def test_one_period_cover_count_named_cases(p, k, m, coeffs, symmetry):
+    field = gf.field(p, k)
+    n = cover_horner_count(m, coeffs, field)
+    assert _cyclic_cover_count(m, coeffs, field, symmetry) == n
+    assert _cyclic_cover_count(m, coeffs, field) == n
 
 
 def _random_rational_cover(rng):
@@ -658,11 +754,12 @@ def _lagrange(values):
     return out
 
 
-def _random_pencil(rng):
+def _random_pencil(rng, period=1):
     """A pencil form sum_j k_j(s, r) A^(3-j) B^j whose cubic on the line
-    (s : 1) is planted at s = 0..3: a vanishing A^3 term at s = 0,
-    A^3 + B^3 (a = 0) at s = 1, A^3 - A B^2 (b = 0) at s = 2 and the zero
-    cubic at s = 3; between them k_j is random, degree up to 7."""
+    (s : 1) is planted at s^period = 0..3: a vanishing A^3 term at s = 0,
+    A^3 + B^3 (a = 0) at s^period = 1, A^3 - A B^2 (b = 0) at
+    s^period = 2 and the zero cubic at s^period = 3; between them k_j is
+    random, of degree up to 7 in s^period."""
     planted = [[0] + [rng.randint(-9, 9) for _ in range(3)],
                [1, 0, 0, 1], [1, 0, -1, 0], [0, 0, 0, 0]]
     s, r, a, b = T.var("s"), T.var("r"), T.var("A"), T.var("B")
@@ -677,8 +774,8 @@ def _random_pencil(rng):
                 k[e + i] += c * v
         for e, c in enumerate(k):
             if c:
-                form = form + T.const(c) * s ** e * r ** (8 - e) \
-                    * a ** (3 - j) * b ** j
+                form = form + T.const(c) * s ** (period * e) \
+                    * r ** (period * (8 - e)) * a ** (3 - j) * b ** j
     return SpaceModel([], ("x", "y", "z", "w"),
                       {"type": "pencil_form", "fiber_vars": ("s", "r"),
                        "root_vars": ("A", "B"), "form": form}, genus=4)
@@ -699,6 +796,21 @@ def test_pencil_columns_match_the_line_loop():
     for p in (5, 7, 11, 13):
         for model in models:
             assert pencil_line_count(model, p) == pencil_loop_count(model, p)
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 6])
+def test_pencil_period_matches_the_line_loop(period):
+    # a pencil in s^period is read on one period of F_p^*: every rare line
+    # repeats on the d = gcd(period, p - 1) lines s zeta^k, the a = 0 line
+    # s = 1 on the d-th roots of unity among them
+    model = _random_pencil(random.Random(period), period)
+    assert model.period == period
+    for p in primes_up_to(499)[2:] + [2311]:
+        k = [sum(c * pow(s, es, p) for (es, _, _, eb), c in
+                 table_mod(model.form_rows, p) if eb == j) % p
+             for s in (0, 1) for j in range(4)]
+        assert k[0] == 0 and k[4:] == [1, 0, 0, 1]
+        assert model._count_pencil_form(p) == pencil_line_count(model, p), p
 
 
 def _random_even_quartic(rng, shape):
@@ -810,6 +922,10 @@ def test_shift_orbit_route_matches_orbit_brute():
 
 def test_shift_orbit_route_matches_loop_oracle():
     m = _delta_model()
+    # the orbit count divides by the 3-cycle's order, and p = 3 has no
+    # primitive cube root of unity to read one period with
+    with pytest.raises(ValueError, match="p = 3 divides"):
+        m.count_points(3)
     primes = [p for p in range(5, 98) if is_prime(p)]
     assert {p % 3 for p in primes} == {1, 2}
     for p in primes:

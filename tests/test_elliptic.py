@@ -85,6 +85,18 @@ def test_cm_trace_candidate_anchors():
     assert cm_trace_candidates(-12, 7) == {4, -4}
 
 
+def test_cm_trace_candidates_are_shared_and_frozen():
+    # one set per (disc, p) for the process, which no caller can change;
+    # the cache is bounded and a refusal is never kept
+    first = cm_trace_candidates(-3, 13)
+    assert type(first) is frozenset and first == {2, -2, 5, -5, 7, -7}
+    assert cm_trace_candidates(-3, 13) is first
+    assert cm_trace_candidates.cache_info().maxsize == 1024
+    for disc, p in ((-5, 7), (-3, 3)):
+        with pytest.raises(ValueError):
+            cm_trace_candidates(disc, p)
+
+
 def test_cm_consistency_of_counted_curves():
     primes = [p for p in primes_up_to(80) if p > 3]
     ok, ev = cm_consistency(HyperellipticModel(poly("x^3-1")), -3, primes)

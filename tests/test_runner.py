@@ -597,6 +597,18 @@ def test_candidates_are_computed_once_per_discriminant(monkeypatch, eid):
     assert seen == [[real_candidates(d, p) for d in discs] for p in primes]
 
 
+def test_candidates_are_computed_once_per_pair_for_the_catalog():
+    # at pmax 499 the claimed specializations ask for 372 (disc, p) pairs
+    # 1047 times; the sets are computed once per pair and kept for the
+    # process, so a second report computes none
+    runner.cm_trace_candidates.cache_clear()
+    run_catalog(ENTRIES.values(), pmax=499)
+    info = runner.cm_trace_candidates.cache_info()
+    assert (info.misses, info.hits) == (372, 1047 - 372)
+    run_catalog(ENTRIES.values(), pmax=499)
+    assert runner.cm_trace_candidates.cache_info().misses == 372
+
+
 def test_inert_and_feasibility_disagreement_is_an_invariant_error(
         monkeypatch):
     # p = 7 is inert for -4, where the count p + 1 is always feasible
@@ -764,9 +776,10 @@ def test_a_trace_target_whose_f_is_0_is_a_named_fail_row():
         (row,) = by_id["trace:t=%d" % t]
         assert row.status == "FAIL" and row.prime is None
         assert row.evidence == {"map": "quot", "error": "f is 0"}
-    (aux,) = by_id["aux:cm-consistency"]
-    assert aux.status == "FAIL"
-    assert aux.evidence == {"map": "quot", "error": "f is 0"}
+    for aux_row in ("aux:cm-consistency", "aux:j-quartic"):
+        (aux,) = by_id[aux_row]
+        assert aux.status == "FAIL"
+        assert aux.evidence == {"map": "quot", "error": "f is 0"}
 
 
 def test_cm_consistency_fails_at_a_prime_of_bad_reduction():
@@ -805,6 +818,10 @@ def _aux_rows_with_target(eid, name, old, new):
      "aux:quadric-rank", "target of 'canonical' has 2 quadrics, not one"),
     ("bielliptic-sextic-pencil", "plus", "(u+2)*(u^3-3*u+t)", "u^5+t",
      "aux:j-quartic", "degree 5 in u is above 4"),
+    # a j row reads its f through target_rhs, which refuses f = 0 by name
+    # rather than dividing by a zero discriminant
+    ("genus2-quintic", "quot", "-u*(u+1)*(u-2*(1-s2))", "", "aux:j-target",
+     "f is 0"),
 ])
 def test_an_unreadable_map_target_is_a_fail_row_naming_the_map(
         eid, name, old, new, row, error):

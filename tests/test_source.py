@@ -183,12 +183,18 @@ def _name_of(node):
     return None
 
 
+# the functions of plain integers whose bounded caches may live outside gf:
+# they keep no field
+INTEGER_CACHES = {"is_prime", "cm_trace_candidates"}
+
+
 def _field_layer_uses(tree):
     """Lines that construct ExtField, or name TABLE_MAX, FIELD_CACHE or
-    lru_cache, apart from the bounded cache that decorates ``is_prime``."""
+    lru_cache, apart from the bounded caches that decorate the functions
+    of INTEGER_CACHES."""
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "is_prime":
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_CACHES:
             allowed.update(id(n) for d in node.decorator_list
                            for n in ast.walk(d))
     for node in ast.walk(tree):
@@ -219,6 +225,8 @@ def test_field_layer_rule_flags_each_form():
     ]
     allowed = [
         "@functools.lru_cache(maxsize=1024)\ndef is_prime(n): pass",
+        "@functools.lru_cache(maxsize=1024)\n"
+        "def cm_trace_candidates(disc, p): pass",
         "F = gf.field(5, 2)",
         "n = gf.field(13).cubic(c)",
         "from .gf import ExtField",
