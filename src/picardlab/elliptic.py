@@ -1,6 +1,5 @@
 """Genus-one invariants, CM trace candidates, and trace feasibility."""
 
-import functools
 from math import isqrt
 
 from .exact import is_perfect_square, kronecker_symbol
@@ -50,13 +49,10 @@ def j_from_legendre(lam):
     return num / den
 
 
-# a report asks for the same few hundred (disc, p) pairs once per claimed
-# specialization, and a process that renders reports again asks again
-@functools.lru_cache(maxsize=1024)
 def cm_trace_candidates(disc, p):
     """Possible Frobenius traces at a good prime p for a curve with CM by
-    the imaginary quadratic order of the given discriminant, as a frozenset
-    that every caller shares.
+    the imaginary quadratic order of the given discriminant, as a frozenset,
+    so that callers can share one set.
 
     Inert or ramified primes force the supersingular trace 0; split primes
     allow exactly the a with a^2 - 4p = disc * b^2, found by walking

@@ -237,12 +237,14 @@ def _certificate_check(entry, action, summand, tag):
 
 # -- steps 4 to 6: one per-prime pass ----------------------------------------
 
-def _prime_checks(entry, value, tag, factors, bad, pmax):
+def _prime_checks(entry, value, tag, factors, bad, pmax, candidate_sets):
     """Inert, feasibility and trace rows of one claimed specialization.  At
     each good prime the source and each distinct trace-map target are
     counted once, and every row of that prime reads those counts; with no
     discriminant claimed and no trace target to count, nothing is
-    counted."""
+    counted.  ``candidate_sets`` maps (disc, p) to the frozenset of
+    ``cm_trace_candidates``: a pair missing from it is computed and
+    added."""
     checks = []
     claimed = all(f.disc is not None for f in factors)
     if not claimed:
@@ -269,8 +271,11 @@ def _prime_checks(entry, value, tag, factors, bad, pmax):
         if claimed:
             # each distinct discriminant once; a factor of multiplicity
             # m passes its candidate set m times
-            candidates = {d: cm_trace_candidates(d, p)
-                          for d in dict.fromkeys(discs)}
+            candidates = {}
+            for d in dict.fromkeys(discs):
+                if (d, p) not in candidate_sets:
+                    candidate_sets[d, p] = cm_trace_candidates(d, p)
+                candidates[d] = candidate_sets[d, p]
             feasible, witness = trace_feasibility(
                 record.trace, [candidates[d] for d in discs])
             if all(kronecker_symbol(d % p, p) == -1 for d in candidates):
@@ -395,19 +400,24 @@ def _extension_checks(entry, value, tag, bad, depth):
     return checks
 
 
-def run_entry(entry, pmax=200, depth=1):
+def run_entry(entry, pmax=200, depth=1, candidate_sets=None):
     """All checks for one entry; failures are results, not exceptions.  The
     entry's specializations are read once, and each drives its own action,
-    per-prime and extension stages."""
+    per-prime and extension stages.  The per-prime passes keep the CM trace
+    candidates of each (disc, p) in ``candidate_sets`` (a new dict by
+    default), so each pair is computed once."""
     if not 1 <= pmax <= PRIME_CAP:
         raise ValueError("pmax must be in 1..%d, got %d" % (PRIME_CAP, pmax))
     checks = _map_checks(entry)
+    if candidate_sets is None:
+        candidate_sets = {}
     for value, factors, bad in entry.specializations():
         tag = _suffix(value)
         if entry.action is not None:
             checks.extend(_action_checks(entry, value, tag))
         if factors:
-            checks.extend(_prime_checks(entry, value, tag, factors, bad, pmax))
+            checks.extend(_prime_checks(entry, value, tag, factors, bad,
+                                        pmax, candidate_sets))
             if depth > 1:
                 checks.extend(_extension_checks(entry, value, tag, bad, depth))
     checks.extend(_aux_checks(entry))
@@ -415,6 +425,11 @@ def run_entry(entry, pmax=200, depth=1):
 
 
 def run_catalog(entries, pmax=200, depth=1):
-    """The runs of the `entries`, in id order."""
-    return [run_entry(e, pmax=pmax, depth=depth)
+    """The runs of the `entries`, in id order.  Their per-prime passes
+    share one dict of CM trace candidates, which lasts for this call: it
+    holds at most one set per claimed discriminant and prime up to
+    `pmax`."""
+    candidate_sets = {}
+    return [run_entry(e, pmax=pmax, depth=depth,
+                      candidate_sets=candidate_sets)
             for e in sorted(entries, key=lambda e: e.id)]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,11 +49,13 @@ def test_summary_quartiles_pairs_and_bounds():
     # setup_s ran on one side only: no row
     assert sorted(rows) == ["checks", "peak_rss_mb", "report_s"]
     report = rows["report_s"]
-    # inclusive quartiles of 0.9, 1.0, 1.0, 1.1 and of 0.8, 0.8, 0.85, 0.95
+    # benchmark/run.py's (exclusive) quartiles of 0.9, 1.0, 1.0, 1.1 and
+    # of 0.8, 0.8, 0.85, 0.95
+    assert bench_ab.quartiles.__module__ == "bench_run"
     assert report["parent"] == pytest.approx(
-        {"q1": 0.975, "median": 1.0, "q3": 1.025})
+        {"q1": 0.925, "median": 1.0, "q3": 1.075})
     assert report["change"] == pytest.approx(
-        {"q1": 0.8, "median": 0.825, "q3": 0.875})
+        {"q1": 0.8, "median": 0.825, "q3": 0.925})
     # seed 3 is the one pair the change lost
     assert (report["pairs"], report["change_better_pairs"]) == (4, 3)
     assert report["worse_by"] == pytest.approx(-0.175)
@@ -90,6 +93,25 @@ def test_health_and_claim():
     claim = bench_ab.claim_verdict(workloads, "w:report_s")
     assert claim["gain"] == pytest.approx(1 - 0.95 / 1.1)
     assert (claim["change_better_pairs"], claim["pairs"]) == (2, 2)
+
+
+def test_a_run_that_times_out_is_a_failed_run(monkeypatch, tmp_path):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", hang)
+    status, result = bench_ab.run_once(tmp_path, "w", 2, 15)
+    assert (status, result) == (None, {})
+    runs = _runs({"parent": {"report_s": [1.0, 1.0]},
+                  "change": {"report_s": [1.0]}})
+    runs.append({"seed": 2, "side": "change", "exit": status,
+                 "result": result})
+    health = bench_ab.run_health(runs)
+    assert health["change"] == {"runs": 2, "all_correct": False,
+                                "failed_share": 0.0}
+    assert health["parent"]["all_correct"] is True
+    # the run that has no metrics leaves one pair
+    assert bench_ab.summarize(runs, SPEC)["report_s"]["pairs"] == 1
 
 
 def test_pairs_alternate_and_the_script_is_stdlib_only():

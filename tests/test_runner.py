@@ -442,7 +442,7 @@ def _prime_checks(entry, pmax):
     pass run as `run_entry` runs it."""
     return [c for value, factors, bad in entry.specializations() if factors
             for c in runner._prime_checks(entry, value, _suffix(value),
-                                          factors, bad, pmax)]
+                                          factors, bad, pmax, {})]
 
 
 class _StubModel:
@@ -597,16 +597,23 @@ def test_candidates_are_computed_once_per_discriminant(monkeypatch, eid):
     assert seen == [[real_candidates(d, p) for d in discs] for p in primes]
 
 
-def test_candidates_are_computed_once_per_pair_for_the_catalog():
+def test_candidates_are_computed_once_per_pair_for_the_catalog(
+        monkeypatch):
     # at pmax 499 the claimed specializations ask for 372 (disc, p) pairs
-    # 1047 times; the sets are computed once per pair and kept for the
-    # process, so a second report computes none
-    runner.cm_trace_candidates.cache_clear()
+    # 1047 times; a catalog run computes each pair once and keeps the sets
+    # for that run only, so a second run computes them again
+    calls = Counter()
+    real_candidates = runner.cm_trace_candidates
+
+    def candidates(d, p):
+        calls[d, p] += 1
+        return real_candidates(d, p)
+
+    monkeypatch.setattr(runner, "cm_trace_candidates", candidates)
     run_catalog(ENTRIES.values(), pmax=499)
-    info = runner.cm_trace_candidates.cache_info()
-    assert (info.misses, info.hits) == (372, 1047 - 372)
+    assert len(calls) == 372 and set(calls.values()) == {1}
     run_catalog(ENTRIES.values(), pmax=499)
-    assert runner.cm_trace_candidates.cache_info().misses == 372
+    assert len(calls) == 372 and set(calls.values()) == {2}
 
 
 def test_inert_and_feasibility_disagreement_is_an_invariant_error(

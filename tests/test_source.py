@@ -183,18 +183,12 @@ def _name_of(node):
     return None
 
 
-# the functions of plain integers whose bounded caches may live outside gf:
-# they keep no field
-INTEGER_CACHES = {"is_prime", "cm_trace_candidates"}
-
-
 def _field_layer_uses(tree):
     """Lines that construct ExtField, or name TABLE_MAX, FIELD_CACHE or
-    lru_cache, apart from the bounded caches that decorate the functions
-    of INTEGER_CACHES."""
+    lru_cache, apart from the bounded cache that decorates ``is_prime``."""
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_CACHES:
+        if isinstance(node, ast.FunctionDef) and node.name == "is_prime":
             allowed.update(id(n) for d in node.decorator_list
                            for n in ast.walk(d))
     for node in ast.walk(tree):
@@ -225,8 +219,6 @@ def test_field_layer_rule_flags_each_form():
     ]
     allowed = [
         "@functools.lru_cache(maxsize=1024)\ndef is_prime(n): pass",
-        "@functools.lru_cache(maxsize=1024)\n"
-        "def cm_trace_candidates(disc, p): pass",
         "F = gf.field(5, 2)",
         "n = gf.field(13).cubic(c)",
         "from .gf import ExtField",

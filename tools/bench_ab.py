@@ -1,32 +1,34 @@
 """A/B comparison for the benchmark: alternating pairs of runs of a parent
 commit and of the working tree, summarised in one BENCH file.
 
-    python3 tools/bench_ab.py --parent REV --label NAME [--pairs 10]
-        [--seconds S] [--workload W]... [--seed N] [--claim W:METRIC]
-        [--workdir DIR]
+    python3 tools/bench_ab.py --parent REV --label NAME [--workload W]...
+        [--seed N] [--claim W:METRIC]
 
 The parent side is `git archive REV`; the change side is the working tree's
 `src/` and `benchmark/`.  Each side is unpacked in its own temporary tree,
-and its bytecode is compiled before any run.  Per workload, pair i runs
-`benchmark/run.py --trace 0` on both sides with seed N + i, the change first
-when that seed is odd and the parent first when it is even.  The pairs of
-one workload run one after another, workloads in the order given (all of
-BENCHMARK.json's by default).  `BENCH_<label>.json` at the root of the
-working tree records every run and, per end-to-end metric of each workload,
-both sides' medians and quartiles, the pairs in which the change was
-better, the BENCHMARK.json bound and whether the change is within it.
-The temporary trees are removed at the end, and every run is a child that
-is waited for, so nothing is left running.  Stdlib only.
+and its bytecode is compiled before any run.  Per workload, pair i of ten
+runs `benchmark/run.py --trace 0` for BENCHMARK.json's `run_seconds` on
+both sides with seed N + i, the change first when that seed is odd and the
+parent first when it is even.  The pairs of one workload run one after
+another, workloads in the order given (all of BENCHMARK.json's by
+default).  `BENCH_<label>.json` at the root of the working tree records
+every run and, per end-to-end metric of each workload, both sides' medians
+and quartiles, the pairs in which the change was better, the BENCHMARK.json
+bound and whether the change is within it.  The quartiles are those of
+`benchmark/run.py`'s steadiness check, so both tools judge spread alike.
+A run that does not end in time is killed and recorded as failed.  The
+temporary trees are removed at the end, and every run is a child that is
+waited for, so nothing is left running.  Stdlib only.
 """
 
 import argparse
 import compileall
+import importlib.util
 import io
 import json
 import os
 import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -37,6 +39,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SCHEMA = "bench-ab/1"
+PAIRS = 10
+
+
+def _load_bench_run():
+    """benchmark/run.py of the working tree, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", ROOT / "benchmark" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+quartiles = _load_bench_run().quartiles
 
 
 def build_parent(rev, dest):
@@ -68,12 +83,17 @@ def compile_tree(tree):
 
 def run_once(tree, workload, seed, seconds):
     """One `run.py --trace 0` run in `tree`: its exit status and the JSON
-    object of its last line of stdout ({} when there is none)."""
+    object of its last line of stdout ({} when there is none).  A run
+    still going after 60 * seconds + 600 seconds is killed: its status
+    is None and its object {}."""
     cmd = [sys.executable, str(tree / "benchmark" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=60 * seconds + 600)
+    try:
+        done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=60 * seconds + 600)
+    except subprocess.TimeoutExpired:
+        return None, {}
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else {}
@@ -85,14 +105,6 @@ def run_once(tree, workload, seed, seconds):
 def pair_order(seed):
     """The sides of a pair in run order: the change first at odd seeds."""
     return ("change", "parent") if seed % 2 else ("parent", "change")
-
-
-def quartiles(values):
-    """(q1, median, q3) by statistics.quantiles(n=4, method='inclusive')."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
 
 
 def summarize(runs, spec):
@@ -177,22 +189,17 @@ def main(argv=None):
                         help="the commit the working tree is compared with")
     parser.add_argument("--label", required=True,
                         help="the name in BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int,
-                        help="seconds per run (BENCHMARK.json's by default)")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (all by default), in order")
     parser.add_argument("--seed", type=int, default=1,
                         help="the seed of the first pair")
     parser.add_argument("--claim", help="WORKLOAD:METRIC this change claims")
-    parser.add_argument("--workdir", help="where the temporary trees go")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
-    seeds = list(range(args.seed, args.seed + args.pairs))
-    with tempfile.TemporaryDirectory(prefix="bench-ab-",
-                                     dir=args.workdir) as tmp:
+    seconds = spec["run_seconds"]
+    seeds = list(range(args.seed, args.seed + PAIRS))
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commit = build_parent(args.parent, trees["parent"])
         build_change(trees["change"])
@@ -206,7 +213,7 @@ def main(argv=None):
                     status, result = run_once(trees[side], name, seed, seconds)
                     runs.append({"seed": seed, "side": side, "exit": status,
                                  "started": start, "result": result})
-                    print("%s seed %d %s: exit %d %s" % (
+                    print("%s seed %d %s: exit %s %s" % (
                         name, seed, side, status,
                         {k: round(v["value"], 5) for k, v in
                          result.get("metrics", {}).items()}), flush=True)
@@ -226,8 +233,8 @@ def main(argv=None):
         "seeds": seeds,
         "order": "per workload, pairs in seed order; the change first at "
                  "odd seeds, the parent first at even seeds",
-        "quartiles": "statistics.quantiles(n=4, method='inclusive') over "
-                     "the runs of a side",
+        "quartiles": "benchmark/run.py's quartiles: statistics.quantiles("
+                     "n=4), exclusive, over the runs of a side",
         "worse_by": "change/parent - 1 of the medians for a lower-is-better "
                     "metric, parent/change - 1 for a higher-is-better one; "
                     "the claim's gain is -worse_by",
