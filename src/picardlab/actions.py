@@ -280,7 +280,7 @@ class GroupAction:
         taken mod ell (exact by the module docstring)."""
         b = len(indices)
         rows = _commutant_rows(self._reduced, indices)
-        return self.tower.const(b * b - _rank_mod(rows, self.ell))
+        return b * b - _rank_mod(rows, self.ell)
 
     def is_block_stable(self, indices):
         """Whether the span of the given basis indices is preserved.
@@ -306,13 +306,12 @@ class GroupAction:
         covered = sorted(i for part in partition for i in part)
         if covered != list(range(len(self.frame.basis))):
             return False, [{"error": "partition does not cover the basis"}]
-        one = self.tower.one()
         evidence = []
         ok = True
         for part in partition:
             stable = self.is_block_stable(part)
             norm = self.character_norm(part)
-            irreducible = norm == one
+            irreducible = norm == 1
             ok = ok and stable and irreducible
             evidence.append(
                 {

@@ -3,22 +3,22 @@
 A run verifies the entry's maps and classifies their pullbacks, then walks
 the entry's specializations once.  Each one runs the group-action closure,
 decomposition and span certificates when the entry has an action; a
-claimed one also runs one per-prime pass and, at depth > 1, its counts over
-F_{p^k}.  The auxiliary exact checks read the same specializations, and
-one that names a map reads its curve from that map's target.  The per-prime
-pass counts the specialization and each distinct trace-map target once per
-good prime, and those counts feed the inert-prime exactness, split-prime
-trace feasibility and exact trace identity rows.  Failed checks become FAIL
-rows with evidence.  Among them are a trace-map target that is not
-v^2 = f(u) or whose f has a repeated root; a good prime where a trace-map
-target has bad reduction (it divides the model's bad_number), which is not
-counted there; a claimed discriminant whose candidate traces cannot sum to
-the source trace, even where an exact trace identity holds; and an aux
-item that raises a ValueError or ZeroDivisionError, such as one whose map
-target is not v^2 = f(u), has bad reduction at one of its primes or lies
-on no single quadric.  An InvariantError marks a program defect and still
-aborts the run, by design.  Every curve that a run counts is built by the
-entry (``counting_model``, ``target_model``), once per load.
+claimed one also runs one counting pass on its counting model.  The pass
+counts the specialization and each distinct trace-map target once per
+good prime, for the inert-prime exactness, split-prime trace feasibility
+and exact trace identity rows, and at depth > 1 counts the specialization
+over F_{p^k}.  The auxiliary exact checks read the same specializations,
+and one that names a map reads its curve from that map's target.  Failed
+checks become FAIL rows with evidence.  Among them are a trace-map target
+that is not v^2 = f(u) or whose f has a repeated root; a good prime where
+a trace-map target has bad reduction (it divides the model's bad_number),
+which is not counted there; a claimed discriminant whose candidate traces
+cannot sum to the source trace, even where an exact trace identity holds;
+and an aux item that raises a ValueError or ZeroDivisionError, such as one
+whose map target is not v^2 = f(u), has bad reduction at one of its primes
+or lies on no single quadric.  An InvariantError marks a program defect
+and still aborts the run, by design.  Every curve that a run counts is
+built by the entry (``counting_model``, ``target_model``), once per load.
 """
 from .catalog import AUX_CHECKS, PRIME_CAP
 from .curves import InvariantError
@@ -235,38 +235,38 @@ def _certificate_check(entry, action, summand, tag):
     return CheckResult(check_id, status, evidence)
 
 
-# -- steps 4 to 6: one per-prime pass ----------------------------------------
+# -- steps 4 to 6, and depth > 1: one counting pass --------------------------
 
-def _prime_checks(entry, value, tag, factors, bad, pmax, candidate_sets):
-    """Inert, feasibility and trace rows of one claimed specialization.  At
-    each good prime the source and each distinct trace-map target are
+def _count_checks(entry, spec, tag, pmax, depth, candidate_sets):
+    """The counting rows of one claimed Specialization, from its one model.
+    At each good prime the source and each distinct trace-map target are
     counted once, and every row of that prime reads those counts; with no
-    discriminant claimed and no trace target to count, nothing is
-    counted.  ``candidate_sets`` maps (disc, p) to the frozenset of
-    ``cm_trace_candidates``: a pair missing from it is computed and
-    added."""
+    discriminant claimed and no trace target, no prime is counted.  At
+    depth > 1 a source that extends is counted over F_{p^k}, k = 2..depth,
+    at the least good prime below 30.  ``candidate_sets`` maps (disc, p) to
+    the frozenset of ``cm_trace_candidates``: a pair missing from it is
+    computed and added."""
     checks = []
-    claimed = all(f.disc is not None for f in factors)
+    claimed = all(f.disc is not None for f in spec.factors)
     if not claimed:
         note = {"note": "no CM discriminant claimed for every factor"}
         checks.append(CheckResult("inert" + tag, SKIPPED, dict(note)))
         checks.append(CheckResult("feasibility" + tag, SKIPPED, dict(note)))
-    names = [spec.name for spec in entry.trace_maps]
+    names = [tmap.name for tmap in entry.trace_maps]
     targets = {}
-    for spec in entry.trace_maps:
+    for tmap in entry.trace_maps:
         try:
-            targets[spec.name] = entry.target_model(spec, value)
+            targets[tmap.name] = entry.target_model(tmap, spec.value)
         except ValueError as exc:
             checks.append(CheckResult(
-                "trace" + tag, FAIL, {"map": spec.name, "error": str(exc)}))
+                "trace" + tag, FAIL, {"map": tmap.name, "error": str(exc)}))
             names = []
             break
-    if not (claimed or names):
-        # no row would read a count
-        return checks
-    discs = [f.disc for f in factors for _ in range(f.mult)]
-    source = entry.counting_model(value)
-    for p in good_primes(pmax, bad):
+    discs = [f.disc for f in spec.factors for _ in range(f.mult)]
+    source = entry.counting_model(spec.value)
+    # with neither, no row would read a count
+    primes = good_primes(pmax, spec.bad_primes) if claimed or names else []
+    for p in primes:
         record = source.count_points(p)
         if claimed:
             # each distinct discriminant once; a factor of multiplicity
@@ -309,6 +309,19 @@ def _prime_checks(entry, value, tag, factors, bad, pmax, candidate_sets):
         checks.append(CheckResult(
             "trace" + tag, PASS if ok else FAIL,
             {"source": record.trace, "parts": parts}, prime=p))
+    primes = good_primes(30, spec.bad_primes) if depth > 1 else []
+    if not primes or not source.extends:
+        return checks
+    p = primes[0]
+    for k in range(2, depth + 1):
+        # CountRecord checks the Weil bound; a refused count is SKIPPED
+        try:
+            status, evidence = PASS, {
+                "npoints": source.count_points_ext(p, k).npoints}
+        except ValueError as exc:
+            status, evidence = SKIPPED, {"note": str(exc)}
+        checks.append(CheckResult("extension:k=%d%s" % (k, tag), status,
+                                  evidence, prime=p))
     return checks
 
 
@@ -377,49 +390,27 @@ def _aux_check(entry, item):
     return got == item.expected, {"got": got, "expected": item.expected}
 
 
-# -- depth > 1: counts over F_{p^k}; CountRecord checks the Weil bound -------
-
-def _extension_checks(entry, value, tag, bad, depth):
-    primes = good_primes(30, bad)
-    model = entry.counting_model(value)
-    if not primes or not model.extends:
-        return []
-    p = primes[0]
-    checks = []
-    for k in range(2, min(depth, 3) + 1):
-        check_id = "extension:k=%d%s" % (k, tag)
-        try:
-            record = model.count_points_ext(p, k)
-        except ValueError as exc:
-            checks.append(
-                CheckResult(check_id, SKIPPED, {"note": str(exc)}, prime=p))
-        else:
-            checks.append(
-                CheckResult(check_id, PASS, {"npoints": record.npoints},
-                            prime=p))
-    return checks
-
-
 def run_entry(entry, pmax=200, depth=1, candidate_sets=None):
     """All checks for one entry; failures are results, not exceptions.  The
-    entry's specializations are read once, and each drives its own action,
-    per-prime and extension stages.  The per-prime passes keep the CM trace
-    candidates of each (disc, p) in ``candidate_sets`` (a new dict by
-    default), so each pair is computed once."""
+    entry's specializations are read once: each runs its action stage, and
+    a claimed one its one counting pass, over F_p and, at depth > 1, over
+    F_{p^k}.  The counting passes keep the CM trace candidates of each
+    (disc, p) in ``candidate_sets`` (a new dict by default), so each pair
+    is computed once."""
     if not 1 <= pmax <= PRIME_CAP:
         raise ValueError("pmax must be in 1..%d, got %d" % (PRIME_CAP, pmax))
+    if not 1 <= depth <= 3:
+        raise ValueError("depth must be in 1..3, got %d" % depth)
     checks = _map_checks(entry)
     if candidate_sets is None:
         candidate_sets = {}
-    for value, factors, bad in entry.specializations():
-        tag = _suffix(value)
+    for spec in entry.specializations():
+        tag = _suffix(spec.value)
         if entry.action is not None:
-            checks.extend(_action_checks(entry, value, tag))
-        if factors:
-            checks.extend(_prime_checks(entry, value, tag, factors, bad,
-                                        pmax, candidate_sets))
-            if depth > 1:
-                checks.extend(_extension_checks(entry, value, tag, bad, depth))
+            checks.extend(_action_checks(entry, spec.value, tag))
+        if spec.factors:
+            checks.extend(_count_checks(entry, spec, tag, pmax, depth,
+                                        candidate_sets))
     checks.extend(_aux_checks(entry))
     return EntryRun(entry.id, checks)
 

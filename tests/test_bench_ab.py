@@ -124,3 +124,18 @@ def test_pairs_alternate_and_the_script_is_stdlib_only():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module.split(".")[0])
     assert modules <= set(sys.stdlib_module_names)
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    # as `wc -l` counts: newlines, in src/**/*.py only
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\nw = 4")
+    (tmp_path / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(
+        b"\n" * 9)
+    (tmp_path / "src" / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("t = 0\n")
+    assert bench_ab.src_lines(tmp_path) == 4
+    (tmp_path / "src" / "c.py").write_text("")
+    assert bench_ab.src_lines(tmp_path) == 4

@@ -13,6 +13,7 @@ from picardlab import runner
 from picardlab.catalog import (
     CatalogError,
     Factor,
+    Specialization,
     builtin_catalog,
     load_catalog,
     load_tower,
@@ -440,9 +441,9 @@ def test_each_affine_map_builds_its_source_once(monkeypatch):
 def _prime_checks(entry, pmax):
     """The per-prime rows of every claimed specialization of `entry`, each
     pass run as `run_entry` runs it."""
-    return [c for value, factors, bad in entry.specializations() if factors
-            for c in runner._prime_checks(entry, value, _suffix(value),
-                                          factors, bad, pmax, {})]
+    return [c for spec in entry.specializations() if spec.factors
+            for c in runner._count_checks(entry, spec, _suffix(spec.value),
+                                          pmax, 1, {})]
 
 
 class _StubModel:
@@ -471,7 +472,7 @@ class _StubEntry:
         self.names = names
 
     def specializations(self):
-        return [(None, [Factor((1, -4, None))], [2, 3])]
+        return [Specialization((None, [Factor((1, -4, None))], [2, 3]))]
 
     @property
     def trace_maps(self):
@@ -505,7 +506,7 @@ def test_no_prime_is_counted_when_no_row_reads_a_count(monkeypatch):
                         lambda self, p: counted.append(p) or real(self, p))
     entry = _StubEntry(0, [])
     monkeypatch.setattr(entry, "specializations", lambda: [
-        (None, [Factor((1, None, None))], [2, 3])])
+        Specialization((None, [Factor((1, None, None))], [2, 3]))])
     rows = _prime_checks(entry, 100)
     assert [(c.check_id, c.status) for c in rows] == [
         ("inert", "SKIPPED"), ("feasibility", "SKIPPED")]
@@ -647,33 +648,58 @@ def test_a_run_reads_the_specializations_once(monkeypatch, eid):
 
 
 def test_each_count_happens_once(monkeypatch):
-    # Ciani lists its one target three times; the source and that target
-    # are each counted once per (t, p).  The entry's cm_consistency aux
-    # check counts the t = 0 target curve again, at its own primes, so it
-    # is dropped.
+    # Ciani lists its one target three times.  At depth 3 each
+    # specialization reads its counting model once; the source and that
+    # target are each counted once per (t, p), and the source once per
+    # (t, k) at its extension prime.  The entry's cm_consistency aux check
+    # counts the t = 0 target curve again, at its own primes, so it is
+    # dropped.
     doc, raw = _builtin_document("ciani-quartic-pencil")
     raw["aux"] = []
     entry = next(e for e in load_catalog(doc) if e.id == raw["id"])
-    counts = Counter()
+    counts, reads = Counter(), Counter()
 
     def counting(cls):
-        real = cls.count_points
+        real, real_ext = cls.count_points, cls.count_points_ext
 
         def count_points(self, p):
             counts[cls.__name__, tuple(self.rows), p] += 1
             return real(self, p)
 
+        def count_points_ext(self, p, k):
+            counts[cls.__name__, tuple(self.rows), p, k] += 1
+            return real_ext(self, p, k)
+
         monkeypatch.setattr(cls, "count_points", count_points)
+        monkeypatch.setattr(cls, "count_points_ext", count_points_ext)
 
     counting(PlaneModel)
     counting(HyperellipticModel)
-    run = run_entry(entry, pmax=60)
+    model = entry.counting_model
+    monkeypatch.setattr(entry, "counting_model",
+                        lambda value: reads.update([value]) or model(value))
+    run = run_entry(entry, pmax=60, depth=3)
     assert run.unexpected_failures() == []
-    grid = sum(len(good_primes(60, bad))
-               for _, _, bad in entry.specializations())
+    specs = entry.specializations()
+    assert reads == Counter(spec.value for spec in specs)
+    grid = sum(len(good_primes(60, spec.bad_primes)) for spec in specs)
     for kind in ("PlaneModel", "HyperellipticModel"):
-        assert len([k for k in counts if k[0] == kind]) == grid, kind
+        assert len([k for k in counts
+                    if k[0] == kind and len(k) == 3]) == grid, kind
+    # k = 2 and 3 of each source, at the least good prime below 30
+    extensions = sorted((k[2], k[3]) for k in counts if len(k) == 4)
+    assert extensions == sorted(
+        (good_primes(30, spec.bad_primes)[0], k)
+        for spec in specs for k in (2, 3))
+    assert {k[0] for k in counts if len(k) == 4} == {"PlaneModel"}
     assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("depth", [0, 4])
+def test_a_depth_outside_1_to_3_is_refused(depth):
+    with pytest.raises(ValueError, match="depth must be in 1..3, got %d"
+                       % depth):
+        run_entry(ENTRIES["genus2-quintic"], pmax=5, depth=depth)
 
 
 def test_each_target_model_is_built_once_per_load(monkeypatch):

@@ -10,7 +10,8 @@ span certificate, no JSON dump in src/ is indented (an indented dump
 runs the standard library's pure-Python encoder), and the runner and the
 CLI read catalog entries by attribute, never by a string key, and the
 runner imports no curve model and of the catalog only its schema
-constants (the entry builds every curve it counts)."""
+constants (the entry builds every curve it counts) and makes every point
+count in one function."""
 
 import ast
 from pathlib import Path
@@ -397,6 +398,66 @@ def test_runner_boundary_rule_flags_each_form():
     ]
     for text in flagged + allowed:
         hit = bool(_runner_boundary_breaches(ast.parse(text)))
+        assert hit == (text in flagged), text
+
+
+# the point counts of a run: the runner makes them all in one function,
+# so a row that reads a count joins that pass rather than loop beside it
+_COUNT_CALLS = {"count_points", "count_points_ext"}
+
+
+def _counting_scopes(tree):
+    """The functions that name ``count_points`` or ``count_points_ext``,
+    each name taken in the innermost def or lambda around it and
+    "<module>" outside any, so that a nested helper is a function of its
+    own; an import alias is no use."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Lambda):
+            scope = "<lambda>"
+        elif (not isinstance(node, ast.alias)
+              and _name_of(node) in _COUNT_CALLS and scope not in found):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_runner_counts_in_one_function():
+    assert _counting_scopes(_trees()["runner.py"]) == ["_count_checks"]
+
+
+def test_one_counting_function_rule_flags_each_form():
+    flagged = [
+        # two stages, each with its own loop
+        "def f(m, ps):\n    return [m.count_points(p) for p in ps]\n"
+        "def g(m, p):\n    return m.count_points_ext(p, 2)",
+        "def f(m):\n    def g(p):\n        return m.count_points(p)\n"
+        "    return g(5), m.count_points_ext(5, 2)",
+        "def f(m):\n    return m.count_points(5)\nN = M.count_points(7)",
+        "def f(m, ks):\n    n = m.count_points(5)\n"
+        "    return n, map(lambda k: m.count_points_ext(5, k), ks)",
+        "def f(m):\n    count = m.count_points\n    return count(5)\n"
+        "def g(m):\n    return m.count_points_ext(5, 2)",
+        "N = model.count_points(5)",
+    ]
+    allowed = [
+        "def f(m):\n    return m.count_points(5)",
+        "def f(m, ps, ks):\n    return ([m.count_points(p) for p in ps]\n"
+        "            + [m.count_points_ext(5, k) for k in ks])",
+        "def f(m):\n    return m.count_points(5).trace\n"
+        "def g(record):\n    return record.trace",
+        "from .curves import count_points\n"
+        "def f(m):\n    return count_points(m, 5)",
+    ]
+    for text in flagged + allowed:
+        scopes = _counting_scopes(ast.parse(text))
+        hit = len(scopes) != 1 or scopes == ["<module>"]
         assert hit == (text in flagged), text
 
 

@@ -14,8 +14,10 @@ another, workloads in the order given (all of BENCHMARK.json's by
 default).  `BENCH_<label>.json` at the root of the working tree records
 every run and, per end-to-end metric of each workload, both sides' medians
 and quartiles, the pairs in which the change was better, the BENCHMARK.json
-bound and whether the change is within it.  The quartiles are those of
-`benchmark/run.py`'s steadiness check, so both tools judge spread alike.
+bound and whether the change is within it; it also records each tree's
+`src/` line count (`src_lines`, `src/**/*.py` as `wc -l` counts it).  The
+quartiles are those of `benchmark/run.py`'s steadiness check, so both
+tools judge spread alike.
 A run that does not end in time is killed and recorded as failed.  The
 temporary trees are removed at the end, and every run is a child that is
 waited for, so nothing is left running.  Stdlib only.
@@ -72,6 +74,12 @@ def build_change(dest):
     for name in ("src", "benchmark"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+
+
+def src_lines(tree):
+    """The lines of `tree`'s src/**/*.py, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src").rglob("*.py"))
 
 
 def compile_tree(tree):
@@ -203,6 +211,7 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in SIDES}
         commit = build_parent(args.parent, trees["parent"])
         build_change(trees["change"])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         compiled = {side: compile_tree(trees[side]) for side in SIDES}
         workloads = {}
         for name in names:
@@ -230,6 +239,7 @@ def main(argv=None):
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "bytecode_compiled": compiled,
+        "src_lines": lines,
         "seeds": seeds,
         "order": "per workload, pairs in seed order; the change first at "
                  "odd seeds, the parent first at even seeds",
